@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -21,6 +22,7 @@ from .diffop import (DiffOp, ParamVector, apply, build_hamiltonian,
 from .operators import GradedOp, graded
 from .trigpoly import (TrigPoly, coordinate_vectors, frac_to_str, is_zero,
                        to_obj)
+from .trigpoly import proportionality  # noqa: F401  (re-exported for comparing states)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -38,37 +40,34 @@ class JacobiPoly:
     coeffs: tuple[Fraction, ...]
 
 
-def _poly_mul_affine(p: list[Fraction], a: Fraction, b: Fraction) -> list[Fraction]:
-    # p(x) * (a + b x)
-    out = [F0] * (len(p) + 1)
-    for i, c in enumerate(p):
-        out[i] += a * c
-        out[i + 1] += b * c
+def _binom(z: Fraction, m: int) -> Fraction:
+    """Generalized binomial coefficient z (z-1) ... (z-m+1) / m!."""
+    out = F1
+    for i in range(m):
+        out = out * (z - i) / (i + 1)
     return out
 
 
 def jacobi(n: int, alpha, beta) -> JacobiPoly:
-    """Exact coefficients via the standard three-term recurrence."""
+    """Exact coefficients via the explicit sum (Szego, Orthogonal Polynomials 4.3)
+
+        P_n = sum_k C(n+alpha, n-k) C(n+beta, k) ((x-1)/2)^k ((x+1)/2)^(n-k),
+
+    which divides only by integers and so is defined for all rational alpha, beta.
+    """
     if n < 0:
         raise ValueError("jacobi degree must be >= 0")
     a, b = Fraction(alpha), Fraction(beta)
-    p0 = [F1]
-    if n == 0:
-        return JacobiPoly(0, a, b, tuple(p0))
-    p1 = [(a - b) / 2, (a + b + 2) / 2]
-    if n == 1:
-        return JacobiPoly(1, a, b, tuple(p1))
-    for k in range(2, n + 1):
-        c1 = 2 * k * (k + a + b) * (2 * k + a + b - 2)
-        c2 = (2 * k + a + b - 1) * (a * a - b * b)
-        c3 = (2 * k + a + b - 1) * (2 * k + a + b) * (2 * k + a + b - 2)
-        c4 = 2 * (k + a - 1) * (k + b - 1) * (2 * k + a + b)
-        nxt = _poly_mul_affine(p1, c2, c3)
-        nxt = [x / c1 for x in nxt]
-        for i, c in enumerate(p0):
-            nxt[i] -= c4 * c / c1
-        p0, p1 = p1, nxt
-    return JacobiPoly(n, a, b, tuple(p1))
+    coeffs = [F0] * (n + 1)
+    for k in range(n + 1):
+        w = _binom(n + a, n - k) * _binom(n + b, k) / 2 ** n
+        if w == 0:
+            continue
+        # (x-1)^k (x+1)^(n-k), ascending in x
+        for i in range(k + 1):
+            for j in range(n - k + 1):
+                coeffs[i + j] += w * (-1) ** (k - i) * math.comb(k, i) * math.comb(n - k, j)
+    return JacobiPoly(n, a, b, tuple(coeffs))
 
 
 def jacobi_eval(jp: JacobiPoly, x: Fraction) -> Fraction:
@@ -276,16 +275,6 @@ def phi2_closed_form(ell, m: int, n: int, printed_parameter: bool = False) -> Tr
     root = l0 + l1 + 2 * m + 1
     pref = _monomial_state(1, 0, 0, root, l2 + HALF)
     return pref * jacobi_in_cos2(jacobi(n, alpha, root), var=2)
-
-
-def proportionality(p: TrigPoly, q: TrigPoly) -> Fraction | None:
-    """c with p == c q as functions, or None (q nonzero)."""
-    vp, vq = coordinate_vectors([p, q])
-    key, v = next(((k, v) for k, v in vq.items() if v != 0), (None, None))
-    if key is None:
-        return None
-    c = vp.get(key, F0) / v
-    return c if is_zero(p - q.scale(c)) else None
 
 
 # -- representation lattices ------------------------------------------------------

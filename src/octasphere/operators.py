@@ -24,7 +24,8 @@ from typing import Callable, Sequence
 from . import linalg
 from .diffop import (DiffOp, ParamVector, build_hamiltonian,
                      build_phi1_block, compose, is_zero_op, pv)
-from .trigpoly import TrigPoly, TrigTerm, coordinate_vectors, is_zero
+from .trigpoly import (ONE, TrigPoly, TrigTerm, coordinate_vectors, is_zero,
+                       proportionality)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -129,9 +130,6 @@ def corrected_B(sign: str, ell: ParamVector) -> DiffOp:
 
 def corrected_C(sign: str, ell: ParamVector) -> DiffOp:
     return printed_C("-" if sign == "+" else "+", ell)
-
-
-_FLIP = {"B": True, "C": True}
 
 
 def build_first_order(name: str, sign: str, ell: ParamVector, *,
@@ -388,26 +386,21 @@ def commutator_with_diagonal(d: DiagonalOp, x: GradedOp, ell: ParamVector) -> Di
 def match_constant_multiple(op: DiffOp, cand: DiffOp) -> Fraction | None:
     """c with op == c * cand exactly (semantic equality), else None.
 
-    Canonical class coordinates make the proposed ratio well-defined even when
-    the two operators are written over structurally different monomials.
+    Each derivative order must give the same ratio of normal forms, so the two
+    operators may be written over structurally different monomials.
     """
-    for order, poly in cand.items():
-        if is_zero(poly):
-            continue
-        vec_op, vec_cand = coordinate_vectors([op.coeff(order), poly])
-        key, v = next((k, v) for k, v in vec_cand.items() if v != 0)
-        c = vec_op.get(key, F0) / v
-        return c if is_zero_op(op - cand.scale(c)) else None
-    return F0 if is_zero_op(op) else None
-
-
-def constant_value(p: TrigPoly) -> Fraction | None:
-    """If p equals an exact constant as a function, return it."""
-    from .trigpoly import ONE
-    vec_p, vec_one = coordinate_vectors([p, ONE])
-    key, v = next((k, v) for k, v in vec_one.items() if v != 0)
-    c = vec_p.get(key, F0) / v
-    return c if is_zero(p - ONE.scale(c)) else None
+    shared = None
+    for order in {k for k, _ in op.items()} | {k for k, _ in cand.items()}:
+        p, q = op.coeff(order), cand.coeff(order)
+        c = proportionality(p, q)
+        if c is None:
+            if is_zero(q) and is_zero(p):
+                continue
+            return None
+        if shared is not None and c != shared:
+            return None
+        shared = c
+    return F0 if shared is None else shared
 
 
 def constant_part(op: DiffOp) -> Fraction | None:
@@ -415,7 +408,7 @@ def constant_part(op: DiffOp) -> Fraction | None:
     for order, poly in op.items():
         if order != (0, 0) and not is_zero(poly):
             return None
-    return constant_value(op.coeff((0, 0)))
+    return proportionality(op.coeff((0, 0)), ONE)
 
 
 def structure_table(box: int = 2, variant: str = "corrected") -> dict:

@@ -2,15 +2,12 @@
 
 Each suite returns a deterministic report dict; corrected operators are used
 for the algebraic content and every difference from the printed formulas is
-listed under "paper_deltas" with exact evidence.  Sector sweeps honor the
-OCTA_THREADS environment variable.
+listed under "paper_deltas" with exact evidence.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .diffop import DiffOp, apply, build_hamiltonian, is_zero_op, pv
@@ -35,14 +32,6 @@ def _sector_box(r: int):
             for j in range(-r, r + 1) for k in range(-r, r + 1)]
 
 
-def _map_sectors(fn, sectors):
-    threads = int(os.environ.get("OCTA_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, sectors))
-    return [fn(s) for s in sectors]
-
-
 def _check(name: str, passed: bool, **detail) -> dict:
     return {"name": name, "passed": bool(passed), **detail}
 
@@ -55,8 +44,7 @@ def suite_intertwine(rng: int) -> dict:
 
     for name in LADDER_NAMES + TILDE_NAMES:
         op = graded(name, "corrected")
-        bad = [s for s, ok in zip(box, _map_sectors(
-            lambda ell, op=op: is_exact_intertwiner(op, ell), box)) if not ok]
+        bad = [ell for ell in box if not is_exact_intertwiner(op, ell)]
         checks.append(_check(f"corrected {name} intertwines exactly on box ±{rng}",
                              not bad, failures=[[str(x) for x in s] for s in bad[:3]]))
 
@@ -178,8 +166,7 @@ def suite_casimir(rng: int) -> dict:
     checks = []
     box = _sector_box(min(rng, 2))
     for kind in ("su3_esp", "so4_ca", "so6_cass"):
-        bad = [s for s, ok in zip(box, _map_sectors(
-            lambda ell, kind=kind: is_zero_op(casimir_identity(kind, ell)), box)) if not ok]
+        bad = [ell for ell in box if not is_zero_op(casimir_identity(kind, ell))]
         checks.append(_check(f"{kind} residual exactly zero on box", not bad,
                              failures=[[str(x) for x in s] for s in bad[:3]]))
 

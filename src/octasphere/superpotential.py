@@ -13,8 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .diffop import DiffOp, KINETIC, apply, compose, hamiltonian_potential, is_zero_op, pv
-from .operators import build_first_order, constant_value
-from .trigpoly import TrigPoly, TrigTerm, divide_by_monomial, is_zero
+from .operators import build_first_order
+from .trigpoly import (ONE, TrigPoly, TrigTerm, divide_by_monomial, is_zero,
+                       proportionality)
 
 F0 = Fraction(0)
 
@@ -78,7 +79,7 @@ def riccati_check(ell) -> tuple[TrigPoly, Fraction]:
         w = family_multiplier(name, ell)
         comb = comb + w * w + apply(vecs[name], w)
     diff = v - comb
-    lam = constant_value(diff)
+    lam = proportionality(diff, ONE)
     if lam is None:
         return diff, F0
     return TrigPoly.zero(), lam

@@ -11,18 +11,25 @@ half-integer powers; negative exponents encode tan/cot/sec/csc factors).
     TrigPoly ~ dict[(a, b, c, d) -> Fraction]    (exponents as Fractions)
 
 The stored ("canonical") form only merges identical exponent tuples and drops
-zero coefficients, so `p == q` is cheap structural equality.  The semantic
-zero test `is_zero` is where sin**2 + cos**2 = 1 is taken into account: terms
-are grouped into classes by their exponents mod 2, each class is rewritten as
-a polynomial in s1 = sin(phi1)**2 and s2 = sin(phi2)**2 (after clearing a
-common monomial factor), and the function vanishes on the open octant
-(0, pi/2)^2 iff every class polynomial is identically zero.  Monomial
-families from distinct classes are linearly independent there, which the
-test suite additionally guards by random-point sampling.
+zero coefficients, so `p == q` is cheap structural equality.  Equality as
+functions is decided by `normal_form`, the unique expansion of p over a fixed
+basis: a monomial's exponents mod 2 give its residue class (r1, r1', r2, r2'),
+and per angle, with s = sin**2, the class's basis is
+
+    cos^r sin^(r' + 2j)  for every integer j,   cos^(r - 2k) sin^r'  for k >= 1,
+
+the partial fractions in s of cos^(r + 2i) sin^(r' + 2j) = s^j (1 - s)^i times
+cos^r sin^r'.  A memoised table rewrites cos^(2i) sin^(2j) over this basis
+using sin**2 + cos**2 = 1, one angle after the other.  Distinct classes are
+linearly independent on the open octant (0, pi/2)^2, which the test suite
+additionally guards by random-point sampling, so `normal_form(p)` is empty
+exactly when p is the zero function there, and `is_zero`, `proportionality`
+and `coordinate_vectors` are read off it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -246,89 +253,98 @@ def divide_by_monomial(p: TrigPoly, t: TrigTerm) -> TrigPoly:
     return TrigPoly(acc, _raw=True)
 
 
-# -- semantic zero test ------------------------------------------------------
+# -- fixed-basis normal form -------------------------------------------------
 
 ClassKey = tuple[Fraction, Fraction, Fraction, Fraction]
-Poly2 = dict[tuple[int, int], Fraction]
 
 
-def _split(e: Fraction) -> tuple[Fraction, int]:
-    """e = residue + 2*offset with residue in [0, 2)."""
-    off = e // 2
-    return e - 2 * off, int(off)
+@functools.cache
+def _pythagoras(i: int, j: int) -> tuple[tuple[int, int, int], ...]:
+    """cos^(2i) sin^(2j) over the basis {sin^(2j)} u {cos^(-2k), k >= 1}.
+
+    Returns (i', j', coeff) triples with i' == 0, or i' < 0 and j' == 0: the
+    partial-fraction expansion in s = sin^2 of s^j / (1 - s)^(-i).
+    """
+    if i >= 0:  # (1 - sin^2)^i sin^(2j)
+        return tuple((0, j + m, (-1) ** m * math.comb(i, m)) for m in range(i + 1))
+    if j == 0:
+        return ((i, 0, 1),)
+    if j > 0:  # sin^2 = 1 - cos^2
+        parts = ((1, _pythagoras(i, j - 1)), (-1, _pythagoras(i + 1, j - 1)))
+    else:  # 1 = cos^2 + sin^2
+        parts = ((1, _pythagoras(i + 1, j)), (1, _pythagoras(i, j + 1)))
+    acc: dict[tuple[int, int], int] = {}
+    for sign, terms in parts:
+        for i2, j2, c in terms:
+            acc[i2, j2] = acc.get((i2, j2), 0) + sign * c
+    return tuple((i2, j2, c) for (i2, j2), c in acc.items() if c)
 
 
-def _binom_pows(n: int) -> list[Fraction]:
-    # coefficients of (1 - s)^n
-    return [Fraction((-1) ** k * math.comb(n, k)) for k in range(n + 1)]
+@functools.cache
+def _angle_basis(a: Fraction, b: Fraction) -> tuple[tuple[Fraction, Fraction, int], ...]:
+    """cos^a sin^b over the basis of its residue class (a mod 2, b mod 2)."""
+    i, j = a // 2, b // 2
+    ra, rb = a - 2 * i, b - 2 * j
+    return tuple((ra + 2 * i2, rb + 2 * j2, c) for i2, j2, c in _pythagoras(i, j))
 
 
-def class_split(p: TrigPoly) -> dict[ClassKey, list[tuple[Fraction, tuple[int, int, int, int]]]]:
-    """Group terms by exponent residues mod 2; values carry integer offsets."""
-    out: dict[ClassKey, list] = {}
-    for e, c in p.items():
-        ra, ia = _split(e[0])
-        rb, ib = _split(e[1])
-        rc, ic = _split(e[2])
-        rd, idd = _split(e[3])
-        out.setdefault((ra, rb, rc, rd), []).append((c, (ia, ib, ic, idd)))
-    return out
+def _reduce_angle(terms, ci: int) -> dict[Exps, Fraction]:
+    """Rewrite the (cos, sin) exponents at positions ci, ci + 1 over the basis."""
+    acc: dict[Exps, Fraction] = {}
+    for e, c in terms:
+        for x, y, k in _angle_basis(e[ci], e[ci + 1]):
+            key = (x, y, e[2], e[3]) if ci == 0 else (e[0], e[1], x, y)
+            v = c if k == 1 else c * k
+            v0 = acc.get(key)
+            acc[key] = v if v0 is None else v0 + v
+    return {e: c for e, c in acc.items() if c}
 
 
-def _expand_class(entries, mins) -> Poly2:
-    """Rewrite sum c*(1-s1)^i s1^j (1-s2)^k s2^l, offsets shifted by mins,
-    as a polynomial in (s1, s2)."""
-    poly: Poly2 = {}
-    for c, (i, j, k, l) in entries:
-        di, dj = i - mins[0], j - mins[1]
-        dk, dl = k - mins[2], l - mins[3]
-        bi, bk = _binom_pows(di), _binom_pows(dk)
-        for u, cu in enumerate(bi):
-            for v, cv in enumerate(bk):
-                key = (u + dj, v + dl)
-                poly[key] = poly.get(key, Fraction(0)) + c * cu * cv
-    return {k: v for k, v in poly.items() if v != 0}
+def normal_form(p: TrigPoly) -> dict[Exps, Fraction]:
+    """The unique expansion of p over the fixed basis, as {exponents: coeff}.
 
-
-def class_reduce(p: TrigPoly) -> dict[ClassKey, Poly2]:
-    """Per-class polynomial in (s1, s2) after clearing the class monomial factor."""
-    out = {}
-    for key, entries in class_split(p).items():
-        mins = tuple(min(t[1][i] for t in entries) for i in range(4))
-        out[key] = _expand_class(entries, mins)
-    return out
+    Empty exactly when p is the zero function on the open octant, and equal
+    for any two polys that are equal as functions.
+    """
+    return _reduce_angle(_reduce_angle(p.items(), 0).items(), 2)
 
 
 def is_zero(p: TrigPoly) -> bool:
     """True iff p is the zero function on the open octant (0, pi/2)^2."""
-    if not p:
-        return True
-    return all(not poly for poly in class_reduce(p).values())
+    return not normal_form(p)
+
+
+def proportionality(p: TrigPoly, q: TrigPoly) -> Fraction | None:
+    """c with p == c q as functions; None when q is zero or no such c exists."""
+    nq = normal_form(q)
+    if not nq:
+        return None
+    np_ = normal_form(p)
+    if not np_:
+        return Fraction(0)
+    if np_.keys() != nq.keys():
+        return None
+    key = next(iter(nq))
+    c = np_[key] / nq[key]
+    return c if all(v == c * nq[e] for e, v in np_.items()) else None
+
+
+def class_reduce(p: TrigPoly) -> dict[ClassKey, dict[Exps, Fraction]]:
+    """The normal form of p grouped by residue class (exponents mod 2)."""
+    out: dict[ClassKey, dict[Exps, Fraction]] = {}
+    for e, c in normal_form(p).items():
+        out.setdefault(tuple(x % 2 for x in e), {})[e] = c
+    return out
 
 
 def coordinate_vectors(polys: Sequence[TrigPoly]) -> list[dict]:
-    """Exact linear coordinates of several polys in one shared basis.
+    """Normal forms of several polys, one coordinate dict each.
 
-    All inputs are class-reduced with common per-class offset normalization, so
-    any rational linear combination of the inputs is the zero function iff the
-    same combination of the returned coordinate dicts vanishes.  Used by the
-    multiplier solver.
+    A rational linear combination of the inputs is the zero function iff the
+    same combination of the returned dicts vanishes.  Used by the multiplier
+    solver and the IUR independence test.
     """
-    all_entries: dict[ClassKey, list] = {}
-    splits = [class_split(p) for p in polys]
-    for sp in splits:
-        for key, entries in sp.items():
-            all_entries.setdefault(key, []).extend(entries)
-    mins = {key: tuple(min(t[1][i] for t in entries) for i in range(4))
-            for key, entries in all_entries.items()}
-    out = []
-    for sp in splits:
-        coords: dict = {}
-        for key, entries in sp.items():
-            for (e1, e2), v in _expand_class(entries, mins[key]).items():
-                coords[(key, e1, e2)] = v
-        out.append(coords)
-    return out
+    return [normal_form(p) for p in polys]
 
 
 # -- numeric evaluation ------------------------------------------------------

@@ -108,13 +108,3 @@ def test_lattice_json_reserializes_byte_identically(tmp_path):
                     "--out", str(tmp_path)]) == 0
     raw = (tmp_path / "u3_2_1_lattice.json").read_text()
     assert json.dumps(json.loads(raw), indent=2) + "\n" == raw
-
-
-def test_octa_threads_reproduces_report(capsys, monkeypatch):
-    assert run_cli(["verify", "--suite", "casimir", "--range", "1",
-                    "--format", "json"]) == 0
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("OCTA_THREADS", "4")
-    assert run_cli(["verify", "--suite", "casimir", "--range", "1",
-                    "--format", "json"]) == 0
-    assert capsys.readouterr().out == serial

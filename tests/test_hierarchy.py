@@ -44,6 +44,33 @@ def test_jacobi_three_term_consistency():
     assert jacobi_eval(jp, F(1)) == F(9 * 7 * 5 * 3, 2 ** 4 * 24)
 
 
+def test_jacobi_degenerate_parameters():
+    # the three-term recurrence divides by zero here; the explicit sum does not
+    assert jacobi(2, -1, -1).coeffs == (F(-1, 4), F(0), F(1, 4))
+
+
+def test_phi1_excited_degenerate_sector():
+    st = closed_form_state("phi1_excited", (-1, -1, 2))
+    assert st.energy == 9
+
+
+def _gen_binom(z, m):
+    num, den = F(1), F(1)
+    for i in range(m):
+        num *= z - i
+        den *= i + 1
+    return num / den
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_jacobi_value_at_one(n):
+    # P_n(1) = C(n + alpha, n), including alpha + beta in {-1, -2, ...}
+    grid = [F(k, 2) for k in range(-6, 7)]
+    for a in grid:
+        for b in grid:
+            assert jacobi_eval(jacobi(n, a, b), F(1)) == _gen_binom(n + a, n), (a, b)
+
+
 def test_jacobi_negative_degree_rejected():
     with pytest.raises(ValueError):
         jacobi(-1, 0, 0)

@@ -9,10 +9,11 @@ from octasphere.diffop import DiffOp, is_zero_op, pv
 from octasphere.operators import (GradedOp, MultiplierSolveError, build_first_order,
                                   casimir_identity, constant_part, diagonal, graded,
                                   graded_commutator, intertwine_residual,
-                                  is_exact_intertwiner, multiplier_ansatz,
-                                  printed_delta_report, reflect_conjugate,
+                                  is_exact_intertwiner, match_constant_multiple,
+                                  multiplier_ansatz, printed_delta_report,
+                                  reflect_conjugate,
                                   solve_multiplier, structure_table)
-from octasphere.trigpoly import ONE, TrigPoly, TrigTerm, is_zero
+from octasphere.trigpoly import COS1, ONE, SIN1, TrigPoly, TrigTerm, is_zero
 
 F = Fraction
 HALF = F(1, 2)
@@ -203,6 +204,19 @@ def test_central_D_commutes():
     for name in ("A-", "A+", "B-", "B+", "C-", "C+"):
         for ell in (pv(1, 1, 1), pv(0, 2, -1)):
             assert is_zero_op(commutator_with_diagonal(d, graded(name), ell))
+
+
+def test_match_constant_multiple_over_different_monomials():
+    # op = 3 * cand as operators, but no monomial of op appears in cand
+    cand = DiffOp({(1, 0): ONE, (0, 0): COS1 * COS1})
+    pyth = COS1 * COS1 + SIN1 * SIN1
+    op = DiffOp({(1, 0): pyth.scale(3), (0, 0): (ONE - SIN1 * SIN1).scale(3)})
+    assert match_constant_multiple(op, cand) == 3
+    skew = DiffOp({(1, 0): pyth.scale(3), (0, 0): (ONE - SIN1 * SIN1).scale(2)})
+    assert match_constant_multiple(skew, cand) is None
+    extra = DiffOp({(1, 0): pyth.scale(3), (0, 0): (ONE - SIN1 * SIN1).scale(3),
+                    (0, 1): pyth - ONE})
+    assert match_constant_multiple(extra, cand) == 3
 
 
 def test_structure_table_closure_and_entries():

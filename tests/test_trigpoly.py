@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from octasphere.trigpoly import (COS1, COS2, ONE, PHI1, PHI2, SIN1, SIN2, TAN1,
                                  TAN2, TrigPoly, TrigTerm, differentiate,
                                  divide_by_monomial, eval_numeric, from_json,
-                                 is_zero, linear_combine, mul, to_json)
+                                 is_zero, linear_combine, mul, normal_form,
+                                 proportionality, to_json)
 
 F = Fraction
 HALF = F(1, 2)
@@ -85,6 +86,33 @@ def test_is_zero_with_negative_exponents():
     sec2 = mono(1, 0, 0, -1, 0)
     p = (ONE - SIN2 * SIN2) * sec2 - COS2
     assert is_zero(p)
+
+
+# -- normal form and proportionality ---------------------------------------------------
+
+def test_normal_form_is_a_basis_expansion():
+    # class (1, 1) of phi1: basis {cos sin^(1+2j)} u {cos^(1-2k) sin, k >= 1}
+    nf = normal_form(mono(1, -3, -5, 0, 0))
+    for (a, b, c, d) in nf:
+        assert a == 1 or (a < 0 and b == 1)
+    assert is_zero(TrigPoly(nf) - mono(1, -3, -5, 0, 0))
+
+
+def test_proportionality_across_classes_of_terms():
+    assert proportionality((COS1 * COS1 + SIN1 * SIN1).scale(3), ONE) == 3
+
+
+def test_proportionality_not_proportional():
+    assert proportionality(COS1 + SIN1, COS1) is None
+    assert proportionality(COS1 + SIN1.scale(2), COS1 + SIN1) is None
+
+
+def test_proportionality_zero_numerator():
+    assert proportionality(COS1 * COS1 + SIN1 * SIN1 - ONE, TAN2) == 0
+
+
+def test_proportionality_zero_denominator():
+    assert proportionality(COS2, COS1 * COS1 + SIN1 * SIN1 - ONE) is None
 
 
 # -- divide_by_monomial ----------------------------------------------------------------
@@ -209,3 +237,33 @@ def test_numeric_consistency_against_log_space_reference(p):
             ref += val
             scale += abs(val)
         assert abs(eval_numeric(p, x, y) - ref) <= 1e-12 * scale
+
+
+def _is_basis(e):
+    # per angle: cos exponent in [0, 2), or negative with sin exponent in [0, 2)
+    return all(0 <= a < 2 or (a < 0 and 0 <= b < 2) for a, b in ((e[0], e[1]), (e[2], e[3])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, st.integers(min_value=0), st.sampled_from([PHI1, PHI2]))
+def test_normal_form_invariant_under_pythagoras(p, index, var):
+    if not p:
+        return
+    t = list(p.terms())[index % len(p)]
+    single = TrigPoly.monomial(t.coeff, t.exps)
+    cos2, sin2 = (COS1 * COS1, SIN1 * SIN1) if var == PHI1 else (COS2 * COS2, SIN2 * SIN2)
+    rewritten = p - single + single * cos2 + single * sin2
+    nf = normal_form(p)
+    assert normal_form(rewritten) == nf
+    assert all(_is_basis(e) for e in nf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys)
+def test_normal_form_agrees_numerically(p):
+    q = TrigPoly(normal_form(p))
+    for k in range(5):
+        x, y = 0.21 + 0.25 * k, 1.33 - 0.23 * k
+        scale = 1.0 + sum(abs(eval_numeric(TrigPoly.monomial(t.coeff, t.exps), x, y))
+                          for t in list(p.terms()) + list(q.terms()))
+        assert abs(eval_numeric(p, x, y) - eval_numeric(q, x, y)) <= 1e-11 * scale
