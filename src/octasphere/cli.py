@@ -75,10 +75,10 @@ def _cmd_iur(args, parser) -> int:
             (outdir / f"{stem}_lattice.csv").write_text(lattice_to_csv(lat),
                                                         encoding="utf-8")
         if args.emit in ("states", "both"):
-            states = iur_states(args.algebra, label)
-            obj = [state_to_obj(s) for s in states]
-            (outdir / f"{stem}_states.json").write_text(
-                json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+            obj = [state_to_obj(s) for s in iur_states(args.algebra, label)]
+            with open(outdir / f"{stem}_states.json", "w", encoding="utf-8") as fh:
+                json.dump(obj, fh, indent=2)
+                fh.write("\n")
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 1

@@ -14,14 +14,13 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import linalg
 from .diffop import (DiffOp, ParamVector, apply, build_hamiltonian,
                      build_phi1_block, pv)
 from .operators import GradedOp, graded
-from .trigpoly import (TrigPoly, coordinate_vectors, frac_to_str, is_zero,
-                       to_obj)
+from .trigpoly import TrigPoly, frac_to_str, is_zero, normal_form, to_obj
 from .trigpoly import proportionality  # noqa: F401  (re-exported for comparing states)
 
 F0 = Fraction(0)
@@ -361,74 +360,56 @@ def iso_energy_decomposition(q: int) -> list[dict]:
 
 # -- state families over a lattice -------------------------------------------------
 
-U3_RAISING = ["A+", "B+", "C+"]
-SO6_RAISING = ["A+", "B+", "C+", "At+", "Bt+", "Ct+"]
+RAISING = {"u3": ["A+", "B+", "C+"],
+           "so4": ["A+", "At+"],
+           "so6": ["A+", "B+", "C+", "At+", "Bt+", "Ct+"]}
 
 
-def _independent_add(states: list[TrigPoly], cand: TrigPoly) -> bool:
-    """True (and append) if cand is exactly independent of the collected states."""
-    vecs = coordinate_vectors(states + [cand])
-    keys = sorted({k for v in vecs for k in v})
-    rows = [[v.get(k, F0) for k in keys] for v in vecs]
-    if linalg.rank_exact(rows) > linalg.rank_exact(rows[:-1]):
-        states.append(cand)
-        return True
-    return False
-
-
-def iur_states(algebra: str, label, raising: Iterable[str] | None = None) -> list[StateRecord]:
+def iur_states(algebra: str, label) -> list[StateRecord]:
     """Ladder out a whole IUR from its fundamental state.
 
-    States are collected per lattice point; at points with multiplicity > 1 an
-    exactly independent set of the required size is kept.  The breadth-first
-    sweep applies the raising operators to every newly added state until the
-    lattice is saturated (counts verified against the IUR multiplicities).
+    A breadth-first sweep applies the algebra's raising operators to every
+    newly kept state.  Each candidate is decided once: a step whose target
+    lattice point already holds its multiplicity is skipped before laddering;
+    otherwise the laddered state (annihilation-checked and eigen-verified by
+    `ladder_build`) is kept iff its normal form is exactly independent of the
+    states kept at that point, which takes one rank.  The final counts are
+    verified against the IUR multiplicities.
     """
-    if algebra == "u3":
-        lattice = iur_lattice("u3", label)
-        fund = ground_state("u3", label)
-        ops = raising or U3_RAISING
-    elif algebra == "so4":
-        lattice = iur_lattice("so4", label)
-        fund = ground_state("so4", label)
-        ops = raising or ["A+", "At+"]
-    elif algebra == "so6":
-        lattice = iur_lattice("so6", label)
-        (q,) = label if isinstance(label, (tuple, list)) else (label,)
-        fund = ground_state("so6_odd" if q % 2 else "so6_even", (q,))
-        ops = raising or SO6_RAISING
+    lattice = iur_lattice(algebra, label)
+    if algebra == "so6":
+        fund = ground_state("so6_odd" if lattice.label[0] % 2 else "so6_even", lattice.label)
     else:
-        raise ValueError(f"unknown algebra {algebra!r}")
-
-    want = {pt: mult for pt, mult in lattice.points}
-    have: dict[tuple, list[TrigPoly]] = {tuple(fund.params): [fund.wavefunction]}
-    records: dict[tuple, list[StateRecord]] = {tuple(fund.params): [fund]}
+        fund = ground_state(algebra, lattice.label)
+    ops = [graded(name, "corrected") for name in RAISING[algebra]]
+    want = dict(lattice.points)
+    # per lattice point: the kept states, each beside its normal form
+    kept = {tuple(fund.params): [(fund, normal_form(fund.wavefunction))]}
     frontier = [fund]
     while frontier:
         new_frontier = []
         for st in frontier:
-            for name in ops:
-                nxt = ladder_build(st, [name])
+            for op in ops:
+                pt = tuple(e + s for e, s in zip(st.params, op.shift))
+                bucket = kept.get(pt, [])
+                if pt in want and len(bucket) >= want[pt]:
+                    continue
+                nxt = ladder_build(st, [op])
                 if nxt is None:
                     continue
-                pt = tuple(nxt.params)
                 if pt not in want:
                     raise AssertionError(f"ladder left the lattice at {pt}")
-                bucket = have.setdefault(pt, [])
-                if len(bucket) >= want[pt]:
-                    continue
-                if _independent_add(bucket, nxt.wavefunction):
-                    records.setdefault(pt, []).append(nxt)
+                forms = [f for _, f in bucket] + [normal_form(nxt.wavefunction)]
+                keys = {k for f in forms for k in f}
+                if linalg.rank_exact([[f.get(k, F0) for k in keys] for f in forms]) > len(bucket):
+                    kept.setdefault(pt, []).append((nxt, forms[-1]))
                     new_frontier.append(nxt)
         frontier = new_frontier
-    got = {pt: len(v) for pt, v in have.items()}
+    got = {pt: len(v) for pt, v in kept.items()}
     if got != want:
         missing = {pt: (want[pt], got.get(pt, 0)) for pt in want if got.get(pt) != want[pt]}
         raise AssertionError(f"lattice not saturated: want/got {missing}")
-    out = []
-    for pt in sorted(records):
-        out.extend(records[pt])
-    return out
+    return [rec for pt in sorted(kept) for rec, _ in kept[pt]]
 
 
 # -- serialization ------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 from . import linalg
 from .diffop import (DiffOp, ParamVector, build_hamiltonian,
                      build_phi1_block, compose, is_zero_op, pv)
-from .trigpoly import (ONE, TrigPoly, TrigTerm, coordinate_vectors, is_zero,
+from .trigpoly import (TrigPoly, TrigTerm, coordinate_vectors, is_zero,
                        proportionality)
 
 F0 = Fraction(0)
@@ -405,109 +405,76 @@ def match_constant_multiple(op: DiffOp, cand: DiffOp) -> Fraction | None:
 
 def constant_part(op: DiffOp) -> Fraction | None:
     """If op is multiplication by an exact constant, return it."""
-    for order, poly in op.items():
-        if order != (0, 0) and not is_zero(poly):
+    return match_constant_multiple(op, DiffOp.identity())
+
+
+def _fit_sectorwise(commutator: Callable[[ParamVector], DiffOp],
+                    cand: Callable[[ParamVector], DiffOp],
+                    sectors: list[ParamVector]) -> list[Fraction] | None:
+    """Exact affine fit of c(ell) with commutator(ell) == c(ell) cand(ell) on every sector."""
+    vals = []
+    for ell in sectors:
+        c = match_constant_multiple(commutator(ell), cand(ell))
+        if c is None:
             return None
-    return proportionality(op.coeff((0, 0)), ONE)
+        vals.append(c)
+    return linalg.fit_affine(sectors, vals)
 
 
 def structure_table(box: int = 2, variant: str = "corrected") -> dict:
     """Pairwise commutators of {A±, B±, C±, A, B, C} identified sector-wise.
 
-    Ladder-ladder results are matched against a single ladder generator with a
-    constant rational coefficient (checked on every sector of the box); shift-0
-    results are fitted as exact affine functions of ell and expressed through
-    the diagonal generators.  Returns {"table": {...}, "unmatched": [...]}.
+    Each commutator is matched, on every sector of the box, as a rational
+    multiple of one candidate: the identity for shift 0, else the ladder
+    generator of the same shift (or zero if there is none).  The multiples
+    are fitted exactly as an affine function of ell; shift-0 fits are
+    expressed through the diagonal generators, any other fit must be
+    constant.  Returns {"table": {...}, "unmatched": [...]}.
     """
     sectors = [pv(i, j, k) for i in range(-box, box + 1)
                for j in range(-box, box + 1) for k in range(-box, box + 1)]
     lads = {n: graded(n, variant) for n in LADDER_NAMES}
+    pairs = [(f"{xn},{yn}", tuple(a + b for a, b in zip(lads[xn].shift, lads[yn].shift)),
+              lambda ell, x=lads[xn], y=lads[yn]: graded_commutator(x, y, ell)[0])
+             for i, xn in enumerate(LADDER_NAMES) for yn in LADDER_NAMES[i + 1:]]
+    pairs += [(f"{dn},{yn}", lads[yn].shift,
+               lambda ell, d=diagonal(dn), y=lads[yn]: commutator_with_diagonal(d, y, ell))
+              for dn in DIAGONAL_NAMES for yn in LADDER_NAMES]
     table: dict[str, list] = {}
     unmatched = []
-
-    for i, xn in enumerate(LADDER_NAMES):
-        for yn in LADDER_NAMES[i + 1:]:
-            x, y = lads[xn], lads[yn]
-            dsum = tuple(a + b for a, b in zip(x.shift, y.shift))
-            key = f"{xn},{yn}"
-            if dsum == (0, 0, 0):
-                vals = []
-                for ell in sectors:
-                    op, _ = graded_commutator(x, y, ell)
-                    c = constant_part(op)
-                    if c is None:
-                        unmatched.append(key)
-                        break
-                    vals.append(c)
-                else:
-                    fit = linalg.fit_affine(sectors, vals)
-                    if fit is None:
-                        unmatched.append(key)
-                        continue
-                    table[key] = _express_diagonal(fit)
-                continue
-            cands = [n for n in LADDER_NAMES if lads[n].shift == dsum]
-            coeff = None
-            ok = True
-            for ell in sectors:
-                op, _ = graded_commutator(x, y, ell)
-                if not cands:
-                    if not is_zero_op(op):
-                        ok = False
-                    continue
-                c = match_constant_multiple(op, lads[cands[0]].scaled_at(ell))
-                if c is None or (coeff is not None and c != coeff):
-                    ok = False
-                    break
-                coeff = c
-            if not ok:
-                unmatched.append(key)
-            elif not cands or coeff == 0:
-                table[key] = []
-            else:
-                table[key] = [(str(coeff), cands[0])]
-
-    for dn in DIAGONAL_NAMES:
-        d = diagonal(dn)
-        for yn in LADDER_NAMES:
-            y = lads[yn]
-            key = f"{dn},{yn}"
-            coeff = None
-            ok = True
-            for ell in sectors:
-                op = commutator_with_diagonal(d, y, ell)
-                c = match_constant_multiple(op, y.scaled_at(ell))
-                if c is None or (coeff is not None and c != coeff):
-                    ok = False
-                    break
-                coeff = c
-            if ok:
-                table[key] = [] if coeff == 0 else [(str(coeff), yn)]
-            else:
-                unmatched.append(key)
-
+    for key, shift, commutator in pairs:
+        if shift == (0, 0, 0):
+            name, cand = "one", lambda ell: DiffOp.identity()
+        else:
+            name = next((n for n in LADDER_NAMES if lads[n].shift == shift), None)
+            cand = lads[name].scaled_at if name else lambda ell: DiffOp.zero()
+        fit = _fit_sectorwise(commutator, cand, sectors)
+        if fit is None or (name != "one" and any(fit[1:])):
+            unmatched.append(key)
+        elif name == "one":
+            table[key] = _express_diagonal(fit)
+        else:
+            table[key] = [(str(fit[0]), name)] if fit[0] else []
     return {"table": table, "unmatched": unmatched}
+
+
+_PROBE = [pv(0, 0, 0), pv(1, 0, 0), pv(0, 1, 0), pv(0, 0, 1)]
 
 
 def _express_diagonal(fit: list[Fraction]) -> list[tuple[str, str]]:
     """Rewrite an affine function c0 + c1 l0 + c2 l1 + c3 l2 over {A, B, C, D, one}."""
-    c0, c1, c2, c3 = fit
     for name in DIAGONAL_NAMES + ["D"]:
         d = diagonal(name)
-        probe = [pv(0, 0, 0), pv(1, 0, 0), pv(0, 1, 0), pv(0, 0, 1)]
-        vals = [d.value(p) for p in probe]
-        dfit = linalg.fit_affine(probe, vals)
+        dfit = linalg.fit_affine(_PROBE, [d.value(p) for p in _PROBE])
         # single-generator match: fit == c * dfit
         for cand_c in {c / v for c, v in zip(fit, dfit) if v != 0}:
             if all(c == cand_c * v for c, v in zip(fit, dfit)):
                 return [(str(cand_c), name)]
-    # general combination over A, B, D, one (they span all affine functions)
+    # general combination over one, A, B, D: their rows at the probe points have
+    # determinant 3/4, so the system always has a solution
     basis = ["A", "B", "D"]
-    rows = []
-    probe = [pv(0, 0, 0), pv(1, 0, 0), pv(0, 1, 0), pv(0, 0, 1)]
-    for p in probe:
-        rows.append([F1] + [diagonal(n).value(p) for n in basis])
-    target = [fit[0] + fit[1] * p[0] + fit[2] * p[1] + fit[3] * p[2] for p in probe]
+    rows = [[F1] + [diagonal(n).value(p) for n in basis] for p in _PROBE]
+    target = [fit[0] + fit[1] * p[0] + fit[2] * p[1] + fit[3] * p[2] for p in _PROBE]
     sol = linalg.solve_exact(rows, target)
     out = []
     if sol[0] != 0:

@@ -1,10 +1,16 @@
 """CLI contract: exit codes, file outputs, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from octasphere.cli import main
+from octasphere.hierarchy import iur_lattice, so6_dimension
+from octasphere.operators import structure_table
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_cli(argv):
@@ -108,3 +114,34 @@ def test_lattice_json_reserializes_byte_identically(tmp_path):
                     "--out", str(tmp_path)]) == 0
     raw = (tmp_path / "u3_2_1_lattice.json").read_text()
     assert json.dumps(json.loads(raw), indent=2) + "\n" == raw
+
+
+def _run_script(name, *args):
+    src = str(SCRIPTS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_export_octahedra_script(tmp_path):
+    out = _run_script("export_octahedra.py", "--qmax", "2", "--out", str(tmp_path))
+    assert len(out.strip().splitlines()) == 3
+    for q, energy in ((0, "15/4"), (1, "35/4"), (2, "63/4")):
+        lat = iur_lattice("so6", (q,))
+        csv_lines = (tmp_path / f"so6_q{q}.csv").read_text().strip().splitlines()
+        assert csv_lines[0] == "l0,l1,l2,multiplicity,shell"
+        assert len(csv_lines) == len(lat.points) + 1
+        obj = json.loads((tmp_path / f"so6_q{q}.json").read_text())
+        assert obj["dimension"] == so6_dimension(q) and obj["energy"] == energy
+        assert sum(r["dimension"] for r in obj["u3_sections"]) == so6_dimension(q)
+
+
+def test_print_structure_constants_script():
+    out = json.loads(_run_script("print_structure_constants.py", "--box", "1"))
+    st = structure_table(box=1)
+    assert out["box"] == 1
+    assert out["unmatched"] == st["unmatched"] == []
+    assert out["table"] == {k: [list(e) for e in v] for k, v in st["table"].items()}

@@ -1,9 +1,11 @@
 """States, spectra, Jacobi closed forms, ladders and representation lattices."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from octasphere import hierarchy
 from octasphere.diffop import apply, build_hamiltonian, pv
 from octasphere.hierarchy import (closed_form_state, energy,
                                   ground_state, iso_energy_decomposition,
@@ -11,7 +13,8 @@ from octasphere.hierarchy import (closed_form_state, energy,
                                   ladder_build, lattice_to_csv, make_state,
                                   phi2_closed_form, proportionality,
                                   so6_dimension, state_to_obj)
-from octasphere.trigpoly import TrigPoly, is_zero
+from octasphere.linalg import rank_exact
+from octasphere.trigpoly import TrigPoly, is_zero, normal_form
 
 F = Fraction
 HALF = F(1, 2)
@@ -280,6 +283,44 @@ def test_u3_states_adjoint_has_two_at_center():
     sts = iur_states("u3", (1, 1))
     center = [s for s in sts if tuple(int(x) for x in s.params) == (0, 0, 0)]
     assert len(center) == 2
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(hierarchy, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hierarchy, name, counted)
+    return calls
+
+
+def test_iur_builder_ladders_only_below_capacity(monkeypatch):
+    # a step onto a full lattice point is skipped before laddering; every
+    # laddered state that survives annihilation is eigen-checked once
+    ladders = _count_calls(monkeypatch, "ladder_build")
+    checks = _count_calls(monkeypatch, "make_state")
+    assert len(iur_states("so6", (3,))) == 50
+    assert (len(ladders), len(checks)) == (153, 58)
+
+
+@pytest.mark.parametrize("algebra,label", [("u3", (1, 1)), ("so6", (2,))])
+def test_iur_states_independent_at_every_point(algebra, label):
+    sts = iur_states(algebra, label)
+    for pt, mult in iur_lattice(algebra, label).points:
+        forms = [normal_form(s.wavefunction) for s in sts if tuple(s.params) == pt]
+        keys = sorted({k for f in forms for k in f})
+        assert rank_exact([[f.get(k, F(0)) for k in keys] for f in forms]) == mult
+
+
+def test_iur_builder_rejects_a_step_off_the_lattice(monkeypatch):
+    full = iur_lattice("so6", (1,))
+    cut = replace(full, points=tuple(p for p in full.points if p[0] != (1, 0, 0)))
+    monkeypatch.setattr(hierarchy, "iur_lattice", lambda algebra, label: cut)
+    with pytest.raises(AssertionError, match="ladder left the lattice"):
+        iur_states("so6", (1,))
 
 
 # -- serialization -----------------------------------------------------------------------------

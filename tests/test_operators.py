@@ -235,6 +235,34 @@ def test_structure_table_closure_and_entries():
     assert t["A-,B-"] == [] and t["B+,C+"] == [] and t["A+,C-"] == []
 
 
+def _det(rows):
+    if not rows:
+        return F(1)
+    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)) if rows[0][j])
+
+
+def test_express_diagonal_general_combination_reproduces_the_fit():
+    from octasphere.operators import _PROBE, _express_diagonal
+    # the general branch solves over {one, A, B, D} at the probe points; their
+    # rows have a nonzero determinant, so solve_exact never returns None there
+    rows = [[F(1)] + [diagonal(n).value(p) for n in ("A", "B", "D")] for p in _PROBE]
+    assert _det(rows) == F(3, 4)
+    values = (F(-1), F(0), F(1, 2), F(3))
+    box = [pv(i, j, k) for i in (-1, 0, 2) for j in (-1, 0, 2) for k in (-1, 0, 2)]
+    combinations = 0
+    for c0 in values:
+        for c1 in values:
+            for c2 in values:
+                for c3 in values:
+                    out = _express_diagonal([c0, c1, c2, c3])
+                    combinations += len(out) > 1
+                    for ell in box:
+                        got = sum(F(c) * diagonal(n).value(ell) for c, n in out)
+                        assert got == c0 + c1 * ell[0] + c2 * ell[1] + c3 * ell[2]
+    assert combinations > 0  # the general branch was reached
+
+
 def test_diagonal_relation():
     a, b, c = diagonal("A"), diagonal("B"), diagonal("C")
     for i in range(-3, 4):
