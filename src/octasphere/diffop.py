@@ -134,9 +134,9 @@ def compose(x: DiffOp, y: DiffOp) -> DiffOp:
                         dj2 = differentiate(dj2, PHI2)
                     if not dj2:
                         continue
-                    b = Fraction(b1 * math.comb(k2, j2))
+                    b = b1 * math.comb(k2, j2)
                     key = (k1 - j1 + m1, k2 - j2 + m2)
-                    add = cx * dj2.scale(b)
+                    add = cx * dj2 if b == 1 else cx * dj2.scale(b)
                     acc[key] = acc[key] + add if key in acc else add
     return DiffOp(acc)
 

@@ -20,7 +20,7 @@ from . import linalg
 from .diffop import (DiffOp, ParamVector, apply, build_hamiltonian,
                      build_phi1_block, pv)
 from .operators import GradedOp, graded
-from .trigpoly import TrigPoly, frac_to_str, is_zero, normal_form, to_obj
+from .trigpoly import TrigPoly, coordinate_vectors, frac_to_str, is_zero, to_obj
 from .trigpoly import proportionality  # noqa: F401  (re-exported for comparing states)
 
 F0 = Fraction(0)
@@ -383,8 +383,8 @@ def iur_states(algebra: str, label) -> list[StateRecord]:
         fund = ground_state(algebra, lattice.label)
     ops = [graded(name, "corrected") for name in RAISING[algebra]]
     want = dict(lattice.points)
-    # per lattice point: the kept states, each beside its normal form
-    kept = {tuple(fund.params): [(fund, normal_form(fund.wavefunction))]}
+    # per lattice point: the kept states, each beside its normal-form coordinates
+    kept = {tuple(fund.params): [(fund, *coordinate_vectors([fund.wavefunction]))]}
     frontier = [fund]
     while frontier:
         new_frontier = []
@@ -399,7 +399,7 @@ def iur_states(algebra: str, label) -> list[StateRecord]:
                     continue
                 if pt not in want:
                     raise AssertionError(f"ladder left the lattice at {pt}")
-                forms = [f for _, f in bucket] + [normal_form(nxt.wavefunction)]
+                forms = [f for _, f in bucket] + coordinate_vectors([nxt.wavefunction])
                 keys = {k for f in forms for k in f}
                 if linalg.rank_exact([[f.get(k, F0) for k in keys] for f in forms]) > len(bucket):
                     kept.setdefault(pt, []).append((nxt, forms[-1]))

@@ -8,7 +8,13 @@ with rational coefficients and rational exponents whose denominators are 1
 or 2 (the ladder construction on the sphere only ever produces integer and
 half-integer powers; negative exponents encode tan/cot/sec/csc factors).
 
-    TrigPoly ~ dict[(a, b, c, d) -> Fraction]    (exponents as Fractions)
+    TrigPoly ~ dict[(2a, 2b, 2c, 2d) -> Fraction]    (doubled int exponents)
+
+Exponents are stored doubled, as plain ints, so products and derivatives add
+and hash small ints; `cos^(3/2)` is key component 3.  Fractions appear only
+at the boundary: the constructors validate and double Fraction (or int)
+exponents, and `items`, `terms`, `normal_form`, `class_reduce` and the JSON
+form give them back as Fractions.
 
 The stored ("canonical") form only merges identical exponent tuples and drops
 zero coefficients, so `p == q` is cheap structural equality.  Equality as
@@ -24,7 +30,7 @@ using sin**2 + cos**2 = 1, one angle after the other.  Distinct classes are
 linearly independent on the open octant (0, pi/2)^2, which the test suite
 additionally guards by random-point sampling, so `normal_form(p)` is empty
 exactly when p is the zero function there, and `is_zero`, `proportionality`
-and `coordinate_vectors` are read off it.
+and `coordinate_vectors` are read off its int-keyed form.
 """
 
 from __future__ import annotations
@@ -37,20 +43,31 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 Exps = tuple[Fraction, Fraction, Fraction, Fraction]
+Key = tuple[int, int, int, int]   # doubled exponents, the stored form
 
 PHI1, PHI2 = 1, 2
 
 
-def _exp(x) -> Fraction:
+def _exp2(x) -> int:
+    """Twice the exponent x, which must have denominator 1 or 2."""
     f = Fraction(x)
     if f.denominator not in (1, 2):
         raise ValueError(f"exponent {f} has denominator {f.denominator}; only 1 or 2 allowed")
-    return f
+    return 2 * f.numerator // f.denominator
 
 
-def _exps(exps) -> Exps:
+def _exps(exps) -> Key:
     a, b, c, d = exps
-    return (_exp(a), _exp(b), _exp(c), _exp(d))
+    return (_exp2(a), _exp2(b), _exp2(c), _exp2(d))
+
+
+@functools.cache
+def _half(k: int) -> Fraction:
+    return Fraction(k, 2)
+
+
+def _fracs(key: Key) -> Exps:
+    return (_half(key[0]), _half(key[1]), _half(key[2]), _half(key[3]))
 
 
 @dataclass(frozen=True)
@@ -62,21 +79,24 @@ class TrigTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "coeff", Fraction(self.coeff))
-        object.__setattr__(self, "exps", _exps(self.exps))
+        object.__setattr__(self, "exps", _fracs(_exps(self.exps)))
 
 
 class TrigPoly:
-    """Canonical linear combination of trigonometric monomials."""
+    """Canonical linear combination of trigonometric monomials.
+
+    `TrigPoly(terms)` takes {exponents: coeff} with Fraction or int exponents.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[Exps, Fraction] | None = None, *, _raw: bool = False):
         if terms is None:
-            self._terms: dict[Exps, Fraction] = {}
-        elif _raw:
+            self._terms: dict[Key, Fraction] = {}
+        elif _raw:  # already doubled int keys and nonzero Fraction values
             self._terms = terms
         else:
-            clean: dict[Exps, Fraction] = {}
+            clean: dict[Key, Fraction] = {}
             for e, c in terms.items():
                 c = Fraction(c)
                 if c == 0:
@@ -104,8 +124,7 @@ class TrigPoly:
         c = Fraction(c)
         if c == 0:
             return TrigPoly()
-        z = Fraction(0)
-        return TrigPoly({(z, z, z, z): c}, _raw=True)
+        return TrigPoly({(0, 0, 0, 0): c}, _raw=True)
 
     @staticmethod
     def monomial(coeff, exps) -> "TrigPoly":
@@ -126,10 +145,11 @@ class TrigPoly:
     def terms(self) -> Iterator[TrigTerm]:
         """Terms in the canonical (lexicographic exponent) order."""
         for e in sorted(self._terms):
-            yield TrigTerm(self._terms[e], e)
+            yield TrigTerm(self._terms[e], _fracs(e))
 
     def items(self):
-        return self._terms.items()
+        """(Fraction exponents, coeff) pairs in stored order."""
+        return {_fracs(e): c for e, c in self._terms.items()}.items()
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -195,62 +215,66 @@ class TrigPoly:
 
 def linear_combine(pairs: Sequence[tuple[Fraction, TrigPoly]]) -> TrigPoly:
     """Canonical sum of c_i * p_i."""
-    acc: dict[Exps, Fraction] = {}
+    acc: dict[Key, Fraction] = {}
     for c, p in pairs:
         c = Fraction(c)
         if c == 0:
             continue
         for e, v in p._terms.items():
-            acc[e] = acc.get(e, Fraction(0)) + c * v
-    return TrigPoly(acc)
+            v = c * v
+            v0 = acc.get(e)
+            acc[e] = v if v0 is None else v0 + v
+    return TrigPoly({e: c for e, c in acc.items() if c}, _raw=True)
 
 
 def mul(p: TrigPoly, q: TrigPoly) -> TrigPoly:
     """Exact product; exponents add componentwise."""
     if not p._terms or not q._terms:
         return TrigPoly()
-    acc: dict[Exps, Fraction] = {}
-    for e1, c1 in p._terms.items():
-        for e2, c2 in q._terms.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-            acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-    return TrigPoly(acc)
+    acc: dict[Key, Fraction] = {}
+    for (a1, b1, c1, d1), v1 in p._terms.items():
+        for (a2, b2, c2, d2), v2 in q._terms.items():
+            e = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
+            v = v1 * v2
+            v0 = acc.get(e)
+            acc[e] = v if v0 is None else v0 + v
+    return TrigPoly({e: c for e, c in acc.items() if c}, _raw=True)
 
 
 def differentiate(p: TrigPoly, var: int) -> TrigPoly:
     """Exact partial derivative, var in {PHI1, PHI2}.
 
-    Per term: d/dphi cos^a sin^b = -a cos^(a-1) sin^(b+1) + b cos^(a+1) sin^(b-1).
+    Per term: d/dphi cos^a sin^b = -a cos^(a-1) sin^(b+1) + b cos^(a+1) sin^(b-1),
+    which on doubled exponents (2a, 2b) moves them by (-2, +2) and (+2, -2).
     """
     if var not in (PHI1, PHI2):
         raise ValueError(f"unknown variable {var!r}")
-    ci, si = (0, 1) if var == PHI1 else (2, 3)
-    acc: dict[Exps, Fraction] = {}
-    one = Fraction(1)
+    acc: dict[Key, Fraction] = {}
     for e, c in p._terms.items():
-        a, b = e[ci], e[si]
-        if a != 0:
-            e1 = list(e)
-            e1[ci], e1[si] = a - one, b + one
-            k = tuple(e1)
-            acc[k] = acc.get(k, Fraction(0)) - a * c
-        if b != 0:
-            e2 = list(e)
-            e2[ci], e2[si] = a + one, b - one
-            k = tuple(e2)
-            acc[k] = acc.get(k, Fraction(0)) + b * c
-    return TrigPoly(acc)
+        if var == PHI1:
+            a, b, x, y = e
+            down, up = (a - 2, b + 2, x, y), (a + 2, b - 2, x, y)
+        else:
+            x, y, a, b = e
+            down, up = (x, y, a - 2, b + 2), (x, y, a + 2, b - 2)
+        if a:
+            v = _half(-a) * c
+            v0 = acc.get(down)
+            acc[down] = v if v0 is None else v0 + v
+        if b:
+            v = _half(b) * c
+            v0 = acc.get(up)
+            acc[up] = v if v0 is None else v0 + v
+    return TrigPoly({e: c for e, c in acc.items() if c}, _raw=True)
 
 
 def divide_by_monomial(p: TrigPoly, t: TrigTerm) -> TrigPoly:
     """Exact termwise division by a single monomial."""
     if t.coeff == 0:
         raise ZeroDivisionError("division by zero monomial")
-    acc = {}
-    for e, c in p._terms.items():
-        e2 = (e[0] - t.exps[0], e[1] - t.exps[1], e[2] - t.exps[2], e[3] - t.exps[3])
-        acc[e2] = c / t.coeff
-    return TrigPoly(acc, _raw=True)
+    a, b, c, d = _exps(t.exps)
+    return TrigPoly({(e[0] - a, e[1] - b, e[2] - c, e[3] - d): v / t.coeff
+                     for e, v in p._terms.items()}, _raw=True)
 
 
 # -- fixed-basis normal form -------------------------------------------------
@@ -281,16 +305,17 @@ def _pythagoras(i: int, j: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @functools.cache
-def _angle_basis(a: Fraction, b: Fraction) -> tuple[tuple[Fraction, Fraction, int], ...]:
-    """cos^a sin^b over the basis of its residue class (a mod 2, b mod 2)."""
-    i, j = a // 2, b // 2
-    ra, rb = a - 2 * i, b - 2 * j
-    return tuple((ra + 2 * i2, rb + 2 * j2, c) for i2, j2, c in _pythagoras(i, j))
+def _angle_basis(a: int, b: int) -> tuple[tuple[int, int, int], ...]:
+    """cos^(a/2) sin^(b/2) over the basis of its residue class, on doubled
+    exponents: the class is (a mod 4, b mod 4)."""
+    i, j = a // 4, b // 4
+    ra, rb = a - 4 * i, b - 4 * j
+    return tuple((ra + 4 * i2, rb + 4 * j2, c) for i2, j2, c in _pythagoras(i, j))
 
 
-def _reduce_angle(terms, ci: int) -> dict[Exps, Fraction]:
+def _reduce_angle(terms, ci: int) -> dict[Key, Fraction]:
     """Rewrite the (cos, sin) exponents at positions ci, ci + 1 over the basis."""
-    acc: dict[Exps, Fraction] = {}
+    acc: dict[Key, Fraction] = {}
     for e, c in terms:
         for x, y, k in _angle_basis(e[ci], e[ci + 1]):
             key = (x, y, e[2], e[3]) if ci == 0 else (e[0], e[1], x, y)
@@ -300,26 +325,31 @@ def _reduce_angle(terms, ci: int) -> dict[Exps, Fraction]:
     return {e: c for e, c in acc.items() if c}
 
 
+def _normal_form(p: TrigPoly) -> dict[Key, Fraction]:
+    """`normal_form` keyed by doubled exponents, as stored."""
+    return _reduce_angle(_reduce_angle(p._terms.items(), 0).items(), 2)
+
+
 def normal_form(p: TrigPoly) -> dict[Exps, Fraction]:
     """The unique expansion of p over the fixed basis, as {exponents: coeff}.
 
     Empty exactly when p is the zero function on the open octant, and equal
     for any two polys that are equal as functions.
     """
-    return _reduce_angle(_reduce_angle(p.items(), 0).items(), 2)
+    return {_fracs(e): c for e, c in _normal_form(p).items()}
 
 
 def is_zero(p: TrigPoly) -> bool:
     """True iff p is the zero function on the open octant (0, pi/2)^2."""
-    return not normal_form(p)
+    return not _normal_form(p)
 
 
 def proportionality(p: TrigPoly, q: TrigPoly) -> Fraction | None:
     """c with p == c q as functions; None when q is zero or no such c exists."""
-    nq = normal_form(q)
+    nq = _normal_form(q)
     if not nq:
         return None
-    np_ = normal_form(p)
+    np_ = _normal_form(p)
     if not np_:
         return Fraction(0)
     if np_.keys() != nq.keys():
@@ -332,8 +362,8 @@ def proportionality(p: TrigPoly, q: TrigPoly) -> Fraction | None:
 def class_reduce(p: TrigPoly) -> dict[ClassKey, dict[Exps, Fraction]]:
     """The normal form of p grouped by residue class (exponents mod 2)."""
     out: dict[ClassKey, dict[Exps, Fraction]] = {}
-    for e, c in normal_form(p).items():
-        out.setdefault(tuple(x % 2 for x in e), {})[e] = c
+    for e, c in _normal_form(p).items():
+        out.setdefault(_fracs(tuple(x % 4 for x in e)), {})[_fracs(e)] = c
     return out
 
 
@@ -341,10 +371,11 @@ def coordinate_vectors(polys: Sequence[TrigPoly]) -> list[dict]:
     """Normal forms of several polys, one coordinate dict each.
 
     A rational linear combination of the inputs is the zero function iff the
-    same combination of the returned dicts vanishes.  Used by the multiplier
-    solver and the IUR independence test.
+    same combination of the returned dicts vanishes.  The dicts are keyed by
+    doubled exponents, as stored; `normal_form` gives the Fraction keys.  Used
+    by the multiplier solver and the IUR independence test.
     """
-    return [normal_form(p) for p in polys]
+    return [_normal_form(p) for p in polys]
 
 
 # -- numeric evaluation ------------------------------------------------------
@@ -362,9 +393,9 @@ def eval_numeric(p: TrigPoly, phi1: float, phi2: float) -> float:
     c1, s1 = math.cos(phi1), math.sin(phi1)
     c2, s2 = math.cos(phi2), math.sin(phi2)
     total = 0.0
-    for e, c in p.items():
-        total += float(c) * c1 ** float(e[0]) * s1 ** float(e[1]) \
-            * c2 ** float(e[2]) * s2 ** float(e[3])
+    for e, c in p._terms.items():
+        total += float(c) * c1 ** (e[0] / 2) * s1 ** (e[1] / 2) \
+            * c2 ** (e[2] / 2) * s2 ** (e[3] / 2)
     return total
 
 
@@ -389,7 +420,7 @@ def to_obj(p: TrigPoly) -> dict:
 def from_obj(obj: dict) -> TrigPoly:
     acc = {}
     for t in obj["terms"]:
-        exps = _exps(tuple(frac_from_str(e) for e in t["exps"]))
+        exps = tuple(frac_from_str(e) for e in t["exps"])
         acc[exps] = acc.get(exps, Fraction(0)) + frac_from_str(t["coeff"])
     return TrigPoly(acc)
 

@@ -32,3 +32,18 @@ def test_class_reduce_values_have_a_length():
     p = COS1 * SIN2 + TrigPoly.monomial(2, (Fraction(1, 2), 0, -3, 1))
     reduced = class_reduce(p)
     assert sum(len(poly) for poly in reduced.values()) >= 2
+
+
+def test_bench_readers_keep_their_shapes():
+    # bench/run.py counts class_reduce terms; the tracer wraps TrigPoly.scale
+    # through the class dict and mono_inner by module name
+    from octasphere.inner import mono_inner
+    from octasphere.trigpoly import COS1, SIN2, TrigPoly, TrigTerm, class_reduce
+    p = COS1 * SIN2 + TrigPoly.monomial(2, (Fraction(1, 2), 0, -3, 1))
+    reduced = class_reduce(p)
+    for cls, poly in reduced.items():
+        assert all(type(x) is Fraction for x in cls)
+        assert all(type(x) is Fraction for e in poly for x in e) and len(poly)
+    assert callable(TrigPoly.__dict__["scale"])
+    t = TrigTerm(Fraction(1), (Fraction(1, 2), 1, 0, Fraction(3, 2)))
+    assert mono_inner(t, t) > 0

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from octasphere.diffop import DiffOp, build_hamiltonian, pv
 from octasphere.hierarchy import closed_form_state, ground_state, iur_states
@@ -152,3 +153,26 @@ def test_numeric_oracle_boundary_point_rejected():
     op = DiffOp({(1, 0): ONE})
     with pytest.raises(ValueError):
         numeric_oracle_check(op, SIN1, [(0.0, 0.5)])
+
+
+half_up = st.integers(min_value=1, max_value=8).map(lambda k: F(k, 2))
+nonzero = st.fractions(min_value=-5, max_value=5).filter(lambda c: c != 0)
+admissible_polys = st.lists(st.tuples(nonzero, st.tuples(half_up, half_up, half_up, half_up)),
+                            max_size=4).map(
+    lambda ts: TrigPoly.from_terms(TrigTerm(c, e) for c, e in ts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(admissible_polys, admissible_polys)
+def test_inner_is_the_sum_of_mono_inner_in_term_order(f, g):
+    ref = 0.0
+    for t1 in f.terms():
+        for t2 in g.terms():
+            ref += mono_inner(t1, t2)
+    assert inner(f, g) == ref
+
+
+def test_inner_rejects_a_non_integrable_pair():
+    f = TrigPoly.monomial(1, (0, -1, 0, 0)) + TrigPoly.monomial(1, (1, 1, 1, 1))
+    with pytest.raises(ValueError):
+        inner(f, f)

@@ -267,3 +267,44 @@ def test_normal_form_agrees_numerically(p):
         scale = 1.0 + sum(abs(eval_numeric(TrigPoly.monomial(t.coeff, t.exps), x, y))
                           for t in list(p.terms()) + list(q.terms()))
         assert abs(eval_numeric(p, x, y) - eval_numeric(q, x, y)) <= 1e-11 * scale
+
+
+# -- stored representation -------------------------------------------------------------
+
+def _int_keyed(p):
+    return all(len(e) == 4 and all(type(x) is int for x in e) for e in p._terms)
+
+
+def test_exponents_are_stored_doubled():
+    p = TrigPoly({(F(3, 2), 1, F(-1, 2), F(2)): 5})
+    assert p._terms == {(3, 2, -1, 4): 5}
+    assert dict(p.items()) == {(F(3, 2), F(1), F(-1, 2), F(2)): 5}
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, polys, coeffs, st.sampled_from([PHI1, PHI2]))
+def test_stored_keys_stay_int_tuples(p, q, c, var):
+    # a Fraction key would still compare equal (2 == Fraction(2)), only slower
+    made = [p, q, TrigPoly(dict(p.items())), TrigPoly.constant(c),
+            TrigPoly.monomial(c, (HALF, 1, F(-3, 2), 0.5)),
+            p + q, p - q, -p, p.scale(c), mul(p, q), differentiate(p, var),
+            linear_combine([(c, p), (F(1), q)]),
+            divide_by_monomial(p, TrigTerm(c, (HALF, F(-1), 2, F(3, 2)))),
+            from_json(to_json(p))]
+    assert all(_int_keyed(r) for r in made)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys)
+def test_public_views_give_fraction_exponents(p):
+    keys = [e for e, _ in p.items()] + [t.exps for t in p.terms()] + list(normal_form(p))
+    assert all(type(x) is Fraction for e in keys for x in e)
+    assert dict(p.items()) == {t.exps: t.coeff for t in p.terms()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, polys)
+def test_equal_polys_built_by_different_routes_hash_equal(p, q):
+    for r in ((p + q) - q, TrigPoly.from_terms(reversed(list(p.terms()))),
+              TrigPoly(dict(p.items())), from_json(to_json(p))):
+        assert r == p and hash(r) == hash(p)
