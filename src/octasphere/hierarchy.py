@@ -225,8 +225,8 @@ def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRec
         psi = apply(op.scaled_at(state.params), state.wavefunction)
         if is_zero(psi):
             return None
-        target = tuple(e + s for e, s in zip(state.params, op.shift))
-        state = make_state(target, state.labels, psi, state.energy, onedim=state.onedim)
+        state = make_state(op.target(state.params), state.labels, psi, state.energy,
+                           onedim=state.onedim)
     return state
 
 
@@ -284,9 +284,6 @@ class IurLattice:
     label: tuple
     points: tuple  # ((l0, l1, l2), multiplicity), sorted
     dimension: int
-
-    def multiplicity_sum(self) -> int:
-        return sum(m for _, m in self.points)
 
 
 def u3_dimension(m: int, n: int) -> int:
@@ -390,7 +387,7 @@ def iur_states(algebra: str, label) -> list[StateRecord]:
         new_frontier = []
         for st in frontier:
             for op in ops:
-                pt = tuple(e + s for e, s in zip(st.params, op.shift))
+                pt = op.target(st.params)
                 bucket = kept.get(pt, [])
                 if pt in want and len(bucket) >= want[pt]:
                     continue

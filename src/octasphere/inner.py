@@ -167,9 +167,8 @@ def adjoint_residual(x_name: str, ell, f: TrigPoly, g: TrigPoly) -> float:
     ell = pv(*ell)
     xm = graded(x_name + "-", "corrected")
     xp = graded(x_name + "+", "corrected")
-    target = tuple(e + s for e, s in zip(ell, xm.shift))
     lhs = inner(apply(xm.at(ell), f), g)
-    rhs = inner(f, apply(xp.at(target), g))
+    rhs = inner(f, apply(xp.at(xm.target(ell)), g))
     return abs(lhs - rhs)
 
 

@@ -2,7 +2,40 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+# exponent triples of the fitted polynomials in (l0, l1, l2)
+AFFINE = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+QUADRATIC = AFFINE + [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+
+
+def _echelon(a: list[list[Fraction]], ncols: int) -> list[int]:
+    """Reduce a in place to row echelon form over its first ncols columns.
+
+    Each pivot row is scaled to a leading 1 and cleared below only; returns
+    the pivot columns, so the rank is their count.  Rows from r on are zero
+    left of column c, so only columns c onward are updated.
+    """
+    m = len(a)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = 1 / a[r][c]
+        a[r][c:] = [v * inv for v in a[r][c:]]
+        pivot = a[r][c:]
+        for i in range(r + 1, m):
+            f = a[i][c]
+            if f != 0:
+                a[i][c:] = [vi - f * vr for vi, vr in zip(a[i][c:], pivot)]
+        pivots.append(c)
+    return pivots
 
 
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -13,85 +46,35 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
+    a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = _echelon(a, n)
+    if any(row[n] != 0 for row in a[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = a[i][n]
+    for i in reversed(range(len(pivots))):
+        x[pivots[i]] = a[i][n] - sum(a[i][c] * x[c] for c in pivots[i + 1:])
     return x
 
 
 def rank_exact(rows: list[list[Fraction]]) -> int:
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return 0
-    n = len(rows[0])
-    a = [[Fraction(v) for v in row] for row in rows]
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(r + 1, m):
-            if a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+    return len(_echelon([[Fraction(v) for v in row] for row in rows], len(rows[0])))
 
 
-def fit_affine(points: list[tuple], values: list[Fraction]) -> list[Fraction] | None:
-    """Fit v = c0 + c1*x1 + ... + ck*xk exactly through all (point, value) pairs."""
-    rows = [[Fraction(1)] + [Fraction(x) for x in p] for p in points]
-    sol = solve_exact(rows, [Fraction(v) for v in values])
-    if sol is None:
-        return None
-    for p, v in zip(points, values):
-        if sol[0] + sum(c * Fraction(x) for c, x in zip(sol[1:], p)) != Fraction(v):
-            return None
-    return sol
+def fit_monomials(points: list[tuple], values: list[Fraction],
+                  monos: list[tuple[int, ...]]) -> list[Fraction] | None:
+    """Exact coefficients c with sum_j c_j * prod_i x_i^monos[j][i] == value at every point.
 
-
-def fit_poly2(points: list[tuple], values: list[Fraction]) -> dict | None:
-    """Fit an exact polynomial of total degree <= 2 in (l0, l1, l2).
-
-    Returns {exponent-triple: coeff} or None if no degree-2 polynomial
-    interpolates all samples.
+    Returns the coefficients in the order of monos, or None if no such
+    polynomial interpolates all samples.
     """
-    monos = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-             (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
-    rows = []
-    for p in points:
-        l0, l1, l2 = (Fraction(x) for x in p)
-        rows.append([l0 ** e0 * l1 ** e1 * l2 ** e2 for (e0, e1, e2) in monos])
-    sol = solve_exact(rows, [Fraction(v) for v in values])
+    rows = [[math.prod(x ** e for x, e in zip(p, mono) if e) for mono in monos]
+            for p in points]
+    sol = solve_exact(rows, values)
     if sol is None:
         return None
     for row, v in zip(rows, values):
-        if sum(c * x for c, x in zip(sol, row)) != Fraction(v):
+        if sum(c * x for c, x in zip(sol, row)) != v:
             return None
-    return {m: c for m, c in zip(monos, sol) if c != 0}
+    return sol

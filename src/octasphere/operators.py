@@ -3,10 +3,14 @@
 Each of the three separation charts (around the s2, s1 and s0 axes) carries a
 pair of first-order intertwiners built from the chart's azimuthal derivative
 plus tan/cot multipliers; expressed in the base coordinates (phi1, phi2) these
-are the A, B, C families.  A GradedOp bundles a parameter shift with a factory
-producing the concrete operator on each sector; the factory always returns
-the operator *acting on* the requested sector, so compositions read left to
-right without extra index gymnastics.
+are the A, B, C families, one row each of the table FAMILIES.  The tilde
+families At, Bt, Ct are the same rows under a parameter reflection
+l_i -> -l_i (TILDES), which maps intertwiners to intertwiners because the
+Hamiltonian depends on the parameters only through their squares.  A GradedOp
+bundles a parameter shift with a factory producing the concrete operator on
+each sector; the factory always returns the operator *acting on* the
+requested sector, and graded_product composes two of them, so commutators and
+Casimir combinations read left to right without extra index gymnastics.
 
 Constructors return the operator exactly as printed in the source table by
 default.  The corrected variant repairs the two families whose printed +/-
@@ -17,8 +21,9 @@ and is established computationally, see `printed_delta_report`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 from . import linalg
@@ -76,14 +81,40 @@ CHART_THETA = Chart(
 )
 
 
-def first_order(chart: Chart, sign: int, tan_coeff: Fraction, cot_coeff: Fraction) -> DiffOp:
-    """sign * d_chart + tan_coeff * tan_chart + cot_coeff * cot_chart."""
-    mult = chart.tan.scale(tan_coeff) + chart.cot.scale(cot_coeff)
-    op = chart.derivative(sign)
-    return op + DiffOp.multiplication(mult)
+# -- the family table -------------------------------------------------------------
+
+Shift = tuple[int, int, int]
 
 
-# -- printed sector formulas ----------------------------------------------------
+@dataclass(frozen=True)
+class Family:
+    """One ladder family: X^s = s' d_chart + tan_coeff(ell) tan + cot_coeff(ell) cot.
+
+    s' is s in the corrected variant and s * vector_sign as printed; X- shifts
+    the sector by `shift`, X+ by its negative.
+    """
+    chart: Chart
+    vector_sign: int
+    tan_coeff: Callable[[ParamVector], Fraction]
+    cot_coeff: Callable[[ParamVector], Fraction]
+    shift: Shift
+
+    def multiplier(self, ell: ParamVector) -> TrigPoly:
+        """The multiplier at ell, shared by X+ and X- of both variants."""
+        return self.chart.tan.scale(self.tan_coeff(ell)) + self.chart.cot.scale(self.cot_coeff(ell))
+
+
+FAMILIES: dict[str, Family] = {
+    "A": Family(CHART_PHI, 1, lambda l: -(l[0] + HALF), lambda l: l[1] + HALF, (1, 1, 0)),
+    # the printed B and C vectors are +/-(sin phi1 tan phi2 d1 + cos phi1 d2) = -/+ d_xi1
+    # and +/-(cos phi1 tan phi2 d1 - sin phi1 d2) = -/+ d_theta1: exchanged superscripts
+    "B": Family(CHART_XI, -1, lambda l: -(l[2] + HALF), lambda l: l[0] + HALF, (1, 0, 1)),
+    "C": Family(CHART_THETA, -1, lambda l: l[1] - HALF, lambda l: l[2] + HALF, (0, -1, 1)),
+}
+
+# tilde family -> (family, reflection axis): each is its family at the reflected sector
+TILDES: dict[str, tuple[str, int]] = {"At": ("A", 0), "Bt": ("B", 2), "Ct": ("C", 1)}
+
 
 def _sgn(sign: str) -> int:
     if sign not in ("+", "-"):
@@ -91,26 +122,8 @@ def _sgn(sign: str) -> int:
     return 1 if sign == "+" else -1
 
 
-def printed_A(sign: str, ell: ParamVector) -> DiffOp:
-    l0, l1, _ = ell
-    return first_order(CHART_PHI, _sgn(sign), -(l0 + HALF), l1 + HALF)
-
-
-def printed_At(sign: str, ell: ParamVector) -> DiffOp:
-    l0, l1, _ = ell
-    return first_order(CHART_PHI, _sgn(sign), l0 - HALF, l1 + HALF)
-
-
-def printed_B(sign: str, ell: ParamVector) -> DiffOp:
-    # printed vector is +/-(sin phi1 tan phi2 d1 + cos phi1 d2) = -/+ d_xi1
-    l0, _, l2 = ell
-    return first_order(CHART_XI, -_sgn(sign), -(l2 + HALF), l0 + HALF)
-
-
-def printed_C(sign: str, ell: ParamVector) -> DiffOp:
-    # printed vector is +/-(cos phi1 tan phi2 d1 - sin phi1 d2) = -/+ d_theta1
-    _, l1, l2 = ell
-    return first_order(CHART_THETA, -_sgn(sign), l1 - HALF, l2 + HALF)
+def _reflect(v: tuple, axis: int) -> tuple:
+    return tuple(-x if i == axis else x for i, x in enumerate(v))
 
 
 def printed_M(sign: str, ell: ParamVector, m: int = 0, n: int = 0) -> DiffOp:
@@ -124,63 +137,33 @@ def printed_M(sign: str, ell: ParamVector, m: int = 0, n: int = 0) -> DiffOp:
     return DiffOp({(0, 1): TrigPoly.constant(s)}) + DiffOp.multiplication(mult)
 
 
-def corrected_B(sign: str, ell: ParamVector) -> DiffOp:
-    return printed_B("-" if sign == "+" else "+", ell)
-
-
-def corrected_C(sign: str, ell: ParamVector) -> DiffOp:
-    return printed_C("-" if sign == "+" else "+", ell)
-
-
 def build_first_order(name: str, sign: str, ell: ParamVector, *,
                       variant: str = "printed", m: int = 0, n: int = 0) -> DiffOp:
     """Concrete first-order operator at a sector.
 
     name in {A, B, C, At, Bt, Ct, M, A1d}; variant in {printed, corrected}.
-    For A1d and M the extra quantum numbers m (and n for M) select the chain
-    member.  Corrected B/C swap the printed superscripts; the tilde families
-    are parameter reflections of the corrected ones.
+    A, B, C are rows of FAMILIES and a tilde family is its family at the
+    reflected sector (TILDES).  A1d is A at (l0+m, l1+m, l2); M is the phi2
+    chain member selected by m and n.
     """
     if variant not in ("printed", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
     ell = pv(*ell)
-    corrected = variant == "corrected"
-    if name == "A":
-        return printed_A(sign, ell)
-    if name == "At":
-        return printed_At(sign, ell)
-    if name == "B":
-        return corrected_B(sign, ell) if corrected else printed_B(sign, ell)
-    if name == "C":
-        return corrected_C(sign, ell) if corrected else printed_C(sign, ell)
-    if name == "Bt":
-        # I2-conjugate of corrected B
-        base = corrected_B if corrected else printed_B
-        return base(sign, (ell[0], ell[1], -ell[2]))
-    if name == "Ct":
-        # I1-conjugate of corrected C
-        base = corrected_C if corrected else printed_C
-        return base(sign, (ell[0], -ell[1], ell[2]))
     if name == "M":
         return printed_M(sign, ell, m=m, n=n)
     if name == "A1d":
-        return printed_A(sign, (ell[0] + m, ell[1] + m, ell[2]))
-    raise ValueError(f"unknown operator name {name!r}")
+        name, ell = "A", (ell[0] + m, ell[1] + m, ell[2])
+    if name in TILDES:
+        name, axis = TILDES[name]
+        ell = _reflect(ell, axis)
+    if name not in FAMILIES:
+        raise ValueError(f"unknown operator name {name!r}")
+    fam = FAMILIES[name]
+    s = _sgn(sign) * (fam.vector_sign if variant == "printed" else 1)
+    return fam.chart.derivative(s) + DiffOp.multiplication(fam.multiplier(ell))
 
 
 # -- graded operators -----------------------------------------------------------
-
-Shift = tuple[int, int, int]
-
-SHIFT_MINUS: dict[str, Shift] = {
-    "A": (1, 1, 0),
-    "B": (1, 0, 1),
-    "C": (0, -1, 1),
-    "At": (-1, 1, 0),
-    "Bt": (1, 0, -1),
-    "Ct": (0, 1, 1),
-}
-
 
 @dataclass(frozen=True)
 class GradedOp:
@@ -201,29 +184,35 @@ class GradedOp:
     def scaled_at(self, ell: ParamVector) -> DiffOp:
         return self.at(ell).scale(self.scale)
 
+    def target(self, ell: ParamVector) -> ParamVector:
+        """The sector this operator maps ell to."""
+        return tuple(e + s for e, s in zip(ell, self.shift))
+
 
 def graded(name: str, variant: str = "corrected") -> GradedOp:
-    """Global ladder operator, e.g. graded('A-') or graded('B+', 'printed')."""
+    """Global ladder operator, e.g. graded('A-') or graded('B+', 'printed').
+
+    X- acts on ell as the table formula at ell, X+ as the formula at its
+    target sector; a tilde family is the reflection of its family.
+    """
     base, sign = name[:-1], name[-1]
-    if base not in SHIFT_MINUS:
+    if base in TILDES:
+        fam, axis = TILDES[base]
+        return replace(reflect_conjugate(graded(fam + sign, variant), axis), name=name)
+    if base not in FAMILIES:
         raise ValueError(f"unknown ladder family {base!r}")
-    dm = SHIFT_MINUS[base]
+    dm = FAMILIES[base].shift
     if sign == "-":
-        shift = dm
-        def factory(ell, base=base, variant=variant):
-            return build_first_order(base, "-", ell, variant=variant)
-    elif sign == "+":
-        shift = tuple(-x for x in dm)
-        def factory(ell, base=base, variant=variant, dm=dm):
-            at = tuple(x - d for x, d in zip(ell, dm))
-            return build_first_order(base, "+", at, variant=variant)
-    else:
-        raise ValueError(f"ladder name must end in '+' or '-': {name!r}")
-    return GradedOp(name=name, shift=shift, factory=factory)
+        return GradedOp(name, dm, lambda ell: build_first_order(base, "-", ell, variant=variant))
+    if sign == "+":
+        plus = GradedOp(name, tuple(-d for d in dm), lambda ell: build_first_order(
+            base, "+", plus.target(ell), variant=variant))
+        return plus
+    raise ValueError(f"ladder name must end in '+' or '-': {name!r}")
 
 
-LADDER_NAMES = ["A-", "A+", "B-", "B+", "C-", "C+"]
-TILDE_NAMES = ["At-", "At+", "Bt-", "Bt+", "Ct-", "Ct+"]
+LADDER_NAMES = [f + s for f in FAMILIES for s in "-+"]
+TILDE_NAMES = [t + s for t in TILDES for s in "-+"]
 
 
 @dataclass(frozen=True)
@@ -256,8 +245,7 @@ def graded_product(x: GradedOp, y: GradedOp) -> GradedOp:
     shift = tuple(a + b for a, b in zip(x.shift, y.shift))
 
     def factory(ell: ParamVector) -> DiffOp:
-        mid = tuple(e + s for e, s in zip(ell, y.shift))
-        return compose(x.factory(mid), y.factory(ell))
+        return compose(x.factory(y.target(ell)), y.factory(ell))
 
     return GradedOp(name=f"{x.name}*{y.name}", shift=shift, factory=factory,
                     scale=x.scale * y.scale)
@@ -272,16 +260,8 @@ def reflect_conjugate(x: GradedOp, axis: int) -> GradedOp:
     """
     if axis not in (0, 1, 2):
         raise ValueError("axis must be 0, 1 or 2")
-
-    def refl(ell: ParamVector) -> ParamVector:
-        e = list(ell)
-        e[axis] = -e[axis]
-        return tuple(e)
-
-    shift = list(x.shift)
-    shift[axis] = -shift[axis]
-    return GradedOp(name=f"I{axis}({x.name})", shift=tuple(shift),
-                    factory=lambda ell: x.factory(refl(ell)), scale=x.scale)
+    return GradedOp(name=f"I{axis}({x.name})", shift=_reflect(x.shift, axis),
+                    factory=lambda ell: x.factory(_reflect(ell, axis)), scale=x.scale)
 
 
 # -- intertwining ---------------------------------------------------------------
@@ -289,9 +269,8 @@ def reflect_conjugate(x: GradedOp, axis: int) -> GradedOp:
 def intertwine_residual(x: GradedOp, ell: ParamVector) -> DiffOp:
     """X_ell ∘ H_ell - H_(ell+shift) ∘ X_ell; empty iff X intertwines exactly at ell."""
     ell = pv(*ell)
-    target = tuple(e + s for e, s in zip(ell, x.shift))
     xop = x.at(ell)
-    return compose(xop, build_hamiltonian(ell)) - compose(build_hamiltonian(target), xop)
+    return compose(xop, build_hamiltonian(ell)) - compose(build_hamiltonian(x.target(ell)), xop)
 
 
 def is_exact_intertwiner(x: GradedOp, ell: ParamVector) -> bool:
@@ -320,11 +299,9 @@ def solve_multiplier(vector_part: DiffOp, delta: Shift,
     if not ansatz:
         raise MultiplierSolveError("empty ansatz")
     ell = pv(*ell)
-    target = tuple(e + s for e, s in zip(ell, delta))
-    h0, h1 = build_hamiltonian(ell), build_hamiltonian(target)
 
     def residual(x: DiffOp) -> DiffOp:
-        return compose(x, h0) - compose(h1, x)
+        return intertwine_residual(GradedOp("X", delta, lambda _ell: x), ell)
 
     base = residual(vector_part)
     cols = [residual(DiffOp.multiplication(TrigPoly.monomial(g.coeff, g.exps)))
@@ -356,7 +333,7 @@ def solve_multiplier(vector_part: DiffOp, delta: Shift,
 
 def multiplier_ansatz(name: str) -> list[TrigTerm]:
     """Ansatz shapes read off the printed multipliers of one family."""
-    chart = {"A": CHART_PHI, "B": CHART_XI, "C": CHART_THETA}[name]
+    chart = FAMILIES[name].chart
     shapes = []
     for p in (chart.tan, chart.cot):
         ((exps, _),) = tuple(p.items())
@@ -367,20 +344,21 @@ def multiplier_ansatz(name: str) -> list[TrigTerm]:
 # -- graded commutators and the structure table -----------------------------------
 
 def graded_commutator(x: GradedOp, y: GradedOp, ell: ParamVector) -> tuple[DiffOp, Shift]:
-    """[X, Y] on sector ell: X_(ell+dY) Y_ell - Y_(ell+dX) X_ell, with scales."""
-    ell = pv(*ell)
-    lx = tuple(e + s for e, s in zip(ell, x.shift))
-    ly = tuple(e + s for e, s in zip(ell, y.shift))
-    op = compose(x.scaled_at(ly), y.scaled_at(ell)) - compose(y.scaled_at(lx), x.scaled_at(ell))
-    shift = tuple(a + b for a, b in zip(x.shift, y.shift))
-    return op, shift
+    """[X, Y] on sector ell, the graded products X∘Y - Y∘X with scales, and its shift."""
+    xy = graded_product(x, y)
+    return xy.scaled_at(ell) - graded_product(y, x).scaled_at(ell), xy.shift
+
+
+def graded_bracket(x: GradedOp, y: GradedOp) -> GradedOp:
+    """[X, Y] as a graded operator of unit scale (its scales are inside)."""
+    return GradedOp(name=f"[{x.name},{y.name}]", shift=graded_product(x, y).shift,
+                    factory=lambda ell: graded_commutator(x, y, ell)[0], scale=F1)
 
 
 def commutator_with_diagonal(d: DiagonalOp, x: GradedOp, ell: ParamVector) -> DiffOp:
     """[D, X] on sector ell = (d(ell+shift) - d(ell)) * X_ell (scaled)."""
     ell = pv(*ell)
-    target = tuple(e + s for e, s in zip(ell, x.shift))
-    return x.scaled_at(ell).scale(d.value(target) - d.value(ell))
+    return x.scaled_at(ell).scale(d.value(x.target(ell)) - d.value(ell))
 
 
 def match_constant_multiple(op: DiffOp, cand: DiffOp) -> Fraction | None:
@@ -418,10 +396,10 @@ def _fit_sectorwise(commutator: Callable[[ParamVector], DiffOp],
         if c is None:
             return None
         vals.append(c)
-    return linalg.fit_affine(sectors, vals)
+    return linalg.fit_monomials(sectors, vals, linalg.AFFINE)
 
 
-def structure_table(box: int = 2, variant: str = "corrected") -> dict:
+def structure_table(box: int = 2) -> dict:
     """Pairwise commutators of {A±, B±, C±, A, B, C} identified sector-wise.
 
     Each commutator is matched, on every sector of the box, as a rational
@@ -433,22 +411,22 @@ def structure_table(box: int = 2, variant: str = "corrected") -> dict:
     """
     sectors = [pv(i, j, k) for i in range(-box, box + 1)
                for j in range(-box, box + 1) for k in range(-box, box + 1)]
-    lads = {n: graded(n, variant) for n in LADDER_NAMES}
-    pairs = [(f"{xn},{yn}", tuple(a + b for a, b in zip(lads[xn].shift, lads[yn].shift)),
-              lambda ell, x=lads[xn], y=lads[yn]: graded_commutator(x, y, ell)[0])
+    lads = {n: graded(n) for n in LADDER_NAMES}
+    pairs = [(f"{xn},{yn}", graded_bracket(lads[xn], lads[yn]))
              for i, xn in enumerate(LADDER_NAMES) for yn in LADDER_NAMES[i + 1:]]
-    pairs += [(f"{dn},{yn}", lads[yn].shift,
-               lambda ell, d=diagonal(dn), y=lads[yn]: commutator_with_diagonal(d, y, ell))
+    pairs += [(f"{dn},{yn}",
+               GradedOp(f"[{dn},{yn}]", lads[yn].shift, scale=F1,
+                        factory=partial(commutator_with_diagonal, diagonal(dn), lads[yn])))
               for dn in DIAGONAL_NAMES for yn in LADDER_NAMES]
     table: dict[str, list] = {}
     unmatched = []
-    for key, shift, commutator in pairs:
-        if shift == (0, 0, 0):
+    for key, bracket in pairs:
+        if bracket.shift == (0, 0, 0):
             name, cand = "one", lambda ell: DiffOp.identity()
         else:
-            name = next((n for n in LADDER_NAMES if lads[n].shift == shift), None)
+            name = next((n for n in LADDER_NAMES if lads[n].shift == bracket.shift), None)
             cand = lads[name].scaled_at if name else lambda ell: DiffOp.zero()
-        fit = _fit_sectorwise(commutator, cand, sectors)
+        fit = _fit_sectorwise(bracket.at, cand, sectors)
         if fit is None or (name != "one" and any(fit[1:])):
             unmatched.append(key)
         elif name == "one":
@@ -465,7 +443,7 @@ def _express_diagonal(fit: list[Fraction]) -> list[tuple[str, str]]:
     """Rewrite an affine function c0 + c1 l0 + c2 l1 + c3 l2 over {A, B, C, D, one}."""
     for name in DIAGONAL_NAMES + ["D"]:
         d = diagonal(name)
-        dfit = linalg.fit_affine(_PROBE, [d.value(p) for p in _PROBE])
+        dfit = linalg.fit_monomials(_PROBE, [d.value(p) for p in _PROBE], linalg.AFFINE)
         # single-generator match: fit == c * dfit
         for cand_c in {c / v for c, v in zip(fit, dfit) if v != 0}:
             if all(c == cand_c * v for c, v in zip(fit, dfit)):
@@ -491,22 +469,13 @@ SO6_CONSTANT = Fraction(15, 4)
 SO6_CONSTANT_PRINTED = Fraction(41, 12)
 
 
-def _pair_product(base: str, ell: ParamVector, variant: str, order: str) -> DiffOp:
-    """Global X+X- ('pm') or X-X+ ('mp') at sector ell, scales included."""
-    minus, plus = graded(base + "-", variant), graded(base + "+", variant)
-    if order == "pm":
-        mid = tuple(e + s for e, s in zip(ell, minus.shift))
-        return compose(plus.scaled_at(mid), minus.scaled_at(ell))
-    mid = tuple(e + s for e, s in zip(ell, plus.shift))
-    return compose(minus.scaled_at(mid), plus.scaled_at(ell))
+def anticommutator(base: str, ell: ParamVector) -> DiffOp:
+    """{X+, X-} on sector ell, scales included."""
+    minus, plus = graded(base + "-"), graded(base + "+")
+    return graded_product(plus, minus).scaled_at(ell) + graded_product(minus, plus).scaled_at(ell)
 
 
-def anticommutator(base: str, ell: ParamVector, variant: str = "corrected") -> DiffOp:
-    return _pair_product(base, ell, variant, "pm") + _pair_product(base, ell, variant, "mp")
-
-
-def casimir_identity(kind: str, ell: ParamVector, *, variant: str = "corrected",
-                     printed_constant: bool = False) -> DiffOp:
+def casimir_identity(kind: str, ell: ParamVector, *, printed_constant: bool = False) -> DiffOp:
     """Residual of the quoted quadratic Casimir combination minus the Hamiltonian.
 
     kinds: su3_esp  -- 4C - D^2/3 + 15/4 - H
@@ -518,8 +487,8 @@ def casimir_identity(kind: str, ell: ParamVector, *, variant: str = "corrected",
     ell = pv(*ell)
     if kind == "su3_esp":
         cas = DiffOp.zero()
-        for base in ("A", "B", "C"):
-            cas = cas + _pair_product(base, ell, variant, "pm")
+        for base in FAMILIES:
+            cas = cas + graded_product(graded(base + "+"), graded(base + "-")).scaled_at(ell)
         diag = sum(diagonal(n).value(ell) * (diagonal(n).value(ell) - Fraction(3, 2))
                    for n in DIAGONAL_NAMES)
         cas = cas + DiffOp.identity().scale(Fraction(2, 3) * diag)
@@ -527,13 +496,13 @@ def casimir_identity(kind: str, ell: ParamVector, *, variant: str = "corrected",
         out = cas.scale(4) + DiffOp.identity().scale(-d * d / 3 + Fraction(15, 4))
         return out - build_hamiltonian(ell)
     if kind == "so4_ca":
-        out = anticommutator("A", ell, variant) + anticommutator("At", ell, variant)
+        out = anticommutator("A", ell) + anticommutator("At", ell)
         out = out + DiffOp.identity().scale(ell[0] ** 2 + ell[1] ** 2 + 1)
         return out - build_phi1_block(ell[0], ell[1])
     if kind == "so6_cass":
         out = DiffOp.zero()
-        for base in ("A", "B", "C", "At", "Bt", "Ct"):
-            out = out + anticommutator(base, ell, variant)
+        for base in [*FAMILIES, *TILDES]:
+            out = out + anticommutator(base, ell)
         const = SO6_CONSTANT_PRINTED if printed_constant else SO6_CONSTANT
         out = out + DiffOp.identity().scale(ell[0] ** 2 + ell[1] ** 2 + ell[2] ** 2 + const)
         return out - build_hamiltonian(ell)

@@ -14,14 +14,13 @@ from .diffop import DiffOp, apply, build_hamiltonian, is_zero_op, pv
 from .hierarchy import closed_form_state, energy, ground_state
 from .inner import (adjoint_residual, inner, mono_inner, mono_inner_quadrature,
                     norm, numeric_oracle_check)
-from .operators import (LADDER_NAMES, TILDE_NAMES, SO6_CONSTANT,
+from .operators import (FAMILIES, LADDER_NAMES, TILDE_NAMES, SO6_CONSTANT,
                         SO6_CONSTANT_PRINTED, casimir_identity, constant_part,
-                        graded, graded_commutator, intertwine_residual,
-                        is_exact_intertwiner, multiplier_ansatz,
+                        diagonal, graded, graded_bracket, graded_commutator,
+                        intertwine_residual, is_exact_intertwiner, multiplier_ansatz,
                         printed_delta_report, solve_multiplier, structure_table)
-from .superpotential import (family_multiplier, kinetic_rotation_check,
-                             riccati_check, riccati_lambda_fit,
-                             simultaneous_superpotentials)
+from .superpotential import (family_multiplier, kinetic_rotation_check, lambda_poly,
+                             riccati_check, simultaneous_superpotentials)
 from .trigpoly import TrigPoly, TrigTerm, frac_to_str, is_zero
 
 SUITE_NAMES = ["algebra", "intertwine", "casimir", "riccati", "hermiticity"]
@@ -57,11 +56,11 @@ def suite_intertwine(rng: int) -> dict:
                              not is_zero_op(resid)))
 
     # the multiplier solver reproduces every corrected multiplier from scratch
-    for fam, delta in (("A", (1, 1, 0)), ("B", (1, 0, 1)), ("C", (0, -1, 1))):
+    for fam in FAMILIES:
+        op = graded(fam + "-", "corrected")
         for ell in (pv(1, 2, 0), pv(1, 1, 1), pv(2, 0, 1)):
-            op = graded(fam + "-", "corrected")
             vector = DiffOp({k: c for k, c in op.at(ell).items() if k != (0, 0)})
-            got = solve_multiplier(vector, delta, multiplier_ansatz(fam), ell)
+            got = solve_multiplier(vector, op.shift, multiplier_ansatz(fam), ell)
             want = family_multiplier(fam, ell)
             checks.append(_check(
                 f"solve_multiplier rebuilds corrected {fam}- multiplier at {tuple(map(str, ell))}",
@@ -131,24 +130,18 @@ def suite_algebra(rng: int) -> dict:
     checks.append(_check("antisymmetry on sampled pairs", anti_ok))
 
     # Jacobi identity on sampled triples
-    from .operators import GradedOp
-    def bracket(x, y):
-        shift = tuple(a + b for a, b in zip(x.shift, y.shift))
-        return GradedOp(name=f"[{x.name},{y.name}]", shift=shift, scale=Fraction(1),
-                        factory=lambda ell: graded_commutator(x, y, ell)[0])
     jac_ok = True
     for tr in (("A-", "A+", "B-"), ("A-", "B+", "C-"), ("B-", "C+", "A+")):
         x, y, z = (lads[n] for n in tr)
         for ell in (pv(1, 1, 1), pv(0, 2, -1)):
-            total = graded_commutator(bracket(x, y), z, ell)[0] \
-                + graded_commutator(bracket(y, z), x, ell)[0] \
-                + graded_commutator(bracket(z, x), y, ell)[0]
+            total = graded_commutator(graded_bracket(x, y), z, ell)[0] \
+                + graded_commutator(graded_bracket(y, z), x, ell)[0] \
+                + graded_commutator(graded_bracket(z, x), y, ell)[0]
             if not is_zero_op(total):
                 jac_ok = False
     checks.append(_check("Jacobi identity on sampled triples", jac_ok))
 
     # diagonal relation C = B - A
-    from .operators import diagonal
     a, b, c = diagonal("A"), diagonal("B"), diagonal("C")
     cb_ok = all(c.value(ell) == b.value(ell) - a.value(ell) for ell in _sector_box(2))
     checks.append(_check("C = B - A on all sectors", cb_ok))
@@ -201,7 +194,7 @@ def suite_riccati(rng: int) -> dict:
         lam_by_sector[tuple(ell)] = lam
     checks.append(_check(f"riccati residual exactly zero on {{0..{r}}}^3", ok))
 
-    fit = riccati_lambda_fit(sectors)
+    fit = lambda_poly(sectors, list(lam_by_sector.values())) if ok else None
     checks.append(_check("lambda_l fits an exact polynomial of degree <= 2",
                          fit is not None,
                          closed_form={str(k): frac_to_str(v) for k, v in (fit or {}).items()}))
@@ -245,9 +238,10 @@ def suite_hermiticity(rng: int) -> dict:
     # hermiticity of the corrected ladder pairs on admissible states
     worst = 0.0
     pairs = []
-    for fam, delta in (("A", (1, 1, 0)), ("B", (1, 0, 1)), ("C", (0, -1, 1))):
+    for fam in FAMILIES:
+        lowering = graded(fam + "-")
         for ell in (pv(1, 1, 1), pv(2, 1, 0), pv(0, 1, 2)):
-            target = tuple(e + d for e, d in zip(ell, delta))
+            target = lowering.target(ell)
             if min(target) < 0 or min(ell) < 0:
                 continue
             f = closed_form_state("separated_2d", (ell, 1, 0)).wavefunction

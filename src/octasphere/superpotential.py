@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import linalg
 from .diffop import DiffOp, KINETIC, apply, compose, hamiltonian_potential, is_zero_op, pv
-from .operators import build_first_order
+from .operators import FAMILIES
 from .trigpoly import (ONE, TrigPoly, TrigTerm, divide_by_monomial, is_zero,
                        proportionality)
 
@@ -46,22 +47,13 @@ def superpot_from_state(vector: DiffOp, phi0: TrigTerm | TrigPoly) -> TrigPoly:
 
 
 def family_vectors() -> dict[str, DiffOp]:
-    """Vector parts x^+ of the corrected raising operators (sector independent)."""
-    out = {}
-    for name in ("A", "B", "C"):
-        op = build_first_order(name, "+", pv(0, 0, 0), variant="corrected")
-        out[name], _ = decompose(op)
-    return out
+    """Vector parts x^+ = d_chart of the corrected raising operators (sector independent)."""
+    return {name: fam.chart.derivative(1) for name, fam in FAMILIES.items()}
 
 
 def family_multiplier(name: str, ell) -> TrigPoly:
     """The shared multiplier w of the corrected pair X^± at a sector."""
-    ell = pv(*ell)
-    _, w_minus = decompose(build_first_order(name, "-", ell, variant="corrected"))
-    _, w_plus = decompose(build_first_order(name, "+", ell, variant="corrected"))
-    if not is_zero(w_minus - w_plus):
-        raise AssertionError(f"{name} pair does not share a multiplier at {ell}")
-    return w_minus
+    return FAMILIES[name].multiplier(pv(*ell))
 
 
 def riccati_check(ell) -> tuple[TrigPoly, Fraction]:
@@ -75,7 +67,7 @@ def riccati_check(ell) -> tuple[TrigPoly, Fraction]:
     v = hamiltonian_potential(ell)
     vecs = family_vectors()
     comb = TrigPoly.zero()
-    for name in ("A", "B", "C"):
+    for name in FAMILIES:
         w = family_multiplier(name, ell)
         comb = comb + w * w + apply(vecs[name], w)
     diff = v - comb
@@ -85,16 +77,25 @@ def riccati_check(ell) -> tuple[TrigPoly, Fraction]:
     return TrigPoly.zero(), lam
 
 
+def lambda_poly(sectors, lams) -> dict | None:
+    """Exact degree-<=2 polynomial in (l0,l1,l2) through the given lambdas.
+
+    Returns {exponent-triple: coeff} over the nonzero coefficients, or None if
+    no degree-2 polynomial interpolates all samples.
+    """
+    sol = linalg.fit_monomials([pv(*s) for s in sectors], lams, linalg.QUADRATIC)
+    return None if sol is None else {m: c for m, c in zip(linalg.QUADRATIC, sol) if c != 0}
+
+
 def riccati_lambda_fit(sectors) -> dict | None:
     """Exact degree-<=2 polynomial in (l0,l1,l2) through the computed lambdas."""
-    from . import linalg
-    vals = []
+    lams = []
     for ell in sectors:
         resid, lam = riccati_check(ell)
         if resid:
             return None
-        vals.append(lam)
-    return linalg.fit_poly2([tuple(pv(*s)) for s in sectors], vals)
+        lams.append(lam)
+    return lambda_poly(sectors, lams)
 
 
 def kinetic_rotation_check() -> dict:

@@ -271,7 +271,7 @@ def differentiate(p: TrigPoly, var: int) -> TrigPoly:
 def divide_by_monomial(p: TrigPoly, t: TrigTerm) -> TrigPoly:
     """Exact termwise division by a single monomial."""
     if t.coeff == 0:
-        raise ZeroDivisionError("division by zero monomial")
+        raise ValueError("division by zero monomial")
     a, b, c, d = _exps(t.exps)
     return TrigPoly({(e[0] - a, e[1] - b, e[2] - c, e[3] - d): v / t.coeff
                      for e, v in p._terms.items()}, _raw=True)

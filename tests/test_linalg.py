@@ -1,0 +1,67 @@
+"""Exact elimination: solves, ranks and monomial fits."""
+
+import random
+from fractions import Fraction
+
+from octasphere.linalg import AFFINE, QUADRATIC, fit_monomials, rank_exact, solve_exact
+
+F = Fraction
+
+
+def _random_matrix(rnd, m, n, rank):
+    # product of an m x rank and a rank x n integer matrix: rank at most `rank`
+    left = [[rnd.randint(-3, 3) for _ in range(rank)] for _ in range(m)]
+    right = [[rnd.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+    return [[sum(F(left[i][k] * right[k][j]) for k in range(rank)) for j in range(n)]
+            for i in range(m)]
+
+
+def test_solve_exact_solves_every_consistent_system():
+    rnd = random.Random(7)
+    for _ in range(200):
+        m, n = rnd.randint(1, 6), rnd.randint(1, 6)
+        a = _random_matrix(rnd, m, n, rnd.randint(1, min(m, n)))
+        x0 = [F(rnd.randint(-4, 4), rnd.randint(1, 3)) for _ in range(n)]
+        b = [sum(r * x for r, x in zip(row, x0)) for row in a]
+        x = solve_exact(a, b)
+        assert x is not None
+        assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
+
+
+def test_solve_exact_rejects_inconsistent_systems():
+    rnd = random.Random(11)
+    for _ in range(200):
+        m, n = rnd.randint(2, 6), rnd.randint(1, 5)
+        a = _random_matrix(rnd, m, n, rnd.randint(1, min(m - 1, n)))
+        b = [F(rnd.randint(-4, 4)) for _ in range(m)]
+        augmented = [row + [v] for row, v in zip(a, b)]
+        consistent = rank_exact(augmented) == rank_exact(a)
+        assert (solve_exact(a, b) is not None) == consistent
+
+
+def test_free_variables_are_zero():
+    # x0 + x1 = 2, x2 free: the pivot is x0, so x1 = x2 = 0
+    assert solve_exact([[F(1), F(1), F(0)]], [F(2)]) == [2, 0, 0]
+    assert solve_exact([[F(0), F(2), F(4)], [F(0), F(1), F(3)]], [F(2), F(2)]) == [0, -1, 1]
+
+
+def test_rank_exact():
+    assert rank_exact([]) == 0
+    assert rank_exact([[F(1), F(2)], [F(2), F(4)]]) == 1
+    assert rank_exact([[F(0), F(1)], [F(1), F(0)], [F(1), F(1)]]) == 2
+    rnd = random.Random(3)
+    for r in range(1, 5):
+        a = _random_matrix(rnd, 6, 6, r)
+        assert rank_exact(a) <= r
+
+
+def test_fit_monomials_recovers_a_quadratic_and_rejects_a_cubic():
+    grid = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
+    want = [F(1), F(0), F(-2), F(1, 2), F(3), F(0), F(0), F(-1), F(0), F(5)]
+    vals = [sum(c * F(p[0]) ** e0 * F(p[1]) ** e1 * F(p[2]) ** e2
+                for c, (e0, e1, e2) in zip(want, QUADRATIC)) for p in grid]
+    assert fit_monomials(grid, vals, QUADRATIC) == want
+    assert fit_monomials(grid, vals, AFFINE) is None
+    # x^3 = 3x^2 - 2x on {0, 1, 2}, but l0 l1 l2 is no quadratic there
+    assert fit_monomials(grid, [F(p[0] * p[1] * p[2]) for p in grid], QUADRATIC) is None
+    assert fit_monomials(grid, [F(2) - p[2] for p in grid], AFFINE) == [2, 0, 0, -1]

@@ -8,7 +8,7 @@ import pytest
 from octasphere.diffop import DiffOp, is_zero_op, pv
 from octasphere.operators import (GradedOp, MultiplierSolveError, build_first_order,
                                   casimir_identity, constant_part, diagonal, graded,
-                                  graded_commutator, intertwine_residual,
+                                  graded_bracket, graded_commutator, intertwine_residual,
                                   is_exact_intertwiner, match_constant_multiple,
                                   multiplier_ansatz, printed_delta_report,
                                   reflect_conjugate,
@@ -146,6 +146,70 @@ def test_reflect_A_matches_printed_tilde():
     assert refl.shift == (-1, 1, 0)
 
 
+# the tilde families written out from their printed formulas, with
+# tan phi1 = (-1, 1, 0, 0), cot phi1 = (1, -1, 0, 0) and
+#   At^s = s d1 + (l0 - 1/2) tan phi1 + (l1 + 1/2) cot phi1                (both variants)
+#   Bt^s = s' (sin phi1 tan phi2 d1 + cos phi1 d2)
+#          + (l2 - 1/2) cos phi1 cot phi2 + (l0 + 1/2) sec phi1 tan phi2
+#   Ct^s = s' (cos phi1 tan phi2 d1 - sin phi1 d2)
+#          + (-l1 - 1/2) csc phi1 tan phi2 + (l2 + 1/2) sin phi1 cot phi2
+# where s' = s as printed and s' = -s corrected (the exchanged superscripts)
+
+def _bt(s, tan_c, cot_c):
+    return first_order_op({(1, 0): mono(s, 0, 1, -1, 1), (0, 1): mono(s, 1, 0, 0, 0)},
+                          mono(tan_c, 1, 0, 1, -1) + mono(cot_c, -1, 0, -1, 1))
+
+
+def _ct(s, tan_c, cot_c):
+    return first_order_op({(1, 0): mono(s, 1, 0, -1, 1), (0, 1): mono(-s, 0, 1, 0, 0)},
+                          mono(tan_c, 0, -1, -1, 1) + mono(cot_c, 0, 1, 1, -1))
+
+
+TILDE_PINS = [
+    ("At", "-", "printed", (1, 2, 0),
+     first_order_op({(1, 0): ONE.scale(-1)}, mono(HALF, -1, 1, 0, 0) + mono(F(5, 2), 1, -1, 0, 0))),
+    ("At", "-", "corrected", (1, 2, 0),
+     first_order_op({(1, 0): ONE.scale(-1)}, mono(HALF, -1, 1, 0, 0) + mono(F(5, 2), 1, -1, 0, 0))),
+    ("At", "+", "printed", (-1, 3, 2),
+     first_order_op({(1, 0): ONE}, mono(-F(3, 2), -1, 1, 0, 0) + mono(F(7, 2), 1, -1, 0, 0))),
+    ("At", "+", "corrected", (-1, 3, 2),
+     first_order_op({(1, 0): ONE}, mono(-F(3, 2), -1, 1, 0, 0) + mono(F(7, 2), 1, -1, 0, 0))),
+    ("Bt", "-", "printed", (1, 1, 1), _bt(-1, HALF, F(3, 2))),
+    ("Bt", "+", "corrected", (1, 1, 1), _bt(-1, HALF, F(3, 2))),
+    ("Bt", "+", "printed", (2, 0, -1), _bt(1, -F(3, 2), F(5, 2))),
+    ("Bt", "-", "corrected", (2, 0, -1), _bt(1, -F(3, 2), F(5, 2))),
+    ("Ct", "-", "printed", (1, 1, 1), _ct(-1, -F(3, 2), F(3, 2))),
+    ("Ct", "+", "corrected", (1, 1, 1), _ct(-1, -F(3, 2), F(3, 2))),
+    ("Ct", "+", "printed", (0, -2, 1), _ct(1, F(3, 2), F(3, 2))),
+    ("Ct", "-", "corrected", (0, -2, 1), _ct(1, F(3, 2), F(3, 2))),
+]
+
+
+@pytest.mark.parametrize("name,sign,variant,ell,want", TILDE_PINS)
+def test_tilde_formulas_pinned_by_hand(name, sign, variant, ell, want):
+    assert build_first_order(name, sign, pv(*ell), variant=variant) == want
+
+
+def test_graded_tilde_raising_acts_through_its_target_sector():
+    # X+ on ell is the formula at ell - shift(X-); the names stay At+, Bt+, Ct+
+    at_plus = graded("At+")
+    assert at_plus.name == "At+"
+    assert at_plus.at(pv(1, 2, 0)) == first_order_op(
+        {(1, 0): ONE}, mono(F(3, 2), -1, 1, 0, 0) + mono(F(3, 2), 1, -1, 0, 0))
+    assert graded("Bt+").at(pv(2, 0, -1)) == _bt(-1, -HALF, F(3, 2))
+    assert graded("Ct+").at(pv(0, -1, 2)) == _ct(-1, F(3, 2), F(3, 2))
+    assert graded("Ct+", "printed").at(pv(0, -1, 2)) == _ct(1, F(3, 2), F(3, 2))
+
+
+def test_lowering_shifts_match_the_paper_table():
+    want = {"A-": (1, 1, 0), "B-": (1, 0, 1), "C-": (0, -1, 1),
+            "At-": (-1, 1, 0), "Bt-": (1, 0, -1), "Ct-": (0, 1, 1)}
+    for name, shift in want.items():
+        for variant in ("printed", "corrected"):
+            assert graded(name, variant).shift == shift
+            assert graded(name[:-1] + "+", variant).shift == tuple(-s for s in shift)
+
+
 def test_reflect_is_involution():
     op = graded("B+")
     twice = reflect_conjugate(reflect_conjugate(op, 1), 1)
@@ -191,6 +255,15 @@ def test_lowering_raising_commutator_is_minus_two_diag():
             op, shift = graded_commutator(minus, plus, ell)
             assert shift == (0, 0, 0)
             assert constant_part(op) == -2 * d.value(ell)
+
+
+def test_graded_bracket_is_the_commutator():
+    bracket = graded_bracket(graded("A-"), graded("C-"))
+    assert bracket.shift == (1, 0, 1) and bracket.scale == 1
+    for ell in (pv(1, 1, 1), pv(-2, 0, 3)):
+        op, shift = graded_commutator(graded("A-"), graded("C-"), ell)
+        assert bracket.at(ell) == op and shift == bracket.shift
+        assert match_constant_multiple(bracket.at(ell), graded("B-").scaled_at(ell)) == 1
 
 
 def test_self_commutator_vanishes():

@@ -157,3 +157,19 @@ def test_partial_fundamental_state_case_ii():
                            factory=lambda ell, v=vec, c=candidate:
                            v + DiffOp.multiplication(c))
         assert not is_exact_intertwiner(cand_op, st.params)
+
+
+def test_riccati_suite_checks_each_sector_once(monkeypatch):
+    from octasphere import suites, superpotential
+    calls = []
+    original = superpotential.riccati_check
+
+    def counting(ell):
+        calls.append(tuple(ell))
+        return original(ell)
+
+    monkeypatch.setattr(superpotential, "riccati_check", counting)
+    monkeypatch.setattr(suites, "riccati_check", counting)
+    rep = suites.suite_riccati(2)
+    assert rep["passed"]
+    assert len(calls) == len(set(calls)) == 27
