@@ -152,27 +152,30 @@ def _sq(x: Fraction) -> Fraction:
     return x * x
 
 
+# the inverse-square potential sum_i (l_i^2 - 1/4) * monomial_i, as
+# (coupling index i, exponents of monomial_i)
+_F0, _F2 = Fraction(0), Fraction(2)
+POTENTIAL_MONOMIALS = (
+    (2, (_F0, _F0, _F0, -_F2)),      # csc^2 phi2
+    (0, (-_F2, _F0, -_F2, _F0)),     # sec^2 phi1 sec^2 phi2
+    (1, (_F0, -_F2, -_F2, _F0)),     # csc^2 phi1 sec^2 phi2
+)
+
+
 def build_hamiltonian(ell: ParamVector) -> DiffOp:
     """Separated two-sphere Hamiltonian at parameters (l0, l1, l2).
 
     -d2^2 + tan(phi2) d2 + (l2^2-1/4) csc^2 phi2
         + sec^2 phi2 [ -d1^2 + (l0^2-1/4) sec^2 phi1 + (l1^2-1/4) csc^2 phi1 ]
     """
-    l0, l1, l2 = (Fraction(x) for x in ell)
+    ell = tuple(Fraction(x) for x in ell)
     q = Fraction(1, 4)
-    f0, f2 = Fraction(0), Fraction(2)
-    terms = {
+    return DiffOp({
         (0, 2): TrigPoly.constant(-1),
-        (0, 1): TrigPoly.monomial(1, (f0, f0, -1, 1)),
-        (2, 0): TrigPoly.monomial(-1, (f0, f0, -f2, f0)),
-    }
-    pot = TrigPoly({
-        (f0, f0, f0, -f2): _sq(l2) - q,
-        (-f2, f0, -f2, f0): _sq(l0) - q,
-        (f0, -f2, -f2, f0): _sq(l1) - q,
+        (0, 1): TrigPoly.monomial(1, (_F0, _F0, -1, 1)),
+        (2, 0): TrigPoly.monomial(-1, (_F0, _F0, -_F2, _F0)),
+        (0, 0): TrigPoly({e: _sq(ell[i]) - q for i, e in POTENTIAL_MONOMIALS}),
     })
-    terms[(0, 0)] = pot
-    return DiffOp(terms)
 
 
 def build_phi1_block(l0, l1) -> DiffOp:

@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-
-# exponent triples of the fitted polynomials in (l0, l1, l2)
-AFFINE = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-QUADRATIC = AFFINE + [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
 
 
 def _echelon(a: list[list[Fraction]], ncols: int) -> list[int]:
@@ -61,20 +56,3 @@ def rank_exact(rows: list[list[Fraction]]) -> int:
         return 0
     return len(_echelon([[Fraction(v) for v in row] for row in rows], len(rows[0])))
 
-
-def fit_monomials(points: list[tuple], values: list[Fraction],
-                  monos: list[tuple[int, ...]]) -> list[Fraction] | None:
-    """Exact coefficients c with sum_j c_j * prod_i x_i^monos[j][i] == value at every point.
-
-    Returns the coefficients in the order of monos, or None if no such
-    polynomial interpolates all samples.
-    """
-    rows = [[math.prod(x ** e for x, e in zip(p, mono) if e) for mono in monos]
-            for p in points]
-    sol = solve_exact(rows, values)
-    if sol is None:
-        return None
-    for row, v in zip(rows, values):
-        if sum(c * x for c, x in zip(sol, row)) != v:
-            return None
-    return sol

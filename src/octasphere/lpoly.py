@@ -1,0 +1,105 @@
+"""Polynomials in the couplings ell = (l0, l1, l2) with operator or function coefficients.
+
+    LPoly ~ dict[(i, j, k) -> coeff]   meaning   sum coeff * l0^i l1^j l2^k
+
+The coefficients are DiffOps or TrigPolys (`kind`).  The ladder multipliers
+are affine in ell, so every product, commutator and potential identity built
+from them is a polynomial in ell of low degree.  Distinct monomials in ell are
+linearly independent functions of ell, so such an identity holds for every
+ell in Q^3 exactly when each of its coefficients is the zero function, and a
+constant of the identity (a structure constant, the Riccati lambda) is read
+off coefficient by coefficient.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+from typing import Callable, Sequence
+
+Mono = tuple[int, int, int]
+Row = tuple[Fraction, Fraction, Fraction, Fraction]
+
+ZERO: Mono = (0, 0, 0)
+# the monomials of an affine row (c0, c_l0, c_l1, c_l2)
+UNITS: tuple[Mono, ...] = (ZERO, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def row_at(row: Row, ell: Sequence[Fraction]) -> Fraction:
+    """The affine function c0 + c_l0 l0 + c_l1 l1 + c_l2 l2 at a sector."""
+    return row[0] + row[1] * ell[0] + row[2] * ell[1] + row[3] * ell[2]
+
+
+class LPoly:
+    """Finite sum of coefficient * l0^i l1^j l2^k, coefficients of one kind."""
+
+    __slots__ = ("kind", "_terms")
+
+    def __init__(self, kind: type, terms: dict | None = None):
+        self.kind = kind
+        self._terms = {m: c for m, c in (terms or {}).items() if c}
+
+    @staticmethod
+    def affine(row: Row, coeff) -> "LPoly":
+        """(c0 + c_l0 l0 + c_l1 l1 + c_l2 l2) * coeff."""
+        return LPoly(type(coeff), {m: coeff.scale(c) for m, c in zip(UNITS, row)})
+
+    def items(self):
+        """(monomial, coefficient) pairs in increasing monomial order."""
+        return sorted(self._terms.items())
+
+    def coeff(self, m: Mono):
+        return self._terms.get(m, self.kind.zero())
+
+    def __add__(self, other: "LPoly") -> "LPoly":
+        acc = dict(self._terms)
+        for m, c in other._terms.items():
+            acc[m] = acc[m] + c if m in acc else c
+        return LPoly(self.kind, acc)
+
+    def __neg__(self) -> "LPoly":
+        return LPoly(self.kind, {m: -c for m, c in self._terms.items()})
+
+    def __sub__(self, other: "LPoly") -> "LPoly":
+        return self + (-other)
+
+    def scale(self, c) -> "LPoly":
+        return LPoly(self.kind, {m: v.scale(c) for m, v in self._terms.items()})
+
+    def map(self, fn: Callable, kind: type | None = None) -> "LPoly":
+        """Apply a map that is linear over the rationals to every coefficient."""
+        return LPoly(kind or self.kind, {m: fn(c) for m, c in self._terms.items()})
+
+    def product(self, other: "LPoly", mul: Callable) -> "LPoly":
+        """The product with coefficients multiplied by `mul` (compose, mul, apply).
+
+        The result has the kind of `other`.
+        """
+        acc: dict = {}
+        for (a0, a1, a2), x in self._terms.items():
+            for (b0, b1, b2), y in other._terms.items():
+                m, v = (a0 + b0, a1 + b1, a2 + b2), mul(x, y)
+                acc[m] = acc[m] + v if m in acc else v
+        return LPoly(other.kind, acc)
+
+    def at(self, ell: Sequence[Fraction]):
+        """The coefficient-kind value at one sector."""
+        out = self.kind.zero()
+        for m, c in self._terms.items():
+            w = math.prod(Fraction(x) ** k for x, k in zip(ell, m))
+            if w:
+                out = out + c.scale(w)
+        return out
+
+    def shift(self, delta: Sequence[int]) -> "LPoly":
+        """The polynomial at ell + delta: l^k -> sum_j C(k, j) delta^(k-j) l^j per coupling."""
+        acc: dict = {}
+        for m, c in self._terms.items():
+            for j in itertools.product(*(range(k + 1) for k in m)):
+                w = math.prod(math.comb(k, i) * Fraction(d) ** (k - i)
+                              for k, i, d in zip(m, j, delta))
+                if w:
+                    v = c.scale(w)
+                    acc[j] = acc[j] + v if j in acc else v
+        return LPoly(self.kind, acc)

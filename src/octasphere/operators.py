@@ -3,7 +3,10 @@
 Each of the three separation charts (around the s2, s1 and s0 axes) carries a
 pair of first-order intertwiners built from the chart's azimuthal derivative
 plus tan/cot multipliers; expressed in the base coordinates (phi1, phi2) these
-are the A, B, C families, one row each of the table FAMILIES.  The tilde
+are the A, B, C families, one row each of the table FAMILIES.  The tan/cot
+coefficients and the diagonal generators are affine rows (c0, c_l0, c_l1, c_l2)
+in the couplings ell; per-sector operators evaluate the rows, and `symbolic`
+reads the same rows into one polynomial in ell (an LPoly).  The tilde
 families At, Bt, Ct are the same rows under a parameter reflection
 l_i -> -l_i (TILDES), which maps intertwiners to intertwiners because the
 Hamiltonian depends on the parameters only through their squares.  A GradedOp
@@ -11,6 +14,9 @@ bundles a parameter shift with a factory producing the concrete operator on
 each sector; the factory always returns the operator *acting on* the
 requested sector, and graded_product composes two of them, so commutators and
 Casimir combinations read left to right without extra index gymnastics.
+
+`structure_table` forms each commutator once as a polynomial in ell and reads
+its structure constant off it, so the table holds for every ell in Q^3.
 
 Constructors return the operator exactly as printed in the source table by
 default.  The corrected variant repairs the two families whose printed +/-
@@ -23,14 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Sequence
 
 from . import linalg
 from .diffop import (DiffOp, ParamVector, build_hamiltonian,
                      build_phi1_block, compose, is_zero_op, pv)
+from .lpoly import ZERO, LPoly, Mono, Row, UNITS, row_at
 from .trigpoly import (TrigPoly, TrigTerm, coordinate_vectors, is_zero,
-                       proportionality)
+                       normal_form, proportionality)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -86,30 +92,42 @@ CHART_THETA = Chart(
 Shift = tuple[int, int, int]
 
 
+def _row(*coeffs) -> Row:
+    return tuple(Fraction(c) for c in coeffs)
+
+
 @dataclass(frozen=True)
 class Family:
-    """One ladder family: X^s = s' d_chart + tan_coeff(ell) tan + cot_coeff(ell) cot.
+    """One ladder family: X^s = s' d_chart + tan_row(ell) tan + cot_row(ell) cot.
 
     s' is s in the corrected variant and s * vector_sign as printed; X- shifts
-    the sector by `shift`, X+ by its negative.
+    the sector by `shift`, X+ by its negative.  The rows are affine in ell,
+    (c0, c_l0, c_l1, c_l2).
     """
     chart: Chart
     vector_sign: int
-    tan_coeff: Callable[[ParamVector], Fraction]
-    cot_coeff: Callable[[ParamVector], Fraction]
+    tan_row: Row
+    cot_row: Row
     shift: Shift
 
     def multiplier(self, ell: ParamVector) -> TrigPoly:
         """The multiplier at ell, shared by X+ and X- of both variants."""
-        return self.chart.tan.scale(self.tan_coeff(ell)) + self.chart.cot.scale(self.cot_coeff(ell))
+        return self.chart.tan.scale(row_at(self.tan_row, ell)) \
+            + self.chart.cot.scale(row_at(self.cot_row, ell))
+
+    def symbolic_multiplier(self) -> LPoly:
+        """The multiplier as a polynomial in ell, from the same rows."""
+        return LPoly.affine(self.tan_row, self.chart.tan) \
+            + LPoly.affine(self.cot_row, self.chart.cot)
 
 
 FAMILIES: dict[str, Family] = {
-    "A": Family(CHART_PHI, 1, lambda l: -(l[0] + HALF), lambda l: l[1] + HALF, (1, 1, 0)),
+    # A: -(l0 + 1/2) tan phi1 + (l1 + 1/2) cot phi1
+    "A": Family(CHART_PHI, 1, _row(-HALF, -1, 0, 0), _row(HALF, 0, 1, 0), (1, 1, 0)),
     # the printed B and C vectors are +/-(sin phi1 tan phi2 d1 + cos phi1 d2) = -/+ d_xi1
     # and +/-(cos phi1 tan phi2 d1 - sin phi1 d2) = -/+ d_theta1: exchanged superscripts
-    "B": Family(CHART_XI, -1, lambda l: -(l[2] + HALF), lambda l: l[0] + HALF, (1, 0, 1)),
-    "C": Family(CHART_THETA, -1, lambda l: l[1] - HALF, lambda l: l[2] + HALF, (0, -1, 1)),
+    "B": Family(CHART_XI, -1, _row(-HALF, 0, 0, -1), _row(HALF, 1, 0, 0), (1, 0, 1)),
+    "C": Family(CHART_THETA, -1, _row(-HALF, 0, 1, 0), _row(HALF, 0, 0, 1), (0, -1, 1)),
 }
 
 # tilde family -> (family, reflection axis): each is its family at the reflected sector
@@ -195,7 +213,7 @@ def graded(name: str, variant: str = "corrected") -> GradedOp:
     X- acts on ell as the table formula at ell, X+ as the formula at its
     target sector; a tilde family is the reflection of its family.
     """
-    base, sign = name[:-1], name[-1]
+    base, sign = name[:-1], name[-1:]
     if base in TILDES:
         fam, axis = TILDES[base]
         return replace(reflect_conjugate(graded(fam + sign, variant), axis), name=name)
@@ -215,26 +233,51 @@ LADDER_NAMES = [f + s for f in FAMILIES for s in "-+"]
 TILDE_NAMES = [t + s for t in TILDES for s in "-+"]
 
 
+def symbolic(name: str) -> LPoly:
+    """The corrected ladder X± of an A, B or C family as one polynomial in ell.
+
+    Unscaled, like `GradedOp.at`: symbolic(name).at(ell) == graded(name).at(ell)
+    at every sector, and X+ is the formula at its target sector, ell + shift.
+    """
+    base, sign = name[:-1], name[-1:]
+    if base not in FAMILIES:
+        raise ValueError(f"no symbolic ladder {name!r}")
+    fam = FAMILIES[base]
+    op = LPoly(DiffOp, {ZERO: fam.chart.derivative(_sgn(sign))}) \
+        + fam.symbolic_multiplier().map(DiffOp.multiplication, DiffOp)
+    return op if sign == "-" else op.shift(tuple(-d for d in fam.shift))
+
+
 @dataclass(frozen=True)
 class DiagonalOp:
+    """A diagonal generator: multiplication by the affine function `row` of ell."""
     name: str
-    value: Callable[[ParamVector], Fraction]
+    row: Row
+
+    def value(self, ell: ParamVector) -> Fraction:
+        return row_at(self.row, ell)
+
+    def step(self, shift: Shift) -> Fraction:
+        """d(ell + shift) - d(ell), the same at every ell."""
+        return sum(c * s for c, s in zip(self.row[1:], shift))
+
+
+DIAGONALS: dict[str, Row] = {
+    "A": _row(0, -HALF, -HALF, 0),     # -(l0 + l1)/2
+    "B": _row(0, -HALF, 0, -HALF),     # -(l0 + l2)/2
+    "C": _row(0, 0, HALF, -HALF),      # (l1 - l2)/2
+    "D": _row(0, 1, -1, -1),           # l0 - l1 - l2
+    "L0": _row(0, 1, 0, 0),
+    "L1": _row(0, 0, 1, 0),
+    "L2": _row(0, 0, 0, 1),
+    "one": _row(1, 0, 0, 0),
+}
 
 
 def diagonal(name: str) -> DiagonalOp:
-    vals = {
-        "A": lambda l: -(l[0] + l[1]) / 2,
-        "B": lambda l: -(l[0] + l[2]) / 2,
-        "C": lambda l: -(-l[1] + l[2]) / 2,
-        "D": lambda l: l[0] - l[1] - l[2],
-        "L0": lambda l: l[0],
-        "L1": lambda l: l[1],
-        "L2": lambda l: l[2],
-        "one": lambda l: F1,
-    }
-    if name not in vals:
+    if name not in DIAGONALS:
         raise ValueError(f"unknown diagonal operator {name!r}")
-    return DiagonalOp(name, vals[name])
+    return DiagonalOp(name, DIAGONALS[name])
 
 
 DIAGONAL_NAMES = ["A", "B", "C"]
@@ -357,8 +400,7 @@ def graded_bracket(x: GradedOp, y: GradedOp) -> GradedOp:
 
 def commutator_with_diagonal(d: DiagonalOp, x: GradedOp, ell: ParamVector) -> DiffOp:
     """[D, X] on sector ell = (d(ell+shift) - d(ell)) * X_ell (scaled)."""
-    ell = pv(*ell)
-    return x.scaled_at(ell).scale(d.value(x.target(ell)) - d.value(ell))
+    return x.scaled_at(pv(*ell)).scale(d.step(x.shift))
 
 
 def match_constant_multiple(op: DiffOp, cand: DiffOp) -> Fraction | None:
@@ -386,81 +428,85 @@ def constant_part(op: DiffOp) -> Fraction | None:
     return match_constant_multiple(op, DiffOp.identity())
 
 
-def _fit_sectorwise(commutator: Callable[[ParamVector], DiffOp],
-                    cand: Callable[[ParamVector], DiffOp],
-                    sectors: list[ParamVector]) -> list[Fraction] | None:
-    """Exact affine fit of c(ell) with commutator(ell) == c(ell) cand(ell) on every sector."""
-    vals = []
-    for ell in sectors:
-        c = match_constant_multiple(commutator(ell), cand(ell))
-        if c is None:
-            return None
-        vals.append(c)
-    return linalg.fit_monomials(sectors, vals, linalg.AFFINE)
+def _read_multiple(comm: LPoly, cand: LPoly, degree: int) -> dict[Mono, Fraction]:
+    """c(ell) of total degree <= `degree` read off comm == c(ell) * cand.
 
-
-def structure_table(box: int = 2) -> dict:
-    """Pairwise commutators of {A±, B±, C±, A, B, C} identified sector-wise.
-
-    Each commutator is matched, on every sector of the box, as a rational
-    multiple of one candidate: the identity for shift 0, else the ladder
-    generator of the same shift (or zero if there is none).  The multiples
-    are fitted exactly as an affine function of ell; shift-0 fits are
-    expressed through the diagonal generators, any other fit must be
-    constant.  Returns {"table": {...}, "unmatched": [...]}.
+    At a derivative order where cand does not depend on ell, the l^m
+    coefficient of comm is c_m times cand's; a monomial with no such ratio
+    reads 0 and so stays in the residual comm - c * cand.
     """
-    sectors = [pv(i, j, k) for i in range(-box, box + 1)
-               for j in range(-box, box + 1) for k in range(-box, box + 1)]
-    lads = {n: graded(n) for n in LADDER_NAMES}
-    pairs = [(f"{xn},{yn}", graded_bracket(lads[xn], lads[yn]))
-             for i, xn in enumerate(LADDER_NAMES) for yn in LADDER_NAMES[i + 1:]]
-    pairs += [(f"{dn},{yn}",
-               GradedOp(f"[{dn},{yn}]", lads[yn].shift, scale=F1,
-                        factory=partial(commutator_with_diagonal, diagonal(dn), lads[yn])))
-              for dn in DIAGONAL_NAMES for yn in LADDER_NAMES]
-    table: dict[str, list] = {}
-    unmatched = []
-    for key, bracket in pairs:
-        if bracket.shift == (0, 0, 0):
-            name, cand = "one", lambda ell: DiffOp.identity()
-        else:
-            name = next((n for n in LADDER_NAMES if lads[n].shift == bracket.shift), None)
-            cand = lads[name].scaled_at if name else lambda ell: DiffOp.zero()
-        fit = _fit_sectorwise(bracket.at, cand, sectors)
-        if fit is None or (name != "one" and any(fit[1:])):
-            unmatched.append(key)
-        elif name == "one":
-            table[key] = _express_diagonal(fit)
-        else:
-            table[key] = [(str(fit[0]), name)] if fit[0] else []
-    return {"table": table, "unmatched": unmatched}
-
-
-_PROBE = [pv(0, 0, 0), pv(1, 0, 0), pv(0, 1, 0), pv(0, 0, 1)]
-
-
-def _express_diagonal(fit: list[Fraction]) -> list[tuple[str, str]]:
-    """Rewrite an affine function c0 + c1 l0 + c2 l1 + c3 l2 over {A, B, C, D, one}."""
-    for name in DIAGONAL_NAMES + ["D"]:
-        d = diagonal(name)
-        dfit = linalg.fit_monomials(_PROBE, [d.value(p) for p in _PROBE], linalg.AFFINE)
-        # single-generator match: fit == c * dfit
-        for cand_c in {c / v for c, v in zip(fit, dfit) if v != 0}:
-            if all(c == cand_c * v for c, v in zip(fit, dfit)):
-                return [(str(cand_c), name)]
-    # general combination over one, A, B, D: their rows at the probe points have
-    # determinant 3/4, so the system always has a solution
-    basis = ["A", "B", "D"]
-    rows = [[F1] + [diagonal(n).value(p) for n in basis] for p in _PROBE]
-    target = [fit[0] + fit[1] * p[0] + fit[2] * p[1] + fit[3] * p[2] for p in _PROBE]
-    sol = linalg.solve_exact(rows, target)
-    out = []
-    if sol[0] != 0:
-        out.append((str(sol[0]), "one"))
-    for c, n in zip(sol[1:], basis):
-        if c != 0:
-            out.append((str(c), n))
+    const = cand.coeff(ZERO)
+    order = next((o for o, p in sorted(const.items()) if not is_zero(p)
+                  and all(is_zero(c.coeff(o)) for m, c in cand.items() if m != ZERO)), None)
+    if order is None:
+        return {}
+    out = {}
+    for m, op in comm.items():
+        c = proportionality(op.coeff(order), const.coeff(order)) if sum(m) <= degree else None
+        if c:
+            out[m] = c
     return out
+
+
+def structure_table() -> dict:
+    """Pairwise commutators of {A±, B±, C±, A, B, C}, for every ell in Q^3.
+
+    Each commutator is formed once as a polynomial in ell and matched as
+    c(ell) times one candidate: the identity for shift 0, with c affine and
+    expressed through the diagonal generators, else the ladder generator of
+    the same shift with c constant (or zero if there is none).  The match is
+    exact when the symbolic residual comm - c * cand vanishes.  Returns
+    {"table": {...}, "unmatched": [...], "witness": {...}}, the witness
+    giving per unmatched key the first ell-monomial of a nonzero residual
+    coefficient and that coefficient's number of normal-form terms.
+    """
+    lads = {n: graded(n) for n in LADDER_NAMES}
+    syms = {n: symbolic(n).scale(lads[n].scale) for n in LADDER_NAMES}
+    brackets = []
+    for i, xn in enumerate(LADDER_NAMES):
+        for yn in LADDER_NAMES[i + 1:]:
+            x, y = syms[xn], syms[yn]
+            comm = x.shift(lads[yn].shift).product(y, compose) \
+                - y.shift(lads[xn].shift).product(x, compose)
+            brackets.append((f"{xn},{yn}", graded_product(lads[xn], lads[yn]).shift, comm))
+    brackets += [(f"{dn},{yn}", lads[yn].shift, syms[yn].scale(diagonal(dn).step(lads[yn].shift)))
+                 for dn in DIAGONAL_NAMES for yn in LADDER_NAMES]
+    table: dict[str, list] = {}
+    unmatched, witness = [], {}
+    for key, shift, comm in brackets:
+        if shift == (0, 0, 0):
+            name, cand = "one", LPoly(DiffOp, {ZERO: DiffOp.identity()})
+        else:
+            name = next((n for n in LADDER_NAMES if lads[n].shift == shift), None)
+            cand = syms[name] if name else LPoly(DiffOp)
+        c = _read_multiple(comm, cand, 1 if name == "one" else 0)
+        scalar = LPoly(DiffOp, {m: DiffOp.identity().scale(v) for m, v in c.items()})
+        bad = next(((m, op) for m, op in (comm - scalar.product(cand, compose)).items()
+                    if not is_zero_op(op)), None)
+        if bad:
+            unmatched.append(key)
+            witness[key] = {"monomial": list(bad[0]),
+                            "terms": sum(len(normal_form(p)) for _, p in bad[1].items())}
+        elif name == "one":
+            table[key] = _express_diagonal([c.get(m, F0) for m in UNITS])
+        else:
+            table[key] = [(str(c[ZERO]), name)] if c else []
+    return {"table": table, "unmatched": unmatched, "witness": witness}
+
+
+def _express_diagonal(fit: Row) -> list[tuple[str, str]]:
+    """Rewrite an affine row c0 + c1 l0 + c2 l1 + c3 l2 over {A, B, C, D, one}."""
+    for name in DIAGONAL_NAMES + ["D"]:
+        drow = DIAGONALS[name]
+        # single-generator match: fit == c * drow
+        for cand_c in {c / v for c, v in zip(fit, drow) if v != 0}:
+            if all(c == cand_c * v for c, v in zip(fit, drow)):
+                return [(str(cand_c), name)]
+    # general combination over one, A, B, D: their rows have determinant 3/4,
+    # so the system always has a solution
+    basis = ["one", "A", "B", "D"]
+    sol = linalg.solve_exact([list(r) for r in zip(*(DIAGONALS[n] for n in basis))], list(fit))
+    return [(str(c), n) for c, n in zip(sol, basis) if c != 0]
 
 
 # -- casimir identities -----------------------------------------------------------

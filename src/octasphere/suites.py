@@ -19,14 +19,14 @@ from .operators import (FAMILIES, LADDER_NAMES, TILDE_NAMES, SO6_CONSTANT,
                         diagonal, graded, graded_bracket, graded_commutator,
                         intertwine_residual, is_exact_intertwiner, multiplier_ansatz,
                         printed_delta_report, solve_multiplier, structure_table)
-from .superpotential import (family_multiplier, kinetic_rotation_check, lambda_poly,
-                             riccati_check, simultaneous_superpotentials)
+from .superpotential import (family_multiplier, kinetic_rotation_check, riccati_check,
+                             riccati_lambda, simultaneous_superpotentials)
 from .trigpoly import TrigPoly, TrigTerm, frac_to_str, is_zero
 
 SUITE_NAMES = ["algebra", "intertwine", "casimir", "riccati", "hermiticity"]
 
 
-def _sector_box(r: int):
+def _sector_cube(r: int):
     return [pv(i, j, k) for i in range(-r, r + 1)
             for j in range(-r, r + 1) for k in range(-r, r + 1)]
 
@@ -35,15 +35,23 @@ def _check(name: str, passed: bool, **detail) -> dict:
     return {"name": name, "passed": bool(passed), **detail}
 
 
+def _counterexample(failure: tuple | None) -> dict:
+    """Detail naming the first failing operators and sector; empty when none failed."""
+    if failure is None:
+        return {}
+    ops, ell = failure
+    return {"counterexample": {"operators": list(ops), "sector": [str(x) for x in ell]}}
+
+
 # -- intertwine ------------------------------------------------------------------
 
 def suite_intertwine(rng: int) -> dict:
     checks = []
-    box = _sector_box(rng)
+    sectors = _sector_cube(rng)
 
     for name in LADDER_NAMES + TILDE_NAMES:
         op = graded(name, "corrected")
-        bad = [ell for ell in box if not is_exact_intertwiner(op, ell)]
+        bad = [ell for ell in sectors if not is_exact_intertwiner(op, ell)]
         checks.append(_check(f"corrected {name} intertwines exactly on box ±{rng}",
                              not bad, failures=[[str(x) for x in s] for s in bad[:3]]))
 
@@ -67,15 +75,11 @@ def suite_intertwine(rng: int) -> dict:
                 is_zero(got - want)))
 
     # fundamental-state annihilations, m, n <= 4
-    ann_ok = True
-    for m in range(5):
-        for n in range(5):
-            st = ground_state("u3", (m, n))
-            for nm in ("A-", "C-"):
-                op = graded(nm, "corrected")
-                if not is_zero(apply(op.at(st.params), st.wavefunction)):
-                    ann_ok = False
-    checks.append(_check("A- and C- annihilate u(3) fundamental states, m,n <= 4", ann_ok))
+    states = [ground_state("u3", (m, n)) for m in range(5) for n in range(5)]
+    bad = next((((nm,), st.params) for st in states for nm in ("A-", "C-")
+                if not is_zero(apply(graded(nm).at(st.params), st.wavefunction))), None)
+    checks.append(_check("A- and C- annihilate u(3) fundamental states, m,n <= 4",
+                         bad is None, **_counterexample(bad)))
 
     deltas = printed_delta_report()
     return _report("intertwine", rng, checks, deltas)
@@ -101,11 +105,11 @@ _PRINTED_TABLE_CONFLICTS = [
 
 def suite_algebra(rng: int) -> dict:
     checks = []
-    box_r = min(rng, 2)
-    st = structure_table(box=box_r)
+    st = structure_table()
     table = st["table"]
-    checks.append(_check(f"pairwise commutators close over box ±{box_r}",
-                         not st["unmatched"], unmatched=st["unmatched"]))
+    witness = {"witness": st["witness"]} if st["unmatched"] else {}
+    checks.append(_check("pairwise commutators close for all l in Q^3",
+                         not st["unmatched"], unmatched=st["unmatched"], **witness))
 
     for base in ("A", "B", "C"):
         got = table.get(f"{base}-,{base}+")
@@ -119,31 +123,30 @@ def suite_algebra(rng: int) -> dict:
                              table.get(key) == want, got=table.get(key)))
 
     # antisymmetry: recompute a sample of swapped pairs explicitly
-    anti_ok = True
     lads = {n: graded(n) for n in LADDER_NAMES}
-    for xn, yn in (("A-", "B+"), ("B-", "C+"), ("A+", "C+")):
-        for ell in (pv(1, 0, 1), pv(-1, 2, 0)):
-            xy, _ = graded_commutator(lads[xn], lads[yn], ell)
-            yx, _ = graded_commutator(lads[yn], lads[xn], ell)
-            if not is_zero_op(xy + yx):
-                anti_ok = False
-    checks.append(_check("antisymmetry on sampled pairs", anti_ok))
+
+    def antisymmetric(xn, yn, ell):
+        return is_zero_op(graded_commutator(lads[xn], lads[yn], ell)[0]
+                          + graded_commutator(lads[yn], lads[xn], ell)[0])
+
+    bad = next((((xn, yn), ell) for xn, yn in (("A-", "B+"), ("B-", "C+"), ("A+", "C+"))
+                for ell in (pv(1, 0, 1), pv(-1, 2, 0)) if not antisymmetric(xn, yn, ell)), None)
+    checks.append(_check("antisymmetry on sampled pairs", bad is None, **_counterexample(bad)))
 
     # Jacobi identity on sampled triples
-    jac_ok = True
-    for tr in (("A-", "A+", "B-"), ("A-", "B+", "C-"), ("B-", "C+", "A+")):
+    def jacobi(tr, ell):
         x, y, z = (lads[n] for n in tr)
-        for ell in (pv(1, 1, 1), pv(0, 2, -1)):
-            total = graded_commutator(graded_bracket(x, y), z, ell)[0] \
-                + graded_commutator(graded_bracket(y, z), x, ell)[0] \
-                + graded_commutator(graded_bracket(z, x), y, ell)[0]
-            if not is_zero_op(total):
-                jac_ok = False
-    checks.append(_check("Jacobi identity on sampled triples", jac_ok))
+        return is_zero_op(graded_commutator(graded_bracket(x, y), z, ell)[0]
+                          + graded_commutator(graded_bracket(y, z), x, ell)[0]
+                          + graded_commutator(graded_bracket(z, x), y, ell)[0])
 
-    # diagonal relation C = B - A
+    bad = next(((tr, ell) for tr in (("A-", "A+", "B-"), ("A-", "B+", "C-"), ("B-", "C+", "A+"))
+                for ell in (pv(1, 1, 1), pv(0, 2, -1)) if not jacobi(tr, ell)), None)
+    checks.append(_check("Jacobi identity on sampled triples", bad is None, **_counterexample(bad)))
+
+    # diagonal relation C = B - A, an identity of the affine rows
     a, b, c = diagonal("A"), diagonal("B"), diagonal("C")
-    cb_ok = all(c.value(ell) == b.value(ell) - a.value(ell) for ell in _sector_box(2))
+    cb_ok = c.row == tuple(y - x for x, y in zip(a.row, b.row))
     checks.append(_check("C = B - A on all sectors", cb_ok))
 
     deltas = [dict(d, evidence="exact sector-wise commutator computation")
@@ -157,9 +160,9 @@ def suite_algebra(rng: int) -> dict:
 
 def suite_casimir(rng: int) -> dict:
     checks = []
-    box = _sector_box(min(rng, 2))
+    sectors = _sector_cube(min(rng, 2))
     for kind in ("su3_esp", "so4_ca", "so6_cass"):
-        bad = [ell for ell in box if not is_zero_op(casimir_identity(kind, ell))]
+        bad = [ell for ell in sectors if not is_zero_op(casimir_identity(kind, ell))]
         checks.append(_check(f"{kind} residual exactly zero on box", not bad,
                              failures=[[str(x) for x in s] for s in bad[:3]]))
 
@@ -194,10 +197,10 @@ def suite_riccati(rng: int) -> dict:
         lam_by_sector[tuple(ell)] = lam
     checks.append(_check(f"riccati residual exactly zero on {{0..{r}}}^3", ok))
 
-    fit = lambda_poly(sectors, list(lam_by_sector.values())) if ok else None
-    checks.append(_check("lambda_l fits an exact polynomial of degree <= 2",
-                         fit is not None,
-                         closed_form={str(k): frac_to_str(v) for k, v in (fit or {}).items()}))
+    lam = riccati_lambda()
+    checks.append(_check("lambda_l is an exact polynomial of degree <= 2 for all l in Q^3",
+                         lam is not None and all(sum(m) <= 2 for m in lam),
+                         closed_form={str(k): frac_to_str(v) for k, v in (lam or {}).items()}))
 
     kin = kinetic_rotation_check()
     checks.append(_check("vector fields rebuild the kinetic operator", kin["kinetic_identity"]))

@@ -5,17 +5,21 @@ The three corrected ladder pairs share one multiplier function per family
 the vector fields on fundamental states, and the squared multipliers rebuild
 the potential up to a sector constant -- the two-variable analogue of the
 Riccati equation.  This module computes all of that exactly and reports the
-sign conventions it finds.
+sign conventions it finds.  `riccati_check` solves the identity at one
+sector; `riccati_lambda` reads the constant lambda(ell) off the same identity
+written as one polynomial in ell, so it holds for every ell in Q^3.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
-from . import linalg
-from .diffop import DiffOp, KINETIC, apply, compose, hamiltonian_potential, is_zero_op, pv
+from .diffop import (DiffOp, KINETIC, POTENTIAL_MONOMIALS, apply, compose,
+                     hamiltonian_potential, is_zero_op, pv)
+from .lpoly import ZERO, LPoly, Mono
 from .operators import FAMILIES
-from .trigpoly import (ONE, TrigPoly, TrigTerm, divide_by_monomial, is_zero,
+from .trigpoly import (ONE, TrigPoly, TrigTerm, divide_by_monomial, is_zero, mul,
                        proportionality)
 
 F0 = Fraction(0)
@@ -77,25 +81,32 @@ def riccati_check(ell) -> tuple[TrigPoly, Fraction]:
     return TrigPoly.zero(), lam
 
 
-def lambda_poly(sectors, lams) -> dict | None:
-    """Exact degree-<=2 polynomial in (l0,l1,l2) through the given lambdas.
+def riccati_lambda() -> dict[Mono, Fraction] | None:
+    """lambda(ell) with V = sum_f (w_f^2 + x_f w_f) + lambda(ell) for every ell.
 
-    Returns {exponent-triple: coeff} over the nonzero coefficients, or None if
-    no degree-2 polynomial interpolates all samples.
+    V and the multipliers w_f are polynomials in ell, so V - sum_f(...) is
+    one; lambda is read off its coefficients, each of which must be a
+    constant function.  Returns {exponent-triple: coeff} over the nonzero
+    coefficients, or None if some coefficient is not constant.
     """
-    sol = linalg.fit_monomials([pv(*s) for s in sectors], lams, linalg.QUADRATIC)
-    return None if sol is None else {m: c for m, c in zip(linalg.QUADRATIC, sol) if c != 0}
-
-
-def riccati_lambda_fit(sectors) -> dict | None:
-    """Exact degree-<=2 polynomial in (l0,l1,l2) through the computed lambdas."""
-    lams = []
-    for ell in sectors:
-        resid, lam = riccati_check(ell)
-        if resid:
+    quarter = Fraction(1, 4)
+    diff = LPoly(TrigPoly)
+    for i, exps in POTENTIAL_MONOMIALS:
+        mono = TrigPoly.monomial(1, exps)
+        diff = diff + LPoly(TrigPoly, {tuple(2 if k == i else 0 for k in range(3)): mono,
+                                       ZERO: mono.scale(-quarter)})
+    vecs = family_vectors()
+    for name, fam in FAMILIES.items():
+        w = fam.symbolic_multiplier()
+        diff = diff - w.product(w, mul) - w.map(partial(apply, vecs[name]))
+    lam = {}
+    for m, p in diff.items():
+        c = proportionality(p, ONE)
+        if c is None:
             return None
-        lams.append(lam)
-    return lambda_poly(sectors, lams)
+        if c:
+            lam[m] = c
+    return lam
 
 
 def kinetic_rotation_check() -> dict:

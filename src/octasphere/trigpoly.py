@@ -408,6 +408,8 @@ def frac_to_str(x: Fraction) -> str:
 
 def frac_from_str(s: str) -> Fraction:
     num, den = s.split("/")
+    if int(den) == 0:
+        raise ValueError(f"zero denominator in {s!r}")
     return Fraction(int(num), int(den))
 
 

@@ -80,14 +80,32 @@ def test_criterion_02_printed_operator_audit():
 
 
 def test_criterion_03_algebra_closure():
-    st = structure_table(box=2)
+    st = structure_table()
     assert st["unmatched"] == []
     t = st["table"]
     for base in ("A", "B", "C"):
         assert t[f"{base}-,{base}+"] == [("-2", base)]
     # antisymmetry and sampled Jacobi identities are exact
-    from octasphere.operators import GradedOp, graded_commutator
+    from octasphere.operators import (GradedOp, commutator_with_diagonal, diagonal,
+                                      graded_commutator)
     lads = {n: graded(n) for n in ("A-", "A+", "B-", "B+", "C-", "C+")}
+    # the symbolic table, cross-checked sector by sector on {-2..2}^3: each
+    # commutator equals its entry times the entry's generators
+    box = [pv(i, j, k) for i in range(-2, 3) for j in range(-2, 3) for k in range(-2, 3)]
+    assert len(t) == 33
+    for key, entry in t.items():
+        xn, yn = key.split(",")
+        for ell in box:
+            if xn in lads:
+                got = graded_commutator(lads[xn], lads[yn], ell)[0]
+            else:
+                got = commutator_with_diagonal(diagonal(xn), lads[yn], ell)
+            want = DiffOp.zero()
+            for c, name in entry:
+                gen = lads[name].scaled_at(ell) if name in lads else \
+                    DiffOp.identity().scale(diagonal(name).value(ell))
+                want = want + gen.scale(F(c))
+            assert is_zero_op(got - want), (key, ell)
 
     def bracket(x, y):
         shift = tuple(a + b for a, b in zip(x.shift, y.shift))
@@ -106,8 +124,8 @@ def test_criterion_03_algebra_closure():
                 + graded_commutator(bracket(y, z), x, ell)[0] \
                 + graded_commutator(bracket(z, x), y, ell)[0]
             assert is_zero_op(total)
-    _ok("3: corrected algebra closes with rational structure constants on "
-        "{-2..2}^3; [X-,X+] = -2X; antisymmetry and Jacobi exact")
+    _ok("3: corrected algebra closes with rational structure constants for all l, "
+        "cross-checked on {-2..2}^3; [X-,X+] = -2X; antisymmetry and Jacobi exact")
 
 
 def test_criterion_04_casimir_identities():
@@ -192,7 +210,7 @@ def test_criterion_08_documented_discrepancies():
     assert fig1 and "35/4" in fig1[0]["computed"]
     # (ii) the [A-,A+] sign: the engine value is -2A, matching the su(2)
     # display and contradicting the +2A of the full table
-    st = structure_table(box=1)
+    st = structure_table()
     assert st["table"]["A-,A+"] == [("-2", "A")]
     # (iii) of the two printed [A+,C+] rows (-B+ and B-), only -B+ is correct
     assert st["table"]["A+,C+"] == [("-1", "B+")]

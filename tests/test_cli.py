@@ -116,13 +116,13 @@ def test_lattice_json_reserializes_byte_identically(tmp_path):
     assert json.dumps(json.loads(raw), indent=2) + "\n" == raw
 
 
-def _run_script(name, *args):
+def _run_script(name, *args, returncode=0):
     src = str(SCRIPTS.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
                           capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
     return proc.stdout
 
 
@@ -140,8 +140,19 @@ def test_export_octahedra_script(tmp_path):
 
 
 def test_print_structure_constants_script():
-    out = json.loads(_run_script("print_structure_constants.py", "--box", "1"))
-    st = structure_table(box=1)
-    assert out["box"] == 1
-    assert out["unmatched"] == st["unmatched"] == []
+    out = json.loads(_run_script("print_structure_constants.py"))
+    st = structure_table()
+    assert out["unmatched"] == st["unmatched"] == [] and out["witness"] == {}
     assert out["table"] == {k: [list(e) for e in v] for k, v in st["table"].items()}
+    # the table holds for every sector, so there is no sector box to choose
+    _run_script("print_structure_constants.py", "--box", "1", returncode=2)
+
+
+def test_errata_report_script_lists_every_delta():
+    out = json.loads(_run_script("errata_report.py"))
+    assert out["passed"] is True
+    names = [d.get("entry", d.get("operator")) for d in out["paper_deltas"]]
+    assert names == ["[A-,A+]", "[A+,C+]", "[B-,C+]", "B-", "B+", "C-", "C+",
+                     "so(6) symmetrized casimir constant", "figure-1 caption energies",
+                     "phi2 Jacobi parameter in the separated eigenfunctions",
+                     "phi2 chain fundamental-state cosine exponent"]

@@ -112,3 +112,10 @@ def test_operator_serialization_round_trip():
     op, shift = op_from_obj(json.loads(s))
     assert op == h and shift == (1, 1, 0)
     assert op_to_json(op, shift) == s
+
+
+def test_op_from_obj_zero_denominator_raises_value_error():
+    obj = {"terms": [{"order": [1, 0],
+                      "coeff": {"terms": [{"coeff": "3/0", "exps": ["0/1"] * 4}]}}]}
+    with pytest.raises(ValueError):
+        op_from_obj(obj)

@@ -1,9 +1,9 @@
-"""Exact elimination: solves, ranks and monomial fits."""
+"""Exact elimination: solves and ranks."""
 
 import random
 from fractions import Fraction
 
-from octasphere.linalg import AFFINE, QUADRATIC, fit_monomials, rank_exact, solve_exact
+from octasphere.linalg import rank_exact, solve_exact
 
 F = Fraction
 
@@ -54,14 +54,3 @@ def test_rank_exact():
         a = _random_matrix(rnd, 6, 6, r)
         assert rank_exact(a) <= r
 
-
-def test_fit_monomials_recovers_a_quadratic_and_rejects_a_cubic():
-    grid = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
-    want = [F(1), F(0), F(-2), F(1, 2), F(3), F(0), F(0), F(-1), F(0), F(5)]
-    vals = [sum(c * F(p[0]) ** e0 * F(p[1]) ** e1 * F(p[2]) ** e2
-                for c, (e0, e1, e2) in zip(want, QUADRATIC)) for p in grid]
-    assert fit_monomials(grid, vals, QUADRATIC) == want
-    assert fit_monomials(grid, vals, AFFINE) is None
-    # x^3 = 3x^2 - 2x on {0, 1, 2}, but l0 l1 l2 is no quadratic there
-    assert fit_monomials(grid, [F(p[0] * p[1] * p[2]) for p in grid], QUADRATIC) is None
-    assert fit_monomials(grid, [F(2) - p[2] for p in grid], AFFINE) == [2, 0, 0, -1]

@@ -1,0 +1,49 @@
+"""Polynomials in the couplings: evaluation commutes with every operation."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from octasphere.diffop import DiffOp, compose
+from octasphere.lpoly import LPoly, row_at
+from octasphere.trigpoly import COS1, SIN2, TAN1, TrigPoly, mul
+
+F = Fraction
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+sectors = st.tuples(rationals, rationals, rationals)
+monos = st.tuples(*(st.integers(0, 2),) * 3)
+coeffs = st.sampled_from([COS1, SIN2, TAN1, COS1 * SIN2 + TAN1.scale(F(-3, 2))])
+polys = st.dictionaries(monos, coeffs, max_size=4).map(lambda d: LPoly(TrigPoly, d))
+
+
+def test_affine_reads_the_row():
+    row = (F(1, 2), F(-1), F(0), F(3))
+    p = LPoly.affine(row, COS1)
+    for ell in ((F(0), F(0), F(0)), (F(1, 2), F(-2), F(5))):
+        assert p.at(ell) == COS1.scale(row_at(row, ell))
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys, polys, sectors, st.tuples(*(st.integers(-2, 2),) * 3))
+def test_evaluation_commutes_with_the_operations(p, q, ell, delta):
+    assert (p + q).at(ell) == p.at(ell) + q.at(ell)
+    assert (p - q).at(ell) == p.at(ell) - q.at(ell)
+    assert p.scale(F(-2, 3)).at(ell) == p.at(ell).scale(F(-2, 3))
+    assert p.product(q, mul).at(ell) == mul(p.at(ell), q.at(ell))
+    assert p.shift(delta).at(ell) == p.at(tuple(x + d for x, d in zip(ell, delta)))
+
+
+def test_product_through_compose_and_the_result_kind():
+    d1 = LPoly(DiffOp, {(0, 0, 0): DiffOp({(1, 0): TrigPoly.constant(1)})})
+    m = LPoly.affine((F(0), F(1), F(0), F(0)), DiffOp.multiplication(COS1))
+    ell = (F(3), F(0), F(0))
+    assert d1.product(m, compose).at(ell) == compose(d1.at(ell), m.at(ell))
+    assert d1.map(lambda op: op.coeff((1, 0)), TrigPoly).kind is TrigPoly
+
+
+def test_shift_expands_binomially():
+    # (l0 + 2)^2 = l0^2 + 4 l0 + 4
+    p = LPoly(TrigPoly, {(2, 0, 0): COS1}).shift((2, 0, 0))
+    assert dict(p.items()) == {(0, 0, 0): COS1.scale(4), (1, 0, 0): COS1.scale(4),
+                               (2, 0, 0): COS1}

@@ -1,18 +1,21 @@
 """Graded operator families: printed forms, intertwining, the multiplier solver,
 reflections, commutators and the Casimir identities."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from octasphere import operators
 from octasphere.diffop import DiffOp, is_zero_op, pv
-from octasphere.operators import (GradedOp, MultiplierSolveError, build_first_order,
-                                  casimir_identity, constant_part, diagonal, graded,
-                                  graded_bracket, graded_commutator, intertwine_residual,
-                                  is_exact_intertwiner, match_constant_multiple,
-                                  multiplier_ansatz, printed_delta_report,
-                                  reflect_conjugate,
-                                  solve_multiplier, structure_table)
+from octasphere.operators import (DIAGONALS, LADDER_NAMES, GradedOp, MultiplierSolveError,
+                                  build_first_order, casimir_identity, constant_part,
+                                  diagonal, graded, graded_bracket, graded_commutator,
+                                  intertwine_residual, is_exact_intertwiner,
+                                  match_constant_multiple, multiplier_ansatz,
+                                  printed_delta_report, reflect_conjugate,
+                                  solve_multiplier, structure_table, symbolic)
 from octasphere.trigpoly import COS1, ONE, SIN1, TrigPoly, TrigTerm, is_zero
 
 F = Fraction
@@ -61,6 +64,30 @@ def test_A1d_is_shifted_A():
 def test_unknown_name_rejected():
     with pytest.raises(ValueError):
         build_first_order("Q", "-", pv(0, 0, 0))
+
+
+@pytest.mark.parametrize("name", ["", "-", "A", "Q-", "A*"])
+def test_graded_rejects_malformed_names(name):
+    with pytest.raises(ValueError):
+        graded(name)
+
+
+@pytest.mark.parametrize("name", ["", "At-", "M+", "A"])
+def test_symbolic_rejects_non_family_names(name):
+    with pytest.raises(ValueError):
+        symbolic(name)
+
+
+# rational sectors: negatives, half-integers and other small denominators
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+sectors = st.tuples(rationals, rationals, rationals)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sectors)
+def test_symbolic_ladders_evaluate_to_the_sector_operators(ell):
+    for name in LADDER_NAMES:
+        assert symbolic(name).at(ell) == graded(name).at(ell), name
 
 
 # -- intertwining -----------------------------------------------------------------
@@ -293,9 +320,9 @@ def test_match_constant_multiple_over_different_monomials():
 
 
 def test_structure_table_closure_and_entries():
-    st = structure_table(box=1)
-    assert st["unmatched"] == []
-    t = st["table"]
+    table = structure_table()
+    assert table["unmatched"] == [] and table["witness"] == {}
+    t = table["table"]
     assert t["A-,A+"] == [("-2", "A")]
     assert t["B-,B+"] == [("-2", "B")]
     assert t["C-,C+"] == [("-2", "C")]
@@ -316,10 +343,10 @@ def _det(rows):
 
 
 def test_express_diagonal_general_combination_reproduces_the_fit():
-    from octasphere.operators import _PROBE, _express_diagonal
-    # the general branch solves over {one, A, B, D} at the probe points; their
-    # rows have a nonzero determinant, so solve_exact never returns None there
-    rows = [[F(1)] + [diagonal(n).value(p) for n in ("A", "B", "D")] for p in _PROBE]
+    from octasphere.operators import _express_diagonal
+    # the general branch solves over the affine rows of {one, A, B, D}; they
+    # have a nonzero determinant, so solve_exact never returns None there
+    rows = [list(DIAGONALS[n]) for n in ("one", "A", "B", "D")]
     assert _det(rows) == F(3, 4)
     values = (F(-1), F(0), F(1, 2), F(3))
     box = [pv(i, j, k) for i in (-1, 0, 2) for j in (-1, 0, 2) for k in (-1, 0, 2)]
@@ -334,6 +361,22 @@ def test_express_diagonal_general_combination_reproduces_the_fit():
                         got = sum(F(c) * diagonal(n).value(ell) for c, n in out)
                         assert got == c0 + c1 * ell[0] + c2 * ell[1] + c3 * ell[2]
     assert combinations > 0  # the general branch was reached
+
+
+def test_broken_family_row_leaves_a_witness(monkeypatch):
+    # an extra l2 cot(phi1) term in A's multiplier: every bracket that should
+    # give a ladder through A no longer closes, and the witness names the first
+    # l-monomial of a nonzero residual coefficient with its normal-form size
+    fam = operators.FAMILIES["A"]
+    monkeypatch.setitem(operators.FAMILIES, "A",
+                        replace(fam, cot_row=fam.cot_row[:3] + (F(1),)))
+    table = structure_table()
+    assert table["unmatched"] == ["A-,B-", "A-,B+", "A-,C-", "A-,C+", "A+,B-", "A+,B+",
+                                  "A+,C-", "A+,C+", "B-,C+", "B+,C-"]
+    assert set(table["witness"]) == set(table["unmatched"])
+    assert table["witness"]["A-,C-"] == {"monomial": [0, 0, 0], "terms": 3}
+    assert table["witness"]["B-,C+"] == {"monomial": [0, 0, 1], "terms": 1}
+    assert table["table"]["B-,B+"] == [("-2", "B")]
 
 
 def test_diagonal_relation():

@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from octasphere.diffop import DiffOp, pv
 from octasphere.hierarchy import closed_form_state, ground_state
@@ -10,7 +13,7 @@ from octasphere.operators import (build_first_order, graded,
                                   is_exact_intertwiner)
 from octasphere.superpotential import (decompose, family_multiplier,
                                        kinetic_rotation_check, riccati_check,
-                                       riccati_lambda_fit, superpot_from_state,
+                                       riccati_lambda, superpot_from_state,
                                        simultaneous_superpotentials)
 from octasphere.trigpoly import ONE, TrigPoly, TrigTerm, is_zero
 
@@ -93,14 +96,41 @@ def test_riccati_integer_sectors():
 
 
 def test_riccati_lambda_closed_form():
-    sectors = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
-    fit = riccati_lambda_fit(sectors)
-    assert fit is not None
+    lam = riccati_lambda()
+    assert lam is not None
     # lambda = 2(l0^2+l1^2+l2^2) - (l0-l1-l2)^2 + 4(l0+l2) + 15/4
     want = {(0, 0, 0): F(15, 4), (1, 0, 0): F(4), (0, 0, 1): F(4),
             (2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 2): F(1),
             (1, 1, 0): F(2), (1, 0, 1): F(2), (0, 1, 1): F(-2)}
-    assert fit == want
+    assert lam == want
+    # the same values on the {0..2}^3 box the closed form used to be fitted on
+    for ell in ((i, j, k) for i in range(3) for j in range(3) for k in range(3)):
+        resid, value = riccati_check(ell)
+        assert not resid and value == _evaluate(lam, ell)
+
+
+def _evaluate(poly, ell):
+    return sum(c * math.prod(F(x) ** k for x, k in zip(ell, m)) for m, c in poly.items())
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(rationals, rationals, rationals))
+def test_symbolic_lambda_matches_the_sector_check(ell):
+    resid, value = riccati_check(ell)
+    assert not resid and value == _evaluate(riccati_lambda(), ell)
+
+
+def test_lambda_of_broken_multiplier_is_none(monkeypatch):
+    # an extra l2 cot(phi1) term in A's multiplier leaves a non-constant residual
+    from dataclasses import replace
+    from octasphere import operators
+    fam = operators.FAMILIES["A"]
+    monkeypatch.setitem(operators.FAMILIES, "A",
+                        replace(fam, cot_row=fam.cot_row[:3] + (F(1),)))
+    assert riccati_lambda() is None
 
 
 def test_kinetic_and_rotation():

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from octasphere.trigpoly import (COS1, COS2, ONE, PHI1, PHI2, SIN1, SIN2, TAN1,
                                  TAN2, TrigPoly, TrigTerm, differentiate,
-                                 divide_by_monomial, eval_numeric, from_json,
-                                 is_zero, linear_combine, mul, normal_form,
-                                 proportionality, to_json)
+                                 divide_by_monomial, eval_numeric, frac_from_str,
+                                 from_json, from_obj, is_zero, linear_combine, mul,
+                                 normal_form, proportionality, to_json)
 
 F = Fraction
 HALF = F(1, 2)
@@ -153,6 +153,22 @@ def test_eval_singular_boundary_raises():
 def test_exponent_denominator_restriction():
     with pytest.raises(ValueError):
         TrigPoly.monomial(1, (F(1, 3), F(0), F(0), F(0)))
+
+
+def test_frac_from_str_zero_denominator_raises_value_error():
+    with pytest.raises(ValueError):
+        frac_from_str("1/0")
+
+
+@pytest.mark.parametrize("field", ["coeff", "exps"])
+def test_from_obj_and_from_json_zero_denominator_raise_value_error(field):
+    term = {"coeff": "1/1", "exps": ["0/1", "0/1", "0/1", "0/1"]}
+    term[field] = "1/0" if field == "coeff" else ["1/0", "0/1", "0/1", "0/1"]
+    obj = {"terms": [term]}
+    with pytest.raises(ValueError):
+        from_obj(obj)
+    with pytest.raises(ValueError):
+        from_json(json.dumps(obj))
 
 
 # -- property tests ---------------------------------------------------------------------
