@@ -13,7 +13,7 @@ import json
 import math
 from fractions import Fraction
 from .trigpoly import (PHI1, PHI2, ONE, TrigPoly, differentiate, from_obj,
-                       is_zero, to_obj)
+                       is_zero, obj_field, to_obj)
 
 MAX_ORDER = 4
 
@@ -42,6 +42,14 @@ class DiffOp:
                 prev = clean.get((k1, k2))
                 clean[(k1, k2)] = prev + c if prev is not None else c
         self._terms = {k: v for k, v in clean.items() if v}
+
+    @staticmethod
+    def _raw(terms: dict[tuple[int, int], TrigPoly]) -> "DiffOp":
+        """DiffOp of terms with valid orders and TrigPoly coefficients, as
+        built internally: drops zero coefficients and checks nothing else."""
+        op = object.__new__(DiffOp)
+        op._terms = {k: v for k, v in terms.items() if v}
+        return op
 
     @staticmethod
     def zero() -> "DiffOp":
@@ -82,10 +90,10 @@ class DiffOp:
         acc = dict(self._terms)
         for k, c in other._terms.items():
             acc[k] = acc[k] + c if k in acc else c
-        return DiffOp(acc)
+        return DiffOp._raw(acc)
 
     def __neg__(self) -> "DiffOp":
-        return DiffOp({k: -c for k, c in self._terms.items()})
+        return DiffOp._raw({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
         return self + (-other)
@@ -94,7 +102,7 @@ class DiffOp:
         c = Fraction(c)
         if c == 0:
             return DiffOp()
-        return DiffOp({k: v.scale(c) for k, v in self._terms.items()})
+        return DiffOp._raw({k: v.scale(c) for k, v in self._terms.items()})
 
 
 def apply(op: DiffOp, f: TrigPoly) -> TrigPoly:
@@ -138,7 +146,7 @@ def compose(x: DiffOp, y: DiffOp) -> DiffOp:
                     key = (k1 - j1 + m1, k2 - j2 + m2)
                     add = cx * dj2 if b == 1 else cx * dj2.scale(b)
                     acc[key] = acc[key] + add if key in acc else add
-    return DiffOp(acc)
+    return DiffOp._raw(acc)
 
 
 def is_zero_op(op: DiffOp) -> bool:
@@ -228,11 +236,17 @@ def op_to_obj(op: DiffOp, shift: tuple[int, int, int] = (0, 0, 0)) -> dict:
 
 
 def op_from_obj(obj: dict) -> tuple[DiffOp, tuple[int, int, int]]:
+    """Inverse of `op_to_obj`; ValueError on a malformed object."""
     terms = {}
-    for t in obj["terms"]:
-        k1, k2 = t["order"]
-        terms[(int(k1), int(k2))] = from_obj(t["coeff"])
-    return DiffOp(terms), tuple(obj.get("shift", (0, 0, 0)))
+    for t in obj_field(obj, "terms", list):
+        order = obj_field(t, "order", list)
+        if len(order) != 2 or not all(type(k) is int for k in order):
+            raise ValueError(f"malformed derivative order {order!r}")
+        terms[tuple(order)] = from_obj(obj_field(t, "coeff", dict))
+    shift = obj.get("shift", [0, 0, 0])
+    if not isinstance(shift, list):
+        raise ValueError(f"malformed shift {shift!r}")
+    return DiffOp(terms), tuple(shift)
 
 
 def op_to_json(op: DiffOp, shift: tuple[int, int, int] = (0, 0, 0)) -> str:

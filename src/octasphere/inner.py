@@ -38,16 +38,16 @@ def _pair_exponents(t1: TrigTerm, t2: TrigTerm):
     return a, b, c, d
 
 
-def _monomial_integral(coeff: Fraction, a: float, b: float, c: float, d: float) -> float:
+def _monomial_integral(coeff: float, a: float, b: float, c: float, d: float) -> float:
     """coeff * int cos^a sin^b dphi1 * int cos^c sin^d dphi2 over the octant."""
     if min(a, b, c, d) <= -1.0:
         raise ValueError("non-integrable monomial pair")
-    return float(coeff) * _angular_integral(a, b) * _angular_integral(c, d)
+    return coeff * _angular_integral(a, b) * _angular_integral(c, d)
 
 
 def mono_inner(t1: TrigTerm, t2: TrigTerm) -> float:
     """<t1, t2> with measure cos(phi2); relative error ~1e-12."""
-    return _monomial_integral(t1.coeff * t2.coeff, *_pair_exponents(t1, t2))
+    return _monomial_integral(float(t1.coeff * t2.coeff), *_pair_exponents(t1, t2))
 
 
 def mono_inner_quadrature(t1: TrigTerm, t2: TrigTerm) -> float:
@@ -64,13 +64,18 @@ def mono_inner_quadrature(t1: TrigTerm, t2: TrigTerm) -> float:
 
 
 def inner(f: TrigPoly, g: TrigPoly) -> float:
-    """Bilinear extension of mono_inner, summed over the terms in canonical order."""
+    """Bilinear extension of mono_inner, summed over the terms in canonical order.
+
+    Reads the stored int numerators: n1 * n2 / (den_f * den_g) is correctly
+    rounded, so each term equals mono_inner's float of the Fraction product.
+    """
     total = 0.0
+    den = f._den * g._den
     g_terms = sorted(g._terms.items())
     # stored exponents are doubled; the measure adds 1 to the cos(phi2) power
-    for e1, c1 in sorted(f._terms.items()):
-        for e2, c2 in g_terms:
-            total += _monomial_integral(c1 * c2, (e1[0] + e2[0]) / 2, (e1[1] + e2[1]) / 2,
+    for e1, n1 in sorted(f._terms.items()):
+        for e2, n2 in g_terms:
+            total += _monomial_integral(n1 * n2 / den, (e1[0] + e2[0]) / 2, (e1[1] + e2[1]) / 2,
                                         (e1[2] + e2[2]) / 2 + 1.0, (e1[3] + e2[3]) / 2)
     return total
 

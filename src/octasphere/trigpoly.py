@@ -8,16 +8,21 @@ with rational coefficients and rational exponents whose denominators are 1
 or 2 (the ladder construction on the sphere only ever produces integer and
 half-integer powers; negative exponents encode tan/cot/sec/csc factors).
 
-    TrigPoly ~ dict[(2a, 2b, 2c, 2d) -> Fraction]    (doubled int exponents)
+    TrigPoly ~ dict[(2a, 2b, 2c, 2d) -> int numerator] over one int denominator
 
 Exponents are stored doubled, as plain ints, so products and derivatives add
-and hash small ints; `cos^(3/2)` is key component 3.  Fractions appear only
-at the boundary: the constructors validate and double Fraction (or int)
-exponents, and `items`, `terms`, `normal_form`, `class_reduce` and the JSON
-form give them back as Fractions.
+and hash small ints; `cos^(3/2)` is key component 3.  Coefficients are stored
+as int numerators over one denominator, reduced so that the denominator is
+positive and shares no factor with all the numerators; the kernel (sums,
+products, derivatives, the normal form) does int arithmetic only and divides
+out one gcd per result.  Fractions appear only at the boundary: the
+constructors validate and double Fraction (or int) exponents and take
+Fraction coefficients, and `items`, `terms`, `normal_form`, `class_reduce`,
+`coordinate_vectors` and the JSON form give Fractions back.
 
 The stored ("canonical") form only merges identical exponent tuples and drops
-zero coefficients, so `p == q` is cheap structural equality.  Equality as
+zero coefficients; with the reduced denominator it is unique for a map of
+Fraction coefficients, so `p == q` is cheap structural equality.  Equality as
 functions is decided by `normal_form`, the unique expansion of p over a fixed
 basis: a monomial's exponents mod 2 give its residue class (r1, r1', r2, r2'),
 and per angle, with s = sin**2, the class's basis is
@@ -50,7 +55,9 @@ PHI1, PHI2 = 1, 2
 
 def _exp2(x) -> int:
     """Twice the exponent x, which must have denominator 1 or 2."""
-    f = Fraction(x)
+    if type(x) is int:
+        return 2 * x
+    f = x if isinstance(x, Fraction) else Fraction(x)
     if f.denominator not in (1, 2):
         raise ValueError(f"exponent {f} has denominator {f.denominator}; only 1 or 2 allowed")
     return 2 * f.numerator // f.denominator
@@ -78,40 +85,34 @@ class TrigTerm:
     exps: Exps
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        if not isinstance(self.coeff, Fraction):
+            object.__setattr__(self, "coeff", Fraction(self.coeff))
         object.__setattr__(self, "exps", _fracs(_exps(self.exps)))
 
 
 class TrigPoly:
     """Canonical linear combination of trigonometric monomials.
 
-    `TrigPoly(terms)` takes {exponents: coeff} with Fraction or int exponents.
+    `TrigPoly(terms)` takes {exponents: coeff} with Fraction or int exponents
+    and coefficients.  The stored form is int numerators over one denominator:
+    coefficient of key e is `_terms[e] / _den`, with `_den > 0`, no zero
+    numerator and `gcd(_den, *numerators) == 1`.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
-    def __init__(self, terms: dict[Exps, Fraction] | None = None, *, _raw: bool = False):
-        if terms is None:
-            self._terms: dict[Key, Fraction] = {}
-        elif _raw:  # already doubled int keys and nonzero Fraction values
-            self._terms = terms
-        else:
-            clean: dict[Key, Fraction] = {}
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c == 0:
-                    continue
+    def __init__(self, terms: dict[Exps, Fraction] | None = None):
+        clean: dict[Key, Fraction] = {}
+        for e, c in (terms or {}).items():
+            c = Fraction(c)
+            if c:
                 e = _exps(e)
-                c0 = clean.get(e)
-                if c0 is None:
-                    clean[e] = c
-                else:
-                    c0 = c0 + c
-                    if c0 == 0:
-                        del clean[e]
-                    else:
-                        clean[e] = c0
-            self._terms = clean
+                clean[e] = clean.get(e, 0) + c
+        clean = {e: c for e, c in clean.items() if c}
+        # over the lcm of reduced denominators the numerators share no factor with it
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self._terms = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._den = den
 
     # -- construction helpers ------------------------------------------------
 
@@ -121,17 +122,11 @@ class TrigPoly:
 
     @staticmethod
     def constant(c) -> "TrigPoly":
-        c = Fraction(c)
-        if c == 0:
-            return TrigPoly()
-        return TrigPoly({(0, 0, 0, 0): c}, _raw=True)
+        return _monomial(c, (0, 0, 0, 0))
 
     @staticmethod
     def monomial(coeff, exps) -> "TrigPoly":
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            return TrigPoly()
-        return TrigPoly({_exps(exps): coeff}, _raw=True)
+        return _monomial(coeff, _exps(exps))
 
     @staticmethod
     def from_terms(terms: Iterable[TrigTerm]) -> "TrigPoly":
@@ -145,11 +140,11 @@ class TrigPoly:
     def terms(self) -> Iterator[TrigTerm]:
         """Terms in the canonical (lexicographic exponent) order."""
         for e in sorted(self._terms):
-            yield TrigTerm(self._terms[e], _fracs(e))
+            yield TrigTerm(Fraction(self._terms[e], self._den), _fracs(e))
 
     def items(self):
-        """(Fraction exponents, coeff) pairs in stored order."""
-        return {_fracs(e): c for e, c in self._terms.items()}.items()
+        """(Fraction exponents, Fraction coeff) pairs in stored order."""
+        return {_fracs(e): Fraction(n, self._den) for e, n in self._terms.items()}.items()
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -160,10 +155,10 @@ class TrigPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self._terms.items())))
+        return hash((self._den, tuple(sorted(self._terms.items()))))
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -180,21 +175,29 @@ class TrigPoly:
             return other
         if not other._terms:
             return self
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            c0 = acc.get(e)
-            if c0 is None:
-                acc[e] = c
+        den, dq = self._den, other._den
+        if den == dq:
+            acc, add = dict(self._terms), other._terms
+        else:  # over the least common denominator
+            g = math.gcd(den, dq)
+            mp, mq = dq // g, den // g
+            acc = {e: n * mp for e, n in self._terms.items()}
+            add = {e: n * mq for e, n in other._terms.items()}
+            den *= mp
+        for e, n in add.items():
+            n0 = acc.get(e)
+            if n0 is None:
+                acc[e] = n
             else:
-                c0 = c0 + c
-                if c0 == 0:
-                    del acc[e]
+                n0 += n
+                if n0:
+                    acc[e] = n0
                 else:
-                    acc[e] = c0
-        return TrigPoly(acc, _raw=True)
+                    del acc[e]
+        return _reduced(acc, den)
 
     def __neg__(self) -> "TrigPoly":
-        return TrigPoly({e: -c for e, c in self._terms.items()}, _raw=True)
+        return _new({e: -n for e, n in self._terms.items()}, self._den)
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
         return self + (-other)
@@ -207,50 +210,88 @@ class TrigPoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "TrigPoly":
-        c = Fraction(c)
-        if c == 0:
+        cn, cd = _ratio(c)
+        if cn == 0:
             return TrigPoly()
-        return TrigPoly({e: c * v for e, v in self._terms.items()}, _raw=True)
+        return _reduced({e: cn * n for e, n in self._terms.items()}, cd * self._den)
+
+
+def _ratio(c) -> tuple[int, int]:
+    """(numerator, denominator > 0) of the rational c."""
+    if type(c) is int:
+        return c, 1
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator, c.denominator
+
+
+def _new(terms: dict[Key, int], den: int) -> TrigPoly:
+    """TrigPoly storing terms over den as given: nonzero int numerators, den > 0."""
+    p = object.__new__(TrigPoly)
+    p._terms = terms
+    p._den = den
+    return p
+
+
+def _reduced(terms: dict[Key, int], den: int) -> TrigPoly:
+    """The canonical TrigPoly of nonzero int numerators over den > 0: divides
+    out gcd(den, *numerators)."""
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {e: n // g for e, n in terms.items()}
+    return _new(terms, den)
+
+
+def _monomial(coeff, key: Key) -> TrigPoly:
+    cn, cd = _ratio(coeff)
+    return _new({key: cn}, cd) if cn else TrigPoly()
 
 
 def linear_combine(pairs: Sequence[tuple[Fraction, TrigPoly]]) -> TrigPoly:
     """Canonical sum of c_i * p_i."""
-    acc: dict[Key, Fraction] = {}
+    parts = []
     for c, p in pairs:
-        c = Fraction(c)
-        if c == 0:
-            continue
-        for e, v in p._terms.items():
-            v = c * v
+        cn, cd = _ratio(c)
+        if cn and p._terms:
+            parts.append((cn, cd * p._den, p._terms))
+    den = math.lcm(*(d for _, d, _ in parts))
+    acc: dict[Key, int] = {}
+    for cn, d, terms in parts:
+        m = cn * (den // d)
+        for e, v in terms.items():
+            v *= m
             v0 = acc.get(e)
             acc[e] = v if v0 is None else v0 + v
-    return TrigPoly({e: c for e, c in acc.items() if c}, _raw=True)
+    return _reduced({e: v for e, v in acc.items() if v}, den)
 
 
 def mul(p: TrigPoly, q: TrigPoly) -> TrigPoly:
     """Exact product; exponents add componentwise."""
     if not p._terms or not q._terms:
         return TrigPoly()
-    acc: dict[Key, Fraction] = {}
+    acc: dict[Key, int] = {}
     for (a1, b1, c1, d1), v1 in p._terms.items():
         for (a2, b2, c2, d2), v2 in q._terms.items():
             e = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
             v = v1 * v2
             v0 = acc.get(e)
             acc[e] = v if v0 is None else v0 + v
-    return TrigPoly({e: c for e, c in acc.items() if c}, _raw=True)
+    return _reduced({e: v for e, v in acc.items() if v}, p._den * q._den)
 
 
 def differentiate(p: TrigPoly, var: int) -> TrigPoly:
     """Exact partial derivative, var in {PHI1, PHI2}.
 
     Per term: d/dphi cos^a sin^b = -a cos^(a-1) sin^(b+1) + b cos^(a+1) sin^(b-1),
-    which on doubled exponents (2a, 2b) moves them by (-2, +2) and (+2, -2).
+    which on doubled exponents (2a, 2b) moves them by (-2, +2) and (+2, -2)
+    and multiplies the numerators by -2a and 2b over twice the denominator.
     """
     if var not in (PHI1, PHI2):
         raise ValueError(f"unknown variable {var!r}")
-    acc: dict[Key, Fraction] = {}
-    for e, c in p._terms.items():
+    acc: dict[Key, int] = {}
+    for e, n in p._terms.items():
         if var == PHI1:
             a, b, x, y = e
             down, up = (a - 2, b + 2, x, y), (a + 2, b - 2, x, y)
@@ -258,14 +299,14 @@ def differentiate(p: TrigPoly, var: int) -> TrigPoly:
             x, y, a, b = e
             down, up = (x, y, a - 2, b + 2), (x, y, a + 2, b - 2)
         if a:
-            v = _half(-a) * c
+            v = -a * n
             v0 = acc.get(down)
             acc[down] = v if v0 is None else v0 + v
         if b:
-            v = _half(b) * c
+            v = b * n
             v0 = acc.get(up)
             acc[up] = v if v0 is None else v0 + v
-    return TrigPoly({e: c for e, c in acc.items() if c}, _raw=True)
+    return _reduced({e: v for e, v in acc.items() if v}, 2 * p._den)
 
 
 def divide_by_monomial(p: TrigPoly, t: TrigTerm) -> TrigPoly:
@@ -273,8 +314,11 @@ def divide_by_monomial(p: TrigPoly, t: TrigTerm) -> TrigPoly:
     if t.coeff == 0:
         raise ValueError("division by zero monomial")
     a, b, c, d = _exps(t.exps)
-    return TrigPoly({(e[0] - a, e[1] - b, e[2] - c, e[3] - d): v / t.coeff
-                     for e, v in p._terms.items()}, _raw=True)
+    tn, td = t.coeff.numerator, t.coeff.denominator
+    if tn < 0:
+        tn, td = -tn, -td
+    return _reduced({(e[0] - a, e[1] - b, e[2] - c, e[3] - d): n * td
+                     for e, n in p._terms.items()}, p._den * tn)
 
 
 # -- fixed-basis normal form -------------------------------------------------
@@ -313,9 +357,10 @@ def _angle_basis(a: int, b: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((ra + 4 * i2, rb + 4 * j2, c) for i2, j2, c in _pythagoras(i, j))
 
 
-def _reduce_angle(terms, ci: int) -> dict[Key, Fraction]:
-    """Rewrite the (cos, sin) exponents at positions ci, ci + 1 over the basis."""
-    acc: dict[Key, Fraction] = {}
+def _reduce_angle(terms, ci: int) -> dict[Key, int]:
+    """Rewrite the (cos, sin) exponents at positions ci, ci + 1 over the basis;
+    the int numerators keep their denominator."""
+    acc: dict[Key, int] = {}
     for e, c in terms:
         for x, y, k in _angle_basis(e[ci], e[ci + 1]):
             key = (x, y, e[2], e[3]) if ci == 0 else (e[0], e[1], x, y)
@@ -325,8 +370,8 @@ def _reduce_angle(terms, ci: int) -> dict[Key, Fraction]:
     return {e: c for e, c in acc.items() if c}
 
 
-def _normal_form(p: TrigPoly) -> dict[Key, Fraction]:
-    """`normal_form` keyed by doubled exponents, as stored."""
+def _normal_form(p: TrigPoly) -> dict[Key, int]:
+    """`normal_form` keyed by doubled exponents, as int numerators over p._den."""
     return _reduce_angle(_reduce_angle(p._terms.items(), 0).items(), 2)
 
 
@@ -336,7 +381,7 @@ def normal_form(p: TrigPoly) -> dict[Exps, Fraction]:
     Empty exactly when p is the zero function on the open octant, and equal
     for any two polys that are equal as functions.
     """
-    return {_fracs(e): c for e, c in _normal_form(p).items()}
+    return {_fracs(e): Fraction(n, p._den) for e, n in _normal_form(p).items()}
 
 
 def is_zero(p: TrigPoly) -> bool:
@@ -355,15 +400,18 @@ def proportionality(p: TrigPoly, q: TrigPoly) -> Fraction | None:
     if np_.keys() != nq.keys():
         return None
     key = next(iter(nq))
-    c = np_[key] / nq[key]
-    return c if all(v == c * nq[e] for e, v in np_.items()) else None
+    a, b = np_[key], nq[key]
+    # np_ / p._den == c * nq / q._den with c = (a * q._den) / (b * p._den)
+    if any(b * v != a * nq[e] for e, v in np_.items()):
+        return None
+    return Fraction(a * q._den, b * p._den)
 
 
 def class_reduce(p: TrigPoly) -> dict[ClassKey, dict[Exps, Fraction]]:
     """The normal form of p grouped by residue class (exponents mod 2)."""
     out: dict[ClassKey, dict[Exps, Fraction]] = {}
-    for e, c in _normal_form(p).items():
-        out.setdefault(_fracs(tuple(x % 4 for x in e)), {})[_fracs(e)] = c
+    for e, n in _normal_form(p).items():
+        out.setdefault(_fracs(tuple(x % 4 for x in e)), {})[_fracs(e)] = Fraction(n, p._den)
     return out
 
 
@@ -372,10 +420,10 @@ def coordinate_vectors(polys: Sequence[TrigPoly]) -> list[dict]:
 
     A rational linear combination of the inputs is the zero function iff the
     same combination of the returned dicts vanishes.  The dicts are keyed by
-    doubled exponents, as stored; `normal_form` gives the Fraction keys.  Used
-    by the multiplier solver and the IUR independence test.
+    doubled exponents, as stored, with Fraction values; `normal_form` gives the
+    Fraction keys.  Used by the multiplier solver and the IUR independence test.
     """
-    return [_normal_form(p) for p in polys]
+    return [{e: Fraction(n, p._den) for e, n in _normal_form(p).items()} for p in polys]
 
 
 # -- numeric evaluation ------------------------------------------------------
@@ -393,8 +441,10 @@ def eval_numeric(p: TrigPoly, phi1: float, phi2: float) -> float:
     c1, s1 = math.cos(phi1), math.sin(phi1)
     c2, s2 = math.cos(phi2), math.sin(phi2)
     total = 0.0
-    for e, c in p._terms.items():
-        total += float(c) * c1 ** (e[0] / 2) * s1 ** (e[1] / 2) \
+    den = p._den
+    # n / den is correctly rounded, so each term is float(Fraction(n, den)) * ...
+    for e, n in p._terms.items():
+        total += n / den * c1 ** (e[0] / 2) * s1 ** (e[1] / 2) \
             * c2 ** (e[2] / 2) * s2 ** (e[3] / 2)
     return total
 
@@ -407,23 +457,45 @@ def frac_to_str(x: Fraction) -> str:
 
 
 def frac_from_str(s: str) -> Fraction:
+    if not isinstance(s, str):
+        raise ValueError(f"expected a 'num/den' string, got {s!r}")
     num, den = s.split("/")
     if int(den) == 0:
         raise ValueError(f"zero denominator in {s!r}")
     return Fraction(int(num), int(den))
 
 
+def obj_field(obj, name: str, kind: type):
+    """obj[name] from a parsed JSON object; ValueError unless obj is a dict
+    whose field `name` holds a `kind`."""
+    if not isinstance(obj, dict) or not isinstance(obj.get(name), kind):
+        raise ValueError(f"malformed object: no {kind.__name__} field {name!r} in {obj!r}")
+    return obj[name]
+
+
+@functools.cache
+def _half_str(k: int) -> str:
+    return frac_to_str(_half(k))
+
+
 def to_obj(p: TrigPoly) -> dict:
-    return {"terms": [{"coeff": frac_to_str(t.coeff),
-                       "exps": [frac_to_str(e) for e in t.exps]}
-                      for t in p.terms()]}
+    """{"terms": [{"coeff": "n/d", "exps": ["n/d"] * 4}]} in canonical term order,
+    each fraction written in lowest terms straight from the stored ints."""
+    den = p._den
+    out = []
+    for e in sorted(p._terms):
+        n = p._terms[e]
+        g = math.gcd(n, den)
+        out.append({"coeff": f"{n // g}/{den // g}", "exps": [_half_str(k) for k in e]})
+    return {"terms": out}
 
 
 def from_obj(obj: dict) -> TrigPoly:
+    """Inverse of `to_obj`; ValueError on a malformed object."""
     acc = {}
-    for t in obj["terms"]:
-        exps = tuple(frac_from_str(e) for e in t["exps"])
-        acc[exps] = acc.get(exps, Fraction(0)) + frac_from_str(t["coeff"])
+    for t in obj_field(obj, "terms", list):
+        exps = tuple(frac_from_str(e) for e in obj_field(t, "exps", list))
+        acc[exps] = acc.get(exps, Fraction(0)) + frac_from_str(obj_field(t, "coeff", str))
     return TrigPoly(acc)
 
 

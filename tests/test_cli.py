@@ -1,5 +1,6 @@
 """CLI contract: exit codes, file outputs, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -146,6 +147,18 @@ def test_print_structure_constants_script():
     assert out["table"] == {k: [list(e) for e in v] for k, v in st["table"].items()}
     # the table holds for every sector, so there is no sector box to choose
     _run_script("print_structure_constants.py", "--box", "1", returncode=2)
+
+
+def test_output_digests_script(tmp_path):
+    out = _run_script("output_digests.py", "u3_3_2_states", "structure_constants")
+    lines = [line.split("  ") for line in out.splitlines()]
+    assert [name for _, name in lines] == ["u3_3_2_states", "structure_constants"]
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest, _ in lines)
+    assert run_cli(["iur", "--algebra", "u3", "--m", "3", "--n", "2", "--emit", "states",
+                    "--out", str(tmp_path)]) == 0
+    states = (tmp_path / "u3_3_2_states.json").read_bytes()
+    assert lines[0][0] == hashlib.sha256(states).hexdigest()
+    _run_script("output_digests.py", "no_such_output", returncode=2)
 
 
 def test_errata_report_script_lists_every_delta():

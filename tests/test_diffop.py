@@ -119,3 +119,25 @@ def test_op_from_obj_zero_denominator_raises_value_error():
                       "coeff": {"terms": [{"coeff": "3/0", "exps": ["0/1"] * 4}]}}]}
     with pytest.raises(ValueError):
         op_from_obj(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"terms": [{"order": [0, 0]}]},                      # a term without "coeff"
+    {"terms": [{"order": [0], "coeff": {"terms": []}}]},  # an order of one variable
+    [1],                                                  # not an object
+])
+def test_op_from_obj_malformed_raises_value_error(obj):
+    with pytest.raises(ValueError):
+        op_from_obj(obj)
+
+
+def test_internal_builds_equal_the_checked_constructor():
+    # compose, +, - and scale build without re-validation; the result must be
+    # what DiffOp() would make of the same terms: no zero coefficient, same map
+    h = build_hamiltonian(pv(1, 2, 0))
+    a = build_first_order("A", "-", pv(1, 2, 0))
+    for r in (compose(a, h), compose(h, a), h + a, h - h, -a, a.scale(F(-2, 3)), a.scale(0),
+              compose(D1, DiffOp.multiplication(ONE)) - D1):
+        assert all(c for _, c in r.items())
+        assert DiffOp(dict(r.items())) == r
+    assert not (h - h) and not a.scale(0)

@@ -11,7 +11,7 @@ from octasphere.hierarchy import closed_form_state, ground_state, iur_states
 from octasphere.inner import (adjoint_residual, gram, inner, mono_inner,
                               mono_inner_quadrature, norm, numeric_oracle_check,
                               state_inner)
-from octasphere.trigpoly import ONE, SIN1, TrigPoly, TrigTerm
+from octasphere.trigpoly import ONE, SIN1, TrigPoly, TrigTerm, eval_numeric
 
 F = Fraction
 HALF = F(1, 2)
@@ -162,14 +162,41 @@ admissible_polys = st.lists(st.tuples(nonzero, st.tuples(half_up, half_up, half_
     lambda ts: TrigPoly.from_terms(TrigTerm(c, e) for c, e in ts))
 
 
+def _fraction_route_inner(f, g):
+    total = 0.0
+    for t1 in f.terms():
+        for t2 in g.terms():
+            total += mono_inner(t1, t2)
+    return total
+
+
 @settings(max_examples=100, deadline=None)
 @given(admissible_polys, admissible_polys)
 def test_inner_is_the_sum_of_mono_inner_in_term_order(f, g):
-    ref = 0.0
-    for t1 in f.terms():
-        for t2 in g.terms():
-            ref += mono_inner(t1, t2)
-    assert inner(f, g) == ref
+    assert inner(f, g) == _fraction_route_inner(f, g)
+
+
+def _fraction_route_eval(p, x, y):
+    c1, s1, c2, s2 = math.cos(x), math.sin(x), math.cos(y), math.sin(y)
+    total = 0.0
+    for (a, b, c, d), coeff in p.items():   # stored order, as eval_numeric sums
+        total += float(coeff) * c1 ** float(a) * s1 ** float(b) * c2 ** float(c) * s2 ** float(d)
+    return total
+
+
+def test_inner_and_eval_are_bit_identical_to_the_fraction_route():
+    # the int numerators over one denominator give the same floats, not close
+    # ones; a few copies over 3 and 7 make the quotients inexact
+    blocks = [[s.wavefunction for s in iur_states("so4", (n,))] for n in range(6)]
+    blocks.append([closed_form_state("separated_2d", (ell, m, n)).wavefunction
+                   for ell, m, n in (((0, 0, 0), 1, 1), ((1, 2, 0), 2, 0), ((2, 1, 1), 0, 2))])
+    for block in blocks:
+        block += [block[0].scale(F(1, 3)), block[-1].scale(F(-5, 7))]
+        for f in block:
+            for g in block:
+                assert inner(f, g) == _fraction_route_inner(f, g)
+            for x, y in ((0.3, 0.4), (0.77, 1.21), (1.4, 0.05)):
+                assert eval_numeric(f, x, y) == _fraction_route_eval(f, x, y)
 
 
 def test_inner_rejects_a_non_integrable_pair():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octasphere.trigpoly import (COS1, COS2, ONE, PHI1, PHI2, SIN1, SIN2, TAN1,
-                                 TAN2, TrigPoly, TrigTerm, differentiate,
+                                 TAN2, TrigPoly, TrigTerm, _angle_basis, differentiate,
                                  divide_by_monomial, eval_numeric, frac_from_str,
                                  from_json, from_obj, is_zero, linear_combine, mul,
                                  normal_form, proportionality, to_json)
@@ -171,6 +171,16 @@ def test_from_obj_and_from_json_zero_denominator_raise_value_error(field):
         from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("read, arg", [
+    (from_obj, {}),                                   # no "terms"
+    (from_json, '{"terms": [{"coeff": "1/2"}]}'),     # a term without "exps"
+    (from_json, "[1]"),                               # not an object
+])
+def test_malformed_objects_raise_value_error(read, arg):
+    with pytest.raises(ValueError):
+        read(arg)
+
+
 # -- property tests ---------------------------------------------------------------------
 
 exps = st.fractions(min_value=-4, max_value=4).map(
@@ -324,3 +334,95 @@ def test_equal_polys_built_by_different_routes_hash_equal(p, q):
     for r in ((p + q) - q, TrigPoly.from_terms(reversed(list(p.terms()))),
               TrigPoly(dict(p.items())), from_json(to_json(p))):
         assert r == p and hash(r) == hash(p)
+
+
+# -- differential test: the int kernel against a plain Fraction reference ----------------
+
+def _ref_sum(pairs):
+    """sum c * p over dict[Exps, Fraction] polys."""
+    acc = {}
+    for c, p in pairs:
+        for e, v in p.items():
+            acc[e] = acc.get(e, 0) + c * v
+    return {e: v for e, v in acc.items() if v}
+
+
+def _ref_mul(p, q):
+    acc = {}
+    for e1, v1 in p.items():
+        for e2, v2 in q.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            acc[e] = acc.get(e, 0) + v1 * v2
+    return {e: v for e, v in acc.items() if v}
+
+
+def _ref_differentiate(p, var):
+    i = 0 if var == PHI1 else 2
+    acc = {}
+    for e, v in p.items():
+        # d cos^a sin^b = -a cos^(a-1) sin^(b+1) + b cos^(a+1) sin^(b-1)
+        for k, da in ((-e[i], -1), (e[i + 1], 1)):
+            f = list(e)
+            f[i] += da
+            f[i + 1] -= da
+            acc[tuple(f)] = acc.get(tuple(f), 0) + k * v
+    return {e: v for e, v in acc.items() if v}
+
+
+def _ref_normal_form(p):
+    """Fraction coefficients through the same basis table, one angle after the other."""
+    for i in (0, 2):
+        acc = {}
+        for e, v in p.items():
+            for x, y, k in _angle_basis(int(2 * e[i]), int(2 * e[i + 1])):
+                f = list(e)
+                f[i], f[i + 1] = F(x, 2), F(y, 2)
+                acc[tuple(f)] = acc.get(tuple(f), 0) + k * v
+        p = {e: v for e, v in acc.items() if v}
+    return p
+
+
+def _ref_proportionality(p, q):
+    np_, nq = _ref_normal_form(p), _ref_normal_form(q)
+    if not nq:
+        return None
+    if not np_:
+        return F(0)
+    e0 = next(iter(nq))
+    c = np_.get(e0, 0) / nq[e0]
+    return c if np_ == {e: c * v for e, v in nq.items()} else None
+
+
+def _canonical(p):
+    nums = list(p._terms.values())
+    return (type(p._den) is int and p._den > 0 and math.gcd(p._den, *nums) == 1
+            and all(type(n) is int and n != 0 for n in nums))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, polys, coeffs, terms, st.sampled_from([PHI1, PHI2]))
+def test_kernel_matches_a_fraction_reference(p, q, c, t, var):
+    rp, rq = dict(p.items()), dict(q.items())
+    t = TrigTerm(*t)
+    pyth = COS1 * COS1 + SIN1 * SIN1 if var == PHI1 else COS2 * COS2 + SIN2 * SIN2
+    cases = [
+        (p + q, _ref_sum([(1, rp), (1, rq)])),
+        (p - q, _ref_sum([(1, rp), (-1, rq)])),
+        (-p, _ref_sum([(-1, rp)])),
+        (p.scale(c), _ref_sum([(c, rp)])),
+        (p.scale(0), {}),
+        (mul(p, q), _ref_mul(rp, rq)),
+        (differentiate(p, var), _ref_differentiate(rp, var)),
+        (divide_by_monomial(p, t),
+         {tuple(x - y for x, y in zip(e, t.exps)): v / t.coeff for e, v in rp.items()}),
+        (linear_combine([(c, p), (F(0), q), (F(-1, 3), q)]),
+         _ref_sum([(c, rp), (F(-1, 3), rq)])),
+    ]
+    for r, want in cases:
+        assert _canonical(r) and dict(r.items()) == want
+    assert normal_form(p) == _ref_normal_form(rp)
+    assert normal_form(mul(p, q)) == _ref_normal_form(_ref_mul(rp, rq))
+    assert proportionality(p, q) == _ref_proportionality(rp, rq)
+    same = mul(p, pyth).scale(c)   # c p as a function, stored over other monomials
+    assert proportionality(same, p) == _ref_proportionality(dict(same.items()), rp)
+    assert proportionality(same, p) == (c if not is_zero(p) else None)
