@@ -9,6 +9,8 @@ script in two checkouts and comparing the lines (``diff``) tells whether a
 change left these outputs byte-identical:
 
 - ``verify --suite all --range 1|2 --format json``, the certifier's report;
+- ``verify --suite <name> --range 2 --format json`` for each of the five
+  suites run on its own (the single-suite CLI path);
 - the ``iur --emit states`` JSON of so(6) q=3 and q=4, so(4) n=7 and u(3) (3,2);
 - ``scripts/print_structure_constants.py``;
 - the ``closed_forms`` benchmark record for seeds 1-3
@@ -28,6 +30,8 @@ import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
+from octasphere.suites import SUITE_NAMES
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -41,8 +45,8 @@ def _cli(*argv: str) -> bytes:
     return buf.getvalue().encode()
 
 
-def _verify(rng: int) -> bytes:
-    return _cli("verify", "--suite", "all", "--range", str(rng), "--format", "json")
+def _verify(rng: int, suite: str = "all") -> bytes:
+    return _cli("verify", "--suite", suite, "--range", str(rng), "--format", "json")
 
 
 def _states(algebra: str, **label: int) -> bytes:
@@ -72,6 +76,7 @@ def _closed_forms(seed: int) -> bytes:
 OUTPUTS = {
     "verify_range_1": lambda: _verify(1),
     "verify_range_2": lambda: _verify(2),
+    **{f"verify_{n}_range_2": (lambda n=n: _verify(2, n)) for n in SUITE_NAMES},
     "so6_q3_states": lambda: _states("so6", q=3),
     "so6_q4_states": lambda: _states("so6", q=4),
     "so4_n7_states": lambda: _states("so4", n=7),

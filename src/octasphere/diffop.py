@@ -5,6 +5,12 @@
 Composition uses the generalized Leibniz rule and is exact.  Total order is
 capped at 4, which covers every workflow here (quadratic Casimir elements of
 first-order ladder operators).
+
+A DiffOp, like its TrigPoly coefficients, is immutable by convention: nothing
+mutates `_terms` after construction, so operators hash by value and can key a
+memo (see `operators.sweep_memo`).  The sector builders (`build_hamiltonian`,
+and the first-order builders in `operators`) assemble precomputed terms with
+`linear_combine` and `DiffOp._raw`, so no term is re-validated per sector.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import json
 import math
 from fractions import Fraction
 from .trigpoly import (PHI1, PHI2, ONE, TrigPoly, differentiate, from_obj,
-                       is_zero, obj_field, to_obj)
+                       is_zero, linear_combine, obj_field, to_obj)
 
 MAX_ORDER = 4
 
@@ -21,11 +27,18 @@ ParamVector = tuple[Fraction, Fraction, Fraction]
 
 
 def pv(l0, l1, l2) -> ParamVector:
+    """The sector (l0, l1, l2) as Fractions; Fraction arguments pass unchanged."""
+    if type(l0) is Fraction and type(l1) is Fraction and type(l2) is Fraction:
+        return (l0, l1, l2)
     return (Fraction(l0), Fraction(l1), Fraction(l2))
 
 
 class DiffOp:
-    """Finite sum of (TrigPoly coefficient) * (mixed partial derivative)."""
+    """Finite sum of (TrigPoly coefficient) * (mixed partial derivative).
+
+    Immutable by convention; equal operators (equal coefficients at equal
+    orders, in any insertion order) are `==` and hash alike.
+    """
 
     __slots__ = ("_terms",)
 
@@ -79,6 +92,9 @@ class DiffOp:
         if not isinstance(other, DiffOp):
             return NotImplemented
         return self._terms == other._terms
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
         if not self._terms:
@@ -156,9 +172,17 @@ def is_zero_op(op: DiffOp) -> bool:
 
 # -- the Hamiltonian family ---------------------------------------------------
 
-def _sq(x: Fraction) -> Fraction:
-    return x * x
+def _coupling(x: Fraction) -> Fraction:
+    """x^2 - 1/4, formed in ints and normalised once."""
+    n, d = x.numerator, x.denominator
+    return Fraction(4 * n * n - d * d, 4 * d * d)
 
+
+KINETIC = DiffOp({
+    (0, 2): TrigPoly.constant(-1),
+    (0, 1): TrigPoly.monomial(1, (Fraction(0), Fraction(0), -1, 1)),
+    (2, 0): TrigPoly.monomial(-1, (Fraction(0), Fraction(0), Fraction(-2), Fraction(0))),
+})
 
 # the inverse-square potential sum_i (l_i^2 - 1/4) * monomial_i, as
 # (coupling index i, exponents of monomial_i)
@@ -168,6 +192,7 @@ POTENTIAL_MONOMIALS = (
     (0, (-_F2, _F0, -_F2, _F0)),     # sec^2 phi1 sec^2 phi2
     (1, (_F0, -_F2, -_F2, _F0)),     # csc^2 phi1 sec^2 phi2
 )
+_POTENTIAL = tuple((i, TrigPoly.monomial(1, e)) for i, e in POTENTIAL_MONOMIALS)
 
 
 def build_hamiltonian(ell: ParamVector) -> DiffOp:
@@ -175,26 +200,23 @@ def build_hamiltonian(ell: ParamVector) -> DiffOp:
 
     -d2^2 + tan(phi2) d2 + (l2^2-1/4) csc^2 phi2
         + sec^2 phi2 [ -d1^2 + (l0^2-1/4) sec^2 phi1 + (l1^2-1/4) csc^2 phi1 ]
+
+    The kinetic terms are shared with KINETIC; only the potential is formed
+    per sector.
     """
-    ell = tuple(Fraction(x) for x in ell)
-    q = Fraction(1, 4)
-    return DiffOp({
-        (0, 2): TrigPoly.constant(-1),
-        (0, 1): TrigPoly.monomial(1, (_F0, _F0, -1, 1)),
-        (2, 0): TrigPoly.monomial(-1, (_F0, _F0, -_F2, _F0)),
-        (0, 0): TrigPoly({e: _sq(ell[i]) - q for i, e in POTENTIAL_MONOMIALS}),
-    })
+    ell = pv(*ell)
+    potential = linear_combine([(_coupling(ell[i]), mono) for i, mono in _POTENTIAL])
+    return DiffOp._raw({**KINETIC._terms, (0, 0): potential})
 
 
 def build_phi1_block(l0, l1) -> DiffOp:
     """One-dimensional block -d1^2 + (l0^2-1/4) sec^2 phi1 + (l1^2-1/4) csc^2 phi1."""
     l0, l1 = Fraction(l0), Fraction(l1)
-    q = Fraction(1, 4)
     f0, f2 = Fraction(0), Fraction(2)
     return DiffOp({
         (2, 0): TrigPoly.constant(-1),
-        (0, 0): TrigPoly({(-f2, f0, f0, f0): _sq(l0) - q,
-                          (f0, -f2, f0, f0): _sq(l1) - q}),
+        (0, 0): TrigPoly({(-f2, f0, f0, f0): _coupling(l0),
+                          (f0, -f2, f0, f0): _coupling(l1)}),
     })
 
 
@@ -205,26 +227,18 @@ def build_phi2_operator(alpha_root, l2) -> DiffOp:
     constant enters as alpha_root^2).
     """
     a, l2 = Fraction(alpha_root), Fraction(l2)
-    q = Fraction(1, 4)
     f0, f2 = Fraction(0), Fraction(2)
     return DiffOp({
         (0, 2): TrigPoly.constant(-1),
         (0, 1): TrigPoly.monomial(1, (f0, f0, -1, 1)),
-        (0, 0): TrigPoly({(f0, f0, -f2, f0): _sq(a),
-                          (f0, f0, f0, -f2): _sq(l2) - q}),
+        (0, 0): TrigPoly({(f0, f0, -f2, f0): a * a,
+                          (f0, f0, f0, -f2): _coupling(l2)}),
     })
 
 
 def hamiltonian_potential(ell: ParamVector) -> TrigPoly:
     """Multiplicative part of the Hamiltonian (its (0,0) coefficient)."""
     return build_hamiltonian(ell).coeff((0, 0))
-
-
-KINETIC = DiffOp({
-    (0, 2): TrigPoly.constant(-1),
-    (0, 1): TrigPoly.monomial(1, (Fraction(0), Fraction(0), -1, 1)),
-    (2, 0): TrigPoly.monomial(-1, (Fraction(0), Fraction(0), Fraction(-2), Fraction(0))),
-})
 
 
 # -- serialization -------------------------------------------------------------

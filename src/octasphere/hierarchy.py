@@ -93,21 +93,32 @@ def jacobi_in_cos2(jp: JacobiPoly, var: int) -> TrigPoly:
 # -- energies --------------------------------------------------------------------
 
 def energy(kind: str, **params) -> Fraction:
-    """Exact spectral values: lambda_m, E_mn, or E_q."""
+    """Exact spectral values: lambda_m, E_mn, or E_q.
+
+    ValueError names a missing parameter (lambda_m needs l0, l1, m; E_mn needs
+    ell, m, n; E_q needs q).
+    """
+    def need(*names):
+        missing = [n for n in names if n not in params]
+        if missing:
+            raise ValueError(f"energy {kind!r} needs parameter {missing[0]!r}")
+        return [params[n] for n in names]
+
     if kind == "lambda_m":
-        l0, l1, m = Fraction(params["l0"]), Fraction(params["l1"]), params["m"]
+        l0, l1, m = need("l0", "l1", "m")
+        l0, l1 = Fraction(l0), Fraction(l1)
         if m < 0:
             raise ValueError("m must be >= 0")
         return (l0 + l1 + 2 * m + 1) ** 2
     if kind == "E_mn":
-        ell = pv(*params["ell"])
-        m, n = params["m"], params["n"]
+        ell, m, n = need("ell", "m", "n")
+        ell = pv(*ell)
         if m < 0 or n < 0:
             raise ValueError("quantum numbers must be >= 0")
         s = ell[0] + ell[1] + ell[2] + 2 * n + 2 * m
         return (s + Fraction(3, 2)) * (s + Fraction(5, 2))
     if kind == "E_q":
-        q = params["q"]
+        (q,) = need("q")
         if q < 0:
             raise ValueError("q must be >= 0")
         return (q + Fraction(3, 2)) * (q + Fraction(5, 2))

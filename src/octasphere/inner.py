@@ -164,14 +164,14 @@ def adjoint_residual(x_name: str, ell, f: TrigPoly, g: TrigPoly) -> float:
     octant boundary (every exponent >= 1/2), so the integration-by-parts
     boundary terms drop.
     """
+    xm = graded(x_name + "-", "corrected")
+    xp = graded(x_name + "+", "corrected")
     if not f or not g:
         return 0.0
     if not (_admissible(f) and _admissible(g)):
         raise ValueError("inadmissible states for the hermiticity pairing")
     from .diffop import pv
     ell = pv(*ell)
-    xm = graded(x_name + "-", "corrected")
-    xp = graded(x_name + "+", "corrected")
     lhs = inner(apply(xm.at(ell), f), g)
     rhs = inner(f, apply(xp.at(xm.target(ell)), g))
     return abs(lhs - rhs)

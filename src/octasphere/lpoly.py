@@ -27,8 +27,15 @@ UNITS: tuple[Mono, ...] = (ZERO, (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def row_at(row: Row, ell: Sequence[Fraction]) -> Fraction:
-    """The affine function c0 + c_l0 l0 + c_l1 l1 + c_l2 l2 at a sector."""
-    return row[0] + row[1] * ell[0] + row[2] * ell[1] + row[3] * ell[2]
+    """The affine function c0 + c_l0 l0 + c_l1 l1 + c_l2 l2 at a sector.
+
+    The sum is formed in ints over a common denominator and normalised once.
+    """
+    num, den = row[0].numerator, row[0].denominator
+    for c, x in zip(row[1:], ell):
+        d = c.denominator * x.denominator
+        num, den = num * d + c.numerator * x.numerator * den, den * d
+    return Fraction(num, den)
 
 
 class LPoly:

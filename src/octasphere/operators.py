@@ -18,6 +18,14 @@ Casimir combinations read left to right without extra index gymnastics.
 `structure_table` forms each commutator once as a polynomial in ell and reads
 its structure constant off it, so the table holds for every ell in Q^3.
 
+Per-sector sweeps meet the same operators many times: a ladder depends on two
+of the three couplings, the Hamiltonian only on their squares, and a tilde
+family is its family at the reflected sector.  Inside `sweep_memo` (entered by
+`suites.run_suite` around each suite) the intertwining verdict and the graded
+product are keyed on the concrete operators (DiffOps hash by value) and decided
+once per distinct key; every sector is still built and looked up.  Outside the
+block nothing is stored.
+
 Constructors return the operator exactly as printed in the source table by
 default.  The corrected variant repairs the two families whose printed +/-
 superscripts are exchanged (the printed B-/C- formulas intertwine in the
@@ -27,16 +35,18 @@ and is established computationally, see `printed_delta_report`.
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 from . import linalg
 from .diffop import (DiffOp, ParamVector, build_hamiltonian,
                      build_phi1_block, compose, is_zero_op, pv)
 from .lpoly import ZERO, LPoly, Mono, Row, UNITS, row_at
 from .trigpoly import (TrigPoly, TrigTerm, coordinate_vectors, is_zero,
-                       normal_form, proportionality)
+                       linear_combine, normal_form, proportionality)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -58,6 +68,11 @@ class Chart:
     def derivative(self, sign: int) -> DiffOp:
         return DiffOp({(1, 0): self.d1_coeff.scale(sign),
                        (0, 1): self.d2_coeff.scale(sign)})
+
+    @functools.cached_property
+    def derivatives(self) -> dict[int, DiffOp]:
+        """derivative(sign) for sign = +1, -1, built once per chart."""
+        return {s: self.derivative(s) for s in (1, -1)}
 
 
 CHART_PHI = Chart(
@@ -112,8 +127,8 @@ class Family:
 
     def multiplier(self, ell: ParamVector) -> TrigPoly:
         """The multiplier at ell, shared by X+ and X- of both variants."""
-        return self.chart.tan.scale(row_at(self.tan_row, ell)) \
-            + self.chart.cot.scale(row_at(self.cot_row, ell))
+        return linear_combine([(row_at(self.tan_row, ell), self.chart.tan),
+                               (row_at(self.cot_row, ell), self.chart.cot)])
 
     def symbolic_multiplier(self) -> LPoly:
         """The multiplier as a polynomial in ell, from the same rows."""
@@ -178,7 +193,42 @@ def build_first_order(name: str, sign: str, ell: ParamVector, *,
         raise ValueError(f"unknown operator name {name!r}")
     fam = FAMILIES[name]
     s = _sgn(sign) * (fam.vector_sign if variant == "printed" else 1)
-    return fam.chart.derivative(s) + DiffOp.multiplication(fam.multiplier(ell))
+    return DiffOp._raw({**fam.chart.derivatives[s]._terms, (0, 0): fam.multiplier(ell)})
+
+
+# -- the sweep memo -----------------------------------------------------------------
+
+# results keyed on operator values; a dict only inside `sweep_memo`
+_memo: dict | None = None
+
+
+@contextmanager
+def sweep_memo() -> Iterator[None]:
+    """Decide each distinct operator identity once within the block.
+
+    Keys are the concrete operators of a computation, never a sector or a
+    name, so a hit stands only for an equal computation.  The entries are
+    dropped when the block exits.
+    """
+    global _memo
+    assert _memo is None, "sweep_memo blocks do not nest"
+    _memo = {}
+    try:
+        yield
+    finally:
+        _memo = None
+
+
+def _memoised(key: Hashable, compute: Callable):
+    """compute(), looked up under `key` while a sweep memo is open."""
+    if _memo is None:
+        return compute()
+    out = _memo.get(key)
+    if out is None:
+        # a new key holds the first instance of each equal operator
+        key = tuple(_memo.setdefault(x, x) if isinstance(x, DiffOp) else x for x in key)
+        out = _memo[key] = compute()
+    return out
 
 
 # -- graded operators -----------------------------------------------------------
@@ -288,7 +338,8 @@ def graded_product(x: GradedOp, y: GradedOp) -> GradedOp:
     shift = tuple(a + b for a, b in zip(x.shift, y.shift))
 
     def factory(ell: ParamVector) -> DiffOp:
-        return compose(x.factory(y.target(ell)), y.factory(ell))
+        a, b = x.factory(y.target(ell)), y.factory(ell)
+        return _memoised(("product", a, b), lambda: compose(a, b))
 
     return GradedOp(name=f"{x.name}*{y.name}", shift=shift, factory=factory,
                     scale=x.scale * y.scale)
@@ -309,15 +360,24 @@ def reflect_conjugate(x: GradedOp, axis: int) -> GradedOp:
 
 # -- intertwining ---------------------------------------------------------------
 
+def _residual(xop: DiffOp, h: DiffOp, h_target: DiffOp) -> DiffOp:
+    return compose(xop, h) - compose(h_target, xop)
+
+
 def intertwine_residual(x: GradedOp, ell: ParamVector) -> DiffOp:
     """X_ell ∘ H_ell - H_(ell+shift) ∘ X_ell; empty iff X intertwines exactly at ell."""
     ell = pv(*ell)
-    xop = x.at(ell)
-    return compose(xop, build_hamiltonian(ell)) - compose(build_hamiltonian(x.target(ell)), xop)
+    return _residual(x.at(ell), build_hamiltonian(ell), build_hamiltonian(x.target(ell)))
 
 
 def is_exact_intertwiner(x: GradedOp, ell: ParamVector) -> bool:
-    return is_zero_op(intertwine_residual(x, ell))
+    """Whether the intertwine residual of X at ell is the zero operator.
+
+    Within a sweep memo the verdict is keyed on (X_ell, H_ell, H_target).
+    """
+    ell = pv(*ell)
+    key = (x.at(ell), build_hamiltonian(ell), build_hamiltonian(x.target(ell)))
+    return _memoised(("intertwine",) + key, lambda: is_zero_op(_residual(*key)))
 
 
 class MultiplierSolveError(ValueError):

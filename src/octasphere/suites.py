@@ -18,7 +18,8 @@ from .operators import (FAMILIES, LADDER_NAMES, TILDE_NAMES, SO6_CONSTANT,
                         SO6_CONSTANT_PRINTED, casimir_identity, constant_part,
                         diagonal, graded, graded_bracket, graded_commutator,
                         intertwine_residual, is_exact_intertwiner, multiplier_ansatz,
-                        printed_delta_report, solve_multiplier, structure_table)
+                        printed_delta_report, solve_multiplier, structure_table,
+                        sweep_memo)
 from .superpotential import (family_multiplier, kinetic_rotation_check, riccati_check,
                              riccati_lambda, simultaneous_superpotentials)
 from .trigpoly import TrigPoly, TrigTerm, frac_to_str, is_zero
@@ -189,13 +190,15 @@ def suite_riccati(rng: int) -> dict:
     r = min(rng, 3)
     sectors = [pv(i, j, k) for i in range(r + 1) for j in range(r + 1) for k in range(r + 1)]
     lam_by_sector = {}
-    ok = True
+    bad = None
     for ell in sectors:
         resid, lam = riccati_check(ell)
-        if resid:
-            ok = False
+        if resid and bad is None:
+            bad = ell
         lam_by_sector[tuple(ell)] = lam
-    checks.append(_check(f"riccati residual exactly zero on {{0..{r}}}^3", ok))
+    detail = {"counterexample": {"sector": [str(x) for x in bad]}} if bad is not None else {}
+    checks.append(_check(f"riccati residual exactly zero on {{0..{r}}}^3", bad is None,
+                         **detail))
 
     lam = riccati_lambda()
     checks.append(_check("lambda_l is an exact polynomial of degree <= 2 for all l in Q^3",
@@ -207,10 +210,12 @@ def suite_riccati(rng: int) -> dict:
     checks.append(_check("raising vector fields close so(3)", kin["so3_closure"],
                          table=kin["commutator_table"]))
 
-    sim_ok = all(all(simultaneous_superpotentials(m, n).values())
-                 for m in range(3) for n in range(3))
+    bad = next(({"m": m, "n": n, "superpotential": key}
+                for m in range(3) for n in range(3)
+                for key, ok in simultaneous_superpotentials(m, n).items() if not ok), None)
+    detail = {"counterexample": bad} if bad is not None else {}
     checks.append(_check("one fundamental state feeds all three superpotentials (m,n <= 2)",
-                         sim_ok))
+                         bad is None, **detail))
 
     rep = _report("riccati", rng, checks, [])
     rep["lambda_samples"] = [{"sector": [str(x) for x in k], "lambda": frac_to_str(v),
@@ -344,15 +349,25 @@ def _report(suite: str, rng: int, checks: list, deltas: list) -> dict:
 
 
 def run_suite(name: str, rng: int) -> dict:
+    """The report of one suite, or of all of them in SUITE_NAMES order.
+
+    Each suite runs inside its own `sweep_memo`, so equal operator identities
+    within a suite are decided once and nothing is kept between suites.
+    """
     fns = {"algebra": suite_algebra, "intertwine": suite_intertwine,
            "casimir": suite_casimir, "riccati": suite_riccati,
            "hermiticity": suite_hermiticity}
+
+    def run(n: str) -> dict:
+        with sweep_memo():
+            return fns[n](rng)
+
     if name == "all":
-        reports = [fns[n](rng) for n in SUITE_NAMES]
+        reports = [run(n) for n in SUITE_NAMES]
         deltas = [d for r in reports for d in r["paper_deltas"]] + spectral_delta_report()
         return {"suite": "all", "range": rng,
                 "passed": all(r["passed"] for r in reports),
                 "suites": reports, "paper_deltas": deltas}
     if name not in fns:
         raise ValueError(f"unknown suite {name!r}")
-    return fns[name](rng)
+    return run(name)

@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from octasphere.diffop import (DiffOp, KINETIC, apply, build_hamiltonian,
                                build_phi1_block, compose, is_zero_op, op_from_obj,
                                op_to_json, pv)
 from octasphere.operators import build_first_order
-from octasphere.trigpoly import COS1, ONE, SIN1, TAN1, TrigPoly, is_zero
+from octasphere.trigpoly import COS1, ONE, SIN1, TAN1, TrigPoly, TrigTerm, is_zero
 
 F = Fraction
 HALF = F(1, 2)
@@ -141,3 +142,63 @@ def test_internal_builds_equal_the_checked_constructor():
         assert all(c for _, c in r.items())
         assert DiffOp(dict(r.items())) == r
     assert not (h - h) and not a.scale(0)
+
+
+# -- hashing and the int-path Hamiltonian ---------------------------------------------
+
+half_ints = st.integers(min_value=-6, max_value=6).map(lambda k: F(k, 2))
+coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+term_lists = st.lists(st.tuples(coeffs, st.tuples(half_ints, half_ints, half_ints, half_ints)),
+                      max_size=4)
+orders = st.sampled_from([(k1, k2) for k1 in range(3) for k2 in range(3 - k1)])
+op_terms = st.dictionaries(orders, term_lists, max_size=4)
+
+
+def _op(terms: dict, reverse: bool) -> DiffOp:
+    """DiffOp of {order: [(coeff, exps)]}, inserting orders and terms in either order."""
+    seq = list(reversed(terms.items())) if reverse else list(terms.items())
+    return DiffOp({k: TrigPoly.from_terms(TrigTerm(c, e) for c, e in (ts[::-1] if reverse else ts))
+                   for k, ts in seq})
+
+
+@settings(max_examples=100, deadline=None)
+@given(op_terms)
+def test_diffop_hash_agrees_with_equality_across_insertion_orders(terms):
+    a, b = _op(terms, False), _op(terms, True)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_unequal_operators_are_distinct_keys():
+    assert len({D1, D2, D1 + D2, D1 + D2.scale(2)}) == 4
+
+
+def _public_hamiltonian(ell) -> DiffOp:
+    """The Hamiltonian written out through the validating public constructors."""
+    l0, l1, l2 = (F(x) for x in ell)
+    q = F(1, 4)
+    return DiffOp({
+        (0, 2): TrigPoly.constant(-1),
+        (0, 1): mono(1, 0, 0, -1, 1),
+        (2, 0): mono(-1, 0, 0, -2, 0),
+        (0, 0): TrigPoly({(0, 0, 0, -2): l2 * l2 - q, (-2, 0, -2, 0): l0 * l0 - q,
+                          (0, -2, -2, 0): l1 * l1 - q}),
+    })
+
+
+rational_sectors = st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=6)] * 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_sectors)
+def test_hamiltonian_builder_matches_the_public_constructor_form(ell):
+    got, want = build_hamiltonian(ell), _public_hamiltonian(ell)
+    assert got == want
+    # the same term order too: application sums coefficients in this order
+    assert [k for k, _ in got.items()] == [k for k, _ in want.items()]
+    assert [e for e, _ in got.coeff((0, 0)).items()] == [e for e, _ in want.coeff((0, 0)).items()]
+
+
+def test_hamiltonian_drops_a_vanishing_potential():
+    assert build_hamiltonian((HALF, -HALF, HALF)) == KINETIC

@@ -176,6 +176,21 @@ def test_energy_values():
     assert energy("E_q", q=1) == F(35, 4)
 
 
+def test_lambda_m_names_its_missing_parameter():
+    with pytest.raises(ValueError, match="'m'"):
+        energy("lambda_m", l0=1, l1=2)
+
+
+def test_E_mn_names_its_missing_parameter():
+    with pytest.raises(ValueError, match="'ell'"):
+        energy("E_mn", m=0, n=0)
+
+
+def test_E_q_names_its_missing_parameter():
+    with pytest.raises(ValueError, match="'q'"):
+        energy("E_q")
+
+
 def test_energy_degeneracy_across_m_n():
     vals = {energy("E_mn", ell=(0, 0, 0), m=m, n=q - m)
             for q in range(5) for m in range(q + 1)}

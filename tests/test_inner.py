@@ -112,6 +112,12 @@ def test_adjoint_residual_zero_state():
     assert adjoint_residual("A", pv(1, 1, 0), TrigPoly.zero(), TrigPoly.zero()) == 0.0
 
 
+def test_adjoint_residual_rejects_an_unknown_family_even_for_a_zero_state():
+    for f in (TrigPoly.zero(), SIN1):
+        with pytest.raises(ValueError, match="unknown ladder family 'Z'"):
+            adjoint_residual("Z", (1, 1, 1), f, f)
+
+
 def test_adjoint_residual_half_exponent_edges():
     # exponent exactly 1/2 at both edges still cancels the boundary terms
     f = TrigPoly.monomial(1, (HALF, HALF, 1, HALF))

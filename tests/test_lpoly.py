@@ -24,6 +24,12 @@ def test_affine_reads_the_row():
         assert p.at(ell) == COS1.scale(row_at(row, ell))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(rationals, rationals, rationals, rationals), sectors)
+def test_row_at_equals_the_fraction_sum(row, ell):
+    assert row_at(row, ell) == row[0] + row[1] * ell[0] + row[2] * ell[1] + row[3] * ell[2]
+
+
 @settings(max_examples=40, deadline=None)
 @given(polys, polys, sectors, st.tuples(*(st.integers(-2, 2),) * 3))
 def test_evaluation_commutes_with_the_operations(p, q, ell, delta):

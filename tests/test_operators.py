@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from octasphere import operators
 from octasphere.diffop import DiffOp, is_zero_op, pv
-from octasphere.operators import (DIAGONALS, LADDER_NAMES, GradedOp, MultiplierSolveError,
+from octasphere.operators import (DIAGONALS, FAMILIES, LADDER_NAMES, TILDES, GradedOp,
+                                  MultiplierSolveError,
                                   build_first_order, casimir_identity, constant_part,
                                   diagonal, graded, graded_bracket, graded_commutator,
                                   intertwine_residual, is_exact_intertwiner,
@@ -124,6 +125,90 @@ def test_printed_B_C_swap_is_the_correction():
             ell = pv(2, -1, 1)
             assert build_first_order(base, sign, ell, variant="corrected") == \
                 build_first_order(base, other, ell, variant="printed")
+
+
+def _public_first_order(name, sign, ell, variant, m, n) -> DiffOp:
+    """The first-order operators written out through the validating public constructors."""
+    s = 1 if sign == "+" else -1
+    l0, l1, l2 = (F(x) for x in ell)
+    if name == "M":
+        alpha = l0 + l1 + 2 * m + n + 1 + (1 if s > 0 else 0)
+        return DiffOp({(0, 1): TrigPoly.constant(s),
+                       (0, 0): mono(-alpha, 0, 0, -1, 1) + mono(l2 + n + HALF, 0, 0, 1, -1)})
+    if name == "A1d":
+        name, l0, l1 = "A", l0 + m, l1 + m
+    ell = [l0, l1, l2]
+    if name in TILDES:
+        name, axis = TILDES[name]
+        ell[axis] = -ell[axis]
+    fam = FAMILIES[name]
+    if variant == "printed":
+        s *= fam.vector_sign
+    tan_c, cot_c = (row[0] + sum(c * x for c, x in zip(row[1:], ell))
+                    for row in (fam.tan_row, fam.cot_row))
+    return DiffOp({(1, 0): fam.chart.d1_coeff.scale(s), (0, 1): fam.chart.d2_coeff.scale(s),
+                   (0, 0): fam.chart.tan.scale(tan_c) + fam.chart.cot.scale(cot_c)})
+
+
+@settings(max_examples=50, deadline=None)
+@given(sectors, st.integers(0, 2), st.integers(0, 2))
+def test_first_order_builder_matches_the_public_constructor_form(ell, m, n):
+    for name in [*FAMILIES, *TILDES, "M", "A1d"]:
+        for sign in "+-":
+            for variant in ("printed", "corrected"):
+                got = build_first_order(name, sign, ell, variant=variant, m=m, n=n)
+                want = _public_first_order(name, sign, ell, variant, m, n)
+                assert got == want, (name, sign, variant)
+                # the same term order too: application sums coefficients in this order
+                assert [k for k, _ in got.items()] == [k for k, _ in want.items()]
+
+
+# -- the sweep memo ---------------------------------------------------------------------
+
+def _count_compose(monkeypatch) -> list:
+    calls, real = [], operators.compose
+    monkeypatch.setattr(operators, "compose", lambda x, y: calls.append(1) or real(x, y))
+    return calls
+
+
+def test_sweep_memo_decides_an_equal_intertwining_once(monkeypatch):
+    calls = _count_compose(monkeypatch)
+    with operators.sweep_memo():
+        assert is_exact_intertwiner(graded("A-"), pv(1, 2, 0))
+        done = len(calls)
+        # At- at (-1, 2, 0) is A- at (1, 2, 0), between the same Hamiltonians
+        assert is_exact_intertwiner(graded("At-"), pv(-1, 2, 0))
+        assert len(calls) == done
+        # a different operator is decided anew
+        assert is_exact_intertwiner(graded("A+"), pv(1, 2, 0))
+        assert len(calls) == done + 2
+        assert operators._memo
+    assert operators._memo is None
+
+
+def test_without_a_sweep_memo_nothing_is_stored(monkeypatch):
+    calls = _count_compose(monkeypatch)
+    for _ in range(2):
+        assert is_exact_intertwiner(graded("A-"), pv(1, 2, 0))
+    assert len(calls) == 4
+    assert operators._memo is None
+
+
+def test_a_misbuilt_tilde_fails_its_own_check_beside_a_passing_family(monkeypatch):
+    # At built at the unreflected sector: the operator of A-, the shift of At-
+    def unreflected(x, axis):
+        return GradedOp(name=x.name, shift=operators._reflect(x.shift, axis),
+                        factory=x.factory, scale=x.scale)
+
+    monkeypatch.setattr(operators, "reflect_conjugate", unreflected)
+    from octasphere import suites
+    checks = {c["name"]: c for c in suites.run_suite("intertwine", 1)["checks"]}
+    for name in ("A-", "A+"):
+        assert checks[f"corrected {name} intertwines exactly on box ±1"]["passed"]
+    for name in ("At-", "At+"):
+        check = checks[f"corrected {name} intertwines exactly on box ±1"]
+        assert not check["passed"]
+        assert check["failures"][0] == ["-1", "-1", "-1"]
 
 
 # -- multiplier solver ---------------------------------------------------------------

@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from octasphere import operators, suites
+from octasphere.trigpoly import SIN1
 
 
 def _check(rep, prefix):
@@ -40,3 +41,45 @@ def test_unclosed_commutators_carry_their_witness(monkeypatch):
     assert not check["passed"]
     assert set(check["witness"]) == set(check["unmatched"])
     assert check["witness"]["B+,C-"] == {"monomial": [0, 0, 1], "terms": 1}
+
+
+def test_failed_riccati_residual_names_the_first_sector(monkeypatch):
+    real = suites.riccati_check
+
+    def broken(ell):
+        resid, lam = real(ell)
+        return (SIN1 if ell in ((0, 1, 0), (1, 1, 1)) else resid), lam
+
+    monkeypatch.setattr(suites, "riccati_check", broken)
+    check = _check(suites.suite_riccati(1), "riccati residual")
+    assert not check["passed"]
+    assert check["counterexample"] == {"sector": ["0", "1", "0"]}
+
+
+def test_failed_simultaneous_superpotential_names_m_n_and_family(monkeypatch):
+    real = suites.simultaneous_superpotentials
+    monkeypatch.setattr(suites, "simultaneous_superpotentials",
+                        lambda m, n: dict(real(m, n), C=(m, n) not in ((1, 0), (2, 2))))
+    check = _check(suites.suite_riccati(1), "one fundamental state")
+    assert not check["passed"]
+    assert check["counterexample"] == {"m": 1, "n": 0, "superpotential": "C"}
+
+
+def test_passing_riccati_report_carries_no_counterexample():
+    assert all("counterexample" not in c for c in suites.suite_riccati(1)["checks"])
+
+
+def test_each_run_suite_call_starts_and_ends_with_an_empty_memo(monkeypatch):
+    calls, real = [], operators.compose
+    monkeypatch.setattr(operators, "compose", lambda x, y: calls.append(1) or real(x, y))
+    counts = []
+    for _ in range(2):
+        before = len(calls)
+        suites.run_suite("casimir", 1)
+        counts.append(len(calls) - before)
+        assert operators._memo is None
+    assert counts[0] == counts[1]
+    # called directly, outside run_suite, the suite decides every product anew
+    before = len(calls)
+    suites.suite_casimir(1)
+    assert len(calls) - before > counts[0]
