@@ -8,9 +8,12 @@ first-order ladder operators).
 
 A DiffOp, like its TrigPoly coefficients, is immutable by convention: nothing
 mutates `_terms` after construction, so operators hash by value and can key a
-memo (see `operators.sweep_memo`).  The sector builders (`build_hamiltonian`,
-and the first-order builders in `operators`) assemble precomputed terms with
-`linear_combine` and `DiffOp._raw`, so no term is re-validated per sector.
+memo (see `operators.sweep_memo`).
+
+The Hamiltonian family is defined once, as the quadratic polynomial in the
+couplings `HAMILTONIAN` (an LPoly); `build_hamiltonian(ell)` is its value at
+one sector, assembled with `linear_combine` and `DiffOp._raw`, so no term is
+re-validated per sector.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+
+from .lpoly import ZERO, LPoly
 from .trigpoly import (PHI1, PHI2, ONE, TrigPoly, differentiate, from_obj,
                        is_zero, linear_combine, obj_field, to_obj)
 
@@ -26,10 +31,13 @@ MAX_ORDER = 4
 ParamVector = tuple[Fraction, Fraction, Fraction]
 
 
-def pv(l0, l1, l2) -> ParamVector:
-    """The sector (l0, l1, l2) as Fractions; Fraction arguments pass unchanged."""
+def pv(*ell) -> ParamVector:
+    """The sector (l0, l1, l2) as Fractions, Fraction arguments unchanged; else ValueError."""
+    if len(ell) != 3:
+        raise ValueError(f"a sector has three couplings (l0, l1, l2), got {len(ell)}")
+    l0, l1, l2 = ell
     if type(l0) is Fraction and type(l1) is Fraction and type(l2) is Fraction:
-        return (l0, l1, l2)
+        return ell
     return (Fraction(l0), Fraction(l1), Fraction(l2))
 
 
@@ -172,52 +180,39 @@ def is_zero_op(op: DiffOp) -> bool:
 
 # -- the Hamiltonian family ---------------------------------------------------
 
-def _coupling(x: Fraction) -> Fraction:
-    """x^2 - 1/4, formed in ints and normalised once."""
-    n, d = x.numerator, x.denominator
-    return Fraction(4 * n * n - d * d, 4 * d * d)
+KINETIC = DiffOp({(0, 2): TrigPoly.constant(-1),
+                  (0, 1): TrigPoly.monomial(1, (0, 0, -1, 1)),
+                  (2, 0): TrigPoly.monomial(-1, (0, 0, -2, 0))})
 
+_QUARTER = Fraction(1, 4)
+_CSC2_2 = TrigPoly.monomial(1, (0, 0, 0, -2))          # csc^2 phi2
+_SEC2_1_SEC2_2 = TrigPoly.monomial(1, (-2, 0, -2, 0))  # sec^2 phi1 sec^2 phi2
+_CSC2_1_SEC2_2 = TrigPoly.monomial(1, (0, -2, -2, 0))  # csc^2 phi1 sec^2 phi2
 
-KINETIC = DiffOp({
-    (0, 2): TrigPoly.constant(-1),
-    (0, 1): TrigPoly.monomial(1, (Fraction(0), Fraction(0), -1, 1)),
-    (2, 0): TrigPoly.monomial(-1, (Fraction(0), Fraction(0), Fraction(-2), Fraction(0))),
+# -d2^2 + tan(phi2) d2 + (l2^2-1/4) csc^2 phi2
+#     + sec^2 phi2 [ -d1^2 + (l0^2-1/4) sec^2 phi1 + (l1^2-1/4) csc^2 phi1 ]
+# as one polynomial in ell; the constant monomial comes first, so the value at
+# a sector keeps this term order
+HAMILTONIAN = LPoly(DiffOp, {
+    ZERO: KINETIC + DiffOp.multiplication(linear_combine(
+        [(-_QUARTER, p) for p in (_CSC2_2, _SEC2_1_SEC2_2, _CSC2_1_SEC2_2)])),
+    (2, 0, 0): DiffOp.multiplication(_SEC2_1_SEC2_2),
+    (0, 2, 0): DiffOp.multiplication(_CSC2_1_SEC2_2),
+    (0, 0, 2): DiffOp.multiplication(_CSC2_2),
 })
-
-# the inverse-square potential sum_i (l_i^2 - 1/4) * monomial_i, as
-# (coupling index i, exponents of monomial_i)
-_F0, _F2 = Fraction(0), Fraction(2)
-POTENTIAL_MONOMIALS = (
-    (2, (_F0, _F0, _F0, -_F2)),      # csc^2 phi2
-    (0, (-_F2, _F0, -_F2, _F0)),     # sec^2 phi1 sec^2 phi2
-    (1, (_F0, -_F2, -_F2, _F0)),     # csc^2 phi1 sec^2 phi2
-)
-_POTENTIAL = tuple((i, TrigPoly.monomial(1, e)) for i, e in POTENTIAL_MONOMIALS)
 
 
 def build_hamiltonian(ell: ParamVector) -> DiffOp:
-    """Separated two-sphere Hamiltonian at parameters (l0, l1, l2).
-
-    -d2^2 + tan(phi2) d2 + (l2^2-1/4) csc^2 phi2
-        + sec^2 phi2 [ -d1^2 + (l0^2-1/4) sec^2 phi1 + (l1^2-1/4) csc^2 phi1 ]
-
-    The kinetic terms are shared with KINETIC; only the potential is formed
-    per sector.
-    """
-    ell = pv(*ell)
-    potential = linear_combine([(_coupling(ell[i]), mono) for i, mono in _POTENTIAL])
-    return DiffOp._raw({**KINETIC._terms, (0, 0): potential})
+    """Separated two-sphere Hamiltonian at parameters (l0, l1, l2): HAMILTONIAN there."""
+    return HAMILTONIAN.at(ell)
 
 
 def build_phi1_block(l0, l1) -> DiffOp:
     """One-dimensional block -d1^2 + (l0^2-1/4) sec^2 phi1 + (l1^2-1/4) csc^2 phi1."""
     l0, l1 = Fraction(l0), Fraction(l1)
-    f0, f2 = Fraction(0), Fraction(2)
-    return DiffOp({
-        (2, 0): TrigPoly.constant(-1),
-        (0, 0): TrigPoly({(-f2, f0, f0, f0): _coupling(l0),
-                          (f0, -f2, f0, f0): _coupling(l1)}),
-    })
+    return DiffOp({(2, 0): TrigPoly.constant(-1),
+                   (0, 0): TrigPoly({(-2, 0, 0, 0): l0 * l0 - _QUARTER,
+                                     (0, -2, 0, 0): l1 * l1 - _QUARTER})})
 
 
 def build_phi2_operator(alpha_root, l2) -> DiffOp:
@@ -227,13 +222,9 @@ def build_phi2_operator(alpha_root, l2) -> DiffOp:
     constant enters as alpha_root^2).
     """
     a, l2 = Fraction(alpha_root), Fraction(l2)
-    f0, f2 = Fraction(0), Fraction(2)
-    return DiffOp({
-        (0, 2): TrigPoly.constant(-1),
-        (0, 1): TrigPoly.monomial(1, (f0, f0, -1, 1)),
-        (0, 0): TrigPoly({(f0, f0, -f2, f0): a * a,
-                          (f0, f0, f0, -f2): _coupling(l2)}),
-    })
+    return DiffOp({(0, 2): TrigPoly.constant(-1),
+                   (0, 1): TrigPoly.monomial(1, (0, 0, -1, 1)),
+                   (0, 0): TrigPoly({(0, 0, -2, 0): a * a, (0, 0, 0, -2): l2 * l2 - _QUARTER})})
 
 
 def hamiltonian_potential(ell: ParamVector) -> TrigPoly:
@@ -258,7 +249,7 @@ def op_from_obj(obj: dict) -> tuple[DiffOp, tuple[int, int, int]]:
             raise ValueError(f"malformed derivative order {order!r}")
         terms[tuple(order)] = from_obj(obj_field(t, "coeff", dict))
     shift = obj.get("shift", [0, 0, 0])
-    if not isinstance(shift, list):
+    if not isinstance(shift, list) or len(shift) != 3 or not all(type(k) is int for k in shift):
         raise ValueError(f"malformed shift {shift!r}")
     return DiffOp(terms), tuple(shift)
 

@@ -2,13 +2,15 @@
 
     LPoly ~ dict[(i, j, k) -> coeff]   meaning   sum coeff * l0^i l1^j l2^k
 
-The coefficients are DiffOps or TrigPolys (`kind`).  The ladder multipliers
-are affine in ell, so every product, commutator and potential identity built
-from them is a polynomial in ell of low degree.  Distinct monomials in ell are
-linearly independent functions of ell, so such an identity holds for every
-ell in Q^3 exactly when each of its coefficients is the zero function, and a
-constant of the identity (a structure constant, the Riccati lambda) is read
-off coefficient by coefficient.
+The coefficients are DiffOps or TrigPolys (`kind`).  Each ladder and the
+Hamiltonian is one such polynomial (`operators.symbolic`, `diffop.HAMILTONIAN`),
+and its operator on a sector is its value there (`at`).  The ladders are affine
+in ell, so every product, commutator and potential identity built from them is
+a polynomial in ell of low degree.  Distinct monomials in ell are linearly
+independent functions of ell, so such an identity holds for every ell in Q^3
+exactly when each of its coefficients is the zero function, and a constant of
+the identity (a structure constant, the Riccati lambda) is read off
+coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .trigpoly import TrigPoly, linear_combine
+
 Mono = tuple[int, int, int]
 Row = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -26,13 +30,20 @@ ZERO: Mono = (0, 0, 0)
 UNITS: tuple[Mono, ...] = (ZERO, (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def _sector(ell: Sequence) -> list[Fraction]:
+    """ell as three rationals; ValueError unless it has three components."""
+    if len(ell) != 3:
+        raise ValueError(f"a sector has three couplings (l0, l1, l2), got {len(ell)}")
+    return [x if type(x) is Fraction else Fraction(x) for x in ell]
+
+
 def row_at(row: Row, ell: Sequence[Fraction]) -> Fraction:
     """The affine function c0 + c_l0 l0 + c_l1 l1 + c_l2 l2 at a sector.
 
     The sum is formed in ints over a common denominator and normalised once.
     """
     num, den = row[0].numerator, row[0].denominator
-    for c, x in zip(row[1:], ell):
+    for c, x in zip(row[1:], _sector(ell)):
         d = c.denominator * x.denominator
         num, den = num * d + c.numerator * x.numerator * den, den * d
     return Fraction(num, den)
@@ -91,20 +102,36 @@ class LPoly:
         return LPoly(other.kind, acc)
 
     def at(self, ell: Sequence[Fraction]):
-        """The coefficient-kind value at one sector."""
-        out = self.kind.zero()
-        for m, c in self._terms.items():
-            w = math.prod(Fraction(x) ** k for x, k in zip(ell, m))
-            if w:
-                out = out + c.scale(w)
-        return out
+        """The coefficient-kind value at one sector, in the stored term order: one
+        `linear_combine` per derivative order, with int weights l0^i l1^j l2^k at an
+        integer sector; an order made of one coefficient of weight 1 is that coefficient."""
+        (n0, d0), (n1, d1), (n2, d2) = ((x.numerator, x.denominator) for x in _sector(ell))
+        pairs = []
+        for (i, j, k), c in self._terms.items():
+            num, den = n0 ** i * n1 ** j * n2 ** k, d0 ** i * d1 ** j * d2 ** k
+            pairs.append((num if den == 1 else Fraction(num, den), c))
+        if self.kind is TrigPoly:
+            return linear_combine(pairs)
+        orders: dict = {}
+        for w, op in pairs:
+            for order, p in op.items():
+                orders.setdefault(order, []).append((w, p))
+        return self.kind._raw({o: ps[0][1] if len(ps) == 1 and ps[0][0] == 1 else linear_combine(ps)
+                               for o, ps in orders.items()})
+
+    def reflect(self, axis: int) -> "LPoly":
+        """The polynomial at ell with l_axis -> -l_axis."""
+        if axis not in (0, 1, 2):
+            raise ValueError("axis must be 0, 1 or 2")
+        return LPoly(self.kind, {m: -c if m[axis] % 2 else c for m, c in self._terms.items()})
 
     def shift(self, delta: Sequence[int]) -> "LPoly":
         """The polynomial at ell + delta: l^k -> sum_j C(k, j) delta^(k-j) l^j per coupling."""
+        delta = _sector(delta)
         acc: dict = {}
         for m, c in self._terms.items():
             for j in itertools.product(*(range(k + 1) for k in m)):
-                w = math.prod(math.comb(k, i) * Fraction(d) ** (k - i)
+                w = math.prod(math.comb(k, i) * d ** (k - i)
                               for k, i, d in zip(m, j, delta))
                 if w:
                     v = c.scale(w)

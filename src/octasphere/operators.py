@@ -5,15 +5,16 @@ pair of first-order intertwiners built from the chart's azimuthal derivative
 plus tan/cot multipliers; expressed in the base coordinates (phi1, phi2) these
 are the A, B, C families, one row each of the table FAMILIES.  The tan/cot
 coefficients and the diagonal generators are affine rows (c0, c_l0, c_l1, c_l2)
-in the couplings ell; per-sector operators evaluate the rows, and `symbolic`
-reads the same rows into one polynomial in ell (an LPoly).  The tilde
-families At, Bt, Ct are the same rows under a parameter reflection
-l_i -> -l_i (TILDES), which maps intertwiners to intertwiners because the
-Hamiltonian depends on the parameters only through their squares.  A GradedOp
-bundles a parameter shift with a factory producing the concrete operator on
-each sector; the factory always returns the operator *acting on* the
-requested sector, and graded_product composes two of them, so commutators and
-Casimir combinations read left to right without extra index gymnastics.
+in the couplings ell.  Each ladder X± is defined once, as a polynomial in ell
+(an LPoly, `symbolic`) read off the rows and kept on its family; the tilde
+families At, Bt, Ct are those polynomials under a parameter reflection
+l_i -> -l_i (TILDES, `LPoly.reflect`), which maps intertwiners to intertwiners
+because the Hamiltonian depends on the parameters only through their squares.
+Each per-sector operator is the value of its polynomial.  A GradedOp bundles a
+parameter shift with a factory producing the concrete operator on each sector;
+the factory always returns the operator *acting on* the requested sector, and
+graded_product composes two of them, so commutators and Casimir combinations
+read left to right without extra index gymnastics.
 
 `structure_table` forms each commutator once as a polynomial in ell and reads
 its structure constant off it, so the table holds for every ell in Q^3.
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import functools
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterator, Sequence
 
@@ -45,8 +46,8 @@ from . import linalg
 from .diffop import (DiffOp, ParamVector, build_hamiltonian,
                      build_phi1_block, compose, is_zero_op, pv)
 from .lpoly import ZERO, LPoly, Mono, Row, UNITS, row_at
-from .trigpoly import (TrigPoly, TrigTerm, coordinate_vectors, is_zero,
-                       linear_combine, normal_form, proportionality)
+from .trigpoly import (TrigPoly, TrigTerm, coordinate_vectors, is_zero, normal_form,
+                       proportionality)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -68,11 +69,6 @@ class Chart:
     def derivative(self, sign: int) -> DiffOp:
         return DiffOp({(1, 0): self.d1_coeff.scale(sign),
                        (0, 1): self.d2_coeff.scale(sign)})
-
-    @functools.cached_property
-    def derivatives(self) -> dict[int, DiffOp]:
-        """derivative(sign) for sign = +1, -1, built once per chart."""
-        return {s: self.derivative(s) for s in (1, -1)}
 
 
 CHART_PHI = Chart(
@@ -125,15 +121,25 @@ class Family:
     cot_row: Row
     shift: Shift
 
-    def multiplier(self, ell: ParamVector) -> TrigPoly:
-        """The multiplier at ell, shared by X+ and X- of both variants."""
-        return linear_combine([(row_at(self.tan_row, ell), self.chart.tan),
-                               (row_at(self.cot_row, ell), self.chart.cot)])
-
+    @functools.cached_property
     def symbolic_multiplier(self) -> LPoly:
-        """The multiplier as a polynomial in ell, from the same rows."""
+        """The multiplier as a polynomial in ell, shared by X+ and X- of both variants."""
         return LPoly.affine(self.tan_row, self.chart.tan) \
             + LPoly.affine(self.cot_row, self.chart.cot)
+
+    @functools.cached_property
+    def ladders(self) -> dict[tuple[str, str], tuple[LPoly, Shift]]:
+        """(sign, variant) -> X± as a polynomial in ell, and its shift: X- acts on
+        ell as the table formula at ell, X+ as the formula at its target ell - shift."""
+        mult = self.symbolic_multiplier.map(DiffOp.multiplication, DiffOp)
+        up = tuple(-d for d in self.shift)
+        out = {}
+        for sign in "-+":
+            for variant in ("printed", "corrected"):
+                s = _sgn(sign) * (self.vector_sign if variant == "printed" else 1)
+                op = LPoly(DiffOp, {ZERO: self.chart.derivative(s)}) + mult
+                out[sign, variant] = (op, self.shift) if sign == "-" else (op.shift(up), up)
+        return out
 
 
 FAMILIES: dict[str, Family] = {
@@ -175,9 +181,8 @@ def build_first_order(name: str, sign: str, ell: ParamVector, *,
     """Concrete first-order operator at a sector.
 
     name in {A, B, C, At, Bt, Ct, M, A1d}; variant in {printed, corrected}.
-    A, B, C are rows of FAMILIES and a tilde family is its family at the
-    reflected sector (TILDES).  A1d is A at (l0+m, l1+m, l2); M is the phi2
-    chain member selected by m and n.
+    A, B, C and the tilde families are table formulas, values of `symbolic`.
+    A1d is A at (l0+m, l1+m, l2); M is the phi2 chain member selected by m and n.
     """
     if variant not in ("printed", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -186,14 +191,9 @@ def build_first_order(name: str, sign: str, ell: ParamVector, *,
         return printed_M(sign, ell, m=m, n=n)
     if name == "A1d":
         name, ell = "A", (ell[0] + m, ell[1] + m, ell[2])
-    if name in TILDES:
-        name, axis = TILDES[name]
-        ell = _reflect(ell, axis)
-    if name not in FAMILIES:
-        raise ValueError(f"unknown operator name {name!r}")
-    fam = FAMILIES[name]
-    s = _sgn(sign) * (fam.vector_sign if variant == "printed" else 1)
-    return DiffOp._raw({**fam.chart.derivatives[s]._terms, (0, 0): fam.multiplier(ell)})
+    op, shift = _ladder(name + sign, variant)
+    # X+ acts as the formula at its target, so the formula at ell is X+ on ell - shift
+    return op.at(ell if sign == "-" else tuple(x - d for x, d in zip(ell, shift)))
 
 
 # -- the sweep memo -----------------------------------------------------------------
@@ -257,45 +257,32 @@ class GradedOp:
         return tuple(e + s for e, s in zip(ell, self.shift))
 
 
-def graded(name: str, variant: str = "corrected") -> GradedOp:
-    """Global ladder operator, e.g. graded('A-') or graded('B+', 'printed').
-
-    X- acts on ell as the table formula at ell, X+ as the formula at its
-    target sector; a tilde family is the reflection of its family.
-    """
-    base, sign = name[:-1], name[-1:]
-    if base in TILDES:
-        fam, axis = TILDES[base]
-        return replace(reflect_conjugate(graded(fam + sign, variant), axis), name=name)
+def _ladder(name: str, variant: str) -> tuple[LPoly, Shift]:
+    """X± of a family or tilde family as a polynomial in ell, and its shift."""
+    base, axis = TILDES.get(name[:-1], (name[:-1], None))
     if base not in FAMILIES:
-        raise ValueError(f"unknown ladder family {base!r}")
-    dm = FAMILIES[base].shift
-    if sign == "-":
-        return GradedOp(name, dm, lambda ell: build_first_order(base, "-", ell, variant=variant))
-    if sign == "+":
-        plus = GradedOp(name, tuple(-d for d in dm), lambda ell: build_first_order(
-            base, "+", plus.target(ell), variant=variant))
-        return plus
-    raise ValueError(f"ladder name must end in '+' or '-': {name!r}")
+        raise ValueError(f"unknown ladder family {name[:-1]!r}")
+    if (name[-1:], variant) not in FAMILIES[base].ladders:
+        raise ValueError(f"no ladder {name!r} in variant {variant!r}")
+    op, shift = FAMILIES[base].ladders[name[-1:], variant]
+    return (op, shift) if axis is None else (op.reflect(axis), _reflect(shift, axis))
+
+
+def symbolic(name: str, variant: str = "corrected") -> LPoly:
+    """The ladder X± of a family, or of a tilde family (its family's under
+    `LPoly.reflect`), as one polynomial in ell; unscaled, like `GradedOp.at`."""
+    return _ladder(name, variant)[0]
+
+
+def graded(name: str, variant: str = "corrected") -> GradedOp:
+    """Global ladder operator, e.g. graded('A-') or graded('B+', 'printed'):
+    the value of `symbolic(name, variant)` at each sector, with its shift."""
+    op, shift = _ladder(name, variant)
+    return GradedOp(name, shift, op.at)
 
 
 LADDER_NAMES = [f + s for f in FAMILIES for s in "-+"]
 TILDE_NAMES = [t + s for t in TILDES for s in "-+"]
-
-
-def symbolic(name: str) -> LPoly:
-    """The corrected ladder X± of an A, B or C family as one polynomial in ell.
-
-    Unscaled, like `GradedOp.at`: symbolic(name).at(ell) == graded(name).at(ell)
-    at every sector, and X+ is the formula at its target sector, ell + shift.
-    """
-    base, sign = name[:-1], name[-1:]
-    if base not in FAMILIES:
-        raise ValueError(f"no symbolic ladder {name!r}")
-    fam = FAMILIES[base]
-    op = LPoly(DiffOp, {ZERO: fam.chart.derivative(_sgn(sign))}) \
-        + fam.symbolic_multiplier().map(DiffOp.multiplication, DiffOp)
-    return op if sign == "-" else op.shift(tuple(-d for d in fam.shift))
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,7 @@ def suite_riccati(rng: int) -> dict:
         resid, lam = riccati_check(ell)
         if resid and bad is None:
             bad = ell
-        lam_by_sector[tuple(ell)] = lam
+        lam_by_sector[tuple(ell)] = lam, not resid
     detail = {"counterexample": {"sector": [str(x) for x in bad]}} if bad is not None else {}
     checks.append(_check(f"riccati residual exactly zero on {{0..{r}}}^3", bad is None,
                          **detail))
@@ -219,8 +219,8 @@ def suite_riccati(rng: int) -> dict:
 
     rep = _report("riccati", rng, checks, [])
     rep["lambda_samples"] = [{"sector": [str(x) for x in k], "lambda": frac_to_str(v),
-                              "riccati_residual_zero": True}
-                             for k, v in sorted(lam_by_sector.items())[:8]]
+                              "riccati_residual_zero": ok}
+                             for k, (v, ok) in sorted(lam_by_sector.items())[:8]]
     return rep
 
 

@@ -7,7 +7,8 @@ the potential up to a sector constant -- the two-variable analogue of the
 Riccati equation.  This module computes all of that exactly and reports the
 sign conventions it finds.  `riccati_check` solves the identity at one
 sector; `riccati_lambda` reads the constant lambda(ell) off the same identity
-written as one polynomial in ell, so it holds for every ell in Q^3.
+written as one polynomial in ell (the potential read from
+`diffop.HAMILTONIAN`), so it holds for every ell in Q^3.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .diffop import (DiffOp, KINETIC, POTENTIAL_MONOMIALS, apply, compose,
-                     hamiltonian_potential, is_zero_op, pv)
-from .lpoly import ZERO, LPoly, Mono
-from .operators import FAMILIES
+from .diffop import (DiffOp, HAMILTONIAN, KINETIC, apply, compose, hamiltonian_potential,
+                     is_zero_op, pv)
+from .lpoly import Mono
+from .operators import FAMILIES, match_constant_multiple
 from .trigpoly import (ONE, TrigPoly, TrigTerm, divide_by_monomial, is_zero, mul,
                        proportionality)
 
@@ -57,7 +58,7 @@ def family_vectors() -> dict[str, DiffOp]:
 
 def family_multiplier(name: str, ell) -> TrigPoly:
     """The shared multiplier w of the corrected pair X^± at a sector."""
-    return FAMILIES[name].multiplier(pv(*ell))
+    return FAMILIES[name].symbolic_multiplier.at(pv(*ell))
 
 
 def riccati_check(ell) -> tuple[TrigPoly, Fraction]:
@@ -89,15 +90,10 @@ def riccati_lambda() -> dict[Mono, Fraction] | None:
     constant function.  Returns {exponent-triple: coeff} over the nonzero
     coefficients, or None if some coefficient is not constant.
     """
-    quarter = Fraction(1, 4)
-    diff = LPoly(TrigPoly)
-    for i, exps in POTENTIAL_MONOMIALS:
-        mono = TrigPoly.monomial(1, exps)
-        diff = diff + LPoly(TrigPoly, {tuple(2 if k == i else 0 for k in range(3)): mono,
-                                       ZERO: mono.scale(-quarter)})
+    diff = HAMILTONIAN.map(lambda op: op.coeff((0, 0)), TrigPoly)
     vecs = family_vectors()
     for name, fam in FAMILIES.items():
-        w = fam.symbolic_multiplier()
+        w = fam.symbolic_multiplier
         diff = diff - w.product(w, mul) - w.map(partial(apply, vecs[name]))
     lam = {}
     for m, p in diff.items():
@@ -132,11 +128,9 @@ def kinetic_rotation_check() -> dict:
             comm = compose(vecs[xn], vecs[yn]) - compose(vecs[yn], vecs[xn])
             entry = None
             for zn in names:
-                for sign in (1, -1):
-                    if is_zero_op(comm - vecs[zn].scale(sign)):
-                        entry = ("+" if sign > 0 else "-") + zn.lower() + "+"
-                        break
-                if entry:
+                c = match_constant_multiple(comm, vecs[zn])
+                if c in (1, -1):
+                    entry = ("+" if c > 0 else "-") + zn.lower() + "+"
                     break
             if entry is None:
                 closure_ok = False

@@ -1,11 +1,12 @@
-"""The benchmark's tracer looks up octasphere functions by name; keep them there."""
+"""The benchmark reaches octasphere functions by name; keep them there, with their answers."""
 
 import importlib
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
-LAYERTRACE = Path(__file__).resolve().parent.parent / "bench" / "layertrace.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+LAYERTRACE = BENCH / "layertrace.py"
 
 
 def _layertrace():
@@ -47,3 +48,18 @@ def test_bench_readers_keep_their_shapes():
     assert callable(TrigPoly.__dict__["scale"])
     t = TrigTerm(Fraction(1), (Fraction(1, 2), 1, 0, Fraction(3, 2)))
     assert mono_inner(t, t) > 0
+
+
+def test_bench_workloads_reach_the_program(monkeypatch):
+    # bench/workloads.py calls operators.build_first_order("M", ...),
+    # hierarchy.ladder_build, proportionality, inner.gram and more through module
+    # attributes; one small case of each closed_forms step, with its known answer
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    c, state = workloads._phi1(0, 0, 2)
+    assert c is not None and c != 0 and state
+    c = workloads._phi2(0, 0, 0, 0, 2)
+    assert c is not None and c != 0
+    assert max(workloads._orthogonality((0, 0, 0))) <= 1e-10
+    (rank, _, _), states = workloads._gram(1)
+    assert rank == 4 and len(states) == 4

@@ -126,6 +126,11 @@ def test_op_from_obj_zero_denominator_raises_value_error():
     {"terms": [{"order": [0, 0]}]},                      # a term without "coeff"
     {"terms": [{"order": [0], "coeff": {"terms": []}}]},  # an order of one variable
     [1],                                                  # not an object
+    {"terms": [], "shift": [1]},                          # a shift of one coupling
+    {"terms": [], "shift": [0, 0, 0, 0]},                 # a shift of four couplings
+    {"terms": [], "shift": [0, "1", 0]},                  # a shift entry that is no int
+    {"terms": [], "shift": [0, 1.0, 0]},
+    {"terms": [], "shift": "000"},                        # a shift that is no list
 ])
 def test_op_from_obj_malformed_raises_value_error(obj):
     with pytest.raises(ValueError):
@@ -202,3 +207,11 @@ def test_hamiltonian_builder_matches_the_public_constructor_form(ell):
 
 def test_hamiltonian_drops_a_vanishing_potential():
     assert build_hamiltonian((HALF, -HALF, HALF)) == KINETIC
+
+
+def test_a_sector_without_three_couplings_is_rejected():
+    for ell in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError):
+            pv(*ell)
+        with pytest.raises(ValueError):
+            build_hamiltonian(ell)

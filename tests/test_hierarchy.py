@@ -191,6 +191,11 @@ def test_E_q_names_its_missing_parameter():
         energy("E_q")
 
 
+def test_E_mn_rejects_a_sector_without_three_couplings():
+    with pytest.raises(ValueError):
+        energy("E_mn", ell=(1, 2), m=0, n=0)
+
+
 def test_energy_degeneracy_across_m_n():
     vals = {energy("E_mn", ell=(0, 0, 0), m=m, n=q - m)
             for q in range(5) for m in range(q + 1)}

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from octasphere.diffop import DiffOp, compose
@@ -53,3 +54,28 @@ def test_shift_expands_binomially():
     p = LPoly(TrigPoly, {(2, 0, 0): COS1}).shift((2, 0, 0))
     assert dict(p.items()) == {(0, 0, 0): COS1.scale(4), (1, 0, 0): COS1.scale(4),
                                (2, 0, 0): COS1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys, sectors, st.integers(0, 2))
+def test_reflect_is_an_involution_evaluated_at_the_reflected_sector(p, ell, axis):
+    assert p.reflect(axis).reflect(axis).items() == p.items()
+    mirrored = tuple(-x if i == axis else x for i, x in enumerate(ell))
+    assert p.reflect(axis).at(ell) == p.at(mirrored)
+
+
+def test_reflect_rejects_an_axis_outside_the_couplings():
+    with pytest.raises(ValueError):
+        LPoly(TrigPoly, {(1, 0, 0): COS1}).reflect(3)
+
+
+def test_a_sector_without_three_couplings_is_rejected():
+    row = (F(0), F(1), F(1), F(1))
+    p = LPoly(TrigPoly, {(1, 1, 1): COS1})
+    for ell in ((F(1), F(1)), (F(1),) * 4):
+        with pytest.raises(ValueError):
+            row_at(row, ell)
+        with pytest.raises(ValueError):
+            p.at(ell)
+        with pytest.raises(ValueError):
+            p.shift(ell)

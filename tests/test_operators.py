@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from octasphere import operators
 from octasphere.diffop import DiffOp, is_zero_op, pv
-from octasphere.operators import (DIAGONALS, FAMILIES, LADDER_NAMES, TILDES, GradedOp,
-                                  MultiplierSolveError,
+from octasphere.lpoly import LPoly
+from octasphere.operators import (DIAGONALS, FAMILIES, LADDER_NAMES, TILDE_NAMES, TILDES,
+                                  GradedOp, MultiplierSolveError,
                                   build_first_order, casimir_identity, constant_part,
                                   diagonal, graded, graded_bracket, graded_commutator,
                                   intertwine_residual, is_exact_intertwiner,
@@ -73,7 +74,7 @@ def test_graded_rejects_malformed_names(name):
         graded(name)
 
 
-@pytest.mark.parametrize("name", ["", "At-", "M+", "A"])
+@pytest.mark.parametrize("name", ["", "M+", "A"])
 def test_symbolic_rejects_non_family_names(name):
     with pytest.raises(ValueError):
         symbolic(name)
@@ -87,8 +88,25 @@ sectors = st.tuples(rationals, rationals, rationals)
 @settings(max_examples=25, deadline=None)
 @given(sectors)
 def test_symbolic_ladders_evaluate_to_the_sector_operators(ell):
-    for name in LADDER_NAMES:
-        assert symbolic(name).at(ell) == graded(name).at(ell), name
+    # against the operators written out independently: X- is the table formula
+    # at ell, X+ the formula at its target sector
+    for name in [*LADDER_NAMES, *TILDE_NAMES]:
+        for variant in ("printed", "corrected"):
+            op = graded(name, variant)
+            got = symbolic(name, variant).at(ell)
+            assert got == op.at(ell), (name, variant)
+            at = ell if name[-1] == "-" else op.target(ell)
+            want = _public_first_order(name[:-1], name[-1], at, variant, 0, 0)
+            assert got == want, (name, variant)
+            assert [k for k, _ in got.items()] == [k for k, _ in want.items()]
+
+
+def test_a_sector_without_three_couplings_is_rejected():
+    for name in ("A-", "Bt+"):
+        with pytest.raises(ValueError):
+            graded(name).at((1, 2))
+    with pytest.raises(ValueError):
+        build_first_order("A", "-", (1, 2, 3, 4))
 
 
 # -- intertwining -----------------------------------------------------------------
@@ -195,12 +213,9 @@ def test_without_a_sweep_memo_nothing_is_stored(monkeypatch):
 
 
 def test_a_misbuilt_tilde_fails_its_own_check_beside_a_passing_family(monkeypatch):
-    # At built at the unreflected sector: the operator of A-, the shift of At-
-    def unreflected(x, axis):
-        return GradedOp(name=x.name, shift=operators._reflect(x.shift, axis),
-                        factory=x.factory, scale=x.scale)
-
-    monkeypatch.setattr(operators, "reflect_conjugate", unreflected)
+    # At built without the reflection of its polynomial: the operator of A-,
+    # the shift of At-
+    monkeypatch.setattr(LPoly, "reflect", lambda self, axis: self)
     from octasphere import suites
     checks = {c["name"]: c for c in suites.run_suite("intertwine", 1)["checks"]}
     for name in ("A-", "A+"):

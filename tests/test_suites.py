@@ -56,6 +56,20 @@ def test_failed_riccati_residual_names_the_first_sector(monkeypatch):
     assert check["counterexample"] == {"sector": ["0", "1", "0"]}
 
 
+def test_riccati_samples_take_their_flag_from_the_residual(monkeypatch):
+    real = suites.riccati_check
+
+    def broken(ell):
+        resid, lam = real(ell)
+        return (SIN1 if ell == (0, 1, 0) else resid), lam
+
+    monkeypatch.setattr(suites, "riccati_check", broken)
+    samples = {tuple(s["sector"]): s["riccati_residual_zero"]
+               for s in suites.suite_riccati(1)["lambda_samples"]}
+    assert samples.pop(("0", "1", "0")) is False
+    assert samples and all(ok is True for ok in samples.values())
+
+
 def test_failed_simultaneous_superpotential_names_m_n_and_family(monkeypatch):
     real = suites.simultaneous_superpotentials
     monkeypatch.setattr(suites, "simultaneous_superpotentials",

@@ -123,6 +123,11 @@ def test_symbolic_lambda_matches_the_sector_check(ell):
     assert not resid and value == _evaluate(riccati_lambda(), ell)
 
 
+def test_riccati_check_rejects_a_sector_without_three_couplings():
+    with pytest.raises(ValueError):
+        riccati_check((1, 2))
+
+
 def test_lambda_of_broken_multiplier_is_none(monkeypatch):
     # an extra l2 cot(phi1) term in A's multiplier leaves a non-constant residual
     from dataclasses import replace
