@@ -14,8 +14,7 @@ from .hierarchy import (IurLattice, JacobiPoly, StateRecord, closed_form_state,
 from .inner import GramReport, adjoint_residual, gram, inner, mono_inner, norm
 from .operators import (DiagonalOp, GradedOp, build_first_order, casimir_identity,
                         diagonal, graded, graded_commutator, intertwine_residual,
-                        is_exact_intertwiner, reflect_conjugate, solve_multiplier,
-                        structure_table)
+                        is_exact_intertwiner, solve_multiplier, structure_table)
 from .superpotential import (decompose, kinetic_rotation_check, riccati_check,
                              superpot_from_state)
 from .trigpoly import (TrigPoly, TrigTerm, differentiate, divide_by_monomial,

@@ -11,9 +11,11 @@ mutates `_terms` after construction, so operators hash by value and can key a
 memo (see `operators.sweep_memo`).
 
 The Hamiltonian family is defined once, as the quadratic polynomial in the
-couplings `HAMILTONIAN` (an LPoly); `build_hamiltonian(ell)` is its value at
-one sector, assembled with `linear_combine` and `DiffOp._raw`, so no term is
-re-validated per sector.
+couplings `HAMILTONIAN` (an LPoly), assembled from its separated blocks
+H = PHI2_BLOCK + sec^2 phi2 PHI1_BLOCK, each inverse-square term written by
+one coupling rule; `build_hamiltonian(ell)`, `build_phi1_block` and
+`build_phi2_operator` are values of these polynomials, assembled with
+`linear_combine` and `DiffOp._raw`, so no term is re-validated per sector.
 """
 
 from __future__ import annotations
@@ -22,23 +24,11 @@ import json
 import math
 from fractions import Fraction
 
-from .lpoly import ZERO, LPoly
-from .trigpoly import (PHI1, PHI2, ONE, TrigPoly, differentiate, from_obj,
-                       is_zero, linear_combine, obj_field, to_obj)
+from .lpoly import ZERO, LPoly, ParamVector, pv  # noqa: F401  (pv re-exported)
+from .trigpoly import (PHI1, PHI2, ONE, TrigPoly, differentiate, from_obj, is_zero,
+                       obj_field, to_obj)
 
 MAX_ORDER = 4
-
-ParamVector = tuple[Fraction, Fraction, Fraction]
-
-
-def pv(*ell) -> ParamVector:
-    """The sector (l0, l1, l2) as Fractions, Fraction arguments unchanged; else ValueError."""
-    if len(ell) != 3:
-        raise ValueError(f"a sector has three couplings (l0, l1, l2), got {len(ell)}")
-    l0, l1, l2 = ell
-    if type(l0) is Fraction and type(l1) is Fraction and type(l2) is Fraction:
-        return ell
-    return (Fraction(l0), Fraction(l1), Fraction(l2))
 
 
 class DiffOp:
@@ -184,22 +174,36 @@ KINETIC = DiffOp({(0, 2): TrigPoly.constant(-1),
                   (0, 1): TrigPoly.monomial(1, (0, 0, -1, 1)),
                   (2, 0): TrigPoly.monomial(-1, (0, 0, -2, 0))})
 
-_QUARTER = Fraction(1, 4)
-_CSC2_2 = TrigPoly.monomial(1, (0, 0, 0, -2))          # csc^2 phi2
-_SEC2_1_SEC2_2 = TrigPoly.monomial(1, (-2, 0, -2, 0))  # sec^2 phi1 sec^2 phi2
-_CSC2_1_SEC2_2 = TrigPoly.monomial(1, (0, -2, -2, 0))  # csc^2 phi1 sec^2 phi2
+_SEC2_2 = TrigPoly.monomial(1, (0, 0, -2, 0))  # sec^2 phi2
 
-# -d2^2 + tan(phi2) d2 + (l2^2-1/4) csc^2 phi2
-#     + sec^2 phi2 [ -d1^2 + (l0^2-1/4) sec^2 phi1 + (l1^2-1/4) csc^2 phi1 ]
-# as one polynomial in ell; the constant monomial comes first, so the value at
-# a sector keeps this term order
-HAMILTONIAN = LPoly(DiffOp, {
-    ZERO: KINETIC + DiffOp.multiplication(linear_combine(
-        [(-_QUARTER, p) for p in (_CSC2_2, _SEC2_1_SEC2_2, _CSC2_1_SEC2_2)])),
-    (2, 0, 0): DiffOp.multiplication(_SEC2_1_SEC2_2),
-    (0, 2, 0): DiffOp.multiplication(_CSC2_1_SEC2_2),
-    (0, 0, 2): DiffOp.multiplication(_CSC2_2),
-})
+
+def _inverse_square(axis: int, f: TrigPoly) -> LPoly:
+    """The coupling (l_axis^2 - 1/4) f of an inverse-square potential term."""
+    square = tuple(2 if i == axis else 0 for i in range(3))
+    return LPoly(DiffOp, {square: DiffOp.multiplication(f),
+                          ZERO: DiffOp.multiplication(f.scale(Fraction(-1, 4)))})
+
+
+def _potential_last(op: DiffOp) -> DiffOp:
+    """op with its derivative terms first, in their order, and its potential last."""
+    return DiffOp._raw(dict(sorted(op.items(), key=lambda t: t[0] == (0, 0))))
+
+
+# -d1^2 + (l0^2-1/4) sec^2 phi1 + (l1^2-1/4) csc^2 phi1
+PHI1_BLOCK = LPoly(DiffOp, {ZERO: DiffOp({(2, 0): TrigPoly.constant(-1)})}) \
+    + _inverse_square(0, TrigPoly.monomial(1, (-2, 0, 0, 0))) \
+    + _inverse_square(1, TrigPoly.monomial(1, (0, -2, 0, 0)))
+
+# -d2^2 + tan phi2 d2 + (l2^2-1/4) csc^2 phi2
+PHI2_BLOCK = LPoly(DiffOp, {ZERO: DiffOp({(0, 2): TrigPoly.constant(-1),
+                                          (0, 1): TrigPoly.monomial(1, (0, 0, -1, 1))})}) \
+    + _inverse_square(2, TrigPoly.monomial(1, (0, 0, 0, -2)))
+
+# H = PHI2_BLOCK + sec^2 phi2 PHI1_BLOCK, one quadratic polynomial in ell.  Its
+# constant coefficient lists the derivative terms before the potential, and the
+# value at a sector keeps that term order (application sums terms in stored order).
+HAMILTONIAN = (PHI2_BLOCK + LPoly(DiffOp, {ZERO: DiffOp.multiplication(_SEC2_2)})
+               .product(PHI1_BLOCK, compose)).map(_potential_last)
 
 
 def build_hamiltonian(ell: ParamVector) -> DiffOp:
@@ -209,10 +213,7 @@ def build_hamiltonian(ell: ParamVector) -> DiffOp:
 
 def build_phi1_block(l0, l1) -> DiffOp:
     """One-dimensional block -d1^2 + (l0^2-1/4) sec^2 phi1 + (l1^2-1/4) csc^2 phi1."""
-    l0, l1 = Fraction(l0), Fraction(l1)
-    return DiffOp({(2, 0): TrigPoly.constant(-1),
-                   (0, 0): TrigPoly({(-2, 0, 0, 0): l0 * l0 - _QUARTER,
-                                     (0, -2, 0, 0): l1 * l1 - _QUARTER})})
+    return PHI1_BLOCK.at((l0, l1, 0))
 
 
 def build_phi2_operator(alpha_root, l2) -> DiffOp:
@@ -221,15 +222,8 @@ def build_phi2_operator(alpha_root, l2) -> DiffOp:
     alpha_root is the square root of the sec^2 coupling (the separation
     constant enters as alpha_root^2).
     """
-    a, l2 = Fraction(alpha_root), Fraction(l2)
-    return DiffOp({(0, 2): TrigPoly.constant(-1),
-                   (0, 1): TrigPoly.monomial(1, (0, 0, -1, 1)),
-                   (0, 0): TrigPoly({(0, 0, -2, 0): a * a, (0, 0, 0, -2): l2 * l2 - _QUARTER})})
-
-
-def hamiltonian_potential(ell: ParamVector) -> TrigPoly:
-    """Multiplicative part of the Hamiltonian (its (0,0) coefficient)."""
-    return build_hamiltonian(ell).coeff((0, 0))
+    alpha_sq = Fraction(alpha_root) ** 2
+    return PHI2_BLOCK.at((0, 0, l2)) + DiffOp.multiplication(_SEC2_2.scale(alpha_sq))
 
 
 # -- serialization -------------------------------------------------------------

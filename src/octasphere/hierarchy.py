@@ -326,7 +326,8 @@ def iur_lattice(algebra: str, label) -> IurLattice:
                     counts[pt] = counts.get(pt, 0) + 1
         points = tuple(sorted((pt, mult) for pt, mult in counts.items()))
         dim = sum(counts.values())
-        assert dim == u3_dimension(m, n)
+        if dim != u3_dimension(m, n):
+            raise AssertionError(f"u(3) lattice ({m},{n}) has dimension {dim}")
         return IurLattice("u3", (m, n), points, dim)
     if algebra == "so4":
         (n,) = label if isinstance(label, (tuple, list)) else (label,)
@@ -349,7 +350,8 @@ def iur_lattice(algebra: str, label) -> IurLattice:
                         counts[(l0, l1, l2)] = t + 1
         points = tuple(sorted(counts.items()))
         dim = sum(counts.values())
-        assert dim == so6_dimension(q)
+        if dim != so6_dimension(q):
+            raise AssertionError(f"so(6) lattice q={q} has dimension {dim}")
         return IurLattice("so6", (q,), points, dim)
     raise ValueError(f"unknown algebra {algebra!r}")
 
@@ -362,7 +364,8 @@ def iso_energy_decomposition(q: int) -> list[dict]:
     for m in range(q + 1):
         n = q - m
         out.append({"m": m, "n": n, "dimension": (m + 1) * (n + 1) * (q + 2) // 2})
-    assert sum(r["dimension"] for r in out) == so6_dimension(q)
+    if sum(r["dimension"] for r in out) != so6_dimension(q):
+        raise AssertionError(f"q={q}: u(3) dimensions do not sum to the so(6) dimension")
     return out
 
 

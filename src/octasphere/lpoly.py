@@ -24,17 +24,21 @@ from .trigpoly import TrigPoly, linear_combine
 
 Mono = tuple[int, int, int]
 Row = tuple[Fraction, Fraction, Fraction, Fraction]
+ParamVector = tuple[Fraction, Fraction, Fraction]
 
 ZERO: Mono = (0, 0, 0)
 # the monomials of an affine row (c0, c_l0, c_l1, c_l2)
 UNITS: tuple[Mono, ...] = (ZERO, (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _sector(ell: Sequence) -> list[Fraction]:
-    """ell as three rationals; ValueError unless it has three components."""
+def pv(*ell) -> ParamVector:
+    """The sector (l0, l1, l2) as Fractions, Fraction arguments unchanged; else ValueError."""
     if len(ell) != 3:
         raise ValueError(f"a sector has three couplings (l0, l1, l2), got {len(ell)}")
-    return [x if type(x) is Fraction else Fraction(x) for x in ell]
+    l0, l1, l2 = ell
+    if type(l0) is Fraction and type(l1) is Fraction and type(l2) is Fraction:
+        return ell
+    return (Fraction(l0), Fraction(l1), Fraction(l2))
 
 
 def row_at(row: Row, ell: Sequence[Fraction]) -> Fraction:
@@ -43,7 +47,7 @@ def row_at(row: Row, ell: Sequence[Fraction]) -> Fraction:
     The sum is formed in ints over a common denominator and normalised once.
     """
     num, den = row[0].numerator, row[0].denominator
-    for c, x in zip(row[1:], _sector(ell)):
+    for c, x in zip(row[1:], pv(*ell)):
         d = c.denominator * x.denominator
         num, den = num * d + c.numerator * x.numerator * den, den * d
     return Fraction(num, den)
@@ -55,8 +59,13 @@ class LPoly:
     __slots__ = ("kind", "_terms")
 
     def __init__(self, kind: type, terms: dict | None = None):
+        terms = terms or {}
+        for m in terms:
+            if type(m) is not tuple or len(m) != 3 \
+                    or any(type(k) is not int or k < 0 for k in m):
+                raise ValueError(f"a monomial is three non-negative int exponents, got {m!r}")
         self.kind = kind
-        self._terms = {m: c for m, c in (terms or {}).items() if c}
+        self._terms = {m: c for m, c in terms.items() if c}
 
     @staticmethod
     def affine(row: Row, coeff) -> "LPoly":
@@ -105,7 +114,7 @@ class LPoly:
         """The coefficient-kind value at one sector, in the stored term order: one
         `linear_combine` per derivative order, with int weights l0^i l1^j l2^k at an
         integer sector; an order made of one coefficient of weight 1 is that coefficient."""
-        (n0, d0), (n1, d1), (n2, d2) = ((x.numerator, x.denominator) for x in _sector(ell))
+        (n0, d0), (n1, d1), (n2, d2) = ((x.numerator, x.denominator) for x in pv(*ell))
         pairs = []
         for (i, j, k), c in self._terms.items():
             num, den = n0 ** i * n1 ** j * n2 ** k, d0 ** i * d1 ** j * d2 ** k
@@ -127,7 +136,7 @@ class LPoly:
 
     def shift(self, delta: Sequence[int]) -> "LPoly":
         """The polynomial at ell + delta: l^k -> sum_j C(k, j) delta^(k-j) l^j per coupling."""
-        delta = _sector(delta)
+        delta = pv(*delta)
         acc: dict = {}
         for m, c in self._terms.items():
             for j in itertools.product(*(range(k + 1) for k in m)):

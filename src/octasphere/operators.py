@@ -211,7 +211,8 @@ def sweep_memo() -> Iterator[None]:
     dropped when the block exits.
     """
     global _memo
-    assert _memo is None, "sweep_memo blocks do not nest"
+    if _memo is not None:
+        raise AssertionError("sweep_memo blocks do not nest")
     _memo = {}
     try:
         yield
@@ -330,19 +331,6 @@ def graded_product(x: GradedOp, y: GradedOp) -> GradedOp:
 
     return GradedOp(name=f"{x.name}*{y.name}", shift=shift, factory=factory,
                     scale=x.scale * y.scale)
-
-
-def reflect_conjugate(x: GradedOp, axis: int) -> GradedOp:
-    """Conjugation by the parameter reflection I_axis.
-
-    The factory is evaluated at the reflected sector and the shift component
-    along the axis is negated; exact intertwiners stay exact because the
-    Hamiltonian depends on the parameters only through their squares.
-    """
-    if axis not in (0, 1, 2):
-        raise ValueError("axis must be 0, 1 or 2")
-    return GradedOp(name=f"I{axis}({x.name})", shift=_reflect(x.shift, axis),
-                    factory=lambda ell: x.factory(_reflect(ell, axis)), scale=x.scale)
 
 
 # -- intertwining ---------------------------------------------------------------
@@ -614,7 +602,8 @@ def printed_delta_report(ell: ParamVector = pv(1, 1, 1)) -> list[dict]:
             corrected = graded(name, "corrected")
             if is_exact_intertwiner(printed, ell):
                 continue
-            assert is_exact_intertwiner(corrected, ell)
+            if not is_exact_intertwiner(corrected, ell):
+                raise AssertionError(f"corrected {name} fails to intertwine at {ell}")
             deltas.append({
                 "operator": name,
                 "issue": "printed +/- superscripts intertwine in the opposite direction",

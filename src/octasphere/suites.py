@@ -17,11 +17,10 @@ from .inner import (adjoint_residual, inner, mono_inner, mono_inner_quadrature,
 from .operators import (FAMILIES, LADDER_NAMES, TILDE_NAMES, SO6_CONSTANT,
                         SO6_CONSTANT_PRINTED, casimir_identity, constant_part,
                         diagonal, graded, graded_bracket, graded_commutator,
-                        intertwine_residual, is_exact_intertwiner, multiplier_ansatz,
-                        printed_delta_report, solve_multiplier, structure_table,
-                        sweep_memo)
-from .superpotential import (family_multiplier, kinetic_rotation_check, riccati_check,
-                             riccati_lambda, simultaneous_superpotentials)
+                        is_exact_intertwiner, multiplier_ansatz, printed_delta_report,
+                        solve_multiplier, structure_table, sweep_memo)
+from .superpotential import (decompose, family_multiplier, kinetic_rotation_check,
+                             riccati_check, riccati_lambda, simultaneous_superpotentials)
 from .trigpoly import TrigPoly, TrigTerm, frac_to_str, is_zero
 
 SUITE_NAMES = ["algebra", "intertwine", "casimir", "riccati", "hermiticity"]
@@ -56,19 +55,19 @@ def suite_intertwine(rng: int) -> dict:
         checks.append(_check(f"corrected {name} intertwines exactly on box ±{rng}",
                              not bad, failures=[[str(x) for x in s] for s in bad[:3]]))
 
-    # printed audit: B/C printed superscripts intertwine the wrong way
+    # printed audit: B/C printed superscripts intertwine the wrong way, as decided
+    # by the delta report at (1,1,1)
+    deltas = printed_delta_report()
+    failing = {d["operator"] for d in deltas}
     for name in ("B-", "B+", "C-", "C+"):
-        printed = graded(name, "printed")
-        ell = pv(1, 1, 1)
-        resid = intertwine_residual(printed, ell)
         checks.append(_check(f"printed {name} fails its claimed direction at (1,1,1)",
-                             not is_zero_op(resid)))
+                             name in failing))
 
     # the multiplier solver reproduces every corrected multiplier from scratch
     for fam in FAMILIES:
         op = graded(fam + "-", "corrected")
         for ell in (pv(1, 2, 0), pv(1, 1, 1), pv(2, 0, 1)):
-            vector = DiffOp({k: c for k, c in op.at(ell).items() if k != (0, 0)})
+            vector, _ = decompose(op.at(ell))
             got = solve_multiplier(vector, op.shift, multiplier_ansatz(fam), ell)
             want = family_multiplier(fam, ell)
             checks.append(_check(
@@ -82,7 +81,6 @@ def suite_intertwine(rng: int) -> dict:
     checks.append(_check("A- and C- annihilate u(3) fundamental states, m,n <= 4",
                          bad is None, **_counterexample(bad)))
 
-    deltas = printed_delta_report()
     return _report("intertwine", rng, checks, deltas)
 
 
@@ -301,7 +299,8 @@ def spectral_delta_report() -> list[dict]:
     # figure-caption energies vs the exact spectrum
     st1 = ground_state("so6_odd", (1,))
     st3 = ground_state("so6_odd", (3,))
-    assert st1.energy == Fraction(35, 4) and st3.energy == Fraction(99, 4)
+    if (st1.energy, st3.energy) != (Fraction(35, 4), Fraction(99, 4)):
+        raise AssertionError(f"so(6) ground energies {st1.energy}, {st3.energy}")
     deltas.append({
         "entry": "figure-1 caption energies",
         "printed": "E = 5/2 * 3/2 for q=1 and E = 7/2 * 5/2 for q=3",
@@ -316,9 +315,9 @@ def spectral_delta_report() -> list[dict]:
     bad = f_part * phi2_closed_form((0, 0, 0), 0, 1, printed_parameter=True)
     h = build_hamiltonian(pv(0, 0, 0))
     e = energy("E_mn", ell=(0, 0, 0), m=0, n=1)
-    printed_fails = not is_zero(apply(h, bad) - bad.scale(e))
-    good = closed_form_state("separated_2d", ((0, 0, 0), 0, 1))  # construction verifies
-    assert printed_fails and good is not None
+    if is_zero(apply(h, bad) - bad.scale(e)):
+        raise AssertionError("the printed phi2 Jacobi parameter solves the eigenvalue equation")
+    closed_form_state("separated_2d", ((0, 0, 0), 0, 1))  # construction verifies it exactly
     deltas.append({
         "entry": "phi2 Jacobi parameter in the separated eigenfunctions",
         "printed": "P_n^(l2+1/2, l0+l1+2m+1)(cos 2 phi2)",
@@ -331,7 +330,8 @@ def spectral_delta_report() -> list[dict]:
     from .operators import build_first_order
     g0 = _monomial_state(1, 0, 0, 2, Fraction(5, 2))  # l=(0,0,1), m=0, n=1 reading
     mm = build_first_order("M", "-", pv(0, 0, 1), m=0, n=1)
-    assert is_zero(apply(mm, g0))
+    if not is_zero(apply(mm, g0)):
+        raise AssertionError("M- does not annihilate the phi2 chain fundamental state")
     deltas.append({
         "entry": "phi2 chain fundamental-state cosine exponent",
         "printed": "cos^(l1+l0 phi2+2m+1) (garbled)",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .diffop import (DiffOp, HAMILTONIAN, KINETIC, apply, compose, hamiltonian_potential,
+from .diffop import (DiffOp, HAMILTONIAN, KINETIC, apply, build_hamiltonian, compose,
                      is_zero_op, pv)
 from .lpoly import Mono
 from .operators import FAMILIES, match_constant_multiple
@@ -69,7 +69,7 @@ def riccati_check(ell) -> tuple[TrigPoly, Fraction]:
     constant.  A nonzero residual is the failure signal.
     """
     ell = pv(*ell)
-    v = hamiltonian_potential(ell)
+    v = build_hamiltonian(ell).coeff((0, 0))
     vecs = family_vectors()
     comb = TrigPoly.zero()
     for name in FAMILIES:

@@ -79,3 +79,10 @@ def test_a_sector_without_three_couplings_is_rejected():
             p.at(ell)
         with pytest.raises(ValueError):
             p.shift(ell)
+
+
+@pytest.mark.parametrize("mono", [(-1, 0, 0), (1, 0), (0, 0, 0, 0), (1.0, 0, 0), (True, 0, 0)])
+def test_a_monomial_that_is_not_three_non_negative_ints_is_rejected(mono):
+    # a negative exponent would make shift drop the term and at divide by zero
+    with pytest.raises(ValueError):
+        LPoly(TrigPoly, {mono: COS1})

@@ -16,8 +16,8 @@ from octasphere.operators import (DIAGONALS, FAMILIES, LADDER_NAMES, TILDE_NAMES
                                   diagonal, graded, graded_bracket, graded_commutator,
                                   intertwine_residual, is_exact_intertwiner,
                                   match_constant_multiple, multiplier_ansatz,
-                                  printed_delta_report, reflect_conjugate,
-                                  solve_multiplier, structure_table, symbolic)
+                                  printed_delta_report, solve_multiplier, structure_table,
+                                  symbolic)
 from octasphere.trigpoly import COS1, ONE, SIN1, TrigPoly, TrigTerm, is_zero
 
 F = Fraction
@@ -266,8 +266,23 @@ def test_solver_inconsistent_system_fails():
 
 # -- reflections -----------------------------------------------------------------------
 
+def _mirror(v, axis):
+    return tuple(-x if i == axis else x for i, x in enumerate(v))
+
+
+def _reflected(name, axis, times=1):
+    """graded(name) conjugated by l_axis -> -l_axis: its polynomial under
+    `LPoly.reflect`, and its shift with the axis component negated."""
+    poly, shift = symbolic(name), graded(name).shift
+    for _ in range(times):
+        poly, shift = poly.reflect(axis), _mirror(shift, axis)
+    return GradedOp(f"I{axis}({name})", shift, poly.at)
+
+
 def test_reflect_A_matches_printed_tilde():
-    refl = reflect_conjugate(graded("A-"), 0)
+    # At- written out from its printed formula (TILDE_PINS) at (1, 2, 0)
+    refl = _reflected("A-", 0)
+    assert refl.at(pv(1, 2, 0)) == TILDE_PINS[0][-1]
     for ell in (pv(1, 2, 0), pv(-1, 3, 2)):
         assert refl.at(ell) == build_first_order("At", "-", ell)
     assert refl.shift == (-1, 1, 0)
@@ -339,19 +354,26 @@ def test_lowering_shifts_match_the_paper_table():
 
 def test_reflect_is_involution():
     op = graded("B+")
-    twice = reflect_conjugate(reflect_conjugate(op, 1), 1)
+    twice = _reflected("B+", 1, times=2)
+    assert symbolic("B+").reflect(1).reflect(1).items() == symbolic("B+").items()
     for ell in (pv(1, 1, 1), pv(0, -2, 3)):
         assert twice.at(ell) == op.at(ell)
     assert twice.shift == op.shift
 
 
 def test_reflect_shift_rule():
-    assert reflect_conjugate(graded("C-"), 1).shift == (0, 1, 1)
+    assert _reflected("C-", 1).shift == (0, 1, 1)
+    # each tilde ladder shifts as its family's reflected, in both variants
+    for tilde, (base, axis) in TILDES.items():
+        for sign in "-+":
+            for variant in ("printed", "corrected"):
+                assert graded(tilde + sign, variant).shift \
+                    == _mirror(graded(base + sign, variant).shift, axis)
 
 
 def test_reflect_preserves_intertwining():
     for axis in (0, 1, 2):
-        refl = reflect_conjugate(graded("C-"), axis)
+        refl = _reflected("C-", axis)
         for ell in (pv(1, 1, 1), pv(2, 0, -1)):
             assert is_exact_intertwiner(refl, ell)
 
@@ -359,8 +381,8 @@ def test_reflect_preserves_intertwining():
 def test_reflection_fixes_untouched_families():
     # I0 leaves C alone; I2 leaves A alone
     for ell in (pv(1, 2, 3), pv(-1, 0, 2)):
-        assert reflect_conjugate(graded("C-"), 0).at(ell) == graded("C-").at(ell)
-        assert reflect_conjugate(graded("A+"), 2).at(ell) == graded("A+").at(ell)
+        assert _reflected("C-", 0).at(ell) == graded("C-").at(ell)
+        assert _reflected("A+", 2).at(ell) == graded("A+").at(ell)
 
 
 # -- commutators --------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Verification reports: a failing check names its first counterexample."""
 
+import ast
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
+import octasphere
 from octasphere import operators, suites
 from octasphere.trigpoly import SIN1
 
@@ -97,3 +100,21 @@ def test_each_run_suite_call_starts_and_ends_with_an_empty_memo(monkeypatch):
     before = len(calls)
     suites.suite_casimir(1)
     assert len(calls) - before > counts[0]
+
+
+def test_the_printed_audit_checks_read_the_delta_report(monkeypatch):
+    # the four printed B/C checks follow the verdicts printed_delta_report records
+    only_b_minus = [d for d in operators.printed_delta_report() if d["operator"] == "B-"]
+    monkeypatch.setattr(suites, "printed_delta_report", lambda: only_b_minus)
+    rep = suites.suite_intertwine(0)
+    verdicts = {n: _check(rep, f"printed {n} fails")["passed"] for n in ("B-", "B+", "C-", "C+")}
+    assert verdicts == {"B-": True, "B+": False, "C-": False, "C+": False}
+    assert rep["paper_deltas"] == only_b_minus
+
+
+def test_no_check_in_the_package_is_a_bare_assert():
+    # python -O strips assert statements, and a report must not claim what it skipped
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(octasphere.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
