@@ -7,8 +7,8 @@ capped at 4, which covers every workflow here (quadratic Casimir elements of
 first-order ladder operators).
 
 A DiffOp, like its TrigPoly coefficients, is immutable by convention: nothing
-mutates `_terms` after construction, so operators hash by value and can key a
-memo (see `operators.sweep_memo`).
+mutates `_terms` after construction.  Equality is structural (equal
+coefficients at equal orders); operators are not hashable.
 
 The Hamiltonian family is defined once, as the quadratic polynomial in the
 couplings `HAMILTONIAN` (an LPoly), assembled from its separated blocks
@@ -24,7 +24,7 @@ import json
 import math
 from fractions import Fraction
 
-from .lpoly import ZERO, LPoly, ParamVector, pv  # noqa: F401  (pv re-exported)
+from .lpoly import ZERO, LPoly, ParamVector, coupling, pv  # noqa: F401  (pv re-exported)
 from .trigpoly import (PHI1, PHI2, ONE, TrigPoly, differentiate, from_obj, is_zero,
                        obj_field, to_obj)
 
@@ -35,7 +35,7 @@ class DiffOp:
     """Finite sum of (TrigPoly coefficient) * (mixed partial derivative).
 
     Immutable by convention; equal operators (equal coefficients at equal
-    orders, in any insertion order) are `==` and hash alike.
+    orders, in any insertion order) are `==`.
     """
 
     __slots__ = ("_terms",)
@@ -90,9 +90,6 @@ class DiffOp:
         if not isinstance(other, DiffOp):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
         if not self._terms:
@@ -222,7 +219,7 @@ def build_phi2_operator(alpha_root, l2) -> DiffOp:
     alpha_root is the square root of the sec^2 coupling (the separation
     constant enters as alpha_root^2).
     """
-    alpha_sq = Fraction(alpha_root) ** 2
+    alpha_sq = coupling(alpha_root) ** 2
     return PHI2_BLOCK.at((0, 0, l2)) + DiffOp.multiplication(_SEC2_2.scale(alpha_sq))
 
 

@@ -31,6 +31,14 @@ ZERO: Mono = (0, 0, 0)
 UNITS: tuple[Mono, ...] = (ZERO, (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def coupling(x) -> Fraction:
+    """One coupling as a Fraction; ValueError if it is not a finite rational."""
+    try:
+        return Fraction(x)
+    except OverflowError:
+        raise ValueError(f"a coupling must be finite, got {x!r}") from None
+
+
 def pv(*ell) -> ParamVector:
     """The sector (l0, l1, l2) as Fractions, Fraction arguments unchanged; else ValueError."""
     if len(ell) != 3:
@@ -38,7 +46,7 @@ def pv(*ell) -> ParamVector:
     l0, l1, l2 = ell
     if type(l0) is Fraction and type(l1) is Fraction and type(l2) is Fraction:
         return ell
-    return (Fraction(l0), Fraction(l1), Fraction(l2))
+    return (coupling(l0), coupling(l1), coupling(l2))
 
 
 def row_at(row: Row, ell: Sequence[Fraction]) -> Fraction:

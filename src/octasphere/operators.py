@@ -10,22 +10,21 @@ in the couplings ell.  Each ladder X± is defined once, as a polynomial in ell
 families At, Bt, Ct are those polynomials under a parameter reflection
 l_i -> -l_i (TILDES, `LPoly.reflect`), which maps intertwiners to intertwiners
 because the Hamiltonian depends on the parameters only through their squares.
-Each per-sector operator is the value of its polynomial.  A GradedOp bundles a
-parameter shift with a factory producing the concrete operator on each sector;
-the factory always returns the operator *acting on* the requested sector, and
-graded_product composes two of them, so commutators and Casimir combinations
-read left to right without extra index gymnastics.
+Each per-sector operator is the value of its polynomial.  A GradedOp is such a
+polynomial with its parameter shift and scale; its value at ell is the
+operator *acting on* sector ell, and graded_product composes two of them as
+polynomials, so commutators and Casimir combinations read left to right
+without extra index gymnastics.
 
-`structure_table` forms each commutator once as a polynomial in ell and reads
-its structure constant off it, so the table holds for every ell in Q^3.
-
-Per-sector sweeps meet the same operators many times: a ladder depends on two
-of the three couplings, the Hamiltonian only on their squares, and a tilde
-family is its family at the reflected sector.  Inside `sweep_memo` (entered by
-`suites.run_suite` around each suite) the intertwining verdict and the graded
-product are keyed on the concrete operators (DiffOps hash by value) and decided
-once per distinct key; every sector is still built and looked up.  Outside the
-block nothing is stored.
+Every operator identity is formed once as a polynomial in ell and decided
+coefficient by coefficient, so it holds for every ell in Q^3: the intertwining
+of a ladder with H (`intertwine_identity`), the structure table
+(`structure_table`), the Casimir residuals (`casimir_residual`) and the
+brackets behind the Jacobi identity (`graded_bracket`).  `residual_witness`
+names the first ell-monomial where such an identity fails.  The per-sector
+compositions (`intertwine_residual`, `is_exact_intertwiner`,
+`graded_commutator`) compose the concrete operators at one sector and are the
+reference the identities are checked against.
 
 Constructors return the operator exactly as printed in the source table by
 default.  The corrected variant repairs the two families whose printed +/-
@@ -37,14 +36,13 @@ and is established computationally, see `printed_delta_report`.
 from __future__ import annotations
 
 import functools
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Sequence
 
 from . import linalg
-from .diffop import (DiffOp, ParamVector, build_hamiltonian,
-                     build_phi1_block, compose, is_zero_op, pv)
+from .diffop import (HAMILTONIAN, PHI1_BLOCK, DiffOp, ParamVector, build_hamiltonian,
+                     compose, is_zero_op, pv)
 from .lpoly import ZERO, LPoly, Mono, Row, UNITS, row_at
 from .trigpoly import (TrigPoly, TrigTerm, coordinate_vectors, is_zero, normal_form,
                        proportionality)
@@ -196,62 +194,31 @@ def build_first_order(name: str, sign: str, ell: ParamVector, *,
     return op.at(ell if sign == "-" else tuple(x - d for x, d in zip(ell, shift)))
 
 
-# -- the sweep memo -----------------------------------------------------------------
-
-# results keyed on operator values; a dict only inside `sweep_memo`
-_memo: dict | None = None
-
-
-@contextmanager
-def sweep_memo() -> Iterator[None]:
-    """Decide each distinct operator identity once within the block.
-
-    Keys are the concrete operators of a computation, never a sector or a
-    name, so a hit stands only for an equal computation.  The entries are
-    dropped when the block exits.
-    """
-    global _memo
-    if _memo is not None:
-        raise AssertionError("sweep_memo blocks do not nest")
-    _memo = {}
-    try:
-        yield
-    finally:
-        _memo = None
-
-
-def _memoised(key: Hashable, compute: Callable):
-    """compute(), looked up under `key` while a sweep memo is open."""
-    if _memo is None:
-        return compute()
-    out = _memo.get(key)
-    if out is None:
-        # a new key holds the first instance of each equal operator
-        key = tuple(_memo.setdefault(x, x) if isinstance(x, DiffOp) else x for x in key)
-        out = _memo[key] = compute()
-    return out
-
-
 # -- graded operators -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class GradedOp:
-    """A parameter shift plus a per-sector factory.
+    """An operator as a polynomial in ell, with its parameter shift.
 
-    factory(ell) is the operator *acting on* sector ell (so the raising member
-    of a pair instantiates the printed formula at ell - shift of its partner);
-    the global normalization of the ladder convention lives in `scale`.
+    at(ell), the value of `poly` at ell, is the operator *acting on* sector ell
+    (so the raising member of a pair is the printed formula at ell - shift of
+    its partner); the global normalization of the ladder convention lives in
+    `scale`.
     """
     name: str
     shift: Shift
-    factory: Callable[[ParamVector], DiffOp]
+    poly: LPoly
     scale: Fraction = HALF
 
     def at(self, ell: ParamVector) -> DiffOp:
-        return self.factory(pv(*ell))
+        return self.poly.at(ell)
 
     def scaled_at(self, ell: ParamVector) -> DiffOp:
         return self.at(ell).scale(self.scale)
+
+    def scaled(self) -> LPoly:
+        """The polynomial with the scale inside."""
+        return self.poly.scale(self.scale)
 
     def target(self, ell: ParamVector) -> ParamVector:
         """The sector this operator maps ell to."""
@@ -279,7 +246,7 @@ def graded(name: str, variant: str = "corrected") -> GradedOp:
     """Global ladder operator, e.g. graded('A-') or graded('B+', 'printed'):
     the value of `symbolic(name, variant)` at each sector, with its shift."""
     op, shift = _ladder(name, variant)
-    return GradedOp(name, shift, op.at)
+    return GradedOp(name, shift, op)
 
 
 LADDER_NAMES = [f + s for f in FAMILIES for s in "-+"]
@@ -322,37 +289,43 @@ DIAGONAL_NAMES = ["A", "B", "C"]
 
 
 def graded_product(x: GradedOp, y: GradedOp) -> GradedOp:
-    """Composite ladder operator X∘Y (e.g. the two-unit shifts A^± At^±)."""
+    """Composite ladder operator X∘Y (e.g. the two-unit shifts A^± At^±): X at
+    the target of Y composed with Y, as a polynomial in ell."""
     shift = tuple(a + b for a, b in zip(x.shift, y.shift))
+    return GradedOp(f"{x.name}*{y.name}", shift,
+                    x.poly.shift(y.shift).product(y.poly, compose), x.scale * y.scale)
 
-    def factory(ell: ParamVector) -> DiffOp:
-        a, b = x.factory(y.target(ell)), y.factory(ell)
-        return _memoised(("product", a, b), lambda: compose(a, b))
 
-    return GradedOp(name=f"{x.name}*{y.name}", shift=shift, factory=factory,
-                    scale=x.scale * y.scale)
+def residual_witness(poly: LPoly) -> dict | None:
+    """The first ell-monomial whose coefficient in `poly` is not the zero
+    operator, with that coefficient's number of normal-form terms; None when
+    poly vanishes for every ell in Q^3."""
+    for m, op in poly.items():
+        if not is_zero_op(op):
+            return {"monomial": list(m), "terms": sum(len(normal_form(p)) for _, p in op.items())}
+    return None
 
 
 # -- intertwining ---------------------------------------------------------------
 
-def _residual(xop: DiffOp, h: DiffOp, h_target: DiffOp) -> DiffOp:
-    return compose(xop, h) - compose(h_target, xop)
+def intertwine_identity(x: GradedOp) -> LPoly:
+    """X∘H(ell) - H(ell+shift)∘X as a polynomial in ell: zero iff X intertwines
+    exactly at every ell in Q^3; its value at ell is `intertwine_residual(x, ell)`."""
+    return x.poly.product(HAMILTONIAN, compose) \
+        - HAMILTONIAN.shift(x.shift).product(x.poly, compose)
 
 
 def intertwine_residual(x: GradedOp, ell: ParamVector) -> DiffOp:
-    """X_ell ∘ H_ell - H_(ell+shift) ∘ X_ell; empty iff X intertwines exactly at ell."""
+    """X_ell ∘ H_ell - H_(ell+shift) ∘ X_ell, composed at ell; empty iff X
+    intertwines exactly at ell."""
     ell = pv(*ell)
-    return _residual(x.at(ell), build_hamiltonian(ell), build_hamiltonian(x.target(ell)))
+    xop = x.at(ell)
+    return compose(xop, build_hamiltonian(ell)) - compose(build_hamiltonian(x.target(ell)), xop)
 
 
 def is_exact_intertwiner(x: GradedOp, ell: ParamVector) -> bool:
-    """Whether the intertwine residual of X at ell is the zero operator.
-
-    Within a sweep memo the verdict is keyed on (X_ell, H_ell, H_target).
-    """
-    ell = pv(*ell)
-    key = (x.at(ell), build_hamiltonian(ell), build_hamiltonian(x.target(ell)))
-    return _memoised(("intertwine",) + key, lambda: is_zero_op(_residual(*key)))
+    """Whether the intertwine residual of X at ell is the zero operator."""
+    return is_zero_op(intertwine_residual(x, ell))
 
 
 class MultiplierSolveError(ValueError):
@@ -379,7 +352,7 @@ def solve_multiplier(vector_part: DiffOp, delta: Shift,
     ell = pv(*ell)
 
     def residual(x: DiffOp) -> DiffOp:
-        return intertwine_residual(GradedOp("X", delta, lambda _ell: x), ell)
+        return intertwine_residual(GradedOp("X", delta, LPoly(DiffOp, {ZERO: x})), ell)
 
     base = residual(vector_part)
     cols = [residual(DiffOp.multiplication(TrigPoly.monomial(g.coeff, g.exps)))
@@ -422,15 +395,19 @@ def multiplier_ansatz(name: str) -> list[TrigTerm]:
 # -- graded commutators and the structure table -----------------------------------
 
 def graded_commutator(x: GradedOp, y: GradedOp, ell: ParamVector) -> tuple[DiffOp, Shift]:
-    """[X, Y] on sector ell, the graded products X∘Y - Y∘X with scales, and its shift."""
-    xy = graded_product(x, y)
-    return xy.scaled_at(ell) - graded_product(y, x).scaled_at(ell), xy.shift
+    """[X, Y] on sector ell, X∘Y - Y∘X composed there with scales, and its shift."""
+    ell = pv(*ell)
+
+    def product(a: GradedOp, b: GradedOp) -> DiffOp:
+        return compose(a.at(b.target(ell)), b.at(ell)).scale(a.scale * b.scale)
+
+    return product(x, y) - product(y, x), tuple(a + b for a, b in zip(x.shift, y.shift))
 
 
 def graded_bracket(x: GradedOp, y: GradedOp) -> GradedOp:
-    """[X, Y] as a graded operator of unit scale (its scales are inside)."""
-    return GradedOp(name=f"[{x.name},{y.name}]", shift=graded_product(x, y).shift,
-                    factory=lambda ell: graded_commutator(x, y, ell)[0], scale=F1)
+    """[X, Y] as a polynomial in ell of unit scale (its scales are inside)."""
+    xy, yx = graded_product(x, y), graded_product(y, x)
+    return GradedOp(f"[{x.name},{y.name}]", xy.shift, xy.scaled() - yx.scaled(), F1)
 
 
 def commutator_with_diagonal(d: DiagonalOp, x: GradedOp, ell: ParamVector) -> DiffOp:
@@ -483,6 +460,11 @@ def _read_multiple(comm: LPoly, cand: LPoly, degree: int) -> dict[Mono, Fraction
     return out
 
 
+def _scalar(terms: dict[Mono, Fraction]) -> LPoly:
+    """The polynomial sum c * l^m over `terms`, as multiples of the identity operator."""
+    return LPoly(DiffOp, {m: DiffOp.identity().scale(c) for m, c in terms.items()})
+
+
 def structure_table() -> dict:
     """Pairwise commutators of {A±, B±, C±, A, B, C}, for every ell in Q^3.
 
@@ -492,36 +474,27 @@ def structure_table() -> dict:
     the same shift with c constant (or zero if there is none).  The match is
     exact when the symbolic residual comm - c * cand vanishes.  Returns
     {"table": {...}, "unmatched": [...], "witness": {...}}, the witness
-    giving per unmatched key the first ell-monomial of a nonzero residual
-    coefficient and that coefficient's number of normal-form terms.
+    giving per unmatched key its `residual_witness`.
     """
-    lads = {n: graded(n) for n in LADDER_NAMES}
-    syms = {n: symbolic(n).scale(lads[n].scale) for n in LADDER_NAMES}
-    brackets = []
-    for i, xn in enumerate(LADDER_NAMES):
-        for yn in LADDER_NAMES[i + 1:]:
-            x, y = syms[xn], syms[yn]
-            comm = x.shift(lads[yn].shift).product(y, compose) \
-                - y.shift(lads[xn].shift).product(x, compose)
-            brackets.append((f"{xn},{yn}", graded_product(lads[xn], lads[yn]).shift, comm))
-    brackets += [(f"{dn},{yn}", lads[yn].shift, syms[yn].scale(diagonal(dn).step(lads[yn].shift)))
-                 for dn in DIAGONAL_NAMES for yn in LADDER_NAMES]
+    lads = [graded(n) for n in LADDER_NAMES]
+    pairs = [(f"{x.name},{y.name}", graded_bracket(x, y))
+             for i, x in enumerate(lads) for y in lads[i + 1:]]
+    brackets = [(key, b.shift, b.poly) for key, b in pairs]
+    brackets += [(f"{dn},{y.name}", y.shift, y.scaled().scale(diagonal(dn).step(y.shift)))
+                 for dn in DIAGONAL_NAMES for y in lads]
     table: dict[str, list] = {}
     unmatched, witness = [], {}
     for key, shift, comm in brackets:
         if shift == (0, 0, 0):
-            name, cand = "one", LPoly(DiffOp, {ZERO: DiffOp.identity()})
+            name, cand = "one", _scalar({ZERO: F1})
         else:
-            name = next((n for n in LADDER_NAMES if lads[n].shift == shift), None)
-            cand = syms[name] if name else LPoly(DiffOp)
+            gen = next((x for x in lads if x.shift == shift), None)
+            name, cand = (gen.name, gen.scaled()) if gen else (None, LPoly(DiffOp))
         c = _read_multiple(comm, cand, 1 if name == "one" else 0)
-        scalar = LPoly(DiffOp, {m: DiffOp.identity().scale(v) for m, v in c.items()})
-        bad = next(((m, op) for m, op in (comm - scalar.product(cand, compose)).items()
-                    if not is_zero_op(op)), None)
+        bad = residual_witness(comm - _scalar(c).product(cand, compose))
         if bad:
             unmatched.append(key)
-            witness[key] = {"monomial": list(bad[0]),
-                            "terms": sum(len(normal_form(p)) for _, p in bad[1].items())}
+            witness[key] = bad
         elif name == "one":
             table[key] = _express_diagonal([c.get(m, F0) for m in UNITS])
         else:
@@ -550,14 +523,16 @@ SO6_CONSTANT = Fraction(15, 4)
 SO6_CONSTANT_PRINTED = Fraction(41, 12)
 
 
-def anticommutator(base: str, ell: ParamVector) -> DiffOp:
-    """{X+, X-} on sector ell, scales included."""
+def _anticommutator(base: str) -> LPoly:
+    """{X+, X-} as a polynomial in ell, scales included."""
     minus, plus = graded(base + "-"), graded(base + "+")
-    return graded_product(plus, minus).scaled_at(ell) + graded_product(minus, plus).scaled_at(ell)
+    return graded_product(plus, minus).scaled() + graded_product(minus, plus).scaled()
 
 
-def casimir_identity(kind: str, ell: ParamVector, *, printed_constant: bool = False) -> DiffOp:
-    """Residual of the quoted quadratic Casimir combination minus the Hamiltonian.
+@functools.cache
+def casimir_residual(kind: str, printed_constant: bool = False) -> LPoly:
+    """Residual of the quoted quadratic Casimir combination minus the
+    Hamiltonian, as a polynomial in ell, built once per kind.
 
     kinds: su3_esp  -- 4C - D^2/3 + 15/4 - H
            so4_ca   -- {A+,A-} + {At+,At-} + L0^2 + L1^2 + 1 - (phi1 block)
@@ -565,29 +540,29 @@ def casimir_identity(kind: str, ell: ParamVector, *, printed_constant: bool = Fa
                        exact constant is 15/4 (printed_constant=True uses the
                        printed 41/12 instead, which leaves residual -1/3).
     """
-    ell = pv(*ell)
+    zero = LPoly(DiffOp)
     if kind == "su3_esp":
-        cas = DiffOp.zero()
-        for base in FAMILIES:
-            cas = cas + graded_product(graded(base + "+"), graded(base + "-")).scaled_at(ell)
-        diag = sum(diagonal(n).value(ell) * (diagonal(n).value(ell) - Fraction(3, 2))
-                   for n in DIAGONAL_NAMES)
-        cas = cas + DiffOp.identity().scale(Fraction(2, 3) * diag)
-        d = diagonal("D").value(ell)
-        out = cas.scale(4) + DiffOp.identity().scale(-d * d / 3 + Fraction(15, 4))
-        return out - build_hamiltonian(ell)
+        a, b, c, d = (_scalar(dict(zip(UNITS, DIAGONALS[n]))) for n in (*DIAGONAL_NAMES, "D"))
+        cas = sum((graded_product(graded(base + "+"), graded(base + "-")).scaled()
+                   for base in FAMILIES), zero)
+        diag = sum((x.product(x - _scalar({ZERO: Fraction(3, 2)}), compose) for x in (a, b, c)),
+                   zero)
+        cas = cas + diag.scale(Fraction(2, 3))
+        return cas.scale(4) - d.product(d, compose).scale(Fraction(1, 3)) \
+            + _scalar({ZERO: Fraction(15, 4)}) - HAMILTONIAN
     if kind == "so4_ca":
-        out = anticommutator("A", ell) + anticommutator("At", ell)
-        out = out + DiffOp.identity().scale(ell[0] ** 2 + ell[1] ** 2 + 1)
-        return out - build_phi1_block(ell[0], ell[1])
+        return _anticommutator("A") + _anticommutator("At") \
+            + _scalar({(2, 0, 0): F1, (0, 2, 0): F1, ZERO: F1}) - PHI1_BLOCK
     if kind == "so6_cass":
-        out = DiffOp.zero()
-        for base in [*FAMILIES, *TILDES]:
-            out = out + anticommutator(base, ell)
         const = SO6_CONSTANT_PRINTED if printed_constant else SO6_CONSTANT
-        out = out + DiffOp.identity().scale(ell[0] ** 2 + ell[1] ** 2 + ell[2] ** 2 + const)
-        return out - build_hamiltonian(ell)
+        return sum((_anticommutator(base) for base in [*FAMILIES, *TILDES]), zero) \
+            + _scalar({(2, 0, 0): F1, (0, 2, 0): F1, (0, 0, 2): F1, ZERO: const}) - HAMILTONIAN
     raise ValueError(f"unknown casimir kind {kind!r}")
+
+
+def casimir_identity(kind: str, ell: ParamVector, *, printed_constant: bool = False) -> DiffOp:
+    """The Casimir residual `casimir_residual(kind, printed_constant)` at sector ell."""
+    return casimir_residual(kind, printed_constant).at(ell)
 
 
 # -- printed-vs-corrected audit -----------------------------------------------------
@@ -611,5 +586,8 @@ def printed_delta_report(ell: ParamVector = pv(1, 1, 1)) -> list[dict]:
                 "evidence_sector": [str(x) for x in ell],
                 "printed_residual_zero": False,
                 "corrected_residual_zero": True,
+                # the l-monomials with a nonzero coefficient in the printed residual
+                "failure_monomials": [list(m) for m, op in intertwine_identity(printed).items()
+                                      if not is_zero_op(op)],
             })
     return deltas

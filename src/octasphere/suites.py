@@ -14,11 +14,12 @@ from .diffop import DiffOp, apply, build_hamiltonian, is_zero_op, pv
 from .hierarchy import closed_form_state, energy, ground_state
 from .inner import (adjoint_residual, inner, mono_inner, mono_inner_quadrature,
                     norm, numeric_oracle_check)
+from .lpoly import ZERO, LPoly
 from .operators import (FAMILIES, LADDER_NAMES, TILDE_NAMES, SO6_CONSTANT,
-                        SO6_CONSTANT_PRINTED, casimir_identity, constant_part,
+                        SO6_CONSTANT_PRINTED, casimir_residual, constant_part,
                         diagonal, graded, graded_bracket, graded_commutator,
-                        is_exact_intertwiner, multiplier_ansatz, printed_delta_report,
-                        solve_multiplier, structure_table, sweep_memo)
+                        intertwine_identity, multiplier_ansatz, printed_delta_report,
+                        residual_witness, solve_multiplier, structure_table)
 from .superpotential import (decompose, family_multiplier, kinetic_rotation_check,
                              riccati_check, riccati_lambda, simultaneous_superpotentials)
 from .trigpoly import TrigPoly, TrigTerm, frac_to_str, is_zero
@@ -26,13 +27,17 @@ from .trigpoly import TrigPoly, TrigTerm, frac_to_str, is_zero
 SUITE_NAMES = ["algebra", "intertwine", "casimir", "riccati", "hermiticity"]
 
 
-def _sector_cube(r: int):
-    return [pv(i, j, k) for i in range(-r, r + 1)
-            for j in range(-r, r + 1) for k in range(-r, r + 1)]
-
-
 def _check(name: str, passed: bool, **detail) -> dict:
     return {"name": name, "passed": bool(passed), **detail}
+
+
+def _proof(name: str, poly: LPoly, **detail) -> dict:
+    """The check that `poly` vanishes for every l in Q^3, with the
+    `residual_witness` of a failure."""
+    witness = residual_witness(poly)
+    if witness is not None:
+        detail["witness"] = witness
+    return _check(name, witness is None, **detail)
 
 
 def _counterexample(failure: tuple | None) -> dict:
@@ -46,14 +51,9 @@ def _counterexample(failure: tuple | None) -> dict:
 # -- intertwine ------------------------------------------------------------------
 
 def suite_intertwine(rng: int) -> dict:
-    checks = []
-    sectors = _sector_cube(rng)
-
-    for name in LADDER_NAMES + TILDE_NAMES:
-        op = graded(name, "corrected")
-        bad = [ell for ell in sectors if not is_exact_intertwiner(op, ell)]
-        checks.append(_check(f"corrected {name} intertwines exactly on box ±{rng}",
-                             not bad, failures=[[str(x) for x in s] for s in bad[:3]]))
+    checks = [_proof(f"corrected {name} intertwines exactly for all l in Q^3",
+                     intertwine_identity(graded(name, "corrected")))
+              for name in LADDER_NAMES + TILDE_NAMES]
 
     # printed audit: B/C printed superscripts intertwine the wrong way, as decided
     # by the delta report at (1,1,1)
@@ -132,16 +132,17 @@ def suite_algebra(rng: int) -> dict:
                 for ell in (pv(1, 0, 1), pv(-1, 2, 0)) if not antisymmetric(xn, yn, ell)), None)
     checks.append(_check("antisymmetry on sampled pairs", bad is None, **_counterexample(bad)))
 
-    # Jacobi identity on sampled triples
-    def jacobi(tr, ell):
-        x, y, z = (lads[n] for n in tr)
-        return is_zero_op(graded_commutator(graded_bracket(x, y), z, ell)[0]
-                          + graded_commutator(graded_bracket(y, z), x, ell)[0]
-                          + graded_commutator(graded_bracket(z, x), y, ell)[0])
+    # Jacobi identity on three triples, each sum of double brackets one polynomial in l
+    def jacobi(x, y, z):
+        return graded_bracket(graded_bracket(x, y), z).poly \
+            + graded_bracket(graded_bracket(y, z), x).poly \
+            + graded_bracket(graded_bracket(z, x), y).poly
 
-    bad = next(((tr, ell) for tr in (("A-", "A+", "B-"), ("A-", "B+", "C-"), ("B-", "C+", "A+"))
-                for ell in (pv(1, 1, 1), pv(0, 2, -1)) if not jacobi(tr, ell)), None)
-    checks.append(_check("Jacobi identity on sampled triples", bad is None, **_counterexample(bad)))
+    bad = next(({"operators": list(tr), "witness": w}
+                for tr in (("A-", "A+", "B-"), ("A-", "B+", "C-"), ("B-", "C+", "A+"))
+                if (w := residual_witness(jacobi(*(lads[n] for n in tr)))) is not None), None)
+    checks.append(_check("Jacobi identity for all l in Q^3 on three triples", bad is None,
+                         **(bad or {})))
 
     # diagonal relation C = B - A, an identity of the affine rows
     a, b, c = diagonal("A"), diagonal("B"), diagonal("C")
@@ -158,25 +159,21 @@ def suite_algebra(rng: int) -> dict:
 # -- casimir ---------------------------------------------------------------------
 
 def suite_casimir(rng: int) -> dict:
-    checks = []
-    sectors = _sector_cube(min(rng, 2))
-    for kind in ("su3_esp", "so4_ca", "so6_cass"):
-        bad = [ell for ell in sectors if not is_zero_op(casimir_identity(kind, ell))]
-        checks.append(_check(f"{kind} residual exactly zero on box", not bad,
-                             failures=[[str(x) for x in s] for s in bad[:3]]))
+    checks = [_proof(f"{kind} residual exactly zero for all l in Q^3", casimir_residual(kind))
+              for kind in ("su3_esp", "so4_ca", "so6_cass")]
 
     # printed so(6) constant leaves the exact residual (41/12 - 15/4) = -1/3
-    resid = casimir_identity("so6_cass", pv(1, 1, 1), printed_constant=True)
-    cval = constant_part(resid)
-    checks.append(_check("printed so(6) constant 41/12 leaves residual -1/3 exactly",
-                         cval == Fraction(-1, 3), got=str(cval)))
+    resid = casimir_residual("so6_cass", printed_constant=True)
+    minus_third = LPoly(DiffOp, {ZERO: DiffOp.identity().scale(Fraction(-1, 3))})
+    checks.append(_proof("printed so(6) constant 41/12 leaves residual -1/3 for all l in Q^3",
+                         resid - minus_third, got=str(constant_part(resid.coeff(ZERO)))))
 
     deltas = [{
         "entry": "so(6) symmetrized casimir constant",
         "printed": frac_to_str(SO6_CONSTANT_PRINTED),
         "computed": frac_to_str(SO6_CONSTANT),
         "issue": "printed constant fails the exact identity; engine value makes the "
-                 "residual vanish on every sector tested",
+                 "residual vanish for every l in Q^3",
     }]
     return _report("casimir", rng, checks, deltas)
 
@@ -349,25 +346,16 @@ def _report(suite: str, rng: int, checks: list, deltas: list) -> dict:
 
 
 def run_suite(name: str, rng: int) -> dict:
-    """The report of one suite, or of all of them in SUITE_NAMES order.
-
-    Each suite runs inside its own `sweep_memo`, so equal operator identities
-    within a suite are decided once and nothing is kept between suites.
-    """
+    """The report of one suite, or of all of them in SUITE_NAMES order."""
     fns = {"algebra": suite_algebra, "intertwine": suite_intertwine,
            "casimir": suite_casimir, "riccati": suite_riccati,
            "hermiticity": suite_hermiticity}
-
-    def run(n: str) -> dict:
-        with sweep_memo():
-            return fns[n](rng)
-
     if name == "all":
-        reports = [run(n) for n in SUITE_NAMES]
+        reports = [fns[n](rng) for n in SUITE_NAMES]
         deltas = [d for r in reports for d in r["paper_deltas"]] + spectral_delta_report()
         return {"suite": "all", "range": rng,
                 "passed": all(r["passed"] for r in reports),
                 "suites": reports, "paper_deltas": deltas}
     if name not in fns:
         raise ValueError(f"unknown suite {name!r}")
-    return run(name)
+    return fns[name](rng)

@@ -86,7 +86,7 @@ def test_criterion_03_algebra_closure():
     for base in ("A", "B", "C"):
         assert t[f"{base}-,{base}+"] == [("-2", base)]
     # antisymmetry and sampled Jacobi identities are exact
-    from octasphere.operators import (GradedOp, commutator_with_diagonal, diagonal,
+    from octasphere.operators import (commutator_with_diagonal, diagonal, graded_bracket,
                                       graded_commutator)
     lads = {n: graded(n) for n in ("A-", "A+", "B-", "B+", "C-", "C+")}
     # the symbolic table, cross-checked sector by sector on {-2..2}^3: each
@@ -107,11 +107,6 @@ def test_criterion_03_algebra_closure():
                 want = want + gen.scale(F(c))
             assert is_zero_op(got - want), (key, ell)
 
-    def bracket(x, y):
-        shift = tuple(a + b for a, b in zip(x.shift, y.shift))
-        return GradedOp(name="[]", shift=shift, scale=F(1),
-                        factory=lambda ell: graded_commutator(x, y, ell)[0])
-
     for xn, yn in (("A-", "C+"), ("B-", "B+")):
         for ell in (pv(1, 0, 2), pv(-1, 1, 1)):
             xy, _ = graded_commutator(lads[xn], lads[yn], ell)
@@ -120,9 +115,9 @@ def test_criterion_03_algebra_closure():
     for tr in (("A-", "A+", "C-"), ("A+", "B-", "C+"), ("B-", "C-", "A+")):
         x, y, z = (lads[n] for n in tr)
         for ell in (pv(1, 1, 1), pv(2, -1, 0)):
-            total = graded_commutator(bracket(x, y), z, ell)[0] \
-                + graded_commutator(bracket(y, z), x, ell)[0] \
-                + graded_commutator(bracket(z, x), y, ell)[0]
+            total = graded_commutator(graded_bracket(x, y), z, ell)[0] \
+                + graded_commutator(graded_bracket(y, z), x, ell)[0] \
+                + graded_commutator(graded_bracket(z, x), y, ell)[0]
             assert is_zero_op(total)
     _ok("3: corrected algebra closes with rational structure constants for all l, "
         "cross-checked on {-2..2}^3; [X-,X+] = -2X; antisymmetry and Jacobi exact")

@@ -9,11 +9,15 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 LAYERTRACE = BENCH / "layertrace.py"
 
 
-def _layertrace():
-    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+def _bench_module(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def _layertrace():
+    return _bench_module(LAYERTRACE)
 
 
 def test_traced_layers_resolve():
@@ -63,3 +67,12 @@ def test_bench_workloads_reach_the_program(monkeypatch):
     assert max(workloads._orthogonality((0, 0, 0))) <= 1e-10
     (rank, _, _), states = workloads._gram(1)
     assert rank == 4 and len(states) == 4
+
+
+def test_verify_all_reports_the_benchmark_check_count_all_passing():
+    # verify_all counts the checks of `verify --suite all --range 2`
+    from octasphere.suites import run_suite
+    expected = _bench_module(BENCH / "expected.py")
+    checks = [c for rep in run_suite("all", 2)["suites"] for c in rep["checks"]]
+    assert len(checks) == expected.VERIFY_CHECKS
+    assert [c["name"] for c in checks if not c["passed"]] == []

@@ -149,7 +149,7 @@ def test_internal_builds_equal_the_checked_constructor():
     assert not (h - h) and not a.scale(0)
 
 
-# -- hashing and the int-path Hamiltonian ---------------------------------------------
+# -- equality and the int-path Hamiltonian -------------------------------------------
 
 half_ints = st.integers(min_value=-6, max_value=6).map(lambda k: F(k, 2))
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -168,15 +168,8 @@ def _op(terms: dict, reverse: bool) -> DiffOp:
 
 @settings(max_examples=100, deadline=None)
 @given(op_terms)
-def test_diffop_hash_agrees_with_equality_across_insertion_orders(terms):
-    a, b = _op(terms, False), _op(terms, True)
-    assert a == b
-    assert hash(a) == hash(b)
-    assert len({a, b}) == 1
-
-
-def test_unequal_operators_are_distinct_keys():
-    assert len({D1, D2, D1 + D2, D1 + D2.scale(2)}) == 4
+def test_diffop_equality_holds_across_insertion_orders(terms):
+    assert _op(terms, False) == _op(terms, True)
 
 
 def _public_hamiltonian(ell) -> DiffOp:

@@ -86,3 +86,26 @@ def test_a_monomial_that_is_not_three_non_negative_ints_is_rejected(mono):
     # a negative exponent would make shift drop the term and at divide by zero
     with pytest.raises(ValueError):
         LPoly(TrigPoly, {mono: COS1})
+
+
+def _entry_points():
+    from octasphere.diffop import build_phi2_operator
+    from octasphere.lpoly import pv
+    from octasphere.operators import graded
+    from octasphere.superpotential import riccati_check
+    p = LPoly(TrigPoly, {(1, 1, 1): COS1})
+    return {
+        "pv": lambda x: pv(1, 2, x),
+        "GradedOp.at": lambda x: graded("A-").at((1, 2, x)),
+        "LPoly.shift": lambda x: p.shift((0, x, 0)),
+        "riccati_check": lambda x: riccati_check((x, 1, 1)),
+        "build_phi2_operator alpha_root": lambda x: build_phi2_operator(x, 1),
+        "build_phi2_operator l2": lambda x: build_phi2_operator(1, x),
+    }
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("entry", list(_entry_points()))
+def test_a_non_finite_coupling_is_a_value_error(entry, value):
+    with pytest.raises(ValueError):
+        _entry_points()[entry](value)

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octasphere import operators
-from octasphere.diffop import DiffOp, is_zero_op, pv
+from octasphere.diffop import (DiffOp, build_hamiltonian, build_phi1_block, compose,
+                               is_zero_op, pv)
 from octasphere.lpoly import LPoly
 from octasphere.operators import (DIAGONALS, FAMILIES, LADDER_NAMES, TILDE_NAMES, TILDES,
                                   GradedOp, MultiplierSolveError,
                                   build_first_order, casimir_identity, constant_part,
                                   diagonal, graded, graded_bracket, graded_commutator,
-                                  intertwine_residual, is_exact_intertwiner,
+                                  intertwine_identity, intertwine_residual,
+                                  is_exact_intertwiner,
                                   match_constant_multiple, multiplier_ansatz,
                                   printed_delta_report, solve_multiplier, structure_table,
                                   symbolic)
@@ -120,7 +122,7 @@ def test_printed_C_minus_residual_nonzero():
 
 
 def test_identity_graded_residual_zero():
-    ident = GradedOp(name="1", shift=(0, 0, 0), factory=lambda ell: DiffOp.identity(),
+    ident = GradedOp(name="1", shift=(0, 0, 0), poly=LPoly(DiffOp, {(0, 0, 0): DiffOp.identity()}),
                      scale=F(1))
     assert is_zero_op(intertwine_residual(ident, pv(2, -1, 3)))
 
@@ -181,37 +183,6 @@ def test_first_order_builder_matches_the_public_constructor_form(ell, m, n):
                 assert [k for k, _ in got.items()] == [k for k, _ in want.items()]
 
 
-# -- the sweep memo ---------------------------------------------------------------------
-
-def _count_compose(monkeypatch) -> list:
-    calls, real = [], operators.compose
-    monkeypatch.setattr(operators, "compose", lambda x, y: calls.append(1) or real(x, y))
-    return calls
-
-
-def test_sweep_memo_decides_an_equal_intertwining_once(monkeypatch):
-    calls = _count_compose(monkeypatch)
-    with operators.sweep_memo():
-        assert is_exact_intertwiner(graded("A-"), pv(1, 2, 0))
-        done = len(calls)
-        # At- at (-1, 2, 0) is A- at (1, 2, 0), between the same Hamiltonians
-        assert is_exact_intertwiner(graded("At-"), pv(-1, 2, 0))
-        assert len(calls) == done
-        # a different operator is decided anew
-        assert is_exact_intertwiner(graded("A+"), pv(1, 2, 0))
-        assert len(calls) == done + 2
-        assert operators._memo
-    assert operators._memo is None
-
-
-def test_without_a_sweep_memo_nothing_is_stored(monkeypatch):
-    calls = _count_compose(monkeypatch)
-    for _ in range(2):
-        assert is_exact_intertwiner(graded("A-"), pv(1, 2, 0))
-    assert len(calls) == 4
-    assert operators._memo is None
-
-
 def test_a_misbuilt_tilde_fails_its_own_check_beside_a_passing_family(monkeypatch):
     # At built without the reflection of its polynomial: the operator of A-,
     # the shift of At-
@@ -219,11 +190,12 @@ def test_a_misbuilt_tilde_fails_its_own_check_beside_a_passing_family(monkeypatc
     from octasphere import suites
     checks = {c["name"]: c for c in suites.run_suite("intertwine", 1)["checks"]}
     for name in ("A-", "A+"):
-        assert checks[f"corrected {name} intertwines exactly on box ±1"]["passed"]
+        check = checks[f"corrected {name} intertwines exactly for all l in Q^3"]
+        assert check["passed"] and "witness" not in check
     for name in ("At-", "At+"):
-        check = checks[f"corrected {name} intertwines exactly on box ±1"]
+        check = checks[f"corrected {name} intertwines exactly for all l in Q^3"]
         assert not check["passed"]
-        assert check["failures"][0] == ["-1", "-1", "-1"]
+        assert check["witness"] == {"monomial": [1, 0, 0], "terms": 4}
 
 
 # -- multiplier solver ---------------------------------------------------------------
@@ -276,7 +248,7 @@ def _reflected(name, axis, times=1):
     poly, shift = symbolic(name), graded(name).shift
     for _ in range(times):
         poly, shift = poly.reflect(axis), _mirror(shift, axis)
-    return GradedOp(f"I{axis}({name})", shift, poly.at)
+    return GradedOp(f"I{axis}({name})", shift, poly)
 
 
 def test_reflect_A_matches_printed_tilde():
@@ -533,6 +505,58 @@ def test_printed_delta_report_has_exact_evidence():
     deltas = printed_delta_report()
     assert {d["operator"] for d in deltas} == {"B-", "B+", "C-", "C+"}
     assert all(d["corrected_residual_zero"] for d in deltas)
+
+
+def test_printed_deltas_name_the_monomials_where_the_printed_residual_is_nonzero():
+    b = [[0, 0, 0], [0, 0, 1], [0, 0, 2], [1, 0, 0], [2, 0, 0]]
+    c = [[0, 0, 0], [0, 0, 1], [0, 0, 2], [0, 1, 0], [0, 2, 0]]
+    got = {d["operator"]: d["failure_monomials"] for d in printed_delta_report()}
+    assert got == {"B-": b, "B+": b, "C-": c, "C+": c}
+
+
+# -- the identities in l against compositions at one sector -----------------------------------
+
+RATIONAL_SECTORS = [pv(F(1, 3), F(-2, 5), F(7, 2)), pv(F(-3, 4), F(5, 3), F(1, 6))]
+
+
+@pytest.mark.parametrize("ell", RATIONAL_SECTORS)
+def test_each_intertwining_identity_at_a_rational_sector_is_the_composed_residual(ell):
+    for name in LADDER_NAMES + TILDE_NAMES:
+        x = graded(name)
+        assert intertwine_identity(x).at(ell) == intertwine_residual(x, ell), name
+
+
+def _composed_casimir(kind, ell):
+    """The Casimir combination minus its Hamiltonian block, composed at one sector."""
+    def product(x, y):
+        return compose(graded(x).at(graded(y).target(ell)), graded(y).at(ell)).scale(F(1, 4))
+
+    def anticommutator(base):
+        return product(base + "+", base + "-") + product(base + "-", base + "+")
+
+    one = DiffOp.identity()
+    l0, l1, l2 = ell
+    if kind == "su3_esp":
+        cas = DiffOp.zero()
+        for base in "ABC":
+            d = diagonal(base).value(ell)
+            cas = cas + product(base + "+", base + "-") + one.scale(F(2, 3) * d * (d - F(3, 2)))
+        d = diagonal("D").value(ell)
+        return cas.scale(4) + one.scale(F(15, 4) - d * d / 3) - build_hamiltonian(ell)
+    if kind == "so4_ca":
+        return anticommutator("A") + anticommutator("At") + one.scale(l0 ** 2 + l1 ** 2 + 1) \
+            - build_phi1_block(l0, l1)
+    out = one.scale(l0 ** 2 + l1 ** 2 + l2 ** 2 + F(15, 4)) - build_hamiltonian(ell)
+    for base in ("A", "B", "C", "At", "Bt", "Ct"):
+        out = out + anticommutator(base)
+    return out
+
+
+@pytest.mark.parametrize("ell", RATIONAL_SECTORS)
+@pytest.mark.parametrize("kind", ["su3_esp", "so4_ca", "so6_cass"])
+def test_each_casimir_residual_at_a_rational_sector_is_the_composed_combination(kind, ell):
+    assert is_zero_op(casimir_identity(kind, ell) - _composed_casimir(kind, ell))
+    assert is_zero_op(_composed_casimir(kind, ell))
 
 
 # -- the phi2 chain ------------------------------------------------------------------------

@@ -25,8 +25,15 @@ def test_failed_samples_name_the_first_operators_and_sector(monkeypatch):
     rep = suites.suite_algebra(1)
     assert _check(rep, "antisymmetry")["counterexample"] == \
         {"operators": ["A-", "B+"], "sector": ["1", "0", "1"]}
-    assert _check(rep, "Jacobi")["counterexample"] == \
-        {"operators": ["A-", "A+", "B-"], "sector": ["1", "1", "1"]}
+
+
+def test_a_failed_jacobi_proof_names_its_first_triple_and_witness(monkeypatch):
+    # products in place of brackets: the Jacobi sum no longer vanishes
+    monkeypatch.setattr(suites, "graded_bracket", operators.graded_product)
+    check = _check(suites.suite_algebra(1), "Jacobi")
+    assert not check["passed"]
+    assert check["operators"] == ["A-", "A+", "B-"]
+    assert check["witness"] == {"monomial": [0, 0, 0], "terms": 19}
 
 
 def test_failed_annihilation_names_the_first_state(monkeypatch):
@@ -84,22 +91,6 @@ def test_failed_simultaneous_superpotential_names_m_n_and_family(monkeypatch):
 
 def test_passing_riccati_report_carries_no_counterexample():
     assert all("counterexample" not in c for c in suites.suite_riccati(1)["checks"])
-
-
-def test_each_run_suite_call_starts_and_ends_with_an_empty_memo(monkeypatch):
-    calls, real = [], operators.compose
-    monkeypatch.setattr(operators, "compose", lambda x, y: calls.append(1) or real(x, y))
-    counts = []
-    for _ in range(2):
-        before = len(calls)
-        suites.run_suite("casimir", 1)
-        counts.append(len(calls) - before)
-        assert operators._memo is None
-    assert counts[0] == counts[1]
-    # called directly, outside run_suite, the suite decides every product anew
-    before = len(calls)
-    suites.suite_casimir(1)
-    assert len(calls) - before > counts[0]
 
 
 def test_the_printed_audit_checks_read_the_delta_report(monkeypatch):

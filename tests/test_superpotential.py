@@ -173,6 +173,7 @@ def test_partial_fundamental_state_case_ii():
     # reproduces alpha, while the same construction for beta/gamma yields
     # multipliers that do not intertwine
     from octasphere.diffop import apply
+    from octasphere.lpoly import LPoly
     from octasphere.operators import GradedOp
     st = closed_form_state("separated_2d", ((1, 1, 1), 0, 1))
     assert is_zero(apply(graded("A-").at(st.params), st.wavefunction))
@@ -189,8 +190,7 @@ def test_partial_fundamental_state_case_ii():
         candidate = superpot_from_state(vec, f_factor)
         assert not is_zero(candidate - family_multiplier(fam, st.params))
         cand_op = GradedOp(name=fam + "-cand", shift=delta,
-                           factory=lambda ell, v=vec, c=candidate:
-                           v + DiffOp.multiplication(c))
+                           poly=LPoly(DiffOp, {(0, 0, 0): vec + DiffOp.multiplication(candidate)}))
         assert not is_exact_intertwiner(cand_op, st.params)
 
 
