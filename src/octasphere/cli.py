@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=SUITE_NAMES + ["all"], default="all")
     p_verify.add_argument("--range", type=int, default=2,
-                          help="half-width of the sector cube the per-sector sweeps cover (>= 1)")
+                          help="the riccati suite sweeps the sectors {0..N}^3 with N = min(range, 3); "
+                               "the other suites only echo it (>= 1)")
     p_verify.add_argument("--format", choices=["json", "text"], default="text")
 
     p_iur = sub.add_parser("iur", help="export an IUR lattice and/or its states")

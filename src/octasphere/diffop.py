@@ -110,7 +110,7 @@ class DiffOp:
         return self + (-other)
 
     def scale(self, c) -> "DiffOp":
-        c = Fraction(c)
+        c = coupling(c)
         if c == 0:
             return DiffOp()
         return DiffOp._raw({k: v.scale(c) for k, v in self._terms.items()})

@@ -18,13 +18,12 @@ from typing import Sequence
 
 from . import linalg
 from .diffop import (DiffOp, ParamVector, apply, build_hamiltonian,
-                     build_phi1_block, pv)
+                     build_phi1_block, coupling, pv)
 from .operators import GradedOp, graded
 from .trigpoly import TrigPoly, coordinate_vectors, frac_to_str, is_zero, to_obj
 from .trigpoly import proportionality  # noqa: F401  (re-exported for comparing states)
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 HALF = Fraction(1, 2)
 
 
@@ -39,34 +38,40 @@ class JacobiPoly:
     coeffs: tuple[Fraction, ...]
 
 
-def _binom(z: Fraction, m: int) -> Fraction:
-    """Generalized binomial coefficient z (z-1) ... (z-m+1) / m!."""
-    out = F1
-    for i in range(m):
-        out = out * (z - i) / (i + 1)
-    return out
-
-
 def jacobi(n: int, alpha, beta) -> JacobiPoly:
     """Exact coefficients via the explicit sum (Szego, Orthogonal Polynomials 4.3)
 
         P_n = sum_k C(n+alpha, n-k) C(n+beta, k) ((x-1)/2)^k ((x+1)/2)^(n-k),
 
     which divides only by integers and so is defined for all rational alpha, beta.
+    With alpha = pa/qa and beta = pb/qb, the weight of term k over the common
+    denominator qa^n qb^n n! 2^n is the int
+
+        prod_{i<n-k} (qa (n-i) + pa) qa^k * prod_{i<k} (qb (n-i) + pb) qb^(n-k) * C(n, k),
+
+    so the sum is expanded over ints and each coefficient is one Fraction.
     """
     if n < 0:
         raise ValueError("jacobi degree must be >= 0")
-    a, b = Fraction(alpha), Fraction(beta)
-    coeffs = [F0] * (n + 1)
+    a, b = coupling(alpha), coupling(beta)
+    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+    # rising products: num_a[j] = prod_{i<j} (qa (n-i) + pa), likewise num_b
+    num_a, num_b = [1], [1]
+    for i in range(n):
+        num_a.append(num_a[-1] * (qa * (n - i) + pa))
+        num_b.append(num_b[-1] * (qb * (n - i) + pb))
+    coeffs = [0] * (n + 1)
     for k in range(n + 1):
-        w = _binom(n + a, n - k) * _binom(n + b, k) / 2 ** n
+        w = num_a[n - k] * qa ** k * num_b[k] * qb ** (n - k) * math.comb(n, k)
         if w == 0:
             continue
         # (x-1)^k (x+1)^(n-k), ascending in x
         for i in range(k + 1):
+            wi = (-1) ** (k - i) * w * math.comb(k, i)
             for j in range(n - k + 1):
-                coeffs[i + j] += w * (-1) ** (k - i) * math.comb(k, i) * math.comb(n - k, j)
-    return JacobiPoly(n, a, b, tuple(coeffs))
+                coeffs[i + j] += wi * math.comb(n - k, j)
+    den = qa ** n * qb ** n * math.factorial(n) * 2 ** n
+    return JacobiPoly(n, a, b, tuple(Fraction(c, den) for c in coeffs))
 
 
 def jacobi_eval(jp: JacobiPoly, x: Fraction) -> Fraction:

@@ -1,8 +1,10 @@
 """Inner products on the octant with the sphere measure cos(phi2) dphi1 dphi2.
 
-Monomial integrals reduce to Beta functions (evaluated through log-gamma);
-states of the representation space live in the direct sum over sectors, so
-records at different parameter points are orthogonal by construction.  The
+A monomial integral is the product of two one-angle Beta values (evaluated
+through log-gamma).  Each is memoised on the doubled-int exponent pair that
+TrigPoly stores, so an inner product looks up one value per angle and term
+pair.  States of the representation space live in the direct sum over sectors,
+so records at different parameter points are orthogonal by construction.  The
 module also provides the float-side oracles used against the symbolic engine:
 adaptive quadrature for the Beta values and a five-point finite-difference
 application of operators.
@@ -10,6 +12,7 @@ application of operators.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,38 +27,43 @@ from .trigpoly import TrigPoly, TrigTerm, eval_numeric
 HALF = Fraction(1, 2)
 
 
-def _angular_integral(a: float, b: float) -> float:
-    # int_0^{pi/2} cos^a sin^b = Beta((a+1)/2, (b+1)/2) / 2
-    x, y = (a + 1) / 2, (b + 1) / 2
+@functools.cache
+def _beta(s: int, t: int) -> float:
+    """int_0^{pi/2} cos^(s/2) sin^(t/2), exponents doubled as TrigPoly stores them.
+
+    It is Beta((s+2)/4, (t+2)/4) / 2; the arguments are exact dyadic floats, so
+    the memoised value is the one the half-integer exponents give.
+    """
+    _check_integrable(s, t)
+    x, y = (s + 2) / 4, (t + 2) / 4
     return 0.5 * math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
-def _pair_exponents(t1: TrigTerm, t2: TrigTerm):
-    a = float(t1.exps[0] + t2.exps[0])
-    b = float(t1.exps[1] + t2.exps[1])
-    c = float(t1.exps[2] + t2.exps[2]) + 1.0  # measure weight on cos(phi2)
-    d = float(t1.exps[3] + t2.exps[3])
-    return a, b, c, d
-
-
-def _monomial_integral(coeff: float, a: float, b: float, c: float, d: float) -> float:
-    """coeff * int cos^a sin^b dphi1 * int cos^c sin^d dphi2 over the octant."""
-    if min(a, b, c, d) <= -1.0:
+def _check_integrable(s: int, t: int) -> None:
+    # cos^(s/2) sin^(t/2) is integrable on (0, pi/2) iff both powers exceed -1
+    if s <= -2 or t <= -2:
         raise ValueError("non-integrable monomial pair")
-    return coeff * _angular_integral(a, b) * _angular_integral(c, d)
+
+
+def _pair_key(t1: TrigTerm, t2: TrigTerm) -> tuple[int, int, int, int]:
+    """Doubled exponents of t1 * t2 times the measure cos(phi2)."""
+    a, b, c, d = (int(2 * (x + y)) for x, y in zip(t1.exps, t2.exps))
+    return a, b, c + 2, d
 
 
 def mono_inner(t1: TrigTerm, t2: TrigTerm) -> float:
     """<t1, t2> with measure cos(phi2); relative error ~1e-12."""
-    return _monomial_integral(float(t1.coeff * t2.coeff), *_pair_exponents(t1, t2))
+    a, b, c, d = _pair_key(t1, t2)
+    return float(t1.coeff * t2.coeff) * _beta(a, b) * _beta(c, d)
 
 
 def mono_inner_quadrature(t1: TrigTerm, t2: TrigTerm) -> float:
     """Same integral by adaptive quadrature (independent float oracle)."""
     from scipy.integrate import quad
-    a, b, c, d = _pair_exponents(t1, t2)
-    if min(a, b, c, d) <= -1.0:
-        raise ValueError("non-integrable monomial pair")
+    a, b, c, d = _pair_key(t1, t2)
+    _check_integrable(a, b)
+    _check_integrable(c, d)
+    a, b, c, d = a / 2, b / 2, c / 2, d / 2
     i1, _ = quad(lambda x: math.cos(x) ** a * math.sin(x) ** b, 0, math.pi / 2,
                  epsabs=0.0, epsrel=1e-12, limit=400)
     i2, _ = quad(lambda x: math.cos(x) ** c * math.sin(x) ** d, 0, math.pi / 2,
@@ -66,17 +74,18 @@ def mono_inner_quadrature(t1: TrigTerm, t2: TrigTerm) -> float:
 def inner(f: TrigPoly, g: TrigPoly) -> float:
     """Bilinear extension of mono_inner, summed over the terms in canonical order.
 
-    Reads the stored int numerators: n1 * n2 / (den_f * den_g) is correctly
-    rounded, so each term equals mono_inner's float of the Fraction product.
+    Reads the stored int numerators and doubled exponents: n1 * n2 / (den_f *
+    den_g) is correctly rounded and the Beta values are looked up per angle, so
+    each term equals mono_inner's float of the Fraction product.
     """
     total = 0.0
     den = f._den * g._den
     g_terms = sorted(g._terms.items())
-    # stored exponents are doubled; the measure adds 1 to the cos(phi2) power
-    for e1, n1 in sorted(f._terms.items()):
+    # the measure adds 2 to the doubled cos(phi2) power
+    for (a, b, c, d), n1 in sorted(f._terms.items()):
+        c += 2
         for e2, n2 in g_terms:
-            total += _monomial_integral(n1 * n2 / den, (e1[0] + e2[0]) / 2, (e1[1] + e2[1]) / 2,
-                                        (e1[2] + e2[2]) / 2 + 1.0, (e1[3] + e2[3]) / 2)
+            total += n1 * n2 / den * _beta(a + e2[0], b + e2[1]) * _beta(c + e2[2], d + e2[3])
     return total
 
 

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .trigpoly import TrigPoly, linear_combine
+from .trigpoly import TrigPoly, coupling, linear_combine  # noqa: F401  (coupling re-exported)
 
 Mono = tuple[int, int, int]
 Row = tuple[Fraction, Fraction, Fraction, Fraction]
@@ -29,14 +29,6 @@ ParamVector = tuple[Fraction, Fraction, Fraction]
 ZERO: Mono = (0, 0, 0)
 # the monomials of an affine row (c0, c_l0, c_l1, c_l2)
 UNITS: tuple[Mono, ...] = (ZERO, (1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def coupling(x) -> Fraction:
-    """One coupling as a Fraction; ValueError if it is not a finite rational."""
-    try:
-        return Fraction(x)
-    except OverflowError:
-        raise ValueError(f"a coupling must be finite, got {x!r}") from None
 
 
 def pv(*ell) -> ParamVector:

@@ -53,11 +53,20 @@ Key = tuple[int, int, int, int]   # doubled exponents, the stored form
 PHI1, PHI2 = 1, 2
 
 
+def coupling(x) -> Fraction:
+    """A coupling, coefficient or exponent as a Fraction; ValueError if it is
+    not a finite rational."""
+    try:
+        return Fraction(x)
+    except OverflowError:
+        raise ValueError(f"must be a finite rational, got {x!r}") from None
+
+
 def _exp2(x) -> int:
     """Twice the exponent x, which must have denominator 1 or 2."""
     if type(x) is int:
         return 2 * x
-    f = x if isinstance(x, Fraction) else Fraction(x)
+    f = x if isinstance(x, Fraction) else coupling(x)
     if f.denominator not in (1, 2):
         raise ValueError(f"exponent {f} has denominator {f.denominator}; only 1 or 2 allowed")
     return 2 * f.numerator // f.denominator
@@ -86,7 +95,7 @@ class TrigTerm:
 
     def __post_init__(self):
         if not isinstance(self.coeff, Fraction):
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
+            object.__setattr__(self, "coeff", coupling(self.coeff))
         object.__setattr__(self, "exps", _fracs(_exps(self.exps)))
 
 
@@ -104,7 +113,7 @@ class TrigPoly:
     def __init__(self, terms: dict[Exps, Fraction] | None = None):
         clean: dict[Key, Fraction] = {}
         for e, c in (terms or {}).items():
-            c = Fraction(c)
+            c = coupling(c)
             if c:
                 e = _exps(e)
                 clean[e] = clean.get(e, 0) + c
@@ -221,7 +230,7 @@ def _ratio(c) -> tuple[int, int]:
     if type(c) is int:
         return c, 1
     if not isinstance(c, Fraction):
-        c = Fraction(c)
+        c = coupling(c)
     return c.numerator, c.denominator
 
 

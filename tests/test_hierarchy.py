@@ -1,9 +1,11 @@
 """States, spectra, Jacobi closed forms, ladders and representation lattices."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from octasphere import hierarchy
 from octasphere.diffop import apply, build_hamiltonian, pv
@@ -77,6 +79,38 @@ def test_jacobi_value_at_one(n):
 def test_jacobi_negative_degree_rejected():
     with pytest.raises(ValueError):
         jacobi(-1, 0, 0)
+
+
+def _szego_reference(n, a, b):
+    """Szego's sum in Fractions: sum_k C(n+a, n-k) C(n+b, k) ((x-1)/2)^k ((x+1)/2)^(n-k)."""
+    coeffs = [F(0)] * (n + 1)
+    for k in range(n + 1):
+        w = _gen_binom(n + a, n - k) * _gen_binom(n + b, k) / 2 ** n
+        for i in range(k + 1):
+            for j in range(n - k + 1):
+                coeffs[i + j] += w * (-1) ** (k - i) * math.comb(k, i) * math.comb(n - k, j)
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_jacobi_matches_the_fraction_reference_on_a_grid(n):
+    # negative integers (the degenerate jacobi(2, -1, -1)), half-integers,
+    # thirds, and alpha == beta on the diagonal
+    grid = [F(k) for k in range(-4, 4)] + [F(k, 2) for k in (-5, -3, -1, 1, 3)] + [F(-7, 3)]
+    for a in grid:
+        for b in grid:
+            jp = jacobi(n, a, b)
+            assert (jp.alpha, jp.beta) == (a, b)
+            assert jp.coeffs == _szego_reference(n, a, b), (a, b)
+
+
+rational_params = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8), rational_params, rational_params)
+def test_jacobi_matches_the_fraction_reference(n, a, b):
+    assert jacobi(n, a, b).coeffs == _szego_reference(n, a, b)
 
 
 # -- ground states --------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from octasphere.diffop import DiffOp, build_hamiltonian, pv
 from octasphere.hierarchy import closed_form_state, ground_state, iur_states
-from octasphere.inner import (adjoint_residual, gram, inner, mono_inner,
+from octasphere.inner import (_beta, adjoint_residual, gram, inner, mono_inner,
                               mono_inner_quadrature, norm, numeric_oracle_check,
                               state_inner)
 from octasphere.trigpoly import ONE, SIN1, TrigPoly, TrigTerm, eval_numeric
@@ -209,3 +209,28 @@ def test_inner_rejects_a_non_integrable_pair():
     f = TrigPoly.monomial(1, (0, -1, 0, 0)) + TrigPoly.monomial(1, (1, 1, 1, 1))
     with pytest.raises(ValueError):
         inner(f, f)
+
+
+def test_inner_is_the_same_float_with_the_beta_table_cold_and_warm():
+    f = closed_form_state("separated_2d", ((1, 2, 0), 2, 1)).wavefunction
+    g = f + closed_form_state("separated_2d", ((1, 2, 0), 1, 2)).wavefunction.scale(F(-2, 7))
+    _beta.cache_clear()
+    cold = inner(f, g)
+    assert _beta.cache_info().currsize > 0
+    assert inner(f, g) == cold
+    _beta.cache_clear()
+    assert inner(f, g) == cold
+
+
+def test_the_measure_weight_sets_the_cos_phi2_integrability_boundary():
+    # summed cos(phi2) power -1 becomes 0 under the measure cos(phi2): integrable
+    f = TrigPoly.monomial(1, (0, 0, -HALF, 0))
+    assert inner(f, f) == pytest.approx((math.pi / 2) ** 2, rel=1e-12)
+    # summed power -2 becomes -1: divergent at phi2 = pi/2
+    g = TrigPoly.monomial(1, (0, 0, -1, 0))
+    with pytest.raises(ValueError):
+        inner(g, g)
+    with pytest.raises(ValueError):
+        mono_inner(next(g.terms()), next(g.terms()))
+    with pytest.raises(ValueError):
+        mono_inner_quadrature(next(g.terms()), next(g.terms()))

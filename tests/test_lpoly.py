@@ -90,6 +90,7 @@ def test_a_monomial_that_is_not_three_non_negative_ints_is_rejected(mono):
 
 def _entry_points():
     from octasphere.diffop import build_phi2_operator
+    from octasphere.hierarchy import jacobi
     from octasphere.lpoly import pv
     from octasphere.operators import graded
     from octasphere.superpotential import riccati_check
@@ -101,6 +102,12 @@ def _entry_points():
         "riccati_check": lambda x: riccati_check((x, 1, 1)),
         "build_phi2_operator alpha_root": lambda x: build_phi2_operator(x, 1),
         "build_phi2_operator l2": lambda x: build_phi2_operator(1, x),
+        # coefficients, exponents and Jacobi parameters take the same conversion
+        "TrigPoly.constant": lambda x: TrigPoly.constant(x),
+        "TrigPoly.monomial exponent": lambda x: TrigPoly.monomial(1, (x, 0, 0, 0)),
+        "TrigPoly.scale": lambda x: TrigPoly.constant(1).scale(x),
+        "DiffOp.scale": lambda x: DiffOp.identity().scale(x),
+        "jacobi alpha": lambda x: jacobi(2, x, 0),
     }
 
 
