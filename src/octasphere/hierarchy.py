@@ -111,7 +111,7 @@ def energy(kind: str, **params) -> Fraction:
 
     if kind == "lambda_m":
         l0, l1, m = need("l0", "l1", "m")
-        l0, l1 = Fraction(l0), Fraction(l1)
+        l0, l1 = coupling(l0), coupling(l1)
         if m < 0:
             raise ValueError("m must be >= 0")
         return (l0 + l1 + 2 * m + 1) ** 2
@@ -187,7 +187,7 @@ def ground_state(kind: str, params) -> StateRecord:
         l0, l1, m = params
         if m < 0:
             raise ValueError("m must be >= 0")
-        l0, l1 = Fraction(l0), Fraction(l1)
+        l0, l1 = coupling(l0), coupling(l1)
         psi = _monomial_state(1, l0 + m + HALF, l1 + m + HALF, 0, 0)
         lam = energy("lambda_m", l0=l0, l1=l1, m=m)
         _check_annihilated("A-", (l0 + m, l1 + m, 0), psi)
@@ -257,7 +257,7 @@ def closed_form_state(kind: str, params) -> StateRecord:
         l0, l1, m = params
         if m < 0:
             raise ValueError("m must be >= 0")
-        l0, l1 = Fraction(l0), Fraction(l1)
+        l0, l1 = coupling(l0), coupling(l1)
         pref = _monomial_state(1, l0 + HALF, l1 + HALF, 0, 0)
         psi = pref * jacobi_in_cos2(jacobi(m, l1, l0), var=1)
         lam = energy("lambda_m", l0=l0, l1=l1, m=m)

@@ -6,7 +6,7 @@ TrigPoly stores, so an inner product looks up one value per angle and term
 pair.  States of the representation space live in the direct sum over sectors,
 so records at different parameter points are orthogonal by construction.  The
 module also provides the float-side oracles used against the symbolic engine:
-adaptive quadrature for the Beta values and a five-point finite-difference
+tanh-sinh quadrature for the Beta values and a five-point finite-difference
 application of operators.
 """
 
@@ -16,8 +16,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .diffop import DiffOp, apply
 from .hierarchy import StateRecord
@@ -57,18 +55,36 @@ def mono_inner(t1: TrigTerm, t2: TrigTerm) -> float:
     return float(t1.coeff * t2.coeff) * _beta(a, b) * _beta(c, d)
 
 
+_TS_STEP, _TS_RANGE = 1 / 20, 4.5  # tanh-sinh nodes t = k * step, |t| <= range
+
+
+@functools.cache
+def _tanh_sinh_nodes() -> list[tuple[float, float, float]]:
+    """(weight, sin x, cos x) at x = pi/4 (1 + tanh(pi/2 sinh t)) (Takahasi & Mori 1974).
+
+    x0 = x and x1 = pi/2 - x are formed directly, so sin x = sin x0 and cos x =
+    sin x1 stay accurate at the singular endpoints; dx/dt = 2 x0 x1 cosh t.
+    """
+    n, nodes = round(_TS_RANGE / _TS_STEP), []
+    for t in (k * _TS_STEP for k in range(-n, n + 1)):
+        u = math.pi / 2 * math.sinh(t)
+        x0, x1 = math.pi / 2 / (1 + math.exp(-2 * u)), math.pi / 2 / (1 + math.exp(2 * u))
+        if x0 > 0 and x1 > 0:  # drop a node whose endpoint distance underflows
+            nodes.append((2 * _TS_STEP * x0 * x1 * math.cosh(t), math.sin(x0), math.sin(x1)))
+    return nodes
+
+
+def _tanh_sinh(s: int, t: int) -> float:
+    """_beta(s, t) by quadrature, with neither _beta nor the gamma function."""
+    return math.fsum(w * c ** (s / 2) * si ** (t / 2) for w, si, c in _tanh_sinh_nodes())
+
+
 def mono_inner_quadrature(t1: TrigTerm, t2: TrigTerm) -> float:
-    """Same integral by adaptive quadrature (independent float oracle)."""
-    from scipy.integrate import quad
+    """Same integral by tanh-sinh quadrature (independent float oracle)."""
     a, b, c, d = _pair_key(t1, t2)
     _check_integrable(a, b)
     _check_integrable(c, d)
-    a, b, c, d = a / 2, b / 2, c / 2, d / 2
-    i1, _ = quad(lambda x: math.cos(x) ** a * math.sin(x) ** b, 0, math.pi / 2,
-                 epsabs=0.0, epsrel=1e-12, limit=400)
-    i2, _ = quad(lambda x: math.cos(x) ** c * math.sin(x) ** d, 0, math.pi / 2,
-                 epsabs=0.0, epsrel=1e-12, limit=400)
-    return float(t1.coeff * t2.coeff) * i1 * i2
+    return float(t1.coeff * t2.coeff) * _tanh_sinh(a, b) * _tanh_sinh(c, d)
 
 
 def inner(f: TrigPoly, g: TrigPoly) -> float:
@@ -104,7 +120,7 @@ def state_inner(s1: StateRecord, s2: StateRecord) -> float:
 @dataclass
 class GramReport:
     states: list
-    matrix: np.ndarray
+    matrix: list[list[float]]
     rank: int
     max_offdiag_normalized: float
     threshold: float
@@ -114,27 +130,23 @@ class GramReport:
                 "size": len(self.states),
                 "max_offdiag_normalized": self.max_offdiag_normalized,
                 "threshold": self.threshold,
-                "matrix": [[float(x) for x in row] for row in self.matrix]}
+                "matrix": [list(row) for row in self.matrix]}
 
 
-def _pivoted_rank(mat: np.ndarray, threshold: float) -> int:
-    """Rank of a symmetric PSD matrix by pivoted Cholesky with a diagonal cutoff."""
-    a = mat.copy().astype(float)
-    n = a.shape[0]
+def _pivoted_rank(mat: list[list[float]], threshold: float) -> int:
+    """Rank of a symmetric PSD matrix by pivoted Cholesky with a diagonal cutoff:
+    pop the largest remaining diagonal pivot and keep its Schur complement."""
+    a = [list(row) for row in mat]
     rank = 0
-    for _ in range(n):
-        d = np.diag(a).copy()
-        d[:rank] = -np.inf
-        p = int(np.argmax(d))
-        if d[p] <= threshold:
+    while a:
+        p = max(range(len(a)), key=lambda i: a[i][i])
+        if a[p][p] <= threshold:
             break
-        a[[rank, p]] = a[[p, rank]]
-        a[:, [rank, p]] = a[:, [p, rank]]
-        piv = a[rank, rank]
-        v = a[rank + 1:, rank] / piv
-        a[rank + 1:, rank + 1:] -= np.outer(v, a[rank, rank + 1:])
-        a[rank + 1:, rank] = 0.0
-        a[rank, rank + 1:] = 0.0
+        top = a.pop(p)
+        piv = top.pop(p)
+        for row in a:
+            v = row.pop(p) / piv
+            row[:] = [x - v * y for x, y in zip(row, top)]
         rank += 1
     return rank
 
@@ -142,23 +154,22 @@ def _pivoted_rank(mat: np.ndarray, threshold: float) -> int:
 def gram(states) -> GramReport:
     """Pairwise inner products of StateRecords (or bare TrigPolys)."""
     n = len(states)
-    mat = np.zeros((n, n))
+    mat = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             if isinstance(states[i], StateRecord):
                 v = state_inner(states[i], states[j])
             else:
                 v = inner(states[i], states[j])
-            mat[i, j] = mat[j, i] = v
-    diag = np.diag(mat)
-    maxdiag = float(diag.max()) if n else 0.0
-    threshold = 1e-9 * maxdiag
+            mat[i][j] = mat[j][i] = v
+    diag = [mat[i][i] for i in range(n)]
+    threshold = 1e-9 * max(diag, default=0.0)
     rank = _pivoted_rank(mat, threshold)
     off = 0.0
     for i in range(n):
         for j in range(i + 1, n):
             denom = math.sqrt(abs(diag[i] * diag[j])) or 1.0
-            off = max(off, abs(mat[i, j]) / denom)
+            off = max(off, abs(mat[i][j]) / denom)
     return GramReport(list(states), mat, rank, off, threshold)
 
 

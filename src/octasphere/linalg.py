@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .trigpoly import coupling
+
 
 def _echelon(a: list[list[Fraction]], ncols: int) -> list[int]:
     """Reduce a in place to row echelon form over its first ncols columns.
@@ -41,7 +43,7 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    a = [[coupling(v) for v in row] + [coupling(b)] for row, b in zip(rows, rhs)]
     pivots = _echelon(a, n)
     if any(row[n] != 0 for row in a[len(pivots):]):
         return None
@@ -54,5 +56,5 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
 def rank_exact(rows: list[list[Fraction]]) -> int:
     if not rows:
         return 0
-    return len(_echelon([[Fraction(v) for v in row] for row in rows], len(rows[0])))
+    return len(_echelon([[coupling(v) for v in row] for row in rows], len(rows[0])))
 

@@ -55,7 +55,9 @@ PHI1, PHI2 = 1, 2
 
 def coupling(x) -> Fraction:
     """A coupling, coefficient or exponent as a Fraction; ValueError if it is
-    not a finite rational."""
+    not a finite rational.  A Fraction is returned as it is."""
+    if type(x) is Fraction:
+        return x
     try:
         return Fraction(x)
     except OverflowError:

@@ -169,3 +169,25 @@ def test_errata_report_script_lists_every_delta():
                      "so(6) symmetrized casimir constant", "figure-1 caption energies",
                      "phi2 Jacobi parameter in the separated eigenfunctions",
                      "phi2 chain fundamental-state cosine exponent"]
+
+
+_WITHOUT_NUMPY_AND_SCIPY = """
+import sys
+sys.modules["numpy"] = sys.modules["scipy"] = None   # any import of them now fails
+from octasphere.cli import main
+from octasphere.hierarchy import iur_states
+from octasphere.inner import gram
+assert main(["verify", "--suite", "all", "--range", "2"]) == 0
+assert main(["iur", "--algebra", "so4", "--n", "3", "--emit", "states", "--out", sys.argv[1]]) == 0
+assert gram(iur_states("so4", (3,))).rank == 16
+"""
+
+
+def test_the_package_runs_without_numpy_and_scipy(tmp_path):
+    src = str(SCRIPTS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY_AND_SCIPY, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "so4_3_states.json").exists()

@@ -1,6 +1,8 @@
 """Sphere-measure inner products, Gram analysis, hermiticity, numeric oracles."""
 
+import importlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from octasphere.diffop import DiffOp, build_hamiltonian, pv
 from octasphere.hierarchy import closed_form_state, ground_state, iur_states
-from octasphere.inner import (_beta, adjoint_residual, gram, inner, mono_inner,
-                              mono_inner_quadrature, norm, numeric_oracle_check,
-                              state_inner)
+from octasphere.inner import (_beta, _pivoted_rank, _tanh_sinh, adjoint_residual, gram,
+                              inner, mono_inner, mono_inner_quadrature, norm,
+                              numeric_oracle_check, state_inner)
+from octasphere.linalg import rank_exact
 from octasphere.trigpoly import ONE, SIN1, TrigPoly, TrigTerm, eval_numeric
 
 F = Fraction
@@ -93,6 +96,18 @@ def test_gram_report_json():
     assert obj["rank"] == 3 and obj["size"] == 3
     assert len(obj["matrix"]) == 3 and "threshold" in obj
     assert obj["matrix"][0][1] == 0.0  # cross-sector states orthogonal
+    assert all(type(x) is float for row in obj["matrix"] for x in row)
+
+
+def test_pivoted_rank_of_integer_gram_products():
+    # B B^T has the rank of B; its entries are small ints, exact as floats
+    rnd = random.Random(13)
+    for _ in range(200):
+        m, r = rnd.randint(1, 9), rnd.randint(1, 6)
+        b = [[rnd.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+        g = [[float(sum(x * y for x, y in zip(bi, bj))) for bj in b] for bi in b]
+        threshold = 1e-9 * max(g[i][i] for i in range(m))
+        assert _pivoted_rank(g, threshold) == rank_exact(b)
 
 
 def test_state_inner_cross_sector_is_zero():
@@ -135,11 +150,30 @@ def test_adjoint_residual_rejects_inadmissible():
 def test_beta_vs_quadrature():
     pairs = [(term(1, HALF, HALF, 1, F(3, 2)), term(1, HALF, HALF, 1, F(3, 2))),
              (term(2, -HALF, 1, 0, 2), term(1, 1, -HALF, 2, 0)),
-             (term(1, 3, 2, 1, 4), term(1, 0, 0, 0, 0))]
+             (term(1, 3, 2, 1, 4), term(1, 0, 0, 0, 0)),
+             # integrand cos^(-1/2) sin^(-1/2) in both angles, measure included
+             (term(1, -HALF, 0, -HALF, 0), term(3, 0, -HALF, -1, -HALF))]
     for t1, t2 in pairs:
         a = mono_inner(t1, t2)
         b = mono_inner_quadrature(t1, t2)
         assert abs(a - b) <= 1e-9 * abs(a)
+
+
+def test_tanh_sinh_matches_beta_on_every_doubled_exponent_pair():
+    for s in range(-1, 81):
+        for t in range(-1, 81):
+            assert abs(_tanh_sinh(s, t) - _beta(s, t)) <= 1e-12 * _beta(s, t)
+
+
+def test_quadrature_oracle_needs_neither_beta_nor_gamma(monkeypatch):
+    def boom(*_):
+        raise AssertionError("the quadrature oracle must not use the Beta route")
+    # the package re-exports the function inner, so fetch the module itself
+    monkeypatch.setattr(importlib.import_module("octasphere.inner"), "_beta", boom)
+    monkeypatch.setattr(math, "lgamma", boom)
+    monkeypatch.setattr(math, "gamma", boom)
+    t = term(1, HALF, HALF, 1, F(3, 2))
+    assert mono_inner_quadrature(t, t) == pytest.approx(1 / 24, rel=1e-12)
 
 
 def test_numeric_oracle_first_derivative():

@@ -90,7 +90,8 @@ def test_a_monomial_that_is_not_three_non_negative_ints_is_rejected(mono):
 
 def _entry_points():
     from octasphere.diffop import build_phi2_operator
-    from octasphere.hierarchy import jacobi
+    from octasphere.hierarchy import closed_form_state, energy, ground_state, jacobi
+    from octasphere.linalg import rank_exact, solve_exact
     from octasphere.lpoly import pv
     from octasphere.operators import graded
     from octasphere.superpotential import riccati_check
@@ -108,6 +109,12 @@ def _entry_points():
         "TrigPoly.scale": lambda x: TrigPoly.constant(1).scale(x),
         "DiffOp.scale": lambda x: DiffOp.identity().scale(x),
         "jacobi alpha": lambda x: jacobi(2, x, 0),
+        # so do the hierarchy's one-dimensional sectors and the exact linear algebra
+        "energy lambda_m": lambda x: energy("lambda_m", l0=x, l1=0, m=0),
+        "ground_state phi1_1d": lambda x: ground_state("phi1_1d", (x, 0, 0)),
+        "closed_form_state phi1_excited": lambda x: closed_form_state("phi1_excited", (x, 0, 1)),
+        "rank_exact": lambda x: rank_exact([[x]]),
+        "solve_exact": lambda x: solve_exact([[x]], [1]),
     }
 
 
