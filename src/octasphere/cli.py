@@ -10,8 +10,8 @@ import json
 import sys
 from pathlib import Path
 
-from .hierarchy import (energy, iso_energy_decomposition, iur_lattice,
-                        iur_states, lattice_to_csv, lattice_to_obj,
+from .hierarchy import (energy, ground_state, iso_energy_decomposition,
+                        iur_lattice, iur_states, lattice_to_csv, lattice_to_obj,
                         so6_dimension, state_to_obj)
 from .suites import SUITE_NAMES, run_suite
 from .trigpoly import frac_to_str
@@ -59,12 +59,6 @@ def _iur_label(args, parser) -> tuple:
 def _cmd_iur(args, parser) -> int:
     label = _iur_label(args, parser)
     lat = iur_lattice(args.algebra, label)
-    if args.algebra == "u3":
-        e = energy("E_q", q=label[0] + label[1])
-    elif args.algebra == "so4":
-        e = (label[0] + 1) ** 2
-    else:
-        e = energy("E_q", q=label[0])
     stem = args.algebra + "_" + "_".join(str(x) for x in label)
     outdir = Path(args.out)
     try:
@@ -83,7 +77,7 @@ def _cmd_iur(args, parser) -> int:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 1
     print(f"{args.algebra} IUR {label}: dimension {lat.dimension}, "
-          f"energy {frac_to_str(e) if not isinstance(e, int) else e}, "
+          f"energy {ground_state(args.algebra, label).energy}, "
           f"{len(lat.points)} lattice points -> {outdir}/{stem}_*")
     return 0
 

@@ -155,7 +155,7 @@ def make_state(params, labels, wavefunction: TrigPoly, energy_val,
                onedim: bool = False) -> StateRecord:
     """Build a StateRecord, verifying H psi = E psi exactly."""
     params = pv(*params)
-    energy_val = Fraction(energy_val)
+    energy_val = coupling(energy_val)
     if not wavefunction:
         raise ValueError("state wavefunction must be nonzero")
     rec = StateRecord(params, dict(labels), wavefunction, energy_val, onedim)
@@ -169,6 +169,28 @@ def _monomial_state(coeff, a, b, c, d) -> TrigPoly:
     return TrigPoly.monomial(coeff, (Fraction(a), Fraction(b), Fraction(c), Fraction(d)))
 
 
+def phi0(ell, onedim: bool = False) -> TrigPoly:
+    """The ground-state gauge of sector ell,
+
+        phi0 = cos^(l0+1/2) phi1 sin^(l1+1/2) phi1 cos^(l0+l1+1) phi2 sin^(l2+1/2) phi2,
+
+    the fundamental state of every sector (Cooper, Khare & Sukhatme, Phys. Rep.
+    251, 267, 1995); onedim keeps its phi1 factor, the phi1-block fundamental state.
+    """
+    l0, l1, l2 = pv(*ell)
+    if onedim:
+        return _monomial_state(1, l0 + HALF, l1 + HALF, 0, 0)
+    return _monomial_state(1, l0 + HALF, l1 + HALF, l0 + l1 + 1, l2 + HALF)
+
+
+def _one_label(label, name: str) -> int:
+    """The label of a one-label kind, given bare or as a 1-tuple; ValueError if negative."""
+    (n,) = label if isinstance(label, (tuple, list)) else (label,)
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0")
+    return n
+
+
 def _check_annihilated(op_name: str, ell, psi: TrigPoly) -> None:
     op = graded(op_name, "corrected")
     if not is_zero(apply(op.at(pv(*ell)), psi)):
@@ -176,57 +198,44 @@ def _check_annihilated(op_name: str, ell, psi: TrigPoly) -> None:
 
 
 def ground_state(kind: str, params) -> StateRecord:
-    """Fundamental (lowest-weight) states, annihilation-verified at construction.
+    """Fundamental (lowest-weight) states: phi0 at the kind's sector with the
+    spectrum value there, annihilation- and eigen-verified at construction.
 
-    kinds: phi1_1d (l0, l1, m) -- phi1 chain member, a one-variable record;
-           u3 (m, n)           -- lowest weight of the u(3) IUR (m, n);
-           so4 (n,)            -- lowest weight of the so(4) square, one-variable;
-           so6_even / so6_odd (n,) -- lowest weight of the so(6) IUR q = n.
+    kinds: phi1_1d (l0, l1, m) -- phi1 chain member at (l0+m, l1+m, 0), one-variable;
+           u3 (m, n)           -- lowest weight of the u(3) IUR (m, n), at (m, 0, n);
+           so4 (n,)            -- lowest weight of the so(4) square, at (0, n, 0), one-variable;
+           so6 (q,)            -- lowest weight of the so(6) IUR q, at (0, 0, q).
     """
     if kind == "phi1_1d":
         l0, l1, m = params
         if m < 0:
             raise ValueError("m must be >= 0")
         l0, l1 = coupling(l0), coupling(l1)
-        psi = _monomial_state(1, l0 + m + HALF, l1 + m + HALF, 0, 0)
-        lam = energy("lambda_m", l0=l0, l1=l1, m=m)
-        _check_annihilated("A-", (l0 + m, l1 + m, 0), psi)
-        return make_state((l0 + m, l1 + m, 0), {"m": m, "su2_j": (l0 + l1 + 2 * m) / 2},
-                          psi, lam, onedim=True)
-    if kind == "u3":
+        sector, labels = (l0 + m, l1 + m, 0), {"m": m, "su2_j": (l0 + l1 + 2 * m) / 2}
+        lowering = ("A-",)
+    elif kind == "u3":
         m, n = params
         if m < 0 or n < 0:
             raise ValueError("labels must be >= 0")
-        ell = pv(m, 0, n)
-        psi = _monomial_state(1, m + HALF, HALF, m + 1, n + HALF)
-        e = energy("E_q", q=m + n)
-        _check_annihilated("A-", ell, psi)
-        _check_annihilated("C-", ell, psi)
-        return make_state(ell, {"m": m, "n": n}, psi, e)
-    if kind == "so4":
-        (n,) = params if isinstance(params, (tuple, list)) else (params,)
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        psi = _monomial_state(1, HALF, n + HALF, 0, 0)
-        ell = pv(0, n, 0)
-        _check_annihilated("A-", ell, psi)
-        _check_annihilated("At-", ell, psi)
-        return make_state(ell, {"n": n, "su2_j": Fraction(n, 2)}, psi,
-                          Fraction((n + 1) ** 2), onedim=True)
-    if kind in ("so6_even", "so6_odd"):
-        (n,) = params if isinstance(params, (tuple, list)) else (params,)
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        want_odd = kind == "so6_odd"
-        if (n % 2 == 1) != want_odd:
-            raise ValueError(f"{kind} requires n of matching parity, got {n}")
-        ell = pv(0, 0, n)
-        psi = _monomial_state(1, HALF, HALF, 1, n + HALF)
-        e = energy("E_q", q=n)
-        for nm in ("A-", "C-", "At-"):
-            _check_annihilated(nm, ell, psi)
-        return make_state(ell, {"q": n}, psi, e)
-    raise ValueError(f"unknown ground-state kind {kind!r}")
+        sector, labels, lowering = (m, 0, n), {"m": m, "n": n}, ("A-", "C-")
+    elif kind == "so4":
+        n = _one_label(params, "n")
+        sector, labels, lowering = (0, n, 0), {"n": n, "su2_j": Fraction(n, 2)}, ("A-", "At-")
+    elif kind == "so6":
+        q = _one_label(params, "q")
+        sector, labels, lowering = (0, 0, q), {"q": q}, ("A-", "C-", "At-")
+    else:
+        raise ValueError(f"unknown ground-state kind {kind!r}")
+    sector = pv(*sector)
+    onedim = kind in ("phi1_1d", "so4")
+    psi = phi0(sector, onedim)
+    for name in lowering:
+        _check_annihilated(name, sector, psi)
+    if onedim:
+        e = energy("lambda_m", l0=sector[0], l1=sector[1], m=0)
+    else:
+        e = energy("E_mn", ell=sector, m=0, n=0)
+    return make_state(sector, labels, psi, e, onedim=onedim)
 
 
 def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRecord | None:
@@ -258,8 +267,7 @@ def closed_form_state(kind: str, params) -> StateRecord:
         if m < 0:
             raise ValueError("m must be >= 0")
         l0, l1 = coupling(l0), coupling(l1)
-        pref = _monomial_state(1, l0 + HALF, l1 + HALF, 0, 0)
-        psi = pref * jacobi_in_cos2(jacobi(m, l1, l0), var=1)
+        psi = phi0((l0, l1, 0), onedim=True) * jacobi_in_cos2(jacobi(m, l1, l0), var=1)
         lam = energy("lambda_m", l0=l0, l1=l1, m=m)
         return make_state((l0, l1, 0), {"m": m}, psi, lam, onedim=True)
     if kind == "separated_2d":
@@ -267,9 +275,8 @@ def closed_form_state(kind: str, params) -> StateRecord:
         ell = pv(*ell)
         if m < 0 or n < 0:
             raise ValueError("quantum numbers must be >= 0")
-        l0, l1, l2 = ell
-        f_part = _monomial_state(1, l0 + HALF, l1 + HALF, 0, 0) \
-            * jacobi_in_cos2(jacobi(m, l1, l0), var=1)
+        l0, l1, _ = ell
+        f_part = phi0(ell, onedim=True) * jacobi_in_cos2(jacobi(m, l1, l0), var=1)
         # phi2 Jacobi parameters (l2, l0+l1+2m+1): the parameter printed as
         # l2 + 1/2 fails the eigenvalue equation for n >= 1 (see phi2_closed_form)
         psi = f_part * phi2_closed_form(ell, m, n)
@@ -335,16 +342,12 @@ def iur_lattice(algebra: str, label) -> IurLattice:
             raise AssertionError(f"u(3) lattice ({m},{n}) has dimension {dim}")
         return IurLattice("u3", (m, n), points, dim)
     if algebra == "so4":
-        (n,) = label if isinstance(label, (tuple, list)) else (label,)
-        if n < 0:
-            raise ValueError("so4 label must be >= 0")
+        n = _one_label(label, "so4 label")
         points = tuple(sorted(((b - a, n - a - b, 0), 1)
                               for a in range(n + 1) for b in range(n + 1)))
         return IurLattice("so4", (n,), points, (n + 1) ** 2)
     if algebra == "so6":
-        (q,) = label if isinstance(label, (tuple, list)) else (label,)
-        if q < 0:
-            raise ValueError("so6 label must be >= 0")
+        q = _one_label(label, "so6 label")
         counts = {}
         for t in range(q // 2 + 1):
             s = q - 2 * t
@@ -365,10 +368,7 @@ def iso_energy_decomposition(q: int) -> list[dict]:
     """All u(3) labels (m, n) with m + n = q and their dimensions."""
     if q < 0:
         raise ValueError("q must be >= 0")
-    out = []
-    for m in range(q + 1):
-        n = q - m
-        out.append({"m": m, "n": n, "dimension": (m + 1) * (n + 1) * (q + 2) // 2})
+    out = [{"m": m, "n": q - m, "dimension": u3_dimension(m, q - m)} for m in range(q + 1)]
     if sum(r["dimension"] for r in out) != so6_dimension(q):
         raise AssertionError(f"q={q}: u(3) dimensions do not sum to the so(6) dimension")
     return out
@@ -393,10 +393,7 @@ def iur_states(algebra: str, label) -> list[StateRecord]:
     verified against the IUR multiplicities.
     """
     lattice = iur_lattice(algebra, label)
-    if algebra == "so6":
-        fund = ground_state("so6_odd" if lattice.label[0] % 2 else "so6_even", lattice.label)
-    else:
-        fund = ground_state(algebra, lattice.label)
+    fund = ground_state(algebra, lattice.label)
     ops = [graded(name, "corrected") for name in RAISING[algebra]]
     want = dict(lattice.points)
     # per lattice point: the kept states, each beside its normal-form coordinates

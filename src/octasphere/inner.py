@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffop import DiffOp, apply
+from .diffop import DiffOp, apply, pv
 from .hierarchy import StateRecord
 from .operators import graded
 from .trigpoly import TrigPoly, TrigTerm, eval_numeric
@@ -190,7 +190,6 @@ def adjoint_residual(x_name: str, ell, f: TrigPoly, g: TrigPoly) -> float:
         return 0.0
     if not (_admissible(f) and _admissible(g)):
         raise ValueError("inadmissible states for the hermiticity pairing")
-    from .diffop import pv
     ell = pv(*ell)
     lhs = inner(apply(xm.at(ell), f), g)
     rhs = inner(f, apply(xp.at(xm.target(ell)), g))

@@ -35,14 +35,23 @@ def _echelon(a: list[list[Fraction]], ncols: int) -> list[int]:
     return pivots
 
 
+def _width(rows: list[list[Fraction]]) -> int:
+    """The common length of the rows; ValueError if they are ragged."""
+    n = len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix rows must all have the same length")
+    return n
+
+
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """Solve A x = b exactly; None if inconsistent.
 
     If the system is underdetermined, free variables are set to 0 (the
     returned vector is still an exact solution).
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+    n = _width(rows)
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} equations")
     a = [[coupling(v) for v in row] + [coupling(b)] for row, b in zip(rows, rhs)]
     pivots = _echelon(a, n)
     if any(row[n] != 0 for row in a[len(pivots):]):
@@ -54,7 +63,5 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
 
 
 def rank_exact(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
-    return len(_echelon([[coupling(v) for v in row] for row in rows], len(rows[0])))
+    return len(_echelon([[coupling(v) for v in row] for row in rows], _width(rows)))
 

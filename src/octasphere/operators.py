@@ -384,6 +384,8 @@ def solve_multiplier(vector_part: DiffOp, delta: Shift,
 
 def multiplier_ansatz(name: str) -> list[TrigTerm]:
     """Ansatz shapes read off the printed multipliers of one family."""
+    if name not in FAMILIES:
+        raise ValueError(f"unknown ladder family {name!r}")
     chart = FAMILIES[name].chart
     shapes = []
     for p in (chart.tan, chart.cot):

@@ -11,18 +11,19 @@ import random
 from fractions import Fraction
 
 from .diffop import DiffOp, apply, build_hamiltonian, is_zero_op, pv
-from .hierarchy import closed_form_state, energy, ground_state
+from .hierarchy import (_monomial_state, closed_form_state, energy, ground_state, phi0,
+                        phi2_closed_form)
 from .inner import (adjoint_residual, inner, mono_inner, mono_inner_quadrature,
                     norm, numeric_oracle_check)
 from .lpoly import ZERO, LPoly
 from .operators import (FAMILIES, LADDER_NAMES, TILDE_NAMES, SO6_CONSTANT,
-                        SO6_CONSTANT_PRINTED, casimir_residual, constant_part,
+                        SO6_CONSTANT_PRINTED, build_first_order, casimir_residual, constant_part,
                         diagonal, graded, graded_bracket, graded_commutator,
                         intertwine_identity, multiplier_ansatz, printed_delta_report,
                         residual_witness, solve_multiplier, structure_table)
 from .superpotential import (decompose, family_multiplier, kinetic_rotation_check,
                              riccati_check, riccati_lambda, simultaneous_superpotentials)
-from .trigpoly import TrigPoly, TrigTerm, frac_to_str, is_zero
+from .trigpoly import SIN1, TrigPoly, TrigTerm, frac_to_str, is_zero
 
 SUITE_NAMES = ["algebra", "intertwine", "casimir", "riccati", "hermiticity"]
 
@@ -75,9 +76,9 @@ def suite_intertwine(rng: int) -> dict:
                 is_zero(got - want)))
 
     # fundamental-state annihilations, m, n <= 4
-    states = [ground_state("u3", (m, n)) for m in range(5) for n in range(5)]
-    bad = next((((nm,), st.params) for st in states for nm in ("A-", "C-")
-                if not is_zero(apply(graded(nm).at(st.params), st.wavefunction))), None)
+    sectors = [pv(m, 0, n) for m in range(5) for n in range(5)]
+    bad = next((((nm,), ell) for ell in sectors for nm in ("A-", "C-")
+                if not is_zero(apply(graded(nm).at(ell), phi0(ell)))), None)
     checks.append(_check("A- and C- annihilate u(3) fundamental states, m,n <= 4",
                          bad is None, **_counterexample(bad)))
 
@@ -274,11 +275,10 @@ def suite_hermiticity(rng: int) -> dict:
 
     # symbolic vs finite-difference application
     pts = [(0.4, 0.7), (0.9, 0.5), (1.1, 1.0)]
-    q1 = ground_state("so6_odd", (1,))
+    q1 = ground_state("so6", (1,))
     dev = numeric_oracle_check(build_hamiltonian(q1.params), q1.wavefunction, pts)
     checks.append(_check("finite-difference oracle on H (q=1 state) <= 1e-6", dev <= 1e-6,
                          deviation=dev))
-    from .trigpoly import SIN1
     dev = numeric_oracle_check(DiffOp({(1, 0): TrigPoly.constant(1)}), SIN1, pts)
     checks.append(_check("finite-difference oracle on d/dphi1 <= 1e-7", dev <= 1e-7,
                          deviation=dev))
@@ -290,12 +290,11 @@ def suite_hermiticity(rng: int) -> dict:
 
 def spectral_delta_report() -> list[dict]:
     """Spectral/closed-form errata, each re-established by exact computation."""
-    from .hierarchy import phi2_closed_form
     deltas = []
 
     # figure-caption energies vs the exact spectrum
-    st1 = ground_state("so6_odd", (1,))
-    st3 = ground_state("so6_odd", (3,))
+    st1 = ground_state("so6", (1,))
+    st3 = ground_state("so6", (3,))
     if (st1.energy, st3.energy) != (Fraction(35, 4), Fraction(99, 4)):
         raise AssertionError(f"so(6) ground energies {st1.energy}, {st3.energy}")
     deltas.append({
@@ -307,8 +306,7 @@ def spectral_delta_report() -> list[dict]:
     })
 
     # phi2 Jacobi parameter in the separated closed form
-    from .hierarchy import _monomial_state
-    f_part = _monomial_state(1, Fraction(1, 2), Fraction(1, 2), 0, 0)
+    f_part = phi0((0, 0, 0), onedim=True)
     bad = f_part * phi2_closed_form((0, 0, 0), 0, 1, printed_parameter=True)
     h = build_hamiltonian(pv(0, 0, 0))
     e = energy("E_mn", ell=(0, 0, 0), m=0, n=1)
@@ -324,7 +322,6 @@ def spectral_delta_report() -> list[dict]:
     })
 
     # phi2 chain ground-state exponent (garbled in print)
-    from .operators import build_first_order
     g0 = _monomial_state(1, 0, 0, 2, Fraction(5, 2))  # l=(0,0,1), m=0, n=1 reading
     mm = build_first_order("M", "-", pv(0, 0, 1), m=0, n=1)
     if not is_zero(apply(mm, g0)):

@@ -129,16 +129,56 @@ def test_so4_ground_state():
 
 
 def test_so6_odd_ground_state():
-    st = ground_state("so6_odd", (1,))
+    st = ground_state("so6", (1,))
     assert st.wavefunction == mono(1, HALF, HALF, 1, F(3, 2))
     assert st.energy == F(35, 4)
 
 
-def test_so6_parity_enforced():
-    with pytest.raises(ValueError):
-        ground_state("so6_even", (1,))
-    with pytest.raises(ValueError):
-        ground_state("so6_odd", (2,))
+@pytest.mark.parametrize("q", range(6))
+def test_so6_ground_state_is_the_u3_ground_state_at_m_zero(q):
+    so6, u3 = ground_state("so6", (q,)), ground_state("u3", (0, q))
+    assert (so6.wavefunction, so6.energy) == (u3.wavefunction, u3.energy)
+    assert ground_state("so6", q).wavefunction == so6.wavefunction
+
+
+@pytest.mark.parametrize("kind", ["so6_even", "so6_odd"])
+def test_so6_parity_kinds_are_unknown(kind):
+    with pytest.raises(ValueError, match="unknown ground-state kind"):
+        ground_state(kind, (1,))
+
+
+def test_phi0_is_the_ground_state_gauge():
+    ell = (F(3, 2), F(-1, 2), F(2))
+    assert hierarchy.phi0(ell) == mono(1, 2, 0, 2, F(5, 2))
+    assert hierarchy.phi0(ell, onedim=True) == mono(1, 2, 0, 0, 0)
+
+
+half_integers = st.integers(0, 8).map(lambda k: F(k, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_every_ground_state_is_phi0_with_the_spectrum_value(data):
+    kind = data.draw(st.sampled_from(["phi1_1d", "u3", "so4", "so6"]))
+    if kind == "phi1_1d":
+        l0, l1, m = data.draw(half_integers), data.draw(half_integers), data.draw(st.integers(0, 3))
+        params, sector, onedim = (l0, l1, m), pv(l0 + m, l1 + m, 0), True
+    elif kind == "u3":
+        m, n = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        params, sector, onedim = (m, n), pv(m, 0, n), False
+    elif kind == "so4":
+        n = data.draw(st.integers(0, 8))
+        params, sector, onedim = (n,), pv(0, n, 0), True
+    else:
+        q = data.draw(st.integers(0, 8))
+        params, sector, onedim = (q,), pv(0, 0, q), False
+    got = ground_state(kind, params)
+    assert got.params == sector and got.onedim == onedim
+    assert got.wavefunction == hierarchy.phi0(sector, onedim)
+    if onedim:
+        assert got.energy == energy("lambda_m", l0=sector[0], l1=sector[1], m=0)
+    else:
+        assert got.energy == energy("E_mn", ell=sector, m=0, n=0)
 
 
 def test_negative_labels_rejected():

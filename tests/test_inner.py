@@ -183,7 +183,7 @@ def test_numeric_oracle_first_derivative():
 
 
 def test_numeric_oracle_hamiltonian():
-    st = ground_state("so6_odd", (1,))
+    st = ground_state("so6", (1,))
     dev = numeric_oracle_check(build_hamiltonian(st.params), st.wavefunction,
                                [(0.4, 0.7), (0.9, 1.1)])
     assert dev <= 1e-6

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from octasphere.linalg import rank_exact, solve_exact
 
 F = Fraction
@@ -54,3 +56,20 @@ def test_rank_exact():
         a = _random_matrix(rnd, 6, 6, r)
         assert rank_exact(a) <= r
 
+
+def test_ragged_rows_are_a_value_error():
+    with pytest.raises(ValueError):
+        rank_exact([[1], [2, 3]])
+    with pytest.raises(ValueError):
+        rank_exact([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        solve_exact([[1, 2], [3]], [1, 2])
+
+
+def test_a_right_hand_side_of_the_wrong_length_is_a_value_error():
+    with pytest.raises(ValueError):
+        solve_exact([[1, 2], [3, 4]], [1])
+    with pytest.raises(ValueError):
+        solve_exact([[1, 2]], [1, 2])
+    with pytest.raises(ValueError):
+        solve_exact([], [1])

@@ -90,7 +90,7 @@ def test_a_monomial_that_is_not_three_non_negative_ints_is_rejected(mono):
 
 def _entry_points():
     from octasphere.diffop import build_phi2_operator
-    from octasphere.hierarchy import closed_form_state, energy, ground_state, jacobi
+    from octasphere.hierarchy import closed_form_state, energy, ground_state, jacobi, make_state
     from octasphere.linalg import rank_exact, solve_exact
     from octasphere.lpoly import pv
     from octasphere.operators import graded
@@ -113,6 +113,7 @@ def _entry_points():
         "energy lambda_m": lambda x: energy("lambda_m", l0=x, l1=0, m=0),
         "ground_state phi1_1d": lambda x: ground_state("phi1_1d", (x, 0, 0)),
         "closed_form_state phi1_excited": lambda x: closed_form_state("phi1_excited", (x, 0, 1)),
+        "make_state energy": lambda x: make_state((0, 0, 0), {}, TrigPoly.constant(1), x),
         "rank_exact": lambda x: rank_exact([[x]]),
         "solve_exact": lambda x: solve_exact([[x]], [1]),
     }

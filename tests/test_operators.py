@@ -236,6 +236,12 @@ def test_solver_inconsistent_system_fails():
                          multiplier_ansatz("A"), pv(1, 0, 0))
 
 
+@pytest.mark.parametrize("name", ["Q", "At", "A-"])
+def test_multiplier_ansatz_of_an_unknown_family_is_a_value_error(name):
+    with pytest.raises(ValueError, match="unknown ladder family"):
+        multiplier_ansatz(name)
+
+
 # -- reflections -----------------------------------------------------------------------
 
 def _mirror(v, axis):
