@@ -12,7 +12,7 @@ from .hierarchy import (IurLattice, JacobiPoly, StateRecord, closed_form_state,
                         energy, ground_state, iso_energy_decomposition, iur_lattice,
                         iur_states, jacobi, ladder_build, make_state)
 from .inner import GramReport, adjoint_residual, gram, inner, mono_inner, norm
-from .operators import (DiagonalOp, GradedOp, build_first_order, casimir_identity,
+from .operators import (GradedOp, build_first_order, casimir_identity,
                         diagonal, graded, graded_commutator, intertwine_residual,
                         is_exact_intertwiner, solve_multiplier, structure_table)
 from .superpotential import (decompose, kinetic_rotation_check, riccati_check,

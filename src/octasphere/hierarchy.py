@@ -19,8 +19,9 @@ from typing import Sequence
 from . import linalg
 from .diffop import (DiffOp, ParamVector, apply, build_hamiltonian,
                      build_phi1_block, coupling, pv)
+from .lpoly import quantum_number
 from .operators import GradedOp, graded
-from .trigpoly import TrigPoly, coordinate_vectors, frac_to_str, is_zero, to_obj
+from .trigpoly import PHI1, PHI2, TrigPoly, coordinate_vectors, frac_to_str, is_zero, to_obj
 from .trigpoly import proportionality  # noqa: F401  (re-exported for comparing states)
 
 F0 = Fraction(0)
@@ -51,8 +52,7 @@ def jacobi(n: int, alpha, beta) -> JacobiPoly:
 
     so the sum is expanded over ints and each coefficient is one Fraction.
     """
-    if n < 0:
-        raise ValueError("jacobi degree must be >= 0")
+    n = quantum_number(n, "jacobi degree")
     a, b = coupling(alpha), coupling(beta)
     pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
     # rising products: num_a[j] = prod_{i<j} (qa (n-i) + pa), likewise num_b
@@ -82,8 +82,10 @@ def jacobi_eval(jp: JacobiPoly, x: Fraction) -> Fraction:
 
 
 def jacobi_in_cos2(jp: JacobiPoly, var: int) -> TrigPoly:
-    """Substitute x = cos(2 phi) = cos^2 phi - sin^2 phi in the given angle."""
-    if var == 1:
+    """Substitute x = cos(2 phi) = cos^2 phi - sin^2 phi in the angle var in {PHI1, PHI2}."""
+    if var not in (PHI1, PHI2):
+        raise ValueError(f"unknown variable {var!r}")
+    if var == PHI1:
         x = TrigPoly.monomial(1, (2, F0, F0, F0)) + TrigPoly.monomial(-1, (F0, 2, F0, F0))
     else:
         x = TrigPoly.monomial(1, (F0, F0, 2, F0)) + TrigPoly.monomial(-1, (F0, F0, F0, 2))
@@ -111,21 +113,16 @@ def energy(kind: str, **params) -> Fraction:
 
     if kind == "lambda_m":
         l0, l1, m = need("l0", "l1", "m")
-        l0, l1 = coupling(l0), coupling(l1)
-        if m < 0:
-            raise ValueError("m must be >= 0")
+        l0, l1, m = coupling(l0), coupling(l1), quantum_number(m, "m")
         return (l0 + l1 + 2 * m + 1) ** 2
     if kind == "E_mn":
         ell, m, n = need("ell", "m", "n")
-        ell = pv(*ell)
-        if m < 0 or n < 0:
-            raise ValueError("quantum numbers must be >= 0")
+        ell, m, n = pv(*ell), quantum_number(m, "m"), quantum_number(n, "n")
         s = ell[0] + ell[1] + ell[2] + 2 * n + 2 * m
         return (s + Fraction(3, 2)) * (s + Fraction(5, 2))
     if kind == "E_q":
         (q,) = need("q")
-        if q < 0:
-            raise ValueError("q must be >= 0")
+        q = quantum_number(q, "q")
         return (q + Fraction(3, 2)) * (q + Fraction(5, 2))
     raise ValueError(f"unknown energy kind {kind!r}")
 
@@ -184,11 +181,9 @@ def phi0(ell, onedim: bool = False) -> TrigPoly:
 
 
 def _one_label(label, name: str) -> int:
-    """The label of a one-label kind, given bare or as a 1-tuple; ValueError if negative."""
+    """The label of a one-label kind, given bare or as a 1-tuple; a quantum number."""
     (n,) = label if isinstance(label, (tuple, list)) else (label,)
-    if n < 0:
-        raise ValueError(f"{name} must be >= 0")
-    return n
+    return quantum_number(n, name)
 
 
 def _check_annihilated(op_name: str, ell, psi: TrigPoly) -> None:
@@ -208,15 +203,12 @@ def ground_state(kind: str, params) -> StateRecord:
     """
     if kind == "phi1_1d":
         l0, l1, m = params
-        if m < 0:
-            raise ValueError("m must be >= 0")
-        l0, l1 = coupling(l0), coupling(l1)
+        l0, l1, m = coupling(l0), coupling(l1), quantum_number(m, "m")
         sector, labels = (l0 + m, l1 + m, 0), {"m": m, "su2_j": (l0 + l1 + 2 * m) / 2}
         lowering = ("A-",)
     elif kind == "u3":
         m, n = params
-        if m < 0 or n < 0:
-            raise ValueError("labels must be >= 0")
+        m, n = quantum_number(m, "m"), quantum_number(n, "n")
         sector, labels, lowering = (m, 0, n), {"m": m, "n": n}, ("A-", "C-")
     elif kind == "so4":
         n = _one_label(params, "n")
@@ -264,17 +256,13 @@ def closed_form_state(kind: str, params) -> StateRecord:
     """
     if kind == "phi1_excited":
         l0, l1, m = params
-        if m < 0:
-            raise ValueError("m must be >= 0")
-        l0, l1 = coupling(l0), coupling(l1)
+        l0, l1, m = coupling(l0), coupling(l1), quantum_number(m, "m")
         psi = phi0((l0, l1, 0), onedim=True) * jacobi_in_cos2(jacobi(m, l1, l0), var=1)
         lam = energy("lambda_m", l0=l0, l1=l1, m=m)
         return make_state((l0, l1, 0), {"m": m}, psi, lam, onedim=True)
     if kind == "separated_2d":
         ell, m, n = params
-        ell = pv(*ell)
-        if m < 0 or n < 0:
-            raise ValueError("quantum numbers must be >= 0")
+        ell, m, n = pv(*ell), quantum_number(m, "m"), quantum_number(n, "n")
         l0, l1, _ = ell
         f_part = phi0(ell, onedim=True) * jacobi_in_cos2(jacobi(m, l1, l0), var=1)
         # phi2 Jacobi parameters (l2, l0+l1+2m+1): the parameter printed as
@@ -310,10 +298,12 @@ class IurLattice:
 
 
 def u3_dimension(m: int, n: int) -> int:
+    m, n = quantum_number(m, "m"), quantum_number(n, "n")
     return (m + 1) * (n + 1) * (m + n + 2) // 2
 
 
 def so6_dimension(q: int) -> int:
+    q = quantum_number(q, "q")
     return (q + 1) * (q + 2) ** 2 * (q + 3) // 12
 
 
@@ -326,8 +316,7 @@ def iur_lattice(algebra: str, label) -> IurLattice:
     """
     if algebra == "u3":
         m, n = label
-        if m < 0 or n < 0:
-            raise ValueError("u3 labels must be >= 0")
+        m, n = quantum_number(m, "u3 label m"), quantum_number(n, "u3 label n")
         counts: dict[tuple, int] = {}
         lam1, lam2 = m + n, m
         for a in range(lam2, lam1 + 1):
@@ -366,8 +355,7 @@ def iur_lattice(algebra: str, label) -> IurLattice:
 
 def iso_energy_decomposition(q: int) -> list[dict]:
     """All u(3) labels (m, n) with m + n = q and their dimensions."""
-    if q < 0:
-        raise ValueError("q must be >= 0")
+    q = quantum_number(q, "q")
     out = [{"m": m, "n": q - m, "dimension": u3_dimension(m, q - m)} for m in range(q + 1)]
     if sum(r["dimension"] for r in out) != so6_dimension(q):
         raise AssertionError(f"q={q}: u(3) dimensions do not sum to the so(6) dimension")

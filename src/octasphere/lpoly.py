@@ -41,6 +41,13 @@ def pv(*ell) -> ParamVector:
     return (coupling(l0), coupling(l1), coupling(l2))
 
 
+def quantum_number(x, name: str) -> int:
+    """A quantum number (m, n, q, a degree): an int >= 0 that is not a bool; else ValueError."""
+    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
+        raise ValueError(f"{name} must be an int >= 0, got {x!r}")
+    return x
+
+
 def row_at(row: Row, ell: Sequence[Fraction]) -> Fraction:
     """The affine function c0 + c_l0 l0 + c_l1 l1 + c_l2 l2 at a sector.
 
@@ -135,8 +142,13 @@ class LPoly:
         return LPoly(self.kind, {m: -c if m[axis] % 2 else c for m, c in self._terms.items()})
 
     def shift(self, delta: Sequence[int]) -> "LPoly":
-        """The polynomial at ell + delta: l^k -> sum_j C(k, j) delta^(k-j) l^j per coupling."""
+        """The polynomial at ell + delta: l^k -> sum_j C(k, j) delta^(k-j) l^j per coupling.
+
+        A zero shift returns the polynomial itself; integral components weigh in ints."""
         delta = pv(*delta)
+        if not any(delta):
+            return self
+        delta = [d.numerator if d.denominator == 1 else d for d in delta]
         acc: dict = {}
         for m, c in self._terms.items():
             for j in itertools.product(*(range(k + 1) for k in m)):

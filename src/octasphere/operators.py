@@ -16,10 +16,14 @@ operator *acting on* sector ell, and graded_product composes two of them as
 polynomials, so commutators and Casimir combinations read left to right
 without extra index gymnastics.
 
+The diagonal generators A, B, C, D are graded operators as well (`diagonal`):
+multiplication by an affine row of ell, of shift 0 and scale 1.
+
 Every operator identity is formed once as a polynomial in ell and decided
 coefficient by coefficient, so it holds for every ell in Q^3: the intertwining
 of a ladder with H (`intertwine_identity`), the structure table
-(`structure_table`), the Casimir residuals (`casimir_residual`) and the
+(`structure_table`, all 33 entries, the 18 [A|B|C, X±] ones included, formed
+by the one graded bracket), the Casimir residuals (`casimir_residual`) and the
 brackets behind the Jacobi identity (`graded_bracket`).  `residual_witness`
 names the first ell-monomial where such an identity fails.  The per-sector
 compositions (`intertwine_residual`, `is_exact_intertwiner`,
@@ -43,7 +47,7 @@ from typing import Sequence
 from . import linalg
 from .diffop import (HAMILTONIAN, PHI1_BLOCK, DiffOp, ParamVector, build_hamiltonian,
                      compose, is_zero_op, pv)
-from .lpoly import ZERO, LPoly, Mono, Row, UNITS, row_at
+from .lpoly import ZERO, LPoly, Mono, Row, UNITS, quantum_number
 from .trigpoly import (TrigPoly, TrigTerm, coordinate_vectors, is_zero, normal_form,
                        proportionality)
 
@@ -168,6 +172,7 @@ def printed_M(sign: str, ell: ParamVector, m: int = 0, n: int = 0) -> DiffOp:
     of the pair differ by one unit because of the first-order tan d2 term."""
     l0, l1, l2 = ell
     s = _sgn(sign)
+    m, n = quantum_number(m, "m"), quantum_number(n, "n")
     alpha = l0 + l1 + 2 * m + n + 1 + (1 if s > 0 else 0)
     mult = TrigPoly.monomial(-alpha, (F0, F0, -1, 1)) \
         + TrigPoly.monomial(l2 + n + HALF, (F0, F0, 1, -1))
@@ -253,36 +258,21 @@ LADDER_NAMES = [f + s for f in FAMILIES for s in "-+"]
 TILDE_NAMES = [t + s for t in TILDES for s in "-+"]
 
 
-@dataclass(frozen=True)
-class DiagonalOp:
-    """A diagonal generator: multiplication by the affine function `row` of ell."""
-    name: str
-    row: Row
-
-    def value(self, ell: ParamVector) -> Fraction:
-        return row_at(self.row, ell)
-
-    def step(self, shift: Shift) -> Fraction:
-        """d(ell + shift) - d(ell), the same at every ell."""
-        return sum(c * s for c, s in zip(self.row[1:], shift))
-
-
 DIAGONALS: dict[str, Row] = {
     "A": _row(0, -HALF, -HALF, 0),     # -(l0 + l1)/2
     "B": _row(0, -HALF, 0, -HALF),     # -(l0 + l2)/2
     "C": _row(0, 0, HALF, -HALF),      # (l1 - l2)/2
     "D": _row(0, 1, -1, -1),           # l0 - l1 - l2
-    "L0": _row(0, 1, 0, 0),
-    "L1": _row(0, 0, 1, 0),
-    "L2": _row(0, 0, 0, 1),
     "one": _row(1, 0, 0, 0),
 }
 
 
-def diagonal(name: str) -> DiagonalOp:
+def diagonal(name: str) -> GradedOp:
+    """A diagonal generator: multiplication by the affine function DIAGONALS[name]
+    of ell, a graded operator of shift 0 and scale 1."""
     if name not in DIAGONALS:
         raise ValueError(f"unknown diagonal operator {name!r}")
-    return DiagonalOp(name, DIAGONALS[name])
+    return GradedOp(name, (0, 0, 0), LPoly.affine(DIAGONALS[name], DiffOp.identity()), F1)
 
 
 DIAGONAL_NAMES = ["A", "B", "C"]
@@ -412,11 +402,6 @@ def graded_bracket(x: GradedOp, y: GradedOp) -> GradedOp:
     return GradedOp(f"[{x.name},{y.name}]", xy.shift, xy.scaled() - yx.scaled(), F1)
 
 
-def commutator_with_diagonal(d: DiagonalOp, x: GradedOp, ell: ParamVector) -> DiffOp:
-    """[D, X] on sector ell = (d(ell+shift) - d(ell)) * X_ell (scaled)."""
-    return x.scaled_at(pv(*ell)).scale(d.step(x.shift))
-
-
 def match_constant_multiple(op: DiffOp, cand: DiffOp) -> Fraction | None:
     """c with op == c * cand exactly (semantic equality), else None.
 
@@ -470,30 +455,29 @@ def _scalar(terms: dict[Mono, Fraction]) -> LPoly:
 def structure_table() -> dict:
     """Pairwise commutators of {A±, B±, C±, A, B, C}, for every ell in Q^3.
 
-    Each commutator is formed once as a polynomial in ell and matched as
-    c(ell) times one candidate: the identity for shift 0, with c affine and
-    expressed through the diagonal generators, else the ladder generator of
-    the same shift with c constant (or zero if there is none).  The match is
-    exact when the symbolic residual comm - c * cand vanishes.  Returns
-    {"table": {...}, "unmatched": [...], "witness": {...}}, the witness
-    giving per unmatched key its `residual_witness`.
+    Each commutator, a diagonal one too, is formed once as a polynomial in ell
+    by `graded_bracket` and matched as c(ell) times one candidate: the identity
+    for shift 0, with c affine and expressed through the diagonal generators,
+    else the ladder generator of the same shift with c constant (or zero if
+    there is none).  The match is exact when the symbolic residual
+    comm - c * cand vanishes.  Returns {"table": {...}, "unmatched": [...],
+    "witness": {...}}, the witness giving per unmatched key its
+    `residual_witness`.
     """
     lads = [graded(n) for n in LADDER_NAMES]
-    pairs = [(f"{x.name},{y.name}", graded_bracket(x, y))
-             for i, x in enumerate(lads) for y in lads[i + 1:]]
-    brackets = [(key, b.shift, b.poly) for key, b in pairs]
-    brackets += [(f"{dn},{y.name}", y.shift, y.scaled().scale(diagonal(dn).step(y.shift)))
-                 for dn in DIAGONAL_NAMES for y in lads]
+    pairs = [(x, y) for i, x in enumerate(lads) for y in lads[i + 1:]]
+    pairs += [(diagonal(dn), y) for dn in DIAGONAL_NAMES for y in lads]
     table: dict[str, list] = {}
     unmatched, witness = [], {}
-    for key, shift, comm in brackets:
-        if shift == (0, 0, 0):
+    for x, y in pairs:
+        key, comm = f"{x.name},{y.name}", graded_bracket(x, y)
+        if comm.shift == (0, 0, 0):
             name, cand = "one", _scalar({ZERO: F1})
         else:
-            gen = next((x for x in lads if x.shift == shift), None)
+            gen = next((g for g in lads if g.shift == comm.shift), None)
             name, cand = (gen.name, gen.scaled()) if gen else (None, LPoly(DiffOp))
-        c = _read_multiple(comm, cand, 1 if name == "one" else 0)
-        bad = residual_witness(comm - _scalar(c).product(cand, compose))
+        c = _read_multiple(comm.poly, cand, 1 if name == "one" else 0)
+        bad = residual_witness(comm.poly - _scalar(c).product(cand, compose))
         if bad:
             unmatched.append(key)
             witness[key] = bad
@@ -544,7 +528,7 @@ def casimir_residual(kind: str, printed_constant: bool = False) -> LPoly:
     """
     zero = LPoly(DiffOp)
     if kind == "su3_esp":
-        a, b, c, d = (_scalar(dict(zip(UNITS, DIAGONALS[n]))) for n in (*DIAGONAL_NAMES, "D"))
+        a, b, c, d = (diagonal(n).poly for n in (*DIAGONAL_NAMES, "D"))
         cas = sum((graded_product(graded(base + "+"), graded(base + "-")).scaled()
                    for base in FAMILIES), zero)
         diag = sum((x.product(x - _scalar({ZERO: Fraction(3, 2)}), compose) for x in (a, b, c)),

@@ -16,6 +16,7 @@ from octasphere.hierarchy import (closed_form_state, energy,
                                   phi2_closed_form, proportionality,
                                   so6_dimension, state_to_obj)
 from octasphere.linalg import rank_exact
+from octasphere.operators import printed_M
 from octasphere.trigpoly import TrigPoly, is_zero, normal_form
 
 F = Fraction
@@ -79,6 +80,12 @@ def test_jacobi_value_at_one(n):
 def test_jacobi_negative_degree_rejected():
     with pytest.raises(ValueError):
         jacobi(-1, 0, 0)
+
+
+@pytest.mark.parametrize("var", [0, 3, "phi1"])
+def test_jacobi_in_cos2_rejects_an_angle_other_than_phi1_or_phi2(var):
+    with pytest.raises(ValueError):
+        hierarchy.jacobi_in_cos2(jacobi(1, 0, 0), var)
 
 
 def _szego_reference(n, a, b):
@@ -181,9 +188,31 @@ def test_every_ground_state_is_phi0_with_the_spectrum_value(data):
         assert got.energy == energy("E_mn", ell=sector, m=0, n=0)
 
 
-def test_negative_labels_rejected():
+# a quantum number is an int >= 0 that is not a bool, everywhere it is taken
+BAD_LABELS = {
+    "ground_state_u3_negative": lambda: ground_state("u3", (-1, 0)),
+    "ground_state_so6_half": lambda: ground_state("so6", (1.5,)),
+    "ground_state_u3_half": lambda: ground_state("u3", (0.5, 1)),
+    "ground_state_so6_bool": lambda: ground_state("so6", (True,)),
+    "ground_state_so4_half": lambda: ground_state("so4", 2.5),
+    "energy_E_mn_half_m": lambda: energy("E_mn", ell=(0, 0, 0), m=0.5, n=0),
+    "energy_lambda_m_half_m": lambda: energy("lambda_m", l0=0, l1=0, m=0.5),
+    "energy_E_q_half_q": lambda: energy("E_q", q=1.5),
+    "u3_dimension_negative": lambda: hierarchy.u3_dimension(-5, 0),
+    "so6_dimension_half": lambda: so6_dimension(1.5),
+    "iur_lattice_so6_half": lambda: iur_lattice("so6", (1.5,)),
+    "jacobi_half_degree": lambda: jacobi(0.5, 0, 0),
+    "closed_form_state_half_m": lambda: closed_form_state("phi1_excited", (0, 0, 1.5)),
+    "iso_energy_decomposition_half": lambda: iso_energy_decomposition(1.5),
+    "printed_M_half_m": lambda: printed_M("-", pv(0, 0, 0), m=0.5),
+    "printed_M_negative_n": lambda: printed_M("+", pv(0, 0, 0), n=-1),
+}
+
+
+@pytest.mark.parametrize("call", list(BAD_LABELS))
+def test_negative_labels_rejected(call):
     with pytest.raises(ValueError):
-        ground_state("u3", (-1, 0))
+        BAD_LABELS[call]()
 
 
 def test_make_state_rejects_wrong_energy():

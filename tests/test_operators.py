@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from octasphere import operators
 from octasphere.diffop import (DiffOp, build_hamiltonian, build_phi1_block, compose,
                                is_zero_op, pv)
-from octasphere.lpoly import LPoly
+from octasphere.lpoly import LPoly, row_at
 from octasphere.operators import (DIAGONALS, FAMILIES, LADDER_NAMES, TILDE_NAMES, TILDES,
                                   GradedOp, MultiplierSolveError,
                                   build_first_order, casimir_identity, constant_part,
@@ -366,22 +366,20 @@ def test_reflection_fixes_untouched_families():
 # -- commutators --------------------------------------------------------------------------
 
 def test_diag_commutator_with_raising():
-    from octasphere.operators import commutator_with_diagonal
     a = diagonal("A")
     aplus = graded("A+")
     for ell in (pv(0, 0, 0), pv(2, -1, 3)):
-        got = commutator_with_diagonal(a, aplus, ell)
+        got, _ = graded_commutator(a, aplus, ell)
         assert is_zero_op(got - aplus.scaled_at(ell))
 
 
 def test_lowering_raising_commutator_is_minus_two_diag():
     for base in ("A", "B", "C"):
         minus, plus = graded(base + "-"), graded(base + "+")
-        d = diagonal(base)
         for ell in (pv(1, 1, 1), pv(2, 0, -1), pv(-2, 3, 1)):
             op, shift = graded_commutator(minus, plus, ell)
             assert shift == (0, 0, 0)
-            assert constant_part(op) == -2 * d.value(ell)
+            assert constant_part(op) == -2 * row_at(DIAGONALS[base], ell)
 
 
 def test_graded_bracket_is_the_commutator():
@@ -391,6 +389,14 @@ def test_graded_bracket_is_the_commutator():
         op, shift = graded_commutator(graded("A-"), graded("C-"), ell)
         assert bracket.at(ell) == op and shift == bracket.shift
         assert match_constant_multiple(bracket.at(ell), graded("B-").scaled_at(ell)) == 1
+    # the 18 diagonal-ladder brackets of the structure table
+    for dn in ("A", "B", "C"):
+        for name in LADDER_NAMES:
+            d, y = diagonal(dn), graded(name)
+            bracket = graded_bracket(d, y)
+            for ell in RATIONAL_SECTORS:
+                op, shift = graded_commutator(d, y, ell)
+                assert bracket.at(ell) == op and shift == bracket.shift == y.shift, (dn, name)
 
 
 def test_self_commutator_vanishes():
@@ -399,11 +405,10 @@ def test_self_commutator_vanishes():
 
 
 def test_central_D_commutes():
-    from octasphere.operators import commutator_with_diagonal
     d = diagonal("D")
     for name in ("A-", "A+", "B-", "B+", "C-", "C+"):
         for ell in (pv(1, 1, 1), pv(0, 2, -1)):
-            assert is_zero_op(commutator_with_diagonal(d, graded(name), ell))
+            assert is_zero_op(graded_commutator(d, graded(name), ell)[0])
 
 
 def test_match_constant_multiple_over_different_monomials():
@@ -458,7 +463,7 @@ def test_express_diagonal_general_combination_reproduces_the_fit():
                     out = _express_diagonal([c0, c1, c2, c3])
                     combinations += len(out) > 1
                     for ell in box:
-                        got = sum(F(c) * diagonal(n).value(ell) for c, n in out)
+                        got = sum(F(c) * row_at(DIAGONALS[n], ell) for c, n in out)
                         assert got == c0 + c1 * ell[0] + c2 * ell[1] + c3 * ell[2]
     assert combinations > 0  # the general branch was reached
 
@@ -480,12 +485,12 @@ def test_broken_family_row_leaves_a_witness(monkeypatch):
 
 
 def test_diagonal_relation():
-    a, b, c = diagonal("A"), diagonal("B"), diagonal("C")
+    a, b, c = DIAGONALS["A"], DIAGONALS["B"], DIAGONALS["C"]
     for i in range(-3, 4):
         for j in range(-3, 4):
             for k in range(-3, 4):
                 ell = pv(i, j, k)
-                assert c.value(ell) == b.value(ell) - a.value(ell)
+                assert row_at(c, ell) == row_at(b, ell) - row_at(a, ell)
 
 
 # -- casimir identities ---------------------------------------------------------------------
@@ -526,6 +531,14 @@ RATIONAL_SECTORS = [pv(F(1, 3), F(-2, 5), F(7, 2)), pv(F(-3, 4), F(5, 3), F(1, 6
 
 
 @pytest.mark.parametrize("ell", RATIONAL_SECTORS)
+@pytest.mark.parametrize("name", ["A", "B", "C", "D", "one"])
+def test_a_diagonal_generator_is_a_graded_multiplication_operator(name, ell):
+    d = diagonal(name)
+    assert isinstance(d, GradedOp) and d.shift == (0, 0, 0) and d.scale == 1
+    assert d.at(ell) == DiffOp.identity().scale(row_at(DIAGONALS[name], ell))
+
+
+@pytest.mark.parametrize("ell", RATIONAL_SECTORS)
 def test_each_intertwining_identity_at_a_rational_sector_is_the_composed_residual(ell):
     for name in LADDER_NAMES + TILDE_NAMES:
         x = graded(name)
@@ -545,9 +558,9 @@ def _composed_casimir(kind, ell):
     if kind == "su3_esp":
         cas = DiffOp.zero()
         for base in "ABC":
-            d = diagonal(base).value(ell)
+            d = row_at(DIAGONALS[base], ell)
             cas = cas + product(base + "+", base + "-") + one.scale(F(2, 3) * d * (d - F(3, 2)))
-        d = diagonal("D").value(ell)
+        d = row_at(DIAGONALS["D"], ell)
         return cas.scale(4) + one.scale(F(15, 4) - d * d / 3) - build_hamiltonian(ell)
     if kind == "so4_ca":
         return anticommutator("A") + anticommutator("At") + one.scale(l0 ** 2 + l1 ** 2 + 1) \
