@@ -88,9 +88,6 @@ def _cmd_spectrum(args) -> int:
         eq = energy("E_q", q=q)
         dec = iso_energy_decomposition(q)
         dec_s = " + ".join(f"({r['m']},{r['n']}):{r['dimension']}" for r in dec)
-        total = sum(r["dimension"] for r in dec)
-        if total != so6_dimension(q):
-            raise AssertionError(f"q={q}: u(3) dimensions sum to {total}, not {so6_dimension(q)}")
         print(f"{q:>3}  {frac_to_str(eq):>10}  {so6_dimension(q):>9}  {dec_s}")
     print("note: the printed figure captions give E = 5/2*3/2 (q=1) and 7/2*5/2 (q=3); "
           "the exact spectrum is E_q = (q+3/2)(q+5/2), i.e. 35/4 and 99/4.")

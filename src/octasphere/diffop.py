@@ -13,9 +13,9 @@ coefficients at equal orders); operators are not hashable.
 The Hamiltonian family is defined once, as the quadratic polynomial in the
 couplings `HAMILTONIAN` (an LPoly), assembled from its separated blocks
 H = PHI2_BLOCK + sec^2 phi2 PHI1_BLOCK, each inverse-square term written by
-one coupling rule; `build_hamiltonian(ell)`, `build_phi1_block` and
-`build_phi2_operator` are values of these polynomials, assembled with
-`linear_combine` and `DiffOp._raw`, so no term is re-validated per sector.
+one coupling rule; `build_hamiltonian(ell)` and `build_phi1_block` are values
+of these polynomials, assembled with `linear_combine` and `DiffOp._raw`, so no
+term is re-validated per sector.
 """
 
 from __future__ import annotations
@@ -211,16 +211,6 @@ def build_hamiltonian(ell: ParamVector) -> DiffOp:
 def build_phi1_block(l0, l1) -> DiffOp:
     """One-dimensional block -d1^2 + (l0^2-1/4) sec^2 phi1 + (l1^2-1/4) csc^2 phi1."""
     return PHI1_BLOCK.at((l0, l1, 0))
-
-
-def build_phi2_operator(alpha_root, l2) -> DiffOp:
-    """phi2-hierarchy member -d2^2 + tan phi2 d2 + a^2 sec^2 phi2 + (l2^2-1/4) csc^2 phi2.
-
-    alpha_root is the square root of the sec^2 coupling (the separation
-    constant enters as alpha_root^2).
-    """
-    alpha_sq = coupling(alpha_root) ** 2
-    return PHI2_BLOCK.at((0, 0, l2)) + DiffOp.multiplication(_SEC2_2.scale(alpha_sq))
 
 
 # -- serialization -------------------------------------------------------------

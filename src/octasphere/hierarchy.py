@@ -280,7 +280,7 @@ def phi2_closed_form(ell, m: int, n: int, printed_parameter: bool = False) -> Tr
     requests the printed alpha = l2 + 1/2 (kept for the errata audit, where it
     is shown to fail for n >= 1).
     """
-    l0, l1, l2 = pv(*ell)
+    (l0, l1, l2), m, n = pv(*ell), quantum_number(m, "m"), quantum_number(n, "n")
     alpha = l2 + HALF if printed_parameter else l2
     root = l0 + l1 + 2 * m + 1
     pref = _monomial_state(1, 0, 0, root, l2 + HALF)

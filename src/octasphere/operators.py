@@ -17,7 +17,9 @@ polynomials, so commutators and Casimir combinations read left to right
 without extra index gymnastics.
 
 The diagonal generators A, B, C, D are graded operators as well (`diagonal`):
-multiplication by an affine row of ell, of shift 0 and scale 1.
+multiplication by an affine row of ell, of shift 0 and scale 1.  The phi2
+chain M± is one polynomial in ell per sign (`CHAIN`), written for the member
+m = n = 0; the member (m, n) is its value at a shifted sector.
 
 Every operator identity is formed once as a polynomial in ell and decided
 coefficient by coefficient, so it holds for every ell in Q^3: the intertwining
@@ -48,8 +50,8 @@ from . import linalg
 from .diffop import (HAMILTONIAN, PHI1_BLOCK, DiffOp, ParamVector, build_hamiltonian,
                      compose, is_zero_op, pv)
 from .lpoly import ZERO, LPoly, Mono, Row, UNITS, quantum_number
-from .trigpoly import (TrigPoly, TrigTerm, coordinate_vectors, is_zero, normal_form,
-                       proportionality)
+from .trigpoly import (COT2, TAN2, TrigPoly, TrigTerm, coordinate_vectors, is_zero,
+                       normal_form, proportionality)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -167,16 +169,13 @@ def _reflect(v: tuple, axis: int) -> tuple:
     return tuple(-x if i == axis else x for i, x in enumerate(v))
 
 
-def printed_M(sign: str, ell: ParamVector, m: int = 0, n: int = 0) -> DiffOp:
-    """phi2-chain operator M_n^± of the (l0+l1+2m)-sector; the tan coefficients
-    of the pair differ by one unit because of the first-order tan d2 term."""
-    l0, l1, l2 = ell
-    s = _sgn(sign)
-    m, n = quantum_number(m, "m"), quantum_number(n, "n")
-    alpha = l0 + l1 + 2 * m + n + 1 + (1 if s > 0 else 0)
-    mult = TrigPoly.monomial(-alpha, (F0, F0, -1, 1)) \
-        + TrigPoly.monomial(l2 + n + HALF, (F0, F0, 1, -1))
-    return DiffOp({(0, 1): TrigPoly.constant(s)}) + DiffOp.multiplication(mult)
+# the phi2 chain M± of the member m = n = 0: ±d2 - a± tan phi2 + (l2 + 1/2) cot phi2,
+# a- = l0 + l1 + 1 and a+ = a- + 1 (the tan phi2 d2 term of H shifts the pair by one unit)
+CHAIN: dict[str, LPoly] = {
+    sign: LPoly(DiffOp, {ZERO: DiffOp({(0, 1): TrigPoly.constant(_sgn(sign))})})
+    + (LPoly.affine(_row(-a0, -1, -1, 0), TAN2)
+       + LPoly.affine(_row(HALF, 0, 0, 1), COT2)).map(DiffOp.multiplication, DiffOp)
+    for sign, a0 in (("-", 1), ("+", 2))}
 
 
 def build_first_order(name: str, sign: str, ell: ParamVector, *,
@@ -184,16 +183,20 @@ def build_first_order(name: str, sign: str, ell: ParamVector, *,
     """Concrete first-order operator at a sector.
 
     name in {A, B, C, At, Bt, Ct, M, A1d}; variant in {printed, corrected}.
-    A, B, C and the tilde families are table formulas, values of `symbolic`.
-    A1d is A at (l0+m, l1+m, l2); M is the phi2 chain member selected by m and n.
+    Each is the value of a polynomial in ell: A, B, C and the tilde families of
+    `symbolic`, A1d of A at (l0+m, l1+m, l2), and the phi2 chain member M of
+    `CHAIN[sign]` at (l0+2m+n, l1, l2+n).  m and n are quantum numbers for
+    every name (`quantum_number`).
     """
     if variant not in ("printed", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
-    ell = pv(*ell)
+    ell, m, n = pv(*ell), quantum_number(m, "m"), quantum_number(n, "n")
+    l0, l1, l2 = ell
     if name == "M":
-        return printed_M(sign, ell, m=m, n=n)
+        _sgn(sign)  # ValueError on a sign other than '+' or '-'
+        return CHAIN[sign].at((l0 + 2 * m + n, l1, l2 + n))
     if name == "A1d":
-        name, ell = "A", (ell[0] + m, ell[1] + m, ell[2])
+        name, ell = "A", (l0 + m, l1 + m, l2)
     op, shift = _ladder(name + sign, variant)
     # X+ acts as the formula at its target, so the formula at ell is X+ on ell - shift
     return op.at(ell if sign == "-" else tuple(x - d for x, d in zip(ell, shift)))

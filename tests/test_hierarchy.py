@@ -16,7 +16,7 @@ from octasphere.hierarchy import (closed_form_state, energy,
                                   phi2_closed_form, proportionality,
                                   so6_dimension, state_to_obj)
 from octasphere.linalg import rank_exact
-from octasphere.operators import printed_M
+from octasphere.operators import build_first_order
 from octasphere.trigpoly import TrigPoly, is_zero, normal_form
 
 F = Fraction
@@ -204,8 +204,15 @@ BAD_LABELS = {
     "jacobi_half_degree": lambda: jacobi(0.5, 0, 0),
     "closed_form_state_half_m": lambda: closed_form_state("phi1_excited", (0, 0, 1.5)),
     "iso_energy_decomposition_half": lambda: iso_energy_decomposition(1.5),
-    "printed_M_half_m": lambda: printed_M("-", pv(0, 0, 0), m=0.5),
-    "printed_M_negative_n": lambda: printed_M("+", pv(0, 0, 0), n=-1),
+    # the printed phi2 chain M
+    "printed_M_half_m": lambda: build_first_order("M", "-", pv(0, 0, 0), m=0.5),
+    "printed_M_negative_n": lambda: build_first_order("M", "+", pv(0, 0, 0), n=-1),
+    "A1d_half_m": lambda: build_first_order("A1d", "-", pv(0, 0, 0), m=0.5),
+    "A1d_bool_m": lambda: build_first_order("A1d", "-", pv(0, 0, 0), m=True),
+    "A1d_negative_m": lambda: build_first_order("A1d", "-", pv(0, 0, 0), m=-1),
+    "phi2_closed_form_half_m": lambda: phi2_closed_form((0, 0, 0), 1.5, 0),
+    "phi2_closed_form_bool_m": lambda: phi2_closed_form((0, 0, 0), True, 0),
+    "phi2_closed_form_negative_m": lambda: phi2_closed_form((0, 0, 0), -1, 0),
 }
 
 
@@ -316,7 +323,6 @@ def test_ladder_jacobi_equivalence_sample():
 
 def test_phi2_ladder_jacobi_equivalence():
     from octasphere.diffop import apply as apply_op
-    from octasphere.operators import build_first_order
     from octasphere.hierarchy import _monomial_state
     l0, l1, l2, m = 1, 0, 1, 0
     root = l0 + l1 + 2 * m + 1

@@ -91,11 +91,10 @@ def test_a_monomial_that_is_not_three_non_negative_ints_is_rejected(mono):
 
 
 def _entry_points():
-    from octasphere.diffop import build_phi2_operator
     from octasphere.hierarchy import closed_form_state, energy, ground_state, jacobi, make_state
     from octasphere.linalg import rank_exact, solve_exact
     from octasphere.lpoly import pv
-    from octasphere.operators import graded
+    from octasphere.operators import build_first_order, graded
     from octasphere.superpotential import riccati_check
     p = LPoly(TrigPoly, {(1, 1, 1): COS1})
     return {
@@ -103,8 +102,8 @@ def _entry_points():
         "GradedOp.at": lambda x: graded("A-").at((1, 2, x)),
         "LPoly.shift": lambda x: p.shift((0, x, 0)),
         "riccati_check": lambda x: riccati_check((x, 1, 1)),
-        "build_phi2_operator alpha_root": lambda x: build_phi2_operator(x, 1),
-        "build_phi2_operator l2": lambda x: build_phi2_operator(1, x),
+        "build_first_order M l0": lambda x: build_first_order("M", "-", (x, 0, 0)),
+        "build_first_order M l2": lambda x: build_first_order("M", "-", (0, 0, x)),
         # coefficients, exponents and Jacobi parameters take the same conversion
         "TrigPoly.constant": lambda x: TrigPoly.constant(x),
         "TrigPoly.monomial exponent": lambda x: TrigPoly.monomial(1, (x, 0, 0, 0)),

@@ -8,18 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octasphere import operators
-from octasphere.diffop import (DiffOp, build_hamiltonian, build_phi1_block, compose,
-                               is_zero_op, pv)
+from octasphere.diffop import (PHI2_BLOCK, DiffOp, build_hamiltonian, build_phi1_block,
+                               compose, is_zero_op, pv)
 from octasphere.lpoly import LPoly, row_at
-from octasphere.operators import (DIAGONALS, FAMILIES, LADDER_NAMES, TILDE_NAMES, TILDES,
-                                  GradedOp, MultiplierSolveError,
+from octasphere.operators import (CHAIN, DIAGONALS, FAMILIES, LADDER_NAMES, TILDE_NAMES,
+                                  TILDES, GradedOp, MultiplierSolveError,
                                   build_first_order, casimir_identity, constant_part,
                                   diagonal, graded, graded_bracket, graded_commutator,
                                   intertwine_identity, intertwine_residual,
                                   is_exact_intertwiner,
                                   match_constant_multiple, multiplier_ansatz,
-                                  printed_delta_report, solve_multiplier, structure_table,
-                                  symbolic)
+                                  printed_delta_report, residual_witness, solve_multiplier,
+                                  structure_table, symbolic)
 from octasphere.trigpoly import COS1, ONE, SIN1, TrigPoly, TrigTerm, is_zero
 
 F = Fraction
@@ -580,33 +580,66 @@ def test_each_casimir_residual_at_a_rational_sector_is_the_composed_combination(
 
 # -- the phi2 chain ------------------------------------------------------------------------
 
+def _phi2_operator(a, l2) -> DiffOp:
+    """PHI2_BLOCK at l2 plus a^2 sec^2 phi2: the phi2 operator whose sec^2 coupling is a^2."""
+    return PHI2_BLOCK.at((0, 0, l2)) + DiffOp.multiplication(mono(F(a) ** 2, 0, 0, -2, 0))
+
+
+def _affine(*row) -> LPoly:
+    """c0 + c_l0 l0 + c_l1 l1 + c_l2 l2 times the identity operator."""
+    return LPoly.affine(tuple(F(c) for c in row), DiffOp.identity())
+
+
+# H2 = PHI2_BLOCK + (l0 + l1 + 1)^2 sec^2 phi2, the phi2 operator of the chain member m = n = 0
+_ROOT = _affine(1, 1, 1, 0)
+H2 = PHI2_BLOCK + _ROOT.product(_ROOT, compose).product(
+    LPoly(DiffOp, {(0, 0, 0): DiffOp.multiplication(mono(1, 0, 0, -2, 0))}), compose)
+
+
+def test_the_phi2_chain_intertwines_for_every_ell():
+    # M- maps the member at ell to the member at ell + (1, 0, 1)
+    residual = CHAIN["-"].product(H2, compose) - H2.shift((1, 0, 1)).product(CHAIN["-"], compose)
+    assert residual_witness(residual) is None
+
+
+def test_the_phi2_chain_factorizes_for_every_ell():
+    # M+ M- - H2 = -(s + 3/2)(s + 5/2), s = l0 + l1 + l2
+    mu = _affine(F(3, 2), 1, 1, 1).product(_affine(F(5, 2), 1, 1, 1), compose)
+    assert residual_witness(CHAIN["+"].product(CHAIN["-"], compose) - H2 + mu) is None
+
+
+def test_the_phi2_chain_commutator_for_every_ell():
+    # (1/4)(M-(ell) M+(ell) - M+(ell') M-(ell')) = l0 + l1 + l2 + 3, ell' = ell + (1, 0, 1)
+    up = (1, 0, 1)
+    comm = CHAIN["-"].product(CHAIN["+"], compose) \
+        - CHAIN["+"].shift(up).product(CHAIN["-"].shift(up), compose)
+    assert residual_witness(comm.scale(F(1, 4)) - _affine(3, 1, 1, 1)) is None
+
+
 def test_phi2_chain_factorization():
     # H_(n) = M+_n M-_n + mu_n with mu_n = (s+2n+3/2)(s+2n+5/2), s = l0+l1+l2+2m
-    from octasphere.diffop import build_phi2_operator, compose
     ell, m = pv(1, 0, 1), 1
     s = F(1 + 0 + 1 + 2 * m)
     for n in range(4):
         mp = build_first_order("M", "+", ell, m=m, n=n)
         mm = build_first_order("M", "-", ell, m=m, n=n)
         mu = (s + 2 * n + F(3, 2)) * (s + 2 * n + F(5, 2))
-        h_n = build_phi2_operator(1 + 0 + 2 * m + n + 1, 1 + n)
+        h_n = _phi2_operator(1 + 0 + 2 * m + n + 1, 1 + n)
         assert is_zero_op(compose(mp, mm) + DiffOp.identity().scale(mu) - h_n)
 
 
 def test_phi2_chain_intertwining():
-    from octasphere.diffop import build_phi2_operator, compose
     ell, m = pv(0, 0, 0), 0
     for n in range(3):
         mm = build_first_order("M", "-", ell, m=m, n=n)
-        h1 = build_phi2_operator(n + 1, n)
-        h2 = build_phi2_operator(n + 2, n + 1)
+        h1 = _phi2_operator(n + 1, n)
+        h2 = _phi2_operator(n + 2, n + 1)
         assert is_zero_op(compose(mm, h1) - compose(h2, mm))
 
 
 def test_phi2_chain_commutator_value():
     # [M-, M+] with the 1/2-scaled convention is (l0+l1+l2+2m+2n+1) * id;
     # the printed value -4(...) has the unscaled magnitude and the wrong sign
-    from octasphere.diffop import compose
     ell, m, n = pv(1, 1, 0), 0, 1
     mm_prev = build_first_order("M", "-", ell, m=m, n=n - 1).scale(HALF)
     mp_prev = build_first_order("M", "+", ell, m=m, n=n - 1).scale(HALF)
