@@ -15,10 +15,9 @@ from .inner import GramReport, adjoint_residual, gram, inner, mono_inner, norm
 from .operators import (GradedOp, build_first_order, casimir_identity,
                         diagonal, graded, graded_commutator, intertwine_residual,
                         is_exact_intertwiner, solve_multiplier, structure_table)
-from .superpotential import (decompose, kinetic_rotation_check, riccati_check,
-                             superpot_from_state)
-from .trigpoly import (TrigPoly, TrigTerm, differentiate, divide_by_monomial,
-                       eval_numeric, is_zero, linear_combine, mul)
+from .superpotential import decompose, kinetic_rotation_check, riccati_check
+from .trigpoly import (TrigPoly, TrigTerm, differentiate, eval_numeric, is_zero,
+                       linear_combine, mul)
 
 __all__ = [n for n in dir() if not n.startswith("_")]
 __version__ = "0.1.0"

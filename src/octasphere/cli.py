@@ -61,6 +61,7 @@ def _cmd_iur(args, parser) -> int:
     lat = iur_lattice(args.algebra, label)
     stem = args.algebra + "_" + "_".join(str(x) for x in label)
     outdir = Path(args.out)
+    states = None
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         if args.emit in ("lattice", "both"):
@@ -69,15 +70,17 @@ def _cmd_iur(args, parser) -> int:
             (outdir / f"{stem}_lattice.csv").write_text(lattice_to_csv(lat),
                                                         encoding="utf-8")
         if args.emit in ("states", "both"):
-            obj = [state_to_obj(s) for s in iur_states(args.algebra, label)]
+            states = iur_states(args.algebra, label)
+            obj = [state_to_obj(s) for s in states]
             with open(outdir / f"{stem}_states.json", "w", encoding="utf-8") as fh:
                 json.dump(obj, fh, indent=2)
                 fh.write("\n")
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 1
-    print(f"{args.algebra} IUR {label}: dimension {lat.dimension}, "
-          f"energy {ground_state(args.algebra, label).energy}, "
+    # every state of the IUR carries the energy of its fundamental state
+    e = states[0].energy if states else ground_state(args.algebra, label).energy
+    print(f"{args.algebra} IUR {label}: dimension {lat.dimension}, energy {e}, "
           f"{len(lat.points)} lattice points -> {outdir}/{stem}_*")
     return 0
 
@@ -102,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=SUITE_NAMES + ["all"], default="all")
     p_verify.add_argument("--range", type=int, default=2,
-                          help="the riccati suite sweeps the sectors {0..N}^3 with N = min(range, 3); "
-                               "the other suites only echo it (>= 1)")
+                          help="echoed in the report; every suite proves its identities "
+                               "for all l (>= 1)")
     p_verify.add_argument("--format", choices=["json", "text"], default="text")
 
     p_iur = sub.add_parser("iur", help="export an IUR lattice and/or its states")

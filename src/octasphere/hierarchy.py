@@ -5,6 +5,9 @@ construction, the Jacobi closed forms are expanded over the monomial algebra,
 and the lattices (u(3) triangles/hexagons, so(4) squares, so(6) octahedra)
 carry integer multiplicities that are cross-checked against the closed
 dimension formulas.
+Every fundamental state is the value of one ground-state gauge phi0 whose
+exponents are affine in ell, so (X phi0)/phi0 is a polynomial in ell for a
+first-order ladder X (`phi0_action`), and each annihilation is an identity in ell.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from typing import Sequence
 from . import linalg
 from .diffop import (DiffOp, ParamVector, apply, build_hamiltonian,
                      build_phi1_block, coupling, pv)
-from .lpoly import quantum_number
+from .lpoly import LPoly, Row, quantum_number, row_at
 from .operators import GradedOp, graded
-from .trigpoly import PHI1, PHI2, TrigPoly, coordinate_vectors, frac_to_str, is_zero, to_obj
+from .trigpoly import (COT1, COT2, PHI1, PHI2, TAN1, TAN2, TrigPoly, coordinate_vectors,
+                       frac_to_str, is_zero, mul, to_obj)
 from .trigpoly import proportionality  # noqa: F401  (re-exported for comparing states)
 
 F0 = Fraction(0)
@@ -166,18 +170,36 @@ def _monomial_state(coeff, a, b, c, d) -> TrigPoly:
     return TrigPoly.monomial(coeff, (Fraction(a), Fraction(b), Fraction(c), Fraction(d)))
 
 
+# the exponents of cos phi1, sin phi1, cos phi2, sin phi2 in phi0, affine rows in ell
+PHI0_ROWS: tuple[Row, ...] = tuple(tuple(map(Fraction, r)) for r in (
+    (HALF, 1, 0, 0), (HALF, 0, 1, 0), (1, 1, 1, 0), (HALF, 0, 0, 1)))
+
+
 def phi0(ell, onedim: bool = False) -> TrigPoly:
-    """The ground-state gauge of sector ell,
+    """The ground-state gauge of sector ell, the monomial with exponents PHI0_ROWS,
 
         phi0 = cos^(l0+1/2) phi1 sin^(l1+1/2) phi1 cos^(l0+l1+1) phi2 sin^(l2+1/2) phi2,
 
     the fundamental state of every sector (Cooper, Khare & Sukhatme, Phys. Rep.
     251, 267, 1995); onedim keeps its phi1 factor, the phi1-block fundamental state.
     """
-    l0, l1, l2 = pv(*ell)
-    if onedim:
-        return _monomial_state(1, l0 + HALF, l1 + HALF, 0, 0)
-    return _monomial_state(1, l0 + HALF, l1 + HALF, l0 + l1 + 1, l2 + HALF)
+    exps = [row_at(row, ell) for row in PHI0_ROWS]
+    return TrigPoly.monomial(1, exps[:2] + [F0, F0] if onedim else exps)
+
+
+def phi0_action(x: LPoly) -> LPoly:
+    """(X phi0)/phi0 for a first-order X given as a polynomial in ell, itself a
+    polynomial in ell: X's multiplier plus its vector field applied to log phi0,
+    where d log(cos^a sin^b) = -a tan + b cot per angle.  Its value at ell is
+    zero exactly when X annihilates phi0(ell); ValueError for order > 1."""
+    if any(op.order() > 1 for _, op in x.items()):
+        raise ValueError("phi0_action expects an operator of order <= 1")
+    out = x.map(lambda op: op.coeff((0, 0)), TrigPoly)
+    for i, (order, tan, cot) in enumerate((((1, 0), TAN1, COT1), ((0, 1), TAN2, COT2))):
+        log_derivative = LPoly.affine(PHI0_ROWS[2 * i], -tan) \
+            + LPoly.affine(PHI0_ROWS[2 * i + 1], cot)
+        out = out + x.map(lambda op: op.coeff(order), TrigPoly).product(log_derivative, mul)
+    return out
 
 
 def _one_label(label, name: str) -> int:

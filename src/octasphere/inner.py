@@ -49,10 +49,18 @@ def _pair_key(t1: TrigTerm, t2: TrigTerm) -> tuple[int, int, int, int]:
     return a, b, c + 2, d
 
 
+def _float_coeff(t1: TrigTerm, t2: TrigTerm) -> float:
+    """The coefficient of t1 * t2 as a float; ValueError beyond the float range."""
+    try:
+        return float(t1.coeff * t2.coeff)
+    except OverflowError:
+        raise ValueError("a coefficient overflows a float") from None
+
+
 def mono_inner(t1: TrigTerm, t2: TrigTerm) -> float:
     """<t1, t2> with measure cos(phi2); relative error ~1e-12."""
     a, b, c, d = _pair_key(t1, t2)
-    return float(t1.coeff * t2.coeff) * _beta(a, b) * _beta(c, d)
+    return _float_coeff(t1, t2) * _beta(a, b) * _beta(c, d)
 
 
 _TS_STEP, _TS_RANGE = 1 / 20, 4.5  # tanh-sinh nodes t = k * step, |t| <= range
@@ -84,7 +92,7 @@ def mono_inner_quadrature(t1: TrigTerm, t2: TrigTerm) -> float:
     a, b, c, d = _pair_key(t1, t2)
     _check_integrable(a, b)
     _check_integrable(c, d)
-    return float(t1.coeff * t2.coeff) * _tanh_sinh(a, b) * _tanh_sinh(c, d)
+    return _float_coeff(t1, t2) * _tanh_sinh(a, b) * _tanh_sinh(c, d)
 
 
 def inner(f: TrigPoly, g: TrigPoly) -> float:
@@ -92,16 +100,20 @@ def inner(f: TrigPoly, g: TrigPoly) -> float:
 
     Reads the stored int numerators and doubled exponents: n1 * n2 / (den_f *
     den_g) is correctly rounded and the Beta values are looked up per angle, so
-    each term equals mono_inner's float of the Fraction product.
+    each term equals mono_inner's float of the Fraction product.  ValueError
+    when a coefficient product is beyond the float range.
     """
     total = 0.0
     den = f._den * g._den
     g_terms = sorted(g._terms.items())
     # the measure adds 2 to the doubled cos(phi2) power
-    for (a, b, c, d), n1 in sorted(f._terms.items()):
-        c += 2
-        for e2, n2 in g_terms:
-            total += n1 * n2 / den * _beta(a + e2[0], b + e2[1]) * _beta(c + e2[2], d + e2[3])
+    try:
+        for (a, b, c, d), n1 in sorted(f._terms.items()):
+            c += 2
+            for e2, n2 in g_terms:
+                total += n1 * n2 / den * _beta(a + e2[0], b + e2[1]) * _beta(c + e2[2], d + e2[3])
+    except OverflowError:
+        raise ValueError("a coefficient overflows a float") from None
     return total
 
 

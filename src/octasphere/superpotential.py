@@ -8,7 +8,8 @@ Riccati equation.  This module computes all of that exactly and reports the
 sign conventions it finds.  `riccati_check` solves the identity at one
 sector; `riccati_lambda` reads the constant lambda(ell) off the same identity
 written as one polynomial in ell (the potential read from
-`diffop.HAMILTONIAN`), so it holds for every ell in Q^3.
+`diffop.HAMILTONIAN`), so it holds for every ell in Q^3, and so do the
+superpotentials read off the ground-state gauge (`hierarchy.phi0_action`).
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from functools import partial
 
 from .diffop import (DiffOp, HAMILTONIAN, KINETIC, apply, build_hamiltonian, compose,
                      is_zero_op, pv)
-from .lpoly import Mono
+from .hierarchy import phi0_action
+from .lpoly import ZERO, LPoly, Mono
 from .operators import FAMILIES, match_constant_multiple
-from .trigpoly import (ONE, TrigPoly, TrigTerm, divide_by_monomial, is_zero, mul,
-                       proportionality)
+from .trigpoly import ONE, TrigPoly, mul, proportionality
 
 F0 = Fraction(0)
 
@@ -33,22 +34,6 @@ def decompose(x: DiffOp) -> tuple[DiffOp, TrigPoly]:
     mult = x.coeff((0, 0))
     vector = DiffOp({k: c for k, c in x.items() if k != (0, 0)})
     return vector, mult
-
-
-def superpot_from_state(vector: DiffOp, phi0: TrigTerm | TrigPoly) -> TrigPoly:
-    """-(vector phi0) / phi0 for a single-monomial fundamental state."""
-    if isinstance(phi0, TrigTerm):
-        mono = phi0
-        poly = TrigPoly.monomial(phi0.coeff, phi0.exps)
-    else:
-        terms = list(phi0.terms())
-        if len(terms) != 1:
-            raise ValueError("superpotential extraction needs a monomial state")
-        mono = terms[0]
-        poly = phi0
-    if mono.coeff == 0:
-        raise ValueError("zero state")
-    return divide_by_monomial(apply(vector, poly), mono).scale(-1)
 
 
 def family_vectors() -> dict[str, DiffOp]:
@@ -140,19 +125,12 @@ def kinetic_rotation_check() -> dict:
             "commutator_table": table}
 
 
-def simultaneous_superpotentials(m: int, n: int) -> dict:
+def simultaneous_superpotentials() -> dict[str, LPoly]:
     """Case (i): one u(3) fundamental state feeds all three multipliers.
 
-    For the fundamental state at (m, 0, n) the logarithmic action of each
-    lowering vector field reproduces the corrected multiplier of its family
-    exactly; returns the per-family booleans.
+    Per family, x+ phi0 / phi0 minus its multiplier w, a polynomial in ell
+    (`phi0_action`); each vanishes on the plane l1 = 0 of the u(3) fundamental
+    states (m, 0, n), where X- = -x+ + w annihilates phi0.
     """
-    from .hierarchy import ground_state
-    st = ground_state("u3", (m, n))
-    vecs = family_vectors()
-    out = {}
-    for name in ("A", "B", "C"):
-        w_from_state = superpot_from_state(vecs[name].scale(-1), st.wavefunction)
-        w_family = family_multiplier(name, st.params)
-        out[name] = is_zero(w_from_state - w_family)
-    return out
+    return {name: phi0_action(LPoly(DiffOp, {ZERO: vec})) - FAMILIES[name].symbolic_multiplier
+            for name, vec in family_vectors().items()}

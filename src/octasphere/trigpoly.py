@@ -320,18 +320,6 @@ def differentiate(p: TrigPoly, var: int) -> TrigPoly:
     return _reduced({e: v for e, v in acc.items() if v}, 2 * p._den)
 
 
-def divide_by_monomial(p: TrigPoly, t: TrigTerm) -> TrigPoly:
-    """Exact termwise division by a single monomial."""
-    if t.coeff == 0:
-        raise ValueError("division by zero monomial")
-    a, b, c, d = _exps(t.exps)
-    tn, td = t.coeff.numerator, t.coeff.denominator
-    if tn < 0:
-        tn, td = -tn, -td
-    return _reduced({(e[0] - a, e[1] - b, e[2] - c, e[3] - d): n * td
-                     for e, n in p._terms.items()}, p._den * tn)
-
-
 # -- fixed-basis normal form -------------------------------------------------
 
 ClassKey = tuple[Fraction, Fraction, Fraction, Fraction]
@@ -444,7 +432,7 @@ def eval_numeric(p: TrigPoly, phi1: float, phi2: float) -> float:
 
     Relative error is ~1e-13 per term for |exponents| <= 20.  Points outside
     the open octant raise, since negative/fractional powers are singular at
-    the boundary.
+    the boundary, and so does a coefficient or power beyond the float range.
     """
     half_pi = math.pi / 2
     if not (0.0 < phi1 < half_pi) or not (0.0 < phi2 < half_pi):
@@ -454,9 +442,12 @@ def eval_numeric(p: TrigPoly, phi1: float, phi2: float) -> float:
     total = 0.0
     den = p._den
     # n / den is correctly rounded, so each term is float(Fraction(n, den)) * ...
-    for e, n in p._terms.items():
-        total += n / den * c1 ** (e[0] / 2) * s1 ** (e[1] / 2) \
-            * c2 ** (e[2] / 2) * s2 ** (e[3] / 2)
+    try:
+        for e, n in p._terms.items():
+            total += n / den * c1 ** (e[0] / 2) * s1 ** (e[1] / 2) \
+                * c2 ** (e[2] / 2) * s2 ** (e[3] / 2)
+    except OverflowError:
+        raise ValueError("a coefficient or power overflows a float") from None
     return total
 
 

@@ -16,7 +16,7 @@ from octasphere.hierarchy import (closed_form_state, energy,
                                   phi2_closed_form, proportionality,
                                   so6_dimension, state_to_obj)
 from octasphere.linalg import rank_exact
-from octasphere.operators import build_first_order
+from octasphere.operators import LADDER_NAMES, TILDE_NAMES, build_first_order, graded
 from octasphere.trigpoly import TrigPoly, is_zero, normal_form
 
 F = Fraction
@@ -161,6 +161,28 @@ def test_phi0_is_the_ground_state_gauge():
 
 
 half_integers = st.integers(0, 8).map(lambda k: F(k, 2))
+signed_half_integers = st.integers(-8, 8).map(lambda k: F(k, 2))
+ALL_LADDERS = LADDER_NAMES + TILDE_NAMES
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ALL_LADDERS),
+       st.tuples(signed_half_integers, signed_half_integers, signed_half_integers))
+def test_phi0_action_at_a_sector_is_the_ladder_on_phi0_over_phi0(name, ell):
+    # in 1/2 Z every exponent of phi0 has denominator 1 or 2
+    x = graded(name)
+    want = apply(x.at(ell), hierarchy.phi0(ell))
+    assert is_zero(hierarchy.phi0_action(x.poly).at(ell) * hierarchy.phi0(ell) - want)
+
+
+def test_phi0_action_names_the_couplings_a_lowering_operator_needs_zero():
+    # A-, B- and Ct- annihilate phi0 at every sector; C-, At- and Bt- only where
+    # l1, l0 and l2 vanish, each leaving that one monomial of ell
+    survivors = {name: [m for m, c in hierarchy.phi0_action(graded(name).poly).items()
+                        if not is_zero(c)]
+                 for name in ("A-", "B-", "Ct-", "C-", "At-", "Bt-")}
+    assert survivors == {"A-": [], "B-": [], "Ct-": [],
+                         "C-": [(0, 1, 0)], "At-": [(1, 0, 0)], "Bt-": [(0, 0, 1)]}
 
 
 @settings(max_examples=40, deadline=None)

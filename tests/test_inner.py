@@ -239,6 +239,18 @@ def test_inner_and_eval_are_bit_identical_to_the_fraction_route():
                 assert eval_numeric(f, x, y) == _fraction_route_eval(f, x, y)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: inner(TrigPoly.monomial(10 ** 400, (0, 0, 0, 0)), ONE),
+    lambda: mono_inner(TrigTerm(10 ** 400, (0, 0, 0, 0)), TrigTerm(1, (0, 0, 0, 0))),
+    lambda: mono_inner_quadrature(TrigTerm(10 ** 400, (0, 0, 0, 0)), TrigTerm(1, (0, 0, 0, 0))),
+    lambda: eval_numeric(TrigPoly.monomial(10 ** 400, (0, 0, 0, 0)), 0.3, 0.3),
+    lambda: eval_numeric(TrigPoly.monomial(1, (-4000, 0, 0, 0)), 1.5, 0.3),
+], ids=["inner_coeff", "mono_inner_coeff", "quadrature_coeff", "eval_coeff", "eval_power"])
+def test_float_oracles_reject_values_beyond_the_float_range(call):
+    with pytest.raises(ValueError, match="overflows a float"):
+        call()
+
+
 def test_inner_rejects_a_non_integrable_pair():
     f = TrigPoly.monomial(1, (0, -1, 0, 0)) + TrigPoly.monomial(1, (1, 1, 1, 1))
     with pytest.raises(ValueError):

@@ -1,13 +1,15 @@
 """Verification reports: a failing check names its first counterexample."""
 
 import ast
+import json
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import octasphere
 from octasphere import operators, suites
-from octasphere.trigpoly import SIN1
+from octasphere.superpotential import riccati_check
+from octasphere.trigpoly import frac_to_str
 
 
 def _check(rep, prefix):
@@ -15,14 +17,14 @@ def _check(rep, prefix):
 
 
 def test_passing_algebra_report_carries_no_counterexample():
-    rep = suites.suite_algebra(1)
+    rep = suites.suite_algebra()
     assert rep["passed"]
     assert all("counterexample" not in c and "witness" not in c for c in rep["checks"])
 
 
 def test_failed_samples_name_the_first_operators_and_sector(monkeypatch):
     monkeypatch.setattr(suites, "is_zero_op", lambda op: False)
-    rep = suites.suite_algebra(1)
+    rep = suites.suite_algebra()
     assert _check(rep, "antisymmetry")["counterexample"] == \
         {"operators": ["A-", "B+"], "sector": ["1", "0", "1"]}
 
@@ -30,74 +32,99 @@ def test_failed_samples_name_the_first_operators_and_sector(monkeypatch):
 def test_a_failed_jacobi_proof_names_its_first_triple_and_witness(monkeypatch):
     # products in place of brackets: the Jacobi sum no longer vanishes
     monkeypatch.setattr(suites, "graded_bracket", operators.graded_product)
-    check = _check(suites.suite_algebra(1), "Jacobi")
+    check = _check(suites.suite_algebra(), "Jacobi")
     assert not check["passed"]
     assert check["operators"] == ["A-", "A+", "B-"]
     assert check["witness"] == {"monomial": [0, 0, 0], "terms": 19}
 
 
-def test_failed_annihilation_names_the_first_state(monkeypatch):
-    monkeypatch.setattr(suites, "is_zero", lambda p: False)
-    rep = suites.suite_intertwine(1)
-    assert _check(rep, "A- and C- annihilate")["counterexample"] == \
-        {"operators": ["A-"], "sector": ["0", "0", "0"]}
-
-
-def test_unclosed_commutators_carry_their_witness(monkeypatch):
+def _break_family_a(monkeypatch):
+    # an extra l2 cot(phi1) term in A's multiplier
     fam = operators.FAMILIES["A"]
     monkeypatch.setitem(operators.FAMILIES, "A",
                         replace(fam, cot_row=fam.cot_row[:3] + (Fraction(1),)))
-    check = _check(suites.suite_algebra(1), "pairwise commutators close")
+
+
+def test_failed_annihilation_names_its_operator_and_witness(monkeypatch):
+    _break_family_a(monkeypatch)
+    check = _check(suites.suite_intertwine(), "A- and C- annihilate")
+    assert not check["passed"]
+    assert check["operators"] == ["A-"]
+    assert check["witness"] == {"monomial": [0, 0, 1], "terms": 1}
+
+
+def test_unclosed_commutators_carry_their_witness(monkeypatch):
+    _break_family_a(monkeypatch)
+    check = _check(suites.suite_algebra(), "pairwise commutators close")
     assert not check["passed"]
     assert set(check["witness"]) == set(check["unmatched"])
     assert check["witness"]["B+,C-"] == {"monomial": [0, 0, 1], "terms": 1}
 
 
 def test_failed_riccati_residual_names_the_first_sector(monkeypatch):
-    real = suites.riccati_check
-
-    def broken(ell):
-        resid, lam = real(ell)
-        return (SIN1 if ell in ((0, 1, 0), (1, 1, 1)) else resid), lam
-
-    monkeypatch.setattr(suites, "riccati_check", broken)
-    check = _check(suites.suite_riccati(1), "riccati residual")
+    _break_family_a(monkeypatch)
+    rep = suites.suite_riccati()
+    check = _check(rep, "riccati residual")
     assert not check["passed"]
-    assert check["counterexample"] == {"sector": ["0", "1", "0"]}
+    assert check["witness"] == {"sector": ["1/2", "1/3", "2"], "terms": 2}
+    assert not _check(rep, "lambda_l is an exact polynomial")["passed"]
+
+
+def test_a_riccati_residual_that_vanishes_with_the_wrong_lambda_fails(monkeypatch):
+    real = suites.riccati_check
+    monkeypatch.setattr(suites, "riccati_check", lambda ell: (real(ell)[0], Fraction(0)))
+    check = _check(suites.suite_riccati(), "riccati residual")
+    assert not check["passed"]
+    assert check["witness"] == {"sector": ["1/2", "1/3", "2"], "terms": 0}
 
 
 def test_riccati_samples_take_their_flag_from_the_residual(monkeypatch):
-    real = suites.riccati_check
-
-    def broken(ell):
-        resid, lam = real(ell)
-        return (SIN1 if ell == (0, 1, 0) else resid), lam
-
-    monkeypatch.setattr(suites, "riccati_check", broken)
-    samples = {tuple(s["sector"]): s["riccati_residual_zero"]
-               for s in suites.suite_riccati(1)["lambda_samples"]}
-    assert samples.pop(("0", "1", "0")) is False
-    assert samples and all(ok is True for ok in samples.values())
+    # the flag is the lambda proof: the residual is a constant for every l
+    samples = suites.suite_riccati()["lambda_samples"]
+    assert len(samples) == 8 and all(s["riccati_residual_zero"] is True for s in samples)
+    _break_family_a(monkeypatch)
+    assert suites.suite_riccati()["lambda_samples"] == []
 
 
-def test_failed_simultaneous_superpotential_names_m_n_and_family(monkeypatch):
-    real = suites.simultaneous_superpotentials
-    monkeypatch.setattr(suites, "simultaneous_superpotentials",
-                        lambda m, n: dict(real(m, n), C=(m, n) not in ((1, 0), (2, 2))))
-    check = _check(suites.suite_riccati(1), "one fundamental state")
+def test_lambda_samples_are_the_sector_check_at_their_sectors():
+    samples = suites.suite_riccati()["lambda_samples"]
+    assert [s["sector"] for s in samples] == [
+        ["0", "0", "0"], ["0", "0", "1"], ["0", "0", "2"], ["0", "1", "0"],
+        ["0", "1", "1"], ["0", "1", "2"], ["0", "2", "0"], ["0", "2", "1"]]
+    for s in samples:
+        resid, lam = riccati_check(tuple(Fraction(x) for x in s["sector"]))
+        assert not resid and s["lambda"] == frac_to_str(lam)
+
+
+def test_failed_simultaneous_superpotential_names_its_family_and_witness(monkeypatch):
+    _break_family_a(monkeypatch)
+    check = _check(suites.suite_riccati(), "one fundamental state")
     assert not check["passed"]
-    assert check["counterexample"] == {"m": 1, "n": 0, "superpotential": "C"}
+    assert check["operators"] == ["A"]
+    assert check["witness"] == {"monomial": [0, 0, 1], "terms": 1}
 
 
 def test_passing_riccati_report_carries_no_counterexample():
-    assert all("counterexample" not in c for c in suites.suite_riccati(1)["checks"])
+    assert all("counterexample" not in c and "witness" not in c
+               for c in suites.suite_riccati()["checks"])
+
+
+def test_the_report_is_the_same_at_every_range():
+    # every suite proves its identities for all l: --range is only echoed
+    reports = [suites.run_suite("all", r) for r in (1, 2, 3)]
+    for r, rep in zip((1, 2, 3), reports):
+        assert rep["range"] == r and all(sub["range"] == r for sub in rep["suites"])
+    unranged = [json.dumps(dict(rep, range=None, suites=[dict(sub, range=None)
+                                                         for sub in rep["suites"]]),
+                           sort_keys=True) for rep in reports]
+    assert unranged[0] == unranged[1] == unranged[2]
 
 
 def test_the_printed_audit_checks_read_the_delta_report(monkeypatch):
     # the four printed B/C checks follow the verdicts printed_delta_report records
     only_b_minus = [d for d in operators.printed_delta_report() if d["operator"] == "B-"]
     monkeypatch.setattr(suites, "printed_delta_report", lambda: only_b_minus)
-    rep = suites.suite_intertwine(0)
+    rep = suites.suite_intertwine()
     verdicts = {n: _check(rep, f"printed {n} fails")["passed"] for n in ("B-", "B+", "C-", "C+")}
     assert verdicts == {"B-": True, "B+": False, "C-": False, "C+": False}
     assert rep["paper_deltas"] == only_b_minus

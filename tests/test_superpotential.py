@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octasphere.diffop import DiffOp, pv
-from octasphere.hierarchy import closed_form_state, ground_state
-from octasphere.operators import (build_first_order, graded,
+from octasphere.hierarchy import closed_form_state, phi0, phi0_action
+from octasphere.lpoly import LPoly
+from octasphere.operators import (build_first_order, graded, graded_product,
                                   is_exact_intertwiner)
 from octasphere.superpotential import (decompose, family_multiplier,
                                        kinetic_rotation_check, riccati_check,
-                                       riccati_lambda, superpot_from_state,
-                                       simultaneous_superpotentials)
-from octasphere.trigpoly import ONE, TrigPoly, TrigTerm, is_zero
+                                       riccati_lambda, simultaneous_superpotentials)
+from octasphere.trigpoly import ONE, PHI1, PHI2, TrigPoly, differentiate, is_zero, mul
 
 F = Fraction
 HALF = F(1, 2)
@@ -53,34 +53,43 @@ def test_recombination_is_exact():
     assert vec + DiffOp.multiplication(mult) == op
 
 
+def _constant(op: DiffOp) -> LPoly:
+    """An operator that does not depend on ell, as a polynomial in ell."""
+    return LPoly(DiffOp, {(0, 0, 0): op})
+
+
+def _inverse(monomial: TrigPoly) -> TrigPoly:
+    ((exps, c),) = monomial.items()
+    return TrigPoly.monomial(1 / c, tuple(-x for x in exps))
+
+
 def test_superpot_from_state_matches_printed_alpha():
-    phi0 = TrigTerm(F(1), (F(3, 2), HALF, F(2), HALF))
-    vec = DiffOp({(1, 0): ONE.scale(-1)})  # a^-
-    got = superpot_from_state(vec, phi0)
-    # printed alpha at (1, 0, 0): -(3/2) tan + (1/2) cot
+    # the superpotential read off phi0 at (1, 0, 0) by a^+ = d1 is the printed
+    # alpha there: -(3/2) tan + (1/2) cot
+    got = phi0_action(_constant(DiffOp({(1, 0): ONE}))).at(pv(1, 0, 0))
     assert got == mono(-F(3, 2), -1, 1, 0, 0) + mono(HALF, 1, -1, 0, 0)
 
 
 def test_superpot_one_dimensional_convention():
-    st = ground_state("phi1_1d", (1, 2, 0))
-    vec = DiffOp({(1, 0): ONE.scale(-1)})
-    omega = superpot_from_state(vec, st.wavefunction)
-    # omega_m = (d f0/dphi1)/f0, the log-derivative of the chain ground state
-    from octasphere.trigpoly import PHI1, differentiate, divide_by_monomial
-    term = list(st.wavefunction.terms())[0]
-    log_deriv = divide_by_monomial(differentiate(st.wavefunction, PHI1), term)
-    assert is_zero(omega - log_deriv)
+    # d_i phi0 / phi0: a monomial's log-derivative is its derivative times the
+    # inverse monomial
+    for ell in (pv(1, 2, 0), pv(HALF, F(3, 2), F(-1, 2)), pv(-2, 0, 3)):
+        for order, var in (((1, 0), PHI1), ((0, 1), PHI2)):
+            got = phi0_action(_constant(DiffOp({order: ONE}))).at(ell)
+            assert got == mul(differentiate(phi0(ell), var), _inverse(phi0(ell)))
 
 
 def test_superpot_constant_state_is_zero():
-    vec = DiffOp({(1, 0): ONE.scale(-1)})
-    assert not superpot_from_state(vec, TrigTerm(F(2), (F(0),) * 4))
+    # at (-1/2, -1/2, -1/2) the gauge is the constant 1: no derivative survives
+    ell = pv(-HALF, -HALF, -HALF)
+    assert phi0(ell) == ONE
+    x = _constant(DiffOp({(1, 0): mono(3, 1, 0, -1, 0), (0, 1): ONE}))
+    assert not phi0_action(x).at(ell)
 
 
-def test_superpot_rejects_non_monomial():
-    vec = DiffOp({(1, 0): ONE})
+def test_phi0_action_rejects_a_second_order_operator():
     with pytest.raises(ValueError):
-        superpot_from_state(vec, mono(1, 1, 0, 0, 0) + mono(1, 0, 1, 0, 0))
+        phi0_action(graded_product(graded("A+"), graded("A-")).poly)
 
 
 def test_riccati_vanishing_potential_sector():
@@ -146,9 +155,15 @@ def test_kinetic_and_rotation():
 
 
 def test_simultaneous_superpotentials_case_i():
+    # each family's residual is zero on the plane l1 = 0 of the u(3) fundamental
+    # states, and C's is a multiple of l1 off it
+    got = simultaneous_superpotentials()
+    assert list(got) == ["A", "B", "C"]
+    survivors = {name: [m for m, c in w.items() if not is_zero(c)] for name, w in got.items()}
+    assert survivors == {"A": [], "B": [], "C": [(0, 1, 0)]}
     for m in range(3):
         for n in range(3):
-            assert all(simultaneous_superpotentials(m, n).values())
+            assert all(is_zero(w.at(pv(m, 0, n))) for w in got.values())
 
 
 def test_joint_ground_state_feeds_alpha_and_beta_but_not_gamma():
@@ -156,15 +171,15 @@ def test_joint_ground_state_feeds_alpha_and_beta_but_not_gamma():
     # ker(A-) and ker(B-) at every sector, but in ker(C-) only when l1 = 0
     from octasphere.diffop import apply
     st = closed_form_state("separated_2d", ((1, 1, 1), 0, 0))
-    term = list(st.wavefunction.terms())[0]
+    assert st.wavefunction == phi0(st.params)
     for fam in ("A", "B"):
         assert is_zero(apply(graded(fam + "-").at(st.params), st.wavefunction))
         vec, _ = decompose(graded(fam + "-").at(st.params))
-        got = superpot_from_state(vec, term)
+        got = phi0_action(_constant(vec.scale(-1))).at(st.params)
         assert is_zero(got - family_multiplier(fam, st.params))
     assert not is_zero(apply(graded("C-").at(st.params), st.wavefunction))
     c_vec, _ = decompose(graded("C-").at(st.params))
-    gamma_candidate = superpot_from_state(c_vec, term)
+    gamma_candidate = phi0_action(_constant(c_vec.scale(-1))).at(st.params)
     assert not is_zero(gamma_candidate - family_multiplier("C", st.params))
 
 
@@ -180,31 +195,22 @@ def test_partial_fundamental_state_case_ii():
     assert not is_zero(apply(graded("B-").at(st.params), st.wavefunction))
     assert not is_zero(apply(graded("C-").at(st.params), st.wavefunction))
 
-    f_factor = TrigTerm(F(1), (F(3, 2), F(3, 2), F(0), F(0)))  # phi1 monomial of st
+    # the phi1 monomial factor of st is the phi1-block gauge; it has no phi2
+    # factor, so a log-derivative reads it off phi0's d1 part alone
+    assert phi0(st.params, onedim=True) == mono(1, F(3, 2), F(3, 2), 0, 0)
+
+    def candidate_from_f_factor(vec):
+        return phi0_action(_constant(DiffOp({(1, 0): vec.coeff((1, 0)).scale(-1)}))) \
+            .at(st.params)
+
     a_vec, _ = decompose(graded("A-").at(st.params))
-    alpha = superpot_from_state(a_vec, f_factor)
+    alpha = candidate_from_f_factor(a_vec)
     assert is_zero(alpha - family_multiplier("A", st.params))
 
     for fam, delta in (("B", (1, 0, 1)), ("C", (0, -1, 1))):
         vec, _ = decompose(graded(fam + "-").at(st.params))
-        candidate = superpot_from_state(vec, f_factor)
+        candidate = candidate_from_f_factor(vec)
         assert not is_zero(candidate - family_multiplier(fam, st.params))
         cand_op = GradedOp(name=fam + "-cand", shift=delta,
                            poly=LPoly(DiffOp, {(0, 0, 0): vec + DiffOp.multiplication(candidate)}))
         assert not is_exact_intertwiner(cand_op, st.params)
-
-
-def test_riccati_suite_checks_each_sector_once(monkeypatch):
-    from octasphere import suites, superpotential
-    calls = []
-    original = superpotential.riccati_check
-
-    def counting(ell):
-        calls.append(tuple(ell))
-        return original(ell)
-
-    monkeypatch.setattr(superpotential, "riccati_check", counting)
-    monkeypatch.setattr(suites, "riccati_check", counting)
-    rep = suites.suite_riccati(2)
-    assert rep["passed"]
-    assert len(calls) == len(set(calls)) == 27

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from octasphere.trigpoly import (COS1, COS2, ONE, PHI1, PHI2, SIN1, SIN2, TAN1,
                                  TAN2, TrigPoly, TrigTerm, _angle_basis, differentiate,
-                                 divide_by_monomial, eval_numeric, frac_from_str,
+                                 eval_numeric, frac_from_str,
                                  from_json, from_obj, is_zero, linear_combine, mul,
                                  normal_form, proportionality, to_json)
 
@@ -113,24 +113,6 @@ def test_proportionality_zero_numerator():
 
 def test_proportionality_zero_denominator():
     assert proportionality(COS2, COS1 * COS1 + SIN1 * SIN1 - ONE) is None
-
-
-# -- divide_by_monomial ----------------------------------------------------------------
-
-def test_divide_simple():
-    p = mono(1, 2, 1, 0, 0)
-    assert divide_by_monomial(p, TrigTerm(F(1), (F(1), F(0), F(0), F(0)))) == mono(1, 1, 1, 0, 0)
-
-
-def test_divide_half_integer():
-    p = mono(F(-3, 2), F(3, 2), F(3, 2), 0, 0)
-    t = TrigTerm(F(1), (F(3, 2), HALF, F(0), F(0)))
-    assert divide_by_monomial(p, t) == SIN1.scale(F(-3, 2))
-
-
-def test_divide_by_zero_monomial_raises():
-    with pytest.raises(ValueError):
-        divide_by_monomial(COS1, TrigTerm(F(0), (F(0), F(0), F(0), F(0))))
 
 
 # -- eval_numeric -------------------------------------------------------------------------
@@ -315,7 +297,6 @@ def test_stored_keys_stay_int_tuples(p, q, c, var):
             TrigPoly.monomial(c, (HALF, 1, F(-3, 2), 0.5)),
             p + q, p - q, -p, p.scale(c), mul(p, q), differentiate(p, var),
             linear_combine([(c, p), (F(1), q)]),
-            divide_by_monomial(p, TrigTerm(c, (HALF, F(-1), 2, F(3, 2)))),
             from_json(to_json(p))]
     assert all(_int_keyed(r) for r in made)
 
@@ -400,10 +381,9 @@ def _canonical(p):
 
 
 @settings(max_examples=100, deadline=None)
-@given(polys, polys, coeffs, terms, st.sampled_from([PHI1, PHI2]))
-def test_kernel_matches_a_fraction_reference(p, q, c, t, var):
+@given(polys, polys, coeffs, st.sampled_from([PHI1, PHI2]))
+def test_kernel_matches_a_fraction_reference(p, q, c, var):
     rp, rq = dict(p.items()), dict(q.items())
-    t = TrigTerm(*t)
     pyth = COS1 * COS1 + SIN1 * SIN1 if var == PHI1 else COS2 * COS2 + SIN2 * SIN2
     cases = [
         (p + q, _ref_sum([(1, rp), (1, rq)])),
@@ -413,8 +393,6 @@ def test_kernel_matches_a_fraction_reference(p, q, c, t, var):
         (p.scale(0), {}),
         (mul(p, q), _ref_mul(rp, rq)),
         (differentiate(p, var), _ref_differentiate(rp, var)),
-        (divide_by_monomial(p, t),
-         {tuple(x - y for x, y in zip(e, t.exps)): v / t.coeff for e, v in rp.items()}),
         (linear_combine([(c, p), (F(0), q), (F(-1, 3), q)]),
          _ref_sum([(c, rp), (F(-1, 3), rq)])),
     ]
