@@ -11,10 +11,10 @@ from .diffop import (DiffOp, apply, build_hamiltonian, build_phi1_block,
 from .hierarchy import (IurLattice, JacobiPoly, StateRecord, closed_form_state,
                         energy, ground_state, iso_energy_decomposition, iur_lattice,
                         iur_states, jacobi, ladder_build, make_state)
-from .inner import GramReport, adjoint_residual, gram, inner, mono_inner, norm
+from .inner import GramReport, adjoint_residual, gram, mono_inner, norm
 from .operators import (GradedOp, build_first_order, casimir_identity,
                         diagonal, graded, graded_commutator, intertwine_residual,
-                        is_exact_intertwiner, solve_multiplier, structure_table)
+                        solve_multiplier, structure_table)
 from .superpotential import decompose, kinetic_rotation_check, riccati_check
 from .trigpoly import (TrigPoly, TrigTerm, differentiate, eval_numeric, is_zero,
                        linear_combine, mul)

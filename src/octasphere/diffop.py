@@ -20,13 +20,11 @@ term is re-validated per sector.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
 from .lpoly import ZERO, LPoly, ParamVector, coupling, pv  # noqa: F401  (pv re-exported)
-from .trigpoly import (PHI1, PHI2, ONE, TrigPoly, differentiate, from_obj, is_zero,
-                       obj_field, to_obj)
+from .trigpoly import PHI1, PHI2, ONE, TrigPoly, differentiate, is_zero
 
 MAX_ORDER = 4
 
@@ -211,29 +209,3 @@ def build_hamiltonian(ell: ParamVector) -> DiffOp:
 def build_phi1_block(l0, l1) -> DiffOp:
     """One-dimensional block -d1^2 + (l0^2-1/4) sec^2 phi1 + (l1^2-1/4) csc^2 phi1."""
     return PHI1_BLOCK.at((l0, l1, 0))
-
-
-# -- serialization -------------------------------------------------------------
-
-def op_to_obj(op: DiffOp, shift: tuple[int, int, int] = (0, 0, 0)) -> dict:
-    return {"shift": list(shift),
-            "terms": [{"order": [k1, k2], "coeff": to_obj(c)}
-                      for (k1, k2), c in sorted(op.items())]}
-
-
-def op_from_obj(obj: dict) -> tuple[DiffOp, tuple[int, int, int]]:
-    """Inverse of `op_to_obj`; ValueError on a malformed object."""
-    terms = {}
-    for t in obj_field(obj, "terms", list):
-        order = obj_field(t, "order", list)
-        if len(order) != 2 or not all(type(k) is int for k in order):
-            raise ValueError(f"malformed derivative order {order!r}")
-        terms[tuple(order)] = from_obj(obj_field(t, "coeff", dict))
-    shift = obj.get("shift", [0, 0, 0])
-    if not isinstance(shift, list) or len(shift) != 3 or not all(type(k) is int for k in shift):
-        raise ValueError(f"malformed shift {shift!r}")
-    return DiffOp(terms), tuple(shift)
-
-
-def op_to_json(op: DiffOp, shift: tuple[int, int, int] = (0, 0, 0)) -> str:
-    return json.dumps(op_to_obj(op, shift), separators=(",", ":"))

@@ -209,7 +209,7 @@ def _one_label(label, name: str) -> int:
 
 
 def _check_annihilated(op_name: str, ell, psi: TrigPoly) -> None:
-    op = graded(op_name, "corrected")
+    op = graded(op_name)
     if not is_zero(apply(op.at(pv(*ell)), psi)):
         raise ValueError(f"{op_name} does not annihilate the candidate state at {ell}")
 
@@ -260,7 +260,7 @@ def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRec
     """
     state = start
     for step in path:
-        op = graded(step, "corrected") if isinstance(step, str) else step
+        op = graded(step) if isinstance(step, str) else step
         psi = apply(op.scaled_at(state.params), state.wavefunction)
         if is_zero(psi):
             return None
@@ -295,18 +295,15 @@ def closed_form_state(kind: str, params) -> StateRecord:
     raise ValueError(f"unknown closed-form kind {kind!r}")
 
 
-def phi2_closed_form(ell, m: int, n: int, printed_parameter: bool = False) -> TrigPoly:
-    """phi2 factor cos^(l0+l1+2m+1) sin^(l2+1/2) P_n^(alpha, l0+l1+2m+1)(cos 2 phi2).
-
-    alpha = l2 makes this an exact eigenfunction factor; printed_parameter
-    requests the printed alpha = l2 + 1/2 (kept for the errata audit, where it
-    is shown to fail for n >= 1).
+def phi2_closed_form(ell, m: int, n: int) -> TrigPoly:
+    """phi2 factor cos^(l0+l1+2m+1) sin^(l2+1/2) P_n^(l2, l0+l1+2m+1)(cos 2 phi2),
+    an exact eigenfunction factor (the source prints the first Jacobi parameter
+    as l2 + 1/2, which `suites.spectral_delta_report` shows to fail for n >= 1).
     """
     (l0, l1, l2), m, n = pv(*ell), quantum_number(m, "m"), quantum_number(n, "n")
-    alpha = l2 + HALF if printed_parameter else l2
     root = l0 + l1 + 2 * m + 1
     pref = _monomial_state(1, 0, 0, root, l2 + HALF)
-    return pref * jacobi_in_cos2(jacobi(n, alpha, root), var=2)
+    return pref * jacobi_in_cos2(jacobi(n, l2, root), var=2)
 
 
 # -- representation lattices ------------------------------------------------------
@@ -404,7 +401,7 @@ def iur_states(algebra: str, label) -> list[StateRecord]:
     """
     lattice = iur_lattice(algebra, label)
     fund = ground_state(algebra, lattice.label)
-    ops = [graded(name, "corrected") for name in RAISING[algebra]]
+    ops = [graded(name) for name in RAISING[algebra]]
     want = dict(lattice.points)
     # per lattice point: the kept states, each beside its normal-form coordinates
     kept = {tuple(fund.params): [(fund, *coordinate_vectors([fund.wavefunction]))]}

@@ -196,8 +196,8 @@ def adjoint_residual(x_name: str, ell, f: TrigPoly, g: TrigPoly) -> float:
     octant boundary (every exponent >= 1/2), so the integration-by-parts
     boundary terms drop.
     """
-    xm = graded(x_name + "-", "corrected")
-    xp = graded(x_name + "+", "corrected")
+    xm = graded(x_name + "-")
+    xp = graded(x_name + "+")
     if not f or not g:
         return 0.0
     if not (_admissible(f) and _admissible(g)):
@@ -208,24 +208,22 @@ def adjoint_residual(x_name: str, ell, f: TrigPoly, g: TrigPoly) -> float:
     return abs(lhs - rhs)
 
 
-_STENCIL_1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))   # / 12h
-_STENCIL_2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))  # / 12h^2
+_STENCILS = {1: ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)),               # / 12h
+             2: ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))}  # / 12h^2
 
 
 def _fd(fun, x: float, y: float, k1: int, k2: int, h: float) -> float:
+    """d1^k1 d2^k2 fun at (x, y), the phi1 stencil outside the phi2 one; each
+    stencil is summed exactly rounded (`math.fsum`), so the value does not
+    depend on how the Python version sums floats."""
     if k1 == 0 and k2 == 0:
         return fun(x, y)
-    if k1 > 0:
-        st = _STENCIL_1 if k1 == 1 else _STENCIL_2
-        den = 12 * h if k1 == 1 else 12 * h * h
-        if k1 > 2:
-            raise ValueError("finite-difference oracle supports order <= 2 per variable")
-        return sum(w * _fd(fun, x + o * h, y, 0, k2, h) for o, w in st) / den
-    st = _STENCIL_1 if k2 == 1 else _STENCIL_2
-    den = 12 * h if k2 == 1 else 12 * h * h
-    if k2 > 2:
+    if k1 > 2 or k2 > 2:
         raise ValueError("finite-difference oracle supports order <= 2 per variable")
-    return sum(w * _fd(fun, x, y + o * h, 0, 0, h) for o, w in st) / den
+    # step along phi1 while k1 > 0, then along phi2
+    k, (dx, dy), rest = (k1, (h, 0.0), (0, k2)) if k1 else (k2, (0.0, h), (0, 0))
+    return math.fsum(w * _fd(fun, x + o * dx, y + o * dy, *rest, h)
+                     for o, w in _STENCILS[k]) / (12 * h if k == 1 else 12 * h * h)
 
 
 def numeric_oracle_check(op: DiffOp, f: TrigPoly, points, h: float = 1e-4) -> float:

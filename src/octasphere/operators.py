@@ -28,15 +28,14 @@ of a ladder with H (`intertwine_identity`), the structure table
 by the one graded bracket), the Casimir residuals (`casimir_residual`) and the
 brackets behind the Jacobi identity (`graded_bracket`).  `residual_witness`
 names the first ell-monomial where such an identity fails.  The per-sector
-compositions (`intertwine_residual`, `is_exact_intertwiner`,
-`graded_commutator`) compose the concrete operators at one sector and are the
-reference the identities are checked against.
+compositions (`intertwine_residual`, `graded_commutator`) compose the concrete
+operators at one sector and are the reference the identities are checked
+against.
 
-Constructors return the operator exactly as printed in the source table by
-default.  The corrected variant repairs the two families whose printed +/-
-superscripts are exchanged (the printed B-/C- formulas intertwine in the
-direction claimed for B+/C+ and vice versa); the repair is a vector-sign swap
-and is established computationally, see `printed_delta_report`.
+Every constructor builds the corrected operator.  The source table prints the
+B and C families with their +/- superscripts exchanged (the printed B-/C-
+formulas intertwine in the direction claimed for B+/C+ and vice versa);
+`printed_delta_report` writes those printed formulas out and decides them.
 """
 
 from __future__ import annotations
@@ -113,46 +112,40 @@ def _row(*coeffs) -> Row:
 
 @dataclass(frozen=True)
 class Family:
-    """One ladder family: X^s = s' d_chart + tan_row(ell) tan + cot_row(ell) cot.
+    """One ladder family: X^s = s d_chart + tan_row(ell) tan + cot_row(ell) cot.
 
-    s' is s in the corrected variant and s * vector_sign as printed; X- shifts
-    the sector by `shift`, X+ by its negative.  The rows are affine in ell,
-    (c0, c_l0, c_l1, c_l2).
+    X- shifts the sector by `shift`, X+ by its negative.  The rows are affine
+    in ell, (c0, c_l0, c_l1, c_l2).
     """
     chart: Chart
-    vector_sign: int
     tan_row: Row
     cot_row: Row
     shift: Shift
 
     @functools.cached_property
     def symbolic_multiplier(self) -> LPoly:
-        """The multiplier as a polynomial in ell, shared by X+ and X- of both variants."""
+        """The multiplier as a polynomial in ell, shared by X+ and X-."""
         return LPoly.affine(self.tan_row, self.chart.tan) \
             + LPoly.affine(self.cot_row, self.chart.cot)
 
     @functools.cached_property
-    def ladders(self) -> dict[tuple[str, str], tuple[LPoly, Shift]]:
-        """(sign, variant) -> X± as a polynomial in ell, and its shift: X- acts on
-        ell as the table formula at ell, X+ as the formula at its target ell - shift."""
+    def ladders(self) -> dict[str, tuple[LPoly, Shift]]:
+        """sign -> X± as a polynomial in ell, and its shift: X- acts on ell as the
+        table formula at ell, X+ as the formula at its target ell - shift."""
         mult = self.symbolic_multiplier.map(DiffOp.multiplication, DiffOp)
         up = tuple(-d for d in self.shift)
         out = {}
         for sign in "-+":
-            for variant in ("printed", "corrected"):
-                s = _sgn(sign) * (self.vector_sign if variant == "printed" else 1)
-                op = LPoly(DiffOp, {ZERO: self.chart.derivative(s)}) + mult
-                out[sign, variant] = (op, self.shift) if sign == "-" else (op.shift(up), up)
+            op = LPoly(DiffOp, {ZERO: self.chart.derivative(_sgn(sign))}) + mult
+            out[sign] = (op, self.shift) if sign == "-" else (op.shift(up), up)
         return out
 
 
 FAMILIES: dict[str, Family] = {
     # A: -(l0 + 1/2) tan phi1 + (l1 + 1/2) cot phi1
-    "A": Family(CHART_PHI, 1, _row(-HALF, -1, 0, 0), _row(HALF, 0, 1, 0), (1, 1, 0)),
-    # the printed B and C vectors are +/-(sin phi1 tan phi2 d1 + cos phi1 d2) = -/+ d_xi1
-    # and +/-(cos phi1 tan phi2 d1 - sin phi1 d2) = -/+ d_theta1: exchanged superscripts
-    "B": Family(CHART_XI, -1, _row(-HALF, 0, 0, -1), _row(HALF, 1, 0, 0), (1, 0, 1)),
-    "C": Family(CHART_THETA, -1, _row(-HALF, 0, 1, 0), _row(HALF, 0, 0, 1), (0, -1, 1)),
+    "A": Family(CHART_PHI, _row(-HALF, -1, 0, 0), _row(HALF, 0, 1, 0), (1, 1, 0)),
+    "B": Family(CHART_XI, _row(-HALF, 0, 0, -1), _row(HALF, 1, 0, 0), (1, 0, 1)),
+    "C": Family(CHART_THETA, _row(-HALF, 0, 1, 0), _row(HALF, 0, 0, 1), (0, -1, 1)),
 }
 
 # tilde family -> (family, reflection axis): each is its family at the reflected sector
@@ -179,25 +172,23 @@ CHAIN: dict[str, LPoly] = {
 
 
 def build_first_order(name: str, sign: str, ell: ParamVector, *,
-                      variant: str = "printed", m: int = 0, n: int = 0) -> DiffOp:
-    """Concrete first-order operator at a sector.
+                      m: int = 0, n: int = 0) -> DiffOp:
+    """Concrete first-order operator at a sector: the table formula X^sign at ell.
 
-    name in {A, B, C, At, Bt, Ct, M, A1d}; variant in {printed, corrected}.
-    Each is the value of a polynomial in ell: A, B, C and the tilde families of
-    `symbolic`, A1d of A at (l0+m, l1+m, l2), and the phi2 chain member M of
-    `CHAIN[sign]` at (l0+2m+n, l1, l2+n).  m and n are quantum numbers for
-    every name (`quantum_number`).
+    name in {A, B, C, At, Bt, Ct, M}.  Each is the value of a polynomial in
+    ell: the ladder families of `symbolic`, and the phi2 chain member M of
+    `CHAIN[sign]` at (l0+2m+n, l1, l2+n).  m and n are quantum numbers
+    (`quantum_number`) and label only the chain: a ladder family raises
+    ValueError for m or n other than 0.
     """
-    if variant not in ("printed", "corrected"):
-        raise ValueError(f"unknown variant {variant!r}")
     ell, m, n = pv(*ell), quantum_number(m, "m"), quantum_number(n, "n")
     l0, l1, l2 = ell
     if name == "M":
         _sgn(sign)  # ValueError on a sign other than '+' or '-'
         return CHAIN[sign].at((l0 + 2 * m + n, l1, l2 + n))
-    if name == "A1d":
-        name, ell = "A", (l0 + m, l1 + m, l2)
-    op, shift = _ladder(name + sign, variant)
+    if m or n:
+        raise ValueError(f"m and n label the phi2 chain M, not the ladder {name!r}")
+    op, shift = _ladder(name + sign)
     # X+ acts as the formula at its target, so the formula at ell is X+ on ell - shift
     return op.at(ell if sign == "-" else tuple(x - d for x, d in zip(ell, shift)))
 
@@ -233,27 +224,27 @@ class GradedOp:
         return tuple(e + s for e, s in zip(ell, self.shift))
 
 
-def _ladder(name: str, variant: str) -> tuple[LPoly, Shift]:
+def _ladder(name: str) -> tuple[LPoly, Shift]:
     """X± of a family or tilde family as a polynomial in ell, and its shift."""
     base, axis = TILDES.get(name[:-1], (name[:-1], None))
     if base not in FAMILIES:
         raise ValueError(f"unknown ladder family {name[:-1]!r}")
-    if (name[-1:], variant) not in FAMILIES[base].ladders:
-        raise ValueError(f"no ladder {name!r} in variant {variant!r}")
-    op, shift = FAMILIES[base].ladders[name[-1:], variant]
+    if name[-1:] not in FAMILIES[base].ladders:
+        raise ValueError(f"no ladder {name!r}")
+    op, shift = FAMILIES[base].ladders[name[-1:]]
     return (op, shift) if axis is None else (op.reflect(axis), _reflect(shift, axis))
 
 
-def symbolic(name: str, variant: str = "corrected") -> LPoly:
+def symbolic(name: str) -> LPoly:
     """The ladder X± of a family, or of a tilde family (its family's under
     `LPoly.reflect`), as one polynomial in ell; unscaled, like `GradedOp.at`."""
-    return _ladder(name, variant)[0]
+    return _ladder(name)[0]
 
 
-def graded(name: str, variant: str = "corrected") -> GradedOp:
-    """Global ladder operator, e.g. graded('A-') or graded('B+', 'printed'):
-    the value of `symbolic(name, variant)` at each sector, with its shift."""
-    op, shift = _ladder(name, variant)
+def graded(name: str) -> GradedOp:
+    """Global ladder operator, e.g. graded('A-'): the value of `symbolic(name)`
+    at each sector, with its shift."""
+    op, shift = _ladder(name)
     return GradedOp(name, shift, op)
 
 
@@ -314,11 +305,6 @@ def intertwine_residual(x: GradedOp, ell: ParamVector) -> DiffOp:
     ell = pv(*ell)
     xop = x.at(ell)
     return compose(xop, build_hamiltonian(ell)) - compose(build_hamiltonian(x.target(ell)), xop)
-
-
-def is_exact_intertwiner(x: GradedOp, ell: ParamVector) -> bool:
-    """Whether the intertwine residual of X at ell is the zero operator."""
-    return is_zero_op(intertwine_residual(x, ell))
 
 
 class MultiplierSolveError(ValueError):
@@ -519,15 +505,14 @@ def _anticommutator(base: str) -> LPoly:
 
 
 @functools.cache
-def casimir_residual(kind: str, printed_constant: bool = False) -> LPoly:
+def casimir_residual(kind: str) -> LPoly:
     """Residual of the quoted quadratic Casimir combination minus the
     Hamiltonian, as a polynomial in ell, built once per kind.
 
     kinds: su3_esp  -- 4C - D^2/3 + 15/4 - H
            so4_ca   -- {A+,A-} + {At+,At-} + L0^2 + L1^2 + 1 - (phi1 block)
-           so6_cass -- sum of six anticommutators + L^2 + const - H, where the
-                       exact constant is 15/4 (printed_constant=True uses the
-                       printed 41/12 instead, which leaves residual -1/3).
+           so6_cass -- sum of six anticommutators + L^2 + SO6_CONSTANT - H
+                       (the source prints the constant as SO6_CONSTANT_PRINTED).
     """
     zero = LPoly(DiffOp)
     if kind == "su3_esp":
@@ -543,40 +528,44 @@ def casimir_residual(kind: str, printed_constant: bool = False) -> LPoly:
         return _anticommutator("A") + _anticommutator("At") \
             + _scalar({(2, 0, 0): F1, (0, 2, 0): F1, ZERO: F1}) - PHI1_BLOCK
     if kind == "so6_cass":
-        const = SO6_CONSTANT_PRINTED if printed_constant else SO6_CONSTANT
         return sum((_anticommutator(base) for base in [*FAMILIES, *TILDES]), zero) \
-            + _scalar({(2, 0, 0): F1, (0, 2, 0): F1, (0, 0, 2): F1, ZERO: const}) - HAMILTONIAN
+            + _scalar({(2, 0, 0): F1, (0, 2, 0): F1, (0, 0, 2): F1, ZERO: SO6_CONSTANT}) \
+            - HAMILTONIAN
     raise ValueError(f"unknown casimir kind {kind!r}")
 
 
-def casimir_identity(kind: str, ell: ParamVector, *, printed_constant: bool = False) -> DiffOp:
-    """The Casimir residual `casimir_residual(kind, printed_constant)` at sector ell."""
-    return casimir_residual(kind, printed_constant).at(ell)
+def casimir_identity(kind: str, ell: ParamVector) -> DiffOp:
+    """The Casimir residual `casimir_residual(kind)` at sector ell."""
+    return casimir_residual(kind).at(ell)
 
 
 # -- printed-vs-corrected audit -----------------------------------------------------
 
-def printed_delta_report(ell: ParamVector = pv(1, 1, 1)) -> list[dict]:
-    """Exact evidence for every difference between printed and corrected operators."""
+PRINTED_EVIDENCE_SECTOR = pv(1, 1, 1)   # the sector each printed residual is shown at
+
+
+def printed_delta_report() -> list[dict]:
+    """Exact evidence for every printed B/C ladder that fails its claimed
+    direction, read off its intertwining identity for all ell in Q^3."""
     deltas = []
-    for base in ("B", "C"):
-        for sign in ("-", "+"):
-            name = base + sign
-            printed = graded(name, "printed")
-            corrected = graded(name, "corrected")
-            if is_exact_intertwiner(printed, ell):
-                continue
-            if not is_exact_intertwiner(corrected, ell):
-                raise AssertionError(f"corrected {name} fails to intertwine at {ell}")
-            deltas.append({
-                "operator": name,
-                "issue": "printed +/- superscripts intertwine in the opposite direction",
-                "fix": "swap the superscripts (vector-sign flip); multipliers unchanged",
-                "evidence_sector": [str(x) for x in ell],
-                "printed_residual_zero": False,
-                "corrected_residual_zero": True,
-                # the l-monomials with a nonzero coefficient in the printed residual
-                "failure_monomials": [list(m) for m, op in intertwine_identity(printed).items()
-                                      if not is_zero_op(op)],
-            })
+    for name in ("B-", "B+", "C-", "C+"):
+        # the printed B and C vectors are +/-(sin phi1 tan phi2 d1 + cos phi1 d2) =
+        # -/+ d_xi1 and +/-(cos phi1 tan phi2 d1 - sin phi1 d2) = -/+ d_theta1: the
+        # printed X± is the corrected X∓'s polynomial on X±'s shift
+        shift = graded(name).shift
+        other = name[:-1] + ("+" if name[-1] == "-" else "-")
+        identity = intertwine_identity(GradedOp(name, shift, symbolic(other).shift(shift)))
+        if residual_witness(identity) is None:
+            continue
+        deltas.append({
+            "operator": name,
+            "issue": "printed +/- superscripts intertwine in the opposite direction",
+            "fix": "swap the superscripts (vector-sign flip); multipliers unchanged",
+            "evidence_sector": [str(x) for x in PRINTED_EVIDENCE_SECTOR],
+            "printed_residual_zero": is_zero_op(identity.at(PRINTED_EVIDENCE_SECTOR)),
+            "corrected_residual_zero":
+                residual_witness(intertwine_identity(graded(name))) is None,
+            # the l-monomials with a nonzero coefficient in the printed residual
+            "failure_monomials": [list(m) for m, op in identity.items() if not is_zero_op(op)],
+        })
     return deltas

@@ -1,8 +1,9 @@
 """Verification suites: every identity the engine certifies, plus the errata.
 
-Each suite returns a deterministic report dict; corrected operators are used
-for the algebraic content and every difference from the printed formulas is
-listed under "paper_deltas" with exact evidence.
+Each suite returns a deterministic report dict.  The engine builds only the
+corrected objects; each erratum's audit writes the printed formula as the
+corrected object with its one difference and lists it under "paper_deltas"
+with exact evidence.
 """
 
 from __future__ import annotations
@@ -11,17 +12,17 @@ import math
 import random
 from fractions import Fraction
 
-from .diffop import DiffOp, apply, build_hamiltonian, is_zero_op, pv
-from .hierarchy import (_monomial_state, closed_form_state, energy, ground_state, phi0,
-                        phi0_action, phi2_closed_form)
+from .diffop import DiffOp, apply, build_hamiltonian, pv
+from .hierarchy import (_monomial_state, closed_form_state, energy, ground_state, jacobi,
+                        jacobi_in_cos2, phi0, phi0_action)
 from .inner import (adjoint_residual, inner, mono_inner, mono_inner_quadrature,
                     norm, numeric_oracle_check)
 from .lpoly import ZERO, LPoly
 from .operators import (DIAGONALS, FAMILIES, LADDER_NAMES, TILDE_NAMES, SO6_CONSTANT,
                         SO6_CONSTANT_PRINTED, build_first_order, casimir_residual, constant_part,
-                        graded, graded_bracket, graded_commutator,
-                        intertwine_identity, multiplier_ansatz, printed_delta_report,
-                        residual_witness, solve_multiplier, structure_table)
+                        graded, graded_bracket, intertwine_identity, multiplier_ansatz,
+                        printed_delta_report, residual_witness, solve_multiplier,
+                        structure_table)
 from .superpotential import (decompose, family_multiplier, kinetic_rotation_check,
                              riccati_check, riccati_lambda, simultaneous_superpotentials)
 from .trigpoly import SIN1, TrigPoly, TrigTerm, frac_to_str, is_zero, normal_form
@@ -62,20 +63,20 @@ def _on_l1_plane(poly: LPoly) -> LPoly:
 
 def suite_intertwine() -> dict:
     checks = [_proof(f"corrected {name} intertwines exactly for all l in Q^3",
-                     intertwine_identity(graded(name, "corrected")))
+                     intertwine_identity(graded(name)))
               for name in LADDER_NAMES + TILDE_NAMES]
 
     # printed audit: B/C printed superscripts intertwine the wrong way, as decided
-    # by the delta report at (1,1,1)
+    # by the delta report for all l and shown at (1,1,1)
     deltas = printed_delta_report()
-    failing = {d["operator"] for d in deltas}
+    failing = {d["operator"] for d in deltas if not d["printed_residual_zero"]}
     for name in ("B-", "B+", "C-", "C+"):
         checks.append(_check(f"printed {name} fails its claimed direction at (1,1,1)",
                              name in failing))
 
     # the multiplier solver reproduces every corrected multiplier from scratch
     for fam in FAMILIES:
-        op = graded(fam + "-", "corrected")
+        op = graded(fam + "-")
         for ell in (pv(1, 2, 0), pv(1, 1, 1), pv(2, 0, 1)):
             vector, _ = decompose(op.at(ell))
             got = solve_multiplier(vector, op.shift, multiplier_ansatz(fam), ell)
@@ -129,28 +130,24 @@ def suite_algebra() -> dict:
         checks.append(_check(f"[{key}] = {want[0][0]}*{want[0][1]}",
                              table.get(key) == want, got=table.get(key)))
 
-    # antisymmetry: recompute a sample of swapped pairs explicitly
+    # antisymmetry holds by construction of graded_bracket: the check tests only
+    # the bracket arithmetic
     lads = {n: graded(n) for n in LADDER_NAMES}
-
-    def antisymmetric(xn, yn, ell):
-        return is_zero_op(graded_commutator(lads[xn], lads[yn], ell)[0]
-                          + graded_commutator(lads[yn], lads[xn], ell)[0])
-
-    bad = next(({"operators": [xn, yn], "sector": [str(x) for x in ell]}
-                for xn, yn in (("A-", "B+"), ("B-", "C+"), ("A+", "C+"))
-                for ell in (pv(1, 0, 1), pv(-1, 2, 0)) if not antisymmetric(xn, yn, ell)), None)
-    checks.append(_check("antisymmetry on sampled pairs", bad is None,
-                         **({"counterexample": bad} if bad else {})))
+    checks.append(_proof_each(
+        "antisymmetry [X,Y] + [Y,X] = 0 for all l in Q^3 on three pairs "
+        "(tests bracket arithmetic only)",
+        (((x, y), graded_bracket(lads[x], lads[y]).poly + graded_bracket(lads[y], lads[x]).poly)
+         for x, y in (("A-", "B+"), ("B-", "C+"), ("A+", "C+")))))
 
     # Jacobi identity on three triples, each sum of double brackets one polynomial in l
-    def jacobi(x, y, z):
+    def jacobi_sum(x, y, z):
         return graded_bracket(graded_bracket(x, y), z).poly \
             + graded_bracket(graded_bracket(y, z), x).poly \
             + graded_bracket(graded_bracket(z, x), y).poly
 
     checks.append(_proof_each(
         "Jacobi identity for all l in Q^3 on three triples",
-        ((tr, jacobi(*(lads[n] for n in tr)))
+        ((tr, jacobi_sum(*(lads[n] for n in tr)))
          for tr in (("A-", "A+", "B-"), ("A-", "B+", "C-"), ("B-", "C+", "A+")))))
 
     # diagonal relation C = B - A, an identity of the affine rows
@@ -172,7 +169,8 @@ def suite_casimir() -> dict:
               for kind in ("su3_esp", "so4_ca", "so6_cass")]
 
     # printed so(6) constant leaves the exact residual (41/12 - 15/4) = -1/3
-    resid = casimir_residual("so6_cass", printed_constant=True)
+    resid = casimir_residual("so6_cass") + LPoly(DiffOp, {
+        ZERO: DiffOp.identity().scale(SO6_CONSTANT_PRINTED - SO6_CONSTANT)})
     minus_third = LPoly(DiffOp, {ZERO: DiffOp.identity().scale(Fraction(-1, 3))})
     checks.append(_proof("printed so(6) constant 41/12 leaves residual -1/3 for all l in Q^3",
                          resid - minus_third, got=str(constant_part(resid.coeff(ZERO)))))
@@ -312,9 +310,11 @@ def spectral_delta_report() -> list[dict]:
                  "from exact application of H to the fundamental states",
     })
 
-    # phi2 Jacobi parameter in the separated closed form
-    f_part = phi0((0, 0, 0), onedim=True)
-    bad = f_part * phi2_closed_form((0, 0, 0), 0, 1, printed_parameter=True)
+    # phi2 Jacobi parameter in the separated closed form: the printed phi2 factor
+    # at (0,0,0), m = 0, n = 1 is cos phi2 sin^(1/2) phi2 P_1^(1/2, 1)(cos 2 phi2)
+    printed = _monomial_state(1, 0, 0, 1, Fraction(1, 2)) \
+        * jacobi_in_cos2(jacobi(1, Fraction(1, 2), 1), var=2)
+    bad = phi0((0, 0, 0), onedim=True) * printed
     h = build_hamiltonian(pv(0, 0, 0))
     e = energy("E_mn", ell=(0, 0, 0), m=0, n=1)
     if is_zero(apply(h, bad) - bad.scale(e)):

@@ -45,11 +45,12 @@ def test_criterion_01_intertwining_exactness():
 def test_criterion_02_printed_operator_audit():
     # printed B/C multipliers kept with the printed vector do NOT intertwine;
     # the solver's corrected multipliers (a) zero the residual exactly and
-    # (b) the corrected C- annihilates every u(3) fundamental state m, n <= 4
+    # (b) the corrected C- annihilates every u(3) fundamental state m, n <= 4.
+    # The printed X- formula at ell is the corrected X+ one (exchanged superscripts).
     deltas = []
     for fam, delta in (("B", (1, 0, 1)), ("C", (0, -1, 1))):
         for ell in (pv(1, 1, 1), pv(2, 1, 0), pv(0, 2, 1)):
-            printed = build_first_order(fam, "-", ell, variant="printed")
+            printed = build_first_order(fam, "+", ell)
             vector = DiffOp({k: c for k, c in printed.items() if k != (0, 0)})
             printed_mult = printed.coeff((0, 0))
             solved = solve_multiplier(vector, delta, multiplier_ansatz(fam), ell)
@@ -68,7 +69,7 @@ def test_criterion_02_printed_operator_audit():
     for m in range(5):
         for n in range(5):
             st = ground_state("u3", (m, n))  # construction verifies A-/C-
-            printed = build_first_order("C", "-", st.params, variant="printed")
+            printed = build_first_order("C", "+", st.params)
             vector = DiffOp({k: c for k, c in printed.items() if k != (0, 0)})
             solved = solve_multiplier(vector, (0, -1, 1), multiplier_ansatz("C"),
                                       st.params)
@@ -129,7 +130,9 @@ def test_criterion_04_casimir_identities():
     # needs 15/4, and the printed combination leaves exactly -1/3
     assert SO6_CONSTANT == F(15, 4) and SO6_CONSTANT_PRINTED == F(41, 12)
     for ell in (pv(1, 1, 1), pv(2, 0, -1)):
-        resid = casimir_identity("so6_cass", ell, printed_constant=True)
+        # the printed combination: the exact one with 41/12 in place of 15/4
+        resid = casimir_identity("so6_cass", ell) \
+            + DiffOp.identity().scale(SO6_CONSTANT_PRINTED - SO6_CONSTANT)
         assert constant_part(resid) == F(-1, 3)
     _ok("4: su(3), so(4), so(6) casimir identities exactly zero on {-2..2}^3 "
         "(so(6) constant corrected 41/12 -> 15/4; printed residual = -1/3 exactly)")

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octasphere.diffop import (PHI1_BLOCK, PHI2_BLOCK, DiffOp, KINETIC, apply,
-                               build_hamiltonian, build_phi1_block, compose, is_zero_op,
-                               op_from_obj, op_to_json, pv)
+                               build_hamiltonian, build_phi1_block, compose, is_zero_op, pv)
 from octasphere.operators import build_first_order
 from octasphere.trigpoly import COS1, ONE, SIN1, TAN1, TrigPoly, TrigTerm, is_zero
 
@@ -104,37 +103,6 @@ def test_order_cap_enforced():
         DiffOp({(3, 2): ONE})
     with pytest.raises(ValueError):
         compose(DiffOp({(2, 1): ONE}), DiffOp({(2, 0): ONE}))
-
-
-def test_operator_serialization_round_trip():
-    h = build_hamiltonian(pv(1, 2, 3))
-    s = op_to_json(h, (1, 1, 0))
-    import json
-    op, shift = op_from_obj(json.loads(s))
-    assert op == h and shift == (1, 1, 0)
-    assert op_to_json(op, shift) == s
-
-
-def test_op_from_obj_zero_denominator_raises_value_error():
-    obj = {"terms": [{"order": [1, 0],
-                      "coeff": {"terms": [{"coeff": "3/0", "exps": ["0/1"] * 4}]}}]}
-    with pytest.raises(ValueError):
-        op_from_obj(obj)
-
-
-@pytest.mark.parametrize("obj", [
-    {"terms": [{"order": [0, 0]}]},                      # a term without "coeff"
-    {"terms": [{"order": [0], "coeff": {"terms": []}}]},  # an order of one variable
-    [1],                                                  # not an object
-    {"terms": [], "shift": [1]},                          # a shift of one coupling
-    {"terms": [], "shift": [0, 0, 0, 0]},                 # a shift of four couplings
-    {"terms": [], "shift": [0, "1", 0]},                  # a shift entry that is no int
-    {"terms": [], "shift": [0, 1.0, 0]},
-    {"terms": [], "shift": "000"},                        # a shift that is no list
-])
-def test_op_from_obj_malformed_raises_value_error(obj):
-    with pytest.raises(ValueError):
-        op_from_obj(obj)
 
 
 def test_internal_builds_equal_the_checked_constructor():

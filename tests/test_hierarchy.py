@@ -11,13 +11,13 @@ from octasphere import hierarchy
 from octasphere.diffop import apply, build_hamiltonian, pv
 from octasphere.hierarchy import (closed_form_state, energy,
                                   ground_state, iso_energy_decomposition,
-                                  iur_lattice, iur_states, jacobi, jacobi_eval,
+                                  iur_lattice, iur_states, jacobi, jacobi_eval, jacobi_in_cos2,
                                   ladder_build, lattice_to_csv, make_state,
                                   phi2_closed_form, proportionality,
                                   so6_dimension, state_to_obj)
 from octasphere.linalg import rank_exact
 from octasphere.operators import LADDER_NAMES, TILDE_NAMES, build_first_order, graded
-from octasphere.trigpoly import TrigPoly, is_zero, normal_form
+from octasphere.trigpoly import PHI2, TrigPoly, is_zero, normal_form
 
 F = Fraction
 HALF = F(1, 2)
@@ -229,9 +229,9 @@ BAD_LABELS = {
     # the printed phi2 chain M
     "printed_M_half_m": lambda: build_first_order("M", "-", pv(0, 0, 0), m=0.5),
     "printed_M_negative_n": lambda: build_first_order("M", "+", pv(0, 0, 0), n=-1),
-    "A1d_half_m": lambda: build_first_order("A1d", "-", pv(0, 0, 0), m=0.5),
-    "A1d_bool_m": lambda: build_first_order("A1d", "-", pv(0, 0, 0), m=True),
-    "A1d_negative_m": lambda: build_first_order("A1d", "-", pv(0, 0, 0), m=-1),
+    "ladder_A_half_m": lambda: build_first_order("A", "-", pv(0, 0, 0), m=0.5),
+    "ladder_A_bool_m": lambda: build_first_order("A", "-", pv(0, 0, 0), m=True),
+    "ladder_A_negative_m": lambda: build_first_order("A", "-", pv(0, 0, 0), m=-1),
     "phi2_closed_form_half_m": lambda: phi2_closed_form((0, 0, 0), 1.5, 0),
     "phi2_closed_form_bool_m": lambda: phi2_closed_form((0, 0, 0), True, 0),
     "phi2_closed_form_negative_m": lambda: phi2_closed_form((0, 0, 0), -1, 0),
@@ -293,8 +293,11 @@ def test_separated_2d_energy():
 
 
 def test_printed_phi2_jacobi_parameter_fails():
+    # the printed phi2 factor at (0,0,0), m = 0, n = 1: cos phi2 sin^(1/2) phi2 P_1^(1/2, 1)
     f_part = mono(1, HALF, HALF, 0, 0)
-    bad = f_part * phi2_closed_form((0, 0, 0), 0, 1, printed_parameter=True)
+    printed = mono(1, 0, 0, 1, HALF) * jacobi_in_cos2(jacobi(1, HALF, 1), PHI2)
+    assert printed != phi2_closed_form((0, 0, 0), 0, 1)
+    bad = f_part * printed
     h = build_hamiltonian(pv(0, 0, 0))
     e = energy("E_mn", ell=(0, 0, 0), m=0, n=1)
     assert not is_zero(apply(h, bad) - bad.scale(e))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from octasphere.diffop import DiffOp, build_hamiltonian, pv
 from octasphere.hierarchy import closed_form_state, ground_state, iur_states
-from octasphere.inner import (_beta, _pivoted_rank, _tanh_sinh, adjoint_residual, gram,
+from octasphere.inner import (_beta, _fd, _pivoted_rank, _tanh_sinh, adjoint_residual, gram,
                               inner, mono_inner, mono_inner_quadrature, norm,
                               numeric_oracle_check, state_inner)
 from octasphere.linalg import rank_exact
@@ -280,3 +280,22 @@ def test_the_measure_weight_sets_the_cos_phi2_integrability_boundary():
         mono_inner(next(g.terms()), next(g.terms()))
     with pytest.raises(ValueError):
         mono_inner_quadrature(next(g.terms()), next(g.terms()))
+
+
+# stencil values whose weighted terms are 1 or -1, -2^k, 2^k and zeros: a
+# left-to-right float sum loses the small term, an exactly rounded one keeps it
+_CANCELLING = {1: ({-2: 1.0, -1: 2.0 ** 300, 1: 2.0 ** 300, 2: 0.0}, 1 / 12),
+               2: ({-2: 1.0, -1: 2.0 ** 300, 0: 0.0, 1: -2.0 ** 300, 2: 0.0}, -1 / 12)}
+
+
+@pytest.mark.parametrize("k1,k2", [(1, 0), (0, 1), (2, 0), (0, 2)])
+def test_a_stencil_whose_terms_cancel_is_summed_exactly(k1, k2):
+    values, want = _CANCELLING[k1 or k2]
+    axis = 0 if k1 else 1
+    assert _fd(lambda x, y: values[round((x, y)[axis])], 0.0, 0.0, k1, k2, 1.0) == want
+
+
+def test_the_package_attribute_inner_is_the_module():
+    import octasphere
+    assert octasphere.inner is importlib.import_module("octasphere.inner")
+    assert octasphere.inner.mono_inner is mono_inner

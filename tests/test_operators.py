@@ -11,12 +11,11 @@ from octasphere import operators
 from octasphere.diffop import (PHI2_BLOCK, DiffOp, build_hamiltonian, build_phi1_block,
                                compose, is_zero_op, pv)
 from octasphere.lpoly import LPoly, row_at
-from octasphere.operators import (CHAIN, DIAGONALS, FAMILIES, LADDER_NAMES, TILDE_NAMES,
-                                  TILDES, GradedOp, MultiplierSolveError,
-                                  build_first_order, casimir_identity, constant_part,
-                                  diagonal, graded, graded_bracket, graded_commutator,
-                                  intertwine_identity, intertwine_residual,
-                                  is_exact_intertwiner,
+from octasphere.operators import (CHAIN, DIAGONALS, FAMILIES, LADDER_NAMES, SO6_CONSTANT,
+                                  SO6_CONSTANT_PRINTED, TILDE_NAMES, TILDES, GradedOp,
+                                  MultiplierSolveError, build_first_order, casimir_identity,
+                                  constant_part, diagonal, graded, graded_bracket,
+                                  graded_commutator, intertwine_identity, intertwine_residual,
                                   match_constant_multiple, multiplier_ansatz,
                                   printed_delta_report, residual_witness, solve_multiplier,
                                   structure_table, symbolic)
@@ -46,7 +45,9 @@ def test_printed_A_minus_at_1_2_0():
 
 
 def test_printed_B_plus_at_origin():
-    got = build_first_order("B", "+", pv(0, 0, 0))
+    # the printed X^s formula at ell is build_first_order(X, -s, ell), see
+    # test_printed_B_C_swap_is_the_correction
+    got = build_first_order("B", "-", pv(0, 0, 0))
     want = first_order_op(
         {(1, 0): mono(1, 0, 1, -1, 1), (0, 1): mono(1, 1, 0, 0, 0)},
         mono(-HALF, 1, 0, 1, -1) + mono(HALF, -1, 0, -1, 1))
@@ -60,9 +61,18 @@ def test_printed_M_minus_at_origin():
     assert got == want
 
 
-def test_A1d_is_shifted_A():
-    assert build_first_order("A1d", "-", pv(1, 0, 2), m=2) == \
+def test_the_phi1_chain_ladder_is_A_at_the_shifted_sector():
+    # the phi1 chain member m of sector ell is A at (l0 + m, l1 + m, l2)
+    assert symbolic("A-").shift((2, 2, 0)).at(pv(1, 0, 2)) == \
         build_first_order("A", "-", pv(3, 2, 2))
+
+
+@pytest.mark.parametrize("name", [*FAMILIES, *TILDES])
+def test_a_family_ladder_given_m_or_n_raises(name):
+    # m and n label only the phi2 chain M
+    for labels in ({"m": 3}, {"n": 1}, {"m": 1, "n": 2}):
+        with pytest.raises(ValueError):
+            build_first_order(name, "-", pv(0, 0, 0), **labels)
 
 
 def test_unknown_name_rejected():
@@ -93,14 +103,13 @@ def test_symbolic_ladders_evaluate_to_the_sector_operators(ell):
     # against the operators written out independently: X- is the table formula
     # at ell, X+ the formula at its target sector
     for name in [*LADDER_NAMES, *TILDE_NAMES]:
-        for variant in ("printed", "corrected"):
-            op = graded(name, variant)
-            got = symbolic(name, variant).at(ell)
-            assert got == op.at(ell), (name, variant)
-            at = ell if name[-1] == "-" else op.target(ell)
-            want = _public_first_order(name[:-1], name[-1], at, variant, 0, 0)
-            assert got == want, (name, variant)
-            assert [k for k, _ in got.items()] == [k for k, _ in want.items()]
+        op = graded(name)
+        got = symbolic(name).at(ell)
+        assert got == op.at(ell), name
+        at = ell if name[-1] == "-" else op.target(ell)
+        want = _public_first_order(name[:-1], name[-1], at, 0, 0)
+        assert got == want, name
+        assert [k for k, _ in got.items()] == [k for k, _ in want.items()]
 
 
 def test_a_sector_without_three_couplings_is_rejected():
@@ -118,7 +127,11 @@ def test_A_minus_residual_zero():
 
 
 def test_printed_C_minus_residual_nonzero():
-    assert not is_zero_op(intertwine_residual(graded("C-", "printed"), pv(1, 1, 1)))
+    # the printed C- formula at ell is the C+ formula there, claimed to shift like C-
+    ell = pv(1, 1, 1)
+    printed = GradedOp("C-", graded("C-").shift,
+                       LPoly(DiffOp, {(0, 0, 0): build_first_order("C", "+", ell)}))
+    assert not is_zero_op(intertwine_residual(printed, ell))
 
 
 def test_identity_graded_residual_zero():
@@ -131,23 +144,40 @@ def test_identity_graded_residual_zero():
                                   "At-", "At+", "Bt-", "Bt+", "Ct-", "Ct+"])
 def test_corrected_families_intertwine_on_box(name):
     # unit-scale box; the acceptance suite sweeps the larger +-3 / +-2 boxes
-    op = graded(name, "corrected")
+    op = graded(name)
     for i in range(-1, 2):
         for j in range(-1, 2):
             for k in range(-1, 2):
-                assert is_exact_intertwiner(op, pv(i, j, k)), (name, i, j, k)
+                assert is_zero_op(intertwine_residual(op, pv(i, j, k))), (name, i, j, k)
 
 
 def test_printed_B_C_swap_is_the_correction():
-    # corrected X^s equals printed X^(-s): the superscripts are exchanged
-    for base in ("B", "C"):
+    # the source prints B^s and C^s with the vectors s (sin phi1 tan phi2 d1 + cos phi1 d2)
+    # and s (cos phi1 tan phi2 d1 - sin phi1 d2) and the family's multiplier: corrected
+    # X^s equals printed X^(-s), so the printed X^s formula at ell is build_first_order(X, -s, ell)
+    printed_vectors = {"B": {(1, 0): mono(1, 0, 1, -1, 1), (0, 1): mono(1, 1, 0, 0, 0)},
+                       "C": {(1, 0): mono(1, 1, 0, -1, 1), (0, 1): mono(-1, 0, 1, 0, 0)}}
+    ell = pv(2, -1, 1)
+    for base, vector in printed_vectors.items():
+        mult = build_first_order(base, "-", ell).coeff((0, 0))
         for sign, other in (("+", "-"), ("-", "+")):
-            ell = pv(2, -1, 1)
-            assert build_first_order(base, sign, ell, variant="corrected") == \
-                build_first_order(base, other, ell, variant="printed")
+            s = 1 if other == "+" else -1
+            printed_other = DiffOp({**{k: c.scale(s) for k, c in vector.items()}, (0, 0): mult})
+            assert build_first_order(base, sign, ell) == printed_other, (base, sign)
 
 
-def _public_first_order(name, sign, ell, variant, m, n) -> DiffOp:
+@pytest.mark.parametrize("base,lowering", [("B", (1, 0, 1)), ("C", (0, -1, 1))])
+def test_built_B_and_C_ladders_intertwine_in_their_claimed_direction(base, lowering):
+    # X- at ell maps sector ell to ell + lowering; X+ at ell maps ell + lowering back to ell
+    for ell in (pv(1, 1, 1), pv(2, -1, 0)):
+        h, h_low = build_hamiltonian(ell), build_hamiltonian(
+            tuple(e + d for e, d in zip(ell, lowering)))
+        xm, xp = build_first_order(base, "-", ell), build_first_order(base, "+", ell)
+        assert is_zero_op(compose(xm, h) - compose(h_low, xm)), (base, ell)
+        assert is_zero_op(compose(xp, h_low) - compose(h, xp)), (base, ell)
+
+
+def _public_first_order(name, sign, ell, m, n) -> DiffOp:
     """The first-order operators written out through the validating public constructors."""
     s = 1 if sign == "+" else -1
     l0, l1, l2 = (F(x) for x in ell)
@@ -155,15 +185,11 @@ def _public_first_order(name, sign, ell, variant, m, n) -> DiffOp:
         alpha = l0 + l1 + 2 * m + n + 1 + (1 if s > 0 else 0)
         return DiffOp({(0, 1): TrigPoly.constant(s),
                        (0, 0): mono(-alpha, 0, 0, -1, 1) + mono(l2 + n + HALF, 0, 0, 1, -1)})
-    if name == "A1d":
-        name, l0, l1 = "A", l0 + m, l1 + m
     ell = [l0, l1, l2]
     if name in TILDES:
         name, axis = TILDES[name]
         ell[axis] = -ell[axis]
     fam = FAMILIES[name]
-    if variant == "printed":
-        s *= fam.vector_sign
     tan_c, cot_c = (row[0] + sum(c * x for c, x in zip(row[1:], ell))
                     for row in (fam.tan_row, fam.cot_row))
     return DiffOp({(1, 0): fam.chart.d1_coeff.scale(s), (0, 1): fam.chart.d2_coeff.scale(s),
@@ -173,14 +199,14 @@ def _public_first_order(name, sign, ell, variant, m, n) -> DiffOp:
 @settings(max_examples=50, deadline=None)
 @given(sectors, st.integers(0, 2), st.integers(0, 2))
 def test_first_order_builder_matches_the_public_constructor_form(ell, m, n):
-    for name in [*FAMILIES, *TILDES, "M", "A1d"]:
+    for name in [*FAMILIES, *TILDES, "M"]:
+        labels = (m, n) if name == "M" else (0, 0)  # m and n label only the chain
         for sign in "+-":
-            for variant in ("printed", "corrected"):
-                got = build_first_order(name, sign, ell, variant=variant, m=m, n=n)
-                want = _public_first_order(name, sign, ell, variant, m, n)
-                assert got == want, (name, sign, variant)
-                # the same term order too: application sums coefficients in this order
-                assert [k for k, _ in got.items()] == [k for k, _ in want.items()]
+            got = build_first_order(name, sign, ell, m=labels[0], n=labels[1])
+            want = _public_first_order(name, sign, ell, *labels)
+            assert got == want, (name, sign)
+            # the same term order too: application sums coefficients in this order
+            assert [k for k, _ in got.items()] == [k for k, _ in want.items()]
 
 
 def test_a_misbuilt_tilde_fails_its_own_check_beside_a_passing_family(monkeypatch):
@@ -268,12 +294,12 @@ def test_reflect_A_matches_printed_tilde():
 
 # the tilde families written out from their printed formulas, with
 # tan phi1 = (-1, 1, 0, 0), cot phi1 = (1, -1, 0, 0) and
-#   At^s = s d1 + (l0 - 1/2) tan phi1 + (l1 + 1/2) cot phi1                (both variants)
+#   At^s = s d1 + (l0 - 1/2) tan phi1 + (l1 + 1/2) cot phi1
 #   Bt^s = s' (sin phi1 tan phi2 d1 + cos phi1 d2)
 #          + (l2 - 1/2) cos phi1 cot phi2 + (l0 + 1/2) sec phi1 tan phi2
 #   Ct^s = s' (cos phi1 tan phi2 d1 - sin phi1 d2)
 #          + (-l1 - 1/2) csc phi1 tan phi2 + (l2 + 1/2) sin phi1 cot phi2
-# where s' = s as printed and s' = -s corrected (the exchanged superscripts)
+# where s' = -s: the printed Bt and Ct superscripts are exchanged, like those of B and C
 
 def _bt(s, tan_c, cot_c):
     return first_order_op({(1, 0): mono(s, 0, 1, -1, 1), (0, 1): mono(s, 1, 0, 0, 0)},
@@ -286,28 +312,20 @@ def _ct(s, tan_c, cot_c):
 
 
 TILDE_PINS = [
-    ("At", "-", "printed", (1, 2, 0),
+    ("At", "-", (1, 2, 0),
      first_order_op({(1, 0): ONE.scale(-1)}, mono(HALF, -1, 1, 0, 0) + mono(F(5, 2), 1, -1, 0, 0))),
-    ("At", "-", "corrected", (1, 2, 0),
-     first_order_op({(1, 0): ONE.scale(-1)}, mono(HALF, -1, 1, 0, 0) + mono(F(5, 2), 1, -1, 0, 0))),
-    ("At", "+", "printed", (-1, 3, 2),
+    ("At", "+", (-1, 3, 2),
      first_order_op({(1, 0): ONE}, mono(-F(3, 2), -1, 1, 0, 0) + mono(F(7, 2), 1, -1, 0, 0))),
-    ("At", "+", "corrected", (-1, 3, 2),
-     first_order_op({(1, 0): ONE}, mono(-F(3, 2), -1, 1, 0, 0) + mono(F(7, 2), 1, -1, 0, 0))),
-    ("Bt", "-", "printed", (1, 1, 1), _bt(-1, HALF, F(3, 2))),
-    ("Bt", "+", "corrected", (1, 1, 1), _bt(-1, HALF, F(3, 2))),
-    ("Bt", "+", "printed", (2, 0, -1), _bt(1, -F(3, 2), F(5, 2))),
-    ("Bt", "-", "corrected", (2, 0, -1), _bt(1, -F(3, 2), F(5, 2))),
-    ("Ct", "-", "printed", (1, 1, 1), _ct(-1, -F(3, 2), F(3, 2))),
-    ("Ct", "+", "corrected", (1, 1, 1), _ct(-1, -F(3, 2), F(3, 2))),
-    ("Ct", "+", "printed", (0, -2, 1), _ct(1, F(3, 2), F(3, 2))),
-    ("Ct", "-", "corrected", (0, -2, 1), _ct(1, F(3, 2), F(3, 2))),
+    ("Bt", "+", (1, 1, 1), _bt(-1, HALF, F(3, 2))),
+    ("Bt", "-", (2, 0, -1), _bt(1, -F(3, 2), F(5, 2))),
+    ("Ct", "+", (1, 1, 1), _ct(-1, -F(3, 2), F(3, 2))),
+    ("Ct", "-", (0, -2, 1), _ct(1, F(3, 2), F(3, 2))),
 ]
 
 
-@pytest.mark.parametrize("name,sign,variant,ell,want", TILDE_PINS)
-def test_tilde_formulas_pinned_by_hand(name, sign, variant, ell, want):
-    assert build_first_order(name, sign, pv(*ell), variant=variant) == want
+@pytest.mark.parametrize("name,sign,ell,want", TILDE_PINS)
+def test_tilde_formulas_pinned_by_hand(name, sign, ell, want):
+    assert build_first_order(name, sign, pv(*ell)) == want
 
 
 def test_graded_tilde_raising_acts_through_its_target_sector():
@@ -318,16 +336,17 @@ def test_graded_tilde_raising_acts_through_its_target_sector():
         {(1, 0): ONE}, mono(F(3, 2), -1, 1, 0, 0) + mono(F(3, 2), 1, -1, 0, 0))
     assert graded("Bt+").at(pv(2, 0, -1)) == _bt(-1, -HALF, F(3, 2))
     assert graded("Ct+").at(pv(0, -1, 2)) == _ct(-1, F(3, 2), F(3, 2))
-    assert graded("Ct+", "printed").at(pv(0, -1, 2)) == _ct(1, F(3, 2), F(3, 2))
+    # the printed Ct+ on (0, -1, 2) is the Ct- formula at its target (0, -2, 1)
+    assert graded("Ct+").target(pv(0, -1, 2)) == (0, -2, 1)
+    assert build_first_order("Ct", "-", pv(0, -2, 1)) == _ct(1, F(3, 2), F(3, 2))
 
 
 def test_lowering_shifts_match_the_paper_table():
     want = {"A-": (1, 1, 0), "B-": (1, 0, 1), "C-": (0, -1, 1),
             "At-": (-1, 1, 0), "Bt-": (1, 0, -1), "Ct-": (0, 1, 1)}
     for name, shift in want.items():
-        for variant in ("printed", "corrected"):
-            assert graded(name, variant).shift == shift
-            assert graded(name[:-1] + "+", variant).shift == tuple(-s for s in shift)
+        assert graded(name).shift == shift
+        assert graded(name[:-1] + "+").shift == tuple(-s for s in shift)
 
 
 def test_reflect_is_involution():
@@ -341,19 +360,17 @@ def test_reflect_is_involution():
 
 def test_reflect_shift_rule():
     assert _reflected("C-", 1).shift == (0, 1, 1)
-    # each tilde ladder shifts as its family's reflected, in both variants
+    # each tilde ladder shifts as its family's reflected
     for tilde, (base, axis) in TILDES.items():
         for sign in "-+":
-            for variant in ("printed", "corrected"):
-                assert graded(tilde + sign, variant).shift \
-                    == _mirror(graded(base + sign, variant).shift, axis)
+            assert graded(tilde + sign).shift == _mirror(graded(base + sign).shift, axis)
 
 
 def test_reflect_preserves_intertwining():
     for axis in (0, 1, 2):
         refl = _reflected("C-", axis)
         for ell in (pv(1, 1, 1), pv(2, 0, -1)):
-            assert is_exact_intertwiner(refl, ell)
+            assert is_zero_op(intertwine_residual(refl, ell))
 
 
 def test_reflection_fixes_untouched_families():
@@ -508,14 +525,44 @@ def test_so6_casimir_identity_corrected_constant():
 
 
 def test_so6_printed_constant_residual():
-    resid = casimir_identity("so6_cass", pv(1, 1, 1), printed_constant=True)
+    # the printed combination is the exact one with 41/12 in place of 15/4
+    resid = casimir_identity("so6_cass", pv(1, 1, 1)) \
+        + DiffOp.identity().scale(SO6_CONSTANT_PRINTED - SO6_CONSTANT)
     assert constant_part(resid) == F(-1, 3)
 
 
 def test_printed_delta_report_has_exact_evidence():
     deltas = printed_delta_report()
-    assert {d["operator"] for d in deltas} == {"B-", "B+", "C-", "C+"}
+    assert [d["operator"] for d in deltas] == ["B-", "B+", "C-", "C+"]
     assert all(d["corrected_residual_zero"] for d in deltas)
+    assert all(d["evidence_sector"] == ["1", "1", "1"] and d["printed_residual_zero"] is False
+               for d in deltas)
+
+
+@pytest.mark.parametrize("name", ["B-", "B+", "C-", "C+"])
+def test_the_audited_printed_ladder_is_the_opposite_formula_composed_at_a_sector(name):
+    # the audit's printed X±, the corrected X∓ polynomial on X±'s shift, against
+    # the printed formula built at one sector: X- acts as the formula at ell, X+
+    # as the formula at its target
+    shift = graded(name).shift
+    other = name[:-1] + ("+" if name[-1] == "-" else "-")
+    identity = intertwine_identity(GradedOp(name, shift, symbolic(other).shift(shift)))
+    for ell in (pv(1, 1, 1), *RATIONAL_SECTORS):
+        at = ell if name[-1] == "-" else tuple(e + s for e, s in zip(ell, shift))
+        printed = GradedOp(name, shift,
+                           LPoly(DiffOp, {(0, 0, 0): build_first_order(name[0], other[-1], at)}))
+        assert identity.at(ell) == intertwine_residual(printed, ell), (name, ell)
+        assert not is_zero_op(identity.at(ell)), (name, ell)
+
+
+def test_a_broken_corrected_family_is_recorded_beside_its_printed_delta(monkeypatch):
+    # an extra l1 cot term in B's multiplier: the printed B± still fail, and the
+    # report records that the corrected B± fail too, without raising
+    fam = operators.FAMILIES["B"]
+    monkeypatch.setitem(operators.FAMILIES, "B",
+                        replace(fam, cot_row=fam.cot_row[:2] + (F(1),) + fam.cot_row[3:]))
+    verdicts = {d["operator"]: d["corrected_residual_zero"] for d in printed_delta_report()}
+    assert verdicts == {"B-": False, "B+": False, "C-": True, "C+": True}
 
 
 def test_printed_deltas_name_the_monomials_where_the_printed_residual_is_nonzero():
@@ -661,4 +708,4 @@ def test_two_unit_composites_intertwine():
     assert y_plus.shift == (-2, 0, 0)
     for op in (x_plus, y_plus):
         for ell in (pv(1, 1, 0), pv(2, -1, 3), pv(0, 2, 1)):
-            assert is_exact_intertwiner(op, ell)
+            assert is_zero_op(intertwine_residual(op, ell))

@@ -22,11 +22,13 @@ def test_passing_algebra_report_carries_no_counterexample():
     assert all("counterexample" not in c and "witness" not in c for c in rep["checks"])
 
 
-def test_failed_samples_name_the_first_operators_and_sector(monkeypatch):
-    monkeypatch.setattr(suites, "is_zero_op", lambda op: False)
-    rep = suites.suite_algebra()
-    assert _check(rep, "antisymmetry")["counterexample"] == \
-        {"operators": ["A-", "B+"], "sector": ["1", "0", "1"]}
+def test_a_failed_antisymmetry_proof_names_its_pair_and_witness(monkeypatch):
+    # products in place of brackets: XY + YX no longer vanishes
+    monkeypatch.setattr(suites, "graded_bracket", operators.graded_product)
+    check = _check(suites.suite_algebra(), "antisymmetry")
+    assert not check["passed"]
+    assert check["operators"] == ["A-", "B+"]
+    assert check["witness"] == {"monomial": [0, 0, 0], "terms": 7}
 
 
 def test_a_failed_jacobi_proof_names_its_first_triple_and_witness(monkeypatch):
