@@ -2,9 +2,10 @@
 """Print the computed u(3) structure-constant table as JSON.
 
 Each commutator is formed once as a polynomial in the couplings and its
-structure constant read off it, so the table holds for every sector; entries
-are lists of (rational coefficient, generator) pairs and shift-0 commutators
-are expressed through the diagonal generators.  Unmatched commutators carry a
+structure constant read off it, so the table holds for every sector.  Each
+entry is one rational constant times one generator of its shift, a list of
+one (coefficient, generator) pair: the ladder of that shift, or A, B or C for
+shift 0; a zero commutator is the empty list.  Unmatched commutators carry a
 witness: the first coupling monomial of a nonzero residual coefficient.
 """
 

@@ -25,7 +25,8 @@ Every operator identity is formed once as a polynomial in ell and decided
 coefficient by coefficient, so it holds for every ell in Q^3: the intertwining
 of a ladder with H (`intertwine_identity`), the structure table
 (`structure_table`, all 33 entries, the 18 [A|B|C, X±] ones included, formed
-by the one graded bracket), the Casimir residuals (`casimir_residual`) and the
+by the one graded bracket and each read as one rational constant times one
+generator of its shift), the Casimir residuals (`casimir_residual`) and the
 brackets behind the Jacobi identity (`graded_bracket`).  `residual_witness`
 names the first ell-monomial where such an identity fails.  The per-sector
 compositions (`intertwine_residual`, `graded_commutator`) compose the concrete
@@ -48,7 +49,7 @@ from typing import Sequence
 from . import linalg
 from .diffop import (HAMILTONIAN, PHI1_BLOCK, DiffOp, ParamVector, build_hamiltonian,
                      compose, is_zero_op, pv)
-from .lpoly import ZERO, LPoly, Mono, Row, UNITS, quantum_number
+from .lpoly import ZERO, LPoly, Mono, Row, quantum_number
 from .trigpoly import (COT2, TAN2, TrigPoly, TrigTerm, coordinate_vectors, is_zero,
                        normal_form, proportionality)
 
@@ -257,7 +258,6 @@ DIAGONALS: dict[str, Row] = {
     "B": _row(0, -HALF, 0, -HALF),     # -(l0 + l2)/2
     "C": _row(0, 0, HALF, -HALF),      # (l1 - l2)/2
     "D": _row(0, 1, -1, -1),           # l0 - l1 - l2
-    "one": _row(1, 0, 0, 0),
 }
 
 
@@ -350,7 +350,7 @@ def solve_multiplier(vector_part: DiffOp, delta: Shift,
     sol = linalg.solve_exact([r for r, _ in row_data], [b for _, b in row_data])
     if sol is None:
         report = {"sector": [str(x) for x in ell], "delta": list(delta),
-                  "unsatisfied_rows": len(row_data)}
+                  "rows": len(row_data)}
         raise MultiplierSolveError("inconsistent multiplier system", report)
     out = TrigPoly.zero()
     for k, g in zip(sol, ansatz):
@@ -416,80 +416,60 @@ def constant_part(op: DiffOp) -> Fraction | None:
     return match_constant_multiple(op, DiffOp.identity())
 
 
-def _read_multiple(comm: LPoly, cand: LPoly, degree: int) -> dict[Mono, Fraction]:
-    """c(ell) of total degree <= `degree` read off comm == c(ell) * cand.
-
-    At a derivative order where cand does not depend on ell, the l^m
-    coefficient of comm is c_m times cand's; a monomial with no such ratio
-    reads 0 and so stays in the residual comm - c * cand.
-    """
-    const = cand.coeff(ZERO)
-    order = next((o for o, p in sorted(const.items()) if not is_zero(p)
-                  and all(is_zero(c.coeff(o)) for m, c in cand.items() if m != ZERO)), None)
-    if order is None:
-        return {}
-    out = {}
-    for m, op in comm.items():
-        c = proportionality(op.coeff(order), const.coeff(order)) if sum(m) <= degree else None
-        if c:
-            out[m] = c
-    return out
-
-
 def _scalar(terms: dict[Mono, Fraction]) -> LPoly:
     """The polynomial sum c * l^m over `terms`, as multiples of the identity operator."""
     return LPoly(DiffOp, {m: DiffOp.identity().scale(c) for m, c in terms.items()})
+
+
+def _read_constant(comm: LPoly, gen: LPoly) -> Fraction:
+    """c read off comm == c * gen where gen's coefficient is one function: at
+    gen's first ell-monomial and highest derivative order (the first such
+    order in sorted order).  For a ladder that is a component of its ell-free
+    vector field, for a diagonal generator its first affine coefficient.  c
+    reads 0 where comm has no such ratio, so the residual comm - c * gen
+    shows the failure."""
+    m, op = gen.items()[0]
+    order = min(k for k, _ in op.items() if sum(k) == op.order())
+    return proportionality(comm.coeff(m).coeff(order), op.coeff(order)) or F0
 
 
 def structure_table() -> dict:
     """Pairwise commutators of {A±, B±, C±, A, B, C}, for every ell in Q^3.
 
     Each commutator, a diagonal one too, is formed once as a polynomial in ell
-    by `graded_bracket` and matched as c(ell) times one candidate: the identity
-    for shift 0, with c affine and expressed through the diagonal generators,
-    else the ladder generator of the same shift with c constant (or zero if
-    there is none).  The match is exact when the symbolic residual
-    comm - c * cand vanishes.  Returns {"table": {...}, "unmatched": [...],
-    "witness": {...}}, the witness giving per unmatched key its
-    `residual_witness`.
+    by `graded_bracket` and read as one rational constant times one generator
+    of its shift: the ladder of that shift, or A, B and C in that order for
+    shift 0.  A zero commutator is the empty entry; otherwise the entry is
+    [(c, X)] for the first generator X whose residual comm - c * X vanishes
+    for every ell.  Returns {"table": {...}, "unmatched": [...], "witness":
+    {...}}, the witness giving per unmatched key the `residual_witness` of its
+    residual against the first generator of its shift (of the commutator
+    itself when no generator has that shift).
     """
     lads = [graded(n) for n in LADDER_NAMES]
+    diags = [diagonal(n) for n in DIAGONAL_NAMES]
     pairs = [(x, y) for i, x in enumerate(lads) for y in lads[i + 1:]]
-    pairs += [(diagonal(dn), y) for dn in DIAGONAL_NAMES for y in lads]
+    pairs += [(d, y) for d in diags for y in lads]
     table: dict[str, list] = {}
     unmatched, witness = [], {}
     for x, y in pairs:
         key, comm = f"{x.name},{y.name}", graded_bracket(x, y)
-        if comm.shift == (0, 0, 0):
-            name, cand = "one", _scalar({ZERO: F1})
+        bad = residual_witness(comm.poly)
+        if bad is None:
+            table[key] = []
+            continue
+        for i, gen in enumerate(g for g in lads + diags if g.shift == comm.shift):
+            c = _read_constant(comm.poly, gen.scaled())
+            resid = residual_witness(comm.poly - gen.scaled().scale(c))
+            if resid is None:
+                table[key] = [(str(c), gen.name)]
+                break
+            if i == 0:
+                bad = resid
         else:
-            gen = next((g for g in lads if g.shift == comm.shift), None)
-            name, cand = (gen.name, gen.scaled()) if gen else (None, LPoly(DiffOp))
-        c = _read_multiple(comm.poly, cand, 1 if name == "one" else 0)
-        bad = residual_witness(comm.poly - _scalar(c).product(cand, compose))
-        if bad:
             unmatched.append(key)
             witness[key] = bad
-        elif name == "one":
-            table[key] = _express_diagonal([c.get(m, F0) for m in UNITS])
-        else:
-            table[key] = [(str(c[ZERO]), name)] if c else []
     return {"table": table, "unmatched": unmatched, "witness": witness}
-
-
-def _express_diagonal(fit: Row) -> list[tuple[str, str]]:
-    """Rewrite an affine row c0 + c1 l0 + c2 l1 + c3 l2 over {A, B, C, D, one}."""
-    for name in DIAGONAL_NAMES + ["D"]:
-        drow = DIAGONALS[name]
-        # single-generator match: fit == c * drow
-        for cand_c in {c / v for c, v in zip(fit, drow) if v != 0}:
-            if all(c == cand_c * v for c, v in zip(fit, drow)):
-                return [(str(cand_c), name)]
-    # general combination over one, A, B, D: their rows have determinant 3/4,
-    # so the system always has a solution
-    basis = ["one", "A", "B", "D"]
-    sol = linalg.solve_exact([list(r) for r in zip(*(DIAGONALS[n] for n in basis))], list(fit))
-    return [(str(c), n) for c, n in zip(sol, basis) if c != 0]
 
 
 # -- casimir identities -----------------------------------------------------------

@@ -457,45 +457,20 @@ def test_structure_table_closure_and_entries():
     assert t["A-,B-"] == [] and t["B+,C+"] == [] and t["A+,C-"] == []
 
 
-def _det(rows):
-    if not rows:
-        return F(1)
-    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
-               for j in range(len(rows)) if rows[0][j])
-
-
-def test_express_diagonal_general_combination_reproduces_the_fit():
-    from octasphere.operators import _express_diagonal
-    # the general branch solves over the affine rows of {one, A, B, D}; they
-    # have a nonzero determinant, so solve_exact never returns None there
-    rows = [list(DIAGONALS[n]) for n in ("one", "A", "B", "D")]
-    assert _det(rows) == F(3, 4)
-    values = (F(-1), F(0), F(1, 2), F(3))
-    box = [pv(i, j, k) for i in (-1, 0, 2) for j in (-1, 0, 2) for k in (-1, 0, 2)]
-    combinations = 0
-    for c0 in values:
-        for c1 in values:
-            for c2 in values:
-                for c3 in values:
-                    out = _express_diagonal([c0, c1, c2, c3])
-                    combinations += len(out) > 1
-                    for ell in box:
-                        got = sum(F(c) * row_at(DIAGONALS[n], ell) for c, n in out)
-                        assert got == c0 + c1 * ell[0] + c2 * ell[1] + c3 * ell[2]
-    assert combinations > 0  # the general branch was reached
-
-
 def test_broken_family_row_leaves_a_witness(monkeypatch):
-    # an extra l2 cot(phi1) term in A's multiplier: every bracket that should
-    # give a ladder through A no longer closes, and the witness names the first
-    # l-monomial of a nonzero residual coefficient with its normal-form size
+    # an extra l2 cot(phi1) term in A's multiplier: [A-,A+] and every bracket
+    # that should give a ladder through A no longer close, and the witness names
+    # the first l-monomial of a nonzero residual coefficient with its normal-form size
     fam = operators.FAMILIES["A"]
     monkeypatch.setitem(operators.FAMILIES, "A",
                         replace(fam, cot_row=fam.cot_row[:3] + (F(1),)))
     table = structure_table()
-    assert table["unmatched"] == ["A-,B-", "A-,B+", "A-,C-", "A-,C+", "A+,B-", "A+,B+",
-                                  "A+,C-", "A+,C+", "B-,C+", "B+,C-"]
+    assert table["unmatched"] == ["A-,A+", "A-,B-", "A-,B+", "A-,C-", "A-,C+", "A+,B-",
+                                  "A+,B+", "A+,C-", "A+,C+", "B-,C+", "B+,C-"]
     assert set(table["witness"]) == set(table["unmatched"])
+    # [A-,A+] is no constant multiple of A, B or C: the witness is its residual
+    # against A, the broken l2 entry
+    assert table["witness"]["A-,A+"] == {"monomial": [0, 0, 1], "terms": 1}
     assert table["witness"]["A-,C-"] == {"monomial": [0, 0, 0], "terms": 3}
     assert table["witness"]["B-,C+"] == {"monomial": [0, 0, 1], "terms": 1}
     assert table["table"]["B-,B+"] == [("-2", "B")]
@@ -578,7 +553,7 @@ RATIONAL_SECTORS = [pv(F(1, 3), F(-2, 5), F(7, 2)), pv(F(-3, 4), F(5, 3), F(1, 6
 
 
 @pytest.mark.parametrize("ell", RATIONAL_SECTORS)
-@pytest.mark.parametrize("name", ["A", "B", "C", "D", "one"])
+@pytest.mark.parametrize("name", ["A", "B", "C", "D"])
 def test_a_diagonal_generator_is_a_graded_multiplication_operator(name, ell):
     d = diagonal(name)
     assert isinstance(d, GradedOp) and d.shift == (0, 0, 0) and d.scale == 1

@@ -7,9 +7,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import octasphere
-from octasphere import operators, suites
+from octasphere import cli, operators, suites
 from octasphere.superpotential import riccati_check
-from octasphere.trigpoly import frac_to_str
+from octasphere.trigpoly import TrigPoly, frac_to_str
 
 
 def _check(rep, prefix):
@@ -61,6 +61,41 @@ def test_unclosed_commutators_carry_their_witness(monkeypatch):
     assert not check["passed"]
     assert set(check["witness"]) == set(check["unmatched"])
     assert check["witness"]["B+,C-"] == {"monomial": [0, 0, 1], "terms": 1}
+
+
+def test_an_inconsistent_multiplier_system_fails_its_checks_with_the_solver_report(
+        monkeypatch):
+    # a wrong d2 coefficient in B's chart leaves no multiplier that intertwines:
+    # the solver raises, and the suite records the failure instead of raising
+    fam = operators.FAMILIES["B"]
+    monkeypatch.setitem(operators.FAMILIES, "B", replace(fam, chart=replace(
+        fam.chart, d2_coeff=TrigPoly.monomial(-2, (1, 0, 0, 0)))))
+    rep = suites.suite_intertwine()
+    assert not rep["passed"]
+    solves = [c for c in rep["checks"] if c["name"].startswith("solve_multiplier rebuilds")]
+    failed = [c for c in solves if not c["passed"]]
+    assert [c["name"] for c in failed] == [c["name"] for c in solves if " B- " in c["name"]]
+    assert [c["witness"] for c in failed] == [
+        {"sector": sector, "delta": [1, 0, 1], "rows": 13}
+        for sector in (["1", "2", "0"], ["1", "1", "1"], ["2", "0", "1"])]
+    assert cli.main(["verify", "--suite", "intertwine"]) == 1
+
+
+def test_the_table_errata_read_their_computed_side_off_the_table(monkeypatch):
+    real = operators.structure_table
+
+    def moved():
+        st = real()
+        st["table"]["A+,C+"] = [("1", "B-")]
+        return st
+
+    def computed(rep):
+        return {d["entry"]: d["computed"] for d in rep["paper_deltas"]}
+
+    assert computed(suites.suite_algebra()) == {"[A-,A+]": "-2A", "[A+,C+]": "-B+",
+                                                "[B-,C+]": "A-"}
+    monkeypatch.setattr(suites, "structure_table", moved)
+    assert computed(suites.suite_algebra())["[A+,C+]"] == "B-"
 
 
 def test_failed_riccati_residual_names_the_first_sector(monkeypatch):
