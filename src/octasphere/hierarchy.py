@@ -1,10 +1,13 @@
 """Eigenstates, exact spectra and representation lattices of the hierarchy.
 
-Everything here is exact: StateRecords verify their eigenvalue equation at
-construction, the Jacobi closed forms are expanded over the monomial algebra,
-and the lattices (u(3) triangles/hexagons, so(4) squares, so(6) octahedra)
-carry integer multiplicities that are cross-checked against the closed
-dimension formulas.
+Everything here is exact.  A fundamental or closed-form state verifies its
+eigenvalue equation at construction (`make_state`); a laddered state is an
+eigenstate by theorem, because `ladder_build` proves once per distinct step
+that the step intertwines the Hamiltonian for every ell (Infeld & Hull, Rev.
+Mod. Phys. 23, 21, 1951).  The Jacobi closed forms are expanded over the
+monomial algebra, and the lattices (u(3) triangles/hexagons, so(4) squares,
+so(6) octahedra) carry integer multiplicities that are cross-checked against
+the closed dimension formulas.
 Every fundamental state is the value of one ground-state gauge phi0 whose
 exponents are affine in ell, so (X phi0)/phi0 is a polynomial in ell for a
 first-order ladder X (`phi0_action`), and each annihilation is an identity in ell.
@@ -20,10 +23,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .diffop import (DiffOp, ParamVector, apply, build_hamiltonian,
+from .diffop import (HAMILTONIAN, PHI1_BLOCK, DiffOp, ParamVector, apply, build_hamiltonian,
                      build_phi1_block, coupling, pv)
 from .lpoly import LPoly, Row, quantum_number, row_at
-from .operators import GradedOp, graded
+from .operators import GradedOp, graded, intertwine_identity, residual_witness
 from .trigpoly import (COT1, COT2, PHI1, PHI2, TAN1, TAN2, TrigPoly, coordinate_vectors,
                        frac_to_str, is_zero, mul, to_obj)
 from .trigpoly import proportionality  # noqa: F401  (re-exported for comparing states)
@@ -152,6 +155,22 @@ class StateRecord:
         return build_hamiltonian(self.params)
 
 
+class StateCheckError(ValueError):
+    """A state that fails a check at construction; `report` names the sector
+    and the operator the check was made with."""
+
+    def __init__(self, message: str, report: dict):
+        super().__init__(message)
+        self.report = report
+
+
+def _failure(what: str, ell, operator: str, **detail) -> StateCheckError:
+    """The StateCheckError "<what> at <sector>" of a check made with `operator`."""
+    sector = "(" + ", ".join(frac_to_str(x) for x in ell) + ")"
+    return StateCheckError(f"{what} at {sector}", {"sector": [str(x) for x in ell],
+                                                   "operator": operator, **detail})
+
+
 def make_state(params, labels, wavefunction: TrigPoly, energy_val,
                onedim: bool = False) -> StateRecord:
     """Build a StateRecord, verifying H psi = E psi exactly."""
@@ -162,7 +181,8 @@ def make_state(params, labels, wavefunction: TrigPoly, energy_val,
     rec = StateRecord(params, dict(labels), wavefunction, energy_val, onedim)
     resid = apply(rec.hamiltonian(), wavefunction) - wavefunction.scale(energy_val)
     if not is_zero(resid):
-        raise ValueError(f"eigenvalue equation fails at {params} with E={energy_val}")
+        raise _failure(f"eigenvalue equation with E={frac_to_str(energy_val)} fails",
+                       params, "phi1 block" if onedim else "H")
     return rec
 
 
@@ -211,7 +231,7 @@ def _one_label(label, name: str) -> int:
 def _check_annihilated(op_name: str, ell, psi: TrigPoly) -> None:
     op = graded(op_name)
     if not is_zero(apply(op.at(pv(*ell)), psi)):
-        raise ValueError(f"{op_name} does not annihilate the candidate state at {ell}")
+        raise _failure(f"{op_name} does not annihilate the candidate state", ell, op_name)
 
 
 def ground_state(kind: str, params) -> StateRecord:
@@ -252,20 +272,54 @@ def ground_state(kind: str, params) -> StateRecord:
     return make_state(sector, labels, psi, e, onedim=onedim)
 
 
+def _content(poly: LPoly) -> tuple:
+    """An operator polynomial as a hashable value: its ell-monomials, each with
+    its derivative orders and TrigPoly coefficients."""
+    return tuple((m, tuple(sorted(op.items()))) for m, op in poly.items())
+
+
+# (block, step shift, step content) -> the residual witness of the step's
+# intertwining identity, None when it holds for every ell
+_INTERTWINES: dict[tuple, dict | None] = {}
+
+
+def _check_intertwines(op: GradedOp, ell, onedim: bool) -> None:
+    """That op intertwines the Hamiltonian (the phi1 block when onedim) for every
+    ell, proved once per distinct operator content and block; StateCheckError,
+    naming op and the sector it was to act on, otherwise."""
+    block = PHI1_BLOCK if onedim else HAMILTONIAN
+    key = (_content(block), op.shift, _content(op.poly))
+    witness = _INTERTWINES.get(key, key)
+    if witness is key:
+        witness = _INTERTWINES[key] = residual_witness(intertwine_identity(op, block))
+    if witness is not None:
+        raise _failure(f"{op.name} does not intertwine the "
+                       f"{'phi1 block' if onedim else 'Hamiltonian'} for all l "
+                       f"(witness {witness}); no state laddered from the state",
+                       ell, op.name, witness=witness)
+
+
 def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRecord | None:
     """Apply graded operators left-to-right with parameter bookkeeping.
 
     Returns None when the state is annihilated along the way; otherwise the
-    resulting StateRecord at the shifted sector (energy rechecked exactly).
+    resulting StateRecord at the shifted sector with the energy of `start`.
+    H psi = E psi is not re-applied to the result: every step is proved to
+    intertwine the Hamiltonian (the phi1 block for onedim records) for all
+    ell, X(ell) H(ell) = H(ell + shift) X(ell), so it maps an eigenstate of
+    H(ell) to one of H(ell + shift) with the same energy (Cooper, Khare &
+    Sukhatme, Phys. Rep. 251, 267, 1995).  A step that fails its proof raises
+    StateCheckError, a ValueError, naming the step.
     """
     state = start
     for step in path:
         op = graded(step) if isinstance(step, str) else step
+        _check_intertwines(op, state.params, state.onedim)
         psi = apply(op.scaled_at(state.params), state.wavefunction)
         if is_zero(psi):
             return None
-        state = make_state(op.target(state.params), state.labels, psi, state.energy,
-                           onedim=state.onedim)
+        state = StateRecord(pv(*op.target(state.params)), dict(state.labels), psi,
+                            state.energy, state.onedim)
     return state
 
 
@@ -394,9 +448,10 @@ def iur_states(algebra: str, label) -> list[StateRecord]:
     A breadth-first sweep applies the algebra's raising operators to every
     newly kept state.  Each candidate is decided once: a step whose target
     lattice point already holds its multiplicity is skipped before laddering;
-    otherwise the laddered state (annihilation-checked and eigen-verified by
-    `ladder_build`) is kept iff its normal form is exactly independent of the
-    states kept at that point, which takes one rank.  The final counts are
+    otherwise the laddered state (annihilation-checked by `ladder_build`, and
+    an eigenstate because each raising operator is proved to intertwine H) is
+    kept iff its normal form is exactly independent of the states kept at that
+    point, which takes one rank.  The final counts are
     verified against the IUR multiplicities.
     """
     lattice = iur_lattice(algebra, label)

@@ -292,11 +292,12 @@ def residual_witness(poly: LPoly) -> dict | None:
 
 # -- intertwining ---------------------------------------------------------------
 
-def intertwine_identity(x: GradedOp) -> LPoly:
-    """X∘H(ell) - H(ell+shift)∘X as a polynomial in ell: zero iff X intertwines
-    exactly at every ell in Q^3; its value at ell is `intertwine_residual(x, ell)`."""
-    return x.poly.product(HAMILTONIAN, compose) \
-        - HAMILTONIAN.shift(x.shift).product(x.poly, compose)
+def intertwine_identity(x: GradedOp, block: LPoly = HAMILTONIAN) -> LPoly:
+    """X∘H(ell) - H(ell+shift)∘X as a polynomial in ell, for H the Hamiltonian or
+    another operator polynomial such as PHI1_BLOCK: zero iff X intertwines
+    exactly at every ell in Q^3; for the Hamiltonian its value at ell is
+    `intertwine_residual(x, ell)`."""
+    return x.poly.product(block, compose) - block.shift(x.shift).product(x.poly, compose)
 
 
 def intertwine_residual(x: GradedOp, ell: ParamVector) -> DiffOp:

@@ -16,7 +16,9 @@ from octasphere.hierarchy import (closed_form_state, energy,
                                   phi2_closed_form, proportionality,
                                   so6_dimension, state_to_obj)
 from octasphere.linalg import rank_exact
-from octasphere.operators import LADDER_NAMES, TILDE_NAMES, build_first_order, graded
+from octasphere.inner import numeric_oracle_check
+from octasphere.operators import (LADDER_NAMES, TILDE_NAMES, build_first_order, graded,
+                                  graded_product)
 from octasphere.trigpoly import PHI2, TrigPoly, is_zero, normal_form
 
 F = Fraction
@@ -452,12 +454,51 @@ def _count_calls(monkeypatch, name):
 
 
 def test_iur_builder_ladders_only_below_capacity(monkeypatch):
-    # a step onto a full lattice point is skipped before laddering; every
-    # laddered state that survives annihilation is eigen-checked once
+    # a step onto a full lattice point is skipped before laddering; only the
+    # fundamental state is eigen-checked, the laddered ones are eigenstates
+    # because every raising operator is proved to intertwine H
     ladders = _count_calls(monkeypatch, "ladder_build")
     checks = _count_calls(monkeypatch, "make_state")
     assert len(iur_states("so6", (3,))) == 50
-    assert (len(ladders), len(checks)) == (153, 58)
+    assert (len(ladders), len(checks)) == (153, 1)
+
+
+ORACLE_POINTS = [(0.4, 0.7), (0.9, 0.5), (1.1, 1.0)]
+
+
+LADDERED = {
+    "so6_q3": lambda: iur_states("so6", (3,)),
+    "so4_n3": lambda: iur_states("so4", (3,)),
+    "u3_2_1": lambda: iur_states("u3", (2, 1)),
+    "phi1_m_le_3": lambda: [ladder_build(ground_state("phi1_1d", (l0, l1, m)), ["A+"] * m)
+                            for l0, l1 in ((0, 0), (1, 2), (3, 1)) for m in range(4)],
+}
+
+
+@pytest.mark.parametrize("kind", list(LADDERED))
+def test_every_laddered_state_solves_its_eigenvalue_equation(kind):
+    # independent of the intertwining proofs that let ladder_build skip this:
+    # H psi = E psi exactly, and the exact apply against finite differences
+    for s in LADDERED[kind]():
+        h = s.hamiltonian()
+        assert is_zero(apply(h, s.wavefunction) - s.wavefunction.scale(s.energy)), s.params
+        assert numeric_oracle_check(h, s.wavefunction, ORACLE_POINTS) <= 1e-6, s.params
+
+
+def test_a_one_variable_state_is_laddered_only_by_steps_that_intertwine_the_phi1_block():
+    # B+ intertwines H but not the phi1 block, so it cannot ladder a phi1 state
+    with pytest.raises(ValueError, match=r"^B\+ does not intertwine the phi1 block") as err:
+        ladder_build(ground_state("so4", (2,)), ["B+"])
+    assert err.value.report["witness"] == {"monomial": [0, 0, 0], "terms": 9}
+
+
+def test_a_graded_product_step_ladders_like_its_two_steps():
+    start = ground_state("so6", (2,))
+    both = ladder_build(start, [graded_product(graded("A+"), graded("C+"))])
+    steps = ladder_build(start, ["C+", "A+"])
+    assert both is not None and steps is not None
+    assert (both.params, both.energy) == (steps.params, steps.energy) == (pv(-1, 0, 1), start.energy)
+    assert is_zero(both.wavefunction - steps.wavefunction)
 
 
 @pytest.mark.parametrize("algebra,label", [("u3", (1, 1)), ("so6", (2,))])

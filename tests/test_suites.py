@@ -6,8 +6,11 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import octasphere
-from octasphere import cli, operators, suites
+from octasphere import cli, hierarchy, operators, suites
+from octasphere.diffop import pv
 from octasphere.superpotential import riccati_check
 from octasphere.trigpoly import TrigPoly, frac_to_str
 
@@ -45,6 +48,33 @@ def _break_family_a(monkeypatch):
     fam = operators.FAMILIES["A"]
     monkeypatch.setitem(operators.FAMILIES, "A",
                         replace(fam, cot_row=fam.cot_row[:3] + (Fraction(1),)))
+
+
+def test_a_broken_family_fails_the_finite_difference_check_instead_of_raising(monkeypatch):
+    _break_family_a(monkeypatch)
+    check = _check(suites.suite_hermiticity(), "finite-difference oracle on H")
+    assert not check["passed"]
+    assert check["witness"] == {"sector": ["0", "0", "1"], "operator": "A-"}
+    with pytest.raises(ValueError, match=r"A- does not annihilate .* at \(0/1, 0/1, 1/1\)"):
+        hierarchy.ground_state("so6", (1,))
+    # casimir_residual caches by kind: keep the broken family's residuals out of later tests
+    operators.casimir_residual.cache_clear()
+    try:
+        assert cli.main(["verify", "--suite", "all"]) == 1
+    finally:
+        operators.casimir_residual.cache_clear()
+
+
+def test_a_broken_family_is_proved_afresh_not_served_by_name(monkeypatch):
+    assert len(hierarchy.iur_states("so6", (1,))) == 6   # proves the sound A+
+    _break_family_a(monkeypatch)
+    ell = pv(0, 0, 1)
+    start = hierarchy.StateRecord(ell, {}, hierarchy.phi0(ell), hierarchy.energy("E_q", q=1))
+    with pytest.raises(ValueError, match=r"^A\+ does not intertwine") as err:
+        hierarchy.ladder_build(start, ["A+"])
+    assert err.value.report["witness"] == {"monomial": [0, 0, 1], "terms": 4}
+    with pytest.raises(ValueError, match="A- does not annihilate"):
+        hierarchy.iur_states("so6", (1,))
 
 
 def test_failed_annihilation_names_its_operator_and_witness(monkeypatch):
