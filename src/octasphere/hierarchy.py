@@ -4,10 +4,11 @@ Everything here is exact.  A fundamental or closed-form state verifies its
 eigenvalue equation at construction (`make_state`); a laddered state is an
 eigenstate by theorem, because `ladder_build` proves once per distinct step
 that the step intertwines the Hamiltonian for every ell (Infeld & Hull, Rev.
-Mod. Phys. 23, 21, 1951).  The Jacobi closed forms are expanded over the
-monomial algebra, and the lattices (u(3) triangles/hexagons, so(4) squares,
-so(6) octahedra) carry integer multiplicities that are cross-checked against
-the closed dimension formulas.
+Mod. Phys. 23, 21, 1951).  Laddered states, and every state `iur_states`
+emits, are stored in normal form (`trigpoly.normalized`).  The Jacobi closed
+forms are expanded over the monomial algebra, and the lattices (u(3)
+triangles/hexagons, so(4) squares, so(6) octahedra) carry integer
+multiplicities that are cross-checked against the closed dimension formulas.
 Every fundamental state is the value of one ground-state gauge phi0 whose
 exponents are affine in ell, so (X phi0)/phi0 is a polynomial in ell for a
 first-order ladder X (`phi0_action`), and each annihilation is an identity in ell.
@@ -18,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,9 +27,9 @@ from . import linalg
 from .diffop import (HAMILTONIAN, PHI1_BLOCK, DiffOp, ParamVector, apply, build_hamiltonian,
                      build_phi1_block, coupling, pv)
 from .lpoly import LPoly, Row, quantum_number, row_at
-from .operators import GradedOp, graded, intertwine_identity, residual_witness
-from .trigpoly import (COT1, COT2, PHI1, PHI2, TAN1, TAN2, TrigPoly, coordinate_vectors,
-                       frac_to_str, is_zero, mul, to_obj)
+from .operators import GradedOp, content, graded, intertwine_identity, residual_witness
+from .trigpoly import (COT1, COT2, PHI1, PHI2, TAN1, TAN2, TrigPoly, frac_to_str, is_zero,
+                       mul, normalized, to_obj)
 from .trigpoly import proportionality  # noqa: F401  (re-exported for comparing states)
 
 F0 = Fraction(0)
@@ -272,12 +273,6 @@ def ground_state(kind: str, params) -> StateRecord:
     return make_state(sector, labels, psi, e, onedim=onedim)
 
 
-def _content(poly: LPoly) -> tuple:
-    """An operator polynomial as a hashable value: its ell-monomials, each with
-    its derivative orders and TrigPoly coefficients."""
-    return tuple((m, tuple(sorted(op.items()))) for m, op in poly.items())
-
-
 # (block, step shift, step content) -> the residual witness of the step's
 # intertwining identity, None when it holds for every ell
 _INTERTWINES: dict[tuple, dict | None] = {}
@@ -288,7 +283,7 @@ def _check_intertwines(op: GradedOp, ell, onedim: bool) -> None:
     ell, proved once per distinct operator content and block; StateCheckError,
     naming op and the sector it was to act on, otherwise."""
     block = PHI1_BLOCK if onedim else HAMILTONIAN
-    key = (_content(block), op.shift, _content(op.poly))
+    key = (content(block), op.shift, content(op.poly))
     witness = _INTERTWINES.get(key, key)
     if witness is key:
         witness = _INTERTWINES[key] = residual_witness(intertwine_identity(op, block))
@@ -303,7 +298,9 @@ def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRec
     """Apply graded operators left-to-right with parameter bookkeeping.
 
     Returns None when the state is annihilated along the way; otherwise the
-    resulting StateRecord at the shifted sector with the energy of `start`.
+    resulting StateRecord at the shifted sector with the energy of `start`,
+    its wavefunction stored in normal form (`trigpoly.normalized`): each step
+    takes one normal form, which is empty exactly on an annihilation.
     H psi = E psi is not re-applied to the result: every step is proved to
     intertwine the Hamiltonian (the phi1 block for onedim records) for all
     ell, X(ell) H(ell) = H(ell + shift) X(ell), so it maps an eigenstate of
@@ -315,8 +312,8 @@ def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRec
     for step in path:
         op = graded(step) if isinstance(step, str) else step
         _check_intertwines(op, state.params, state.onedim)
-        psi = apply(op.scaled_at(state.params), state.wavefunction)
-        if is_zero(psi):
+        psi = normalized(apply(op.scaled_at(state.params), state.wavefunction))
+        if not psi:
             return None
         state = StateRecord(pv(*op.target(state.params)), dict(state.labels), psi,
                             state.energy, state.onedim)
@@ -450,16 +447,18 @@ def iur_states(algebra: str, label) -> list[StateRecord]:
     lattice point already holds its multiplicity is skipped before laddering;
     otherwise the laddered state (annihilation-checked by `ladder_build`, and
     an eigenstate because each raising operator is proved to intertwine H) is
-    kept iff its normal form is exactly independent of the states kept at that
-    point, which takes one rank.  The final counts are
-    verified against the IUR multiplicities.
+    kept iff it is exactly independent of the states kept at that point, which
+    takes one rank.  Every state, the fundamental one included, is stored in
+    normal form, so its coordinates are its stored terms.  The final counts
+    are verified against the IUR multiplicities.
     """
     lattice = iur_lattice(algebra, label)
     fund = ground_state(algebra, lattice.label)
+    fund = replace(fund, wavefunction=normalized(fund.wavefunction))
     ops = [graded(name) for name in RAISING[algebra]]
     want = dict(lattice.points)
-    # per lattice point: the kept states, each beside its normal-form coordinates
-    kept = {tuple(fund.params): [(fund, *coordinate_vectors([fund.wavefunction]))]}
+    # per lattice point: the kept states, each beside its coordinates
+    kept = {tuple(fund.params): [(fund, dict(fund.wavefunction.items()))]}
     frontier = [fund]
     while frontier:
         new_frontier = []
@@ -474,7 +473,7 @@ def iur_states(algebra: str, label) -> list[StateRecord]:
                     continue
                 if pt not in want:
                     raise AssertionError(f"ladder left the lattice at {pt}")
-                forms = [f for _, f in bucket] + coordinate_vectors([nxt.wavefunction])
+                forms = [f for _, f in bucket] + [dict(nxt.wavefunction.items())]
                 keys = {k for f in forms for k in f}
                 if linalg.rank_exact([[f.get(k, F0) for k in keys] for f in forms]) > len(bucket):
                     kept.setdefault(pt, []).append((nxt, forms[-1]))

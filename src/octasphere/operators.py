@@ -280,6 +280,12 @@ def graded_product(x: GradedOp, y: GradedOp) -> GradedOp:
                     x.poly.shift(y.shift).product(y.poly, compose), x.scale * y.scale)
 
 
+def content(poly: LPoly) -> tuple:
+    """An operator polynomial as a hashable value: its ell-monomials, each with
+    its derivative orders and TrigPoly coefficients."""
+    return tuple((m, tuple(sorted(op.items()))) for m, op in poly.items())
+
+
 def residual_witness(poly: LPoly) -> dict | None:
     """The first ell-monomial whose coefficient in `poly` is not the zero
     operator, with that coefficient's number of normal-form terms; None when
@@ -485,16 +491,30 @@ def _anticommutator(base: str) -> LPoly:
     return graded_product(plus, minus).scaled() + graded_product(minus, plus).scaled()
 
 
-@functools.cache
+# (kind, the tables and operators it is built from) -> the Casimir residual
+_CASIMIRS: dict[tuple, LPoly] = {}
+
+
 def casimir_residual(kind: str) -> LPoly:
     """Residual of the quoted quadratic Casimir combination minus the
-    Hamiltonian, as a polynomial in ell, built once per kind.
+    Hamiltonian, as a polynomial in ell, built once per kind and content: a
+    changed family, tilde, diagonal row, so(6) constant, Hamiltonian or phi1
+    block gets its residual built afresh.
 
     kinds: su3_esp  -- 4C - D^2/3 + 15/4 - H
            so4_ca   -- {A+,A-} + {At+,At-} + L0^2 + L1^2 + 1 - (phi1 block)
            so6_cass -- sum of six anticommutators + L^2 + SO6_CONSTANT - H
                        (the source prints the constant as SO6_CONSTANT_PRINTED).
     """
+    key = (kind, tuple(FAMILIES.items()), tuple(TILDES.items()), tuple(DIAGONALS.items()),
+           SO6_CONSTANT, content(HAMILTONIAN), content(PHI1_BLOCK))
+    residual = _CASIMIRS.get(key)
+    if residual is None:
+        residual = _CASIMIRS[key] = _casimir_residual(kind)
+    return residual
+
+
+def _casimir_residual(kind: str) -> LPoly:
     zero = LPoly(DiffOp)
     if kind == "su3_esp":
         a, b, c, d = (diagonal(n).poly for n in (*DIAGONAL_NAMES, "D"))

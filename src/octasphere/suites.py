@@ -233,10 +233,18 @@ def suite_riccati() -> dict:
 
 # -- hermiticity / numerics ---------------------------------------------------------
 
-def suite_hermiticity() -> dict:
-    checks = []
+def _state_check(name: str, measure, bound: float, key: str) -> dict:
+    """The check that measure() <= bound, its value recorded under `key`; a state
+    that fails its build fails the check with that state's report as the witness."""
+    try:
+        value = measure()
+    except StateCheckError as err:
+        return _check(name, False, witness=err.report)
+    return _check(name, value <= bound, **{key: value})
 
-    # orthogonality of distinct-energy eigenstates of one Hamiltonian
+
+def _orthogonality_worst() -> float:
+    """The largest normalized overlap of distinct-energy closed forms at (0,0,0)."""
     worst = 0.0
     states = [closed_form_state("separated_2d", ((0, 0, 0), m, n))
               for m in range(3) for n in range(3 - m)]
@@ -247,12 +255,13 @@ def suite_hermiticity() -> dict:
             val = abs(inner(s1.wavefunction, s2.wavefunction))
             val /= norm(s1.wavefunction) * norm(s2.wavefunction)
             worst = max(worst, val)
-    checks.append(_check("distinct-energy states orthogonal (<= 1e-10 normalized)",
-                         worst <= 1e-10, worst=worst))
+    return worst
 
-    # hermiticity of the corrected ladder pairs on admissible states
+
+def _adjoint_worst() -> float:
+    """The largest normalized adjoint residual of the corrected ladder pairs on
+    admissible closed forms."""
     worst = 0.0
-    pairs = []
     for fam in FAMILIES:
         lowering = graded(fam + "-")
         for ell in (pv(1, 1, 1), pv(2, 1, 0), pv(0, 1, 2)):
@@ -261,10 +270,18 @@ def suite_hermiticity() -> dict:
                 continue
             f = closed_form_state("separated_2d", (ell, 1, 0)).wavefunction
             g = closed_form_state("separated_2d", (target, 0, 1)).wavefunction
-            val = adjoint_residual(fam, ell, f, g) / (norm(f) * norm(g))
-            pairs.append((fam, tuple(ell), val))
-            worst = max(worst, val)
-    checks.append(_check("adjoint residuals <= 1e-10 * scale", worst <= 1e-10, worst=worst))
+            worst = max(worst, adjoint_residual(fam, ell, f, g) / (norm(f) * norm(g)))
+    return worst
+
+
+def suite_hermiticity() -> dict:
+    checks = [
+        # orthogonality of distinct-energy eigenstates of one Hamiltonian
+        _state_check("distinct-energy states orthogonal (<= 1e-10 normalized)",
+                     _orthogonality_worst, 1e-10, "worst"),
+        # hermiticity of the corrected ladder pairs on admissible states
+        _state_check("adjoint residuals <= 1e-10 * scale", _adjoint_worst, 1e-10, "worst"),
+    ]
 
     # beta-function integrals against adaptive quadrature
     rng_state = random.Random(20200515)
@@ -286,14 +303,13 @@ def suite_hermiticity() -> dict:
 
     # symbolic vs finite-difference application
     pts = [(0.4, 0.7), (0.9, 0.5), (1.1, 1.0)]
-    name = "finite-difference oracle on H (q=1 state) <= 1e-6"
-    try:
+
+    def q1_deviation() -> float:
         q1 = ground_state("so6", (1,))
-    except StateCheckError as err:
-        checks.append(_check(name, False, witness=err.report))
-    else:
-        dev = numeric_oracle_check(build_hamiltonian(q1.params), q1.wavefunction, pts)
-        checks.append(_check(name, dev <= 1e-6, deviation=dev))
+        return numeric_oracle_check(build_hamiltonian(q1.params), q1.wavefunction, pts)
+
+    checks.append(_state_check("finite-difference oracle on H (q=1 state) <= 1e-6",
+                               q1_deviation, 1e-6, "deviation"))
     dev = numeric_oracle_check(DiffOp({(1, 0): TrigPoly.constant(1)}), SIN1, pts)
     checks.append(_check("finite-difference oracle on d/dphi1 <= 1e-7", dev <= 1e-7,
                          deviation=dev))
@@ -334,13 +350,21 @@ def spectral_delta_report() -> list[dict]:
     e = energy("E_mn", ell=(0, 0, 0), m=0, n=1)
     if is_zero(apply(h, bad) - bad.scale(e)):
         raise AssertionError("the printed phi2 Jacobi parameter solves the eigenvalue equation")
-    closed_form_state("separated_2d", ((0, 0, 0), 0, 1))  # construction verifies it exactly
+    # construction verifies the corrected closed form exactly; a failure is named
+    # here and fails the hermiticity suite's checks
+    try:
+        closed_form_state("separated_2d", ((0, 0, 0), 0, 1))
+    except StateCheckError as err:
+        computed, witness = f"no corrected closed form: {err}", {"witness": err.report}
+    else:
+        computed, witness = "P_n^(l2, l0+l1+2m+1)(cos 2 phi2)", {}
     deltas.append({
         "entry": "phi2 Jacobi parameter in the separated eigenfunctions",
         "printed": "P_n^(l2+1/2, l0+l1+2m+1)(cos 2 phi2)",
-        "computed": "P_n^(l2, l0+l1+2m+1)(cos 2 phi2)",
+        "computed": computed,
         "issue": "printed first parameter fails the eigenvalue equation for n >= 1; "
                  "corrected value verified exactly and against the phi2 ladder",
+        **witness,
     })
 
     # phi2 chain ground-state exponent (garbled in print)

@@ -35,7 +35,8 @@ using sin**2 + cos**2 = 1, one angle after the other.  Distinct classes are
 linearly independent on the open octant (0, pi/2)^2, which the test suite
 additionally guards by random-point sampling, so `normal_form(p)` is empty
 exactly when p is the zero function there, and `is_zero`, `proportionality`
-and `coordinate_vectors` are read off its int-keyed form.
+and `coordinate_vectors` are read off its int-keyed form.  `normalized(p)`
+stores p in that form, as the ladder builder keeps its states.
 """
 
 from __future__ import annotations
@@ -381,6 +382,12 @@ def normal_form(p: TrigPoly) -> dict[Exps, Fraction]:
     for any two polys that are equal as functions.
     """
     return {_fracs(e): Fraction(n, p._den) for e, n in _normal_form(p).items()}
+
+
+def normalized(p: TrigPoly) -> TrigPoly:
+    """p stored in its normal form: the same function, with the keys and
+    coefficients of `normal_form(p)`; the zero poly exactly when p is zero."""
+    return _reduced(_normal_form(p), p._den)
 
 
 def is_zero(p: TrigPoly) -> bool:

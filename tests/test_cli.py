@@ -79,6 +79,18 @@ def test_iur_states_round_trip(tmp_path):
         assert to_obj(from_obj(s["wavefunction"])) == s["wavefunction"]
 
 
+def test_so6_q4_states_round_trip_in_normal_form(tmp_path):
+    from octasphere.trigpoly import from_obj, normal_form, to_obj
+    assert run_cli(["iur", "--algebra", "so6", "--q", "4", "--emit", "states",
+                    "--out", str(tmp_path)]) == 0
+    states = json.loads((tmp_path / "so6_4_states.json").read_text())
+    assert len(states) == 105
+    for s in states:
+        psi = from_obj(s["wavefunction"])
+        assert to_obj(psi) == s["wavefunction"]
+        assert normal_form(psi) == dict(psi.items())
+
+
 def test_spectrum_rows(capsys):
     assert run_cli(["spectrum", "--qmax", "1"]) == 0
     out = capsys.readouterr().out

@@ -485,6 +485,27 @@ def test_every_laddered_state_solves_its_eigenvalue_equation(kind):
         assert numeric_oracle_check(h, s.wavefunction, ORACLE_POINTS) <= 1e-6, s.params
 
 
+@pytest.mark.parametrize("kind", list(LADDERED))
+def test_every_laddered_state_is_stored_as_the_normal_form_of_its_raw_step(kind, monkeypatch):
+    # each stored wavefunction is the normal form of the raw apply (or raw
+    # fundamental state) it came from: the same function, in normal form
+    made = []
+    real = hierarchy.normalized
+
+    def recording(p):
+        made.append((real(p), p))
+        return made[-1][0]
+
+    monkeypatch.setattr(hierarchy, "normalized", recording)
+    for s in LADDERED[kind]():
+        if kind == "phi1_m_le_3" and s.labels["m"] == 0:
+            continue   # no step taken: ladder_build returns its start as built
+        psi = s.wavefunction
+        assert normal_form(psi) == dict(psi.items()), s.params
+        raw = next(p for out, p in made if out is psi)
+        assert proportionality(psi, raw) == 1, s.params
+
+
 def test_a_one_variable_state_is_laddered_only_by_steps_that_intertwine_the_phi1_block():
     # B+ intertwines H but not the phi1 block, so it cannot ladder a phi1 state
     with pytest.raises(ValueError, match=r"^B\+ does not intertwine the phi1 block") as err:

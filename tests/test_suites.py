@@ -57,12 +57,17 @@ def test_a_broken_family_fails_the_finite_difference_check_instead_of_raising(mo
     assert check["witness"] == {"sector": ["0", "0", "1"], "operator": "A-"}
     with pytest.raises(ValueError, match=r"A- does not annihilate .* at \(0/1, 0/1, 1/1\)"):
         hierarchy.ground_state("so6", (1,))
-    # casimir_residual caches by kind: keep the broken family's residuals out of later tests
-    operators.casimir_residual.cache_clear()
-    try:
-        assert cli.main(["verify", "--suite", "all"]) == 1
-    finally:
-        operators.casimir_residual.cache_clear()
+    assert cli.main(["verify", "--suite", "all"]) == 1
+
+
+def test_a_broken_family_gets_its_casimir_residuals_built_afresh(monkeypatch):
+    # the residuals are cached on the content they are built from, not on the
+    # kind name: no stale verdict before or after the break
+    assert suites.suite_casimir()["passed"]
+    with monkeypatch.context() as patch:
+        _break_family_a(patch)
+        assert not suites.suite_casimir()["passed"]
+    assert suites.suite_casimir()["passed"]
 
 
 def test_a_broken_family_is_proved_afresh_not_served_by_name(monkeypatch):
@@ -75,6 +80,29 @@ def test_a_broken_family_is_proved_afresh_not_served_by_name(monkeypatch):
     assert err.value.report["witness"] == {"monomial": [0, 0, 1], "terms": 4}
     with pytest.raises(ValueError, match="A- does not annihilate"):
         hierarchy.iur_states("so6", (1,))
+
+
+def _printed_phi2_closed_form(ell, m, n):
+    # the phi2 factor with the printed first Jacobi parameter l2 + 1/2
+    (l0, l1, l2), half = pv(*ell), Fraction(1, 2)
+    root = l0 + l1 + 2 * m + 1
+    return hierarchy._monomial_state(1, 0, 0, root, l2 + half) \
+        * hierarchy.jacobi_in_cos2(hierarchy.jacobi(n, l2 + half, root), var=2)
+
+
+def test_a_failing_closed_form_fails_the_report_instead_of_raising(monkeypatch):
+    monkeypatch.setattr(hierarchy, "phi2_closed_form", _printed_phi2_closed_form)
+    rep = suites.run_suite("all", 2)
+    assert not rep["passed"]
+    herm = next(r for r in rep["suites"] if r["suite"] == "hermiticity")
+    for prefix in ("distinct-energy states orthogonal", "adjoint residuals"):
+        check = _check(herm, prefix)
+        assert not check["passed"]
+        assert check["witness"]["operator"] == "H" and "worst" not in check
+    delta = next(d for d in rep["paper_deltas"] if d.get("entry", "").startswith("phi2 Jacobi"))
+    assert delta["computed"].startswith("no corrected closed form: eigenvalue equation")
+    assert delta["witness"] == {"sector": ["0", "0", "0"], "operator": "H"}
+    assert cli.main(["verify", "--suite", "all"]) == 1
 
 
 def test_failed_annihilation_names_its_operator_and_witness(monkeypatch):
