@@ -58,11 +58,11 @@ def _iur_label(args, parser) -> tuple:
 
 def _cmd_iur(args, parser) -> int:
     label = _iur_label(args, parser)
-    lat = iur_lattice(args.algebra, label)
     stem = args.algebra + "_" + "_".join(str(x) for x in label)
     outdir = Path(args.out)
     states = None
     try:
+        lat = iur_lattice(args.algebra, label)
         outdir.mkdir(parents=True, exist_ok=True)
         if args.emit in ("lattice", "both"):
             (outdir / f"{stem}_lattice.json").write_text(
@@ -75,11 +75,14 @@ def _cmd_iur(args, parser) -> int:
             with open(outdir / f"{stem}_states.json", "w", encoding="utf-8") as fh:
                 json.dump(obj, fh, indent=2)
                 fh.write("\n")
+        # every state of the IUR carries the energy of its fundamental state
+        e = states[0].energy if states else ground_state(args.algebra, label).energy
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 1
-    # every state of the IUR carries the energy of its fundamental state
-    e = states[0].energy if states else ground_state(args.algebra, label).energy
+    except ValueError as exc:  # a lattice count or a state failed its certificate
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
     print(f"{args.algebra} IUR {label}: dimension {lat.dimension}, energy {e}, "
           f"{len(lat.points)} lattice points -> {outdir}/{stem}_*")
     return 0

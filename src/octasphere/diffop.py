@@ -165,10 +165,6 @@ def is_zero_op(op: DiffOp) -> bool:
 
 # -- the Hamiltonian family ---------------------------------------------------
 
-KINETIC = DiffOp({(0, 2): TrigPoly.constant(-1),
-                  (0, 1): TrigPoly.monomial(1, (0, 0, -1, 1)),
-                  (2, 0): TrigPoly.monomial(-1, (0, 0, -2, 0))})
-
 _SEC2_2 = TrigPoly.monomial(1, (0, 0, -2, 0))  # sec^2 phi2
 
 

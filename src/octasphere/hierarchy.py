@@ -27,7 +27,8 @@ from . import linalg
 from .diffop import (HAMILTONIAN, PHI1_BLOCK, DiffOp, ParamVector, apply, build_hamiltonian,
                      build_phi1_block, coupling, pv)
 from .lpoly import LPoly, Row, quantum_number, row_at
-from .operators import GradedOp, content, graded, intertwine_identity, residual_witness
+from .operators import (GradedOp, content, graded, intertwine_identity, residual_witness,
+                        symbolic)
 from .trigpoly import (COT1, COT2, PHI1, PHI2, TAN1, TAN2, TrigPoly, frac_to_str, is_zero,
                        mul, normalized, to_obj)
 from .trigpoly import proportionality  # noqa: F401  (re-exported for comparing states)
@@ -230,8 +231,8 @@ def _one_label(label, name: str) -> int:
 
 
 def _check_annihilated(op_name: str, ell, psi: TrigPoly) -> None:
-    op = graded(op_name)
-    if not is_zero(apply(op.at(pv(*ell)), psi)):
+    # a zero test: the ladder's table formula, without the generator's 1/2
+    if not is_zero(apply(symbolic(op_name).at(pv(*ell)), psi)):
         raise _failure(f"{op_name} does not annihilate the candidate state", ell, op_name)
 
 
@@ -312,7 +313,7 @@ def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRec
     for step in path:
         op = graded(step) if isinstance(step, str) else step
         _check_intertwines(op, state.params, state.onedim)
-        psi = normalized(apply(op.scaled_at(state.params), state.wavefunction))
+        psi = normalized(apply(op.at(state.params), state.wavefunction))
         if not psi:
             return None
         state = StateRecord(pv(*op.target(state.params)), dict(state.labels), psi,
@@ -398,7 +399,7 @@ def iur_lattice(algebra: str, label) -> IurLattice:
         points = tuple(sorted((pt, mult) for pt, mult in counts.items()))
         dim = sum(counts.values())
         if dim != u3_dimension(m, n):
-            raise AssertionError(f"u(3) lattice ({m},{n}) has dimension {dim}")
+            raise ValueError(f"u(3) lattice ({m},{n}) has dimension {dim}")
         return IurLattice("u3", (m, n), points, dim)
     if algebra == "so4":
         n = _one_label(label, "so4 label")
@@ -418,7 +419,7 @@ def iur_lattice(algebra: str, label) -> IurLattice:
         points = tuple(sorted(counts.items()))
         dim = sum(counts.values())
         if dim != so6_dimension(q):
-            raise AssertionError(f"so(6) lattice q={q} has dimension {dim}")
+            raise ValueError(f"so(6) lattice q={q} has dimension {dim}")
         return IurLattice("so6", (q,), points, dim)
     raise ValueError(f"unknown algebra {algebra!r}")
 
@@ -428,7 +429,7 @@ def iso_energy_decomposition(q: int) -> list[dict]:
     q = quantum_number(q, "q")
     out = [{"m": m, "n": q - m, "dimension": u3_dimension(m, q - m)} for m in range(q + 1)]
     if sum(r["dimension"] for r in out) != so6_dimension(q):
-        raise AssertionError(f"q={q}: u(3) dimensions do not sum to the so(6) dimension")
+        raise ValueError(f"q={q}: u(3) dimensions do not sum to the so(6) dimension")
     return out
 
 
@@ -472,7 +473,7 @@ def iur_states(algebra: str, label) -> list[StateRecord]:
                 if nxt is None:
                     continue
                 if pt not in want:
-                    raise AssertionError(f"ladder left the lattice at {pt}")
+                    raise ValueError(f"ladder left the lattice at {pt}")
                 forms = [f for _, f in bucket] + [dict(nxt.wavefunction.items())]
                 keys = {k for f in forms for k in f}
                 if linalg.rank_exact([[f.get(k, F0) for k in keys] for f in forms]) > len(bucket):
@@ -482,7 +483,7 @@ def iur_states(algebra: str, label) -> list[StateRecord]:
     got = {pt: len(v) for pt, v in kept.items()}
     if got != want:
         missing = {pt: (want[pt], got.get(pt, 0)) for pt in want if got.get(pt) != want[pt]}
-        raise AssertionError(f"lattice not saturated: want/got {missing}")
+        raise ValueError(f"lattice not saturated: want/got {missing}")
     return [rec for pt in sorted(kept) for rec, _ in kept[pt]]
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .diffop import DiffOp, apply, pv
 from .hierarchy import StateRecord
-from .operators import graded
+from .operators import build_first_order
 from .trigpoly import TrigPoly, TrigTerm, eval_numeric
 
 HALF = Fraction(1, 2)
@@ -190,22 +190,21 @@ def _admissible(f: TrigPoly) -> bool:
 
 
 def adjoint_residual(x_name: str, ell, f: TrigPoly, g: TrigPoly) -> float:
-    """|<X- f, g> - <f, X+ g>| with the sector pairing implied by the shift.
+    """|<X- f, g> - <f, X+ g>| with the sector pairing implied by the shift,
+    X± the table formulas at ell (`build_first_order`).
 
     f lives on sector ell, g on the shifted sector; both must vanish at the
     octant boundary (every exponent >= 1/2), so the integration-by-parts
     boundary terms drop.
     """
-    xm = graded(x_name + "-")
-    xp = graded(x_name + "+")
+    ell = pv(*ell)
+    xm = build_first_order(x_name, "-", ell)
+    xp = build_first_order(x_name, "+", ell)
     if not f or not g:
         return 0.0
     if not (_admissible(f) and _admissible(g)):
         raise ValueError("inadmissible states for the hermiticity pairing")
-    ell = pv(*ell)
-    lhs = inner(apply(xm.at(ell), f), g)
-    rhs = inner(f, apply(xp.at(xm.target(ell)), g))
-    return abs(lhs - rhs)
+    return abs(inner(apply(xm, f), g) - inner(f, apply(xp, g)))
 
 
 _STENCILS = {1: ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)),               # / 12h

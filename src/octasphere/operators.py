@@ -10,16 +10,17 @@ in the couplings ell.  Each ladder X± is defined once, as a polynomial in ell
 families At, Bt, Ct are those polynomials under a parameter reflection
 l_i -> -l_i (TILDES, `LPoly.reflect`), which maps intertwiners to intertwiners
 because the Hamiltonian depends on the parameters only through their squares.
-Each per-sector operator is the value of its polynomial.  A GradedOp is such a
-polynomial with its parameter shift and scale; its value at ell is the
-operator *acting on* sector ell, and graded_product composes two of them as
-polynomials, so commutators and Casimir combinations read left to right
-without extra index gymnastics.
+Each per-sector operator is the value of its polynomial.  A GradedOp is a
+generator of the dynamical algebra as such a polynomial, with its parameter
+shift: the ladder X± is half the table formula (`graded`), and its value at
+ell is the operator *acting on* sector ell.  graded_product composes two of
+them as polynomials, so commutators and Casimir combinations read left to
+right without extra index gymnastics.
 
 The diagonal generators A, B, C, D are graded operators as well (`diagonal`):
-multiplication by an affine row of ell, of shift 0 and scale 1.  The phi2
-chain M± is one polynomial in ell per sign (`CHAIN`), written for the member
-m = n = 0; the member (m, n) is its value at a shifted sector.
+multiplication by an affine row of ell, of shift 0.  The phi2 chain M± is one
+polynomial in ell per sign (`CHAIN`), written for the member m = n = 0; the
+member (m, n) is its value at a shifted sector.
 
 Every operator identity is formed once as a polynomial in ell and decided
 coefficient by coefficient, so it holds for every ell in Q^3: the intertwining
@@ -201,24 +202,15 @@ class GradedOp:
     """An operator as a polynomial in ell, with its parameter shift.
 
     at(ell), the value of `poly` at ell, is the operator *acting on* sector ell
-    (so the raising member of a pair is the printed formula at ell - shift of
-    its partner); the global normalization of the ladder convention lives in
-    `scale`.
+    (so the raising member of a ladder pair acts on ell through its formula at
+    ell - shift of its partner).
     """
     name: str
     shift: Shift
     poly: LPoly
-    scale: Fraction = HALF
 
     def at(self, ell: ParamVector) -> DiffOp:
         return self.poly.at(ell)
-
-    def scaled_at(self, ell: ParamVector) -> DiffOp:
-        return self.at(ell).scale(self.scale)
-
-    def scaled(self) -> LPoly:
-        """The polynomial with the scale inside."""
-        return self.poly.scale(self.scale)
 
     def target(self, ell: ParamVector) -> ParamVector:
         """The sector this operator maps ell to."""
@@ -238,15 +230,16 @@ def _ladder(name: str) -> tuple[LPoly, Shift]:
 
 def symbolic(name: str) -> LPoly:
     """The ladder X± of a family, or of a tilde family (its family's under
-    `LPoly.reflect`), as one polynomial in ell; unscaled, like `GradedOp.at`."""
+    `LPoly.reflect`), as one polynomial in ell: the table formula, which
+    `graded` halves."""
     return _ladder(name)[0]
 
 
 def graded(name: str) -> GradedOp:
-    """Global ladder operator, e.g. graded('A-'): the value of `symbolic(name)`
-    at each sector, with its shift."""
+    """Global ladder operator, e.g. graded('A-'): half the value of
+    `symbolic(name)` at each sector, with its shift."""
     op, shift = _ladder(name)
-    return GradedOp(name, shift, op)
+    return GradedOp(name, shift, op.scale(HALF))
 
 
 LADDER_NAMES = [f + s for f in FAMILIES for s in "-+"]
@@ -263,10 +256,10 @@ DIAGONALS: dict[str, Row] = {
 
 def diagonal(name: str) -> GradedOp:
     """A diagonal generator: multiplication by the affine function DIAGONALS[name]
-    of ell, a graded operator of shift 0 and scale 1."""
+    of ell, a graded operator of shift 0."""
     if name not in DIAGONALS:
         raise ValueError(f"unknown diagonal operator {name!r}")
-    return GradedOp(name, (0, 0, 0), LPoly.affine(DIAGONALS[name], DiffOp.identity()), F1)
+    return GradedOp(name, (0, 0, 0), LPoly.affine(DIAGONALS[name], DiffOp.identity()))
 
 
 DIAGONAL_NAMES = ["A", "B", "C"]
@@ -277,7 +270,7 @@ def graded_product(x: GradedOp, y: GradedOp) -> GradedOp:
     the target of Y composed with Y, as a polynomial in ell."""
     shift = tuple(a + b for a, b in zip(x.shift, y.shift))
     return GradedOp(f"{x.name}*{y.name}", shift,
-                    x.poly.shift(y.shift).product(y.poly, compose), x.scale * y.scale)
+                    x.poly.shift(y.shift).product(y.poly, compose))
 
 
 def content(poly: LPoly) -> tuple:
@@ -383,19 +376,19 @@ def multiplier_ansatz(name: str) -> list[TrigTerm]:
 # -- graded commutators and the structure table -----------------------------------
 
 def graded_commutator(x: GradedOp, y: GradedOp, ell: ParamVector) -> tuple[DiffOp, Shift]:
-    """[X, Y] on sector ell, X∘Y - Y∘X composed there with scales, and its shift."""
+    """[X, Y] on sector ell, X∘Y - Y∘X composed there, and its shift."""
     ell = pv(*ell)
 
     def product(a: GradedOp, b: GradedOp) -> DiffOp:
-        return compose(a.at(b.target(ell)), b.at(ell)).scale(a.scale * b.scale)
+        return compose(a.at(b.target(ell)), b.at(ell))
 
     return product(x, y) - product(y, x), tuple(a + b for a, b in zip(x.shift, y.shift))
 
 
 def graded_bracket(x: GradedOp, y: GradedOp) -> GradedOp:
-    """[X, Y] as a polynomial in ell of unit scale (its scales are inside)."""
+    """[X, Y] as a polynomial in ell."""
     xy, yx = graded_product(x, y), graded_product(y, x)
-    return GradedOp(f"[{x.name},{y.name}]", xy.shift, xy.scaled() - yx.scaled(), F1)
+    return GradedOp(f"[{x.name},{y.name}]", xy.shift, xy.poly - yx.poly)
 
 
 def match_constant_multiple(op: DiffOp, cand: DiffOp) -> Fraction | None:
@@ -466,8 +459,8 @@ def structure_table() -> dict:
             table[key] = []
             continue
         for i, gen in enumerate(g for g in lads + diags if g.shift == comm.shift):
-            c = _read_constant(comm.poly, gen.scaled())
-            resid = residual_witness(comm.poly - gen.scaled().scale(c))
+            c = _read_constant(comm.poly, gen.poly)
+            resid = residual_witness(comm.poly - gen.poly.scale(c))
             if resid is None:
                 table[key] = [(str(c), gen.name)]
                 break
@@ -486,9 +479,9 @@ SO6_CONSTANT_PRINTED = Fraction(41, 12)
 
 
 def _anticommutator(base: str) -> LPoly:
-    """{X+, X-} as a polynomial in ell, scales included."""
+    """{X+, X-} as a polynomial in ell."""
     minus, plus = graded(base + "-"), graded(base + "+")
-    return graded_product(plus, minus).scaled() + graded_product(minus, plus).scaled()
+    return graded_product(plus, minus).poly + graded_product(minus, plus).poly
 
 
 # (kind, the tables and operators it is built from) -> the Casimir residual
@@ -518,7 +511,7 @@ def _casimir_residual(kind: str) -> LPoly:
     zero = LPoly(DiffOp)
     if kind == "su3_esp":
         a, b, c, d = (diagonal(n).poly for n in (*DIAGONAL_NAMES, "D"))
-        cas = sum((graded_product(graded(base + "+"), graded(base + "-")).scaled()
+        cas = sum((graded_product(graded(base + "+"), graded(base + "-")).poly
                    for base in FAMILIES), zero)
         diag = sum((x.product(x - _scalar({ZERO: Fraction(3, 2)}), compose) for x in (a, b, c)),
                    zero)

@@ -75,14 +75,13 @@ def suite_intertwine() -> dict:
                              name in failing))
 
     # the multiplier solver reproduces every corrected multiplier from scratch
-    for fam in FAMILIES:
-        op = graded(fam + "-")
+    for fam, family in FAMILIES.items():
         for ell in (pv(1, 2, 0), pv(1, 1, 1), pv(2, 0, 1)):
             name = f"solve_multiplier rebuilds corrected {fam}- multiplier at " \
                 f"{tuple(map(str, ell))}"
-            vector, _ = decompose(op.at(ell))
+            vector, _ = decompose(build_first_order(fam, "-", ell))
             try:
-                got = solve_multiplier(vector, op.shift, multiplier_ansatz(fam), ell)
+                got = solve_multiplier(vector, family.shift, multiplier_ansatz(fam), ell)
             except MultiplierSolveError as err:
                 checks.append(_check(name, False, witness=err.residual_report))
                 continue
@@ -224,9 +223,7 @@ def suite_riccati() -> dict:
         (((fam,), _on_l1_plane(w)) for fam, w in simultaneous_superpotentials().items())))
 
     rep = _report("riccati", checks, [])
-    rep["lambda_samples"] = [{"sector": [str(x) for x in ell],
-                              "lambda": frac_to_str(lam_at(ell)),
-                              "riccati_residual_zero": True}
+    rep["lambda_samples"] = [{"sector": [str(x) for x in ell], "lambda": frac_to_str(lam_at(ell))}
                              for ell in (LAMBDA_SECTORS if lam is not None else [])]
     return rep
 

@@ -427,7 +427,7 @@ def coordinate_vectors(polys: Sequence[TrigPoly]) -> list[dict]:
     A rational linear combination of the inputs is the zero function iff the
     same combination of the returned dicts vanishes.  The dicts are keyed by
     doubled exponents, as stored, with Fraction values; `normal_form` gives the
-    Fraction keys.  Used by the multiplier solver and the IUR independence test.
+    Fraction keys.  Used by the multiplier solver.
     """
     return [{e: Fraction(n, p._den) for e, n in _normal_form(p).items()} for p in polys]
 

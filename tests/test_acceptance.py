@@ -101,7 +101,7 @@ def test_criterion_03_algebra_closure():
             got = graded_commutator(x, lads[yn], ell)[0]
             want = DiffOp.zero()
             for c, name in entry:
-                gen = (lads[name] if name in lads else diagonal(name)).scaled_at(ell)
+                gen = (lads[name] if name in lads else diagonal(name)).at(ell)
                 want = want + gen.scale(F(c))
             assert is_zero_op(got - want), (key, ell)
 

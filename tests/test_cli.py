@@ -5,8 +5,11 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
+from octasphere import operators
 from octasphere.cli import main
 from octasphere.hierarchy import iur_lattice, so6_dimension
 from octasphere.operators import structure_table
@@ -59,6 +62,19 @@ def test_iur_so6_q3_lattice(tmp_path, capsys):
     assert sum(mults) == 50
     obj = json.loads((tmp_path / "so6_3_lattice.json").read_text())
     assert obj["dimension"] == 50 and len(obj["points"]) == 44
+
+
+def test_iur_reports_a_state_failing_its_certificate(tmp_path, capsys, monkeypatch):
+    # an extra l2 cot(phi1) term in A's multiplier: A- no longer annihilates phi0
+    fam = operators.FAMILIES["A"]
+    monkeypatch.setitem(operators.FAMILIES, "A",
+                        replace(fam, cot_row=fam.cot_row[:3] + (Fraction(1),)))
+    for emit in ("states", "lattice"):
+        argv = ["iur", "--algebra", "so6", "--q", "1", "--emit", emit, "--out", str(tmp_path)]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification failure: A- does not annihilate"), err
+        assert err.count("\n") == 1
 
 
 def test_iur_u3_states(tmp_path, capsys):

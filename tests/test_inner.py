@@ -8,12 +8,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from octasphere.diffop import DiffOp, build_hamiltonian, pv
+from octasphere.diffop import DiffOp, apply, build_hamiltonian, pv
 from octasphere.hierarchy import closed_form_state, ground_state, iur_states
 from octasphere.inner import (_beta, _fd, _pivoted_rank, _tanh_sinh, adjoint_residual, gram,
                               inner, mono_inner, mono_inner_quadrature, norm,
                               numeric_oracle_check, state_inner)
 from octasphere.linalg import rank_exact
+from octasphere.operators import build_first_order
 from octasphere.trigpoly import ONE, SIN1, TrigPoly, TrigTerm, eval_numeric
 
 F = Fraction
@@ -121,6 +122,15 @@ def test_adjoint_residual_on_states():
     g = closed_form_state("separated_2d", ((2, 2, 0), 0, 0)).wavefunction
     val = adjoint_residual("A", ell, f, g)
     assert val <= 1e-10 * norm(f) * norm(g)
+
+
+def test_adjoint_residual_pairs_the_table_formulas():
+    ell = pv(1, 1, 0)
+    f = closed_form_state("separated_2d", (ell, 1, 0)).wavefunction
+    g = closed_form_state("separated_2d", ((2, 2, 0), 0, 1)).wavefunction
+    want = abs(inner(apply(build_first_order("A", "-", ell), f), g)
+               - inner(f, apply(build_first_order("A", "+", ell), g)))
+    assert adjoint_residual("A", ell, f, g) == want
 
 
 def test_adjoint_residual_zero_state():

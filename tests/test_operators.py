@@ -15,10 +15,10 @@ from octasphere.operators import (CHAIN, DIAGONALS, FAMILIES, LADDER_NAMES, SO6_
                                   SO6_CONSTANT_PRINTED, TILDE_NAMES, TILDES, GradedOp,
                                   MultiplierSolveError, build_first_order, casimir_identity,
                                   constant_part, diagonal, graded, graded_bracket,
-                                  graded_commutator, intertwine_identity, intertwine_residual,
-                                  match_constant_multiple, multiplier_ansatz,
-                                  printed_delta_report, residual_witness, solve_multiplier,
-                                  structure_table, symbolic)
+                                  graded_commutator, graded_product, intertwine_identity,
+                                  intertwine_residual, match_constant_multiple,
+                                  multiplier_ansatz, printed_delta_report, residual_witness,
+                                  solve_multiplier, structure_table, symbolic)
 from octasphere.trigpoly import COS1, ONE, SIN1, TrigPoly, TrigTerm, is_zero
 
 F = Fraction
@@ -101,15 +101,20 @@ sectors = st.tuples(rationals, rationals, rationals)
 @given(sectors)
 def test_symbolic_ladders_evaluate_to_the_sector_operators(ell):
     # against the operators written out independently: X- is the table formula
-    # at ell, X+ the formula at its target sector
+    # at ell, X+ the formula at its target sector; the generator is half of it
     for name in [*LADDER_NAMES, *TILDE_NAMES]:
         op = graded(name)
         got = symbolic(name).at(ell)
-        assert got == op.at(ell), name
+        assert got.scale(HALF) == op.at(ell), name
         at = ell if name[-1] == "-" else op.target(ell)
         want = _public_first_order(name[:-1], name[-1], at, 0, 0)
         assert got == want, name
         assert [k for k, _ in got.items()] == [k for k, _ in want.items()]
+
+
+def test_a_ladder_generator_is_half_its_table_formula():
+    for name in [*LADDER_NAMES, *TILDE_NAMES]:
+        assert graded(name).poly.items() == symbolic(name).scale(HALF).items(), name
 
 
 def test_a_sector_without_three_couplings_is_rejected():
@@ -135,8 +140,7 @@ def test_printed_C_minus_residual_nonzero():
 
 
 def test_identity_graded_residual_zero():
-    ident = GradedOp(name="1", shift=(0, 0, 0), poly=LPoly(DiffOp, {(0, 0, 0): DiffOp.identity()}),
-                     scale=F(1))
+    ident = GradedOp(name="1", shift=(0, 0, 0), poly=LPoly(DiffOp, {(0, 0, 0): DiffOp.identity()}))
     assert is_zero_op(intertwine_residual(ident, pv(2, -1, 3)))
 
 
@@ -275,7 +279,7 @@ def _mirror(v, axis):
 
 
 def _reflected(name, axis, times=1):
-    """graded(name) conjugated by l_axis -> -l_axis: its polynomial under
+    """The ladder `symbolic(name)` conjugated by l_axis -> -l_axis: its polynomial under
     `LPoly.reflect`, and its shift with the axis component negated."""
     poly, shift = symbolic(name), graded(name).shift
     for _ in range(times):
@@ -329,13 +333,13 @@ def test_tilde_formulas_pinned_by_hand(name, sign, ell, want):
 
 
 def test_graded_tilde_raising_acts_through_its_target_sector():
-    # X+ on ell is the formula at ell - shift(X-); the names stay At+, Bt+, Ct+
+    # X+ on ell is half the formula at ell - shift(X-); the names stay At+, Bt+, Ct+
     at_plus = graded("At+")
     assert at_plus.name == "At+"
     assert at_plus.at(pv(1, 2, 0)) == first_order_op(
-        {(1, 0): ONE}, mono(F(3, 2), -1, 1, 0, 0) + mono(F(3, 2), 1, -1, 0, 0))
-    assert graded("Bt+").at(pv(2, 0, -1)) == _bt(-1, -HALF, F(3, 2))
-    assert graded("Ct+").at(pv(0, -1, 2)) == _ct(-1, F(3, 2), F(3, 2))
+        {(1, 0): ONE}, mono(F(3, 2), -1, 1, 0, 0) + mono(F(3, 2), 1, -1, 0, 0)).scale(HALF)
+    assert graded("Bt+").at(pv(2, 0, -1)) == _bt(-1, -HALF, F(3, 2)).scale(HALF)
+    assert graded("Ct+").at(pv(0, -1, 2)) == _ct(-1, F(3, 2), F(3, 2)).scale(HALF)
     # the printed Ct+ on (0, -1, 2) is the Ct- formula at its target (0, -2, 1)
     assert graded("Ct+").target(pv(0, -1, 2)) == (0, -2, 1)
     assert build_first_order("Ct", "-", pv(0, -2, 1)) == _ct(1, F(3, 2), F(3, 2))
@@ -354,7 +358,7 @@ def test_reflect_is_involution():
     twice = _reflected("B+", 1, times=2)
     assert symbolic("B+").reflect(1).reflect(1).items() == symbolic("B+").items()
     for ell in (pv(1, 1, 1), pv(0, -2, 3)):
-        assert twice.at(ell) == op.at(ell)
+        assert twice.at(ell) == symbolic("B+").at(ell)
     assert twice.shift == op.shift
 
 
@@ -376,8 +380,8 @@ def test_reflect_preserves_intertwining():
 def test_reflection_fixes_untouched_families():
     # I0 leaves C alone; I2 leaves A alone
     for ell in (pv(1, 2, 3), pv(-1, 0, 2)):
-        assert _reflected("C-", 0).at(ell) == graded("C-").at(ell)
-        assert _reflected("A+", 2).at(ell) == graded("A+").at(ell)
+        assert _reflected("C-", 0).at(ell) == symbolic("C-").at(ell)
+        assert _reflected("A+", 2).at(ell) == symbolic("A+").at(ell)
 
 
 # -- commutators --------------------------------------------------------------------------
@@ -387,7 +391,7 @@ def test_diag_commutator_with_raising():
     aplus = graded("A+")
     for ell in (pv(0, 0, 0), pv(2, -1, 3)):
         got, _ = graded_commutator(a, aplus, ell)
-        assert is_zero_op(got - aplus.scaled_at(ell))
+        assert is_zero_op(got - aplus.at(ell))
 
 
 def test_lowering_raising_commutator_is_minus_two_diag():
@@ -401,11 +405,11 @@ def test_lowering_raising_commutator_is_minus_two_diag():
 
 def test_graded_bracket_is_the_commutator():
     bracket = graded_bracket(graded("A-"), graded("C-"))
-    assert bracket.shift == (1, 0, 1) and bracket.scale == 1
+    assert bracket.shift == (1, 0, 1)
     for ell in (pv(1, 1, 1), pv(-2, 0, 3)):
         op, shift = graded_commutator(graded("A-"), graded("C-"), ell)
         assert bracket.at(ell) == op and shift == bracket.shift
-        assert match_constant_multiple(bracket.at(ell), graded("B-").scaled_at(ell)) == 1
+        assert match_constant_multiple(bracket.at(ell), graded("B-").at(ell)) == 1
     # the 18 diagonal-ladder brackets of the structure table
     for dn in ("A", "B", "C"):
         for name in LADDER_NAMES:
@@ -552,11 +556,29 @@ def test_printed_deltas_name_the_monomials_where_the_printed_residual_is_nonzero
 RATIONAL_SECTORS = [pv(F(1, 3), F(-2, 5), F(7, 2)), pv(F(-3, 4), F(5, 3), F(1, 6))]
 
 
+def _half_formula(name, ell):
+    """Half the table formula of a ladder acting on sector ell: X- is the formula
+    at ell, X+ the formula at its target."""
+    at = ell if name[-1] == "-" else graded(name).target(ell)
+    return build_first_order(name[:-1], name[-1], at).scale(HALF)
+
+
+@pytest.mark.parametrize("ell", RATIONAL_SECTORS)
+@pytest.mark.parametrize("x,y", [("A-", "C-"), ("B+", "At-"), ("Ct+", "A+"), ("C-", "C+")])
+def test_ladder_products_and_brackets_compose_the_halved_formulas(x, y, ell):
+    def product(a, b):
+        return compose(_half_formula(a, graded(b).target(ell)), _half_formula(b, ell))
+
+    gx, gy = graded(x), graded(y)
+    assert is_zero_op(graded_product(gx, gy).at(ell) - product(x, y))
+    assert is_zero_op(graded_bracket(gx, gy).at(ell) - (product(x, y) - product(y, x)))
+
+
 @pytest.mark.parametrize("ell", RATIONAL_SECTORS)
 @pytest.mark.parametrize("name", ["A", "B", "C", "D"])
 def test_a_diagonal_generator_is_a_graded_multiplication_operator(name, ell):
     d = diagonal(name)
-    assert isinstance(d, GradedOp) and d.shift == (0, 0, 0) and d.scale == 1
+    assert isinstance(d, GradedOp) and d.shift == (0, 0, 0)
     assert d.at(ell) == DiffOp.identity().scale(row_at(DIAGONALS[name], ell))
 
 
@@ -570,7 +592,7 @@ def test_each_intertwining_identity_at_a_rational_sector_is_the_composed_residua
 def _composed_casimir(kind, ell):
     """The Casimir combination minus its Hamiltonian block, composed at one sector."""
     def product(x, y):
-        return compose(graded(x).at(graded(y).target(ell)), graded(y).at(ell)).scale(F(1, 4))
+        return compose(graded(x).at(graded(y).target(ell)), graded(y).at(ell))
 
     def anticommutator(base):
         return product(base + "+", base + "-") + product(base + "-", base + "+")
@@ -676,7 +698,6 @@ def test_phi2_chain_commutator_value():
 
 def test_two_unit_composites_intertwine():
     # A+ At+ shifts l1 by -2; A+ At- shifts l0 by -2; both stay exact
-    from octasphere.operators import graded_product
     x_plus = graded_product(graded("A+"), graded("At+"))
     assert x_plus.shift == (0, -2, 0)
     y_plus = graded_product(graded("A+"), graded("At-"))

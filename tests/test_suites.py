@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import octasphere
-from octasphere import cli, hierarchy, operators, suites
-from octasphere.diffop import pv
+from octasphere import cli, hierarchy, operators, suites, superpotential
+from octasphere.diffop import HAMILTONIAN, DiffOp, pv
+from octasphere.lpoly import ZERO, LPoly
 from octasphere.superpotential import riccati_check
 from octasphere.trigpoly import TrigPoly, frac_to_str
 
@@ -173,10 +174,19 @@ def test_a_riccati_residual_that_vanishes_with_the_wrong_lambda_fails(monkeypatc
     assert check["witness"] == {"sector": ["1/2", "1/3", "2"], "terms": 0}
 
 
+def test_a_doubled_tan_phi2_d2_coupling_fails_the_kinetic_check(monkeypatch):
+    # the kinetic operator is read off the Hamiltonian, so a changed coupling is seen
+    assert _check(suites.suite_riccati(), "vector fields rebuild")["passed"]
+    tan_d2 = DiffOp({(0, 1): HAMILTONIAN.coeff(ZERO).coeff((0, 1))})
+    monkeypatch.setattr(superpotential, "HAMILTONIAN",
+                        HAMILTONIAN + LPoly(DiffOp, {ZERO: tan_d2}))
+    assert not _check(suites.suite_riccati(), "vector fields rebuild")["passed"]
+
+
 def test_riccati_samples_take_their_flag_from_the_residual(monkeypatch):
-    # the flag is the lambda proof: the residual is a constant for every l
+    # the samples exist only under the lambda proof: the residual is a constant for every l
     samples = suites.suite_riccati()["lambda_samples"]
-    assert len(samples) == 8 and all(s["riccati_residual_zero"] is True for s in samples)
+    assert len(samples) == 8
     _break_family_a(monkeypatch)
     assert suites.suite_riccati()["lambda_samples"] == []
 

@@ -175,11 +175,11 @@ def test_joint_ground_state_feeds_alpha_and_beta_but_not_gamma():
     assert st.wavefunction == phi0(st.params)
     for fam in ("A", "B"):
         assert is_zero(apply(graded(fam + "-").at(st.params), st.wavefunction))
-        vec, _ = decompose(graded(fam + "-").at(st.params))
+        vec, _ = decompose(build_first_order(fam, "-", st.params))
         got = phi0_action(_constant(vec.scale(-1))).at(st.params)
         assert is_zero(got - family_multiplier(fam, st.params))
     assert not is_zero(apply(graded("C-").at(st.params), st.wavefunction))
-    c_vec, _ = decompose(graded("C-").at(st.params))
+    c_vec, _ = decompose(build_first_order("C", "-", st.params))
     gamma_candidate = phi0_action(_constant(c_vec.scale(-1))).at(st.params)
     assert not is_zero(gamma_candidate - family_multiplier("C", st.params))
 
@@ -204,12 +204,12 @@ def test_partial_fundamental_state_case_ii():
         return phi0_action(_constant(DiffOp({(1, 0): vec.coeff((1, 0)).scale(-1)}))) \
             .at(st.params)
 
-    a_vec, _ = decompose(graded("A-").at(st.params))
+    a_vec, _ = decompose(build_first_order("A", "-", st.params))
     alpha = candidate_from_f_factor(a_vec)
     assert is_zero(alpha - family_multiplier("A", st.params))
 
     for fam, delta in (("B", (1, 0, 1)), ("C", (0, -1, 1))):
-        vec, _ = decompose(graded(fam + "-").at(st.params))
+        vec, _ = decompose(build_first_order(fam, "-", st.params))
         candidate = candidate_from_f_factor(vec)
         assert not is_zero(candidate - family_multiplier(fam, st.params))
         cand_op = GradedOp(name=fam + "-cand", shift=delta,
