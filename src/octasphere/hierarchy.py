@@ -307,11 +307,16 @@ def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRec
     ell, X(ell) H(ell) = H(ell + shift) X(ell), so it maps an eigenstate of
     H(ell) to one of H(ell + shift) with the same energy (Cooper, Khare &
     Sukhatme, Phys. Rep. 251, 267, 1995).  A step that fails its proof raises
-    StateCheckError, a ValueError, naming the step.
+    StateCheckError, a ValueError, naming the step.  A step given by name is
+    resolved by `graded` once per call, however often it recurs in path.
     """
     state = start
+    named: dict[str, GradedOp] = {}
     for step in path:
-        op = graded(step) if isinstance(step, str) else step
+        if isinstance(step, str):
+            op = named.get(step) or named.setdefault(step, graded(step))
+        else:
+            op = step
         _check_intertwines(op, state.params, state.onedim)
         psi = normalized(apply(op.at(state.params), state.wavefunction))
         if not psi:
@@ -444,47 +449,55 @@ def iur_states(algebra: str, label) -> list[StateRecord]:
     """Ladder out a whole IUR from its fundamental state.
 
     A breadth-first sweep applies the algebra's raising operators to every
-    newly kept state.  Each candidate is decided once: a step whose target
-    lattice point already holds its multiplicity is skipped before laddering;
-    otherwise the laddered state (annihilation-checked by `ladder_build`, and
-    an eigenstate because each raising operator is proved to intertwine H) is
-    kept iff it is exactly independent of the states kept at that point, which
-    takes one rank.  Every state, the fundamental one included, is stored in
-    normal form, so its coordinates are its stored terms.  The final counts
-    are verified against the IUR multiplicities.
+    newly kept state, walking the lattice as the int points of `iur_lattice`.
+    Each candidate is decided once: a step whose target lattice point already
+    holds its multiplicity is skipped before laddering; otherwise the laddered
+    state (annihilation-checked by `ladder_build`, and an eigenstate because
+    each raising operator is proved to intertwine H) is kept iff it is exactly
+    independent of the states kept at that point.  The first state at a point
+    is nonzero, so it is kept without a rank; a later one takes one rank of
+    the int numerators of the point's states.  Every state, the fundamental
+    one included, is stored in normal form, so its stored terms are its
+    coordinates, and scaling a row by its denominator leaves the rank alone.
+    Each state's params stay its Fraction sector.  The final counts are
+    verified against the IUR multiplicities.
     """
     lattice = iur_lattice(algebra, label)
     fund = ground_state(algebra, lattice.label)
     fund = replace(fund, wavefunction=normalized(fund.wavefunction))
     ops = [graded(name) for name in RAISING[algebra]]
     want = dict(lattice.points)
-    # per lattice point: the kept states, each beside its coordinates
-    kept = {tuple(fund.params): [(fund, dict(fund.wavefunction.items()))]}
-    frontier = [fund]
+    # per int lattice point: the kept states; the frontier pairs each with its point
+    start = tuple(int(x) for x in fund.params)
+    kept = {start: [fund]}
+    frontier = [(start, fund)]
     while frontier:
         new_frontier = []
-        for st in frontier:
+        for pt0, st in frontier:
             for op in ops:
-                pt = op.target(st.params)
-                bucket = kept.get(pt, [])
-                if pt in want and len(bucket) >= want[pt]:
+                pt = tuple(x + d for x, d in zip(pt0, op.shift))
+                bucket = kept.get(pt)
+                if bucket and len(bucket) >= want.get(pt, 0):
                     continue
                 nxt = ladder_build(st, [op])
                 if nxt is None:
                     continue
                 if pt not in want:
                     raise ValueError(f"ladder left the lattice at {pt}")
-                forms = [f for _, f in bucket] + [dict(nxt.wavefunction.items())]
-                keys = {k for f in forms for k in f}
-                if linalg.rank_exact([[f.get(k, F0) for k in keys] for f in forms]) > len(bucket):
-                    kept.setdefault(pt, []).append((nxt, forms[-1]))
-                    new_frontier.append(nxt)
+                if bucket:
+                    forms = [rec.wavefunction._terms for rec in bucket] + [nxt.wavefunction._terms]
+                    keys = {k for f in forms for k in f}
+                    if linalg.rank_exact([[f.get(k, 0) for k in keys] for f in forms]) \
+                            == len(bucket):
+                        continue
+                kept.setdefault(pt, []).append(nxt)
+                new_frontier.append((pt, nxt))
         frontier = new_frontier
     got = {pt: len(v) for pt, v in kept.items()}
     if got != want:
         missing = {pt: (want[pt], got.get(pt, 0)) for pt in want if got.get(pt) != want[pt]}
         raise ValueError(f"lattice not saturated: want/got {missing}")
-    return [rec for pt in sorted(kept) for rec, _ in kept[pt]]
+    return [rec for pt in sorted(kept) for rec in kept[pt]]
 
 
 # -- serialization ------------------------------------------------------------------

@@ -61,9 +61,13 @@ def row_at(row: Row, ell: Sequence[Fraction]) -> Fraction:
 
 
 class LPoly:
-    """Finite sum of coefficient * l0^i l1^j l2^k, coefficients of one kind."""
+    """Finite sum of coefficient * l0^i l1^j l2^k, coefficients of one kind.
 
-    __slots__ = ("kind", "_terms")
+    Immutable by convention: nothing mutates `_terms` after construction, so
+    `operators.content` fills the `_content` slot once per polynomial.
+    """
+
+    __slots__ = ("kind", "_terms", "_content")
 
     def __init__(self, kind: type, terms: dict | None = None):
         terms = terms or {}

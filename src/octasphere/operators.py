@@ -275,8 +275,13 @@ def graded_product(x: GradedOp, y: GradedOp) -> GradedOp:
 
 def content(poly: LPoly) -> tuple:
     """An operator polynomial as a hashable value: its ell-monomials, each with
-    its derivative orders and TrigPoly coefficients."""
-    return tuple((m, tuple(sorted(op.items()))) for m, op in poly.items())
+    its derivative orders and TrigPoly coefficients; computed once per
+    polynomial, which is immutable by convention."""
+    try:
+        return poly._content
+    except AttributeError:
+        poly._content = tuple((m, tuple(sorted(op.items()))) for m, op in poly.items())
+        return poly._content
 
 
 def residual_witness(poly: LPoly) -> dict | None:

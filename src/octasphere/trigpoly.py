@@ -108,10 +108,12 @@ class TrigPoly:
     `TrigPoly(terms)` takes {exponents: coeff} with Fraction or int exponents
     and coefficients.  The stored form is int numerators over one denominator:
     coefficient of key e is `_terms[e] / _den`, with `_den > 0`, no zero
-    numerator and `gcd(_den, *numerators) == 1`.
+    numerator and `gcd(_den, *numerators) == 1`.  Immutable by convention:
+    nothing mutates `_terms` or `_den` after construction, so the hash is
+    computed once, on first use, into the `_hash` slot.
     """
 
-    __slots__ = ("_terms", "_den")
+    __slots__ = ("_terms", "_den", "_hash")
 
     def __init__(self, terms: dict[Exps, Fraction] | None = None):
         clean: dict[Key, Fraction] = {}
@@ -170,7 +172,11 @@ class TrigPoly:
         return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self._den, tuple(sorted(self._terms.items()))))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self._den, tuple(sorted(self._terms.items()))))
+            return self._hash
 
     def __repr__(self) -> str:
         if not self._terms:

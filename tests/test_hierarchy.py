@@ -522,13 +522,48 @@ def test_a_graded_product_step_ladders_like_its_two_steps():
     assert is_zero(both.wavefunction - steps.wavefunction)
 
 
-@pytest.mark.parametrize("algebra,label", [("u3", (1, 1)), ("so6", (2,))])
+IURS = [("u3", (1, 1)), ("so6", (2,)), ("so6", (4,)), ("so4", (3,)), ("u3", (2, 1))]
+
+
+@pytest.mark.parametrize("algebra,label", IURS)
 def test_iur_states_independent_at_every_point(algebra, label):
     sts = iur_states(algebra, label)
     for pt, mult in iur_lattice(algebra, label).points:
         forms = [normal_form(s.wavefunction) for s in sts if tuple(s.params) == pt]
         keys = sorted({k for f in forms for k in f})
         assert rank_exact([[f.get(k, F(0)) for k in keys] for f in forms]) == mult
+
+
+@pytest.mark.parametrize("algebra,label", IURS)
+def test_iur_states_keep_fraction_sectors(algebra, label):
+    # the sweep walks int lattice points; the states it emits keep Fraction params
+    assert all(type(x) is F for s in iur_states(algebra, label) for x in s.params)
+
+
+def test_iur_builder_takes_a_rank_only_where_a_point_already_holds_a_state(monkeypatch):
+    ranks = []
+    real = hierarchy.linalg.rank_exact
+
+    def counted(rows):
+        ranks.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(hierarchy.linalg, "rank_exact", counted)
+    assert len(iur_states("so6", (4,))) == 105
+    assert len(ranks) == 52 and min(ranks) == 2
+
+
+def test_ladder_build_resolves_a_named_step_once_per_call(monkeypatch):
+    start = ground_state("phi1_1d", (1, 2, 3))
+    stepwise = start
+    for _ in range(3):
+        stepwise = ladder_build(stepwise, ["A+"])
+    resolved = _count_calls(monkeypatch, "graded")
+    got = ladder_build(start, ["A+"] * 3)
+    assert resolved == [("A+",)]
+    assert (got.params, got.labels, got.energy, got.onedim) == \
+        (stepwise.params, stepwise.labels, stepwise.energy, stepwise.onedim)
+    assert got.wavefunction == stepwise.wavefunction
 
 
 def test_iur_builder_rejects_a_step_off_the_lattice(monkeypatch):

@@ -80,6 +80,14 @@ def test_unknown_name_rejected():
         build_first_order("Q", "-", pv(0, 0, 0))
 
 
+def test_an_operator_polynomial_has_one_content_value():
+    # computed once per polynomial; a rebuilt equal polynomial has an equal one
+    x = graded("A+").poly
+    assert operators.content(x) is operators.content(x)
+    assert operators.content(graded("A+").poly) == operators.content(x)
+    assert operators.content(graded("A-").poly) != operators.content(x)
+
+
 @pytest.mark.parametrize("name", ["", "-", "A", "Q-", "A*"])
 def test_graded_rejects_malformed_names(name):
     with pytest.raises(ValueError):

@@ -106,6 +106,54 @@ def test_a_failing_closed_form_fails_the_report_instead_of_raising(monkeypatch):
     assert cli.main(["verify", "--suite", "all"]) == 1
 
 
+def _spectral_delta(rep, prefix):
+    return next(d for d in rep["paper_deltas"] if d.get("entry", "").startswith(prefix))
+
+
+def test_passing_spectral_deltas_carry_no_witness():
+    assert all("witness" not in d for d in suites.spectral_delta_report())
+
+
+def test_an_off_ground_energy_fails_the_report_instead_of_raising(monkeypatch):
+    real = suites.ground_state
+
+    def shifted(kind, params):
+        st = real(kind, params)
+        return replace(st, energy=st.energy + 1) if params == (3,) else st
+
+    monkeypatch.setattr(suites, "ground_state", shifted)
+    rep = suites.run_suite("all", 2)
+    assert not rep["passed"] and all(sub["passed"] for sub in rep["suites"])
+    delta = _spectral_delta(rep, "figure-1 caption")
+    assert delta["computed"] == "E_1 = 35/4 and E_3 = 103/4"
+    assert delta["witness"] == {"sector": ["0", "0", "3"], "operator": "H"}
+    assert cli.main(["verify", "--suite", "all"]) == 1
+
+
+def test_a_printed_phi2_parameter_that_solves_fails_the_report_instead_of_raising(monkeypatch):
+    # the printed first Jacobi parameter 1/2 read as the corrected 0
+    real = suites.jacobi
+    monkeypatch.setattr(suites, "jacobi",
+                        lambda n, a, b: real(n, 0 if a == Fraction(1, 2) else a, b))
+    rep = suites.run_suite("all", 2)
+    assert not rep["passed"] and all(sub["passed"] for sub in rep["suites"])
+    delta = _spectral_delta(rep, "phi2 Jacobi")
+    assert delta["computed"].startswith("the printed P_1^(1/2, 1) solves")
+    assert delta["witness"] == {"sector": ["0", "0", "0"], "operator": "H", "m": 0, "n": 1}
+    assert cli.main(["verify", "--suite", "all"]) == 1
+
+
+def test_a_chain_lowering_that_does_not_annihilate_fails_the_report_instead_of_raising(
+        monkeypatch):
+    monkeypatch.setitem(operators.CHAIN, "-", operators.CHAIN["+"])
+    rep = suites.run_suite("all", 2)
+    assert not rep["passed"] and all(sub["passed"] for sub in rep["suites"])
+    delta = _spectral_delta(rep, "phi2 chain")
+    assert delta["computed"].startswith("M- does not annihilate")
+    assert delta["witness"] == {"sector": ["0", "0", "1"], "operator": "M-", "m": 0, "n": 1}
+    assert cli.main(["verify", "--suite", "all"]) == 1
+
+
 def test_failed_annihilation_names_its_operator_and_witness(monkeypatch):
     _break_family_a(monkeypatch)
     check = _check(suites.suite_intertwine(), "A- and C- annihilate")

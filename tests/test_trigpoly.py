@@ -312,9 +312,14 @@ def test_public_views_give_fraction_exponents(p):
 @settings(max_examples=100, deadline=None)
 @given(polys, polys)
 def test_equal_polys_built_by_different_routes_hash_equal(p, q):
+    # the hash is cached on first use: p's is filled before the others exist
+    seen = {p: "p"}
     for r in ((p + q) - q, TrigPoly.from_terms(reversed(list(p.terms()))),
-              TrigPoly(dict(p.items())), from_json(to_json(p))):
-        assert r == p and hash(r) == hash(p)
+              TrigPoly(dict(p.items())), TrigPoly(dict(reversed(list(p.items())))),
+              from_json(to_json(p)), mul(p, ONE), p.scale(F(2)).scale(HALF),
+              linear_combine([(F(1), p)])):
+        assert r == p and hash(r) == hash(p) == hash(r)
+        assert seen[r] == "p"
 
 
 # -- differential test: the int kernel against a plain Fraction reference ----------------
