@@ -27,8 +27,7 @@ from . import linalg
 from .diffop import (HAMILTONIAN, PHI1_BLOCK, DiffOp, ParamVector, apply, build_hamiltonian,
                      build_phi1_block, coupling, pv)
 from .lpoly import LPoly, Row, quantum_number, row_at
-from .operators import (GradedOp, content, graded, intertwine_identity, residual_witness,
-                        symbolic)
+from .operators import GradedOp, graded, intertwining_witness
 from .trigpoly import (COT1, COT2, PHI1, PHI2, TAN1, TAN2, TrigPoly, frac_to_str, is_zero,
                        mul, normalized, to_obj)
 from .trigpoly import proportionality  # noqa: F401  (re-exported for comparing states)
@@ -224,15 +223,24 @@ def phi0_action(x: LPoly) -> LPoly:
     return out
 
 
+def _labels(label, size: int, name: str) -> tuple:
+    """The `size` parts of a kind's label, given as a tuple or list (a one-part
+    label also bare); ValueError for any other shape."""
+    if size == 1 and not isinstance(label, (tuple, list)):
+        label = (label,)
+    if not isinstance(label, (tuple, list)) or len(label) != size:
+        raise ValueError(f"{name}: a label of {size} part(s) expected, got {label!r}")
+    return tuple(label)
+
+
 def _one_label(label, name: str) -> int:
     """The label of a one-label kind, given bare or as a 1-tuple; a quantum number."""
-    (n,) = label if isinstance(label, (tuple, list)) else (label,)
-    return quantum_number(n, name)
+    return quantum_number(*_labels(label, 1, name), name)
 
 
 def _check_annihilated(op_name: str, ell, psi: TrigPoly) -> None:
-    # a zero test: the ladder's table formula, without the generator's 1/2
-    if not is_zero(apply(symbolic(op_name).at(pv(*ell)), psi)):
+    # a zero test, so the generator's 1/2 does not matter
+    if not is_zero(apply(graded(op_name).at(pv(*ell)), psi)):
         raise _failure(f"{op_name} does not annihilate the candidate state", ell, op_name)
 
 
@@ -246,12 +254,12 @@ def ground_state(kind: str, params) -> StateRecord:
            so6 (q,)            -- lowest weight of the so(6) IUR q, at (0, 0, q).
     """
     if kind == "phi1_1d":
-        l0, l1, m = params
+        l0, l1, m = _labels(params, 3, kind)
         l0, l1, m = coupling(l0), coupling(l1), quantum_number(m, "m")
         sector, labels = (l0 + m, l1 + m, 0), {"m": m, "su2_j": (l0 + l1 + 2 * m) / 2}
         lowering = ("A-",)
     elif kind == "u3":
-        m, n = params
+        m, n = _labels(params, 2, kind)
         m, n = quantum_number(m, "m"), quantum_number(n, "n")
         sector, labels, lowering = (m, 0, n), {"m": m, "n": n}, ("A-", "C-")
     elif kind == "so4":
@@ -274,25 +282,16 @@ def ground_state(kind: str, params) -> StateRecord:
     return make_state(sector, labels, psi, e, onedim=onedim)
 
 
-# (block, step shift, step content) -> the residual witness of the step's
-# intertwining identity, None when it holds for every ell
-_INTERTWINES: dict[tuple, dict | None] = {}
-
-
 def _check_intertwines(op: GradedOp, ell, onedim: bool) -> None:
     """That op intertwines the Hamiltonian (the phi1 block when onedim) for every
-    ell, proved once per distinct operator content and block; StateCheckError,
-    naming op and the sector it was to act on, otherwise."""
-    block = PHI1_BLOCK if onedim else HAMILTONIAN
-    key = (content(block), op.shift, content(op.poly))
-    witness = _INTERTWINES.get(key, key)
-    if witness is key:
-        witness = _INTERTWINES[key] = residual_witness(intertwine_identity(op, block))
+    ell, proved once per generator and block (`intertwining_witness`);
+    StateCheckError, naming op and the sector it was to act on, otherwise."""
+    witness = intertwining_witness(op, PHI1_BLOCK if onedim else HAMILTONIAN)
     if witness is not None:
         raise _failure(f"{op.name} does not intertwine the "
                        f"{'phi1 block' if onedim else 'Hamiltonian'} for all l "
                        f"(witness {witness}); no state laddered from the state",
-                       ell, op.name, witness=witness)
+                       ell, op.name, witness=dict(witness))
 
 
 def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRecord | None:
@@ -308,15 +307,12 @@ def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRec
     H(ell) to one of H(ell + shift) with the same energy (Cooper, Khare &
     Sukhatme, Phys. Rep. 251, 267, 1995).  A step that fails its proof raises
     StateCheckError, a ValueError, naming the step.  A step given by name is
-    resolved by `graded` once per call, however often it recurs in path.
+    its `graded` generator, one object per family row, so its proof is made
+    once however often the step recurs.
     """
     state = start
-    named: dict[str, GradedOp] = {}
     for step in path:
-        if isinstance(step, str):
-            op = named.get(step) or named.setdefault(step, graded(step))
-        else:
-            op = step
+        op = graded(step) if isinstance(step, str) else step
         _check_intertwines(op, state.params, state.onedim)
         psi = normalized(apply(op.at(state.params), state.wavefunction))
         if not psi:
@@ -334,13 +330,13 @@ def closed_form_state(kind: str, params) -> StateRecord:
     Jacobi parameters (l2+1/2, l0+l1+2m+1).
     """
     if kind == "phi1_excited":
-        l0, l1, m = params
+        l0, l1, m = _labels(params, 3, kind)
         l0, l1, m = coupling(l0), coupling(l1), quantum_number(m, "m")
         psi = phi0((l0, l1, 0), onedim=True) * jacobi_in_cos2(jacobi(m, l1, l0), var=1)
         lam = energy("lambda_m", l0=l0, l1=l1, m=m)
         return make_state((l0, l1, 0), {"m": m}, psi, lam, onedim=True)
     if kind == "separated_2d":
-        ell, m, n = params
+        ell, m, n = _labels(params, 3, kind)
         ell, m, n = pv(*ell), quantum_number(m, "m"), quantum_number(n, "n")
         l0, l1, _ = ell
         f_part = phi0(ell, onedim=True) * jacobi_in_cos2(jacobi(m, l1, l0), var=1)
@@ -391,7 +387,7 @@ def iur_lattice(algebra: str, label) -> IurLattice:
     octahedral shells |l0|+|l1|+|l2| = q - 2t with multiplicity t + 1.
     """
     if algebra == "u3":
-        m, n = label
+        m, n = _labels(label, 2, "u3")
         m, n = quantum_number(m, "u3 label m"), quantum_number(n, "u3 label n")
         counts: dict[tuple, int] = {}
         lam1, lam2 = m + n, m

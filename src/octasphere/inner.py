@@ -207,6 +207,8 @@ def adjoint_residual(x_name: str, ell, f: TrigPoly, g: TrigPoly) -> float:
     return abs(inner(apply(xm, f), g) - inner(f, apply(xp, g)))
 
 
+FD_STEP = 1e-4   # the finite-difference step h, in radians
+
 _STENCILS = {1: ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)),               # / 12h
              2: ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))}  # / 12h^2
 
@@ -225,16 +227,17 @@ def _fd(fun, x: float, y: float, k1: int, k2: int, h: float) -> float:
                      for o, w in _STENCILS[k]) / (12 * h if k == 1 else 12 * h * h)
 
 
-def numeric_oracle_check(op: DiffOp, f: TrigPoly, points, h: float = 1e-4) -> float:
+def numeric_oracle_check(op: DiffOp, f: TrigPoly, points) -> float:
     """Max relative deviation of the exact apply(op, f) against a five-point
-    finite-difference application of op to f at the given interior points."""
+    finite-difference application of op to f (step FD_STEP) at the given
+    interior points."""
     sym = apply(op, f)
     worst = 0.0
     for (x, y) in points:
         ref = 0.0
         for (k1, k2), coeff in op.items():
             ref += eval_numeric(coeff, x, y) * _fd(lambda u, v: eval_numeric(f, u, v),
-                                                   x, y, k1, k2, h)
+                                                   x, y, k1, k2, FD_STEP)
         val = eval_numeric(sym, x, y)
         scale = max(abs(val), abs(ref), 1e-9)
         worst = max(worst, abs(val - ref) / scale)

@@ -2,8 +2,8 @@
 
     LPoly ~ dict[(i, j, k) -> coeff]   meaning   sum coeff * l0^i l1^j l2^k
 
-The coefficients are DiffOps or TrigPolys (`kind`).  Each ladder and the
-Hamiltonian is one such polynomial (`operators.symbolic`, `diffop.HAMILTONIAN`),
+The coefficients are DiffOps or TrigPolys (`kind`).  Each ladder generator and
+the Hamiltonian is one such polynomial (`operators.graded`, `diffop.HAMILTONIAN`),
 and its operator on a sector is its value there (`at`).  The ladders are affine
 in ell, so every product, commutator and potential identity built from them is
 a polynomial in ell of low degree.  Distinct monomials in ell are linearly
@@ -63,11 +63,12 @@ def row_at(row: Row, ell: Sequence[Fraction]) -> Fraction:
 class LPoly:
     """Finite sum of coefficient * l0^i l1^j l2^k, coefficients of one kind.
 
-    Immutable by convention: nothing mutates `_terms` after construction, so
-    `operators.content` fills the `_content` slot once per polynomial.
+    Immutable by convention: nothing mutates `_terms` after construction.  It
+    hashes and compares by identity, so a memo keyed on a polynomial keys on
+    the one object built from its table row.
     """
 
-    __slots__ = ("kind", "_terms", "_content")
+    __slots__ = ("kind", "_terms")
 
     def __init__(self, kind: type, terms: dict | None = None):
         terms = terms or {}

@@ -5,17 +5,16 @@ pair of first-order intertwiners built from the chart's azimuthal derivative
 plus tan/cot multipliers; expressed in the base coordinates (phi1, phi2) these
 are the A, B, C families, one row each of the table FAMILIES.  The tan/cot
 coefficients and the diagonal generators are affine rows (c0, c_l0, c_l1, c_l2)
-in the couplings ell.  Each ladder X± is defined once, as a polynomial in ell
-(an LPoly, `symbolic`) read off the rows and kept on its family; the tilde
-families At, Bt, Ct are those polynomials under a parameter reflection
-l_i -> -l_i (TILDES, `LPoly.reflect`), which maps intertwiners to intertwiners
-because the Hamiltonian depends on the parameters only through their squares.
-Each per-sector operator is the value of its polynomial.  A GradedOp is a
-generator of the dynamical algebra as such a polynomial, with its parameter
-shift: the ladder X± is half the table formula (`graded`), and its value at
-ell is the operator *acting on* sector ell.  graded_product composes two of
-them as polynomials, so commutators and Casimir combinations read left to
-right without extra index gymnastics.
+in the couplings ell.  A GradedOp is a generator of the dynamical algebra as a
+polynomial in ell (an LPoly), with its parameter shift; its value at ell is
+the operator *acting on* sector ell.  The ladder X± (`graded`) is half the
+table formula, built once per family row (`_generator`); the tilde families
+At, Bt, Ct are their families under a parameter reflection l_i -> -l_i
+(TILDES, `LPoly.reflect`), which maps intertwiners to intertwiners because the
+Hamiltonian depends on the parameters only through their squares.  The table
+formula itself at one sector is `build_first_order`.  graded_product composes
+two generators as polynomials, so commutators and Casimir combinations read
+left to right without extra index gymnastics.
 
 The diagonal generators A, B, C, D are graded operators as well (`diagonal`):
 multiplication by an affine row of ell, of shift 0.  The phi2 chain M± is one
@@ -33,6 +32,11 @@ names the first ell-monomial where such an identity fails.  The per-sector
 compositions (`intertwine_residual`, `graded_commutator`) compose the concrete
 operators at one sector and are the reference the identities are checked
 against.
+
+Every memo here is a `functools.cache` on a function that reads only its
+arguments, each an immutable table row or the one polynomial object built
+from it: a replaced FAMILIES, TILDES or DIAGONALS row, a changed so(6)
+constant or a new Hamiltonian is a new key, so no memo serves a stale verdict.
 
 Every constructor builds the corrected operator.  The source table prints the
 B and C families with their +/- superscripts exchanged (the printed B-/C-
@@ -130,18 +134,6 @@ class Family:
         return LPoly.affine(self.tan_row, self.chart.tan) \
             + LPoly.affine(self.cot_row, self.chart.cot)
 
-    @functools.cached_property
-    def ladders(self) -> dict[str, tuple[LPoly, Shift]]:
-        """sign -> X± as a polynomial in ell, and its shift: X- acts on ell as the
-        table formula at ell, X+ as the formula at its target ell - shift."""
-        mult = self.symbolic_multiplier.map(DiffOp.multiplication, DiffOp)
-        up = tuple(-d for d in self.shift)
-        out = {}
-        for sign in "-+":
-            op = LPoly(DiffOp, {ZERO: self.chart.derivative(_sgn(sign))}) + mult
-            out[sign] = (op, self.shift) if sign == "-" else (op.shift(up), up)
-        return out
-
 
 FAMILIES: dict[str, Family] = {
     # A: -(l0 + 1/2) tan phi1 + (l1 + 1/2) cot phi1
@@ -164,6 +156,14 @@ def _reflect(v: tuple, axis: int) -> tuple:
     return tuple(-x if i == axis else x for i, x in enumerate(v))
 
 
+def _family(name: str) -> tuple[Family, int | None]:
+    """The family row of a family or tilde family, and the tilde's reflection axis."""
+    base, axis = TILDES.get(name, (name, None))
+    if base not in FAMILIES:
+        raise ValueError(f"unknown ladder family {name!r}")
+    return FAMILIES[base], axis
+
+
 # the phi2 chain M± of the member m = n = 0: ±d2 - a± tan phi2 + (l2 + 1/2) cot phi2,
 # a- = l0 + l1 + 1 and a+ = a- + 1 (the tan phi2 d2 term of H shifts the pair by one unit)
 CHAIN: dict[str, LPoly] = {
@@ -177,11 +177,12 @@ def build_first_order(name: str, sign: str, ell: ParamVector, *,
                       m: int = 0, n: int = 0) -> DiffOp:
     """Concrete first-order operator at a sector: the table formula X^sign at ell.
 
-    name in {A, B, C, At, Bt, Ct, M}.  Each is the value of a polynomial in
-    ell: the ladder families of `symbolic`, and the phi2 chain member M of
-    `CHAIN[sign]` at (l0+2m+n, l1, l2+n).  m and n are quantum numbers
-    (`quantum_number`) and label only the chain: a ladder family raises
-    ValueError for m or n other than 0.
+    name in {A, B, C, At, Bt, Ct, M}.  A ladder family's formula is
+    sign * d_chart + w(ell), w its multiplier (`Family.symbolic_multiplier`);
+    a tilde family's is its family's with w read at the reflected sector.  The
+    phi2 chain member M is `CHAIN[sign]` at (l0+2m+n, l1, l2+n).  m and n are
+    quantum numbers (`quantum_number`) and label only the chain: a ladder
+    family raises ValueError for m or n other than 0.
     """
     ell, m, n = pv(*ell), quantum_number(m, "m"), quantum_number(n, "n")
     l0, l1, l2 = ell
@@ -190,9 +191,9 @@ def build_first_order(name: str, sign: str, ell: ParamVector, *,
         return CHAIN[sign].at((l0 + 2 * m + n, l1, l2 + n))
     if m or n:
         raise ValueError(f"m and n label the phi2 chain M, not the ladder {name!r}")
-    op, shift = _ladder(name + sign)
-    # X+ acts as the formula at its target, so the formula at ell is X+ on ell - shift
-    return op.at(ell if sign == "-" else tuple(x - d for x, d in zip(ell, shift)))
+    fam, axis = _family(name)
+    w = fam.symbolic_multiplier.at(ell if axis is None else _reflect(ell, axis))
+    return fam.chart.derivative(_sgn(sign)) + DiffOp.multiplication(w)
 
 
 # -- graded operators -----------------------------------------------------------
@@ -217,29 +218,27 @@ class GradedOp:
         return tuple(e + s for e, s in zip(ell, self.shift))
 
 
-def _ladder(name: str) -> tuple[LPoly, Shift]:
-    """X± of a family or tilde family as a polynomial in ell, and its shift."""
-    base, axis = TILDES.get(name[:-1], (name[:-1], None))
-    if base not in FAMILIES:
-        raise ValueError(f"unknown ladder family {name[:-1]!r}")
-    if name[-1:] not in FAMILIES[base].ladders:
-        raise ValueError(f"no ladder {name!r}")
-    op, shift = FAMILIES[base].ladders[name[-1:]]
-    return (op, shift) if axis is None else (op.reflect(axis), _reflect(shift, axis))
-
-
-def symbolic(name: str) -> LPoly:
-    """The ladder X± of a family, or of a tilde family (its family's under
-    `LPoly.reflect`), as one polynomial in ell: the table formula, which
-    `graded` halves."""
-    return _ladder(name)[0]
+@functools.cache
+def _generator(family: Family, axis: int | None, sign: str) -> tuple[LPoly, Shift]:
+    """The ladder X^sign of `family`, reflected in `axis` for a tilde family, as
+    a polynomial in ell (half the table formula), and its shift: X- acts on ell
+    as the formula at ell, X+ as the formula at its target ell - shift."""
+    op = LPoly(DiffOp, {ZERO: family.chart.derivative(_sgn(sign))}) \
+        + family.symbolic_multiplier.map(DiffOp.multiplication, DiffOp)
+    shift = family.shift
+    if sign == "+":
+        shift = tuple(-d for d in shift)
+        op = op.shift(shift)
+    if axis is not None:
+        op, shift = op.reflect(axis), _reflect(shift, axis)
+    return op.scale(HALF), shift
 
 
 def graded(name: str) -> GradedOp:
-    """Global ladder operator, e.g. graded('A-'): half the value of
-    `symbolic(name)` at each sector, with its shift."""
-    op, shift = _ladder(name)
-    return GradedOp(name, shift, op.scale(HALF))
+    """Global ladder operator, e.g. graded('A-'): half the table formula at each
+    sector, with its shift; one polynomial object per family row (`_generator`)."""
+    poly, shift = _generator(*_family(name[:-1]), name[-1:])
+    return GradedOp(name, shift, poly)
 
 
 LADDER_NAMES = [f + s for f in FAMILIES for s in "-+"]
@@ -273,17 +272,6 @@ def graded_product(x: GradedOp, y: GradedOp) -> GradedOp:
                     x.poly.shift(y.shift).product(y.poly, compose))
 
 
-def content(poly: LPoly) -> tuple:
-    """An operator polynomial as a hashable value: its ell-monomials, each with
-    its derivative orders and TrigPoly coefficients; computed once per
-    polynomial, which is immutable by convention."""
-    try:
-        return poly._content
-    except AttributeError:
-        poly._content = tuple((m, tuple(sorted(op.items()))) for m, op in poly.items())
-        return poly._content
-
-
 def residual_witness(poly: LPoly) -> dict | None:
     """The first ell-monomial whose coefficient in `poly` is not the zero
     operator, with that coefficient's number of normal-form terms; None when
@@ -302,6 +290,13 @@ def intertwine_identity(x: GradedOp, block: LPoly = HAMILTONIAN) -> LPoly:
     exactly at every ell in Q^3; for the Hamiltonian its value at ell is
     `intertwine_residual(x, ell)`."""
     return x.poly.product(block, compose) - block.shift(x.shift).product(x.poly, compose)
+
+
+@functools.cache
+def intertwining_witness(x: GradedOp, block: LPoly) -> dict | None:
+    """The `residual_witness` of `intertwine_identity(x, block)`, None when X
+    intertwines the block for every ell; proved once per generator and block."""
+    return residual_witness(intertwine_identity(x, block))
 
 
 def intertwine_residual(x: GradedOp, ell: ParamVector) -> DiffOp:
@@ -483,53 +478,49 @@ SO6_CONSTANT = Fraction(15, 4)
 SO6_CONSTANT_PRINTED = Fraction(41, 12)
 
 
-def _anticommutator(base: str) -> LPoly:
-    """{X+, X-} as a polynomial in ell."""
-    minus, plus = graded(base + "-"), graded(base + "+")
-    return graded_product(plus, minus).poly + graded_product(minus, plus).poly
-
-
-# (kind, the tables and operators it is built from) -> the Casimir residual
-_CASIMIRS: dict[tuple, LPoly] = {}
-
-
 def casimir_residual(kind: str) -> LPoly:
     """Residual of the quoted quadratic Casimir combination minus the
-    Hamiltonian, as a polynomial in ell, built once per kind and content: a
-    changed family, tilde, diagonal row, so(6) constant, Hamiltonian or phi1
-    block gets its residual built afresh.
+    Hamiltonian, as a polynomial in ell, built once per kind and per the
+    objects it reads: the twelve ladder generators, the diagonal rows, the
+    so(6) constant, the Hamiltonian and the phi1 block.
 
     kinds: su3_esp  -- 4C - D^2/3 + 15/4 - H
            so4_ca   -- {A+,A-} + {At+,At-} + L0^2 + L1^2 + 1 - (phi1 block)
            so6_cass -- sum of six anticommutators + L^2 + SO6_CONSTANT - H
                        (the source prints the constant as SO6_CONSTANT_PRINTED).
     """
-    key = (kind, tuple(FAMILIES.items()), tuple(TILDES.items()), tuple(DIAGONALS.items()),
-           SO6_CONSTANT, content(HAMILTONIAN), content(PHI1_BLOCK))
-    residual = _CASIMIRS.get(key)
-    if residual is None:
-        residual = _CASIMIRS[key] = _casimir_residual(kind)
-    return residual
+    return _casimir_residual(kind, tuple(graded(n) for n in LADDER_NAMES + TILDE_NAMES),
+                             tuple(DIAGONALS[n] for n in (*DIAGONAL_NAMES, "D")),
+                             SO6_CONSTANT, HAMILTONIAN, PHI1_BLOCK)
 
 
-def _casimir_residual(kind: str) -> LPoly:
+@functools.cache
+def _casimir_residual(kind: str, ladders: tuple[GradedOp, ...], diagonals: tuple[Row, ...],
+                      constant: Fraction, hamiltonian: LPoly, phi1_block: LPoly) -> LPoly:
+    lads = {x.name: x for x in ladders}
     zero = LPoly(DiffOp)
+
+    def anticommutator(base: str) -> LPoly:
+        """{X+, X-} as a polynomial in ell."""
+        minus, plus = lads[base + "-"], lads[base + "+"]
+        return graded_product(plus, minus).poly + graded_product(minus, plus).poly
+
     if kind == "su3_esp":
-        a, b, c, d = (diagonal(n).poly for n in (*DIAGONAL_NAMES, "D"))
-        cas = sum((graded_product(graded(base + "+"), graded(base + "-")).poly
-                   for base in FAMILIES), zero)
+        a, b, c, d = (LPoly.affine(row, DiffOp.identity()) for row in diagonals)
+        cas = sum((graded_product(lads[base + "+"], lads[base + "-"]).poly for base in "ABC"),
+                  zero)
         diag = sum((x.product(x - _scalar({ZERO: Fraction(3, 2)}), compose) for x in (a, b, c)),
                    zero)
         cas = cas + diag.scale(Fraction(2, 3))
         return cas.scale(4) - d.product(d, compose).scale(Fraction(1, 3)) \
-            + _scalar({ZERO: Fraction(15, 4)}) - HAMILTONIAN
+            + _scalar({ZERO: Fraction(15, 4)}) - hamiltonian
     if kind == "so4_ca":
-        return _anticommutator("A") + _anticommutator("At") \
-            + _scalar({(2, 0, 0): F1, (0, 2, 0): F1, ZERO: F1}) - PHI1_BLOCK
+        return anticommutator("A") + anticommutator("At") \
+            + _scalar({(2, 0, 0): F1, (0, 2, 0): F1, ZERO: F1}) - phi1_block
     if kind == "so6_cass":
-        return sum((_anticommutator(base) for base in [*FAMILIES, *TILDES]), zero) \
-            + _scalar({(2, 0, 0): F1, (0, 2, 0): F1, (0, 0, 2): F1, ZERO: SO6_CONSTANT}) \
-            - HAMILTONIAN
+        return sum((anticommutator(base) for base in ("A", "B", "C", "At", "Bt", "Ct")), zero) \
+            + _scalar({(2, 0, 0): F1, (0, 2, 0): F1, (0, 0, 2): F1, ZERO: constant}) \
+            - hamiltonian
     raise ValueError(f"unknown casimir kind {kind!r}")
 
 
@@ -550,10 +541,11 @@ def printed_delta_report() -> list[dict]:
     for name in ("B-", "B+", "C-", "C+"):
         # the printed B and C vectors are +/-(sin phi1 tan phi2 d1 + cos phi1 d2) =
         # -/+ d_xi1 and +/-(cos phi1 tan phi2 d1 - sin phi1 d2) = -/+ d_theta1: the
-        # printed X± is the corrected X∓'s polynomial on X±'s shift
+        # printed X± is the corrected X∓'s polynomial on X±'s shift (up to the
+        # generator's 1/2, which a zero test does not see)
         shift = graded(name).shift
         other = name[:-1] + ("+" if name[-1] == "-" else "-")
-        identity = intertwine_identity(GradedOp(name, shift, symbolic(other).shift(shift)))
+        identity = intertwine_identity(GradedOp(name, shift, graded(other).poly.shift(shift)))
         if residual_witness(identity) is None:
             continue
         deltas.append({

@@ -246,6 +246,26 @@ def test_negative_labels_rejected(call):
         BAD_LABELS[call]()
 
 
+# a label with the wrong number of parts, a bare int where a tuple is due among them
+WRONG_SHAPES = {
+    "ground_state_u3_bare": lambda: ground_state("u3", 5),
+    "ground_state_phi1_1d_bare": lambda: ground_state("phi1_1d", 5),
+    "ground_state_u3_three_parts": lambda: ground_state("u3", (1, 2, 3)),
+    "ground_state_so6_two_parts": lambda: ground_state("so6", (1, 2)),
+    "closed_form_state_phi1_excited_bare": lambda: closed_form_state("phi1_excited", 3),
+    "closed_form_state_separated_2d_two_parts":
+        lambda: closed_form_state("separated_2d", ((0, 0, 0), 1)),
+    "iur_lattice_u3_bare": lambda: iur_lattice("u3", 3),
+    "iur_states_u3_bare": lambda: iur_states("u3", 3),
+}
+
+
+@pytest.mark.parametrize("call", list(WRONG_SHAPES))
+def test_a_label_of_the_wrong_shape_is_a_value_error(call):
+    with pytest.raises(ValueError, match="part"):
+        WRONG_SHAPES[call]()
+
+
 def test_make_state_rejects_wrong_energy():
     st = ground_state("u3", (0, 0))
     with pytest.raises(ValueError):
@@ -553,14 +573,16 @@ def test_iur_builder_takes_a_rank_only_where_a_point_already_holds_a_state(monke
     assert len(ranks) == 52 and min(ranks) == 2
 
 
-def test_ladder_build_resolves_a_named_step_once_per_call(monkeypatch):
+def test_a_named_step_is_one_generator_object_and_ladders_like_single_steps():
+    # every name resolves to the one polynomial built from its family row, so a
+    # step's intertwining proof is made once however often the name recurs
+    for name in [*LADDER_NAMES, *TILDE_NAMES]:
+        assert graded(name).poly is graded(name).poly, name
     start = ground_state("phi1_1d", (1, 2, 3))
     stepwise = start
     for _ in range(3):
         stepwise = ladder_build(stepwise, ["A+"])
-    resolved = _count_calls(monkeypatch, "graded")
     got = ladder_build(start, ["A+"] * 3)
-    assert resolved == [("A+",)]
     assert (got.params, got.labels, got.energy, got.onedim) == \
         (stepwise.params, stepwise.labels, stepwise.energy, stepwise.onedim)
     assert got.wavefunction == stepwise.wavefunction

@@ -62,8 +62,8 @@ def test_a_broken_family_fails_the_finite_difference_check_instead_of_raising(mo
 
 
 def test_a_broken_family_gets_its_casimir_residuals_built_afresh(monkeypatch):
-    # the residuals are cached on the content they are built from, not on the
-    # kind name: no stale verdict before or after the break
+    # the residuals are cached on the rows and generators they are built from,
+    # not on the kind name: no stale verdict before or after the break
     assert suites.suite_casimir()["passed"]
     with monkeypatch.context() as patch:
         _break_family_a(patch)
@@ -81,6 +81,55 @@ def test_a_broken_family_is_proved_afresh_not_served_by_name(monkeypatch):
     assert err.value.report["witness"] == {"monomial": [0, 0, 1], "terms": 4}
     with pytest.raises(ValueError, match="A- does not annihilate"):
         hierarchy.iur_states("so6", (1,))
+
+
+def _shift_row(name, row, index, delta):
+    """A mutant adding delta to entry `index` of a family row (c0, c_l0, c_l1, c_l2)."""
+    def mutate(patch):
+        fam = operators.FAMILIES[name]
+        old = getattr(fam, row)
+        patch.setitem(operators.FAMILIES, name, replace(
+            fam, **{row: old[:index] + (old[index] + delta,) + old[index + 1:]}))
+    return mutate
+
+
+# catalogued corruptions of the tables the memos read:
+# (mutant, is a family row, failed checks of `verify --suite all`)
+DATA_MUTANTS = {
+    "B_tan_c0_plus_half": (_shift_row("B", "tan_row", 0, Fraction(1, 2)), True, 19),
+    "C_cot_l2_plus_one": (_shift_row("C", "cot_row", 3, 1), True, 22),
+    "A_cot_l1_plus_half": (_shift_row("A", "cot_row", 2, Fraction(1, 2)), True, 20),
+    "Ct_reflected_in_l0": (lambda patch: patch.setitem(operators.TILDES, "Ct", ("C", 0)),
+                           False, 2),
+    "diagonal_A_l2_one": (lambda patch: patch.setitem(
+        operators.DIAGONALS, "A", operators.DIAGONALS["A"][:3] + (Fraction(1),)), False, 4),
+    "so6_constant_printed": (lambda patch: patch.setattr(
+        operators, "SO6_CONSTANT", Fraction(41, 12)), False, 2),
+}
+
+
+def _failed_verify_checks(capsys) -> tuple[int, int]:
+    """The exit code of `verify --suite all` and its number of failed checks."""
+    code = cli.main(["verify", "--suite", "all"])
+    return code, capsys.readouterr().out.count("[FAIL]")
+
+
+@pytest.mark.parametrize("mutant", list(DATA_MUTANTS))
+def test_a_data_mutant_fails_verify_through_warm_memos(mutant, monkeypatch, capsys):
+    # every memo is keyed on the rows and objects it reads, so with the memos
+    # warm and none cleared a corrupted table is proved afresh, and the
+    # restored table is served its sound verdicts again
+    mutate, family_row, failed = DATA_MUTANTS[mutant]
+    assert _failed_verify_checks(capsys) == (0, 0)
+    hierarchy.iur_states("so6", (2,))
+    with monkeypatch.context() as patch:
+        mutate(patch)
+        assert _failed_verify_checks(capsys) == (1, failed)
+        if family_row:
+            with pytest.raises(ValueError):
+                hierarchy.iur_states("so6", (2,))
+    assert _failed_verify_checks(capsys) == (0, 0)
+    assert len(hierarchy.iur_states("so6", (2,))) == 20
 
 
 def _printed_phi2_closed_form(ell, m, n):
