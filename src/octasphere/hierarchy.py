@@ -25,8 +25,8 @@ from typing import Sequence
 
 from . import linalg
 from .diffop import (HAMILTONIAN, PHI1_BLOCK, DiffOp, ParamVector, apply, build_hamiltonian,
-                     build_phi1_block, coupling, pv)
-from .lpoly import LPoly, Row, quantum_number, row_at
+                     build_phi1_block, coupling)
+from .lpoly import LPoly, Row, as_sector, quantum_number, row_at
 from .operators import GradedOp, graded, intertwining_witness
 from .trigpoly import (COT1, COT2, PHI1, PHI2, TAN1, TAN2, TrigPoly, frac_to_str, is_zero,
                        mul, normalized, to_obj)
@@ -125,7 +125,7 @@ def energy(kind: str, **params) -> Fraction:
         return (l0 + l1 + 2 * m + 1) ** 2
     if kind == "E_mn":
         ell, m, n = need("ell", "m", "n")
-        ell, m, n = pv(*ell), quantum_number(m, "m"), quantum_number(n, "n")
+        ell, m, n = as_sector(ell), quantum_number(m, "m"), quantum_number(n, "n")
         s = ell[0] + ell[1] + ell[2] + 2 * n + 2 * m
         return (s + Fraction(3, 2)) * (s + Fraction(5, 2))
     if kind == "E_q":
@@ -175,7 +175,7 @@ def _failure(what: str, ell, operator: str, **detail) -> StateCheckError:
 def make_state(params, labels, wavefunction: TrigPoly, energy_val,
                onedim: bool = False) -> StateRecord:
     """Build a StateRecord, verifying H psi = E psi exactly."""
-    params = pv(*params)
+    params = as_sector(params)
     energy_val = coupling(energy_val)
     if not wavefunction:
         raise ValueError("state wavefunction must be nonzero")
@@ -240,7 +240,7 @@ def _one_label(label, name: str) -> int:
 
 def _check_annihilated(op_name: str, ell, psi: TrigPoly) -> None:
     # a zero test, so the generator's 1/2 does not matter
-    if not is_zero(apply(graded(op_name).at(pv(*ell)), psi)):
+    if not is_zero(apply(graded(op_name).at(as_sector(ell)), psi)):
         raise _failure(f"{op_name} does not annihilate the candidate state", ell, op_name)
 
 
@@ -270,7 +270,7 @@ def ground_state(kind: str, params) -> StateRecord:
         sector, labels, lowering = (0, 0, q), {"q": q}, ("A-", "C-", "At-")
     else:
         raise ValueError(f"unknown ground-state kind {kind!r}")
-    sector = pv(*sector)
+    sector = as_sector(sector)
     onedim = kind in ("phi1_1d", "so4")
     psi = phi0(sector, onedim)
     for name in lowering:
@@ -291,7 +291,7 @@ def _check_intertwines(op: GradedOp, ell, onedim: bool) -> None:
         raise _failure(f"{op.name} does not intertwine the "
                        f"{'phi1 block' if onedim else 'Hamiltonian'} for all l "
                        f"(witness {witness}); no state laddered from the state",
-                       ell, op.name, witness=dict(witness))
+                       ell, op.name, witness=witness)
 
 
 def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRecord | None:
@@ -317,7 +317,7 @@ def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRec
         psi = normalized(apply(op.at(state.params), state.wavefunction))
         if not psi:
             return None
-        state = StateRecord(pv(*op.target(state.params)), dict(state.labels), psi,
+        state = StateRecord(as_sector(op.target(state.params)), dict(state.labels), psi,
                             state.energy, state.onedim)
     return state
 
@@ -337,7 +337,7 @@ def closed_form_state(kind: str, params) -> StateRecord:
         return make_state((l0, l1, 0), {"m": m}, psi, lam, onedim=True)
     if kind == "separated_2d":
         ell, m, n = _labels(params, 3, kind)
-        ell, m, n = pv(*ell), quantum_number(m, "m"), quantum_number(n, "n")
+        ell, m, n = as_sector(ell), quantum_number(m, "m"), quantum_number(n, "n")
         l0, l1, _ = ell
         f_part = phi0(ell, onedim=True) * jacobi_in_cos2(jacobi(m, l1, l0), var=1)
         # phi2 Jacobi parameters (l2, l0+l1+2m+1): the parameter printed as
@@ -353,7 +353,7 @@ def phi2_closed_form(ell, m: int, n: int) -> TrigPoly:
     an exact eigenfunction factor (the source prints the first Jacobi parameter
     as l2 + 1/2, which `suites.spectral_delta_report` shows to fail for n >= 1).
     """
-    (l0, l1, l2), m, n = pv(*ell), quantum_number(m, "m"), quantum_number(n, "n")
+    (l0, l1, l2), m, n = as_sector(ell), quantum_number(m, "m"), quantum_number(n, "n")
     root = l0 + l1 + 2 * m + 1
     pref = _monomial_state(1, 0, 0, root, l2 + HALF)
     return pref * jacobi_in_cos2(jacobi(n, l2, root), var=2)

@@ -17,8 +17,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffop import DiffOp, apply, pv
+from .diffop import DiffOp, apply
 from .hierarchy import StateRecord
+from .lpoly import as_sector
 from .operators import build_first_order
 from .trigpoly import TrigPoly, TrigTerm, eval_numeric
 
@@ -197,7 +198,7 @@ def adjoint_residual(x_name: str, ell, f: TrigPoly, g: TrigPoly) -> float:
     octant boundary (every exponent >= 1/2), so the integration-by-parts
     boundary terms drop.
     """
-    ell = pv(*ell)
+    ell = as_sector(ell)
     xm = build_first_order(x_name, "-", ell)
     xp = build_first_order(x_name, "+", ell)
     if not f or not g:

@@ -32,12 +32,19 @@ UNITS: tuple[Mono, ...] = (ZERO, (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def pv(*ell) -> ParamVector:
-    """The sector (l0, l1, l2) as Fractions, Fraction arguments unchanged; else ValueError."""
-    if len(ell) != 3:
-        raise ValueError(f"a sector has three couplings (l0, l1, l2), got {len(ell)}")
-    l0, l1, l2 = ell
+    """The sector (l0, l1, l2) given as three arguments, read by `as_sector`."""
+    return as_sector(ell)
+
+
+def as_sector(ell) -> ParamVector:
+    """The sector ell = (l0, l1, l2), one argument, as Fractions, Fraction
+    couplings unchanged; ValueError for anything but a sequence of three couplings."""
+    try:
+        l0, l1, l2 = ell
+    except (TypeError, ValueError):
+        raise ValueError(f"a sector is three couplings (l0, l1, l2), got {ell!r}") from None
     if type(l0) is Fraction and type(l1) is Fraction and type(l2) is Fraction:
-        return ell
+        return (l0, l1, l2)
     return (coupling(l0), coupling(l1), coupling(l2))
 
 
@@ -54,7 +61,7 @@ def row_at(row: Row, ell: Sequence[Fraction]) -> Fraction:
     The sum is formed in ints over a common denominator and normalised once.
     """
     num, den = row[0].numerator, row[0].denominator
-    for c, x in zip(row[1:], pv(*ell)):
+    for c, x in zip(row[1:], as_sector(ell)):
         d = c.denominator * x.denominator
         num, den = num * d + c.numerator * x.numerator * den, den * d
     return Fraction(num, den)
@@ -126,7 +133,7 @@ class LPoly:
         """The coefficient-kind value at one sector, in the stored term order: one
         `linear_combine` per derivative order, with int weights l0^i l1^j l2^k at an
         integer sector; an order made of one coefficient of weight 1 is that coefficient."""
-        (n0, d0), (n1, d1), (n2, d2) = ((x.numerator, x.denominator) for x in pv(*ell))
+        (n0, d0), (n1, d1), (n2, d2) = ((x.numerator, x.denominator) for x in as_sector(ell))
         pairs = []
         for (i, j, k), c in self._terms.items():
             num, den = n0 ** i * n1 ** j * n2 ** k, d0 ** i * d1 ** j * d2 ** k
@@ -150,7 +157,7 @@ class LPoly:
         """The polynomial at ell + delta: l^k -> sum_j C(k, j) delta^(k-j) l^j per coupling.
 
         A zero shift returns the polynomial itself; integral components weigh in ints."""
-        delta = pv(*delta)
+        delta = as_sector(delta)
         if not any(delta):
             return self
         delta = [d.numerator if d.denominator == 1 else d for d in delta]

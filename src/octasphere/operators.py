@@ -37,6 +37,15 @@ Every memo here is a `functools.cache` on a function that reads only its
 arguments, each an immutable table row or the one polynomial object built
 from it: a replaced FAMILIES, TILDES or DIAGONALS row, a changed so(6)
 constant or a new Hamiltonian is a new key, so no memo serves a stale verdict.
+The generators (`_generator`, on the family row, reflection axis and sign)
+and the Casimir residuals (`_casimir_residual`) are memoised polynomials.
+Each proof for every ell is a verdict memo (`verdict_memo`), which hands
+every caller its own copy: the intertwinings (`intertwining_witness`, on the
+generator and the block), the structure table (`_structure_table`, on the
+six ladder generators and the A, B, C rows) and the printed audit
+(`_printed_delta_report`, on the B± and C± generators and the Hamiltonian).
+A mutant of code rather than of a table is no new key; clearing
+`_generator` rebuilds every generator as a new object, which re-proves them all.
 
 Every constructor builds the corrected operator.  The source table prints the
 B and C families with their +/- superscripts exchanged (the printed B-/C-
@@ -46,6 +55,7 @@ formulas intertwine in the direction claimed for B+/C+ and vice versa);
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +64,7 @@ from typing import Sequence
 from . import linalg
 from .diffop import (HAMILTONIAN, PHI1_BLOCK, DiffOp, ParamVector, build_hamiltonian,
                      compose, is_zero_op, pv)
-from .lpoly import ZERO, LPoly, Mono, Row, quantum_number
+from .lpoly import ZERO, LPoly, Mono, Row, as_sector, quantum_number
 from .trigpoly import (COT2, TAN2, TrigPoly, TrigTerm, coordinate_vectors, is_zero,
                        normal_form, proportionality)
 
@@ -184,7 +194,7 @@ def build_first_order(name: str, sign: str, ell: ParamVector, *,
     quantum numbers (`quantum_number`) and label only the chain: a ladder
     family raises ValueError for m or n other than 0.
     """
-    ell, m, n = pv(*ell), quantum_number(m, "m"), quantum_number(n, "n")
+    ell, m, n = as_sector(ell), quantum_number(m, "m"), quantum_number(n, "n")
     l0, l1, l2 = ell
     if name == "M":
         _sgn(sign)  # ValueError on a sign other than '+' or '-'
@@ -258,7 +268,11 @@ def diagonal(name: str) -> GradedOp:
     of ell, a graded operator of shift 0."""
     if name not in DIAGONALS:
         raise ValueError(f"unknown diagonal operator {name!r}")
-    return GradedOp(name, (0, 0, 0), LPoly.affine(DIAGONALS[name], DiffOp.identity()))
+    return _diagonal(name, DIAGONALS[name])
+
+
+def _diagonal(name: str, row: Row) -> GradedOp:
+    return GradedOp(name, (0, 0, 0), LPoly.affine(row, DiffOp.identity()))
 
 
 DIAGONAL_NAMES = ["A", "B", "C"]
@@ -270,6 +284,17 @@ def graded_product(x: GradedOp, y: GradedOp) -> GradedOp:
     shift = tuple(a + b for a, b in zip(x.shift, y.shift))
     return GradedOp(f"{x.name}*{y.name}", shift,
                     x.poly.shift(y.shift).product(y.poly, compose))
+
+
+def verdict_memo(fn):
+    """`functools.cache` on a proof whose verdict is a small dict or list: each
+    caller gets its own copy, so no caller can change what the next one reads."""
+    memo = functools.cache(fn)
+
+    @functools.wraps(fn)
+    def verdict(*args):
+        return copy.deepcopy(memo(*args))
+    return verdict
 
 
 def residual_witness(poly: LPoly) -> dict | None:
@@ -292,7 +317,7 @@ def intertwine_identity(x: GradedOp, block: LPoly = HAMILTONIAN) -> LPoly:
     return x.poly.product(block, compose) - block.shift(x.shift).product(x.poly, compose)
 
 
-@functools.cache
+@verdict_memo
 def intertwining_witness(x: GradedOp, block: LPoly) -> dict | None:
     """The `residual_witness` of `intertwine_identity(x, block)`, None when X
     intertwines the block for every ell; proved once per generator and block."""
@@ -302,7 +327,7 @@ def intertwining_witness(x: GradedOp, block: LPoly) -> dict | None:
 def intertwine_residual(x: GradedOp, ell: ParamVector) -> DiffOp:
     """X_ell ∘ H_ell - H_(ell+shift) ∘ X_ell, composed at ell; empty iff X
     intertwines exactly at ell."""
-    ell = pv(*ell)
+    ell = as_sector(ell)
     xop = x.at(ell)
     return compose(xop, build_hamiltonian(ell)) - compose(build_hamiltonian(x.target(ell)), xop)
 
@@ -328,7 +353,7 @@ def solve_multiplier(vector_part: DiffOp, delta: Shift,
         raise ValueError("vector part must have zero multiplier")
     if not ansatz:
         raise MultiplierSolveError("empty ansatz")
-    ell = pv(*ell)
+    ell = as_sector(ell)
 
     def residual(x: DiffOp) -> DiffOp:
         return intertwine_residual(GradedOp("X", delta, LPoly(DiffOp, {ZERO: x})), ell)
@@ -377,7 +402,7 @@ def multiplier_ansatz(name: str) -> list[TrigTerm]:
 
 def graded_commutator(x: GradedOp, y: GradedOp, ell: ParamVector) -> tuple[DiffOp, Shift]:
     """[X, Y] on sector ell, X∘Y - Y∘X composed there, and its shift."""
-    ell = pv(*ell)
+    ell = as_sector(ell)
 
     def product(a: GradedOp, b: GradedOp) -> DiffOp:
         return compose(a.at(b.target(ell)), b.at(ell))
@@ -444,12 +469,18 @@ def structure_table() -> dict:
     for every ell.  Returns {"table": {...}, "unmatched": [...], "witness":
     {...}}, the witness giving per unmatched key the `residual_witness` of its
     residual against the first generator of its shift (of the commutator
-    itself when no generator has that shift).
+    itself when no generator has that shift).  Proved once per ladder
+    generators and diagonal rows (`_structure_table`).
     """
-    lads = [graded(n) for n in LADDER_NAMES]
-    diags = [diagonal(n) for n in DIAGONAL_NAMES]
-    pairs = [(x, y) for i, x in enumerate(lads) for y in lads[i + 1:]]
-    pairs += [(d, y) for d in diags for y in lads]
+    return _structure_table(tuple(graded(n) for n in LADDER_NAMES),
+                            tuple(DIAGONALS[n] for n in DIAGONAL_NAMES))
+
+
+@verdict_memo
+def _structure_table(ladders: tuple[GradedOp, ...], diagonal_rows: tuple[Row, ...]) -> dict:
+    diags = tuple(_diagonal(n, row) for n, row in zip(DIAGONAL_NAMES, diagonal_rows))
+    pairs = [(x, y) for i, x in enumerate(ladders) for y in ladders[i + 1:]]
+    pairs += [(d, y) for d in diags for y in ladders]
     table: dict[str, list] = {}
     unmatched, witness = [], {}
     for x, y in pairs:
@@ -458,7 +489,7 @@ def structure_table() -> dict:
         if bad is None:
             table[key] = []
             continue
-        for i, gen in enumerate(g for g in lads + diags if g.shift == comm.shift):
+        for i, gen in enumerate(g for g in ladders + diags if g.shift == comm.shift):
             c = _read_constant(comm.poly, gen.poly)
             resid = residual_witness(comm.poly - gen.poly.scale(c))
             if resid is None:
@@ -531,21 +562,29 @@ def casimir_identity(kind: str, ell: ParamVector) -> DiffOp:
 
 # -- printed-vs-corrected audit -----------------------------------------------------
 
+PRINTED_NAMES = ["B-", "B+", "C-", "C+"]   # the audited printed ladders
 PRINTED_EVIDENCE_SECTOR = pv(1, 1, 1)   # the sector each printed residual is shown at
 
 
 def printed_delta_report() -> list[dict]:
     """Exact evidence for every printed B/C ladder that fails its claimed
-    direction, read off its intertwining identity for all ell in Q^3."""
+    direction, read off its intertwining identity for all ell in Q^3; proved
+    once per B/C generators and Hamiltonian (`_printed_delta_report`)."""
+    return _printed_delta_report(tuple(graded(n) for n in PRINTED_NAMES), HAMILTONIAN)
+
+
+@verdict_memo
+def _printed_delta_report(ladders: tuple[GradedOp, ...], hamiltonian: LPoly) -> list[dict]:
+    lads = {x.name: x for x in ladders}
     deltas = []
-    for name in ("B-", "B+", "C-", "C+"):
+    for name, x in lads.items():
         # the printed B and C vectors are +/-(sin phi1 tan phi2 d1 + cos phi1 d2) =
         # -/+ d_xi1 and +/-(cos phi1 tan phi2 d1 - sin phi1 d2) = -/+ d_theta1: the
         # printed X± is the corrected X∓'s polynomial on X±'s shift (up to the
         # generator's 1/2, which a zero test does not see)
-        shift = graded(name).shift
-        other = name[:-1] + ("+" if name[-1] == "-" else "-")
-        identity = intertwine_identity(GradedOp(name, shift, graded(other).poly.shift(shift)))
+        other = lads[name[:-1] + ("+" if name[-1] == "-" else "-")]
+        identity = intertwine_identity(GradedOp(name, x.shift, other.poly.shift(x.shift)),
+                                       hamiltonian)
         if residual_witness(identity) is None:
             continue
         deltas.append({
@@ -554,8 +593,7 @@ def printed_delta_report() -> list[dict]:
             "fix": "swap the superscripts (vector-sign flip); multipliers unchanged",
             "evidence_sector": [str(x) for x in PRINTED_EVIDENCE_SECTOR],
             "printed_residual_zero": is_zero_op(identity.at(PRINTED_EVIDENCE_SECTOR)),
-            "corrected_residual_zero":
-                residual_witness(intertwine_identity(graded(name))) is None,
+            "corrected_residual_zero": intertwining_witness(x, hamiltonian) is None,
             # the l-monomials with a nonzero coefficient in the printed residual
             "failure_monomials": [list(m) for m, op in identity.items() if not is_zero_op(op)],
         })

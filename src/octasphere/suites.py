@@ -4,6 +4,18 @@ Each suite returns a deterministic report dict.  The engine builds only the
 corrected objects; each erratum's audit writes the printed formula as the
 corrected object with its one difference and lists it under "paper_deltas"
 with exact evidence.
+
+Each identity proved for all l in Q^3 is proved once per process and the
+objects it reads (`operators.verdict_memo`): the twelve intertwinings
+(`intertwining_witness`, on the generator and the Hamiltonian), the structure
+table (on the six ladder generators and the A, B, C rows), the printed B/C
+audit (on the B± and C± generators and the Hamiltonian), antisymmetry
+(`_antisymmetry_witness`) and Jacobi (`_jacobi_witness`), each on the bracket
+and the generators it brackets.  The Casimir residuals are memoised
+polynomials (`operators.casimir_residual`).  The per-sector multiplier
+solves, the state builds and the float oracles run afresh in every report:
+they are the independent cross-checks.  Clearing `operators._generator`
+makes every generator a new object, so it re-proves every memo here.
 """
 
 from __future__ import annotations
@@ -12,17 +24,18 @@ import math
 import random
 from fractions import Fraction
 
-from .diffop import DiffOp, apply, build_hamiltonian, pv
+from .diffop import HAMILTONIAN, DiffOp, apply, build_hamiltonian, pv
 from .hierarchy import (StateCheckError, _monomial_state, closed_form_state, energy,
                         ground_state, jacobi, jacobi_in_cos2, phi0, phi0_action)
 from .inner import (adjoint_residual, inner, mono_inner, mono_inner_quadrature,
                     norm, numeric_oracle_check)
 from .lpoly import ZERO, LPoly
-from .operators import (DIAGONALS, FAMILIES, LADDER_NAMES, TILDE_NAMES, SO6_CONSTANT,
-                        SO6_CONSTANT_PRINTED, MultiplierSolveError, build_first_order,
-                        casimir_residual, constant_part, graded, graded_bracket,
-                        intertwine_identity, multiplier_ansatz, printed_delta_report,
-                        residual_witness, solve_multiplier, structure_table)
+from .operators import (DIAGONALS, FAMILIES, LADDER_NAMES, PRINTED_NAMES, TILDE_NAMES,
+                        SO6_CONSTANT, SO6_CONSTANT_PRINTED, GradedOp, MultiplierSolveError,
+                        build_first_order, casimir_residual, constant_part, graded,
+                        graded_bracket, intertwining_witness, multiplier_ansatz,
+                        printed_delta_report, residual_witness, solve_multiplier,
+                        structure_table, verdict_memo)
 from .superpotential import (decompose, family_multiplier, kinetic_rotation_check,
                              riccati_check, riccati_lambda, simultaneous_superpotentials)
 from .trigpoly import SIN1, TrigPoly, TrigTerm, frac_to_str, is_zero, normal_form
@@ -34,22 +47,31 @@ def _check(name: str, passed: bool, **detail) -> dict:
     return {"name": name, "passed": bool(passed), **detail}
 
 
-def _proof(name: str, poly: LPoly, **detail) -> dict:
-    """The check that `poly` vanishes for every l in Q^3, with the
-    `residual_witness` of a failure."""
-    witness = residual_witness(poly)
+def _verdict(name: str, witness: dict | None, **detail) -> dict:
+    """The check of an identity for every l in Q^3, with the witness of a failure."""
     if witness is not None:
         detail["witness"] = witness
     return _check(name, witness is None, **detail)
 
 
-def _proof_each(name: str, polys, **detail) -> dict:
-    """`_proof` over (operators, polynomial) pairs: a failure names the first
-    failing operators and their witness."""
-    bad = next(((ops, w) for ops, poly in polys if (w := residual_witness(poly)) is not None),
-               None)
+def _proof(name: str, poly: LPoly, **detail) -> dict:
+    """The check that `poly` vanishes for every l in Q^3, with the
+    `residual_witness` of a failure."""
+    return _verdict(name, residual_witness(poly), **detail)
+
+
+def _first_failure(polys) -> tuple[list, dict] | None:
+    """The first (operators, polynomial) pair whose polynomial does not vanish
+    for every l, as its operators and `residual_witness`; None when all vanish."""
+    return next(((list(ops), w) for ops, poly in polys
+                 if (w := residual_witness(poly)) is not None), None)
+
+
+def _proof_each(name: str, bad: tuple[list, dict] | None, **detail) -> dict:
+    """The check that every identity of a `_first_failure` vanishes: a failure
+    names the first failing operators and their witness."""
     if bad is not None:
-        detail.update(operators=list(bad[0]), witness=bad[1])
+        detail.update(operators=bad[0], witness=bad[1])
     return _check(name, bad is None, **detail)
 
 
@@ -62,15 +84,15 @@ def _on_l1_plane(poly: LPoly) -> LPoly:
 # -- intertwine ------------------------------------------------------------------
 
 def suite_intertwine() -> dict:
-    checks = [_proof(f"corrected {name} intertwines exactly for all l in Q^3",
-                     intertwine_identity(graded(name)))
+    checks = [_verdict(f"corrected {name} intertwines exactly for all l in Q^3",
+                       intertwining_witness(graded(name), HAMILTONIAN))
               for name in LADDER_NAMES + TILDE_NAMES]
 
     # printed audit: B/C printed superscripts intertwine the wrong way, as decided
     # by the delta report for all l and shown at (1,1,1)
     deltas = printed_delta_report()
     failing = {d["operator"] for d in deltas if not d["printed_residual_zero"]}
-    for name in ("B-", "B+", "C-", "C+"):
+    for name in PRINTED_NAMES:
         checks.append(_check(f"printed {name} fails its claimed direction at (1,1,1)",
                              name in failing))
 
@@ -90,7 +112,8 @@ def suite_intertwine() -> dict:
     # the u(3) fundamental states phi0 at (m, 0, n): (X phi0)/phi0 vanishes on l1 = 0
     checks.append(_proof_each(
         "A- and C- annihilate u(3) fundamental states for all l in Q^3 with l1 = 0",
-        (((nm,), _on_l1_plane(phi0_action(graded(nm).poly))) for nm in ("A-", "C-"))))
+        _first_failure(((nm,), _on_l1_plane(phi0_action(graded(nm).poly)))
+                       for nm in ("A-", "C-"))))
 
     return _report("intertwine", checks, deltas)
 
@@ -114,6 +137,26 @@ def _entry_str(entry: list | None) -> str:
     return "".join({"1": "", "-1": "-"}.get(c, c) + name for c, name in entry) or "0"
 
 
+@verdict_memo
+def _antisymmetry_witness(bracket, pairs: tuple[tuple[GradedOp, GradedOp], ...]):
+    """The `_first_failure` of [X,Y] + [Y,X] over the pairs, proved once per
+    bracket and generators.  Antisymmetry holds by construction of
+    `graded_bracket`: the check tests only the bracket arithmetic."""
+    return _first_failure(((x.name, y.name), bracket(x, y).poly + bracket(y, x).poly)
+                          for x, y in pairs)
+
+
+@verdict_memo
+def _jacobi_witness(bracket, triples: tuple[tuple[GradedOp, GradedOp, GradedOp], ...]):
+    """The `_first_failure` of the Jacobi sum [[X,Y],Z] + [[Y,Z],X] + [[Z,X],Y]
+    over the triples, each sum one polynomial in l, proved once per bracket and
+    generators."""
+    return _first_failure(((x.name, y.name, z.name),
+                           bracket(bracket(x, y), z).poly + bracket(bracket(y, z), x).poly
+                           + bracket(bracket(z, x), y).poly)
+                          for x, y, z in triples)
+
+
 def suite_algebra() -> dict:
     checks = []
     st = structure_table()
@@ -133,25 +176,17 @@ def suite_algebra() -> dict:
         checks.append(_check(f"[{key}] = {want[0][0]}*{want[0][1]}",
                              table.get(key) == want, got=table.get(key)))
 
-    # antisymmetry holds by construction of graded_bracket: the check tests only
-    # the bracket arithmetic
     lads = {n: graded(n) for n in LADDER_NAMES}
     checks.append(_proof_each(
         "antisymmetry [X,Y] + [Y,X] = 0 for all l in Q^3 on three pairs "
         "(tests bracket arithmetic only)",
-        (((x, y), graded_bracket(lads[x], lads[y]).poly + graded_bracket(lads[y], lads[x]).poly)
-         for x, y in (("A-", "B+"), ("B-", "C+"), ("A+", "C+")))))
-
-    # Jacobi identity on three triples, each sum of double brackets one polynomial in l
-    def jacobi_sum(x, y, z):
-        return graded_bracket(graded_bracket(x, y), z).poly \
-            + graded_bracket(graded_bracket(y, z), x).poly \
-            + graded_bracket(graded_bracket(z, x), y).poly
-
+        _antisymmetry_witness(graded_bracket, tuple(
+            (lads[x], lads[y]) for x, y in (("A-", "B+"), ("B-", "C+"), ("A+", "C+"))))))
     checks.append(_proof_each(
         "Jacobi identity for all l in Q^3 on three triples",
-        ((tr, jacobi_sum(*(lads[n] for n in tr)))
-         for tr in (("A-", "A+", "B-"), ("A-", "B+", "C-"), ("B-", "C+", "A+")))))
+        _jacobi_witness(graded_bracket, tuple(
+            tuple(lads[n] for n in tr)
+            for tr in (("A-", "A+", "B-"), ("A-", "B+", "C-"), ("B-", "C+", "A+"))))))
 
     # diagonal relation C = B - A, an identity of the affine rows
     a, b, c = DIAGONALS["A"], DIAGONALS["B"], DIAGONALS["C"]
@@ -220,7 +255,8 @@ def suite_riccati() -> dict:
 
     checks.append(_proof_each(
         "one fundamental state feeds all three superpotentials for all l in Q^3 with l1 = 0",
-        (((fam,), _on_l1_plane(w)) for fam, w in simultaneous_superpotentials().items())))
+        _first_failure(((fam,), _on_l1_plane(w))
+                       for fam, w in simultaneous_superpotentials().items())))
 
     rep = _report("riccati", checks, [])
     rep["lambda_samples"] = [{"sector": [str(x) for x in ell], "lambda": frac_to_str(lam_at(ell))}

@@ -17,10 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .diffop import (DiffOp, HAMILTONIAN, apply, build_hamiltonian, compose, is_zero_op,
-                     pv)
+from .diffop import DiffOp, HAMILTONIAN, apply, build_hamiltonian, compose, is_zero_op
 from .hierarchy import phi0_action
-from .lpoly import ZERO, LPoly, Mono
+from .lpoly import ZERO, LPoly, Mono, as_sector
 from .operators import FAMILIES, match_constant_multiple
 from .trigpoly import ONE, TrigPoly, mul, proportionality
 
@@ -43,7 +42,7 @@ def family_vectors() -> dict[str, DiffOp]:
 
 def family_multiplier(name: str, ell) -> TrigPoly:
     """The shared multiplier w of the corrected pair X^± at a sector."""
-    return FAMILIES[name].symbolic_multiplier.at(pv(*ell))
+    return FAMILIES[name].symbolic_multiplier.at(as_sector(ell))
 
 
 def riccati_check(ell) -> tuple[TrigPoly, Fraction]:
@@ -53,7 +52,7 @@ def riccati_check(ell) -> tuple[TrigPoly, Fraction]:
     combination differs from the potential by a constant, and lambda is that
     constant.  A nonzero residual is the failure signal.
     """
-    ell = pv(*ell)
+    ell = as_sector(ell)
     v = build_hamiltonian(ell).coeff((0, 0))
     vecs = family_vectors()
     comb = TrigPoly.zero()

@@ -266,6 +266,23 @@ def test_a_label_of_the_wrong_shape_is_a_value_error(call):
         WRONG_SHAPES[call]()
 
 
+# a sector given as a bare number where the triple (l0, l1, l2) is due
+BARE_SECTORS = {
+    "closed_form_state": lambda: closed_form_state("separated_2d", (5, 0, 0)),
+    "energy": lambda: energy("E_mn", ell=5, m=0, n=0),
+    "phi2_closed_form": lambda: phi2_closed_form(5, 0, 0),
+    "build_first_order": lambda: build_first_order("A", "-", 5),
+    "phi0": lambda: hierarchy.phi0(5),
+    "GradedOp.at": lambda: graded("A-").at(5),
+}
+
+
+@pytest.mark.parametrize("call", list(BARE_SECTORS))
+def test_a_bare_number_for_a_sector_is_a_value_error(call):
+    with pytest.raises(ValueError, match=r"a sector is three couplings \(l0, l1, l2\), got 5$"):
+        BARE_SECTORS[call]()
+
+
 def test_make_state_rejects_wrong_energy():
     st = ground_state("u3", (0, 0))
     with pytest.raises(ValueError):

@@ -548,6 +548,22 @@ def test_printed_delta_report_has_exact_evidence():
                for d in deltas)
 
 
+def _containers(obj):
+    """Every dict and list in a verdict, nested ones included."""
+    if isinstance(obj, (dict, list)):
+        yield obj
+        for v in obj.values() if isinstance(obj, dict) else obj:
+            yield from _containers(v)
+
+
+@pytest.mark.parametrize("proof", [structure_table, printed_delta_report])
+def test_a_memoised_verdict_shares_no_container_between_callers(proof):
+    # a caller that edits its verdict must not change what the next one reads
+    first, second = proof(), proof()
+    assert first == second
+    assert not {id(c) for c in _containers(first)} & {id(c) for c in _containers(second)}
+
+
 @pytest.mark.parametrize("name", ["B-", "B+", "C-", "C+"])
 def test_the_audited_printed_ladder_is_the_opposite_formula_composed_at_a_sector(name):
     # the audit's printed X±, the corrected X∓ polynomial on X±'s shift, against

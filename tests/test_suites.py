@@ -132,6 +132,61 @@ def test_a_data_mutant_fails_verify_through_warm_memos(mutant, monkeypatch, caps
     assert len(hierarchy.iur_states("so6", (2,))) == 20
 
 
+def _counted(monkeypatch, names) -> dict[str, int]:
+    """The calls of each operators.<name>, counted through a wrapper."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(operators, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(operators, name, counted)
+    return calls
+
+
+def test_a_warm_report_forms_no_product_or_intertwining_identity(monkeypatch):
+    # every identity the report proves for all l is a verdict memo on the
+    # generator objects: proved once cold, then read off the memos
+    operators._generator.cache_clear()
+    calls = _counted(monkeypatch, ("graded_product", "intertwine_identity"))
+    cold = json.dumps(suites.run_suite("all", 2), sort_keys=True)
+    assert all(calls.values()), calls
+    calls.update(dict.fromkeys(calls, 0))
+    warm = json.dumps(suites.run_suite("all", 2), sort_keys=True)
+    assert calls == {"graded_product": 0, "intertwine_identity": 0}
+    assert warm == cold
+
+
+def test_rebuilding_the_generators_reproves_every_memo(monkeypatch, capsys):
+    # a code mutant is no new key; clearing the generator memo makes every
+    # generator a new object, so the mutant and then the restored code are
+    # each proved afresh
+    def bracket_without_yx(x, y):
+        return replace(operators.graded_product(x, y), name=f"[{x.name},{y.name}]")
+
+    assert _failed_verify_checks(capsys) == (0, 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "graded_bracket", bracket_without_yx)
+        operators._generator.cache_clear()
+        assert _failed_verify_checks(capsys)[0] == 1
+    operators._generator.cache_clear()
+    assert _failed_verify_checks(capsys) == (0, 0)
+
+
+@pytest.mark.parametrize("alone_first", [True, False])
+@pytest.mark.parametrize("name", suites.SUITE_NAMES)
+def test_a_suite_alone_is_its_entry_in_the_full_report(name, alone_first):
+    # the suites share memos, so whichever proves an identity first, the
+    # report of a suite does not depend on the order
+    operators._generator.cache_clear()
+    if alone_first:
+        alone = suites.run_suite(name, 2)
+        full = suites.run_suite("all", 2)
+    else:
+        full = suites.run_suite("all", 2)
+        alone = suites.run_suite(name, 2)
+    assert alone == full["suites"][suites.SUITE_NAMES.index(name)]
+
+
 def _printed_phi2_closed_form(ell, m, n):
     # the phi2 factor with the printed first Jacobi parameter l2 + 1/2
     (l0, l1, l2), half = pv(*ell), Fraction(1, 2)
