@@ -44,8 +44,8 @@ every caller its own copy: the intertwinings (`intertwining_witness`, on the
 generator and the block), the structure table (`_structure_table`, on the
 six ladder generators and the A, B, C rows) and the printed audit
 (`_printed_delta_report`, on the B± and C± generators and the Hamiltonian).
-A mutant of code rather than of a table is no new key; clearing
-`_generator` rebuilds every generator as a new object, which re-proves them all.
+A mutant of code rather than of a table is no new key; `reset` empties every
+one of these memos, so each generator is rebuilt and each proof formed afresh.
 
 Every constructor builds the corrected operator.  The source table prints the
 B and C families with their +/- superscripts exchanged (the printed B-/C-
@@ -286,15 +286,32 @@ def graded_product(x: GradedOp, y: GradedOp) -> GradedOp:
                     x.poly.shift(y.shift).product(y.poly, compose))
 
 
+_VERDICT_MEMOS: list = []   # every `verdict_memo`, emptied by `reset`
+
+
 def verdict_memo(fn):
-    """`functools.cache` on a proof whose verdict is a small dict or list: each
-    caller gets its own copy, so no caller can change what the next one reads."""
+    """`functools.cache` on a proof whose verdict is None or a small dict or
+    list: each caller gets its own copy of a verdict that is not None, so no
+    caller can change what the next one reads.  `reset` empties it."""
     memo = functools.cache(fn)
 
     @functools.wraps(fn)
     def verdict(*args):
-        return copy.deepcopy(memo(*args))
+        found = memo(*args)
+        return found if found is None else copy.deepcopy(found)
+    verdict.cache_info, verdict.cache_clear = memo.cache_info, memo.cache_clear
+    _VERDICT_MEMOS.append(memo)
     return verdict
+
+
+def reset() -> None:
+    """Empty every memo of the generators and proofs: each generator is then
+    rebuilt as a new object and each proof formed afresh.  A replaced table
+    row needs no reset (it is a new key); a mutant of code does."""
+    _generator.cache_clear()
+    _casimir_residual.cache_clear()
+    for memo in _VERDICT_MEMOS:
+        memo.cache_clear()
 
 
 def residual_witness(poly: LPoly) -> dict | None:

@@ -10,12 +10,12 @@ objects it reads (`operators.verdict_memo`): the twelve intertwinings
 (`intertwining_witness`, on the generator and the Hamiltonian), the structure
 table (on the six ladder generators and the A, B, C rows), the printed B/C
 audit (on the B± and C± generators and the Hamiltonian), antisymmetry
-(`_antisymmetry_witness`) and Jacobi (`_jacobi_witness`), each on the bracket
-and the generators it brackets.  The Casimir residuals are memoised
-polynomials (`operators.casimir_residual`).  The per-sector multiplier
-solves, the state builds and the float oracles run afresh in every report:
-they are the independent cross-checks.  Clearing `operators._generator`
-makes every generator a new object, so it re-proves every memo here.
+(`_antisymmetry_witness`) and Jacobi (`_jacobi_witness`), each on the
+generators it brackets.  The Casimir residuals are memoised polynomials
+(`operators.casimir_residual`).  The per-sector multiplier solves, the state
+builds and the float oracles run afresh in every report: they are the
+independent cross-checks.  A replaced table row is a new key; a mutant of
+code is seen only after `operators.reset`, which empties every memo here too.
 """
 
 from __future__ import annotations
@@ -138,22 +138,23 @@ def _entry_str(entry: list | None) -> str:
 
 
 @verdict_memo
-def _antisymmetry_witness(bracket, pairs: tuple[tuple[GradedOp, GradedOp], ...]):
+def _antisymmetry_witness(pairs: tuple[tuple[GradedOp, GradedOp], ...]):
     """The `_first_failure` of [X,Y] + [Y,X] over the pairs, proved once per
-    bracket and generators.  Antisymmetry holds by construction of
-    `graded_bracket`: the check tests only the bracket arithmetic."""
-    return _first_failure(((x.name, y.name), bracket(x, y).poly + bracket(y, x).poly)
+    generators.  Antisymmetry holds by construction of `graded_bracket`: the
+    check tests only the bracket arithmetic."""
+    return _first_failure(((x.name, y.name),
+                           graded_bracket(x, y).poly + graded_bracket(y, x).poly)
                           for x, y in pairs)
 
 
 @verdict_memo
-def _jacobi_witness(bracket, triples: tuple[tuple[GradedOp, GradedOp, GradedOp], ...]):
+def _jacobi_witness(triples: tuple[tuple[GradedOp, GradedOp, GradedOp], ...]):
     """The `_first_failure` of the Jacobi sum [[X,Y],Z] + [[Y,Z],X] + [[Z,X],Y]
-    over the triples, each sum one polynomial in l, proved once per bracket and
-    generators."""
+    over the triples, each sum one polynomial in l, proved once per generators."""
     return _first_failure(((x.name, y.name, z.name),
-                           bracket(bracket(x, y), z).poly + bracket(bracket(y, z), x).poly
-                           + bracket(bracket(z, x), y).poly)
+                           graded_bracket(graded_bracket(x, y), z).poly
+                           + graded_bracket(graded_bracket(y, z), x).poly
+                           + graded_bracket(graded_bracket(z, x), y).poly)
                           for x, y, z in triples)
 
 
@@ -180,11 +181,11 @@ def suite_algebra() -> dict:
     checks.append(_proof_each(
         "antisymmetry [X,Y] + [Y,X] = 0 for all l in Q^3 on three pairs "
         "(tests bracket arithmetic only)",
-        _antisymmetry_witness(graded_bracket, tuple(
+        _antisymmetry_witness(tuple(
             (lads[x], lads[y]) for x, y in (("A-", "B+"), ("B-", "C+"), ("A+", "C+"))))))
     checks.append(_proof_each(
         "Jacobi identity for all l in Q^3 on three triples",
-        _jacobi_witness(graded_bracket, tuple(
+        _jacobi_witness(tuple(
             tuple(lads[n] for n in tr)
             for tr in (("A-", "A+", "B-"), ("A-", "B+", "C-"), ("B-", "C+", "A+"))))))
 

@@ -155,6 +155,17 @@ def _run_script(name, *args, returncode=0):
     return proc.stdout
 
 
+def test_kill_matrix_kills_every_mutant_but_the_known_survivors():
+    # one process, no memo emptied between mutants: every verdict a mutant
+    # changes is proved afresh through the warm memos
+    *lines, summary = _run_script("kill_matrix.py").splitlines()
+    assert len(lines) == 96
+    assert not [line for line in lines if line.startswith("RAISED")]
+    survivors = [line for line in lines if line.startswith("SURVIVED")]
+    assert len(survivors) == 5 and all("  known: " in line for line in survivors)
+    assert summary.startswith("96 mutants: 91 killed, 5 survived, 0 raised in ")
+
+
 def test_export_octahedra_script(tmp_path):
     out = _run_script("export_octahedra.py", "--qmax", "2", "--out", str(tmp_path))
     assert len(out.strip().splitlines()) == 3

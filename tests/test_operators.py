@@ -232,18 +232,8 @@ def test_first_order_builder_matches_the_public_constructor_form(ell, m, n):
             assert [k for k, _ in got.items()] == [k for k, _ in want.items()]
 
 
-@pytest.fixture
-def fresh_generators():
-    """The generator memo emptied before and after: a mutant of code, not of a
-    table row, is no new key, so a warm memo would serve the sound generator
-    and a cold one would keep the misbuilt one."""
-    operators._generator.cache_clear()
-    yield
-    operators._generator.cache_clear()
-
-
 def test_a_misbuilt_tilde_fails_its_own_check_beside_a_passing_family(monkeypatch,
-                                                                        fresh_generators):
+                                                                        fresh_memos):
     # At built without the reflection of its polynomial: the operator of A-,
     # the shift of At-
     monkeypatch.setattr(LPoly, "reflect", lambda self, axis: self)

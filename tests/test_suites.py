@@ -26,7 +26,7 @@ def test_passing_algebra_report_carries_no_counterexample():
     assert all("counterexample" not in c and "witness" not in c for c in rep["checks"])
 
 
-def test_a_failed_antisymmetry_proof_names_its_pair_and_witness(monkeypatch):
+def test_a_failed_antisymmetry_proof_names_its_pair_and_witness(monkeypatch, fresh_memos):
     # products in place of brackets: XY + YX no longer vanishes
     monkeypatch.setattr(suites, "graded_bracket", operators.graded_product)
     check = _check(suites.suite_algebra(), "antisymmetry")
@@ -35,7 +35,7 @@ def test_a_failed_antisymmetry_proof_names_its_pair_and_witness(monkeypatch):
     assert check["witness"] == {"monomial": [0, 0, 0], "terms": 7}
 
 
-def test_a_failed_jacobi_proof_names_its_first_triple_and_witness(monkeypatch):
+def test_a_failed_jacobi_proof_names_its_first_triple_and_witness(monkeypatch, fresh_memos):
     # products in place of brackets: the Jacobi sum no longer vanishes
     monkeypatch.setattr(suites, "graded_bracket", operators.graded_product)
     check = _check(suites.suite_algebra(), "Jacobi")
@@ -146,7 +146,7 @@ def _counted(monkeypatch, names) -> dict[str, int]:
 def test_a_warm_report_forms_no_product_or_intertwining_identity(monkeypatch):
     # every identity the report proves for all l is a verdict memo on the
     # generator objects: proved once cold, then read off the memos
-    operators._generator.cache_clear()
+    operators.reset()
     calls = _counted(monkeypatch, ("graded_product", "intertwine_identity"))
     cold = json.dumps(suites.run_suite("all", 2), sort_keys=True)
     assert all(calls.values()), calls
@@ -156,20 +156,27 @@ def test_a_warm_report_forms_no_product_or_intertwining_identity(monkeypatch):
     assert warm == cold
 
 
-def test_rebuilding_the_generators_reproves_every_memo(monkeypatch, capsys):
-    # a code mutant is no new key; clearing the generator memo makes every
-    # generator a new object, so the mutant and then the restored code are
-    # each proved afresh
+MEMOS = (operators._generator, operators._casimir_residual, operators.intertwining_witness,
+         operators._structure_table, operators._printed_delta_report,
+         suites._antisymmetry_witness, suites._jacobi_witness)
+
+
+def test_one_reset_reproves_every_memo_and_keeps_no_entry(monkeypatch, capsys):
+    # a code mutant is no new key; `reset` empties every memo, so the mutant
+    # and then the restored code are each proved afresh, and no entry built
+    # on the discarded generators is kept
     def bracket_without_yx(x, y):
         return replace(operators.graded_product(x, y), name=f"[{x.name},{y.name}]")
 
     assert _failed_verify_checks(capsys) == (0, 0)
     with monkeypatch.context() as patch:
         patch.setattr(operators, "graded_bracket", bracket_without_yx)
-        operators._generator.cache_clear()
+        operators.reset()
         assert _failed_verify_checks(capsys)[0] == 1
-    operators._generator.cache_clear()
+    operators.reset()
+    assert [memo.cache_info().currsize for memo in MEMOS] == [0] * len(MEMOS)
     assert _failed_verify_checks(capsys) == (0, 0)
+    assert all(memo.cache_info().currsize for memo in MEMOS)
 
 
 @pytest.mark.parametrize("alone_first", [True, False])
@@ -177,7 +184,7 @@ def test_rebuilding_the_generators_reproves_every_memo(monkeypatch, capsys):
 def test_a_suite_alone_is_its_entry_in_the_full_report(name, alone_first):
     # the suites share memos, so whichever proves an identity first, the
     # report of a suite does not depend on the order
-    operators._generator.cache_clear()
+    operators.reset()
     if alone_first:
         alone = suites.run_suite(name, 2)
         full = suites.run_suite("all", 2)
