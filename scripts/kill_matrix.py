@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import sys
 import time
+import traceback
 from dataclasses import replace
 from fractions import Fraction
 
@@ -92,6 +93,7 @@ def verdict(table, key: str, value) -> tuple[str, str]:
     try:
         rep = run_suite("all", 2)
     except Exception as exc:   # a crash is an outcome of the matrix, not of this script
+        traceback.print_exc()
         return "RAISED", f"{type(exc).__name__}: {exc}"
     finally:
         if is_dict:
