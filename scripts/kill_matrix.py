@@ -7,9 +7,13 @@ the certifier reads, all in one process, and print one line per mutant.
 A mutant replaces one table entry: an entry of a family's tan or cot row
 (+1 and +1/2) or of its shift (+1), a tilde's reflection axis, an entry of a
 diagonal row or of a phi0 exponent row (+1/2), or the so(6) constant (the
-printed 41/12).  Each line reads KILLED with the number of failed checks and
-the first of them, SURVIVED (with the reason for a known survivor), or RAISED
-with the exception; the last line counts them and gives the time.  Every
+printed 41/12).  It may also replace one of the two operator tables of
+`diffop`, doubling one coupling: in `HAMILTONIAN` the l_i^2 part or the -1/4
+part of an inverse-square term, the tan phi2 d2 term or the d1^2 coefficient,
+or adding 1; in `PHI1_BLOCK` the l0^2 or l1^2 coupling, or adding 1.  Each
+line reads KILLED with the number of failed checks and the first of them,
+SURVIVED (with the reason for a known survivor), or RAISED with the
+exception; the last line counts them and gives the time.  Every
 memo is keyed on the rows and generator objects it reads, so a mutant
 re-proves only the identities that read what it changed, and no memo is
 emptied between mutants.  The exit status is 1 when a mutant raises or a
@@ -24,7 +28,9 @@ import traceback
 from dataclasses import replace
 from fractions import Fraction
 
-from octasphere import hierarchy, operators
+from octasphere import diffop, hierarchy, operators
+from octasphere.diffop import DiffOp
+from octasphere.lpoly import ZERO, LPoly
 from octasphere.suites import run_suite
 
 HALF = Fraction(1, 2)
@@ -47,6 +53,34 @@ KNOWN_SURVIVORS = {
 
 def _bumped(row: tuple, index: int, delta) -> tuple:
     return row[:index] + (row[index] + delta,) + row[index + 1:]
+
+
+def _square(axis: int) -> tuple:
+    """The exponent triple of l_axis^2."""
+    return tuple(2 if i == axis else 0 for i in range(3))
+
+
+def _operator_mutants() -> list[tuple[str, object, str, object]]:
+    """The Hamiltonian and phi1-block mutants, each one coupling doubled or a
+    constant added, set on `diffop`, where every module reads them."""
+    mutants = []
+
+    def add(name: str, label: str, mono: tuple, op: DiffOp) -> None:
+        """diffop.<name> + op * l^mono."""
+        table = getattr(diffop, name)
+        mutants.append((f"{name} {label}", diffop, name, table + LPoly(DiffOp, {mono: op})))
+
+    h, block = diffop.HAMILTONIAN, diffop.PHI1_BLOCK
+    for i in range(3):
+        add("HAMILTONIAN", f"l{i}^2 part x2", _square(i), h.coeff(_square(i)))
+        add("HAMILTONIAN", f"l{i} -1/4 part x2", ZERO, h.coeff(_square(i)).scale(Fraction(-1, 4)))
+    for label, order in (("tan phi2 d2 x2", (0, 1)), ("d1^2 x2", (2, 0))):
+        add("HAMILTONIAN", label, ZERO, DiffOp({order: h.coeff(ZERO).coeff(order)}))
+    add("HAMILTONIAN", "+ 1", ZERO, DiffOp.identity())
+    for i in range(2):
+        add("PHI1_BLOCK", f"l{i}^2 part x2", _square(i), block.coeff(_square(i)))
+    add("PHI1_BLOCK", "+ 1", ZERO, DiffOp.identity())
+    return mutants
 
 
 def catalogue() -> list[tuple[str, object, str, object]]:
@@ -78,7 +112,7 @@ def catalogue() -> list[tuple[str, object, str, object]]:
                             rows[:r] + (_bumped(row, i, HALF),) + rows[r + 1:]))
     mutants.append(("SO6_CONSTANT printed", operators, "SO6_CONSTANT",
                     operators.SO6_CONSTANT_PRINTED))
-    return mutants
+    return mutants + _operator_mutants()
 
 
 def verdict(table, key: str, value) -> tuple[str, str]:

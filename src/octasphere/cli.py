@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .hierarchy import (energy, ground_state, iso_energy_decomposition,
+from .hierarchy import (energy, ground_energy, iso_energy_decomposition,
                         iur_lattice, iur_states, lattice_to_csv, lattice_to_obj,
                         so6_dimension, state_to_obj)
 from .suites import SUITE_NAMES, run_suite
@@ -60,7 +60,6 @@ def _cmd_iur(args, parser) -> int:
     label = _iur_label(args, parser)
     stem = args.algebra + "_" + "_".join(str(x) for x in label)
     outdir = Path(args.out)
-    states = None
     try:
         lat = iur_lattice(args.algebra, label)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -75,14 +74,13 @@ def _cmd_iur(args, parser) -> int:
             with open(outdir / f"{stem}_states.json", "w", encoding="utf-8") as fh:
                 json.dump(obj, fh, indent=2)
                 fh.write("\n")
-        # every state of the IUR carries the energy of its fundamental state
-        e = states[0].energy if states else ground_state(args.algebra, label).energy
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # a lattice count or a state failed its certificate
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    e = ground_energy(args.algebra, label)   # the spectrum's, shared by every state
     print(f"{args.algebra} IUR {label}: dimension {lat.dimension}, energy {e}, "
           f"{len(lat.points)} lattice points -> {outdir}/{stem}_*")
     return 0

@@ -15,7 +15,8 @@ couplings `HAMILTONIAN` (an LPoly), assembled from its separated blocks
 H = PHI2_BLOCK + sec^2 phi2 PHI1_BLOCK, each inverse-square term written by
 one coupling rule; `build_hamiltonian(ell)` and `build_phi1_block` are values
 of these polynomials, assembled with `linear_combine` and `DiffOp._raw`, so no
-term is re-validated per sector.
+term is re-validated per sector.  Both tables live here only: every module
+reads `diffop.HAMILTONIAN` and `diffop.PHI1_BLOCK` at the call, never a copy.
 """
 
 from __future__ import annotations

@@ -3,12 +3,13 @@
 Everything here is exact.  A fundamental or closed-form state verifies its
 eigenvalue equation at construction (`make_state`); a laddered state is an
 eigenstate by theorem, because `ladder_build` proves once per distinct step
-that the step intertwines the Hamiltonian for every ell (Infeld & Hull, Rev.
-Mod. Phys. 23, 21, 1951).  Laddered states, and every state `iur_states`
-emits, are stored in normal form (`trigpoly.normalized`).  The Jacobi closed
-forms are expanded over the monomial algebra, and the lattices (u(3)
-triangles/hexagons, so(4) squares, so(6) octahedra) carry integer
-multiplicities that are cross-checked against the closed dimension formulas.
+that the step intertwines the record's `block`, the Hamiltonian or the phi1
+block read from their one home `diffop` at the call, for every ell (Infeld &
+Hull, Rev. Mod. Phys. 23, 21, 1951).  Laddered states, and every state
+`iur_states` emits, are stored in normal form (`trigpoly.normalized`).  The
+Jacobi closed forms are expanded over the monomial algebra, and the lattices
+(u(3) triangles/hexagons, so(4) squares, so(6) octahedra) carry integer
+multiplicities cross-checked against the closed dimension formulas.
 Every fundamental state is the value of one ground-state gauge phi0 whose
 exponents are affine in ell, so (X phi0)/phi0 is a polynomial in ell for a
 first-order ladder X (`phi0_action`), and each annihilation is an identity in ell.
@@ -23,9 +24,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg
-from .diffop import (HAMILTONIAN, PHI1_BLOCK, DiffOp, ParamVector, apply, build_hamiltonian,
-                     build_phi1_block, coupling)
+from . import diffop, linalg
+from .diffop import DiffOp, ParamVector, apply, coupling
 from .lpoly import LPoly, Row, as_sector, quantum_number, row_at
 from .operators import GradedOp, graded, intertwining_witness
 from .trigpoly import (COT1, COT2, PHI1, PHI2, TAN1, TAN2, TrigPoly, frac_to_str, is_zero,
@@ -141,8 +141,8 @@ def energy(kind: str, **params) -> Fraction:
 class StateRecord:
     """An exact eigenstate: parameters, quantum labels, wavefunction, energy.
 
-    onedim records are phi1-hierarchy states checked against the phi1 block
-    instead of the full Hamiltonian.
+    `block` is the one place that picks a record's operator, read from `diffop`
+    at the call: the phi1 block for onedim (phi1-hierarchy) records, else H.
     """
     params: ParamVector
     labels: dict
@@ -150,10 +150,11 @@ class StateRecord:
     energy: Fraction
     onedim: bool = False
 
+    def block(self) -> tuple[str, LPoly]:
+        return ("phi1 block", diffop.PHI1_BLOCK) if self.onedim else ("H", diffop.HAMILTONIAN)
+
     def hamiltonian(self) -> DiffOp:
-        if self.onedim:
-            return build_phi1_block(self.params[0], self.params[1])
-        return build_hamiltonian(self.params)
+        return self.block()[1].at(self.params)
 
 
 class StateCheckError(ValueError):
@@ -183,7 +184,7 @@ def make_state(params, labels, wavefunction: TrigPoly, energy_val,
     resid = apply(rec.hamiltonian(), wavefunction) - wavefunction.scale(energy_val)
     if not is_zero(resid):
         raise _failure(f"eigenvalue equation with E={frac_to_str(energy_val)} fails",
-                       params, "phi1 block" if onedim else "H")
+                       params, rec.block()[0])
     return rec
 
 
@@ -244,15 +245,8 @@ def _check_annihilated(op_name: str, ell, psi: TrigPoly) -> None:
         raise _failure(f"{op_name} does not annihilate the candidate state", ell, op_name)
 
 
-def ground_state(kind: str, params) -> StateRecord:
-    """Fundamental (lowest-weight) states: phi0 at the kind's sector with the
-    spectrum value there, annihilation- and eigen-verified at construction.
-
-    kinds: phi1_1d (l0, l1, m) -- phi1 chain member at (l0+m, l1+m, 0), one-variable;
-           u3 (m, n)           -- lowest weight of the u(3) IUR (m, n), at (m, 0, n);
-           so4 (n,)            -- lowest weight of the so(4) square, at (0, n, 0), one-variable;
-           so6 (q,)            -- lowest weight of the so(6) IUR q, at (0, 0, q).
-    """
+def _fundamental(kind: str, params) -> tuple[ParamVector, dict, tuple[str, ...], bool, Fraction]:
+    """A kind's fundamental sector, labels, annihilators, onedim and spectrum energy."""
     if kind == "phi1_1d":
         l0, l1, m = _labels(params, 3, kind)
         l0, l1, m = coupling(l0), coupling(l1), quantum_number(m, "m")
@@ -272,26 +266,31 @@ def ground_state(kind: str, params) -> StateRecord:
         raise ValueError(f"unknown ground-state kind {kind!r}")
     sector = as_sector(sector)
     onedim = kind in ("phi1_1d", "so4")
+    e = energy("lambda_m", l0=sector[0], l1=sector[1], m=0) if onedim \
+        else energy("E_mn", ell=sector, m=0, n=0)
+    return sector, labels, lowering, onedim, e
+
+
+def ground_energy(kind: str, params) -> Fraction:
+    """The energy of `ground_state(kind, params)`, read off the spectrum at the
+    kind's sector; no state is built, so no table of ladders is read."""
+    return _fundamental(kind, params)[-1]
+
+
+def ground_state(kind: str, params) -> StateRecord:
+    """Fundamental (lowest-weight) states: phi0 at the kind's sector with the
+    spectrum value there, annihilation- and eigen-verified at construction.
+
+    kinds: phi1_1d (l0, l1, m) -- phi1 chain member at (l0+m, l1+m, 0), one-variable;
+           u3 (m, n)           -- lowest weight of the u(3) IUR (m, n), at (m, 0, n);
+           so4 (n,)            -- lowest weight of the so(4) square, at (0, n, 0), one-variable;
+           so6 (q,)            -- lowest weight of the so(6) IUR q, at (0, 0, q).
+    """
+    sector, labels, lowering, onedim, e = _fundamental(kind, params)
     psi = phi0(sector, onedim)
     for name in lowering:
         _check_annihilated(name, sector, psi)
-    if onedim:
-        e = energy("lambda_m", l0=sector[0], l1=sector[1], m=0)
-    else:
-        e = energy("E_mn", ell=sector, m=0, n=0)
     return make_state(sector, labels, psi, e, onedim=onedim)
-
-
-def _check_intertwines(op: GradedOp, ell, onedim: bool) -> None:
-    """That op intertwines the Hamiltonian (the phi1 block when onedim) for every
-    ell, proved once per generator and block (`intertwining_witness`);
-    StateCheckError, naming op and the sector it was to act on, otherwise."""
-    witness = intertwining_witness(op, PHI1_BLOCK if onedim else HAMILTONIAN)
-    if witness is not None:
-        raise _failure(f"{op.name} does not intertwine the "
-                       f"{'phi1 block' if onedim else 'Hamiltonian'} for all l "
-                       f"(witness {witness}); no state laddered from the state",
-                       ell, op.name, witness=witness)
 
 
 def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRecord | None:
@@ -302,18 +301,23 @@ def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRec
     its wavefunction stored in normal form (`trigpoly.normalized`): each step
     takes one normal form, which is empty exactly on an annihilation.
     H psi = E psi is not re-applied to the result: every step is proved to
-    intertwine the Hamiltonian (the phi1 block for onedim records) for all
-    ell, X(ell) H(ell) = H(ell + shift) X(ell), so it maps an eigenstate of
-    H(ell) to one of H(ell + shift) with the same energy (Cooper, Khare &
-    Sukhatme, Phys. Rep. 251, 267, 1995).  A step that fails its proof raises
-    StateCheckError, a ValueError, naming the step.  A step given by name is
-    its `graded` generator, one object per family row, so its proof is made
-    once however often the step recurs.
+    intertwine the state's `block` for all ell, X(ell) H(ell) = H(ell + shift)
+    X(ell), so it maps an eigenstate of H(ell) to one of H(ell + shift) with the
+    same energy (Cooper, Khare & Sukhatme, Phys. Rep. 251, 267, 1995).  A step
+    that fails its proof (`intertwining_witness`) raises StateCheckError, a
+    ValueError, naming the step and the sector it was to act on.  A step given
+    by name is its `graded` generator, one object per family row, so its proof
+    is made once per block however often the step recurs.
     """
     state = start
     for step in path:
         op = graded(step) if isinstance(step, str) else step
-        _check_intertwines(op, state.params, state.onedim)
+        name, block = state.block()
+        witness = intertwining_witness(op, block)
+        if witness is not None:
+            raise _failure(f"{op.name} does not intertwine the {name} for all l "
+                           f"(witness {witness}); no state laddered from the state",
+                           state.params, op.name, witness=witness)
         psi = normalized(apply(op.at(state.params), state.wavefunction))
         if not psi:
             return None

@@ -165,16 +165,17 @@ def _pivoted_rank(mat: list[list[float]], threshold: float) -> int:
 
 
 def gram(states) -> GramReport:
-    """Pairwise inner products of StateRecords (or bare TrigPolys)."""
+    """Pairwise inner products of StateRecords, or of bare TrigPolys; ValueError
+    for a list that mixes the two."""
+    records = {isinstance(s, StateRecord) for s in states}
+    if len(records) > 1:
+        raise ValueError("gram takes StateRecords or bare TrigPolys, not a mix of both")
+    pair = state_inner if records == {True} else inner
     n = len(states)
     mat = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            if isinstance(states[i], StateRecord):
-                v = state_inner(states[i], states[j])
-            else:
-                v = inner(states[i], states[j])
-            mat[i][j] = mat[j][i] = v
+            mat[i][j] = mat[j][i] = pair(states[i], states[j])
     diag = [mat[i][i] for i in range(n)]
     threshold = 1e-9 * max(diag, default=0.0)
     rank = _pivoted_rank(mat, threshold)

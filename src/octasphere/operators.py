@@ -35,8 +35,9 @@ against.
 
 Every memo here is a `functools.cache` on a function that reads only its
 arguments, each an immutable table row or the one polynomial object built
-from it: a replaced FAMILIES, TILDES or DIAGONALS row, a changed so(6)
-constant or a new Hamiltonian is a new key, so no memo serves a stale verdict.
+from it.  Each table is read at the call from its one home (the Hamiltonian
+and the phi1 block from `diffop`, the rest and the so(6) constant from here),
+so a replaced table is a new key and no memo serves a stale verdict.
 The generators (`_generator`, on the family row, reflection axis and sign)
 and the Casimir residuals (`_casimir_residual`) are memoised polynomials.
 Each proof for every ell is a verdict memo (`verdict_memo`), which hands
@@ -61,9 +62,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg
-from .diffop import (HAMILTONIAN, PHI1_BLOCK, DiffOp, ParamVector, build_hamiltonian,
-                     compose, is_zero_op, pv)
+from . import diffop, linalg
+from .diffop import DiffOp, ParamVector, build_hamiltonian, compose, is_zero_op, pv
 from .lpoly import ZERO, LPoly, Mono, Row, as_sector, quantum_number
 from .trigpoly import (COT2, TAN2, TrigPoly, TrigTerm, coordinate_vectors, is_zero,
                        normal_form, proportionality)
@@ -326,9 +326,9 @@ def residual_witness(poly: LPoly) -> dict | None:
 
 # -- intertwining ---------------------------------------------------------------
 
-def intertwine_identity(x: GradedOp, block: LPoly = HAMILTONIAN) -> LPoly:
-    """X∘H(ell) - H(ell+shift)∘X as a polynomial in ell, for H the Hamiltonian or
-    another operator polynomial such as PHI1_BLOCK: zero iff X intertwines
+def intertwine_identity(x: GradedOp, block: LPoly) -> LPoly:
+    """X∘H(ell) - H(ell+shift)∘X as a polynomial in ell, for H the block given,
+    such as `diffop.HAMILTONIAN` or `diffop.PHI1_BLOCK`: zero iff X intertwines
     exactly at every ell in Q^3; for the Hamiltonian its value at ell is
     `intertwine_residual(x, ell)`."""
     return x.poly.product(block, compose) - block.shift(x.shift).product(x.poly, compose)
@@ -539,7 +539,7 @@ def casimir_residual(kind: str) -> LPoly:
     """
     return _casimir_residual(kind, tuple(graded(n) for n in LADDER_NAMES + TILDE_NAMES),
                              tuple(DIAGONALS[n] for n in (*DIAGONAL_NAMES, "D")),
-                             SO6_CONSTANT, HAMILTONIAN, PHI1_BLOCK)
+                             SO6_CONSTANT, diffop.HAMILTONIAN, diffop.PHI1_BLOCK)
 
 
 @functools.cache
@@ -587,7 +587,7 @@ def printed_delta_report() -> list[dict]:
     """Exact evidence for every printed B/C ladder that fails its claimed
     direction, read off its intertwining identity for all ell in Q^3; proved
     once per B/C generators and Hamiltonian (`_printed_delta_report`)."""
-    return _printed_delta_report(tuple(graded(n) for n in PRINTED_NAMES), HAMILTONIAN)
+    return _printed_delta_report(tuple(graded(n) for n in PRINTED_NAMES), diffop.HAMILTONIAN)
 
 
 @verdict_memo

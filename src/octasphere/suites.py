@@ -24,20 +24,21 @@ import math
 import random
 from fractions import Fraction
 
-from .diffop import HAMILTONIAN, DiffOp, apply, build_hamiltonian, pv
+from . import diffop, operators
+from .diffop import DiffOp, apply, build_hamiltonian, pv
 from .hierarchy import (StateCheckError, _monomial_state, closed_form_state, energy,
                         ground_state, jacobi, jacobi_in_cos2, phi0, phi0_action)
 from .inner import (adjoint_residual, inner, mono_inner, mono_inner_quadrature,
                     norm, numeric_oracle_check)
 from .lpoly import ZERO, LPoly
-from .operators import (DIAGONALS, FAMILIES, LADDER_NAMES, PRINTED_NAMES, TILDE_NAMES,
-                        SO6_CONSTANT, SO6_CONSTANT_PRINTED, GradedOp, MultiplierSolveError,
+from .operators import (DIAGONALS, FAMILIES, LADDER_NAMES, PRINTED_EVIDENCE_SECTOR, PRINTED_NAMES,
+                        SO6_CONSTANT_PRINTED, TILDE_NAMES, GradedOp, MultiplierSolveError,
                         build_first_order, casimir_residual, constant_part, graded,
                         graded_bracket, intertwining_witness, multiplier_ansatz,
                         printed_delta_report, residual_witness, solve_multiplier,
                         structure_table, verdict_memo)
-from .superpotential import (decompose, family_multiplier, kinetic_rotation_check,
-                             riccati_check, riccati_lambda, simultaneous_superpotentials)
+from .superpotential import (kinetic_rotation_check, riccati_check, riccati_lambda,
+                             simultaneous_superpotentials)
 from .trigpoly import SIN1, TrigPoly, TrigTerm, frac_to_str, is_zero, normal_form
 
 SUITE_NAMES = ["algebra", "intertwine", "casimir", "riccati", "hermiticity"]
@@ -45,6 +46,11 @@ SUITE_NAMES = ["algebra", "intertwine", "casimir", "riccati", "hermiticity"]
 
 def _check(name: str, passed: bool, **detail) -> dict:
     return {"name": name, "passed": bool(passed), **detail}
+
+
+def _at(ell) -> str:
+    """A sector as a check name writes it: (1/2,1/3,2)."""
+    return "(" + ",".join(map(str, ell)) + ")"
 
 
 def _verdict(name: str, witness: dict | None, **detail) -> dict:
@@ -85,29 +91,29 @@ def _on_l1_plane(poly: LPoly) -> LPoly:
 
 def suite_intertwine() -> dict:
     checks = [_verdict(f"corrected {name} intertwines exactly for all l in Q^3",
-                       intertwining_witness(graded(name), HAMILTONIAN))
+                       intertwining_witness(graded(name), diffop.HAMILTONIAN))
               for name in LADDER_NAMES + TILDE_NAMES]
 
     # printed audit: B/C printed superscripts intertwine the wrong way, as decided
-    # by the delta report for all l and shown at (1,1,1)
+    # by the delta report for all l and shown at its evidence sector
     deltas = printed_delta_report()
     failing = {d["operator"] for d in deltas if not d["printed_residual_zero"]}
     for name in PRINTED_NAMES:
-        checks.append(_check(f"printed {name} fails its claimed direction at (1,1,1)",
-                             name in failing))
+        checks.append(_check(f"printed {name} fails its claimed direction at "
+                             f"{_at(PRINTED_EVIDENCE_SECTOR)}", name in failing))
 
     # the multiplier solver reproduces every corrected multiplier from scratch
     for fam, family in FAMILIES.items():
         for ell in (pv(1, 2, 0), pv(1, 1, 1), pv(2, 0, 1)):
             name = f"solve_multiplier rebuilds corrected {fam}- multiplier at " \
                 f"{tuple(map(str, ell))}"
-            vector, _ = decompose(build_first_order(fam, "-", ell))
             try:
-                got = solve_multiplier(vector, family.shift, multiplier_ansatz(fam), ell)
+                got = solve_multiplier(family.chart.derivative(-1), family.shift,
+                                       multiplier_ansatz(fam), ell)
             except MultiplierSolveError as err:
                 checks.append(_check(name, False, witness=err.residual_report))
                 continue
-            checks.append(_check(name, is_zero(got - family_multiplier(fam, ell))))
+            checks.append(_check(name, is_zero(got - family.symbolic_multiplier.at(ell))))
 
     # the u(3) fundamental states phi0 at (m, 0, n): (X phi0)/phi0 vanishes on l1 = 0
     checks.append(_proof_each(
@@ -211,7 +217,7 @@ def suite_casimir() -> dict:
 
     # printed so(6) constant leaves the exact residual (41/12 - 15/4) = -1/3
     resid = casimir_residual("so6_cass") + LPoly(DiffOp, {
-        ZERO: DiffOp.identity().scale(SO6_CONSTANT_PRINTED - SO6_CONSTANT)})
+        ZERO: DiffOp.identity().scale(SO6_CONSTANT_PRINTED - operators.SO6_CONSTANT)})
     minus_third = LPoly(DiffOp, {ZERO: DiffOp.identity().scale(Fraction(-1, 3))})
     checks.append(_proof("printed so(6) constant 41/12 leaves residual -1/3 for all l in Q^3",
                          resid - minus_third, got=str(constant_part(resid.coeff(ZERO)))))
@@ -219,7 +225,7 @@ def suite_casimir() -> dict:
     deltas = [{
         "entry": "so(6) symmetrized casimir constant",
         "printed": frac_to_str(SO6_CONSTANT_PRINTED),
-        "computed": frac_to_str(SO6_CONSTANT),
+        "computed": frac_to_str(operators.SO6_CONSTANT),
         "issue": "printed constant fails the exact identity; engine value makes the "
                  "residual vanish for every l in Q^3",
     }]
@@ -242,8 +248,8 @@ def suite_riccati() -> dict:
     ok = lam is not None and not resid and spot == lam_at(RICCATI_SPOT)
     detail = {} if ok else {"witness": {"sector": [str(x) for x in RICCATI_SPOT],
                                         "terms": len(normal_form(resid))}}
-    checks = [_check("riccati residual exactly zero at (1/2,1/3,2), lambda = lambda_l there",
-                     ok, **detail)]
+    checks = [_check(f"riccati residual exactly zero at {_at(RICCATI_SPOT)}, "
+                     "lambda = lambda_l there", ok, **detail)]
 
     checks.append(_check("lambda_l is an exact polynomial of degree <= 2 for all l in Q^3",
                          lam is not None and all(sum(m) <= 2 for m in lam),

@@ -10,6 +10,9 @@ sector; `riccati_lambda` reads the constant lambda(ell) off the same identity
 written as one polynomial in ell (the potential read from
 `diffop.HAMILTONIAN`), so it holds for every ell in Q^3, and so do the
 superpotentials read off the ground-state gauge (`hierarchy.phi0_action`).
+Each family's vector field and multiplier are read off its `operators.FAMILIES`
+row (`chart.derivative(±1)`, `symbolic_multiplier`), and the Hamiltonian off
+`diffop` at the call, so every check here reads the tables from their home.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .diffop import DiffOp, HAMILTONIAN, apply, build_hamiltonian, compose, is_zero_op
+from . import diffop
+from .diffop import DiffOp, apply, build_hamiltonian, compose, is_zero_op
 from .hierarchy import phi0_action
 from .lpoly import ZERO, LPoly, Mono, as_sector
 from .operators import FAMILIES, match_constant_multiple
@@ -35,16 +39,6 @@ def decompose(x: DiffOp) -> tuple[DiffOp, TrigPoly]:
     return vector, mult
 
 
-def family_vectors() -> dict[str, DiffOp]:
-    """Vector parts x^+ = d_chart of the corrected raising operators (sector independent)."""
-    return {name: fam.chart.derivative(1) for name, fam in FAMILIES.items()}
-
-
-def family_multiplier(name: str, ell) -> TrigPoly:
-    """The shared multiplier w of the corrected pair X^± at a sector."""
-    return FAMILIES[name].symbolic_multiplier.at(as_sector(ell))
-
-
 def riccati_check(ell) -> tuple[TrigPoly, Fraction]:
     """Potential identity V = a^2 + (x+ a) + ... + lambda, solved for lambda.
 
@@ -54,11 +48,10 @@ def riccati_check(ell) -> tuple[TrigPoly, Fraction]:
     """
     ell = as_sector(ell)
     v = build_hamiltonian(ell).coeff((0, 0))
-    vecs = family_vectors()
     comb = TrigPoly.zero()
-    for name in FAMILIES:
-        w = family_multiplier(name, ell)
-        comb = comb + w * w + apply(vecs[name], w)
+    for fam in FAMILIES.values():
+        w = fam.symbolic_multiplier.at(ell)
+        comb = comb + w * w + apply(fam.chart.derivative(1), w)
     diff = v - comb
     lam = proportionality(diff, ONE)
     if lam is None:
@@ -74,11 +67,10 @@ def riccati_lambda() -> dict[Mono, Fraction] | None:
     constant function.  Returns {exponent-triple: coeff} over the nonzero
     coefficients, or None if some coefficient is not constant.
     """
-    diff = HAMILTONIAN.map(lambda op: op.coeff((0, 0)), TrigPoly)
-    vecs = family_vectors()
-    for name, fam in FAMILIES.items():
+    diff = diffop.HAMILTONIAN.map(lambda op: op.coeff((0, 0)), TrigPoly)
+    for fam in FAMILIES.values():
         w = fam.symbolic_multiplier
-        diff = diff - w.product(w, mul) - w.map(partial(apply, vecs[name]))
+        diff = diff - w.product(w, mul) - w.map(partial(apply, fam.chart.derivative(1)))
     lam = {}
     for m, p in diff.items():
         c = proportionality(p, ONE)
@@ -94,19 +86,17 @@ def kinetic_rotation_check() -> dict:
 
     Returns a report with the residual status of x+ x- summed over the three
     families against the kinetic operator (the derivative terms of the
-    ell-free coefficient of `HAMILTONIAN`), and the signed so(3) table of the
-    raising vector fields.
+    ell-free coefficient of `diffop.HAMILTONIAN`), and the signed so(3) table
+    of the raising vector fields.
     """
-    vecs = family_vectors()
+    vecs = {name: fam.chart.derivative(1) for name, fam in FAMILIES.items()}
     total = DiffOp.zero()
-    for name in ("A", "B", "C"):
-        plus = vecs[name]
-        minus = plus.scale(-1)
-        total = total + compose(plus, minus)
-    kinetic = DiffOp({k: c for k, c in HAMILTONIAN.coeff(ZERO).items() if k != (0, 0)})
+    for plus in vecs.values():
+        total = total + compose(plus, plus.scale(-1))
+    kinetic = DiffOp({k: c for k, c in diffop.HAMILTONIAN.coeff(ZERO).items() if k != (0, 0)})
     kinetic_ok = is_zero_op(total - kinetic)
 
-    names = ["A", "B", "C"]
+    names = list(vecs)
     table = {}
     closure_ok = True
     for i, xn in enumerate(names):
@@ -133,5 +123,5 @@ def simultaneous_superpotentials() -> dict[str, LPoly]:
     (`phi0_action`); each vanishes on the plane l1 = 0 of the u(3) fundamental
     states (m, 0, n), where X- = -x+ + w annihilates phi0.
     """
-    return {name: phi0_action(LPoly(DiffOp, {ZERO: vec})) - FAMILIES[name].symbolic_multiplier
-            for name, vec in family_vectors().items()}
+    return {name: phi0_action(LPoly(DiffOp, {ZERO: fam.chart.derivative(1)}))
+            - fam.symbolic_multiplier for name, fam in FAMILIES.items()}

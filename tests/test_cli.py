@@ -65,16 +65,23 @@ def test_iur_so6_q3_lattice(tmp_path, capsys):
 
 
 def test_iur_reports_a_state_failing_its_certificate(tmp_path, capsys, monkeypatch):
+    sound, broken = tmp_path / "sound", tmp_path / "broken"
+    argv = ["iur", "--algebra", "so6", "--q", "1", "--emit"]
+    assert run_cli(argv + ["lattice", "--out", str(sound)]) == 0
+    capsys.readouterr()
     # an extra l2 cot(phi1) term in A's multiplier: A- no longer annihilates phi0
     fam = operators.FAMILIES["A"]
     monkeypatch.setitem(operators.FAMILIES, "A",
                         replace(fam, cot_row=fam.cot_row[:3] + (Fraction(1),)))
-    for emit in ("states", "lattice"):
-        argv = ["iur", "--algebra", "so6", "--q", "1", "--emit", emit, "--out", str(tmp_path)]
-        assert run_cli(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("verification failure: A- does not annihilate"), err
-        assert err.count("\n") == 1
+    assert run_cli(argv + ["states", "--out", str(broken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: A- does not annihilate"), err
+    assert err.count("\n") == 1
+    # the lattice does not depend on the families, and its energy is the spectrum's
+    assert run_cli(argv + ["lattice", "--out", str(broken)]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("so6_1_lattice.json", "so6_1_lattice.csv"):
+        assert (broken / name).read_bytes() == (sound / name).read_bytes()
 
 
 def test_iur_u3_states(tmp_path, capsys):
@@ -159,11 +166,11 @@ def test_kill_matrix_kills_every_mutant_but_the_known_survivors():
     # one process, no memo emptied between mutants: every verdict a mutant
     # changes is proved afresh through the warm memos
     *lines, summary = _run_script("kill_matrix.py").splitlines()
-    assert len(lines) == 96
+    assert len(lines) == 108
     assert not [line for line in lines if line.startswith("RAISED")]
     survivors = [line for line in lines if line.startswith("SURVIVED")]
     assert len(survivors) == 5 and all("  known: " in line for line in survivors)
-    assert summary.startswith("96 mutants: 91 killed, 5 survived, 0 raised in ")
+    assert summary.startswith("108 mutants: 103 killed, 5 survived, 0 raised in ")
 
 
 def test_export_octahedra_script(tmp_path):

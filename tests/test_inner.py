@@ -91,6 +91,13 @@ def test_gram_so4_level2_rank_nine():
     assert rep.rank == 9
 
 
+def test_gram_of_a_list_mixing_records_and_bare_polys_is_a_value_error():
+    st = ground_state("u3", (0, 0))
+    for states in ([st, st.wavefunction], [st.wavefunction, st]):
+        with pytest.raises(ValueError, match="not a mix"):
+            gram(states)
+
+
 def test_gram_report_json():
     sts = iur_states("u3", (1, 0))
     obj = gram(sts).to_obj()

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octasphere import operators
-from octasphere.diffop import (PHI2_BLOCK, DiffOp, build_hamiltonian, build_phi1_block,
-                               compose, is_zero_op, pv)
+from octasphere.diffop import (HAMILTONIAN, PHI2_BLOCK, DiffOp, build_hamiltonian,
+                               build_phi1_block, compose, is_zero_op, pv)
 from octasphere.lpoly import LPoly, row_at
 from octasphere.operators import (CHAIN, DIAGONALS, FAMILIES, LADDER_NAMES, SO6_CONSTANT,
                                   SO6_CONSTANT_PRINTED, TILDE_NAMES, TILDES, GradedOp,
@@ -561,7 +561,8 @@ def test_the_audited_printed_ladder_is_the_opposite_formula_composed_at_a_sector
     # as the formula at its target
     shift = graded(name).shift
     other = name[:-1] + ("+" if name[-1] == "-" else "-")
-    identity = intertwine_identity(GradedOp(name, shift, graded(other).poly.shift(shift)))
+    identity = intertwine_identity(GradedOp(name, shift, graded(other).poly.shift(shift)),
+                                   HAMILTONIAN)
     for ell in (pv(1, 1, 1), *RATIONAL_SECTORS):
         at = ell if name[-1] == "-" else tuple(e + s for e, s in zip(ell, shift))
         printed = GradedOp(name, shift,
@@ -623,7 +624,7 @@ def test_a_diagonal_generator_is_a_graded_multiplication_operator(name, ell):
 def test_each_intertwining_identity_at_a_rational_sector_is_the_composed_residual(ell):
     for name in LADDER_NAMES + TILDE_NAMES:
         x = graded(name)
-        assert intertwine_identity(x).at(ell) == intertwine_residual(x, ell), name
+        assert intertwine_identity(x, HAMILTONIAN).at(ell) == intertwine_residual(x, ell), name
 
 
 def _composed_casimir(kind, ell):

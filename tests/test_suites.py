@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import octasphere
-from octasphere import cli, hierarchy, operators, suites, superpotential
+from octasphere import cli, diffop, hierarchy, operators, suites
 from octasphere.diffop import HAMILTONIAN, DiffOp, pv
 from octasphere.lpoly import ZERO, LPoly
 from octasphere.superpotential import riccati_check
@@ -93,8 +93,17 @@ def _shift_row(name, row, index, delta):
     return mutate
 
 
+def _doubled(name, mono):
+    """A mutant doubling the l^mono coefficient of diffop.<name> (HAMILTONIAN or
+    PHI1_BLOCK), set where every module reads it."""
+    def mutate(patch):
+        table = getattr(diffop, name)
+        patch.setattr(diffop, name, table + LPoly(DiffOp, {mono: table.coeff(mono)}))
+    return mutate
+
+
 # catalogued corruptions of the tables the memos read:
-# (mutant, is a family row, failed checks of `verify --suite all`)
+# (mutant, breaks the so(6) ladders, failed checks of `verify --suite all`)
 DATA_MUTANTS = {
     "B_tan_c0_plus_half": (_shift_row("B", "tan_row", 0, Fraction(1, 2)), True, 19),
     "C_cot_l2_plus_one": (_shift_row("C", "cot_row", 3, 1), True, 22),
@@ -104,7 +113,9 @@ DATA_MUTANTS = {
     "diagonal_A_l2_one": (lambda patch: patch.setitem(
         operators.DIAGONALS, "A", operators.DIAGONALS["A"][:3] + (Fraction(1),)), False, 4),
     "so6_constant_printed": (lambda patch: patch.setattr(
-        operators, "SO6_CONSTANT", Fraction(41, 12)), False, 2),
+        operators, "SO6_CONSTANT", Fraction(41, 12)), False, 1),
+    "hamiltonian_l0_squared_doubled": (_doubled("HAMILTONIAN", (2, 0, 0)), True, 20),
+    "phi1_block_l1_squared_doubled": (_doubled("PHI1_BLOCK", (0, 2, 0)), False, 1),
 }
 
 
@@ -119,17 +130,32 @@ def test_a_data_mutant_fails_verify_through_warm_memos(mutant, monkeypatch, caps
     # every memo is keyed on the rows and objects it reads, so with the memos
     # warm and none cleared a corrupted table is proved afresh, and the
     # restored table is served its sound verdicts again
-    mutate, family_row, failed = DATA_MUTANTS[mutant]
+    mutate, breaks_ladders, failed = DATA_MUTANTS[mutant]
     assert _failed_verify_checks(capsys) == (0, 0)
     hierarchy.iur_states("so6", (2,))
     with monkeypatch.context() as patch:
         mutate(patch)
         assert _failed_verify_checks(capsys) == (1, failed)
-        if family_row:
+        if breaks_ladders:
             with pytest.raises(ValueError):
                 hierarchy.iur_states("so6", (2,))
     assert _failed_verify_checks(capsys) == (0, 0)
     assert len(hierarchy.iur_states("so6", (2,))) == 20
+
+
+@pytest.mark.parametrize("mono", [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+def test_no_all_l_intertwining_passes_beside_a_failed_rebuild_of_its_ladder(mono, monkeypatch):
+    # the proofs for all l read the Hamiltonian the per-sector rebuilds read:
+    # under a changed coupling, no "for all l" claim stands beside a failed
+    # solve_multiplier rebuild of the same ladder
+    _doubled("HAMILTONIAN", mono)(monkeypatch)
+    checks = suites.run_suite("intertwine", 2)["checks"]
+    passed = {c["name"] for c in checks if c["passed"]}
+    rebuilds = [c["name"].split()[3] for c in checks
+                if c["name"].startswith("solve_multiplier rebuilds") and not c["passed"]]
+    assert rebuilds
+    assert not [x for x in rebuilds
+                if f"corrected {x} intertwines exactly for all l in Q^3" in passed]
 
 
 def _counted(monkeypatch, names) -> dict[str, int]:
@@ -337,8 +363,7 @@ def test_a_doubled_tan_phi2_d2_coupling_fails_the_kinetic_check(monkeypatch):
     # the kinetic operator is read off the Hamiltonian, so a changed coupling is seen
     assert _check(suites.suite_riccati(), "vector fields rebuild")["passed"]
     tan_d2 = DiffOp({(0, 1): HAMILTONIAN.coeff(ZERO).coeff((0, 1))})
-    monkeypatch.setattr(superpotential, "HAMILTONIAN",
-                        HAMILTONIAN + LPoly(DiffOp, {ZERO: tan_d2}))
+    monkeypatch.setattr(diffop, "HAMILTONIAN", HAMILTONIAN + LPoly(DiffOp, {ZERO: tan_d2}))
     assert not _check(suites.suite_riccati(), "vector fields rebuild")["passed"]
 
 

@@ -10,10 +10,9 @@ from hypothesis import given, settings, strategies as st
 from octasphere.diffop import DiffOp, is_zero_op, pv
 from octasphere.hierarchy import closed_form_state, phi0, phi0_action
 from octasphere.lpoly import LPoly
-from octasphere.operators import (build_first_order, graded, graded_product,
+from octasphere.operators import (FAMILIES, build_first_order, graded, graded_product,
                                   intertwine_residual)
-from octasphere.superpotential import (decompose, family_multiplier,
-                                       kinetic_rotation_check, riccati_check,
+from octasphere.superpotential import (decompose, kinetic_rotation_check, riccati_check,
                                        riccati_lambda, simultaneous_superpotentials)
 from octasphere.trigpoly import ONE, PHI1, PHI2, TrigPoly, differentiate, is_zero, mul
 
@@ -177,11 +176,11 @@ def test_joint_ground_state_feeds_alpha_and_beta_but_not_gamma():
         assert is_zero(apply(graded(fam + "-").at(st.params), st.wavefunction))
         vec, _ = decompose(build_first_order(fam, "-", st.params))
         got = phi0_action(_constant(vec.scale(-1))).at(st.params)
-        assert is_zero(got - family_multiplier(fam, st.params))
+        assert is_zero(got - FAMILIES[fam].symbolic_multiplier.at(st.params))
     assert not is_zero(apply(graded("C-").at(st.params), st.wavefunction))
     c_vec, _ = decompose(build_first_order("C", "-", st.params))
     gamma_candidate = phi0_action(_constant(c_vec.scale(-1))).at(st.params)
-    assert not is_zero(gamma_candidate - family_multiplier("C", st.params))
+    assert not is_zero(gamma_candidate - FAMILIES["C"].symbolic_multiplier.at(st.params))
 
 
 def test_partial_fundamental_state_case_ii():
@@ -206,12 +205,12 @@ def test_partial_fundamental_state_case_ii():
 
     a_vec, _ = decompose(build_first_order("A", "-", st.params))
     alpha = candidate_from_f_factor(a_vec)
-    assert is_zero(alpha - family_multiplier("A", st.params))
+    assert is_zero(alpha - FAMILIES["A"].symbolic_multiplier.at(st.params))
 
     for fam, delta in (("B", (1, 0, 1)), ("C", (0, -1, 1))):
         vec, _ = decompose(build_first_order(fam, "-", st.params))
         candidate = candidate_from_f_factor(vec)
-        assert not is_zero(candidate - family_multiplier(fam, st.params))
+        assert not is_zero(candidate - FAMILIES[fam].symbolic_multiplier.at(st.params))
         cand_op = GradedOp(name=fam + "-cand", shift=delta,
                            poly=LPoly(DiffOp, {(0, 0, 0): vec + DiffOp.multiplication(candidate)}))
         assert not is_zero_op(intertwine_residual(cand_op, st.params))
