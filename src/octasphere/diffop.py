@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .lpoly import ZERO, LPoly, ParamVector, coupling, pv  # noqa: F401  (pv re-exported)
-from .trigpoly import PHI1, PHI2, ONE, TrigPoly, differentiate, is_zero
+from .trigpoly import PHI1, PHI2, ONE, TrigPoly, differentiate, is_zero, sum_of_products
 
 MAX_ORDER = 4
 
@@ -115,17 +115,22 @@ class DiffOp:
         return DiffOp._raw({k: v.scale(c) for k, v in self._terms.items()})
 
 
+def _derivative(derivs: dict[tuple[int, int], TrigPoly], k1: int, k2: int) -> TrigPoly:
+    """d1^k1 d2^k2 f, for f = derivs[0, 0]: read from derivs, or formed from
+    d1^k1 d2^(k2-1) f (from d1^(k1-1) f when k2 = 0) and stored there."""
+    g = derivs.get((k1, k2))
+    if g is None:
+        g = differentiate(_derivative(derivs, k1, k2 - 1), PHI2) if k2 \
+            else differentiate(_derivative(derivs, k1 - 1, 0), PHI1)
+        derivs[k1, k2] = g
+    return g
+
+
 def apply(op: DiffOp, f: TrigPoly) -> TrigPoly:
-    """Exact application of op to f."""
-    out = TrigPoly.zero()
-    for (k1, k2), c in op.items():
-        g = f
-        for _ in range(k1):
-            g = differentiate(g, PHI1)
-        for _ in range(k2):
-            g = differentiate(g, PHI2)
-        out = out + c * g
-    return out
+    """Exact application of op to f: one `sum_of_products` of the coefficients
+    with the derivatives d1^k1 d2^k2 f, each distinct derivative formed once."""
+    derivs = {(0, 0): f}
+    return sum_of_products((c, _derivative(derivs, *k)) for k, c in op.items())
 
 
 def compose(x: DiffOp, y: DiffOp) -> DiffOp:

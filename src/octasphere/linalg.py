@@ -1,7 +1,9 @@
-"""Small exact linear-algebra helpers over Fraction (Gaussian elimination)."""
+"""Small exact linear-algebra helpers: fraction-free rank; Fraction
+elimination for solves."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .trigpoly import coupling
@@ -62,6 +64,37 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
     return x
 
 
+def _int_row(row: list[Fraction]) -> list[int]:
+    """The row times the lcm of its denominators: ints spanning the same line."""
+    vals = [v if type(v) is int else coupling(v) for v in row]
+    den = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals]
+
+
 def rank_exact(rows: list[list[Fraction]]) -> int:
-    return len(_echelon([[coupling(v) for v in row] for row in rows], _width(rows)))
+    """The rank, by elimination over ints: each row is scaled to ints, and a
+    pivot row p clears column c of a later row r as p[c] r - r[c] p, divided by
+    the gcd of its entries.  Neither step changes the row space (p[c] != 0),
+    so the pivots counted are the rank.  Rows from the rank on are zero left
+    of column c, so only columns c onward are updated."""
+    n = _width(rows)
+    a = [_int_row(row) for row in rows]
+    m = len(a)
+    rank = 0
+    for c in range(n):
+        if rank == m:
+            break
+        pr = next((i for i in range(rank, m) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[rank], a[pr] = a[pr], a[rank]
+        p, tail = a[rank][c], a[rank][c + 1:]
+        for i in range(rank + 1, m):
+            f = a[i][c]
+            if f:
+                row = [p * v - f * w for v, w in zip(a[i][c + 1:], tail)]
+                g = math.gcd(*row)
+                a[i][c:] = [0, *(v // g for v in row)] if g > 1 else [0, *row]
+        rank += 1
+    return rank
 

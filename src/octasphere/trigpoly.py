@@ -15,7 +15,10 @@ and hash small ints; `cos^(3/2)` is key component 3.  Coefficients are stored
 as int numerators over one denominator, reduced so that the denominator is
 positive and shares no factor with all the numerators; the kernel (sums,
 products, derivatives, the normal form) does int arithmetic only and divides
-out one gcd per result.  Fractions appear only at the boundary: the
+out one gcd per result.  `linear_combine` (sum of c_i p_i) and
+`sum_of_products` (sum of p_i q_i, as operator application forms it) add every
+term of a sum into one int dict over one lcm denominator, so the whole sum
+divides out one gcd.  Fractions appear only at the boundary: the
 constructors validate and double Fraction (or int) exponents and take
 Fraction coefficients, and `items`, `terms`, `normal_form`, `class_reduce`,
 `coordinate_vectors` and the JSON form give Fractions back.
@@ -282,6 +285,24 @@ def linear_combine(pairs: Sequence[tuple[Fraction, TrigPoly]]) -> TrigPoly:
             v *= m
             v0 = acc.get(e)
             acc[e] = v if v0 is None else v0 + v
+    return _reduced({e: v for e, v in acc.items() if v}, den)
+
+
+def sum_of_products(pairs: Iterable[tuple[TrigPoly, TrigPoly]]) -> TrigPoly:
+    """Canonical sum of p_i * q_i: every product is added into one int dict
+    over the lcm of the denominators p_i._den * q_i._den, with one gcd."""
+    parts = [(p, q) for p, q in pairs if p._terms and q._terms]
+    den = math.lcm(*(p._den * q._den for p, q in parts))
+    acc: dict[Key, int] = {}
+    for p, q in parts:
+        m = den // (p._den * q._den)
+        for (a1, b1, c1, d1), v1 in p._terms.items():
+            v1 *= m
+            for (a2, b2, c2, d2), v2 in q._terms.items():
+                e = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
+                v = v1 * v2
+                v0 = acc.get(e)
+                acc[e] = v if v0 is None else v0 + v
     return _reduced({e: v for e, v in acc.items() if v}, den)
 
 

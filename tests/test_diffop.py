@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from octasphere.diffop import (PHI1_BLOCK, PHI2_BLOCK, DiffOp, apply,
+from octasphere import diffop, trigpoly
+from octasphere.diffop import (HAMILTONIAN, MAX_ORDER, PHI1_BLOCK, PHI2_BLOCK, DiffOp, apply,
                                build_hamiltonian, build_phi1_block, compose, is_zero_op, pv)
 from octasphere.operators import build_first_order
-from octasphere.trigpoly import COS1, ONE, SIN1, TAN1, TrigPoly, TrigTerm, is_zero
+from octasphere.trigpoly import (COS1, ONE, PHI1, PHI2, SIN1, TAN1, TrigPoly, TrigTerm,
+                                 differentiate, is_zero, mul)
 
 F = Fraction
 HALF = F(1, 2)
@@ -195,3 +197,52 @@ def test_a_sector_without_three_couplings_is_rejected():
             pv(*ell)
         with pytest.raises(ValueError):
             build_hamiltonian(ell)
+
+
+# -- application: one accumulation over the derivatives of f ---------------------------
+
+def _reference_apply(op: DiffOp, f: TrigPoly) -> TrigPoly:
+    """sum c * d1^k1 d2^k2 f, one `mul` and one `+` per derivative order."""
+    out = TrigPoly.zero()
+    for (k1, k2), c in op.items():
+        g = f
+        for _ in range(k1):
+            g = differentiate(g, PHI1)
+        for _ in range(k2):
+            g = differentiate(g, PHI2)
+        out = out + mul(c, g)
+    return out
+
+
+all_orders = st.sampled_from([(k1, k2) for k1 in range(MAX_ORDER + 1)
+                              for k2 in range(MAX_ORDER + 1 - k1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(all_orders, term_lists, max_size=6), term_lists)
+def test_apply_equals_the_sum_of_coefficients_times_derivatives(terms, f_terms):
+    op = _op(terms, False)
+    f = TrigPoly.from_terms(TrigTerm(c, e) for c, e in f_terms)
+    assert apply(op, f) == _reference_apply(op, f)
+
+
+def test_applying_the_hamiltonian_forms_each_derivative_once(monkeypatch):
+    # orders (0,2), (0,1), (2,0): d2 f, d2^2 f, d1 f, d1^2 f, with d2 f formed once;
+    # the products are accumulated without a `mul` or `+` per order
+    h = HAMILTONIAN.at(pv(F(1, 2), 2, F(-1, 3)))
+    f = mono(2, HALF, F(3, 2), 1, HALF) + mono(F(-1, 3), -1, HALF, F(5, 2), 2)
+    calls = {"differentiate": 0, "mul": 0, "add": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(diffop, "differentiate", counted("differentiate", diffop.differentiate))
+    monkeypatch.setattr(trigpoly, "mul", counted("mul", trigpoly.mul))
+    monkeypatch.setattr(TrigPoly, "__add__", counted("add", TrigPoly.__add__))
+    got = apply(h, f)
+    assert calls == {"differentiate": 4, "mul": 0, "add": 0}
+    monkeypatch.undo()
+    assert got == _reference_apply(h, f)

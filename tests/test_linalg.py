@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from octasphere.linalg import rank_exact, solve_exact
+from octasphere import linalg
+from octasphere.linalg import _echelon, rank_exact, solve_exact
 
 F = Fraction
 
@@ -55,6 +56,29 @@ def test_rank_exact():
     for r in range(1, 5):
         a = _random_matrix(rnd, 6, 6, r)
         assert rank_exact(a) <= r
+
+
+def test_rank_exact_is_the_pivot_count_of_fraction_elimination(monkeypatch):
+    # every shape up to 6 x 6 at every rank up to its size, as int rows and as
+    # Fraction rows (rows and columns scaled by nonzero rationals: same rank)
+    rnd = random.Random(5)
+    cases = []
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for r in range(min(m, n) + 1):
+                ints = [[int(v) for v in row] for row in _random_matrix(rnd, m, n, r)]
+                cols = [F(rnd.choice((-1, 1)) * rnd.randint(1, 9), rnd.randint(1, 9))
+                        for _ in range(n)]
+                fracs = [[v * x * F(rnd.randint(1, 7), rnd.choice((-5, -2, 3))) for v, x in
+                          zip(row, cols)] for row in ints]
+                cases += [ints, fracs]
+    want = [len(_echelon([[F(v) for v in row] for row in a], len(a[0]))) for a in cases]
+    assert set(want) == set(range(7))
+    copies = [[list(row) for row in a] for a in cases]
+    # the rank eliminates over ints, never through the Fraction echelon
+    monkeypatch.setattr(linalg, "_echelon", None)
+    assert [rank_exact(a) for a in cases] == want
+    assert cases == copies
 
 
 def test_ragged_rows_are_a_value_error():

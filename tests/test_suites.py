@@ -83,6 +83,35 @@ def test_a_broken_family_is_proved_afresh_not_served_by_name(monkeypatch):
         hierarchy.iur_states("so6", (1,))
 
 
+def _so6_constant_delta() -> dict:
+    (delta,) = suites.suite_casimir()["paper_deltas"]
+    return delta
+
+
+def test_the_so6_constant_delta_reads_its_constant_off_the_residual(monkeypatch):
+    # with the printed constant in the engine the so6_cass residual is -1/3,
+    # so the constant that makes it vanish is still 41/12 + 1/3 = 15/4
+    monkeypatch.setattr(operators, "SO6_CONSTANT", Fraction(41, 12))
+    delta = _so6_constant_delta()
+    assert (delta["printed"], delta["computed"]) == ("41/12", "15/4")
+    assert delta["issue"].startswith("printed constant fails") and "witness" not in delta
+
+
+def test_a_printed_constant_that_makes_the_residual_vanish_does_not_fail(monkeypatch):
+    monkeypatch.setattr(suites, "SO6_CONSTANT_PRINTED", Fraction(15, 4))
+    delta = _so6_constant_delta()
+    assert (delta["printed"], delta["computed"]) == ("15/4", "15/4")
+    assert "fails" not in delta["issue"] and "witness" not in delta
+
+
+def test_a_so6_residual_that_is_not_a_constant_gets_a_witness(monkeypatch):
+    _doubled("HAMILTONIAN", (2, 0, 0))(monkeypatch)
+    delta = _so6_constant_delta()
+    assert delta["witness"] == {"monomial": [2, 0, 0], "terms": 1}
+    assert "fails" not in delta["issue"]
+    assert not suites.run_suite("all", 2)["passed"]
+
+
 def _shift_row(name, row, index, delta):
     """A mutant adding delta to entry `index` of a family row (c0, c_l0, c_l1, c_l2)."""
     def mutate(patch):

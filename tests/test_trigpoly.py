@@ -11,7 +11,7 @@ from octasphere.trigpoly import (COS1, COS2, ONE, PHI1, PHI2, SIN1, SIN2, TAN1,
                                  TAN2, TrigPoly, TrigTerm, _angle_basis, differentiate,
                                  eval_numeric, frac_from_str,
                                  from_json, from_obj, is_zero, linear_combine, mul,
-                                 normal_form, proportionality, to_json)
+                                 normal_form, proportionality, sum_of_products, to_json)
 
 F = Fraction
 HALF = F(1, 2)
@@ -409,3 +409,15 @@ def test_kernel_matches_a_fraction_reference(p, q, c, var):
     same = mul(p, pyth).scale(c)   # c p as a function, stored over other monomials
     assert proportionality(same, p) == _ref_proportionality(dict(same.items()), rp)
     assert proportionality(same, p) == (c if not is_zero(p) else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, polys, polys, coeffs)
+def test_sum_of_products_matches_a_fraction_reference(p, q, r, c):
+    # the second and last products cancel, and a zero factor contributes nothing
+    pairs = [(p, q), (q.scale(c), r), (TrigPoly.zero(), p), (r, q.scale(-c)), (p, ONE)]
+    got = sum_of_products(pairs)
+    want = _ref_sum([(1, _ref_mul(dict(a.items()), dict(b.items()))) for a, b in pairs])
+    assert _canonical(got) and _int_keyed(got) and dict(got.items()) == want
+    assert got == mul(p, q) + p
+    assert sum_of_products([]) == TrigPoly.zero()
