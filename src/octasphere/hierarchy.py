@@ -28,8 +28,8 @@ from . import diffop, linalg
 from .diffop import DiffOp, ParamVector, apply, coupling
 from .lpoly import LPoly, Row, as_sector, quantum_number, row_at
 from .operators import GradedOp, graded, intertwining_witness
-from .trigpoly import (COT1, COT2, PHI1, PHI2, TAN1, TAN2, TrigPoly, frac_to_str, is_zero,
-                       mul, normalized, to_obj)
+from .trigpoly import (COT1, COT2, PHI1, PHI2, TAN1, TAN2, TrigPoly, _reduced, frac_to_str,
+                       is_zero, mul, normalized, to_obj)
 from .trigpoly import proportionality  # noqa: F401  (re-exported for comparing states)
 
 F0 = Fraction(0)
@@ -90,19 +90,25 @@ def jacobi_eval(jp: JacobiPoly, x: Fraction) -> Fraction:
 
 
 def jacobi_in_cos2(jp: JacobiPoly, var: int) -> TrigPoly:
-    """Substitute x = cos(2 phi) = cos^2 phi - sin^2 phi in the angle var in {PHI1, PHI2}."""
+    """Substitute x = cos(2 phi) = cos^2 phi - sin^2 phi in the angle var in {PHI1, PHI2}.
+
+    sum_k c_k x^k expands to sum_k sum_i c_k C(k, i) (-1)^(k-i) cos^(2i) sin^(2(k-i)),
+    one distinct monomial per (k, i), added into one int dict over the lcm of
+    the coefficient denominators (k ascending, i descending, as the powers of
+    x multiply out) with one gcd.
+    """
     if var not in (PHI1, PHI2):
         raise ValueError(f"unknown variable {var!r}")
-    if var == PHI1:
-        x = TrigPoly.monomial(1, (2, F0, F0, F0)) + TrigPoly.monomial(-1, (F0, 2, F0, F0))
-    else:
-        x = TrigPoly.monomial(1, (F0, F0, 2, F0)) + TrigPoly.monomial(-1, (F0, F0, F0, 2))
-    out = TrigPoly.zero()
-    power = TrigPoly.constant(1)
-    for c in jp.coeffs:
-        out = out + power.scale(c)
-        power = power * x
-    return out
+    parts = [(k, c.numerator, c.denominator) for k, c in enumerate(jp.coeffs) if c]
+    den = math.lcm(*(d for _, _, d in parts))
+    acc: dict[tuple[int, int, int, int], int] = {}
+    for k, cn, cd in parts:
+        m = cn * (den // cd)
+        for i in range(k, -1, -1):
+            v = m * math.comb(k, i)
+            c, s = 4 * i, 4 * (k - i)  # cos^(2i) sin^(2(k-i)), exponents doubled
+            acc[(c, s, 0, 0) if var == PHI1 else (0, 0, c, s)] = -v if (k - i) & 1 else v
+    return _reduced(acc, den)
 
 
 # -- energies --------------------------------------------------------------------

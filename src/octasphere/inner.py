@@ -2,8 +2,11 @@
 
 A monomial integral is the product of two one-angle Beta values (evaluated
 through log-gamma).  Each is memoised on the doubled-int exponent pair that
-TrigPoly stores, so an inner product looks up one value per angle and term
-pair.  States of the representation space live in the direct sum over sectors,
+TrigPoly stores.  An inner product builds, per angle, one row of Beta values
+for each distinct exponent pair of f over the distinct pairs of g, so it
+looks up each Beta pair once, and then adds the term pairs one by one in the
+canonical order, the same float as the sum of `mono_inner` over the term
+pairs.  States of the representation space live in the direct sum over sectors,
 so records at different parameter points are orthogonal by construction.  The
 module also provides the float-side oracles used against the symbolic engine:
 tanh-sinh quadrature for the Beta values and a five-point finite-difference
@@ -58,10 +61,18 @@ def _float_coeff(t1: TrigTerm, t2: TrigTerm) -> float:
         raise ValueError("a coefficient overflows a float") from None
 
 
+def _finite(x: float) -> float:
+    """x, or ValueError when an inner product is beyond the float range."""
+    if not math.isfinite(x):
+        raise ValueError("the inner product overflows a float")
+    return x
+
+
 def mono_inner(t1: TrigTerm, t2: TrigTerm) -> float:
-    """<t1, t2> with measure cos(phi2); relative error ~1e-12."""
+    """<t1, t2> with measure cos(phi2); relative error ~1e-12.  ValueError
+    beyond the float range."""
     a, b, c, d = _pair_key(t1, t2)
-    return _float_coeff(t1, t2) * _beta(a, b) * _beta(c, d)
+    return _finite(_float_coeff(t1, t2) * _beta(a, b) * _beta(c, d))
 
 
 _TS_STEP, _TS_RANGE = 1 / 20, 4.5  # tanh-sinh nodes t = k * step, |t| <= range
@@ -93,29 +104,44 @@ def mono_inner_quadrature(t1: TrigTerm, t2: TrigTerm) -> float:
     a, b, c, d = _pair_key(t1, t2)
     _check_integrable(a, b)
     _check_integrable(c, d)
-    return _float_coeff(t1, t2) * _tanh_sinh(a, b) * _tanh_sinh(c, d)
+    return _finite(_float_coeff(t1, t2) * _tanh_sinh(a, b) * _tanh_sinh(c, d))
 
 
 def inner(f: TrigPoly, g: TrigPoly) -> float:
     """Bilinear extension of mono_inner, summed over the terms in canonical order.
 
     Reads the stored int numerators and doubled exponents: n1 * n2 / (den_f *
-    den_g) is correctly rounded and the Beta values are looked up per angle, so
-    each term equals mono_inner's float of the Fraction product.  ValueError
-    when a coefficient product is beyond the float range.
+    den_g) is correctly rounded, so each term equals mono_inner's float of the
+    Fraction product.  The Beta values come in rows: for each distinct phi1
+    pair of f one row over the distinct phi1 pairs of g, likewise for phi2
+    with the measure's cos(phi2), so one call looks up each Beta pair once.
+    The terms are added one by one with `+=`, sorted f terms outside sorted g
+    terms, as the sum of mono_inner over the term pairs.  ValueError when a
+    coefficient product or the total is beyond the float range.
     """
+    # distinct phi1 and phi2 pairs of g, and each g term's index into them
+    g1: dict[tuple[int, int], int] = {}
+    g2: dict[tuple[int, int], int] = {}
+    g_index = [(n2, g1.setdefault((a, b), len(g1)), g2.setdefault((c, d), len(g2)))
+               for (a, b, c, d), n2 in sorted(g._terms.items())]
+    rows2: dict[tuple[int, int], list[float]] = {}
+    pair1 = None
     total = 0.0
     den = f._den * g._den
-    g_terms = sorted(g._terms.items())
-    # the measure adds 2 to the doubled cos(phi2) power
     try:
         for (a, b, c, d), n1 in sorted(f._terms.items()):
-            c += 2
-            for e2, n2 in g_terms:
-                total += n1 * n2 / den * _beta(a + e2[0], b + e2[1]) * _beta(c + e2[2], d + e2[3])
+            if (a, b) != pair1:  # sorted, so the terms of one phi1 pair are adjacent
+                pair1 = a, b
+                row1 = [_beta(a + s, b + t) for s, t in g1]
+            row2 = rows2.get((c, d))
+            if row2 is None:
+                # the measure adds 2 to the doubled cos(phi2) power
+                row2 = rows2[c, d] = [_beta(c + 2 + s, d + t) for s, t in g2]
+            for n2, i, j in g_index:
+                total += n1 * n2 / den * row1[i] * row2[j]
     except OverflowError:
         raise ValueError("a coefficient overflows a float") from None
-    return total
+    return _finite(total)
 
 
 def norm(f: TrigPoly) -> float:
@@ -159,7 +185,8 @@ def _pivoted_rank(mat: list[list[float]], threshold: float) -> int:
         piv = top.pop(p)
         for row in a:
             v = row.pop(p) / piv
-            row[:] = [x - v * y for x, y in zip(row, top)]
+            if v != 0.0:  # x - 0.0 * y == x for a finite pivot row
+                row[:] = [x - v * y for x, y in zip(row, top)]
         rank += 1
     return rank
 

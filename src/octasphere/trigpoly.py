@@ -466,7 +466,8 @@ def eval_numeric(p: TrigPoly, phi1: float, phi2: float) -> float:
 
     Relative error is ~1e-13 per term for |exponents| <= 20.  Points outside
     the open octant raise, since negative/fractional powers are singular at
-    the boundary, and so does a coefficient or power beyond the float range.
+    the boundary, and so does a coefficient, power or value beyond the float
+    range.
     """
     half_pi = math.pi / 2
     if not (0.0 < phi1 < half_pi) or not (0.0 < phi2 < half_pi):
@@ -482,6 +483,8 @@ def eval_numeric(p: TrigPoly, phi1: float, phi2: float) -> float:
                 * c2 ** (e[2] / 2) * s2 ** (e[3] / 2)
     except OverflowError:
         raise ValueError("a coefficient or power overflows a float") from None
+    if not math.isfinite(total):
+        raise ValueError("the value overflows a float")
     return total
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from octasphere import hierarchy
 from octasphere.diffop import apply, build_hamiltonian, pv
@@ -19,7 +19,7 @@ from octasphere.linalg import rank_exact
 from octasphere.inner import numeric_oracle_check
 from octasphere.operators import (LADDER_NAMES, TILDE_NAMES, build_first_order, graded,
                                   graded_product)
-from octasphere.trigpoly import PHI2, TrigPoly, is_zero, normal_form
+from octasphere.trigpoly import PHI1, PHI2, TrigPoly, is_zero, normal_form
 
 F = Fraction
 HALF = F(1, 2)
@@ -88,6 +88,36 @@ def test_jacobi_negative_degree_rejected():
 def test_jacobi_in_cos2_rejects_an_angle_other_than_phi1_or_phi2(var):
     with pytest.raises(ValueError):
         hierarchy.jacobi_in_cos2(jacobi(1, 0, 0), var)
+
+
+def _power_and_sum_in_cos2(jp, var):
+    """sum_k c_k x^k with x = cos^2 - sin^2 of the angle var, by TrigPoly * and +."""
+    if var == PHI1:
+        x = mono(1, 2, 0, 0, 0) + mono(-1, 0, 2, 0, 0)
+    else:
+        x = mono(1, 0, 0, 2, 0) + mono(-1, 0, 0, 0, 2)
+    out, power = TrigPoly.zero(), TrigPoly.constant(1)
+    for c in jp.coeffs:
+        out = out + power.scale(c)
+        power = power * x
+    return out
+
+
+jacobi_parameters = st.one_of(st.fractions(min_value=-6, max_value=6, max_denominator=12),
+                              st.sampled_from([F(k, 2) for k in range(-16, 4)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8), jacobi_parameters, jacobi_parameters, st.sampled_from([PHI1, PHI2]))
+@example(1, F(-1), F(-1), PHI1)        # P_1^(-1,-1) is the zero polynomial
+@example(2, F(0), F(-3), PHI2)         # P_2^(0,-3) == 1: x and x^2 coefficients vanish
+@example(4, F(-3, 2), F(-3, 2), PHI1)  # alpha == beta: the odd coefficients vanish
+def test_jacobi_in_cos2_is_the_power_and_sum_expansion(n, a, b, var):
+    jp = jacobi(n, a, b)
+    got, want = jacobi_in_cos2(jp, var), _power_and_sum_in_cos2(jp, var)
+    assert got == want
+    # the same stored order too, so a float sum over the stored terms is unchanged
+    assert list(got._terms) == list(want._terms)
 
 
 def _szego_reference(n, a, b):

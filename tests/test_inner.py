@@ -118,6 +118,63 @@ def test_pivoted_rank_of_integer_gram_products():
         assert _pivoted_rank(g, threshold) == rank_exact(b)
 
 
+def _dense_pivoted_rank(mat, threshold):
+    """The pivoted Cholesky with every Schur update done, zero multipliers included."""
+    a = [list(row) for row in mat]
+    rank = 0
+    while a:
+        p = max(range(len(a)), key=lambda i: a[i][i])
+        if a[p][p] <= threshold:
+            break
+        top = a.pop(p)
+        piv = top.pop(p)
+        for row in a:
+            v = row.pop(p) / piv
+            row[:] = [x - v * y for x, y in zip(row, top)]
+        rank += 1
+    return rank
+
+
+def _block_diagonal_psd(rnd):
+    """B B^T blocks of random rank, rows of B at random scales, exactly zero
+    between blocks, with rows and columns in random order and some zeros
+    signed negative."""
+    blocks = []
+    for _ in range(rnd.randint(1, 5)):
+        m, r = rnd.randint(1, 4), rnd.randint(0, 4)
+        b = [[rnd.uniform(-1, 1) * scale for _ in range(r)]
+             for scale in (10.0 ** rnd.randint(-16, 1) for _ in range(m))]
+        blocks.append([[sum(x * y for x, y in zip(bi, bj)) for bj in b] for bi in b])
+    n = sum(len(blk) for blk in blocks)
+    mat = [[0.0] * n for _ in range(n)]
+    at = 0
+    for blk in blocks:
+        for i, row in enumerate(blk):
+            mat[at + i][at:at + len(row)] = row
+        at += len(blk)
+    order = rnd.sample(range(n), n)
+    mat = [[mat[i][j] for j in order] for i in order]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if mat[i][j] == 0.0 and rnd.random() < 0.5:
+                mat[i][j] = mat[j][i] = -0.0
+    return mat
+
+
+def test_pivoted_rank_skipping_zero_multipliers_equals_the_dense_update():
+    rnd = random.Random(29)
+    for _ in range(300):
+        mat = _block_diagonal_psd(rnd)
+        for threshold in (0.0, 1e-9 * max(mat[i][i] for i in range(len(mat)))):
+            assert _pivoted_rank(mat, threshold) == _dense_pivoted_rank(mat, threshold)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_pivoted_rank_equals_the_dense_update_on_so4_grams(n):
+    rep = gram(iur_states("so4", (n,)))
+    assert rep.rank == _dense_pivoted_rank(rep.matrix, rep.threshold)
+
+
 def test_state_inner_cross_sector_is_zero():
     sts = iur_states("u3", (1, 0))
     assert state_inner(sts[0], sts[1]) == 0.0
@@ -233,6 +290,54 @@ def test_inner_is_the_sum_of_mono_inner_in_term_order(f, g):
     assert inner(f, g) == _fraction_route_inner(f, g)
 
 
+@st.composite
+def polys_sharing_angle_parts(draw):
+    """Sums of scaled polys whose terms reuse a few phi1 and phi2 exponent
+    pairs: mixed denominators, coefficients of both signs, and terms that the
+    sum cancels."""
+    pairs1 = draw(st.lists(st.tuples(half_up, half_up), min_size=1, max_size=3))
+    pairs2 = draw(st.lists(st.tuples(half_up, half_up), min_size=1, max_size=3))
+    term = st.tuples(st.sampled_from(pairs1), st.sampled_from(pairs2), nonzero)
+    out = TrigPoly.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        part = TrigPoly({(*e1, *e2): c for e1, e2, c in draw(st.lists(term, max_size=6))})
+        out = out + part.scale(draw(st.sampled_from([F(1), F(-1), F(1, 3), F(-5, 7)])))
+        if draw(st.booleans()):
+            out = out - part
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys_sharing_angle_parts(), polys_sharing_angle_parts())
+def test_inner_with_shared_angle_parts_is_the_sum_of_mono_inner(f, g):
+    assert inner(f, g) == _fraction_route_inner(f, g)
+
+
+def _distinct_pairs(p, angle):
+    return len({(t.exps[2 * angle], t.exps[2 * angle + 1]) for t in p.terms()})
+
+
+def _beta_lookups(f, g):
+    before = _beta.cache_info()
+    inner(f, g)
+    after = _beta.cache_info()
+    return after.hits + after.misses - before.hits - before.misses
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys_sharing_angle_parts(), polys_sharing_angle_parts())
+def test_inner_looks_up_each_beta_pair_once(f, g):
+    want = sum(_distinct_pairs(f, angle) * _distinct_pairs(g, angle) for angle in (0, 1))
+    assert _beta_lookups(f, g) == want
+
+
+def test_inner_of_closed_forms_looks_up_each_beta_pair_once():
+    f = closed_form_state("separated_2d", ((1, 2, 0), 2, 1)).wavefunction
+    g = closed_form_state("separated_2d", ((1, 2, 0), 1, 2)).wavefunction
+    want = sum(_distinct_pairs(f, angle) * _distinct_pairs(g, angle) for angle in (0, 1))
+    assert _beta_lookups(f, g) == want < len(f) * len(g)
+
+
 def _fraction_route_eval(p, x, y):
     c1, s1, c2, s2 = math.cos(x), math.sin(x), math.cos(y), math.sin(y)
     total = 0.0
@@ -256,13 +361,27 @@ def test_inner_and_eval_are_bit_identical_to_the_fraction_route():
                 assert eval_numeric(f, x, y) == _fraction_route_eval(f, x, y)
 
 
+# 10^154 (1 + cos phi1): each coefficient product is 10^308, its inner product ~2.6e308
+_HUGE = TrigPoly.monomial(10 ** 154, (0, 0, 0, 0)) + TrigPoly.monomial(10 ** 154, (1, 0, 0, 0))
+
+
 @pytest.mark.parametrize("call", [
     lambda: inner(TrigPoly.monomial(10 ** 400, (0, 0, 0, 0)), ONE),
     lambda: mono_inner(TrigTerm(10 ** 400, (0, 0, 0, 0)), TrigTerm(1, (0, 0, 0, 0))),
     lambda: mono_inner_quadrature(TrigTerm(10 ** 400, (0, 0, 0, 0)), TrigTerm(1, (0, 0, 0, 0))),
     lambda: eval_numeric(TrigPoly.monomial(10 ** 400, (0, 0, 0, 0)), 0.3, 0.3),
     lambda: eval_numeric(TrigPoly.monomial(1, (-4000, 0, 0, 0)), 1.5, 0.3),
-], ids=["inner_coeff", "mono_inner_coeff", "quadrature_coeff", "eval_coeff", "eval_power"])
+    # each coefficient is a float, the value is not
+    lambda: inner(_HUGE, _HUGE),
+    lambda: norm(_HUGE),
+    lambda: gram([_HUGE]),
+    lambda: mono_inner(TrigTerm(15 * 10 ** 307, (0, 0, 0, 0)), TrigTerm(1, (0, 0, 0, 0))),
+    lambda: mono_inner_quadrature(TrigTerm(15 * 10 ** 307, (0, 0, 0, 0)),
+                                  TrigTerm(1, (0, 0, 0, 0))),
+    lambda: eval_numeric(TrigPoly.monomial(10 ** 300, (-40, 0, 0, 0)), 1.5, 0.3),
+], ids=["inner_coeff", "mono_inner_coeff", "quadrature_coeff", "eval_coeff", "eval_power",
+        "inner_total", "norm_total", "gram_total", "mono_inner_total", "quadrature_total",
+        "eval_total"])
 def test_float_oracles_reject_values_beyond_the_float_range(call):
     with pytest.raises(ValueError, match="overflows a float"):
         call()
