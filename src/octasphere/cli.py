@@ -69,11 +69,10 @@ def _cmd_iur(args, parser) -> int:
             (outdir / f"{stem}_lattice.csv").write_text(lattice_to_csv(lat),
                                                         encoding="utf-8")
         if args.emit in ("states", "both"):
-            states = iur_states(args.algebra, label)
-            obj = [state_to_obj(s) for s in states]
-            with open(outdir / f"{stem}_states.json", "w", encoding="utf-8") as fh:
-                json.dump(obj, fh, indent=2)
-                fh.write("\n")
+            # one state per line by the C encoder; an indent forces the Python one
+            objs = [state_to_obj(s) for s in iur_states(args.algebra, label)]
+            (outdir / f"{stem}_states.json").write_text(
+                "[\n" + ",\n".join(json.dumps(o) for o in objs) + "\n]\n", encoding="utf-8")
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 1

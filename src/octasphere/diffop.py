@@ -130,7 +130,17 @@ def apply(op: DiffOp, f: TrigPoly) -> TrigPoly:
     """Exact application of op to f: one `sum_of_products` of the coefficients
     with the derivatives d1^k1 d2^k2 f, each distinct derivative formed once."""
     derivs = {(0, 0): f}
-    return sum_of_products((c, _derivative(derivs, *k)) for k, c in op.items())
+    return sum_of_products((1, c, _derivative(derivs, *k)) for k, c in op.items())
+
+
+def apply_at(poly: LPoly, ell, f: TrigPoly, derivs: dict | None = None, energy=0) -> TrigPoly:
+    """apply(poly.at(ell), f) - energy * f, without forming poly.at(ell): one
+    `sum_of_products` whose weights are the l0^i l1^j l2^k (`LPoly.weighted`).
+    derivs, f's table {(k1, k2): d1^k1 d2^k2 f}, is read and filled, so several
+    operators applied to one f form each derivative once."""
+    derivs = {(0, 0): f} if derivs is None else derivs
+    return sum_of_products([(w, c, _derivative(derivs, *k)) for w, op in poly.weighted(ell)
+                            for k, c in op.items()] + [(-energy, ONE, f)])
 
 
 def compose(x: DiffOp, y: DiffOp) -> DiffOp:

@@ -25,14 +25,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import diffop, linalg
-from .diffop import DiffOp, ParamVector, apply, coupling
+from .diffop import ParamVector, apply_at, coupling
 from .lpoly import LPoly, Row, as_sector, quantum_number, row_at
 from .operators import GradedOp, graded, intertwining_witness
 from .trigpoly import (COT1, COT2, PHI1, PHI2, TAN1, TAN2, TrigPoly, _reduced, frac_to_str,
                        is_zero, mul, normalized, to_obj)
 from .trigpoly import proportionality  # noqa: F401  (re-exported for comparing states)
 
-F0 = Fraction(0)
 HALF = Fraction(1, 2)
 
 
@@ -80,13 +79,6 @@ def jacobi(n: int, alpha, beta) -> JacobiPoly:
                 coeffs[i + j] += wi * math.comb(n - k, j)
     den = qa ** n * qb ** n * math.factorial(n) * 2 ** n
     return JacobiPoly(n, a, b, tuple(Fraction(c, den) for c in coeffs))
-
-
-def jacobi_eval(jp: JacobiPoly, x: Fraction) -> Fraction:
-    acc = F0
-    for c in reversed(jp.coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def jacobi_in_cos2(jp: JacobiPoly, var: int) -> TrigPoly:
@@ -159,9 +151,6 @@ class StateRecord:
     def block(self) -> tuple[str, LPoly]:
         return ("phi1 block", diffop.PHI1_BLOCK) if self.onedim else ("H", diffop.HAMILTONIAN)
 
-    def hamiltonian(self) -> DiffOp:
-        return self.block()[1].at(self.params)
-
 
 class StateCheckError(ValueError):
     """A state that fails a check at construction; `report` names the sector
@@ -181,21 +170,17 @@ def _failure(what: str, ell, operator: str, **detail) -> StateCheckError:
 
 def make_state(params, labels, wavefunction: TrigPoly, energy_val,
                onedim: bool = False) -> StateRecord:
-    """Build a StateRecord, verifying H psi = E psi exactly."""
+    """Build a StateRecord, verifying (H - E) psi = 0 exactly in one accumulation."""
     params = as_sector(params)
     energy_val = coupling(energy_val)
     if not wavefunction:
         raise ValueError("state wavefunction must be nonzero")
     rec = StateRecord(params, dict(labels), wavefunction, energy_val, onedim)
-    resid = apply(rec.hamiltonian(), wavefunction) - wavefunction.scale(energy_val)
-    if not is_zero(resid):
+    name, block = rec.block()
+    if not is_zero(apply_at(block, params, wavefunction, energy=energy_val)):
         raise _failure(f"eigenvalue equation with E={frac_to_str(energy_val)} fails",
-                       params, rec.block()[0])
+                       params, name)
     return rec
-
-
-def _monomial_state(coeff, a, b, c, d) -> TrigPoly:
-    return TrigPoly.monomial(coeff, (Fraction(a), Fraction(b), Fraction(c), Fraction(d)))
 
 
 # the exponents of cos phi1, sin phi1, cos phi2, sin phi2 in phi0, affine rows in ell
@@ -212,7 +197,7 @@ def phi0(ell, onedim: bool = False) -> TrigPoly:
     251, 267, 1995); onedim keeps its phi1 factor, the phi1-block fundamental state.
     """
     exps = [row_at(row, ell) for row in PHI0_ROWS]
-    return TrigPoly.monomial(1, exps[:2] + [F0, F0] if onedim else exps)
+    return TrigPoly.monomial(1, exps[:2] + [0, 0] if onedim else exps)
 
 
 def phi0_action(x: LPoly) -> LPoly:
@@ -247,7 +232,7 @@ def _one_label(label, name: str) -> int:
 
 def _check_annihilated(op_name: str, ell, psi: TrigPoly) -> None:
     # a zero test, so the generator's 1/2 does not matter
-    if not is_zero(apply(graded(op_name).at(as_sector(ell)), psi)):
+    if not is_zero(apply_at(graded(op_name).poly, ell, psi)):
         raise _failure(f"{op_name} does not annihilate the candidate state", ell, op_name)
 
 
@@ -299,7 +284,8 @@ def ground_state(kind: str, params) -> StateRecord:
     return make_state(sector, labels, psi, e, onedim=onedim)
 
 
-def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRecord | None:
+def ladder_build(start: StateRecord, path: Sequence[str | GradedOp],
+                 derivs=None) -> StateRecord | None:
     """Apply graded operators left-to-right with parameter bookkeeping.
 
     Returns None when the state is annihilated along the way; otherwise the
@@ -313,7 +299,8 @@ def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRec
     that fails its proof (`intertwining_witness`) raises StateCheckError, a
     ValueError, naming the step and the sector it was to act on.  A step given
     by name is its `graded` generator, one object per family row, so its proof
-    is made once per block however often the step recurs.
+    is made once per block however often the step recurs.  derivs, start's
+    derivative table (`apply_at`), is shared by the paths a caller tries on it.
     """
     state = start
     for step in path:
@@ -324,11 +311,12 @@ def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRec
             raise _failure(f"{op.name} does not intertwine the {name} for all l "
                            f"(witness {witness}); no state laddered from the state",
                            state.params, op.name, witness=witness)
-        psi = normalized(apply(op.at(state.params), state.wavefunction))
+        psi = normalized(apply_at(op.poly, state.params, state.wavefunction, derivs))
         if not psi:
             return None
         state = StateRecord(as_sector(op.target(state.params)), dict(state.labels), psi,
                             state.energy, state.onedim)
+        derivs = None   # the next step reads the new state's table
     return state
 
 
@@ -365,7 +353,7 @@ def phi2_closed_form(ell, m: int, n: int) -> TrigPoly:
     """
     (l0, l1, l2), m, n = as_sector(ell), quantum_number(m, "m"), quantum_number(n, "n")
     root = l0 + l1 + 2 * m + 1
-    pref = _monomial_state(1, 0, 0, root, l2 + HALF)
+    pref = TrigPoly.monomial(1, (0, 0, root, l2 + HALF))
     return pref * jacobi_in_cos2(jacobi(n, l2, root), var=2)
 
 
@@ -480,12 +468,13 @@ def iur_states(algebra: str, label) -> list[StateRecord]:
     while frontier:
         new_frontier = []
         for pt0, st in frontier:
+            derivs = {(0, 0): st.wavefunction}
             for op in ops:
                 pt = tuple(x + d for x, d in zip(pt0, op.shift))
                 bucket = kept.get(pt)
                 if bucket and len(bucket) >= want.get(pt, 0):
                     continue
-                nxt = ladder_build(st, [op])
+                nxt = ladder_build(st, [op], derivs)
                 if nxt is None:
                     continue
                 if pt not in want:

@@ -25,8 +25,8 @@ import random
 from fractions import Fraction
 
 from . import diffop, operators
-from .diffop import DiffOp, apply, build_hamiltonian, pv
-from .hierarchy import (StateCheckError, _monomial_state, closed_form_state, energy,
+from .diffop import DiffOp, apply, apply_at, build_hamiltonian, pv
+from .hierarchy import (StateCheckError, closed_form_state, energy,
                         ground_state, jacobi, jacobi_in_cos2, phi0, phi0_action)
 from .inner import (adjoint_residual, inner, mono_inner, mono_inner_quadrature,
                     norm, numeric_oracle_check)
@@ -410,12 +410,11 @@ def spectral_delta_report() -> list[dict]:
 
     # phi2 Jacobi parameter in the separated closed form: the printed phi2 factor
     # at (0,0,0), m = 0, n = 1 is cos phi2 sin^(1/2) phi2 P_1^(1/2, 1)(cos 2 phi2)
-    printed = _monomial_state(1, 0, 0, 1, Fraction(1, 2)) \
+    printed = TrigPoly.monomial(1, (0, 0, 1, Fraction(1, 2))) \
         * jacobi_in_cos2(jacobi(1, Fraction(1, 2), 1), var=2)
     bad = phi0((0, 0, 0), onedim=True) * printed
-    h = build_hamiltonian(pv(0, 0, 0))
     e = energy("E_mn", ell=(0, 0, 0), m=0, n=1)
-    if is_zero(apply(h, bad) - bad.scale(e)):
+    if is_zero(apply_at(diffop.HAMILTONIAN, pv(0, 0, 0), bad, energy=e)):
         computed = f"the printed P_1^(1/2, 1) solves the eigenvalue equation with " \
             f"E={frac_to_str(e)} at (0,0,0), m=0, n=1"
         witness = _delta_witness(pv(0, 0, 0), "H", m=0, n=1)
@@ -438,7 +437,7 @@ def spectral_delta_report() -> list[dict]:
     })
 
     # phi2 chain ground-state exponent (garbled in print)
-    g0 = _monomial_state(1, 0, 0, 2, Fraction(5, 2))  # l=(0,0,1), m=0, n=1 reading
+    g0 = TrigPoly.monomial(1, (0, 0, 2, Fraction(5, 2)))  # l=(0,0,1), m=0, n=1 reading
     mm = build_first_order("M", "-", pv(0, 0, 1), m=0, n=1)
     if is_zero(apply(mm, g0)):
         computed, witness = "cos^(l0+l1+2m+n+1)", {}

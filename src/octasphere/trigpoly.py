@@ -16,12 +16,12 @@ as int numerators over one denominator, reduced so that the denominator is
 positive and shares no factor with all the numerators; the kernel (sums,
 products, derivatives, the normal form) does int arithmetic only and divides
 out one gcd per result.  `linear_combine` (sum of c_i p_i) and
-`sum_of_products` (sum of p_i q_i, as operator application forms it) add every
+`sum_of_products` (sum of w_i p_i q_i, as operator application forms it) add every
 term of a sum into one int dict over one lcm denominator, so the whole sum
 divides out one gcd.  Fractions appear only at the boundary: the
 constructors validate and double Fraction (or int) exponents and take
 Fraction coefficients, and `items`, `terms`, `normal_form`, `class_reduce`,
-`coordinate_vectors` and the JSON form give Fractions back.
+`coordinate_vectors` and the JSON object form give Fractions back.
 
 The stored ("canonical") form only merges identical exponent tuples and drops
 zero coefficients; with the reduced denominator it is unique for a map of
@@ -45,7 +45,6 @@ stores p in that form, as the ladder builder keeps its states.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -288,17 +287,21 @@ def linear_combine(pairs: Sequence[tuple[Fraction, TrigPoly]]) -> TrigPoly:
     return _reduced({e: v for e, v in acc.items() if v}, den)
 
 
-def sum_of_products(pairs: Iterable[tuple[TrigPoly, TrigPoly]]) -> TrigPoly:
-    """Canonical sum of p_i * q_i: every product is added into one int dict
-    over the lcm of the denominators p_i._den * q_i._den, with one gcd."""
-    parts = [(p, q) for p, q in pairs if p._terms and q._terms]
-    den = math.lcm(*(p._den * q._den for p, q in parts))
+def sum_of_products(triples: Iterable[tuple[Fraction | int, TrigPoly, TrigPoly]]) -> TrigPoly:
+    """Canonical sum of w_i * p_i * q_i, w_i rational: every product is added into
+    one int dict over the lcm of the denominators, with one gcd."""
+    parts = []
+    for w, p, q in triples:
+        wn, wd = _ratio(w)
+        if wn and p._terms and q._terms:
+            parts.append((wn, wd * p._den * q._den, p._terms, q._terms))
+    den = math.lcm(*(d for _, d, _, _ in parts))
     acc: dict[Key, int] = {}
-    for p, q in parts:
-        m = den // (p._den * q._den)
-        for (a1, b1, c1, d1), v1 in p._terms.items():
+    for wn, d, pt, qt in parts:
+        m = wn * (den // d)
+        for (a1, b1, c1, d1), v1 in pt.items():
             v1 *= m
-            for (a2, b2, c2, d2), v2 in q._terms.items():
+            for (a2, b2, c2, d2), v2 in qt.items():
                 e = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
                 v = v1 * v2
                 v0 = acc.get(e)
@@ -353,26 +356,22 @@ def differentiate(p: TrigPoly, var: int) -> TrigPoly:
 ClassKey = tuple[Fraction, Fraction, Fraction, Fraction]
 
 
-@functools.cache
 def _pythagoras(i: int, j: int) -> tuple[tuple[int, int, int], ...]:
     """cos^(2i) sin^(2j) over the basis {sin^(2j)} u {cos^(-2k), k >= 1}.
 
     Returns (i', j', coeff) triples with i' == 0, or i' < 0 and j' == 0: the
-    partial-fraction expansion in s = sin^2 of s^j / (1 - s)^(-i).
+    partial-fraction expansion in s = sin^2 of s^j / u^k, u = 1 - s, k = -i:
+        s^j / u^k = sum_{m<k} (-1)^m C(j, m) u^(m-k) + (-1)^k sum_r C(j-1-r, k-1) s^r,
+        s^-a / u^k = sum_{r=1..a} C(a+k-r-1, k-1) s^-r + sum_{r=1..k} C(a+k-r-1, a-1) u^-r.
     """
     if i >= 0:  # (1 - sin^2)^i sin^(2j)
         return tuple((0, j + m, (-1) ** m * math.comb(i, m)) for m in range(i + 1))
-    if j == 0:
-        return ((i, 0, 1),)
-    if j > 0:  # sin^2 = 1 - cos^2
-        parts = ((1, _pythagoras(i, j - 1)), (-1, _pythagoras(i + 1, j - 1)))
-    else:  # 1 = cos^2 + sin^2
-        parts = ((1, _pythagoras(i + 1, j)), (1, _pythagoras(i, j + 1)))
-    acc: dict[tuple[int, int], int] = {}
-    for sign, terms in parts:
-        for i2, j2, c in terms:
-            acc[i2, j2] = acc.get((i2, j2), 0) + sign * c
-    return tuple((i2, j2, c) for (i2, j2), c in acc.items() if c)
+    k, a = -i, -j
+    if j >= 0:
+        return tuple((m - k, 0, (-1) ** m * math.comb(j, m)) for m in range(min(k, j + 1))) \
+            + tuple((0, r, (-1) ** k * math.comb(j - 1 - r, k - 1)) for r in range(j - k + 1))
+    return tuple((0, -r, math.comb(a + k - r - 1, k - 1)) for r in range(a, 0, -1)) \
+        + tuple((-r, 0, math.comb(a + k - r - 1, a - 1)) for r in range(1, k + 1))
 
 
 @functools.cache
@@ -536,14 +535,6 @@ def from_obj(obj: dict) -> TrigPoly:
         exps = tuple(frac_from_str(e) for e in obj_field(t, "exps", list))
         acc[exps] = acc.get(exps, Fraction(0)) + frac_from_str(obj_field(t, "coeff", str))
     return TrigPoly(acc)
-
-
-def to_json(p: TrigPoly) -> str:
-    return json.dumps(to_obj(p), separators=(",", ":"))
-
-
-def from_json(s: str) -> TrigPoly:
-    return from_obj(json.loads(s))
 
 
 # -- common monomials --------------------------------------------------------

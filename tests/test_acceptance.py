@@ -21,7 +21,7 @@ from octasphere.operators import (SO6_CONSTANT, SO6_CONSTANT_PRINTED,
                                   solve_multiplier, structure_table)
 from octasphere.suites import run_suite, spectral_delta_report
 from octasphere.superpotential import kinetic_rotation_check, riccati_check
-from octasphere.trigpoly import is_zero
+from octasphere.trigpoly import TrigPoly, is_zero
 
 F = Fraction
 
@@ -170,11 +170,10 @@ def test_criterion_06_ladder_jacobi_equivalence():
                 c = proportionality(laddered.wavefunction, closed.wavefunction)
                 assert c is not None and c != 0, (l0, l1, m)
     # the phi2 chain against the (corrected-parameter) Jacobi closed form
-    from octasphere.hierarchy import _monomial_state
     for (l0, l1, l2, m) in ((0, 0, 0, 0), (1, 0, 1, 0), (1, 1, 0, 1)):
         root = l0 + l1 + 2 * m + 1
         for n in range(6):
-            g = _monomial_state(1, 0, 0, root + n, F(l2) + n + F(1, 2))
+            g = TrigPoly.monomial(1, (0, 0, root + n, F(l2) + n + F(1, 2)))
             for k in range(n - 1, -1, -1):
                 g = apply(build_first_order("M", "+", pv(l0, l1, l2), m=m, n=k), g)
             c = proportionality(g, phi2_closed_form((l0, l1, l2), m, n))

@@ -114,6 +114,18 @@ def test_so6_q4_states_round_trip_in_normal_form(tmp_path):
         assert normal_form(psi) == dict(psi.items())
 
 
+def test_states_file_is_one_state_per_line_and_rewrites_byte_identically(tmp_path):
+    from octasphere.hierarchy import iur_states, state_to_obj
+    assert run_cli(["iur", "--algebra", "u3", "--m", "2", "--n", "1", "--emit", "states",
+                    "--out", str(tmp_path)]) == 0
+    raw = (tmp_path / "u3_2_1_states.json").read_text()
+    objs = json.loads(raw)
+    assert objs == [state_to_obj(s) for s in iur_states("u3", (2, 1))]
+    lines = raw.splitlines()
+    assert (lines[0], lines[-1], len(lines)) == ("[", "]", len(objs) + 2)
+    assert "[\n" + ",\n".join(json.dumps(o) for o in objs) + "\n]\n" == raw
+
+
 def test_spectrum_rows(capsys):
     assert run_cli(["spectrum", "--qmax", "1"]) == 0
     out = capsys.readouterr().out

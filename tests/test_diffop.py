@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from octasphere import diffop, trigpoly
 from octasphere.diffop import (HAMILTONIAN, MAX_ORDER, PHI1_BLOCK, PHI2_BLOCK, DiffOp, apply,
-                               build_hamiltonian, build_phi1_block, compose, is_zero_op, pv)
-from octasphere.operators import build_first_order
+                               apply_at, build_hamiltonian, build_phi1_block, compose,
+                               is_zero_op, pv)
+from octasphere.operators import LADDER_NAMES, TILDE_NAMES, build_first_order, graded
 from octasphere.trigpoly import (COS1, ONE, PHI1, PHI2, SIN1, TAN1, TrigPoly, TrigTerm,
                                  differentiate, is_zero, mul)
 
@@ -246,3 +247,46 @@ def test_applying_the_hamiltonian_forms_each_derivative_once(monkeypatch):
     assert calls == {"differentiate": 4, "mul": 0, "add": 0}
     monkeypatch.undo()
     assert got == _reference_apply(h, f)
+
+
+# -- operator polynomials applied at a sector ------------------------------------------
+
+AT_SECTORS = [pv(0, 0, 0), pv(2, -1, 3), pv(-3, 4, 1), pv(F(1, 2), 2, F(-1, 3)),
+              pv(F(-7, 4), F(2, 5), F(3, 2)), pv(F(-1, 2), F(-1, 2), F(-1, 2))]
+AT_FUNCTIONS = [mono(1, HALF, HALF, 1, HALF),
+                mono(2, HALF, F(3, 2), 1, HALF) + mono(F(-1, 3), -1, HALF, F(5, 2), 2),
+                mono(F(5, 4), F(-3, 2), 2, 0, F(-1, 2)) + mono(-1, 1, 1, 1, 1)
+                + mono(F(2, 7), 0, F(5, 2), -2, 3)]
+AT_POLYS = {"H": HAMILTONIAN, "phi1 block": PHI1_BLOCK,
+            **{name: graded(name).poly for name in LADDER_NAMES + TILDE_NAMES}}
+
+
+@pytest.mark.parametrize("name", list(AT_POLYS))
+def test_applying_a_polynomial_at_a_sector_is_applying_its_value_there(name):
+    # the weights l0^i l1^j l2^k go into the one accumulation: the same poly,
+    # with its terms in the same stored order, as applying the operator formed there
+    poly = AT_POLYS[name]
+    for ell in AT_SECTORS:
+        for f in AT_FUNCTIONS:
+            want = apply(poly.at(ell), f)
+            got = apply_at(poly, ell, f)
+            assert got == want and list(got._terms) == list(want._terms), (ell, f)
+            assert apply_at(poly, ell, f, energy=F(-7, 3)) == want + f.scale(F(7, 3))
+
+
+def test_operators_applied_to_one_function_share_its_derivative_table(monkeypatch):
+    # every first-order generator reads d1 f and d2 f from one table, each formed once
+    f, ell = AT_FUNCTIONS[2], pv(F(1, 2), 2, F(-1, 3))
+    calls = []
+    real = diffop.differentiate
+
+    def counted(p, var):
+        calls.append(var)
+        return real(p, var)
+
+    monkeypatch.setattr(diffop, "differentiate", counted)
+    derivs = {(0, 0): f}
+    got = [apply_at(graded(name).poly, ell, f, derivs) for name in LADDER_NAMES + TILDE_NAMES]
+    assert sorted(calls) == [PHI1, PHI2] and set(derivs) == {(0, 0), (1, 0), (0, 1)}
+    monkeypatch.undo()
+    assert got == [apply(graded(name).at(ell), f) for name in LADDER_NAMES + TILDE_NAMES]

@@ -1,5 +1,7 @@
 """States, spectra, Jacobi closed forms, ladders and representation lattices."""
 
+import hashlib
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -7,11 +9,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from octasphere import hierarchy
+from octasphere import hierarchy, operators
 from octasphere.diffop import apply, build_hamiltonian, pv
 from octasphere.hierarchy import (closed_form_state, energy,
                                   ground_state, iso_energy_decomposition,
-                                  iur_lattice, iur_states, jacobi, jacobi_eval, jacobi_in_cos2,
+                                  iur_lattice, iur_states, jacobi, jacobi_in_cos2,
                                   ladder_build, lattice_to_csv, make_state,
                                   phi2_closed_form, proportionality,
                                   so6_dimension, state_to_obj)
@@ -48,8 +50,8 @@ def test_jacobi_p2_legendre():
 def test_jacobi_three_term_consistency():
     # recurrence output matches the hypergeometric series at sample points
     jp = jacobi(4, F(1, 2), F(3))
-    # P_n^{(a,b)}(1) = C(n+a, n)
-    assert jacobi_eval(jp, F(1)) == F(9 * 7 * 5 * 3, 2 ** 4 * 24)
+    # P_n^{(a,b)}(1) = C(n+a, n), the sum of the coefficients
+    assert sum(jp.coeffs) == F(9 * 7 * 5 * 3, 2 ** 4 * 24)
 
 
 def test_jacobi_degenerate_parameters():
@@ -76,7 +78,7 @@ def test_jacobi_value_at_one(n):
     grid = [F(k, 2) for k in range(-6, 7)]
     for a in grid:
         for b in grid:
-            assert jacobi_eval(jacobi(n, a, b), F(1)) == _gen_binom(n + a, n), (a, b)
+            assert sum(jacobi(n, a, b).coeffs) == _gen_binom(n + a, n), (a, b)
 
 
 def test_jacobi_negative_degree_rejected():
@@ -417,11 +419,10 @@ def test_ladder_jacobi_equivalence_sample():
 
 def test_phi2_ladder_jacobi_equivalence():
     from octasphere.diffop import apply as apply_op
-    from octasphere.hierarchy import _monomial_state
     l0, l1, l2, m = 1, 0, 1, 0
     root = l0 + l1 + 2 * m + 1
     for n in range(1, 4):
-        g = _monomial_state(1, 0, 0, root + n, l2 + n + HALF)  # chain ground at level n
+        g = mono(1, 0, 0, root + n, l2 + n + HALF)  # chain ground at level n
         for k in range(n - 1, -1, -1):
             g = apply_op(build_first_order("M", "+", pv(l0, l1, l2), m=m, n=k), g)
         closed = phi2_closed_form((l0, l1, l2), m, n)
@@ -547,23 +548,29 @@ def test_every_laddered_state_solves_its_eigenvalue_equation(kind):
     # independent of the intertwining proofs that let ladder_build skip this:
     # H psi = E psi exactly, and the exact apply against finite differences
     for s in LADDERED[kind]():
-        h = s.hamiltonian()
+        h = s.block()[1].at(s.params)
         assert is_zero(apply(h, s.wavefunction) - s.wavefunction.scale(s.energy)), s.params
         assert numeric_oracle_check(h, s.wavefunction, ORACLE_POINTS) <= 1e-6, s.params
 
 
 @pytest.mark.parametrize("kind", list(LADDERED))
 def test_every_laddered_state_is_stored_as_the_normal_form_of_its_raw_step(kind, monkeypatch):
-    # each stored wavefunction is the normal form of the raw apply (or raw
-    # fundamental state) it came from: the same function, in normal form
-    made = []
-    real = hierarchy.normalized
+    # each stored wavefunction is the normal form of the raw step it came from,
+    # an operator applied at its sector (`apply_at`), or of the raw fundamental
+    # state phi0: the same function, in normal form
+    made, steps = [], []
+    real_normalized, real_apply_at = hierarchy.normalized, hierarchy.apply_at
 
     def recording(p):
-        made.append((real(p), p))
+        made.append((real_normalized(p), p))
         return made[-1][0]
 
+    def stepping(*args, **kwargs):
+        steps.append(real_apply_at(*args, **kwargs))
+        return steps[-1]
+
     monkeypatch.setattr(hierarchy, "normalized", recording)
+    monkeypatch.setattr(hierarchy, "apply_at", stepping)
     for s in LADDERED[kind]():
         if kind == "phi1_m_le_3" and s.labels["m"] == 0:
             continue   # no step taken: ladder_build returns its start as built
@@ -571,6 +578,7 @@ def test_every_laddered_state_is_stored_as_the_normal_form_of_its_raw_step(kind,
         assert normal_form(psi) == dict(psi.items()), s.params
         raw = next(p for out, p in made if out is psi)
         assert proportionality(psi, raw) == 1, s.params
+        assert any(raw is r for r in steps) or raw == hierarchy.phi0(s.params, s.onedim), s.params
 
 
 def test_a_one_variable_state_is_laddered_only_by_steps_that_intertwine_the_phi1_block():
@@ -587,6 +595,57 @@ def test_a_graded_product_step_ladders_like_its_two_steps():
     assert both is not None and steps is not None
     assert (both.params, both.energy) == (steps.params, steps.energy) == (pv(-1, 0, 1), start.energy)
     assert is_zero(both.wavefunction - steps.wavefunction)
+
+
+def test_a_graded_product_step_is_built_and_proved_once():
+    operators.reset()
+    start = ground_state("so6", (2,))
+    misses = operators.intertwining_witness.cache_info().misses
+    for _ in range(2):
+        assert ladder_build(start, [graded_product(graded("A+"), graded("C+"))]) is not None
+    assert operators.intertwining_witness.cache_info().misses == misses + 1
+    assert graded_product(graded("A+"), graded("C+")) is graded_product(graded("A+"), graded("C+"))
+
+
+def _sha256_of_states(states):
+    obj = [[state_to_obj(s), [[list(k), n] for k, n in s.wavefunction._terms.items()],
+            s.wavefunction._den] for s in states]
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+
+# each state's JSON object with its stored term order and denominator, as written
+# by the sweep that formed each step's operator at its sector and then applied it
+SWEPT_STATES = {
+    ("so6", (3,)): "360876b8d7fb10f89384fde7b82841198a5ca6bbe4ddc1986852e14aa0b08677",
+    ("so6", (4,)): "43a66d52eb27fd2b415867c446069cc4fe3af76b04365c84710d1121fa622fa3",
+    ("so4", (7,)): "4d20070d7d13848cf725389194ed0a9ef9d063a5cd54e895715ae079e068bf1a",
+    ("u3", (3, 2)): "ae305925d17cb67115d8051e0777a1d75e76242efad0d596235808ecb3afbd9e",
+}
+
+
+@pytest.mark.parametrize("algebra,label", list(SWEPT_STATES))
+def test_iur_states_are_the_states_of_each_operator_formed_at_its_sector(algebra, label,
+                                                                         monkeypatch):
+    # the shared derivative tables and the weights folded into one accumulation
+    # give the states, stored term order included, of the unshared path
+    got = iur_states(algebra, label)
+    assert _sha256_of_states(got) == SWEPT_STATES[algebra, label]
+
+    def formed_at(poly, ell, f, derivs=None, energy=0):
+        return apply(poly.at(ell), f) - f.scale(energy)
+
+    monkeypatch.setattr(hierarchy, "apply_at", formed_at)
+    want = iur_states(algebra, label)
+    assert [(s.params, s.labels, s.energy) for s in got] \
+        == [(s.params, s.labels, s.energy) for s in want]
+    assert [list(s.wavefunction._terms.items()) for s in got] \
+        == [list(s.wavefunction._terms.items()) for s in want]
+
+
+def test_a_ground_state_at_a_high_sector_returns():
+    # its normal forms hold sin powers in the thousands, one recursion level each before
+    st = ground_state("so6", (2000,))
+    assert st.energy == energy("E_q", q=2000) and len(st.wavefunction) == 1
 
 
 IURS = [("u3", (1, 1)), ("so6", (2,)), ("so6", (4,)), ("so4", (3,)), ("u3", (2, 1))]

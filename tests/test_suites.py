@@ -211,9 +211,9 @@ def test_a_warm_report_forms_no_product_or_intertwining_identity(monkeypatch):
     assert warm == cold
 
 
-MEMOS = (operators._generator, operators._casimir_residual, operators.intertwining_witness,
-         operators._structure_table, operators._printed_delta_report,
-         suites._antisymmetry_witness, suites._jacobi_witness)
+MEMOS = (operators._generator, operators.graded_product, operators._casimir_residual,
+         operators.intertwining_witness, operators._structure_table,
+         operators._printed_delta_report, suites._antisymmetry_witness, suites._jacobi_witness)
 
 
 def test_one_reset_reproves_every_memo_and_keeps_no_entry(monkeypatch, capsys):
@@ -253,7 +253,7 @@ def _printed_phi2_closed_form(ell, m, n):
     # the phi2 factor with the printed first Jacobi parameter l2 + 1/2
     (l0, l1, l2), half = pv(*ell), Fraction(1, 2)
     root = l0 + l1 + 2 * m + 1
-    return hierarchy._monomial_state(1, 0, 0, root, l2 + half) \
+    return TrigPoly.monomial(1, (0, 0, root, l2 + half)) \
         * hierarchy.jacobi_in_cos2(hierarchy.jacobi(n, l2 + half, root), var=2)
 
 

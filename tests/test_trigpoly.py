@@ -1,5 +1,6 @@
 """Exact trig-monomial algebra: spec'd examples plus algebraic property tests."""
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octasphere.trigpoly import (COS1, COS2, ONE, PHI1, PHI2, SIN1, SIN2, TAN1,
-                                 TAN2, TrigPoly, TrigTerm, _angle_basis, differentiate,
-                                 eval_numeric, frac_from_str,
-                                 from_json, from_obj, is_zero, linear_combine, mul,
-                                 normal_form, proportionality, sum_of_products, to_json)
+                                 TAN2, TrigPoly, TrigTerm, _angle_basis, _pythagoras,
+                                 differentiate, eval_numeric, frac_from_str, from_obj,
+                                 is_zero, linear_combine, mul, normal_form, proportionality,
+                                 sum_of_products, to_obj)
 
 F = Fraction
 HALF = F(1, 2)
@@ -19,6 +20,16 @@ HALF = F(1, 2)
 
 def mono(c, a, b, cc, d):
     return TrigPoly.monomial(c, (F(a), F(b), F(cc), F(d)))
+
+
+def to_json(p):
+    """p as compact JSON text: `to_obj` written by `json.dumps`."""
+    return json.dumps(to_obj(p), separators=(",", ":"))
+
+
+def from_json(s):
+    """A TrigPoly read from JSON text: `from_obj` of the parsed value."""
+    return from_obj(json.loads(s))
 
 
 # -- linear_combine ------------------------------------------------------------
@@ -412,12 +423,49 @@ def test_kernel_matches_a_fraction_reference(p, q, c, var):
 
 
 @settings(max_examples=100, deadline=None)
-@given(polys, polys, polys, coeffs)
-def test_sum_of_products_matches_a_fraction_reference(p, q, r, c):
-    # the second and last products cancel, and a zero factor contributes nothing
-    pairs = [(p, q), (q.scale(c), r), (TrigPoly.zero(), p), (r, q.scale(-c)), (p, ONE)]
-    got = sum_of_products(pairs)
-    want = _ref_sum([(1, _ref_mul(dict(a.items()), dict(b.items()))) for a, b in pairs])
+@given(polys, polys, polys, coeffs, coeffs)
+def test_sum_of_products_matches_a_fraction_reference(p, q, r, c, w):
+    # the second and fifth products cancel; a zero weight or factor contributes nothing
+    triples = [(1, p, q), (w, q.scale(c), r), (F(3, 7), TrigPoly.zero(), p), (0, p, r),
+               (w, r, q.scale(-c)), (-2, p, ONE), (w, ONE, q), (F(-5, 6), q, p)]
+    got = sum_of_products(triples)
+    want = _ref_sum([(x, _ref_mul(dict(a.items()), dict(b.items()))) for x, a, b in triples])
     assert _canonical(got) and _int_keyed(got) and dict(got.items()) == want
-    assert got == mul(p, q) + p
+    assert got == mul(p, q) + p.scale(-2) + q.scale(w) + mul(q, p).scale(F(-5, 6))
+    assert sum_of_products([(1, p, q), (1, p, ONE)]) == mul(p, q) + p
     assert sum_of_products([]) == TrigPoly.zero()
+
+
+@functools.cache
+def _recursive_pythagoras(i, j):
+    """The table as a recursion on sin^2 = 1 - cos^2 and 1 = cos^2 + sin^2,
+    one level per power of sin^2."""
+    if i >= 0:
+        return tuple((0, j + m, (-1) ** m * math.comb(i, m)) for m in range(i + 1))
+    if j == 0:
+        return ((i, 0, 1),)
+    if j > 0:
+        parts = ((1, _recursive_pythagoras(i, j - 1)), (-1, _recursive_pythagoras(i + 1, j - 1)))
+    else:
+        parts = ((1, _recursive_pythagoras(i + 1, j)), (1, _recursive_pythagoras(i, j + 1)))
+    acc = {}
+    for sign, terms in parts:
+        for i2, j2, c in terms:
+            acc[i2, j2] = acc.get((i2, j2), 0) + sign * c
+    return tuple((i2, j2, c) for (i2, j2), c in acc.items() if c)
+
+
+def test_pythagoras_closed_form_is_the_recursion():
+    # the same triples in the same order, so every normal form keeps its key order
+    for i in range(-12, 13):
+        for j in range(-12, 13):
+            assert _pythagoras(i, j) == _recursive_pythagoras(i, j), (i, j)
+
+
+@pytest.mark.parametrize("j", [1900, 3000, 5000])
+def test_normal_form_of_a_high_sine_power_over_a_secant_returns(j):
+    # the recursion went one level per power of sin^2 and raised RecursionError here
+    p = TrigPoly.monomial(1, (-2, 2 * j, 0, 0))
+    assert not is_zero(p)
+    assert len(normal_form(p)) == j + 1   # sec^2 and sin^0 .. sin^(2j - 2)
+    assert is_zero(p - mul(p, COS1 * COS1 + SIN1 * SIN1))
