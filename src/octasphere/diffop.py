@@ -137,8 +137,12 @@ def apply_at(poly: LPoly, ell, f: TrigPoly, derivs: dict | None = None, energy=0
     """apply(poly.at(ell), f) - energy * f, without forming poly.at(ell): one
     `sum_of_products` whose weights are the l0^i l1^j l2^k (`LPoly.weighted`).
     derivs, f's table {(k1, k2): d1^k1 d2^k2 f}, is read and filled, so several
-    operators applied to one f form each derivative once."""
-    derivs = {(0, 0): f} if derivs is None else derivs
+    operators applied to one f form each derivative once; a table whose (0, 0)
+    entry is not f itself raises ValueError."""
+    if derivs is None:
+        derivs = {(0, 0): f}
+    elif derivs.get((0, 0)) is not f:
+        raise ValueError("derivs is not the derivative table of f")
     return sum_of_products([(w, c, _derivative(derivs, *k)) for w, op in poly.weighted(ell)
                             for k, c in op.items()] + [(-energy, ONE, f)])
 

@@ -300,7 +300,8 @@ def ladder_build(start: StateRecord, path: Sequence[str | GradedOp],
     ValueError, naming the step and the sector it was to act on.  A step given
     by name is its `graded` generator, one object per family row, so its proof
     is made once per block however often the step recurs.  derivs, start's
-    derivative table (`apply_at`), is shared by the paths a caller tries on it.
+    derivative table (`apply_at`), is shared by the paths a caller tries on it;
+    a table of another function raises ValueError.
     """
     state = start
     for step in path:

@@ -38,9 +38,8 @@ arguments, each an immutable table row or the one polynomial object built
 from it.  Each table is read at the call from its one home (the Hamiltonian
 and the phi1 block from `diffop`, the rest and the so(6) constant from here),
 so a replaced table is a new key and no memo serves a stale verdict.
-The generators (`_generator`, on the family row, reflection axis and sign),
-the composite steps (`graded_product`, on their two factors) and the Casimir
-residuals (`_casimir_residual`) are memoised polynomials.
+The generators (`_generator`, on the family row, reflection axis and sign)
+and the Casimir residuals (`_casimir_residual`) are memoised polynomials.
 Each proof for every ell is a verdict memo (`verdict_memo`), which hands
 every caller its own copy: the intertwinings (`intertwining_witness`, on the
 generator and the block), the structure table (`_structure_table`, on the
@@ -279,18 +278,12 @@ def _diagonal(name: str, row: Row) -> GradedOp:
 DIAGONAL_NAMES = ["A", "B", "C"]
 
 
-def _compose_graded(x: GradedOp, y: GradedOp) -> GradedOp:
-    """X at the target of Y composed with Y, as a polynomial in ell."""
+def graded_product(x: GradedOp, y: GradedOp) -> GradedOp:
+    """Composite ladder operator X∘Y (e.g. the two-unit shifts A^± At^±): X at
+    the target of Y composed with Y, as a polynomial in ell."""
     shift = tuple(a + b for a, b in zip(x.shift, y.shift))
     return GradedOp(f"{x.name}*{y.name}", shift,
                     x.poly.shift(y.shift).product(y.poly, compose))
-
-
-@functools.cache
-def graded_product(x: GradedOp, y: GradedOp) -> GradedOp:
-    """Composite ladder operator X∘Y (e.g. the two-unit shifts A^± At^±), one
-    object per pair of factors, so a composite step is built and proved once."""
-    return _compose_graded(x, y)
 
 
 _VERDICT_MEMOS: list = []   # every `verdict_memo`, emptied by `reset`
@@ -316,7 +309,6 @@ def reset() -> None:
     rebuilt as a new object and each proof formed afresh.  A replaced table
     row needs no reset (it is a new key); a mutant of code does."""
     _generator.cache_clear()
-    graded_product.cache_clear()
     _casimir_residual.cache_clear()
     for memo in _VERDICT_MEMOS:
         memo.cache_clear()
@@ -436,8 +428,8 @@ def graded_commutator(x: GradedOp, y: GradedOp, ell: ParamVector) -> tuple[DiffO
 
 
 def graded_bracket(x: GradedOp, y: GradedOp) -> GradedOp:
-    """[X, Y] as a polynomial in ell; its products are not memoised (a report's hold 0.9 MB)."""
-    xy, yx = _compose_graded(x, y), _compose_graded(y, x)
+    """[X, Y] as a polynomial in ell."""
+    xy, yx = graded_product(x, y), graded_product(y, x)
     return GradedOp(f"[{x.name},{y.name}]", xy.shift, xy.poly - yx.poly)
 
 

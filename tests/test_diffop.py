@@ -290,3 +290,12 @@ def test_operators_applied_to_one_function_share_its_derivative_table(monkeypatc
     assert sorted(calls) == [PHI1, PHI2] and set(derivs) == {(0, 0), (1, 0), (0, 1)}
     monkeypatch.undo()
     assert got == [apply(graded(name).at(ell), f) for name in LADDER_NAMES + TILDE_NAMES]
+
+
+def test_a_derivative_table_of_another_function_raises_value_error():
+    # the table is trusted only as the table of the very f it is passed with
+    f, g, ell = AT_FUNCTIONS[1], AT_FUNCTIONS[2], pv(1, 2, 3)
+    with pytest.raises(ValueError, match="derivative table of f"):
+        apply_at(graded("A+").poly, ell, f, {(0, 0): g})
+    with pytest.raises(ValueError, match="derivative table of f"):
+        apply_at(graded("A+").poly, ell, f, {(0, 0): trigpoly.from_obj(trigpoly.to_obj(f))})

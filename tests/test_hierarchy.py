@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from octasphere import hierarchy, operators
+from octasphere import hierarchy
 from octasphere.diffop import apply, build_hamiltonian, pv
 from octasphere.hierarchy import (closed_form_state, energy,
                                   ground_state, iso_energy_decomposition,
@@ -597,14 +597,12 @@ def test_a_graded_product_step_ladders_like_its_two_steps():
     assert is_zero(both.wavefunction - steps.wavefunction)
 
 
-def test_a_graded_product_step_is_built_and_proved_once():
-    operators.reset()
-    start = ground_state("so6", (2,))
-    misses = operators.intertwining_witness.cache_info().misses
-    for _ in range(2):
-        assert ladder_build(start, [graded_product(graded("A+"), graded("C+"))]) is not None
-    assert operators.intertwining_witness.cache_info().misses == misses + 1
-    assert graded_product(graded("A+"), graded("C+")) is graded_product(graded("A+"), graded("C+"))
+def test_ladder_build_rejects_the_derivative_table_of_another_state():
+    start, other = ground_state("so6", (2,)), ground_state("so6", (3,))
+    with pytest.raises(ValueError, match="derivative table of f"):
+        ladder_build(start, ["A+"], {(0, 0): other.wavefunction})
+    shared = {(0, 0): start.wavefunction}
+    assert ladder_build(start, ["A+"], shared) == ladder_build(start, ["A+"])
 
 
 def _sha256_of_states(states):

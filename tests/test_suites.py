@@ -211,9 +211,9 @@ def test_a_warm_report_forms_no_product_or_intertwining_identity(monkeypatch):
     assert warm == cold
 
 
-MEMOS = (operators._generator, operators.graded_product, operators._casimir_residual,
-         operators.intertwining_witness, operators._structure_table,
-         operators._printed_delta_report, suites._antisymmetry_witness, suites._jacobi_witness)
+MEMOS = (operators._generator, operators._casimir_residual, operators.intertwining_witness,
+         operators._structure_table, operators._printed_delta_report,
+         suites._antisymmetry_witness, suites._jacobi_witness)
 
 
 def test_one_reset_reproves_every_memo_and_keeps_no_entry(monkeypatch, capsys):
