@@ -6,8 +6,7 @@ Casimir elements, the Riccati-type potential identity), every eigenvalue and
 every representation count in this package is certified over the rationals.
 """
 
-from .diffop import (DiffOp, apply, build_hamiltonian, build_phi1_block,
-                     compose, is_zero_op, pv)
+from .diffop import DiffOp, apply, build_hamiltonian, compose, is_zero_op, pv
 from .hierarchy import (IurLattice, JacobiPoly, StateRecord, closed_form_state,
                         energy, ground_state, iso_energy_decomposition, iur_lattice,
                         iur_states, jacobi, ladder_build, make_state)
@@ -15,7 +14,7 @@ from .inner import GramReport, adjoint_residual, gram, mono_inner, norm
 from .operators import (GradedOp, build_first_order, casimir_identity,
                         diagonal, graded, graded_commutator, intertwine_residual,
                         solve_multiplier, structure_table)
-from .superpotential import decompose, kinetic_rotation_check, riccati_check
+from .superpotential import kinetic_rotation_check, riccati_check
 from .trigpoly import (TrigPoly, TrigTerm, differentiate, eval_numeric, is_zero,
                        linear_combine, mul)
 

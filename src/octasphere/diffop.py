@@ -10,22 +10,31 @@ A DiffOp, like its TrigPoly coefficients, is immutable by convention: nothing
 mutates `_terms` after construction.  Equality is structural (equal
 coefficients at equal orders); operators are not hashable.
 
+The ladder builder and every eigen or annihilation check apply an operator
+polynomial at a sector through `apply_normal_at`, which adds memoised
+normal-form images of f's monomials (`_image`, `_monomial_image`, keyed on
+the polynomial object and int tuples; `operators.reset` empties them) into
+one int accumulation.
+
 The Hamiltonian family is defined once, as the quadratic polynomial in the
 couplings `HAMILTONIAN` (an LPoly), assembled from its separated blocks
 H = PHI2_BLOCK + sec^2 phi2 PHI1_BLOCK, each inverse-square term written by
-one coupling rule; `build_hamiltonian(ell)` and `build_phi1_block` are values
-of these polynomials, assembled with `linear_combine` and `DiffOp._raw`, so no
-term is re-validated per sector.  Both tables live here only: every module
-reads `diffop.HAMILTONIAN` and `diffop.PHI1_BLOCK` at the call, never a copy.
+one coupling rule; `build_hamiltonian(ell)` and `PHI1_BLOCK.at(ell)` are
+values of these polynomials, assembled with `linear_combine` and
+`DiffOp._raw`, so no term is re-validated per sector.  Both tables live here
+only: every module reads `diffop.HAMILTONIAN` and `diffop.PHI1_BLOCK` at the
+call, never a copy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
-from .lpoly import ZERO, LPoly, ParamVector, coupling, pv  # noqa: F401  (pv re-exported)
-from .trigpoly import PHI1, PHI2, ONE, TrigPoly, differentiate, is_zero, sum_of_products
+from .lpoly import ZERO, LPoly, Mono, ParamVector, coupling, pv  # noqa: F401  (pv re-exported)
+from .trigpoly import (PHI1, PHI2, ONE, Key, TrigPoly, _new, _ratio, _reduced, differentiate,
+                       is_zero, normalized, sum_of_products)
 
 MAX_ORDER = 4
 
@@ -133,18 +142,47 @@ def apply(op: DiffOp, f: TrigPoly) -> TrigPoly:
     return sum_of_products((1, c, _derivative(derivs, *k)) for k, c in op.items())
 
 
-def apply_at(poly: LPoly, ell, f: TrigPoly, derivs: dict | None = None, energy=0) -> TrigPoly:
-    """apply(poly.at(ell), f) - energy * f, without forming poly.at(ell): one
-    `sum_of_products` whose weights are the l0^i l1^j l2^k (`LPoly.weighted`).
-    derivs, f's table {(k1, k2): d1^k1 d2^k2 f}, is read and filled, so several
-    operators applied to one f form each derivative once; a table whose (0, 0)
-    entry is not f itself raises ValueError."""
-    if derivs is None:
-        derivs = {(0, 0): f}
-    elif derivs.get((0, 0)) is not f:
-        raise ValueError("derivs is not the derivative table of f")
-    return sum_of_products([(w, c, _derivative(derivs, *k)) for w, op in poly.weighted(ell)
-                            for k, c in op.items()] + [(-energy, ONE, f)])
+@functools.cache
+def _image(poly: LPoly, mono: Mono, key: Key) -> TrigPoly:
+    """The normal form of poly's l^mono coefficient applied to the monomial with
+    doubled exponents key (`trigpoly.normalized`)."""
+    return normalized(apply(poly.coeff(mono), _new({key: 1}, 1)))
+
+
+@functools.cache
+def _monomial_image(key: Key) -> TrigPoly:
+    """The normal form of the monomial with doubled exponents key."""
+    return normalized(_new({key: 1}, 1))
+
+
+def apply_normal_at(poly: LPoly, ell, f: TrigPoly, energy=0) -> TrigPoly:
+    """normalized(apply(poly.at(ell), f) - energy * f), empty exactly when that
+    is the zero function, without forming poly.at(ell), a derivative of f or a
+    raw result.  Application and the normal form are both linear over Q, so
+    the result is the sum over the monomials x^k of f and the ell-monomials m
+    of poly of f_k l^m NF(poly_m x^k) - f_k energy NF(x^k); each image is
+    memoised (`_image`, `_monomial_image`), and all are added into one int
+    dict over the lcm of their denominators with one gcd."""
+    en, ed = _ratio(energy)
+    weights = [(m, *_ratio(w)) for m, w, _ in poly.weighted(ell) if w]
+    parts = []
+    for key, n in f._terms.items():
+        for m, wn, wd in weights:
+            img = _image(poly, m, key)
+            if img._terms:
+                parts.append((n * wn, wd * img._den, img._terms))
+        if en:
+            img = _monomial_image(key)
+            parts.append((-n * en, ed * img._den, img._terms))
+    den = math.lcm(*{d for _, d, _ in parts})
+    acc: dict[Key, int] = {}
+    for c, d, terms in parts:
+        c *= den // d
+        for e, v in terms.items():
+            v *= c
+            v0 = acc.get(e)
+            acc[e] = v if v0 is None else v0 + v
+    return _reduced({e: v for e, v in acc.items() if v}, den * f._den)
 
 
 def compose(x: DiffOp, y: DiffOp) -> DiffOp:
@@ -221,7 +259,3 @@ def build_hamiltonian(ell: ParamVector) -> DiffOp:
     """Separated two-sphere Hamiltonian at parameters (l0, l1, l2): HAMILTONIAN there."""
     return HAMILTONIAN.at(ell)
 
-
-def build_phi1_block(l0, l1) -> DiffOp:
-    """One-dimensional block -d1^2 + (l0^2-1/4) sec^2 phi1 + (l1^2-1/4) csc^2 phi1."""
-    return PHI1_BLOCK.at((l0, l1, 0))

@@ -6,7 +6,10 @@ eigenstate by theorem, because `ladder_build` proves once per distinct step
 that the step intertwines the record's `block`, the Hamiltonian or the phi1
 block read from their one home `diffop` at the call, for every ell (Infeld &
 Hull, Rev. Mod. Phys. 23, 21, 1951).  Laddered states, and every state
-`iur_states` emits, are stored in normal form (`trigpoly.normalized`).  The
+`iur_states` emits, are stored in normal form (`trigpoly.normalized`).  Each
+ladder step, annihilation check and eigenvalue check is one
+`diffop.apply_normal_at`: an accumulation of memoised normal-form images of
+the state's monomials, which is empty exactly when the result is zero.  The
 Jacobi closed forms are expanded over the monomial algebra, and the lattices
 (u(3) triangles/hexagons, so(4) squares, so(6) octahedra) carry integer
 multiplicities cross-checked against the closed dimension formulas.
@@ -25,11 +28,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import diffop, linalg
-from .diffop import ParamVector, apply_at, coupling
+from .diffop import ParamVector, apply_normal_at, coupling
 from .lpoly import LPoly, Row, as_sector, quantum_number, row_at
 from .operators import GradedOp, graded, intertwining_witness
 from .trigpoly import (COT1, COT2, PHI1, PHI2, TAN1, TAN2, TrigPoly, _reduced, frac_to_str,
-                       is_zero, mul, normalized, to_obj)
+                       mul, normalized, to_obj)
 from .trigpoly import proportionality  # noqa: F401  (re-exported for comparing states)
 
 HALF = Fraction(1, 2)
@@ -170,14 +173,16 @@ def _failure(what: str, ell, operator: str, **detail) -> StateCheckError:
 
 def make_state(params, labels, wavefunction: TrigPoly, energy_val,
                onedim: bool = False) -> StateRecord:
-    """Build a StateRecord, verifying (H - E) psi = 0 exactly in one accumulation."""
+    """Build a StateRecord, verifying (H - E) psi = 0 exactly: the normal form of
+    (H - E) applied to the normal form of psi, one accumulation of memoised
+    monomial images (`diffop.apply_normal_at`), is empty."""
     params = as_sector(params)
     energy_val = coupling(energy_val)
     if not wavefunction:
         raise ValueError("state wavefunction must be nonzero")
     rec = StateRecord(params, dict(labels), wavefunction, energy_val, onedim)
     name, block = rec.block()
-    if not is_zero(apply_at(block, params, wavefunction, energy=energy_val)):
+    if apply_normal_at(block, params, normalized(wavefunction), energy=energy_val):
         raise _failure(f"eigenvalue equation with E={frac_to_str(energy_val)} fails",
                        params, name)
     return rec
@@ -232,7 +237,7 @@ def _one_label(label, name: str) -> int:
 
 def _check_annihilated(op_name: str, ell, psi: TrigPoly) -> None:
     # a zero test, so the generator's 1/2 does not matter
-    if not is_zero(apply_at(graded(op_name).poly, ell, psi)):
+    if apply_normal_at(graded(op_name).poly, ell, psi):
         raise _failure(f"{op_name} does not annihilate the candidate state", ell, op_name)
 
 
@@ -284,14 +289,14 @@ def ground_state(kind: str, params) -> StateRecord:
     return make_state(sector, labels, psi, e, onedim=onedim)
 
 
-def ladder_build(start: StateRecord, path: Sequence[str | GradedOp],
-                 derivs=None) -> StateRecord | None:
+def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRecord | None:
     """Apply graded operators left-to-right with parameter bookkeeping.
 
     Returns None when the state is annihilated along the way; otherwise the
     resulting StateRecord at the shifted sector with the energy of `start`,
     its wavefunction stored in normal form (`trigpoly.normalized`): each step
-    takes one normal form, which is empty exactly on an annihilation.
+    is one accumulation of the memoised normal-form images of the monomials
+    of the state (`diffop.apply_normal_at`), empty exactly on an annihilation.
     H psi = E psi is not re-applied to the result: every step is proved to
     intertwine the state's `block` for all ell, X(ell) H(ell) = H(ell + shift)
     X(ell), so it maps an eigenstate of H(ell) to one of H(ell + shift) with the
@@ -299,9 +304,8 @@ def ladder_build(start: StateRecord, path: Sequence[str | GradedOp],
     that fails its proof (`intertwining_witness`) raises StateCheckError, a
     ValueError, naming the step and the sector it was to act on.  A step given
     by name is its `graded` generator, one object per family row, so its proof
-    is made once per block however often the step recurs.  derivs, start's
-    derivative table (`apply_at`), is shared by the paths a caller tries on it;
-    a table of another function raises ValueError.
+    is made once per block however often the step recurs, and its images are
+    formed once per monomial however many states it is applied to.
     """
     state = start
     for step in path:
@@ -312,12 +316,11 @@ def ladder_build(start: StateRecord, path: Sequence[str | GradedOp],
             raise _failure(f"{op.name} does not intertwine the {name} for all l "
                            f"(witness {witness}); no state laddered from the state",
                            state.params, op.name, witness=witness)
-        psi = normalized(apply_at(op.poly, state.params, state.wavefunction, derivs))
+        psi = apply_normal_at(op.poly, state.params, state.wavefunction)
         if not psi:
             return None
         state = StateRecord(as_sector(op.target(state.params)), dict(state.labels), psi,
                             state.energy, state.onedim)
-        derivs = None   # the next step reads the new state's table
     return state
 
 
@@ -469,13 +472,12 @@ def iur_states(algebra: str, label) -> list[StateRecord]:
     while frontier:
         new_frontier = []
         for pt0, st in frontier:
-            derivs = {(0, 0): st.wavefunction}
             for op in ops:
                 pt = tuple(x + d for x, d in zip(pt0, op.shift))
                 bucket = kept.get(pt)
                 if bucket and len(bucket) >= want.get(pt, 0):
                     continue
-                nxt = ladder_build(st, [op], derivs)
+                nxt = ladder_build(st, [op])
                 if nxt is None:
                     continue
                 if pt not in want:

@@ -193,22 +193,32 @@ def _pivoted_rank(mat: list[list[float]], threshold: float) -> int:
 
 def gram(states) -> GramReport:
     """Pairwise inner products of StateRecords, or of bare TrigPolys; ValueError
-    for a list that mixes the two."""
+    for a list that mixes the two.  Records at different sectors are orthogonal
+    by construction (`state_inner`), so only the pairs within one sector are
+    integrated and searched for the largest normalized off-diagonal entry; the
+    other entries are 0.0."""
     records = {isinstance(s, StateRecord) for s in states}
     if len(records) > 1:
         raise ValueError("gram takes StateRecords or bare TrigPolys, not a mix of both")
-    pair = state_inner if records == {True} else inner
     n = len(states)
+    if records == {True}:
+        sectors: dict[tuple, list[int]] = {}
+        for i, s in enumerate(states):
+            sectors.setdefault(tuple(s.params), []).append(i)
+        blocks = list(sectors.values())
+        polys = [s.wavefunction for s in states]
+    else:
+        blocks, polys = [list(range(n))], states
+    pairs = [(i, j) for block in blocks for k, i in enumerate(block) for j in block[k:]]
     mat = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            mat[i][j] = mat[j][i] = pair(states[i], states[j])
+    for i, j in pairs:
+        mat[i][j] = mat[j][i] = inner(polys[i], polys[j])
     diag = [mat[i][i] for i in range(n)]
     threshold = 1e-9 * max(diag, default=0.0)
     rank = _pivoted_rank(mat, threshold)
     off = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
+    for i, j in pairs:
+        if i != j:
             denom = math.sqrt(abs(diag[i] * diag[j])) or 1.0
             off = max(off, abs(mat[i][j]) / denom)
     return GramReport(list(states), mat, rank, off, threshold)

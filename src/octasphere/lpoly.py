@@ -130,18 +130,19 @@ class LPoly:
         return LPoly(other.kind, acc)
 
     def weighted(self, ell: Sequence[Fraction]):
-        """(l0^i l1^j l2^k at ell, coefficient) per term in stored order; int weights
-        at an integer sector."""
+        """(monomial, l0^i l1^j l2^k at ell, coefficient) per term in stored order;
+        int weights at an integer sector."""
         (n0, d0), (n1, d1), (n2, d2) = ((x.numerator, x.denominator) for x in as_sector(ell))
-        for (i, j, k), c in self._terms.items():
+        for m, c in self._terms.items():
+            i, j, k = m
             num, den = n0 ** i * n1 ** j * n2 ** k, d0 ** i * d1 ** j * d2 ** k
-            yield num if den == 1 else Fraction(num, den), c
+            yield m, num if den == 1 else Fraction(num, den), c
 
     def at(self, ell: Sequence[Fraction]):
         """The coefficient-kind value at one sector, in the stored term order: one
         `linear_combine` of the `weighted` terms per derivative order (a lone term
         of weight 1 as it is)."""
-        pairs = self.weighted(ell)
+        pairs = ((w, c) for _, w, c in self.weighted(ell))
         if self.kind is TrigPoly:
             return linear_combine(pairs)
         orders: dict = {}

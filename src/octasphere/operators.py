@@ -46,7 +46,10 @@ generator and the block), the structure table (`_structure_table`, on the
 six ladder generators and the A, B, C rows) and the printed audit
 (`_printed_delta_report`, on the B± and C± generators and the Hamiltonian).
 A mutant of code rather than of a table is no new key; `reset` empties every
-one of these memos, so each generator is rebuilt and each proof formed afresh.
+one of these memos, the monomial images of `diffop.apply_normal_at` and the
+normal-form basis table (`trigpoly._angle_basis`), so each generator is
+rebuilt, each proof formed afresh and each image taken with the code as it
+now is.
 
 Every constructor builds the corrected operator.  The source table prints the
 B and C families with their +/- superscripts exchanged (the printed B-/C-
@@ -62,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import diffop, linalg
+from . import diffop, linalg, trigpoly
 from .diffop import DiffOp, ParamVector, build_hamiltonian, compose, is_zero_op, pv
 from .lpoly import ZERO, LPoly, Mono, Row, as_sector, quantum_number
 from .trigpoly import (COT2, TAN2, TrigPoly, TrigTerm, coordinate_vectors, is_zero,
@@ -305,11 +308,15 @@ def verdict_memo(fn):
 
 
 def reset() -> None:
-    """Empty every memo of the generators and proofs: each generator is then
-    rebuilt as a new object and each proof formed afresh.  A replaced table
-    row needs no reset (it is a new key); a mutant of code does."""
+    """Empty every memo of the generators, proofs, monomial images and
+    normal-form basis: each generator is then rebuilt as a new object, each
+    proof formed afresh and each image retaken.  A replaced table row needs
+    no reset (it is a new key); a mutant of code does."""
     _generator.cache_clear()
     _casimir_residual.cache_clear()
+    diffop._image.cache_clear()
+    diffop._monomial_image.cache_clear()
+    trigpoly._angle_basis.cache_clear()
     for memo in _VERDICT_MEMOS:
         memo.cache_clear()
 

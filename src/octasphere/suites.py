@@ -13,8 +13,9 @@ audit (on the B± and C± generators and the Hamiltonian), antisymmetry
 (`_antisymmetry_witness`) and Jacobi (`_jacobi_witness`), each on the
 generators it brackets.  The Casimir residuals are memoised polynomials
 (`operators.casimir_residual`).  The per-sector multiplier solves, the state
-builds and the float oracles run afresh in every report: they are the
-independent cross-checks.  A replaced table row is a new key; a mutant of
+builds (whose eigenvalue checks read the memoised monomial images of
+`diffop.apply_normal_at`) and the float oracles run in every report: they are
+the independent cross-checks.  A replaced table row is a new key; a mutant of
 code is seen only after `operators.reset`, which empties every memo here too.
 """
 
@@ -25,7 +26,7 @@ import random
 from fractions import Fraction
 
 from . import diffop, operators
-from .diffop import DiffOp, apply, apply_at, build_hamiltonian, pv
+from .diffop import DiffOp, apply, apply_normal_at, build_hamiltonian, pv
 from .hierarchy import (StateCheckError, closed_form_state, energy,
                         ground_state, jacobi, jacobi_in_cos2, phi0, phi0_action)
 from .inner import (adjoint_residual, inner, mono_inner, mono_inner_quadrature,
@@ -414,7 +415,7 @@ def spectral_delta_report() -> list[dict]:
         * jacobi_in_cos2(jacobi(1, Fraction(1, 2), 1), var=2)
     bad = phi0((0, 0, 0), onedim=True) * printed
     e = energy("E_mn", ell=(0, 0, 0), m=0, n=1)
-    if is_zero(apply_at(diffop.HAMILTONIAN, pv(0, 0, 0), bad, energy=e)):
+    if not apply_normal_at(diffop.HAMILTONIAN, pv(0, 0, 0), bad, energy=e):
         computed = f"the printed P_1^(1/2, 1) solves the eigenvalue equation with " \
             f"E={frac_to_str(e)} at (0,0,0), m=0, n=1"
         witness = _delta_witness(pv(0, 0, 0), "H", m=0, n=1)

@@ -30,15 +30,6 @@ from .trigpoly import ONE, TrigPoly, mul, proportionality
 F0 = Fraction(0)
 
 
-def decompose(x: DiffOp) -> tuple[DiffOp, TrigPoly]:
-    """Split an order-<=1 operator into (vector part, multiplier)."""
-    if x.order() > 1:
-        raise ValueError("decompose expects an operator of order <= 1")
-    mult = x.coeff((0, 0))
-    vector = DiffOp({k: c for k, c in x.items() if k != (0, 0)})
-    return vector, mult
-
-
 def riccati_check(ell) -> tuple[TrigPoly, Fraction]:
     """Potential identity V = a^2 + (x+ a) + ... + lambda, solved for lambda.
 

@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from octasphere import diffop, trigpoly
 from octasphere.diffop import (HAMILTONIAN, MAX_ORDER, PHI1_BLOCK, PHI2_BLOCK, DiffOp, apply,
-                               apply_at, build_hamiltonian, build_phi1_block, compose,
-                               is_zero_op, pv)
+                               apply_normal_at, build_hamiltonian, compose, is_zero_op, pv)
 from octasphere.operators import LADDER_NAMES, TILDE_NAMES, build_first_order, graded
 from octasphere.trigpoly import (COS1, ONE, PHI1, PHI2, SIN1, TAN1, TrigPoly, TrigTerm,
-                                 differentiate, is_zero, mul)
+                                 differentiate, is_zero, mul, normalized)
 
 F = Fraction
 HALF = F(1, 2)
@@ -51,7 +50,7 @@ def test_factorization_identity_at_sector():
     aminus = build_first_order("A", "-", ell)
     lam0 = F(9)
     lhs = compose(aplus, aminus) + DiffOp.identity().scale(lam0)
-    assert is_zero_op(lhs - build_phi1_block(1, 1))
+    assert is_zero_op(lhs - diffop.PHI1_BLOCK.at((1, 1, 0)))
 
 
 def test_apply_annihilates_ground_state():
@@ -185,7 +184,7 @@ def _public_phi1_block(l0, l1) -> DiffOp:
 def test_the_hamiltonian_is_its_phi2_block_plus_sec2_phi2_times_its_phi1_block(ell):
     sec2_phi2 = DiffOp.multiplication(mono(1, 0, 0, -2, 0))
     assert build_hamiltonian(ell) == PHI2_BLOCK.at(ell) + compose(sec2_phi2, PHI1_BLOCK.at(ell))
-    assert build_phi1_block(ell[0], ell[1]) == _public_phi1_block(ell[0], ell[1])
+    assert diffop.PHI1_BLOCK.at((ell[0], ell[1], 0)) == _public_phi1_block(ell[0], ell[1])
 
 
 def test_hamiltonian_drops_a_vanishing_potential():
@@ -261,41 +260,36 @@ AT_POLYS = {"H": HAMILTONIAN, "phi1 block": PHI1_BLOCK,
             **{name: graded(name).poly for name in LADDER_NAMES + TILDE_NAMES}}
 
 
+def _reference_normal_at(poly, ell, f: TrigPoly, energy=0) -> TrigPoly:
+    """The operator formed at the sector, applied, less energy * f, then normalized."""
+    return normalized(apply(poly.at(ell), f) - f.scale(energy))
+
+
 @pytest.mark.parametrize("name", list(AT_POLYS))
 def test_applying_a_polynomial_at_a_sector_is_applying_its_value_there(name):
-    # the weights l0^i l1^j l2^k go into the one accumulation: the same poly,
-    # with its terms in the same stored order, as applying the operator formed there
+    # the weights l0^i l1^j l2^k and the energy go into the one accumulation of
+    # monomial images: the normal form of applying the operator formed there
     poly = AT_POLYS[name]
     for ell in AT_SECTORS:
         for f in AT_FUNCTIONS:
-            want = apply(poly.at(ell), f)
-            got = apply_at(poly, ell, f)
-            assert got == want and list(got._terms) == list(want._terms), (ell, f)
-            assert apply_at(poly, ell, f, energy=F(-7, 3)) == want + f.scale(F(7, 3))
+            want = normalized(apply(poly.at(ell), f))
+            got = apply_normal_at(poly, ell, f)
+            assert got == want and sorted(got._terms) == sorted(want._terms), (ell, f)
+            assert apply_normal_at(poly, ell, f, energy=F(-7, 3)) \
+                == normalized(want + f.scale(F(7, 3)))
 
 
-def test_operators_applied_to_one_function_share_its_derivative_table(monkeypatch):
-    # every first-order generator reads d1 f and d2 f from one table, each formed once
-    f, ell = AT_FUNCTIONS[2], pv(F(1, 2), 2, F(-1, 3))
-    calls = []
-    real = diffop.differentiate
-
-    def counted(p, var):
-        calls.append(var)
-        return real(p, var)
-
-    monkeypatch.setattr(diffop, "differentiate", counted)
-    derivs = {(0, 0): f}
-    got = [apply_at(graded(name).poly, ell, f, derivs) for name in LADDER_NAMES + TILDE_NAMES]
-    assert sorted(calls) == [PHI1, PHI2] and set(derivs) == {(0, 0), (1, 0), (0, 1)}
-    monkeypatch.undo()
-    assert got == [apply(graded(name).at(ell), f) for name in LADDER_NAMES + TILDE_NAMES]
+energies = st.one_of(st.just(F(0)), st.fractions(min_value=F(1, 7), max_value=40,
+                                                 max_denominator=12),
+                     st.fractions(min_value=-40, max_value=F(-1, 7), max_denominator=12))
 
 
-def test_a_derivative_table_of_another_function_raises_value_error():
-    # the table is trusted only as the table of the very f it is passed with
-    f, g, ell = AT_FUNCTIONS[1], AT_FUNCTIONS[2], pv(1, 2, 3)
-    with pytest.raises(ValueError, match="derivative table of f"):
-        apply_at(graded("A+").poly, ell, f, {(0, 0): g})
-    with pytest.raises(ValueError, match="derivative table of f"):
-        apply_at(graded("A+").poly, ell, f, {(0, 0): trigpoly.from_obj(trigpoly.to_obj(f))})
+@pytest.mark.parametrize("name", list(AT_POLYS))
+@settings(max_examples=40, deadline=None)
+@given(rational_sectors, term_lists, energies)
+def test_apply_normal_at_is_the_normal_form_of_the_operator_formed_at_the_sector(
+        name, ell, f_terms, energy):
+    # raw f with half-integer and negative exponents, rational sectors and energies
+    f = TrigPoly.from_terms(TrigTerm(c, e) for c, e in f_terms)
+    got = apply_normal_at(AT_POLYS[name], ell, f, energy)
+    assert got == _reference_normal_at(AT_POLYS[name], ell, f, energy)

@@ -21,7 +21,7 @@ from octasphere.linalg import rank_exact
 from octasphere.inner import numeric_oracle_check
 from octasphere.operators import (LADDER_NAMES, TILDE_NAMES, build_first_order, graded,
                                   graded_product)
-from octasphere.trigpoly import PHI1, PHI2, TrigPoly, is_zero, normal_form
+from octasphere.trigpoly import PHI1, PHI2, TrigPoly, is_zero, normal_form, normalized
 
 F = Fraction
 HALF = F(1, 2)
@@ -553,32 +553,33 @@ def test_every_laddered_state_solves_its_eigenvalue_equation(kind):
         assert numeric_oracle_check(h, s.wavefunction, ORACLE_POINTS) <= 1e-6, s.params
 
 
+def _reference_normal_at(poly, ell, f, energy=0):
+    """The operator formed at its sector and applied, less energy * f, in normal form."""
+    return normalized(apply(poly.at(ell), f) - f.scale(energy))
+
+
 @pytest.mark.parametrize("kind", list(LADDERED))
 def test_every_laddered_state_is_stored_as_the_normal_form_of_its_raw_step(kind, monkeypatch):
     # each stored wavefunction is the normal form of the raw step it came from,
-    # an operator applied at its sector (`apply_at`), or of the raw fundamental
+    # an operator formed at its sector and applied, or of the raw fundamental
     # state phi0: the same function, in normal form
-    made, steps = [], []
-    real_normalized, real_apply_at = hierarchy.normalized, hierarchy.apply_at
+    steps = []
+    real = hierarchy.apply_normal_at
 
-    def recording(p):
-        made.append((real_normalized(p), p))
-        return made[-1][0]
+    def recording(poly, ell, f, energy=0):
+        steps.append((real(poly, ell, f, energy), apply(poly.at(ell), f) - f.scale(energy)))
+        return steps[-1][0]
 
-    def stepping(*args, **kwargs):
-        steps.append(real_apply_at(*args, **kwargs))
-        return steps[-1]
-
-    monkeypatch.setattr(hierarchy, "normalized", recording)
-    monkeypatch.setattr(hierarchy, "apply_at", stepping)
+    monkeypatch.setattr(hierarchy, "apply_normal_at", recording)
     for s in LADDERED[kind]():
         if kind == "phi1_m_le_3" and s.labels["m"] == 0:
             continue   # no step taken: ladder_build returns its start as built
         psi = s.wavefunction
         assert normal_form(psi) == dict(psi.items()), s.params
-        raw = next(p for out, p in made if out is psi)
-        assert proportionality(psi, raw) == 1, s.params
-        assert any(raw is r for r in steps) or raw == hierarchy.phi0(s.params, s.onedim), s.params
+        raw = next((r for out, r in steps if out is psi), None)
+        if raw is None:
+            raw = hierarchy.phi0(s.params, s.onedim)
+        assert psi == normalized(raw) and proportionality(psi, raw) == 1, s.params
 
 
 def test_a_one_variable_state_is_laddered_only_by_steps_that_intertwine_the_phi1_block():
@@ -597,47 +598,50 @@ def test_a_graded_product_step_ladders_like_its_two_steps():
     assert is_zero(both.wavefunction - steps.wavefunction)
 
 
-def test_ladder_build_rejects_the_derivative_table_of_another_state():
-    start, other = ground_state("so6", (2,)), ground_state("so6", (3,))
-    with pytest.raises(ValueError, match="derivative table of f"):
-        ladder_build(start, ["A+"], {(0, 0): other.wavefunction})
-    shared = {(0, 0): start.wavefunction}
-    assert ladder_build(start, ["A+"], shared) == ladder_build(start, ["A+"])
-
-
-def _sha256_of_states(states):
-    obj = [[state_to_obj(s), [[list(k), n] for k, n in s.wavefunction._terms.items()],
-            s.wavefunction._den] for s in states]
+def _sha256_of_states(states, term_order=True):
+    """sha256 of each state's JSON object with its stored terms and denominator;
+    term_order=False sorts the (key, numerator) pairs, so only the content counts."""
+    def terms(p):
+        return p._terms.items() if term_order else sorted(p._terms.items())
+    obj = [[state_to_obj(s), [[list(k), n] for k, n in terms(s.wavefunction)], s.wavefunction._den]
+           for s in states]
     return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
 
 
 # each state's JSON object with its stored term order and denominator, as written
-# by the sweep that formed each step's operator at its sector and then applied it
+# by the sweep of memoised monomial images (`diffop.apply_normal_at`)
 SWEPT_STATES = {
-    ("so6", (3,)): "360876b8d7fb10f89384fde7b82841198a5ca6bbe4ddc1986852e14aa0b08677",
-    ("so6", (4,)): "43a66d52eb27fd2b415867c446069cc4fe3af76b04365c84710d1121fa622fa3",
-    ("so4", (7,)): "4d20070d7d13848cf725389194ed0a9ef9d063a5cd54e895715ae079e068bf1a",
-    ("u3", (3, 2)): "ae305925d17cb67115d8051e0777a1d75e76242efad0d596235808ecb3afbd9e",
+    ("so6", (3,)): "7c0c1393117dca8f846a65a05f600588aaab5fb5d77d6171dde6f1a87122678f",
+    ("so6", (4,)): "6909622b017a977fea5c64af616f83684da92fcd78a993a3386be281e2806fa0",
+    ("so4", (7,)): "e5726a4d05467b8868ac44699b50c245c9327974637c3ae32042df5fcbdbf0dd",
+    ("u3", (3, 2)): "7e4eee6d19eaeb13a1330aad1f02e8d3be3b9e8d090ad044cd3c1cb4300317be",
+}
+# the same with the terms sorted: the content of the states, which the sweep
+# that formed each step's operator at its sector and then applied it also wrote
+SWEPT_CONTENT = {
+    ("so6", (3,)): "e32906833524a89e440c2c590284c415c844b8b523fff7d8cf95de95396429e0",
+    ("so6", (4,)): "b0974f8681212761522c4dee27b56521d13c15f5ecbe5ba9d318258c95acf082",
+    ("so4", (7,)): "59e7ac0a77edd58f4e40258ee91da576e4f8ac93e73e41c566f711cec5e67527",
+    ("u3", (3, 2)): "b461231bec69fb56e621c4b7953402fcd980c4d25f97fac0dc6bef689472d90e",
 }
 
 
 @pytest.mark.parametrize("algebra,label", list(SWEPT_STATES))
 def test_iur_states_are_the_states_of_each_operator_formed_at_its_sector(algebra, label,
                                                                          monkeypatch):
-    # the shared derivative tables and the weights folded into one accumulation
-    # give the states, stored term order included, of the unshared path
+    # the memoised monomial images added into one accumulation give the states
+    # of the reference path, which forms each operator at its sector, applies
+    # it and then takes the normal form
     got = iur_states(algebra, label)
     assert _sha256_of_states(got) == SWEPT_STATES[algebra, label]
+    assert _sha256_of_states(got, term_order=False) == SWEPT_CONTENT[algebra, label]
 
-    def formed_at(poly, ell, f, derivs=None, energy=0):
-        return apply(poly.at(ell), f) - f.scale(energy)
-
-    monkeypatch.setattr(hierarchy, "apply_at", formed_at)
+    monkeypatch.setattr(hierarchy, "apply_normal_at", _reference_normal_at)
     want = iur_states(algebra, label)
     assert [(s.params, s.labels, s.energy) for s in got] \
         == [(s.params, s.labels, s.energy) for s in want]
-    assert [list(s.wavefunction._terms.items()) for s in got] \
-        == [list(s.wavefunction._terms.items()) for s in want]
+    assert [s.wavefunction for s in got] == [s.wavefunction for s in want]
+    assert _sha256_of_states(want, term_order=False) == SWEPT_CONTENT[algebra, label]
 
 
 def test_a_ground_state_at_a_high_sector_returns():

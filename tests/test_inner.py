@@ -175,6 +175,44 @@ def test_pivoted_rank_equals_the_dense_update_on_so4_grams(n):
     assert rep.rank == _dense_pivoted_rank(rep.matrix, rep.threshold)
 
 
+def _all_pairs_gram(states):
+    """(matrix, rank, max normalized off-diagonal, threshold) of records with
+    every pair integrated through `state_inner`, as a reference."""
+    n = len(states)
+    mat = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            mat[i][j] = mat[j][i] = state_inner(states[i], states[j])
+    diag = [mat[i][i] for i in range(n)]
+    threshold = 1e-9 * max(diag)
+    off = max((abs(mat[i][j]) / (math.sqrt(abs(diag[i] * diag[j])) or 1.0)
+               for i in range(n) for j in range(i + 1, n)), default=0.0)
+    return mat, _pivoted_rank(mat, threshold), off, threshold
+
+
+@pytest.mark.parametrize("algebra,label", [("u3", (2, 1)), ("so6", (2,)), ("so4", (3,))])
+def test_a_gram_of_records_integrates_only_the_pairs_within_one_sector(algebra, label,
+                                                                       monkeypatch):
+    # records at different sectors are orthogonal by construction, so only the
+    # pairs within one sector are integrated, and every field is the same float
+    sts = iur_states(algebra, label)
+    want = _all_pairs_gram(sts)
+    module = importlib.import_module("octasphere.inner")
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return inner(f, g)
+
+    monkeypatch.setattr(module, "inner", counted)
+    rep = gram(sts)
+    assert (rep.matrix, rep.rank, rep.max_offdiag_normalized, rep.threshold) == want
+    per_sector = {}
+    for s in sts:
+        per_sector[tuple(s.params)] = per_sector.get(tuple(s.params), 0) + 1
+    assert len(calls) == sum(m * (m + 1) // 2 for m in per_sector.values()) < len(sts) ** 2
+
+
 def test_state_inner_cross_sector_is_zero():
     sts = iur_states("u3", (1, 0))
     assert state_inner(sts[0], sts[1]) == 0.0

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from octasphere import operators
-from octasphere.diffop import (HAMILTONIAN, PHI2_BLOCK, DiffOp, build_hamiltonian,
-                               build_phi1_block, compose, is_zero_op, pv)
+from octasphere import diffop, operators
+from octasphere.diffop import (HAMILTONIAN, PHI2_BLOCK, DiffOp, build_hamiltonian, compose,
+                               is_zero_op, pv)
 from octasphere.lpoly import LPoly, row_at
 from octasphere.operators import (CHAIN, DIAGONALS, FAMILIES, LADDER_NAMES, SO6_CONSTANT,
                                   SO6_CONSTANT_PRINTED, TILDE_NAMES, TILDES, GradedOp,
@@ -646,7 +646,7 @@ def _composed_casimir(kind, ell):
         return cas.scale(4) + one.scale(F(15, 4) - d * d / 3) - build_hamiltonian(ell)
     if kind == "so4_ca":
         return anticommutator("A") + anticommutator("At") + one.scale(l0 ** 2 + l1 ** 2 + 1) \
-            - build_phi1_block(l0, l1)
+            - diffop.PHI1_BLOCK.at((l0, l1, 0))
     out = one.scale(l0 ** 2 + l1 ** 2 + l2 ** 2 + F(15, 4)) - build_hamiltonian(ell)
     for base in ("A", "B", "C", "At", "Bt", "Ct"):
         out = out + anticommutator(base)

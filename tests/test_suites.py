@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import octasphere
-from octasphere import cli, diffop, hierarchy, operators, suites
+from octasphere import cli, diffop, hierarchy, operators, suites, trigpoly
 from octasphere.diffop import HAMILTONIAN, DiffOp, pv
 from octasphere.lpoly import ZERO, LPoly
 from octasphere.superpotential import riccati_check
@@ -213,7 +213,8 @@ def test_a_warm_report_forms_no_product_or_intertwining_identity(monkeypatch):
 
 MEMOS = (operators._generator, operators._casimir_residual, operators.intertwining_witness,
          operators._structure_table, operators._printed_delta_report,
-         suites._antisymmetry_witness, suites._jacobi_witness)
+         suites._antisymmetry_witness, suites._jacobi_witness,
+         diffop._image, diffop._monomial_image, trigpoly._angle_basis)
 
 
 def test_one_reset_reproves_every_memo_and_keeps_no_entry(monkeypatch, capsys):
@@ -232,6 +233,37 @@ def test_one_reset_reproves_every_memo_and_keeps_no_entry(monkeypatch, capsys):
     assert [memo.cache_info().currsize for memo in MEMOS] == [0] * len(MEMOS)
     assert _failed_verify_checks(capsys) == (0, 0)
     assert all(memo.cache_info().currsize for memo in MEMOS)
+
+
+def _sign_flipped_pythagoras(real):
+    """`trigpoly._pythagoras` with the sign of its polynomial part flipped for i < 0 <= j."""
+    def flipped(i, j):
+        out = real(i, j)
+        if i < 0 <= j:
+            return tuple((a, b, -c if a == 0 else c) for a, b, c in out)
+        return out
+    return flipped
+
+
+def test_a_code_mutant_of_the_normal_form_serves_no_stale_image_after_reset(monkeypatch, capsys):
+    # a code mutant is no new key of the monomial images; `reset` empties them
+    # and the normal-form basis table, so the mutant is seen at once, and the
+    # restored code is proved afresh
+    operators.reset()
+    assert len(hierarchy.iur_states("so6", (2,))) == 20
+    assert diffop._image.cache_info().currsize and diffop._monomial_image.cache_info().currsize
+    with monkeypatch.context() as patch:
+        patch.setattr(trigpoly, "_pythagoras", _sign_flipped_pythagoras(trigpoly._pythagoras))
+        operators.reset()
+        with pytest.raises(hierarchy.StateCheckError, match="eigenvalue equation"):
+            hierarchy.iur_states("so6", (2,))
+        with pytest.raises(hierarchy.StateCheckError, match="eigenvalue equation"):
+            hierarchy.make_state((0, 0, 1), {}, hierarchy.phi0((0, 0, 1)),
+                                 hierarchy.energy("E_q", q=1))
+    operators.reset()
+    assert len(hierarchy.iur_states("so6", (2,))) == 20
+    hierarchy.make_state((0, 0, 1), {}, hierarchy.phi0((0, 0, 1)), hierarchy.energy("E_q", q=1))
+    assert _failed_verify_checks(capsys) == (0, 0)
 
 
 @pytest.mark.parametrize("alone_first", [True, False])

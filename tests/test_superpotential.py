@@ -12,8 +12,8 @@ from octasphere.hierarchy import closed_form_state, phi0, phi0_action
 from octasphere.lpoly import LPoly
 from octasphere.operators import (FAMILIES, build_first_order, graded, graded_product,
                                   intertwine_residual)
-from octasphere.superpotential import (decompose, kinetic_rotation_check, riccati_check,
-                                       riccati_lambda, simultaneous_superpotentials)
+from octasphere.superpotential import (kinetic_rotation_check, riccati_check, riccati_lambda,
+                                       simultaneous_superpotentials)
 from octasphere.trigpoly import ONE, PHI1, PHI2, TrigPoly, differentiate, is_zero, mul
 
 F = Fraction
@@ -22,6 +22,15 @@ HALF = F(1, 2)
 
 def mono(c, a, b, cc, d):
     return TrigPoly.monomial(c, (F(a), F(b), F(cc), F(d)))
+
+
+def decompose(x: DiffOp) -> tuple[DiffOp, TrigPoly]:
+    """Split an order-<=1 operator into (vector part, multiplier)."""
+    if x.order() > 1:
+        raise ValueError("decompose expects an operator of order <= 1")
+    mult = x.coeff((0, 0))
+    vector = DiffOp({k: c for k, c in x.items() if k != (0, 0)})
+    return vector, mult
 
 
 def test_decompose_A_plus():
