@@ -10,13 +10,15 @@ pairs.  States of the representation space live in the direct sum over sectors,
 so records at different parameter points are orthogonal by construction.  The
 module also provides the float-side oracles used against the symbolic engine:
 tanh-sinh quadrature for the Beta values and a five-point finite-difference
-application of operators.
+application of operators.  The quadrature is summed afresh on every call, from
+memoised per-exponent columns of its integrand.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,9 +49,14 @@ def _check_integrable(s: int, t: int) -> None:
         raise ValueError("non-integrable monomial pair")
 
 
+def _doubled(x: Fraction) -> int:
+    """2x for a half-integer x, in ints."""
+    return x.numerator * 2 // x.denominator
+
+
 def _pair_key(t1: TrigTerm, t2: TrigTerm) -> tuple[int, int, int, int]:
     """Doubled exponents of t1 * t2 times the measure cos(phi2)."""
-    a, b, c, d = (int(2 * (x + y)) for x, y in zip(t1.exps, t2.exps))
+    a, b, c, d = (_doubled(x) + _doubled(y) for x, y in zip(t1.exps, t2.exps))
     return a, b, c + 2, d
 
 
@@ -94,9 +101,24 @@ def _tanh_sinh_nodes() -> list[tuple[float, float, float]]:
     return nodes
 
 
+@functools.cache
+def _cos_column(s: int) -> tuple[float, ...]:
+    """w * cos^(s/2) x over the tanh-sinh nodes."""
+    return tuple(w * c ** (s / 2) for w, _, c in _tanh_sinh_nodes())
+
+
+@functools.cache
+def _sin_column(t: int) -> tuple[float, ...]:
+    """sin^(t/2) x over the tanh-sinh nodes."""
+    return tuple(si ** (t / 2) for _, si, _ in _tanh_sinh_nodes())
+
+
 def _tanh_sinh(s: int, t: int) -> float:
-    """_beta(s, t) by quadrature, with neither _beta nor the gamma function."""
-    return math.fsum(w * c ** (s / 2) * si ** (t / 2) for w, si, c in _tanh_sinh_nodes())
+    """_beta(s, t) by quadrature, with neither _beta nor the gamma function:
+    the exactly rounded sum of w * cos^(s/2) * sin^(t/2) over the nodes, its
+    two factors read from memoised columns (the same floats, multiplied in
+    the same order)."""
+    return math.fsum(map(operator.mul, _cos_column(s), _sin_column(t)))
 
 
 def mono_inner_quadrature(t1: TrigTerm, t2: TrigTerm) -> float:

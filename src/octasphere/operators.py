@@ -46,10 +46,9 @@ generator and the block), the structure table (`_structure_table`, on the
 six ladder generators and the A, B, C rows) and the printed audit
 (`_printed_delta_report`, on the B± and C± generators and the Hamiltonian).
 A mutant of code rather than of a table is no new key; `reset` empties every
-one of these memos, the monomial images of `diffop.apply_normal_at` and the
-normal-form basis table (`trigpoly._angle_basis`), so each generator is
-rebuilt, each proof formed afresh and each image taken with the code as it
-now is.
+memo of the package, those of `diffop`, `inner`, `trigpoly`, `suites` and
+`superpotential` too, so each generator is rebuilt, each proof formed afresh
+and each image taken with the code as it now is.
 
 Every constructor builds the corrected operator.  The source table prints the
 B and C families with their +/- superscripts exchanged (the printed B-/C-
@@ -61,11 +60,12 @@ from __future__ import annotations
 
 import copy
 import functools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import diffop, linalg, trigpoly
+from . import diffop, linalg
 from .diffop import DiffOp, ParamVector, build_hamiltonian, compose, is_zero_op, pv
 from .lpoly import ZERO, LPoly, Mono, Row, as_sector, quantum_number
 from .trigpoly import (COT2, TAN2, TrigPoly, TrigTerm, coordinate_vectors, is_zero,
@@ -134,12 +134,20 @@ class Family:
     """One ladder family: X^s = s d_chart + tan_row(ell) tan + cot_row(ell) cot.
 
     X- shifts the sector by `shift`, X+ by its negative.  The rows are affine
-    in ell, (c0, c_l0, c_l1, c_l2).
+    in ell, (c0, c_l0, c_l1, c_l2).  Its hash, that of the fields, is formed
+    once per row, since every memo keyed on a row hashes it on each call.
     """
     chart: Chart
     tan_row: Row
     cot_row: Row
     shift: Shift
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.chart, self.tan_row, self.cot_row, self.shift))
 
     @functools.cached_property
     def symbolic_multiplier(self) -> LPoly:
@@ -289,9 +297,6 @@ def graded_product(x: GradedOp, y: GradedOp) -> GradedOp:
                     x.poly.shift(y.shift).product(y.poly, compose))
 
 
-_VERDICT_MEMOS: list = []   # every `verdict_memo`, emptied by `reset`
-
-
 def verdict_memo(fn):
     """`functools.cache` on a proof whose verdict is None or a small dict or
     list: each caller gets its own copy of a verdict that is not None, so no
@@ -303,22 +308,27 @@ def verdict_memo(fn):
         found = memo(*args)
         return found if found is None else copy.deepcopy(found)
     verdict.cache_info, verdict.cache_clear = memo.cache_info, memo.cache_clear
-    _VERDICT_MEMOS.append(memo)
     return verdict
 
 
 def reset() -> None:
-    """Empty every memo of the generators, proofs, monomial images and
-    normal-form basis: each generator is then rebuilt as a new object, each
-    proof formed afresh and each image retaken.  A replaced table row needs
-    no reset (it is a new key); a mutant of code does."""
-    _generator.cache_clear()
-    _casimir_residual.cache_clear()
-    diffop._image.cache_clear()
-    diffop._monomial_image.cache_clear()
-    trigpoly._angle_basis.cache_clear()
-    for memo in _VERDICT_MEMOS:
-        memo.cache_clear()
+    """Empty every memo of the package: each `functools.cache` and
+    `verdict_memo` bound in a loaded `octasphere` module.  Those are the
+    generators and Casimir residuals here; every verdict memo (the
+    intertwinings, structure table and printed audit here, antisymmetry,
+    Jacobi and the two phi0 proofs of `suites`, the Riccati lambda and the
+    kinetic check of `superpotential`); the monomial images of `diffop`; the
+    Beta values, quadrature nodes and quadrature columns of `inner`; and the
+    normal-form basis and half-integer tables of `trigpoly`.  Each generator
+    is then rebuilt as a new object, each proof formed afresh and each image
+    retaken.  A replaced table row needs no reset (it is a new key); a mutant
+    of code does."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == __package__ or name.startswith(__package__ + ".")):
+            for obj in list(vars(module).values()):
+                clear = getattr(obj, "cache_clear", None)
+                if callable(clear):
+                    clear()
 
 
 def residual_witness(poly: LPoly) -> dict | None:
@@ -378,9 +388,13 @@ def solve_multiplier(vector_part: DiffOp, delta: Shift,
     if not ansatz:
         raise MultiplierSolveError("empty ansatz")
     ell = as_sector(ell)
+    # the two Hamiltonians are built once; each residual is composed from them
+    # as `intertwine_residual` composes it
+    h = build_hamiltonian(ell)
+    h_target = build_hamiltonian(tuple(e + d for e, d in zip(ell, delta)))
 
     def residual(x: DiffOp) -> DiffOp:
-        return intertwine_residual(GradedOp("X", delta, LPoly(DiffOp, {ZERO: x})), ell)
+        return compose(x, h) - compose(h_target, x)
 
     base = residual(vector_part)
     cols = [residual(DiffOp.multiplication(TrigPoly.monomial(g.coeff, g.exps)))

@@ -11,29 +11,37 @@ objects it reads (`operators.verdict_memo`): the twelve intertwinings
 table (on the six ladder generators and the A, B, C rows), the printed B/C
 audit (on the B± and C± generators and the Hamiltonian), antisymmetry
 (`_antisymmetry_witness`) and Jacobi (`_jacobi_witness`), each on the
-generators it brackets.  The Casimir residuals are memoised polynomials
+generators it brackets, the A-/C- annihilation of the u(3) fundamental states
+(`_annihilation_witness`, on the two generators and `hierarchy.PHI0_ROWS`),
+the l1 = 0 superpotentials (`_superpotential_witness`, on the family rows and
+the phi0 rows), the Riccati lambda and the kinetic check
+(`superpotential.riccati_lambda`, `kinetic_rotation_check`, on the family
+rows and the Hamiltonian).  The Casimir residuals are memoised polynomials
 (`operators.casimir_residual`).  The per-sector multiplier solves, the state
 builds (whose eigenvalue checks read the memoised monomial images of
 `diffop.apply_normal_at`) and the float oracles run in every report: they are
-the independent cross-checks.  A replaced table row is a new key; a mutant of
-code is seen only after `operators.reset`, which empties every memo here too.
+the independent cross-checks.  Each builds its sector invariants once per
+report: a solve its two Hamiltonians, the adjoint check each sector's state
+and norm, the orthogonality check each state's norm, and the quadrature
+reads memoised integrand columns, summed afresh.
+A replaced table row is a new key; a mutant of code is seen only after
+`operators.reset`, which empties every memo here too.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
-from . import diffop, operators
+from . import diffop, hierarchy, operators
 from .diffop import DiffOp, apply, apply_normal_at, build_hamiltonian, pv
 from .hierarchy import (StateCheckError, closed_form_state, energy,
                         ground_state, jacobi, jacobi_in_cos2, phi0, phi0_action)
 from .inner import (adjoint_residual, inner, mono_inner, mono_inner_quadrature,
                     norm, numeric_oracle_check)
-from .lpoly import ZERO, LPoly
+from .lpoly import ZERO, LPoly, Row
 from .operators import (DIAGONALS, FAMILIES, LADDER_NAMES, PRINTED_EVIDENCE_SECTOR, PRINTED_NAMES,
-                        SO6_CONSTANT_PRINTED, TILDE_NAMES, GradedOp, MultiplierSolveError,
+                        SO6_CONSTANT_PRINTED, TILDE_NAMES, Family, GradedOp, MultiplierSolveError,
                         build_first_order, casimir_residual, constant_part, graded,
                         graded_bracket, intertwining_witness, multiplier_ansatz,
                         printed_delta_report, residual_witness, solve_multiplier,
@@ -119,10 +127,16 @@ def suite_intertwine() -> dict:
     # the u(3) fundamental states phi0 at (m, 0, n): (X phi0)/phi0 vanishes on l1 = 0
     checks.append(_proof_each(
         "A- and C- annihilate u(3) fundamental states for all l in Q^3 with l1 = 0",
-        _first_failure(((nm,), _on_l1_plane(phi0_action(graded(nm).poly)))
-                       for nm in ("A-", "C-"))))
+        _annihilation_witness((graded("A-"), graded("C-")), hierarchy.PHI0_ROWS)))
 
     return _report("intertwine", checks, deltas)
+
+
+@verdict_memo
+def _annihilation_witness(ladders: tuple[GradedOp, ...], rows: tuple[Row, ...]):
+    """The `_first_failure` of (X phi0)/phi0 on the plane l1 = 0 over the
+    ladders, phi0 of exponent rows `rows`; proved once per generators and rows."""
+    return _first_failure(((x.name,), _on_l1_plane(phi0_action(x.poly, rows))) for x in ladders)
 
 
 # -- algebra ---------------------------------------------------------------------
@@ -257,7 +271,13 @@ def suite_riccati() -> dict:
     lam = riccati_lambda()
 
     def lam_at(ell) -> Fraction:
-        return sum(c * math.prod(x ** k for x, k in zip(ell, m)) for m, c in lam.items())
+        """lambda at a sector of Fractions, summed in ints over one denominator."""
+        (n0, d0), (n1, d1), (n2, d2) = ((x.numerator, x.denominator) for x in ell)
+        num, den = 0, 1
+        for (i, j, k), c in lam.items():
+            d = c.denominator * d0 ** i * d1 ** j * d2 ** k
+            num, den = num * d + c.numerator * n0 ** i * n1 ** j * n2 ** k * den, den * d
+        return Fraction(num, den)
 
     resid, spot = riccati_check(RICCATI_SPOT)
     ok = lam is not None and not resid and spot == lam_at(RICCATI_SPOT)
@@ -277,13 +297,21 @@ def suite_riccati() -> dict:
 
     checks.append(_proof_each(
         "one fundamental state feeds all three superpotentials for all l in Q^3 with l1 = 0",
-        _first_failure(((fam,), _on_l1_plane(w))
-                       for fam, w in simultaneous_superpotentials().items())))
+        _superpotential_witness(tuple(FAMILIES.items()), hierarchy.PHI0_ROWS)))
 
     rep = _report("riccati", checks, [])
     rep["lambda_samples"] = [{"sector": [str(x) for x in ell], "lambda": frac_to_str(lam_at(ell))}
                              for ell in (LAMBDA_SECTORS if lam is not None else [])]
     return rep
+
+
+@verdict_memo
+def _superpotential_witness(families: tuple[tuple[str, Family], ...], rows: tuple[Row, ...]):
+    """The `_first_failure` of the `simultaneous_superpotentials` of the family
+    rows on the plane l1 = 0, phi0 of exponent rows `rows`; proved once per
+    family rows and phi0 rows."""
+    return _first_failure(((name,), _on_l1_plane(w))
+                          for name, w in simultaneous_superpotentials(families, rows).items())
 
 
 # -- hermiticity / numerics ---------------------------------------------------------
@@ -299,33 +327,41 @@ def _state_check(name: str, measure, bound: float, key: str) -> dict:
 
 
 def _orthogonality_worst() -> float:
-    """The largest normalized overlap of distinct-energy closed forms at (0,0,0)."""
+    """The largest normalized overlap of distinct-energy closed forms at (0,0,0);
+    each state's norm is taken once."""
     worst = 0.0
     states = [closed_form_state("separated_2d", ((0, 0, 0), m, n))
               for m in range(3) for n in range(3 - m)]
+    norms = [norm(s.wavefunction) for s in states]
     for i, s1 in enumerate(states):
-        for s2 in states[i + 1:]:
+        for j in range(i + 1, len(states)):
+            s2 = states[j]
             if s1.energy == s2.energy:
                 continue
             val = abs(inner(s1.wavefunction, s2.wavefunction))
-            val /= norm(s1.wavefunction) * norm(s2.wavefunction)
+            val /= norms[i] * norms[j]
             worst = max(worst, val)
     return worst
 
 
 def _adjoint_worst() -> float:
     """The largest normalized adjoint residual of the corrected ladder pairs on
-    admissible closed forms."""
+    admissible closed forms.  Each sector's state f and its norm are built
+    once, at its first pair, and read by every family."""
     worst = 0.0
+    sources: dict[tuple, tuple[TrigPoly, float]] = {}
     for fam in FAMILIES:
         lowering = graded(fam + "-")
         for ell in (pv(1, 1, 1), pv(2, 1, 0), pv(0, 1, 2)):
             target = lowering.target(ell)
             if min(target) < 0 or min(ell) < 0:
                 continue
-            f = closed_form_state("separated_2d", (ell, 1, 0)).wavefunction
+            if ell not in sources:
+                f = closed_form_state("separated_2d", (ell, 1, 0)).wavefunction
+                sources[ell] = f, norm(f)
+            f, norm_f = sources[ell]
             g = closed_form_state("separated_2d", (target, 0, 1)).wavefunction
-            worst = max(worst, adjoint_residual(fam, ell, f, g) / (norm(f) * norm(g)))
+            worst = max(worst, adjoint_residual(fam, ell, f, g) / (norm_f * norm(g)))
     return worst
 
 

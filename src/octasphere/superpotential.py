@@ -13,6 +13,9 @@ superpotentials read off the ground-state gauge (`hierarchy.phi0_action`).
 Each family's vector field and multiplier are read off its `operators.FAMILIES`
 row (`chart.derivative(±1)`, `symbolic_multiplier`), and the Hamiltonian off
 `diffop` at the call, so every check here reads the tables from their home.
+The two proofs for every ell, `riccati_lambda` and `kinetic_rotation_check`,
+are verdict memos on the family rows and the Hamiltonian; `riccati_check`, at
+one sector, runs on every call.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from functools import partial
 from . import diffop
 from .diffop import DiffOp, apply, build_hamiltonian, compose, is_zero_op
 from .hierarchy import phi0_action
-from .lpoly import ZERO, LPoly, Mono, as_sector
-from .operators import FAMILIES, match_constant_multiple
+from .lpoly import ZERO, LPoly, Mono, Row, as_sector
+from .operators import FAMILIES, Family, match_constant_multiple, verdict_memo
 from .trigpoly import ONE, TrigPoly, mul, proportionality
 
 F0 = Fraction(0)
@@ -56,10 +59,17 @@ def riccati_lambda() -> dict[Mono, Fraction] | None:
     V and the multipliers w_f are polynomials in ell, so V - sum_f(...) is
     one; lambda is read off its coefficients, each of which must be a
     constant function.  Returns {exponent-triple: coeff} over the nonzero
-    coefficients, or None if some coefficient is not constant.
+    coefficients, or None if some coefficient is not constant.  Proved once
+    per family rows and Hamiltonian (`_riccati_lambda`).
     """
-    diff = diffop.HAMILTONIAN.map(lambda op: op.coeff((0, 0)), TrigPoly)
-    for fam in FAMILIES.values():
+    return _riccati_lambda(tuple(FAMILIES.values()), diffop.HAMILTONIAN)
+
+
+@verdict_memo
+def _riccati_lambda(families: tuple[Family, ...],
+                    hamiltonian: LPoly) -> dict[Mono, Fraction] | None:
+    diff = hamiltonian.map(lambda op: op.coeff((0, 0)), TrigPoly)
+    for fam in families:
         w = fam.symbolic_multiplier
         diff = diff - w.product(w, mul) - w.map(partial(apply, fam.chart.derivative(1)))
     lam = {}
@@ -78,13 +88,20 @@ def kinetic_rotation_check() -> dict:
     Returns a report with the residual status of x+ x- summed over the three
     families against the kinetic operator (the derivative terms of the
     ell-free coefficient of `diffop.HAMILTONIAN`), and the signed so(3) table
-    of the raising vector fields.
+    of the raising vector fields.  Proved once per family rows and
+    Hamiltonian (`_kinetic_rotation_check`).
     """
-    vecs = {name: fam.chart.derivative(1) for name, fam in FAMILIES.items()}
+    return _kinetic_rotation_check(tuple(FAMILIES.items()), diffop.HAMILTONIAN)
+
+
+@verdict_memo
+def _kinetic_rotation_check(families: tuple[tuple[str, Family], ...],
+                            hamiltonian: LPoly) -> dict:
+    vecs = {name: fam.chart.derivative(1) for name, fam in families}
     total = DiffOp.zero()
     for plus in vecs.values():
         total = total + compose(plus, plus.scale(-1))
-    kinetic = DiffOp({k: c for k, c in diffop.HAMILTONIAN.coeff(ZERO).items() if k != (0, 0)})
+    kinetic = DiffOp({k: c for k, c in hamiltonian.coeff(ZERO).items() if k != (0, 0)})
     kinetic_ok = is_zero_op(total - kinetic)
 
     names = list(vecs)
@@ -107,12 +124,16 @@ def kinetic_rotation_check() -> dict:
             "commutator_table": table}
 
 
-def simultaneous_superpotentials() -> dict[str, LPoly]:
+def simultaneous_superpotentials(families: tuple[tuple[str, Family], ...] | None = None,
+                                 rows: tuple[Row, ...] | None = None) -> dict[str, LPoly]:
     """Case (i): one u(3) fundamental state feeds all three multipliers.
 
     Per family, x+ phi0 / phi0 minus its multiplier w, a polynomial in ell
     (`phi0_action`); each vanishes on the plane l1 = 0 of the u(3) fundamental
-    states (m, 0, n), where X- = -x+ + w annihilates phi0.
+    states (m, 0, n), where X- = -x+ + w annihilates phi0.  The (name, row)
+    pairs `families` and phi0's exponent rows `rows` are FAMILIES and
+    `hierarchy.PHI0_ROWS`, read at the call, when None.
     """
-    return {name: phi0_action(LPoly(DiffOp, {ZERO: fam.chart.derivative(1)}))
-            - fam.symbolic_multiplier for name, fam in FAMILIES.items()}
+    families = FAMILIES.items() if families is None else families
+    return {name: phi0_action(LPoly(DiffOp, {ZERO: fam.chart.derivative(1)}), rows)
+            - fam.symbolic_multiplier for name, fam in families}

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from octasphere.diffop import DiffOp, apply, build_hamiltonian, pv
 from octasphere.hierarchy import closed_form_state, ground_state, iur_states
-from octasphere.inner import (_beta, _fd, _pivoted_rank, _tanh_sinh, adjoint_residual, gram,
-                              inner, mono_inner, mono_inner_quadrature, norm,
-                              numeric_oracle_check, state_inner)
+from octasphere.inner import (_beta, _fd, _pair_key, _pivoted_rank, _tanh_sinh, _tanh_sinh_nodes,
+                              adjoint_residual, gram, inner, mono_inner, mono_inner_quadrature,
+                              norm, numeric_oracle_check, state_inner)
 from octasphere.linalg import rank_exact
 from octasphere.operators import build_first_order
 from octasphere.trigpoly import ONE, SIN1, TrigPoly, TrigTerm, eval_numeric
@@ -275,6 +275,28 @@ def test_tanh_sinh_matches_beta_on_every_doubled_exponent_pair():
     for s in range(-1, 81):
         for t in range(-1, 81):
             assert abs(_tanh_sinh(s, t) - _beta(s, t)) <= 1e-12 * _beta(s, t)
+
+
+def test_tanh_sinh_sums_each_node_integrand_bit_for_bit():
+    # the memoised columns hold the same floats, multiplied in the same order
+    nodes = _tanh_sinh_nodes()
+    for s in range(-1, 41):
+        for t in range(-1, 41):
+            assert _tanh_sinh(s, t) == math.fsum(w * c ** (s / 2) * si ** (t / 2)
+                                                 for w, si, c in nodes), (s, t)
+
+
+half_integer_exps = st.lists(st.integers(-60, 60).map(lambda k: F(k, 2)),
+                             min_size=8, max_size=8)
+
+
+@given(half_integer_exps)
+def test_pair_key_adds_doubled_ints(exps):
+    t1, t2 = TrigTerm(F(1), tuple(exps[:4])), TrigTerm(F(1), tuple(exps[4:]))
+    a, b, c, d = (int(2 * (x + y)) for x, y in zip(t1.exps, t2.exps))
+    key = _pair_key(t1, t2)
+    assert key == (a, b, c + 2, d)
+    assert all(type(k) is int for k in key)
 
 
 def test_quadrature_oracle_needs_neither_beta_nor_gamma(monkeypatch):

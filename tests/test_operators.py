@@ -96,6 +96,23 @@ def test_a_replaced_family_row_gets_a_new_generator_and_an_equal_row_the_same(mo
         assert graded(n).poly is poly, n
 
 
+@pytest.mark.parametrize("field, index", [("tan_row", 0), ("cot_row", 3), ("shift", 1)])
+def test_a_replaced_family_row_hashes_anew_and_is_a_new_generator_key(field, index,
+                                                                      monkeypatch, fresh_memos):
+    # a family row keeps its hash once formed; a row changed by `replace` is a
+    # new object with its own hash, so the generator memo takes a new key
+    fam = operators.FAMILIES["A"]
+    row = getattr(fam, field)
+    changed = replace(fam, **{field: row[:index] + (row[index] + 1,) + row[index + 1:]})
+    assert hash(fam) == hash(fam) == hash(replace(fam))
+    assert changed != fam and hash(changed) != hash(fam)
+    sound = graded("A-").poly
+    assert operators._generator.cache_info().currsize == 1
+    monkeypatch.setitem(operators.FAMILIES, "A", changed)
+    assert graded("A-").poly is not sound
+    assert operators._generator.cache_info().currsize == 2
+
+
 @pytest.mark.parametrize("name", ["", "-", "A", "Q-", "A*"])
 def test_graded_rejects_malformed_names(name):
     with pytest.raises(ValueError):

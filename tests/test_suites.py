@@ -1,7 +1,9 @@
 """Verification reports: a failing check names its first counterexample."""
 
 import ast
+import importlib
 import json
+import pkgutil
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import octasphere
-from octasphere import cli, diffop, hierarchy, operators, suites, trigpoly
+from octasphere import cli, diffop, hierarchy, operators, suites, superpotential, trigpoly
 from octasphere.diffop import HAMILTONIAN, DiffOp, pv
 from octasphere.lpoly import ZERO, LPoly
 from octasphere.superpotential import riccati_check
@@ -211,10 +213,68 @@ def test_a_warm_report_forms_no_product_or_intertwining_identity(monkeypatch):
     assert warm == cold
 
 
-MEMOS = (operators._generator, operators._casimir_residual, operators.intertwining_witness,
-         operators._structure_table, operators._printed_delta_report,
-         suites._antisymmetry_witness, suites._jacobi_witness,
-         diffop._image, diffop._monomial_image, trigpoly._angle_basis)
+def test_a_warm_report_derives_no_phi0_riccati_or_kinetic_identity(monkeypatch):
+    # the two phi0 proofs, the Riccati lambda and the kinetic check are verdict
+    # memos on the rows and generators they read: proved once cold, then read
+    # off the memos, with no phi0 action, product or composition formed
+    operators.reset()
+    calls = {"phi0_action": 0, "mul": 0, "compose": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    phi0_action = counted("phi0_action", hierarchy.phi0_action)
+    for module in (hierarchy, suites, superpotential):
+        monkeypatch.setattr(module, "phi0_action", phi0_action)
+    for name in ("mul", "compose"):
+        monkeypatch.setattr(superpotential, name, counted(name, getattr(superpotential, name)))
+    memos = (suites._annihilation_witness, suites._superpotential_witness,
+             superpotential._riccati_lambda, superpotential._kinetic_rotation_check)
+    cold = json.dumps(suites.run_suite("all", 2), sort_keys=True)
+    assert calls["phi0_action"] == 5 and calls["mul"] and calls["compose"], calls
+    assert [memo.cache_info().misses for memo in memos] == [1] * len(memos)
+    calls.update(dict.fromkeys(calls, 0))
+    warm = json.dumps(suites.run_suite("all", 2), sort_keys=True)
+    assert calls == {"phi0_action": 0, "mul": 0, "compose": 0}
+    assert [memo.cache_info().misses for memo in memos] == [1] * len(memos)
+    assert warm == cold
+
+
+def test_each_multiplier_solve_builds_its_two_hamiltonians_once(monkeypatch):
+    # the per-sector solves run in every report, each composing its residuals
+    # with one H(l) and one H(l + delta)
+    builds, per_solve = [0], []
+    real_build, real_solve = operators.build_hamiltonian, suites.solve_multiplier
+
+    def build(ell):
+        builds[0] += 1
+        return real_build(ell)
+
+    def solve(*args):
+        before = builds[0]
+        out = real_solve(*args)
+        per_solve.append(builds[0] - before)
+        return out
+
+    monkeypatch.setattr(operators, "build_hamiltonian", build)
+    monkeypatch.setattr(suites, "solve_multiplier", solve)
+    for _ in range(2):
+        assert suites.run_suite("intertwine", 2)["passed"]
+    assert per_solve == [2] * 18
+
+
+def _package_memos() -> dict[str, object]:
+    """Every memo of the package by its qualified name: each object with a
+    `cache_info` defined in an `octasphere` module, every module imported."""
+    memos = {}
+    for info in pkgutil.iter_modules(octasphere.__path__):
+        module = importlib.import_module(f"octasphere.{info.name}")
+        memos.update((f"{info.name}.{name}", obj) for name, obj in vars(module).items()
+                     if hasattr(obj, "cache_info") and obj.__module__ == module.__name__)
+    return memos
 
 
 def test_one_reset_reproves_every_memo_and_keeps_no_entry(monkeypatch, capsys):
@@ -224,15 +284,21 @@ def test_one_reset_reproves_every_memo_and_keeps_no_entry(monkeypatch, capsys):
     def bracket_without_yx(x, y):
         return replace(operators.graded_product(x, y), name=f"[{x.name},{y.name}]")
 
+    memos = _package_memos()
+    assert {name.partition(".")[0] for name in memos} \
+        >= {"diffop", "inner", "operators", "suites", "superpotential", "trigpoly"}
+    operators.reset()
     assert _failed_verify_checks(capsys) == (0, 0)
+    filled = {name for name, memo in memos.items() if memo.cache_info().currsize}
     with monkeypatch.context() as patch:
         patch.setattr(operators, "graded_bracket", bracket_without_yx)
         operators.reset()
         assert _failed_verify_checks(capsys)[0] == 1
     operators.reset()
-    assert [memo.cache_info().currsize for memo in MEMOS] == [0] * len(MEMOS)
+    assert {name: memo.cache_info().currsize for name, memo in memos.items()} \
+        == dict.fromkeys(memos, 0)
     assert _failed_verify_checks(capsys) == (0, 0)
-    assert all(memo.cache_info().currsize for memo in MEMOS)
+    assert {name for name, memo in memos.items() if memo.cache_info().currsize} == filled
 
 
 def _sign_flipped_pythagoras(real):
