@@ -2,9 +2,10 @@
 
     DiffOp ~ dict[(k1, k2) -> TrigPoly]   meaning   sum coeff * d^k1_phi1 d^k2_phi2
 
-Composition uses the generalized Leibniz rule and is exact.  Total order is
-capped at 4, which covers every workflow here (quadratic Casimir elements of
-first-order ladder operators).
+Application and composition (the generalized Leibniz rule) are exact; both
+read derivatives from a `_derivative` table, so each is formed once.  Total
+order is capped at 4, which covers every workflow here (quadratic Casimir
+elements of first-order ladder operators).
 
 A DiffOp, like its TrigPoly coefficients, is immutable by convention: nothing
 mutates `_terms` after construction.  Equality is structural (equal
@@ -58,9 +59,8 @@ class DiffOp:
             if not isinstance(c, TrigPoly):
                 c = TrigPoly.constant(c)
             if c:
-                prev = clean.get((k1, k2))
-                clean[(k1, k2)] = prev + c if prev is not None else c
-        self._terms = {k: v for k, v in clean.items() if v}
+                clean[(k1, k2)] = c
+        self._terms = clean
 
     @staticmethod
     def _raw(terms: dict[tuple[int, int], TrigPoly]) -> "DiffOp":
@@ -89,7 +89,7 @@ class DiffOp:
         return self._terms.get(order, TrigPoly.zero())
 
     def order(self) -> int:
-        return max((k1 + k2 for (k1, k2) in self._terms), default=0)
+        return max(map(sum, self._terms), default=0)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -186,34 +186,25 @@ def apply_normal_at(poly: LPoly, ell, f: TrigPoly, energy=0) -> TrigPoly:
 
 
 def compose(x: DiffOp, y: DiffOp) -> DiffOp:
-    """Exact composition x∘y via the generalized Leibniz expansion.
+    """Exact composition x∘y via the generalized Leibniz expansion
+    d^k (cy d^m f) = sum_j C(k, j) (d^j cy) d^(k-j+m) f per variable, d^j cy
+    read from cy's `_derivative` table; each order's products are one
+    `sum_of_products`.
 
     apply(compose(x, y), f) == apply(x, apply(y, f)) for every f.
     """
-    acc: dict[tuple[int, int], TrigPoly] = {}
+    if x.order() + y.order() > MAX_ORDER:
+        raise ValueError("composition exceeds order cap")
+    tables = {m: {(0, 0): cy} for m, cy in y.items()}
+    acc: dict[tuple[int, int], list] = {}
     for (k1, k2), cx in x.items():
-        for (m1, m2), cy in y.items():
-            if k1 + m1 + k2 + m2 > MAX_ORDER:
-                raise ValueError("composition exceeds order cap")
-            # d^k (cy * d^m f) = sum_j C(k, j) (d^j cy) d^(k-j+m) f, per variable
+        for (m1, m2), derivs in tables.items():
             for j1 in range(k1 + 1):
-                dj = cy
-                for _ in range(j1):
-                    dj = differentiate(dj, PHI1)
-                if not dj:
-                    continue
-                b1 = math.comb(k1, j1)
                 for j2 in range(k2 + 1):
-                    dj2 = dj
-                    for _ in range(j2):
-                        dj2 = differentiate(dj2, PHI2)
-                    if not dj2:
-                        continue
-                    b = b1 * math.comb(k2, j2)
-                    key = (k1 - j1 + m1, k2 - j2 + m2)
-                    add = cx * dj2 if b == 1 else cx * dj2.scale(b)
-                    acc[key] = acc[key] + add if key in acc else add
-    return DiffOp._raw(acc)
+                    acc.setdefault((k1 - j1 + m1, k2 - j2 + m2), []).append(
+                        (math.comb(k1, j1) * math.comb(k2, j2), cx,
+                         _derivative(derivs, j1, j2)))
+    return DiffOp._raw({k: sum_of_products(t) for k, t in acc.items()})
 
 
 def is_zero_op(op: DiffOp) -> bool:

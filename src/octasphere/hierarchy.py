@@ -205,15 +205,14 @@ def phi0(ell, onedim: bool = False) -> TrigPoly:
     return TrigPoly.monomial(1, exps[:2] + [0, 0] if onedim else exps)
 
 
-def phi0_action(x: LPoly, rows: tuple[Row, ...] | None = None) -> LPoly:
+def phi0_action(x: LPoly, rows: tuple[Row, ...]) -> LPoly:
     """(X phi0)/phi0 for a first-order X given as a polynomial in ell, itself a
     polynomial in ell: X's multiplier plus its vector field applied to log phi0,
     where d log(cos^a sin^b) = -a tan + b cot per angle.  phi0's exponent rows
-    are `rows`, PHI0_ROWS (read at the call) when None.  Its value at ell is
-    zero exactly when X annihilates phi0(ell); ValueError for order > 1."""
+    are `rows` (the program passes PHI0_ROWS).  Its value at ell is zero
+    exactly when X annihilates phi0(ell); ValueError for order > 1."""
     if any(op.order() > 1 for _, op in x.items()):
         raise ValueError("phi0_action expects an operator of order <= 1")
-    rows = PHI0_ROWS if rows is None else rows
     out = x.map(lambda op: op.coeff((0, 0)), TrigPoly)
     for i, (order, tan, cot) in enumerate((((1, 0), TAN1, COT1), ((0, 1), TAN2, COT2))):
         log_derivative = LPoly.affine(rows[2 * i], -tan) + LPoly.affine(rows[2 * i + 1], cot)

@@ -124,16 +124,15 @@ def _kinetic_rotation_check(families: tuple[tuple[str, Family], ...],
             "commutator_table": table}
 
 
-def simultaneous_superpotentials(families: tuple[tuple[str, Family], ...] | None = None,
-                                 rows: tuple[Row, ...] | None = None) -> dict[str, LPoly]:
+def simultaneous_superpotentials(families: tuple[tuple[str, Family], ...],
+                                 rows: tuple[Row, ...]) -> dict[str, LPoly]:
     """Case (i): one u(3) fundamental state feeds all three multipliers.
 
     Per family, x+ phi0 / phi0 minus its multiplier w, a polynomial in ell
     (`phi0_action`); each vanishes on the plane l1 = 0 of the u(3) fundamental
     states (m, 0, n), where X- = -x+ + w annihilates phi0.  The (name, row)
-    pairs `families` and phi0's exponent rows `rows` are FAMILIES and
-    `hierarchy.PHI0_ROWS`, read at the call, when None.
+    pairs `families` and phi0's exponent rows `rows` are those of FAMILIES and
+    `hierarchy.PHI0_ROWS` in the program.
     """
-    families = FAMILIES.items() if families is None else families
     return {name: phi0_action(LPoly(DiffOp, {ZERO: fam.chart.derivative(1)}), rows)
             - fam.symbolic_multiplier for name, fam in families}

@@ -144,13 +144,6 @@ class TrigPoly:
     def monomial(coeff, exps) -> "TrigPoly":
         return _monomial(coeff, _exps(exps))
 
-    @staticmethod
-    def from_terms(terms: Iterable[TrigTerm]) -> "TrigPoly":
-        acc: dict[Exps, Fraction] = {}
-        for t in terms:
-            acc[t.exps] = acc.get(t.exps, Fraction(0)) + t.coeff
-        return TrigPoly(acc)
-
     # -- canonical views -----------------------------------------------------
 
     def terms(self) -> Iterator[TrigTerm]:

@@ -10,7 +10,7 @@ from octasphere import diffop, trigpoly
 from octasphere.diffop import (HAMILTONIAN, MAX_ORDER, PHI1_BLOCK, PHI2_BLOCK, DiffOp, apply,
                                apply_normal_at, build_hamiltonian, compose, is_zero_op, pv)
 from octasphere.operators import LADDER_NAMES, TILDE_NAMES, build_first_order, graded
-from octasphere.trigpoly import (COS1, ONE, PHI1, PHI2, SIN1, TAN1, TrigPoly, TrigTerm,
+from octasphere.trigpoly import (COS1, ONE, PHI1, PHI2, SIN1, TAN1, TrigPoly,
                                  differentiate, is_zero, mul, normalized)
 
 F = Fraction
@@ -19,6 +19,11 @@ HALF = F(1, 2)
 
 def mono(c, a, b, cc, d):
     return TrigPoly.monomial(c, (F(a), F(b), F(cc), F(d)))
+
+
+def monomial_sum(ts):
+    """The sum of TrigPoly.monomial(c, e) over the (c, e) pairs ts, in their order."""
+    return sum((TrigPoly.monomial(c, e) for c, e in ts), TrigPoly.zero())
 
 
 # -d2^2 + tan phi2 d2 - sec^2 phi2 d1^2, the derivative terms of H, typed by hand
@@ -137,7 +142,7 @@ op_terms = st.dictionaries(orders, term_lists, max_size=4)
 def _op(terms: dict, reverse: bool) -> DiffOp:
     """DiffOp of {order: [(coeff, exps)]}, inserting orders and terms in either order."""
     seq = list(reversed(terms.items())) if reverse else list(terms.items())
-    return DiffOp({k: TrigPoly.from_terms(TrigTerm(c, e) for c, e in (ts[::-1] if reverse else ts))
+    return DiffOp({k: monomial_sum(ts[::-1] if reverse else ts)
                    for k, ts in seq})
 
 
@@ -222,7 +227,7 @@ all_orders = st.sampled_from([(k1, k2) for k1 in range(MAX_ORDER + 1)
 @given(st.dictionaries(all_orders, term_lists, max_size=6), term_lists)
 def test_apply_equals_the_sum_of_coefficients_times_derivatives(terms, f_terms):
     op = _op(terms, False)
-    f = TrigPoly.from_terms(TrigTerm(c, e) for c, e in f_terms)
+    f = monomial_sum(f_terms)
     assert apply(op, f) == _reference_apply(op, f)
 
 
@@ -246,6 +251,33 @@ def test_applying_the_hamiltonian_forms_each_derivative_once(monkeypatch):
     assert calls == {"differentiate": 4, "mul": 0, "add": 0}
     monkeypatch.undo()
     assert got == _reference_apply(h, f)
+
+
+def test_composing_with_the_hamiltonian_forms_each_coefficient_derivative_once(monkeypatch):
+    # H's d2^2 and d2 terms both need d2 of each coefficient of A-: read from
+    # that coefficient's derivative table, it is formed once, so no polynomial
+    # object (kept alive in `inputs`) is differentiated twice in one variable;
+    # no product is a `mul`
+    ell = pv(F(1, 2), 2, F(-1, 3))
+    h, x = build_hamiltonian(ell), graded("A-").at(ell)
+    inputs, muls = [], []
+    real_differentiate, real_mul = diffop.differentiate, trigpoly.mul
+
+    def differentiate_recorded(p, var):
+        inputs.append((p, var))
+        return real_differentiate(p, var)
+
+    def mul_recorded(p, q):
+        muls.append((p, q))
+        return real_mul(p, q)
+
+    monkeypatch.setattr(diffop, "differentiate", differentiate_recorded)
+    monkeypatch.setattr(trigpoly, "mul", mul_recorded)
+    got = compose(h, x)
+    monkeypatch.undo()
+    assert inputs and len(inputs) == len({(id(p), var) for p, var in inputs}) and not muls
+    f = mono(2, HALF, F(3, 2), 1, HALF) + mono(F(-1, 3), -1, HALF, F(5, 2), 2)
+    assert is_zero(apply(got, f) - apply(h, apply(x, f)))
 
 
 # -- operator polynomials applied at a sector ------------------------------------------
@@ -290,6 +322,6 @@ energies = st.one_of(st.just(F(0)), st.fractions(min_value=F(1, 7), max_value=40
 def test_apply_normal_at_is_the_normal_form_of_the_operator_formed_at_the_sector(
         name, ell, f_terms, energy):
     # raw f with half-integer and negative exponents, rational sectors and energies
-    f = TrigPoly.from_terms(TrigTerm(c, e) for c, e in f_terms)
+    f = monomial_sum(f_terms)
     got = apply_normal_at(AT_POLYS[name], ell, f, energy)
     assert got == _reference_normal_at(AT_POLYS[name], ell, f, energy)

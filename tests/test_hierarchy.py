@@ -206,13 +206,15 @@ def test_phi0_action_at_a_sector_is_the_ladder_on_phi0_over_phi0(name, ell):
     # in 1/2 Z every exponent of phi0 has denominator 1 or 2
     x = graded(name)
     want = apply(x.at(ell), hierarchy.phi0(ell))
-    assert is_zero(hierarchy.phi0_action(x.poly).at(ell) * hierarchy.phi0(ell) - want)
+    got = hierarchy.phi0_action(x.poly, hierarchy.PHI0_ROWS).at(ell)
+    assert is_zero(got * hierarchy.phi0(ell) - want)
 
 
 def test_phi0_action_names_the_couplings_a_lowering_operator_needs_zero():
     # A-, B- and Ct- annihilate phi0 at every sector; C-, At- and Bt- only where
     # l1, l0 and l2 vanish, each leaving that one monomial of ell
-    survivors = {name: [m for m, c in hierarchy.phi0_action(graded(name).poly).items()
+    rows = hierarchy.PHI0_ROWS
+    survivors = {name: [m for m, c in hierarchy.phi0_action(graded(name).poly, rows).items()
                         if not is_zero(c)]
                  for name in ("A-", "B-", "Ct-", "C-", "At-", "Bt-")}
     assert survivors == {"A-": [], "B-": [], "Ct-": [],

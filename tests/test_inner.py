@@ -25,6 +25,11 @@ def term(c, a, b, cc, d):
     return TrigTerm(F(c), (F(a), F(b), F(cc), F(d)))
 
 
+def monomial_sum(ts):
+    """The sum of TrigPoly.monomial(c, e) over the (c, e) pairs ts, in their order."""
+    return sum((TrigPoly.monomial(c, e) for c, e in ts), TrigPoly.zero())
+
+
 def test_mono_inner_q1_state():
     t = term(1, HALF, HALF, 1, F(3, 2))
     assert mono_inner(t, t) == pytest.approx(1 / 24, rel=1e-12)
@@ -333,7 +338,7 @@ half_up = st.integers(min_value=1, max_value=8).map(lambda k: F(k, 2))
 nonzero = st.fractions(min_value=-5, max_value=5).filter(lambda c: c != 0)
 admissible_polys = st.lists(st.tuples(nonzero, st.tuples(half_up, half_up, half_up, half_up)),
                             max_size=4).map(
-    lambda ts: TrigPoly.from_terms(TrigTerm(c, e) for c, e in ts))
+    lambda ts: monomial_sum(ts))
 
 
 def _fraction_route_inner(f, g):

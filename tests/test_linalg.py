@@ -5,10 +5,47 @@ from fractions import Fraction
 
 import pytest
 
-from octasphere import linalg
-from octasphere.linalg import _echelon, rank_exact, solve_exact
+from octasphere.linalg import rank_exact, solve_exact
 
 F = Fraction
+
+
+def _fraction_echelon(a, ncols):
+    """Reference: reduce a in place to row echelon form over its first ncols
+    columns in Fractions, each pivot row scaled to a leading 1 and cleared
+    below only; returns the pivot columns."""
+    m = len(a)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = 1 / a[r][c]
+        a[r][c:] = [v * inv for v in a[r][c:]]
+        for i in range(r + 1, m):
+            f = a[i][c]
+            if f != 0:
+                a[i][c:] = [vi - f * vr for vi, vr in zip(a[i][c:], a[r][c:])]
+        pivots.append(c)
+    return pivots
+
+
+def _fraction_solve(rows, rhs):
+    """Reference solve: Fraction elimination of the augmented rows, None if
+    inconsistent, free variables 0."""
+    n = len(rows[0]) if rows else 0
+    a = [[F(v) for v in row] + [F(b)] for row, b in zip(rows, rhs)]
+    pivots = _fraction_echelon(a, n)
+    if any(row[n] != 0 for row in a[len(pivots):]):
+        return None
+    x = [F(0)] * n
+    for i in reversed(range(len(pivots))):
+        x[pivots[i]] = a[i][n] - sum(a[i][c] * x[c] for c in pivots[i + 1:])
+    return x
 
 
 def _random_matrix(rnd, m, n, rank):
@@ -58,9 +95,9 @@ def test_rank_exact():
         assert rank_exact(a) <= r
 
 
-def test_rank_exact_is_the_pivot_count_of_fraction_elimination(monkeypatch):
-    # every shape up to 6 x 6 at every rank up to its size, as int rows and as
-    # Fraction rows (rows and columns scaled by nonzero rationals: same rank)
+def _cases():
+    """Every shape up to 6 x 6 at every rank up to its size, as int rows and as
+    Fraction rows (rows and columns scaled by nonzero rationals: same rank)."""
     rnd = random.Random(5)
     cases = []
     for m in range(1, 7):
@@ -72,13 +109,39 @@ def test_rank_exact_is_the_pivot_count_of_fraction_elimination(monkeypatch):
                 fracs = [[v * x * F(rnd.randint(1, 7), rnd.choice((-5, -2, 3))) for v, x in
                           zip(row, cols)] for row in ints]
                 cases += [ints, fracs]
-    want = [len(_echelon([[F(v) for v in row] for row in a], len(a[0]))) for a in cases]
+    return cases
+
+
+def test_rank_exact_is_the_pivot_count_of_fraction_elimination():
+    cases = _cases()
+    want = [len(_fraction_echelon([[F(v) for v in row] for row in a], len(a[0])))
+            for a in cases]
     assert set(want) == set(range(7))
     copies = [[list(row) for row in a] for a in cases]
-    # the rank eliminates over ints, never through the Fraction echelon
-    monkeypatch.setattr(linalg, "_echelon", None)
     assert [rank_exact(a) for a in cases] == want
     assert cases == copies
+
+
+def test_solve_exact_is_the_fraction_elimination_solve():
+    # per matrix: a consistent right-hand side (A x0), an inconsistent one where
+    # the rank allows it, and the zero one; wide matrices are underdetermined
+    rnd = random.Random(13)
+    kinds = {"consistent": 0, "inconsistent": 0, "underdetermined": 0}
+    for a in _cases():
+        n = len(a[0])
+        x0 = [F(rnd.randint(-4, 4), rnd.randint(1, 3)) for _ in range(n)]
+        for b in ([sum(v * x for v, x in zip(row, x0)) for row in a],
+                  [F(rnd.randint(-4, 4)) for _ in a], [0] * len(a)):
+            want = _fraction_solve(a, b)
+            copies = [list(row) for row in a], list(b)
+            assert solve_exact(a, b) == want
+            assert ([list(row) for row in a], list(b)) == copies
+            if want is None:
+                kinds["inconsistent"] += 1
+            else:
+                kinds["consistent"] += 1
+                kinds["underdetermined"] += rank_exact(a) < n
+    assert min(kinds.values()) > 50, kinds
 
 
 def test_ragged_rows_are_a_value_error():

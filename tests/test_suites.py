@@ -114,6 +114,26 @@ def test_a_so6_residual_that_is_not_a_constant_gets_a_witness(monkeypatch):
     assert not suites.run_suite("all", 2)["passed"]
 
 
+def test_a_compose_that_drops_the_binomial_weights_fails_the_report(monkeypatch, fresh_memos):
+    # the Leibniz products d^k (c d^m) = sum_j C(k, j) (d^j c) d^(k-j+m), each
+    # with weight 1: wrong wherever a second-order term meets a non-constant
+    # coefficient; the memos are empty, so every composing check runs on it
+    def compose_unweighted(x, y):
+        tables = {m: {(0, 0): cy} for m, cy in y.items()}
+        acc = {}
+        for (k1, k2), cx in x.items():
+            for (m1, m2), derivs in tables.items():
+                for j1 in range(k1 + 1):
+                    for j2 in range(k2 + 1):
+                        acc.setdefault((k1 - j1 + m1, k2 - j2 + m2), []).append(
+                            (1, cx, diffop._derivative(derivs, j1, j2)))
+        return DiffOp._raw({k: trigpoly.sum_of_products(t) for k, t in acc.items()})
+
+    for module in (diffop, operators, superpotential):
+        monkeypatch.setattr(module, "compose", compose_unweighted)
+    assert not suites.run_suite("all", 2)["passed"]
+
+
 def _shift_row(name, row, index, delta):
     """A mutant adding delta to entry `index` of a family row (c0, c_l0, c_l1, c_l2)."""
     def mutate(patch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octasphere.diffop import DiffOp, is_zero_op, pv
-from octasphere.hierarchy import closed_form_state, phi0, phi0_action
+from octasphere.hierarchy import PHI0_ROWS, closed_form_state, phi0, phi0_action
 from octasphere.lpoly import LPoly
 from octasphere.operators import (FAMILIES, build_first_order, graded, graded_product,
                                   intertwine_residual)
@@ -75,7 +75,7 @@ def _inverse(monomial: TrigPoly) -> TrigPoly:
 def test_superpot_from_state_matches_printed_alpha():
     # the superpotential read off phi0 at (1, 0, 0) by a^+ = d1 is the printed
     # alpha there: -(3/2) tan + (1/2) cot
-    got = phi0_action(_constant(DiffOp({(1, 0): ONE}))).at(pv(1, 0, 0))
+    got = phi0_action(_constant(DiffOp({(1, 0): ONE})), PHI0_ROWS).at(pv(1, 0, 0))
     assert got == mono(-F(3, 2), -1, 1, 0, 0) + mono(HALF, 1, -1, 0, 0)
 
 
@@ -84,7 +84,7 @@ def test_superpot_one_dimensional_convention():
     # inverse monomial
     for ell in (pv(1, 2, 0), pv(HALF, F(3, 2), F(-1, 2)), pv(-2, 0, 3)):
         for order, var in (((1, 0), PHI1), ((0, 1), PHI2)):
-            got = phi0_action(_constant(DiffOp({order: ONE}))).at(ell)
+            got = phi0_action(_constant(DiffOp({order: ONE})), PHI0_ROWS).at(ell)
             assert got == mul(differentiate(phi0(ell), var), _inverse(phi0(ell)))
 
 
@@ -93,12 +93,12 @@ def test_superpot_constant_state_is_zero():
     ell = pv(-HALF, -HALF, -HALF)
     assert phi0(ell) == ONE
     x = _constant(DiffOp({(1, 0): mono(3, 1, 0, -1, 0), (0, 1): ONE}))
-    assert not phi0_action(x).at(ell)
+    assert not phi0_action(x, PHI0_ROWS).at(ell)
 
 
 def test_phi0_action_rejects_a_second_order_operator():
     with pytest.raises(ValueError):
-        phi0_action(graded_product(graded("A+"), graded("A-")).poly)
+        phi0_action(graded_product(graded("A+"), graded("A-")).poly, PHI0_ROWS)
 
 
 def test_riccati_vanishing_potential_sector():
@@ -166,7 +166,7 @@ def test_kinetic_and_rotation():
 def test_simultaneous_superpotentials_case_i():
     # each family's residual is zero on the plane l1 = 0 of the u(3) fundamental
     # states, and C's is a multiple of l1 off it
-    got = simultaneous_superpotentials()
+    got = simultaneous_superpotentials(tuple(FAMILIES.items()), PHI0_ROWS)
     assert list(got) == ["A", "B", "C"]
     survivors = {name: [m for m, c in w.items() if not is_zero(c)] for name, w in got.items()}
     assert survivors == {"A": [], "B": [], "C": [(0, 1, 0)]}
@@ -184,11 +184,11 @@ def test_joint_ground_state_feeds_alpha_and_beta_but_not_gamma():
     for fam in ("A", "B"):
         assert is_zero(apply(graded(fam + "-").at(st.params), st.wavefunction))
         vec, _ = decompose(build_first_order(fam, "-", st.params))
-        got = phi0_action(_constant(vec.scale(-1))).at(st.params)
+        got = phi0_action(_constant(vec.scale(-1)), PHI0_ROWS).at(st.params)
         assert is_zero(got - FAMILIES[fam].symbolic_multiplier.at(st.params))
     assert not is_zero(apply(graded("C-").at(st.params), st.wavefunction))
     c_vec, _ = decompose(build_first_order("C", "-", st.params))
-    gamma_candidate = phi0_action(_constant(c_vec.scale(-1))).at(st.params)
+    gamma_candidate = phi0_action(_constant(c_vec.scale(-1)), PHI0_ROWS).at(st.params)
     assert not is_zero(gamma_candidate - FAMILIES["C"].symbolic_multiplier.at(st.params))
 
 
@@ -209,8 +209,8 @@ def test_partial_fundamental_state_case_ii():
     assert phi0(st.params, onedim=True) == mono(1, F(3, 2), F(3, 2), 0, 0)
 
     def candidate_from_f_factor(vec):
-        return phi0_action(_constant(DiffOp({(1, 0): vec.coeff((1, 0)).scale(-1)}))) \
-            .at(st.params)
+        vector_part = _constant(DiffOp({(1, 0): vec.coeff((1, 0)).scale(-1)}))
+        return phi0_action(vector_part, PHI0_ROWS).at(st.params)
 
     a_vec, _ = decompose(build_first_order("A", "-", st.params))
     alpha = candidate_from_f_factor(a_vec)
