@@ -3,9 +3,10 @@
     DiffOp ~ dict[(k1, k2) -> TrigPoly]   meaning   sum coeff * d^k1_phi1 d^k2_phi2
 
 Application and composition (the generalized Leibniz rule) are exact; both
-read derivatives from a `_derivative` table, so each is formed once.  Total
-order is capped at 4, which covers every workflow here (quadratic Casimir
-elements of first-order ladder operators).
+read derivatives from a `_derivative` table, so each is formed once, and add
+their products in one `trigpoly.sum_of_products`.  Total order is capped at
+4, which covers every workflow here (quadratic Casimir elements of
+first-order ladder operators).
 
 A DiffOp, like its TrigPoly coefficients, is immutable by convention: nothing
 mutates `_terms` after construction.  Equality is structural (equal
@@ -14,8 +15,8 @@ coefficients at equal orders); operators are not hashable.
 The ladder builder and every eigen or annihilation check apply an operator
 polynomial at a sector through `apply_normal_at`, which adds memoised
 normal-form images of f's monomials (`_image`, `_monomial_image`, keyed on
-the polynomial object and int tuples; `operators.reset` empties them) into
-one int accumulation.
+the polynomial object and int tuples; `operators.reset` empties them) by the
+one linear accumulation of `trigpoly`.
 
 The Hamiltonian family is defined once, as the quadratic polynomial in the
 couplings `HAMILTONIAN` (an LPoly), assembled from its separated blocks
@@ -33,8 +34,8 @@ import functools
 import math
 from fractions import Fraction
 
-from .lpoly import ZERO, LPoly, Mono, ParamVector, coupling, pv  # noqa: F401  (pv re-exported)
-from .trigpoly import (PHI1, PHI2, ONE, Key, TrigPoly, _new, _ratio, _reduced, differentiate,
+from .lpoly import ZERO, LPoly, Mono, ParamVector, pv  # noqa: F401  (pv re-exported)
+from .trigpoly import (PHI1, PHI2, ONE, Key, TrigPoly, _new, _ratio, _sum, coupling, differentiate,
                        is_zero, normalized, sum_of_products)
 
 MAX_ORDER = 4
@@ -161,28 +162,19 @@ def apply_normal_at(poly: LPoly, ell, f: TrigPoly, energy=0) -> TrigPoly:
     raw result.  Application and the normal form are both linear over Q, so
     the result is the sum over the monomials x^k of f and the ell-monomials m
     of poly of f_k l^m NF(poly_m x^k) - f_k energy NF(x^k); each image is
-    memoised (`_image`, `_monomial_image`), and all are added into one int
-    dict over the lcm of their denominators with one gcd."""
+    memoised (`_image`, `_monomial_image`), and the images are added by the
+    one linear accumulation of `trigpoly`."""
     en, ed = _ratio(energy)
     weights = [(m, *_ratio(w)) for m, w, _ in poly.weighted(ell) if w]
     parts = []
     for key, n in f._terms.items():
         for m, wn, wd in weights:
             img = _image(poly, m, key)
-            if img._terms:
-                parts.append((n * wn, wd * img._den, img._terms))
+            parts.append((n * wn, wd * f._den * img._den, img._terms))
         if en:
             img = _monomial_image(key)
-            parts.append((-n * en, ed * img._den, img._terms))
-    den = math.lcm(*{d for _, d, _ in parts})
-    acc: dict[Key, int] = {}
-    for c, d, terms in parts:
-        c *= den // d
-        for e, v in terms.items():
-            v *= c
-            v0 = acc.get(e)
-            acc[e] = v if v0 is None else v0 + v
-    return _reduced({e: v for e, v in acc.items() if v}, den * f._den)
+            parts.append((-n * en, ed * f._den * img._den, img._terms))
+    return _sum(parts)
 
 
 def compose(x: DiffOp, y: DiffOp) -> DiffOp:
@@ -224,11 +216,6 @@ def _inverse_square(axis: int, f: TrigPoly) -> LPoly:
                           ZERO: DiffOp.multiplication(f.scale(Fraction(-1, 4)))})
 
 
-def _potential_last(op: DiffOp) -> DiffOp:
-    """op with its derivative terms first, in their order, and its potential last."""
-    return DiffOp._raw(dict(sorted(op.items(), key=lambda t: t[0] == (0, 0))))
-
-
 # -d1^2 + (l0^2-1/4) sec^2 phi1 + (l1^2-1/4) csc^2 phi1
 PHI1_BLOCK = LPoly(DiffOp, {ZERO: DiffOp({(2, 0): TrigPoly.constant(-1)})}) \
     + _inverse_square(0, TrigPoly.monomial(1, (-2, 0, 0, 0))) \
@@ -239,11 +226,9 @@ PHI2_BLOCK = LPoly(DiffOp, {ZERO: DiffOp({(0, 2): TrigPoly.constant(-1),
                                           (0, 1): TrigPoly.monomial(1, (0, 0, -1, 1))})}) \
     + _inverse_square(2, TrigPoly.monomial(1, (0, 0, 0, -2)))
 
-# H = PHI2_BLOCK + sec^2 phi2 PHI1_BLOCK, one quadratic polynomial in ell.  Its
-# constant coefficient lists the derivative terms before the potential, and the
-# value at a sector keeps that term order (application sums terms in stored order).
-HAMILTONIAN = (PHI2_BLOCK + LPoly(DiffOp, {ZERO: DiffOp.multiplication(_SEC2_2)})
-               .product(PHI1_BLOCK, compose)).map(_potential_last)
+# H = PHI2_BLOCK + sec^2 phi2 PHI1_BLOCK, one quadratic polynomial in ell
+HAMILTONIAN = PHI2_BLOCK + LPoly(DiffOp, {ZERO: DiffOp.multiplication(_SEC2_2)}) \
+    .product(PHI1_BLOCK, compose)
 
 
 def build_hamiltonian(ell: ParamVector) -> DiffOp:

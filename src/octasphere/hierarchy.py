@@ -21,6 +21,7 @@ first-order ladder X (`phi0_action`), and each annihilation is an identity in el
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, replace
@@ -28,11 +29,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import diffop, linalg
-from .diffop import ParamVector, apply_normal_at, coupling
+from .diffop import ParamVector, apply_normal_at
 from .lpoly import LPoly, Row, as_sector, quantum_number, row_at
 from .operators import GradedOp, graded, intertwining_witness
-from .trigpoly import (COT1, COT2, PHI1, PHI2, TAN1, TAN2, TrigPoly, _reduced, frac_to_str,
-                       mul, normalized, to_obj)
+from .trigpoly import (COT1, COT2, PHI1, PHI2, TAN1, TAN2, TrigPoly, _sum, coupling,
+                       frac_to_str, mul, normalized, to_obj)
 from .trigpoly import proportionality  # noqa: F401  (re-exported for comparing states)
 
 HALF = Fraction(1, 2)
@@ -84,26 +85,26 @@ def jacobi(n: int, alpha, beta) -> JacobiPoly:
     return JacobiPoly(n, a, b, tuple(Fraction(c, den) for c in coeffs))
 
 
+@functools.cache
+def _cos2_power(k: int, var: int) -> dict[tuple[int, int, int, int], int]:
+    """x^k = (cos^2 phi - sin^2 phi)^k in the angle var: {cos^(2i) sin^(2(k-i)):
+    C(k, i) (-1)^(k-i)} on doubled exponents, i descending as the powers of x
+    multiply out."""
+    return {(4 * i, 4 * (k - i), 0, 0) if var == PHI1 else (0, 0, 4 * i, 4 * (k - i)):
+            (-1) ** (k - i) * math.comb(k, i) for i in range(k, -1, -1)}
+
+
 def jacobi_in_cos2(jp: JacobiPoly, var: int) -> TrigPoly:
     """Substitute x = cos(2 phi) = cos^2 phi - sin^2 phi in the angle var in {PHI1, PHI2}.
 
     sum_k c_k x^k expands to sum_k sum_i c_k C(k, i) (-1)^(k-i) cos^(2i) sin^(2(k-i)),
-    one distinct monomial per (k, i), added into one int dict over the lcm of
-    the coefficient denominators (k ascending, i descending, as the powers of
-    x multiply out) with one gcd.
+    one distinct monomial per (k, i); the memoised int expansions of the x^k
+    are added with weights c_k, k ascending, by the one linear accumulation of
+    `trigpoly`.
     """
     if var not in (PHI1, PHI2):
         raise ValueError(f"unknown variable {var!r}")
-    parts = [(k, c.numerator, c.denominator) for k, c in enumerate(jp.coeffs) if c]
-    den = math.lcm(*(d for _, _, d in parts))
-    acc: dict[tuple[int, int, int, int], int] = {}
-    for k, cn, cd in parts:
-        m = cn * (den // cd)
-        for i in range(k, -1, -1):
-            v = m * math.comb(k, i)
-            c, s = 4 * i, 4 * (k - i)  # cos^(2i) sin^(2(k-i)), exponents doubled
-            acc[(c, s, 0, 0) if var == PHI1 else (0, 0, c, s)] = -v if (k - i) & 1 else v
-    return _reduced(acc, den)
+    return _sum((c, 1, _cos2_power(k, var)) for k, c in enumerate(jp.coeffs))
 
 
 # -- energies --------------------------------------------------------------------

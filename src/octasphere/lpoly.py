@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .trigpoly import TrigPoly, coupling, linear_combine  # noqa: F401  (coupling re-exported)
+from .trigpoly import TrigPoly, coupling, linear_combine
 
 Mono = tuple[int, int, int]
 Row = tuple[Fraction, Fraction, Fraction, Fraction]

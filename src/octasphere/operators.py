@@ -318,8 +318,9 @@ def reset() -> None:
     intertwinings, structure table and printed audit here, antisymmetry,
     Jacobi and the two phi0 proofs of `suites`, the Riccati lambda and the
     kinetic check of `superpotential`); the monomial images of `diffop`; the
-    Beta values, quadrature nodes and quadrature columns of `inner`; and the
-    normal-form basis and half-integer tables of `trigpoly`.  Each generator
+    Beta values, quadrature nodes and quadrature columns of `inner`; the
+    cos(2 phi) power expansions of `hierarchy`; and the normal-form basis and
+    half-integer tables of `trigpoly`.  Each generator
     is then rebuilt as a new object, each proof formed afresh and each image
     retaken.  A replaced table row needs no reset (it is a new key); a mutant
     of code does."""

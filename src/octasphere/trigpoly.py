@@ -15,13 +15,18 @@ and hash small ints; `cos^(3/2)` is key component 3.  Coefficients are stored
 as int numerators over one denominator, reduced so that the denominator is
 positive and shares no factor with all the numerators; the kernel (sums,
 products, derivatives, the normal form) does int arithmetic only and divides
-out one gcd per result.  `linear_combine` (sum of c_i p_i) and
-`sum_of_products` (sum of w_i p_i q_i, as operator application forms it) add every
-term of a sum into one int dict over one lcm denominator, so the whole sum
-divides out one gcd.  Fractions appear only at the boundary: the
-constructors validate and double Fraction (or int) exponents and take
-Fraction coefficients, and `items`, `terms`, `normal_form`, `class_reduce`,
-`coordinate_vectors` and the JSON object form give Fractions back.
+out one gcd per result.  Every exact sum is one linear accumulation, `_sum`:
+weighted int term dicts are brought to the lcm of their denominators and
+added into one int dict, keys in first-occurrence order and zero sums
+dropped.  `TrigPoly(terms)`, `+`, `-` and `linear_combine` are calls of it,
+and so are the image sums of `diffop.apply_normal_at` and the Jacobi
+substitution of `hierarchy`.  Products have the one bilinear accumulation,
+`sum_of_products` (sum of w_i p_i q_i, as operator application forms it),
+of which `mul` is the one-product case.  Fractions appear only at the
+boundary: the constructors validate and double Fraction (or int) exponents
+and take Fraction coefficients, and `items`, `terms`, `normal_form`,
+`class_reduce`, `coordinate_vectors` and the JSON object form give Fractions
+back.
 
 The stored ("canonical") form only merges identical exponent tuples and drops
 zero coefficients; with the reduced denominator it is unique for a map of
@@ -118,17 +123,9 @@ class TrigPoly:
     __slots__ = ("_terms", "_den", "_hash")
 
     def __init__(self, terms: dict[Exps, Fraction] | None = None):
-        clean: dict[Key, Fraction] = {}
-        for e, c in (terms or {}).items():
-            c = coupling(c)
-            if c:
-                e = _exps(e)
-                clean[e] = clean.get(e, 0) + c
-        clean = {e: c for e, c in clean.items() if c}
-        # over the lcm of reduced denominators the numerators share no factor with it
-        den = math.lcm(*(c.denominator for c in clean.values()))
-        self._terms = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
-        self._den = den
+        p = _sum((c, 1, {_exps(e): 1}) for e, c in (terms or {}).items())
+        self._terms = p._terms
+        self._den = p._den
 
     # -- construction helpers ------------------------------------------------
 
@@ -184,36 +181,13 @@ class TrigPoly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        den, dq = self._den, other._den
-        if den == dq:
-            acc, add = dict(self._terms), other._terms
-        else:  # over the least common denominator
-            g = math.gcd(den, dq)
-            mp, mq = dq // g, den // g
-            acc = {e: n * mp for e, n in self._terms.items()}
-            add = {e: n * mq for e, n in other._terms.items()}
-            den *= mp
-        for e, n in add.items():
-            n0 = acc.get(e)
-            if n0 is None:
-                acc[e] = n
-            else:
-                n0 += n
-                if n0:
-                    acc[e] = n0
-                else:
-                    del acc[e]
-        return _reduced(acc, den)
+        return _sum(((1, self._den, self._terms), (1, other._den, other._terms)))
 
     def __neg__(self) -> "TrigPoly":
         return _new({e: -n for e, n in self._terms.items()}, self._den)
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
-        return self + (-other)
+        return _sum(((1, self._den, self._terms), (-1, other._den, other._terms)))
 
     def __mul__(self, other):
         if isinstance(other, TrigPoly):
@@ -247,8 +221,10 @@ def _new(terms: dict[Key, int], den: int) -> TrigPoly:
 
 
 def _reduced(terms: dict[Key, int], den: int) -> TrigPoly:
-    """The canonical TrigPoly of nonzero int numerators over den > 0: divides
-    out gcd(den, *numerators)."""
+    """The canonical TrigPoly of int numerators over den > 0: drops zero
+    numerators and divides out gcd(den, *numerators)."""
+    if 0 in terms.values():
+        terms = {e: n for e, n in terms.items() if n}
     if den != 1:
         g = math.gcd(den, *terms.values())
         if g != 1:
@@ -262,58 +238,68 @@ def _monomial(coeff, key: Key) -> TrigPoly:
     return _new({key: cn}, cd) if cn else TrigPoly()
 
 
-def linear_combine(pairs: Sequence[tuple[Fraction, TrigPoly]]) -> TrigPoly:
-    """Canonical sum of c_i * p_i."""
-    parts = []
-    for c, p in pairs:
-        cn, cd = _ratio(c)
-        if cn and p._terms:
-            parts.append((cn, cd * p._den, p._terms))
-    den = math.lcm(*(d for _, d, _ in parts))
+def _sum(parts: Iterable[tuple[Fraction | int, int, dict[Key, int]]]) -> TrigPoly:
+    """The canonical sum of w * terms / d over the parts (w, d, terms), w
+    rational, d a positive int and terms an int numerator dict: the one linear
+    accumulation.  Every part is brought to the lcm of the denominators and
+    added into one int dict, keys in first-occurrence order; zero sums are
+    dropped and one gcd divides out.  Parts with w == 0 or no terms are skipped."""
+    kept = []
+    den = 1
+    for w, d, terms in parts:
+        if type(w) is not int:
+            w, wd = _ratio(w)
+            d *= wd
+        if w and terms:
+            kept.append((w, d, terms))
+            if den % d:
+                den = math.lcm(den, d)
     acc: dict[Key, int] = {}
-    for cn, d, terms in parts:
-        m = cn * (den // d)
+    for w, d, terms in kept:
+        w *= den // d
         for e, v in terms.items():
-            v *= m
+            v *= w
             v0 = acc.get(e)
             acc[e] = v if v0 is None else v0 + v
-    return _reduced({e: v for e, v in acc.items() if v}, den)
+    return _reduced(acc, den)
+
+
+def linear_combine(pairs: Sequence[tuple[Fraction, TrigPoly]]) -> TrigPoly:
+    """Canonical sum of c_i * p_i."""
+    return _sum((c, p._den, p._terms) for c, p in pairs)
 
 
 def sum_of_products(triples: Iterable[tuple[Fraction | int, TrigPoly, TrigPoly]]) -> TrigPoly:
-    """Canonical sum of w_i * p_i * q_i, w_i rational: every product is added into
-    one int dict over the lcm of the denominators, with one gcd."""
-    parts = []
+    """Canonical sum of w_i * p_i * q_i, w_i rational: the one bilinear
+    accumulation.  Like `_sum`, it adds every product term by term into one
+    int dict over the lcm of the denominators, with one gcd."""
+    kept = []
+    den = 1
     for w, p, q in triples:
-        wn, wd = _ratio(w)
-        if wn and p._terms and q._terms:
-            parts.append((wn, wd * p._den * q._den, p._terms, q._terms))
-    den = math.lcm(*(d for _, d, _, _ in parts))
+        d = p._den * q._den
+        if type(w) is not int:
+            w, wd = _ratio(w)
+            d *= wd
+        if w and p._terms and q._terms:
+            kept.append((w, d, p._terms, q._terms))
+            if den % d:
+                den = math.lcm(den, d)
     acc: dict[Key, int] = {}
-    for wn, d, pt, qt in parts:
-        m = wn * (den // d)
+    for w, d, pt, qt in kept:
+        w *= den // d
         for (a1, b1, c1, d1), v1 in pt.items():
-            v1 *= m
+            v1 *= w
             for (a2, b2, c2, d2), v2 in qt.items():
                 e = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
                 v = v1 * v2
                 v0 = acc.get(e)
                 acc[e] = v if v0 is None else v0 + v
-    return _reduced({e: v for e, v in acc.items() if v}, den)
+    return _reduced(acc, den)
 
 
 def mul(p: TrigPoly, q: TrigPoly) -> TrigPoly:
     """Exact product; exponents add componentwise."""
-    if not p._terms or not q._terms:
-        return TrigPoly()
-    acc: dict[Key, int] = {}
-    for (a1, b1, c1, d1), v1 in p._terms.items():
-        for (a2, b2, c2, d2), v2 in q._terms.items():
-            e = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
-            v = v1 * v2
-            v0 = acc.get(e)
-            acc[e] = v if v0 is None else v0 + v
-    return _reduced({e: v for e, v in acc.items() if v}, p._den * q._den)
+    return sum_of_products(((1, p, q),))
 
 
 def differentiate(p: TrigPoly, var: int) -> TrigPoly:
@@ -341,7 +327,7 @@ def differentiate(p: TrigPoly, var: int) -> TrigPoly:
             v = b * n
             v0 = acc.get(up)
             acc[up] = v if v0 is None else v0 + v
-    return _reduced({e: v for e, v in acc.items() if v}, 2 * p._den)
+    return _reduced(acc, 2 * p._den)
 
 
 # -- fixed-basis normal form -------------------------------------------------
@@ -483,7 +469,7 @@ def eval_numeric(p: TrigPoly, phi1: float, phi2: float) -> float:
 # -- JSON serialization ------------------------------------------------------
 
 def frac_to_str(x: Fraction) -> str:
-    x = Fraction(x)
+    x = coupling(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -523,11 +509,9 @@ def to_obj(p: TrigPoly) -> dict:
 
 def from_obj(obj: dict) -> TrigPoly:
     """Inverse of `to_obj`; ValueError on a malformed object."""
-    acc = {}
-    for t in obj_field(obj, "terms", list):
-        exps = tuple(frac_from_str(e) for e in obj_field(t, "exps", list))
-        acc[exps] = acc.get(exps, Fraction(0)) + frac_from_str(obj_field(t, "coeff", str))
-    return TrigPoly(acc)
+    return _sum((frac_from_str(obj_field(t, "coeff", str)), 1,
+                 {_exps([frac_from_str(e) for e in obj_field(t, "exps", list)]): 1})
+                for t in obj_field(obj, "terms", list))
 
 
 # -- common monomials --------------------------------------------------------

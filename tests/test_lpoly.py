@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from octasphere.diffop import DiffOp, compose
 from octasphere.lpoly import LPoly, row_at
-from octasphere.trigpoly import COS1, SIN2, TAN1, TrigPoly, mul
+from octasphere.trigpoly import COS1, SIN2, TAN1, TrigPoly, frac_to_str, mul
 
 F = Fraction
 
@@ -117,6 +117,8 @@ def _entry_points():
         "make_state energy": lambda x: make_state((0, 0, 0), {}, TrigPoly.constant(1), x),
         "rank_exact": lambda x: rank_exact([[x]]),
         "solve_exact": lambda x: solve_exact([[x]], [1]),
+        # and the JSON writer of a fraction
+        "frac_to_str": frac_to_str,
     }
 
 

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import math
 import pkgutil
 from dataclasses import replace
 from fractions import Fraction
@@ -132,6 +133,34 @@ def test_a_compose_that_drops_the_binomial_weights_fails_the_report(monkeypatch,
     for module in (diffop, operators, superpotential):
         monkeypatch.setattr(module, "compose", compose_unweighted)
     assert not suites.run_suite("all", 2)["passed"]
+
+
+def test_a_sum_that_skips_the_common_denominator_fails_the_report_and_the_lattice(monkeypatch,
+                                                                                  fresh_memos):
+    # the one linear accumulation of trigpoly with each part added over its own
+    # denominator, not brought to the lcm: wrong wherever the parts' denominators
+    # differ; the memos are empty, so every check and ladder step runs on it
+    def sum_unscaled(parts):
+        kept, den = [], 1
+        for w, d, terms in parts:
+            if type(w) is not int:
+                w, wd = trigpoly._ratio(w)
+                d *= wd
+            if w and terms:
+                kept.append((w, terms))
+                den = math.lcm(den, d)
+        acc = {}
+        for w, terms in kept:
+            for e, v in terms.items():
+                acc[e] = acc.get(e, 0) + w * v
+        return trigpoly._reduced(acc, den)
+
+    for module in (trigpoly, diffop, hierarchy):
+        monkeypatch.setattr(module, "_sum", sum_unscaled)
+    assert not suites.run_suite("all", 2)["passed"]
+    operators.reset()
+    with pytest.raises(hierarchy.StateCheckError):
+        hierarchy.iur_states("so6", (3,))
 
 
 def _shift_row(name, row, index, delta):

@@ -341,9 +341,12 @@ def test_equal_polys_built_by_different_routes_hash_equal(p, q):
 # -- differential test: the int kernel against a plain Fraction reference ----------------
 
 def _ref_sum(pairs):
-    """sum c * p over dict[Exps, Fraction] polys."""
+    """sum c * p over dict[Exps, Fraction] polys; keys in order of first
+    occurrence, where a part of weight 0 adds no key."""
     acc = {}
     for c, p in pairs:
+        if not c:
+            continue
         for e, v in p.items():
             acc[e] = acc.get(e, 0) + c * v
     return {e: v for e, v in acc.items() if v}
@@ -406,19 +409,26 @@ def _canonical(p):
 def test_kernel_matches_a_fraction_reference(p, q, c, var):
     rp, rq = dict(p.items()), dict(q.items())
     pyth = COS1 * COS1 + SIN1 * SIN1 if var == PHI1 else COS2 * COS2 + SIN2 * SIN2
+    zeros_first = {**{e: 0 for e in rq}, **rp}   # q's keys first, p's coefficients
     cases = [
-        (p + q, _ref_sum([(1, rp), (1, rq)])),
-        (p - q, _ref_sum([(1, rp), (-1, rq)])),
-        (-p, _ref_sum([(-1, rp)])),
         (p.scale(c), _ref_sum([(c, rp)])),
         (p.scale(0), {}),
-        (mul(p, q), _ref_mul(rp, rq)),
+        (-p, _ref_sum([(-1, rp)])),
         (differentiate(p, var), _ref_differentiate(rp, var)),
+    ]
+    # every sum also keeps the reference's key order, which float sums read
+    ordered = [
+        (p + q, _ref_sum([(1, rp), (1, rq)])),
+        (p - q, _ref_sum([(1, rp), (-1, rq)])),
+        (mul(p, q), _ref_mul(rp, rq)),
         (linear_combine([(c, p), (F(0), q), (F(-1, 3), q)]),
          _ref_sum([(c, rp), (F(-1, 3), rq)])),
+        (TrigPoly(zeros_first), _ref_sum([(1, zeros_first)])),
     ]
-    for r, want in cases:
+    for r, want in cases + ordered:
         assert _canonical(r) and dict(r.items()) == want
+    for r, want in ordered:
+        assert list(dict(r.items())) == list(want)
     assert normal_form(p) == _ref_normal_form(rp)
     assert normal_form(mul(p, q)) == _ref_normal_form(_ref_mul(rp, rq))
     assert proportionality(p, q) == _ref_proportionality(rp, rq)
@@ -436,6 +446,7 @@ def test_sum_of_products_matches_a_fraction_reference(p, q, r, c, w):
     got = sum_of_products(triples)
     want = _ref_sum([(x, _ref_mul(dict(a.items()), dict(b.items()))) for x, a, b in triples])
     assert _canonical(got) and _int_keyed(got) and dict(got.items()) == want
+    assert list(dict(got.items())) == list(want)
     assert got == mul(p, q) + p.scale(-2) + q.scale(w) + mul(q, p).scale(F(-5, 6))
     assert sum_of_products([(1, p, q), (1, p, ONE)]) == mul(p, q) + p
     assert sum_of_products([]) == TrigPoly.zero()
