@@ -13,10 +13,13 @@ mutates `_terms` after construction.  Equality is structural (equal
 coefficients at equal orders); operators are not hashable.
 
 The ladder builder and every eigen or annihilation check apply an operator
-polynomial at a sector through `apply_normal_at`, which adds memoised
-normal-form images of f's monomials (`_image`, `_monomial_image`, keyed on
-the polynomial object and int tuples; `operators.reset` empties them) by the
-one linear accumulation of `trigpoly`.
+polynomial at a sector through `apply_normal_at`: per monomial of f it reads
+one memoised flat table of the normal-form images of all the polynomial's
+ell-monomial coefficients applied to that monomial (`_flat`, keyed on the
+polynomial object and the monomial's int key), weights them by the
+ell-monomials as ints in one pass into one int dict, and subtracts the
+monomial's own memoised normal form for an energy (`_monomial_image`);
+`operators.reset` empties both memos.
 
 The Hamiltonian family is defined once, as the quadratic polynomial in the
 couplings `HAMILTONIAN` (an LPoly), assembled from its separated blocks
@@ -34,9 +37,9 @@ import functools
 import math
 from fractions import Fraction
 
-from .lpoly import ZERO, LPoly, Mono, ParamVector, pv  # noqa: F401  (pv re-exported)
-from .trigpoly import (PHI1, PHI2, ONE, Key, TrigPoly, _new, _ratio, _sum, coupling, differentiate,
-                       is_zero, normalized, sum_of_products)
+from .lpoly import ZERO, LPoly, ParamVector, as_sector, pv  # noqa: F401  (pv re-exported)
+from .trigpoly import (PHI1, PHI2, ONE, Key, TrigPoly, _new, _ratio, _reduced, coupling,
+                       differentiate, is_zero, normalized, sum_of_products)
 
 MAX_ORDER = 4
 
@@ -144,10 +147,17 @@ def apply(op: DiffOp, f: TrigPoly) -> TrigPoly:
 
 
 @functools.cache
-def _image(poly: LPoly, mono: Mono, key: Key) -> TrigPoly:
-    """The normal form of poly's l^mono coefficient applied to the monomial with
-    doubled exponents key (`trigpoly.normalized`)."""
-    return normalized(apply(poly.coeff(mono), _new({key: 1}, 1)))
+def _flat(poly: LPoly, key: Key) -> tuple[int, tuple[tuple[Key, int, int], ...]]:
+    """The normal forms (`trigpoly.normalized`) of poly's ell-monomial
+    coefficients applied to the monomial with doubled exponents key, as one
+    flat table over one denominator: (den, ((out key, slot, int numerator),
+    ...)), slot s the s-th monomial of poly in its stored order, the slots in
+    that order and each image's terms in its stored order."""
+    x = _new({key: 1}, 1)
+    images = [normalized(apply(c, x)) for c in poly._terms.values()]
+    den = math.lcm(*(img._den for img in images))
+    return den, tuple((e, s, v * (den // img._den))
+                      for s, img in enumerate(images) for e, v in img._terms.items())
 
 
 @functools.cache
@@ -161,20 +171,48 @@ def apply_normal_at(poly: LPoly, ell, f: TrigPoly, energy=0) -> TrigPoly:
     is the zero function, without forming poly.at(ell), a derivative of f or a
     raw result.  Application and the normal form are both linear over Q, so
     the result is the sum over the monomials x^k of f and the ell-monomials m
-    of poly of f_k l^m NF(poly_m x^k) - f_k energy NF(x^k); each image is
-    memoised (`_image`, `_monomial_image`), and the images are added by the
-    one linear accumulation of `trigpoly`."""
+    of poly of f_k l^m NF(poly_m x^k) - f_k energy NF(x^k).  The weights l^m
+    are ints over one common denominator.  Each x^k is one read of its image
+    table (`_flat`) and one int pass over it, skipping the slots of weight 0,
+    then of its own image (`_monomial_image`) for a nonzero energy.  Terms are
+    added into one int dict over the lcm of the tables' denominators, keys in
+    first-occurrence order, and one gcd divides out: term for term the sum
+    `trigpoly._sum` makes of one part per image."""
+    l0, l1, l2 = as_sector(ell)
+    n0, n1, n2 = l0.numerator, l1.numerator, l2.numerator
+    d0, d1, d2 = l0.denominator, l1.denominator, l2.denominator
+    # the weights l0^i l1^j l2^k of poly's monomials, ints over wd * ed
+    if d0 == d1 == d2 == 1:
+        wd = 1
+        weights = [n0 ** i * n1 ** j * n2 ** k for i, j, k in poly._terms]
+    else:
+        pairs = [(n0 ** i * n1 ** j * n2 ** k, d0 ** i * d1 ** j * d2 ** k)
+                 for i, j, k in poly._terms]
+        wd = math.lcm(*(d for _, d in pairs))
+        weights = [w * (wd // d) for w, d in pairs]
     en, ed = _ratio(energy)
-    weights = [(m, *_ratio(w)) for m, w, _ in poly.weighted(ell) if w]
-    parts = []
+    if ed != 1:
+        weights = [w * ed for w in weights]
+    # numerators over f._den * wd * ed * den, den the lcm of the tables' denominators so far
+    acc: dict[Key, int] = {}
+    den = 1
     for key, n in f._terms.items():
-        for m, wn, wd in weights:
-            img = _image(poly, m, key)
-            parts.append((n * wn, wd * f._den * img._den, img._terms))
+        d, table = _flat(poly, key)
+        if den % d:
+            grown = math.lcm(den, d)
+            acc = {e: v * (grown // den) for e, v in acc.items()}
+            den = grown
+        c = n * (den // d)
+        ws = [c * w for w in weights]
+        for e, s, v in table:
+            w = ws[s]
+            if w:
+                acc[e] = acc.get(e, 0) + v * w
         if en:
-            img = _monomial_image(key)
-            parts.append((-n * en, ed * f._den * img._den, img._terms))
-    return _sum(parts)
+            c = -n * en * wd * den
+            for e, v in _monomial_image(key)._terms.items():
+                acc[e] = acc.get(e, 0) + v * c
+    return _reduced(acc, f._den * wd * ed * den)
 
 
 def compose(x: DiffOp, y: DiffOp) -> DiffOp:

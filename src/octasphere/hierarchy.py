@@ -2,17 +2,20 @@
 
 Everything here is exact.  A fundamental or closed-form state verifies its
 eigenvalue equation at construction (`make_state`); a laddered state is an
-eigenstate by theorem, because `ladder_build` proves once per distinct step
-that the step intertwines the record's `block`, the Hamiltonian or the phi1
-block read from their one home `diffop` at the call, for every ell (Infeld &
-Hull, Rev. Mod. Phys. 23, 21, 1951).  Laddered states, and every state
-`iur_states` emits, are stored in normal form (`trigpoly.normalized`).  Each
-ladder step, annihilation check and eigenvalue check is one
-`diffop.apply_normal_at`: an accumulation of memoised normal-form images of
-the state's monomials, which is empty exactly when the result is zero.  The
-Jacobi closed forms are expanded over the monomial algebra, and the lattices
-(u(3) triangles/hexagons, so(4) squares, so(6) octahedra) carry integer
-multiplicities cross-checked against the closed dimension formulas.
+eigenstate by theorem, because its every step is proved to intertwine the
+record's `block`, the Hamiltonian or the phi1 block read from their one home
+`diffop` at the call, for every ell (Infeld & Hull, Rev. Mod. Phys. 23, 21,
+1951): once per distinct step in `ladder_build`, once per raising operator
+and build in `iur_states`, by one shared proof (`_prove_step`).  Laddered
+states, and every state `iur_states` emits, are stored in normal form
+(`trigpoly.normalized`).  Each ladder step, annihilation check and
+eigenvalue check is one `diffop.apply_normal_at`: per monomial of the state,
+one read of a memoised table of normal-form images and one int pass over
+it, empty exactly when the result is zero.  `iur_states` walks its lattice
+on int points and ladders wavefunctions, building a record only for a kept
+state.  The Jacobi closed forms are expanded over the monomial algebra, and
+the lattices (u(3) triangles/hexagons, so(4) squares, so(6) octahedra) carry
+integer multiplicities cross-checked against the closed dimension formulas.
 Every fundamental state is the value of one ground-state gauge phi0 whose
 exponents are affine in ell, so (X phi0)/phi0 is a polynomial in ell for a
 first-order ladder X (`phi0_action`), and each annihilation is an identity in ell.
@@ -24,7 +27,7 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -290,6 +293,18 @@ def ground_state(kind: str, params) -> StateRecord:
     return make_state(sector, labels, psi, e, onedim=onedim)
 
 
+def _prove_step(op: GradedOp, state: StateRecord) -> None:
+    """Raise StateCheckError, naming op and the state's sector, unless op is
+    proved to intertwine the state's `block` for every ell
+    (`intertwining_witness`, memoised on the generator and the block)."""
+    name, block = state.block()
+    witness = intertwining_witness(op, block)
+    if witness is not None:
+        raise _failure(f"{op.name} does not intertwine the {name} for all l "
+                       f"(witness {witness}); no state laddered from the state",
+                       state.params, op.name, witness=witness)
+
+
 def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRecord | None:
     """Apply graded operators left-to-right with parameter bookkeeping.
 
@@ -311,12 +326,7 @@ def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRec
     state = start
     for step in path:
         op = graded(step) if isinstance(step, str) else step
-        name, block = state.block()
-        witness = intertwining_witness(op, block)
-        if witness is not None:
-            raise _failure(f"{op.name} does not intertwine the {name} for all l "
-                           f"(witness {witness}); no state laddered from the state",
-                           state.params, op.name, witness=witness)
+        _prove_step(op, state)
         psi = apply_normal_at(op.poly, state.params, state.wavefunction)
         if not psi:
             return None
@@ -447,44 +457,53 @@ RAISING = {"u3": ["A+", "B+", "C+"],
 def iur_states(algebra: str, label) -> list[StateRecord]:
     """Ladder out a whole IUR from its fundamental state.
 
-    A breadth-first sweep applies the algebra's raising operators to every
-    newly kept state, walking the lattice as the int points of `iur_lattice`.
-    Each candidate is decided once: a step whose target lattice point already
-    holds its multiplicity is skipped before laddering; otherwise the laddered
-    state (annihilation-checked by `ladder_build`, and an eigenstate because
-    each raising operator is proved to intertwine H) is kept iff it is exactly
-    independent of the states kept at that point.  The first state at a point
-    is nonzero, so it is kept without a rank; a later one takes one rank of
-    the int numerators of the point's states.  Every state, the fundamental
-    one included, is stored in normal form, so its stored terms are its
-    coordinates, and scaling a row by its denominator leaves the rank alone.
-    Each state's params stay its Fraction sector.  The final counts are
-    verified against the IUR multiplicities.
+    Each raising operator of the algebra is first proved, once per build, to
+    intertwine the fundamental state's block for every ell (`ladder_build`'s
+    proof and StateCheckError), so every laddered state is an eigenstate with
+    the fundamental energy.  A breadth-first sweep then applies the raising
+    operators to every newly kept wavefunction, walking the lattice as the int
+    points of `iur_lattice`; each sector is read from one table of Fraction
+    triples keyed by int point.  Each candidate is decided once: a step whose
+    target point already holds its multiplicity is skipped; otherwise it is
+    one `diffop.apply_normal_at` at the source sector, dropped when empty (an
+    annihilation) and kept iff it is exactly independent of the wavefunctions
+    kept at that point.  The first one at a point is nonzero, so it is kept
+    without a rank; a later one takes one rank of the int numerators of the
+    point's wavefunctions.  Every wavefunction, the fundamental one included,
+    is stored in normal form, so its stored terms are its coordinates, and
+    scaling a row by its denominator leaves the rank alone.  The final counts
+    are verified against the IUR multiplicities, and a StateRecord is built
+    for each kept wavefunction only, its params the Fraction sector.
     """
     lattice = iur_lattice(algebra, label)
     fund = ground_state(algebra, lattice.label)
-    fund = replace(fund, wavefunction=normalized(fund.wavefunction))
     ops = [graded(name) for name in RAISING[algebra]]
+    for op in ops:
+        _prove_step(op, fund)
+    steps = [(op.poly, op.shift) for op in ops]
     want = dict(lattice.points)
-    # per int lattice point: the kept states; the frontier pairs each with its point
     start = tuple(int(x) for x in fund.params)
-    kept = {start: [fund]}
-    frontier = [(start, fund)]
+    sectors = {pt: as_sector(pt) for pt in want}
+    # per int lattice point: the kept wavefunctions; the frontier pairs each with its point
+    psi0 = normalized(fund.wavefunction)
+    kept = {start: [psi0]}
+    frontier = [(start, psi0)]
     while frontier:
         new_frontier = []
-        for pt0, st in frontier:
-            for op in ops:
-                pt = tuple(x + d for x, d in zip(pt0, op.shift))
+        for pt0, psi in frontier:
+            ell, (a, b, c) = sectors[pt0], pt0
+            for poly, (da, db, dc) in steps:
+                pt = (a + da, b + db, c + dc)
                 bucket = kept.get(pt)
                 if bucket and len(bucket) >= want.get(pt, 0):
                     continue
-                nxt = ladder_build(st, [op])
-                if nxt is None:
+                nxt = apply_normal_at(poly, ell, psi)
+                if not nxt:
                     continue
                 if pt not in want:
                     raise ValueError(f"ladder left the lattice at {pt}")
                 if bucket:
-                    forms = [rec.wavefunction._terms for rec in bucket] + [nxt.wavefunction._terms]
+                    forms = [p._terms for p in bucket] + [nxt._terms]
                     keys = {k for f in forms for k in f}
                     if linalg.rank_exact([[f.get(k, 0) for k in keys] for f in forms]) \
                             == len(bucket):
@@ -496,7 +515,8 @@ def iur_states(algebra: str, label) -> list[StateRecord]:
     if got != want:
         missing = {pt: (want[pt], got.get(pt, 0)) for pt in want if got.get(pt) != want[pt]}
         raise ValueError(f"lattice not saturated: want/got {missing}")
-    return [rec for pt in sorted(kept) for rec in kept[pt]]
+    return [StateRecord(sectors[pt], dict(fund.labels), psi, fund.energy, fund.onedim)
+            for pt in sorted(kept) for psi in kept[pt]]
 
 
 # -- serialization ------------------------------------------------------------------

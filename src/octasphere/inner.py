@@ -28,8 +28,6 @@ from .lpoly import as_sector
 from .operators import build_first_order
 from .trigpoly import TrigPoly, TrigTerm, eval_numeric
 
-HALF = Fraction(1, 2)
-
 
 @functools.cache
 def _beta(s: int, t: int) -> float:
@@ -247,7 +245,8 @@ def gram(states) -> GramReport:
 
 
 def _admissible(f: TrigPoly) -> bool:
-    return all(e >= HALF for t in f.terms() for e in t.exps)
+    """Every exponent of f is at least 1/2: every doubled stored one at least 1."""
+    return all(k >= 1 for key in f._terms for k in key)
 
 
 def adjoint_residual(x_name: str, ell, f: TrigPoly, g: TrigPoly) -> float:

@@ -19,14 +19,14 @@ out one gcd per result.  Every exact sum is one linear accumulation, `_sum`:
 weighted int term dicts are brought to the lcm of their denominators and
 added into one int dict, keys in first-occurrence order and zero sums
 dropped.  `TrigPoly(terms)`, `+`, `-` and `linear_combine` are calls of it,
-and so are the image sums of `diffop.apply_normal_at` and the Jacobi
-substitution of `hierarchy`.  Products have the one bilinear accumulation,
-`sum_of_products` (sum of w_i p_i q_i, as operator application forms it),
-of which `mul` is the one-product case.  Fractions appear only at the
-boundary: the constructors validate and double Fraction (or int) exponents
-and take Fraction coefficients, and `items`, `terms`, `normal_form`,
-`class_reduce`, `coordinate_vectors` and the JSON object form give Fractions
-back.
+and so is the Jacobi substitution of `hierarchy`; `diffop.apply_normal_at`
+makes the same accumulation over its memoised image tables.  Products have
+the one bilinear accumulation, `sum_of_products` (sum of w_i p_i q_i, as
+operator application forms it), of which `mul` is the one-product case.
+Fractions appear only at the boundary: the constructors validate and double
+Fraction (or int) exponents and take Fraction coefficients, and `items`,
+`terms`, `normal_form`, `class_reduce`, `coordinate_vectors` and the JSON
+object form give Fractions back.
 
 The stored ("canonical") form only merges identical exponent tuples and drops
 zero coefficients; with the reduced denominator it is unique for a map of

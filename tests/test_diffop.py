@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from octasphere import diffop, trigpoly
 from octasphere.diffop import (HAMILTONIAN, MAX_ORDER, PHI1_BLOCK, PHI2_BLOCK, DiffOp, apply,
                                apply_normal_at, build_hamiltonian, compose, is_zero_op, pv)
-from octasphere.operators import LADDER_NAMES, TILDE_NAMES, build_first_order, graded
-from octasphere.trigpoly import (COS1, ONE, PHI1, PHI2, SIN1, TAN1, TrigPoly,
+from octasphere.operators import (LADDER_NAMES, TILDE_NAMES, build_first_order, graded,
+                                  graded_product)
+from octasphere.trigpoly import (COS1, ONE, PHI1, PHI2, SIN1, TAN1, TrigPoly, _new, _ratio, _sum,
                                  differentiate, is_zero, mul, normalized)
 
 F = Fraction
@@ -322,3 +323,59 @@ def test_apply_normal_at_is_the_normal_form_of_the_operator_formed_at_the_sector
     f = monomial_sum(f_terms)
     got = apply_normal_at(AT_POLYS[name], ell, f, energy)
     assert got == _reference_normal_at(AT_POLYS[name], ell, f, energy)
+
+
+# -- the image-table kernel against the per-monomial accumulation ------------------------
+
+def _image_sum_at(poly, ell, f: TrigPoly, energy=0) -> TrigPoly:
+    """Reference: one `trigpoly._sum` part per monomial x^k of f and ell-monomial
+    m of poly of nonzero weight, the image NF(poly_m x^k) weighted f_k l^m,
+    then the energy image -f_k energy NF(x^k); each image formed afresh."""
+    en, ed = _ratio(energy)
+    weights = [(m, *_ratio(w)) for m, w, _ in poly.weighted(ell) if w]
+    parts = []
+    for key, n in f._terms.items():
+        x = _new({key: 1}, 1)
+        for m, wn, wd in weights:
+            img = normalized(apply(poly.coeff(m), x))
+            parts.append((n * wn, wd * f._den * img._den, img._terms))
+        if en:
+            img = normalized(x)
+            parts.append((-n * en, ed * f._den * img._den, img._terms))
+    return _sum(parts)
+
+
+KERNEL_POLYS = {**{name: graded(name).poly for name in LADDER_NAMES + TILDE_NAMES},
+                "A+*C+": graded_product(graded("A+"), graded("C+")).poly,
+                "H": HAMILTONIAN, "phi1 block": PHI1_BLOCK}
+# integral and half-integral sectors; each coupling may be 0, which zeroes the
+# weight of every ell-monomial it divides
+kernel_sectors = st.one_of(st.tuples(*[st.integers(min_value=-4, max_value=4)] * 3),
+                           st.tuples(*[half_ints] * 3))
+kernel_energies = st.one_of(st.just(0), st.fractions(min_value=-40, max_value=40,
+                                                     max_denominator=12))
+
+
+# normalized f at a sector with zero couplings: images of weight 0 share keys with later
+# ones: adding them unskipped moves those keys forward
+ZERO_WEIGHT_CASES = [
+    [(F(2, 3), (2, 1, 2, -HALF)), (-HALF, (F(3, 2), 2, 1, -2)), (1, (1, 1, -1, HALF))],
+    [(-1, (F(-3, 2), -2, F(-3, 2), -2)), (HALF, (-1, F(-3, 2), 2, HALF)),
+     (HALF, (1, 2, HALF, 2))]]
+
+
+@pytest.mark.parametrize("name", list(KERNEL_POLYS))
+@settings(max_examples=30, deadline=None)
+@given(kernel_sectors, term_lists, st.booleans(), kernel_energies)
+@example((0, 0, 0), ZERO_WEIGHT_CASES[0], True, 0)
+@example((0, 0, 0), ZERO_WEIGHT_CASES[1], True, 0)
+def test_apply_normal_at_is_the_per_monomial_accumulation_term_for_term(
+        name, ell, f_terms, normal, energy):
+    # the same denominator, numerators and stored key order as adding each
+    # weighted image as its own part, so every state file stays byte-identical
+    f = monomial_sum(f_terms)
+    f = normalized(f) if normal else f
+    got = apply_normal_at(KERNEL_POLYS[name], ell, f, energy)
+    want = _image_sum_at(KERNEL_POLYS[name], ell, f, energy)
+    assert got._den == want._den
+    assert list(got._terms.items()) == list(want._terms.items())

@@ -527,10 +527,36 @@ def test_iur_builder_ladders_only_below_capacity(monkeypatch):
     # a step onto a full lattice point is skipped before laddering; only the
     # fundamental state is eigen-checked, the laddered ones are eigenstates
     # because every raising operator is proved to intertwine H
-    ladders = _count_calls(monkeypatch, "ladder_build")
+    raising = {id(graded(name).poly) for name in hierarchy.RAISING["so6"]}
+    applied = _count_calls(monkeypatch, "apply_normal_at")
     checks = _count_calls(monkeypatch, "make_state")
     assert len(iur_states("so6", (3,))) == 50
+    ladders = [args for args in applied if id(args[0]) in raising]
     assert (len(ladders), len(checks)) == (153, 1)
+
+
+def test_iur_builder_names_a_raising_operator_that_fails_its_proof(monkeypatch):
+    # each raising operator is proved once per build, before any state is
+    # laddered; a failed proof raises ladder_build's error, naming the operator
+    real = hierarchy.intertwining_witness
+    proved = []
+
+    def fails_for_bt(x, block):
+        proved.append(x.name)
+        return {"monomial": [0, 0, 0], "terms": 1} if x.name == "Bt+" else real(x, block)
+
+    monkeypatch.setattr(hierarchy, "intertwining_witness", fails_for_bt)
+    with pytest.raises(hierarchy.StateCheckError,
+                       match=r"^Bt\+ does not intertwine the H for all l") as err:
+        iur_states("so6", (2,))
+    with pytest.raises(hierarchy.StateCheckError) as by_path:
+        ladder_build(ground_state("so6", (2,)), ["Bt+"])
+    assert str(err.value) == str(by_path.value) and err.value.report == by_path.value.report
+    assert err.value.report["operator"] == "Bt+"
+    assert err.value.report["sector"] == ["0", "0", "2"]
+    assert proved == ["A+", "B+", "C+", "At+", "Bt+", "Bt+"]
+    proved.clear()
+    assert len(iur_states("u3", (1, 1))) == 8 and proved == ["A+", "B+", "C+"]
 
 
 ORACLE_POINTS = [(0.4, 0.7), (0.9, 0.5), (1.1, 1.0)]

@@ -258,10 +258,21 @@ def test_adjoint_residual_half_exponent_edges():
     assert val <= 1e-10 * norm(f) * norm(g)
 
 
+ADMISSIBLE = TrigPoly.monomial(1, (HALF, HALF, 1, HALF)) \
+    + TrigPoly.monomial(F(-2, 3), (F(3, 2), 1, F(5, 2), 2))
+
+
 def test_adjoint_residual_rejects_inadmissible():
-    f = TrigPoly.monomial(1, (F(0), HALF, 1, HALF))
-    with pytest.raises(ValueError):
-        adjoint_residual("A", pv(0, 0, 0), f, f)
+    # an exponent below 1/2 anywhere, in either state and in any term, is refused
+    for bad in (F(0), -HALF):
+        for axis in range(4):
+            exps = [HALF, HALF, 1, HALF]
+            exps[axis] = bad
+            f = ADMISSIBLE + TrigPoly.monomial(3, exps)
+            for pair in ((f, ADMISSIBLE), (ADMISSIBLE, f)):
+                with pytest.raises(ValueError, match="inadmissible states"):
+                    adjoint_residual("A", pv(0, 0, 0), *pair)
+    assert adjoint_residual("A", pv(0, 0, 0), ADMISSIBLE, ADMISSIBLE) >= 0.0
 
 
 def test_beta_vs_quadrature():

@@ -140,6 +140,8 @@ def test_a_sum_that_skips_the_common_denominator_fails_the_report_and_the_lattic
     # the one linear accumulation of trigpoly with each part added over its own
     # denominator, not brought to the lcm: wrong wherever the parts' denominators
     # differ; the memos are empty, so every check and ladder step runs on it
+    # (diffop.apply_normal_at sums its image tables itself; test_diffop pins
+    # that sum term for term against this accumulation)
     def sum_unscaled(parts):
         kept, den = [], 1
         for w, d, terms in parts:
@@ -155,7 +157,7 @@ def test_a_sum_that_skips_the_common_denominator_fails_the_report_and_the_lattic
                 acc[e] = acc.get(e, 0) + w * v
         return trigpoly._reduced(acc, den)
 
-    for module in (trigpoly, diffop, hierarchy):
+    for module in (trigpoly, hierarchy):
         monkeypatch.setattr(module, "_sum", sum_unscaled)
     assert not suites.run_suite("all", 2)["passed"]
     operators.reset()
@@ -366,7 +368,7 @@ def test_a_code_mutant_of_the_normal_form_serves_no_stale_image_after_reset(monk
     # restored code is proved afresh
     operators.reset()
     assert len(hierarchy.iur_states("so6", (2,))) == 20
-    assert diffop._image.cache_info().currsize and diffop._monomial_image.cache_info().currsize
+    assert diffop._flat.cache_info().currsize and diffop._monomial_image.cache_info().currsize
     with monkeypatch.context() as patch:
         patch.setattr(trigpoly, "_pythagoras", _sign_flipped_pythagoras(trigpoly._pythagoras))
         operators.reset()
