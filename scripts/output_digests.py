@@ -11,7 +11,8 @@ change left these outputs byte-identical:
 - ``verify --suite all --range 1|2 --format json``, the certifier's report;
 - ``verify --suite <name> --range 2 --format json`` for each of the five
   suites run on its own (the single-suite CLI path);
-- the ``iur --emit states`` JSON of so(6) q=3 and q=4, so(4) n=7 and u(3) (3,2);
+- the ``iur --emit states`` JSON of so(6) q=3, 4, 6, 8 and 10, so(4) n=7 and
+  u(3) (3,2);
 - ``scripts/print_structure_constants.py``;
 - the ``closed_forms`` benchmark record for seeds 1-3
   (``check_closed_forms(run_closed_forms(seed)).output`` from ``bench/workloads.py``,
@@ -77,8 +78,7 @@ OUTPUTS = {
     "verify_range_1": lambda: _verify(1),
     "verify_range_2": lambda: _verify(2),
     **{f"verify_{n}_range_2": (lambda n=n: _verify(2, n)) for n in SUITE_NAMES},
-    "so6_q3_states": lambda: _states("so6", q=3),
-    "so6_q4_states": lambda: _states("so6", q=4),
+    **{f"so6_q{q}_states": (lambda q=q: _states("so6", q=q)) for q in (3, 4, 6, 8, 10)},
     "so4_n7_states": lambda: _states("so4", n=7),
     "u3_3_2_states": lambda: _states("u3", m=3, n=2),
     "structure_constants": _structure_constants,

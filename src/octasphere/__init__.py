@@ -2,8 +2,12 @@
 
 The engine is built on an exact trigonometric-monomial algebra with a
 decidable zero test; every operator identity (intertwining, commutators,
-Casimir elements, the Riccati-type potential identity), every eigenvalue and
-every representation count in this package is certified over the rationals.
+Casimir elements, the Riccati-type potential identity) and every eigenvalue
+in this package is certified over the rationals.  The IUR counts are exact:
+`iur_states` keeps a state only on an exact rank and checks the counts
+against the lattice dimension formulas.  The Gram rank of `inner.gram` is a
+float oracle with a relative cutoff; it reads too low where the state norms
+span more than the cutoff, as for so(4) n = 6, 7 and so(6) q = 6, 7.
 """
 
 from .diffop import DiffOp, apply, build_hamiltonian, compose, is_zero_op, pv

@@ -4,9 +4,7 @@
 
 Application and composition (the generalized Leibniz rule) are exact; both
 read derivatives from a `_derivative` table, so each is formed once, and add
-their products in one `trigpoly.sum_of_products`.  Total order is capped at
-4, which covers every workflow here (quadratic Casimir elements of
-first-order ladder operators).
+their products in one `trigpoly.sum_of_products`.
 
 A DiffOp, like its TrigPoly coefficients, is immutable by convention: nothing
 mutates `_terms` after construction.  Equality is structural (equal
@@ -41,8 +39,6 @@ from .lpoly import ZERO, LPoly, ParamVector, as_sector, pv  # noqa: F401  (pv re
 from .trigpoly import (PHI1, PHI2, ONE, Key, TrigPoly, _new, _ratio, _reduced, coupling,
                        differentiate, is_zero, normalized, sum_of_products)
 
-MAX_ORDER = 4
-
 
 class DiffOp:
     """Finite sum of (TrigPoly coefficient) * (mixed partial derivative).
@@ -58,8 +54,6 @@ class DiffOp:
         for (k1, k2), c in (terms or {}).items():
             if k1 < 0 or k2 < 0:
                 raise ValueError("negative derivative order")
-            if k1 + k2 > MAX_ORDER:
-                raise ValueError(f"order {k1 + k2} exceeds cap {MAX_ORDER}")
             if not isinstance(c, TrigPoly):
                 c = TrigPoly.constant(c)
             if c:
@@ -223,8 +217,6 @@ def compose(x: DiffOp, y: DiffOp) -> DiffOp:
 
     apply(compose(x, y), f) == apply(x, apply(y, f)) for every f.
     """
-    if x.order() + y.order() > MAX_ORDER:
-        raise ValueError("composition exceeds order cap")
     tables = {m: {(0, 0): cy} for m, cy in y.items()}
     acc: dict[tuple[int, int], list] = {}
     for (k1, k2), cx in x.items():

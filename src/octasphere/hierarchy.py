@@ -13,9 +13,10 @@ eigenvalue check is one `diffop.apply_normal_at`: per monomial of the state,
 one read of a memoised table of normal-form images and one int pass over
 it, empty exactly when the result is zero.  `iur_states` walks its lattice
 on int points and ladders wavefunctions, building a record only for a kept
-state.  The Jacobi closed forms are expanded over the monomial algebra, and
-the lattices (u(3) triangles/hexagons, so(4) squares, so(6) octahedra) carry
-integer multiplicities cross-checked against the closed dimension formulas.
+state.  A Jacobi closed form is Szego's sum at x = cos 2 phi, one cos^2/sin^2
+monomial per term (`jacobi_in_cos2`).  The lattices (u(3) triangles/hexagons,
+so(4) squares, so(6) octahedra) carry integer multiplicities cross-checked
+against the closed dimension formulas.
 Every fundamental state is the value of one ground-state gauge phi0 whose
 exponents are affine in ell, so (X phi0)/phi0 is a polynomial in ell for a
 first-order ladder X (`phi0_action`), and each annihilation is an identity in ell.
@@ -24,7 +25,6 @@ first-order ladder X (`phi0_action`), and each annihilation is an identity in el
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from dataclasses import dataclass
@@ -53,18 +53,15 @@ class JacobiPoly:
     coeffs: tuple[Fraction, ...]
 
 
-def jacobi(n: int, alpha, beta) -> JacobiPoly:
-    """Exact coefficients via the explicit sum (Szego, Orthogonal Polynomials 4.3)
+def _szego(n: int, alpha, beta) -> tuple[list[int], int]:
+    """Szego's explicit sum (Orthogonal Polynomials 4.3)
 
-        P_n = sum_k C(n+alpha, n-k) C(n+beta, k) ((x-1)/2)^k ((x+1)/2)^(n-k),
+        P_n^(alpha,beta)(x) = sum_k C(n+alpha, n-k) C(n+beta, k) ((x-1)/2)^k ((x+1)/2)^(n-k)
 
-    which divides only by integers and so is defined for all rational alpha, beta.
-    With alpha = pa/qa and beta = pb/qb, the weight of term k over the common
-    denominator qa^n qb^n n! 2^n is the int
-
-        prod_{i<n-k} (qa (n-i) + pa) qa^k * prod_{i<k} (qb (n-i) + pb) qb^(n-k) * C(n, k),
-
-    so the sum is expanded over ints and each coefficient is one Fraction.
+    divides only by integers, so it is defined for all rational alpha, beta.  With
+    alpha = pa/qa and beta = pb/qb, C(n+alpha, n-k) C(n+beta, k) is the int weight
+    prod_{i<n-k} (qa (n-i) + pa) qa^k * prod_{i<k} (qb (n-i) + pb) qb^(n-k) * C(n, k)
+    over qa^n qb^n n!; returns the weights, k ascending, and that denominator.
     """
     n = quantum_number(n, "jacobi degree")
     a, b = coupling(alpha), coupling(beta)
@@ -74,9 +71,17 @@ def jacobi(n: int, alpha, beta) -> JacobiPoly:
     for i in range(n):
         num_a.append(num_a[-1] * (qa * (n - i) + pa))
         num_b.append(num_b[-1] * (qb * (n - i) + pb))
+    weights = [num_a[n - k] * qa ** k * num_b[k] * qb ** (n - k) * math.comb(n, k)
+               for k in range(n + 1)]
+    return weights, qa ** n * qb ** n * math.factorial(n)
+
+
+def jacobi(n: int, alpha, beta) -> JacobiPoly:
+    """Exact coefficients of P_n^(alpha,beta) in powers of x: Szego's sum (`_szego`)
+    expanded over ints, each coefficient one Fraction."""
+    weights, den = _szego(n, alpha, beta)
     coeffs = [0] * (n + 1)
-    for k in range(n + 1):
-        w = num_a[n - k] * qa ** k * num_b[k] * qb ** (n - k) * math.comb(n, k)
+    for k, w in enumerate(weights):
         if w == 0:
             continue
         # (x-1)^k (x+1)^(n-k), ascending in x
@@ -84,30 +89,21 @@ def jacobi(n: int, alpha, beta) -> JacobiPoly:
             wi = (-1) ** (k - i) * w * math.comb(k, i)
             for j in range(n - k + 1):
                 coeffs[i + j] += wi * math.comb(n - k, j)
-    den = qa ** n * qb ** n * math.factorial(n) * 2 ** n
-    return JacobiPoly(n, a, b, tuple(Fraction(c, den) for c in coeffs))
+    den *= 2 ** n
+    return JacobiPoly(n, coupling(alpha), coupling(beta), tuple(Fraction(c, den) for c in coeffs))
 
 
-@functools.cache
-def _cos2_power(k: int, var: int) -> dict[tuple[int, int, int, int], int]:
-    """x^k = (cos^2 phi - sin^2 phi)^k in the angle var: {cos^(2i) sin^(2(k-i)):
-    C(k, i) (-1)^(k-i)} on doubled exponents, i descending as the powers of x
-    multiply out."""
-    return {(4 * i, 4 * (k - i), 0, 0) if var == PHI1 else (0, 0, 4 * i, 4 * (k - i)):
-            (-1) ** (k - i) * math.comb(k, i) for i in range(k, -1, -1)}
-
-
-def jacobi_in_cos2(jp: JacobiPoly, var: int) -> TrigPoly:
-    """Substitute x = cos(2 phi) = cos^2 phi - sin^2 phi in the angle var in {PHI1, PHI2}.
-
-    sum_k c_k x^k expands to sum_k sum_i c_k C(k, i) (-1)^(k-i) cos^(2i) sin^(2(k-i)),
-    one distinct monomial per (k, i); the memoised int expansions of the x^k
-    are added with weights c_k, k ascending, by the one linear accumulation of
-    `trigpoly`.
-    """
+def jacobi_in_cos2(n: int, alpha, beta, var: int) -> TrigPoly:
+    """P_n^(alpha,beta)(cos 2 phi) in the angle var in {PHI1, PHI2}: at x = cos 2 phi,
+    (x-1)/2 = -sin^2 phi and (x+1)/2 = cos^2 phi, so Szego's sum (`_szego`) is the
+    n+1 monomials (-1)^k C(n+alpha, n-k) C(n+beta, k) cos^(2(n-k)) phi sin^(2k) phi,
+    added, k ascending, by the one linear accumulation of `trigpoly`."""
     if var not in (PHI1, PHI2):
         raise ValueError(f"unknown variable {var!r}")
-    return _sum((c, 1, _cos2_power(k, var)) for k, c in enumerate(jp.coeffs))
+    weights, den = _szego(n, alpha, beta)
+    return _sum(((-1) ** k * w, den,
+                 {(4 * (n - k), 4 * k, 0, 0) if var == PHI1 else (0, 0, 4 * (n - k), 4 * k): 1})
+                for k, w in enumerate(weights))
 
 
 # -- energies --------------------------------------------------------------------
@@ -338,27 +334,30 @@ def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRec
 def closed_form_state(kind: str, params) -> StateRecord:
     """Jacobi-polynomial closed forms.
 
-    phi1_excited (l0, l1, m): cos^(l0+1/2) sin^(l1+1/2) P_m^(l1,l0)(cos 2 phi1);
-    separated_2d (ell, m, n): product of the phi1 form and the phi2 form with
-    Jacobi parameters (l2+1/2, l0+l1+2m+1).
+    phi1_excited (l0, l1, m): the phi1 factor cos^(l0+1/2) sin^(l1+1/2) P_m^(l1,l0)(cos 2 phi1);
+    separated_2d (ell, m, n): its product with the phi2 factor (`phi2_closed_form`).
     """
     if kind == "phi1_excited":
         l0, l1, m = _labels(params, 3, kind)
         l0, l1, m = coupling(l0), coupling(l1), quantum_number(m, "m")
-        psi = phi0((l0, l1, 0), onedim=True) * jacobi_in_cos2(jacobi(m, l1, l0), var=1)
+        psi = _phi1_closed_form((l0, l1, 0), m)
         lam = energy("lambda_m", l0=l0, l1=l1, m=m)
         return make_state((l0, l1, 0), {"m": m}, psi, lam, onedim=True)
     if kind == "separated_2d":
         ell, m, n = _labels(params, 3, kind)
         ell, m, n = as_sector(ell), quantum_number(m, "m"), quantum_number(n, "n")
-        l0, l1, _ = ell
-        f_part = phi0(ell, onedim=True) * jacobi_in_cos2(jacobi(m, l1, l0), var=1)
         # phi2 Jacobi parameters (l2, l0+l1+2m+1): the parameter printed as
         # l2 + 1/2 fails the eigenvalue equation for n >= 1 (see phi2_closed_form)
-        psi = f_part * phi2_closed_form(ell, m, n)
+        psi = _phi1_closed_form(ell, m) * phi2_closed_form(ell, m, n)
         e = energy("E_mn", ell=ell, m=m, n=n)
         return make_state(ell, {"m": m, "n": n}, psi, e)
     raise ValueError(f"unknown closed-form kind {kind!r}")
+
+
+def _phi1_closed_form(ell: ParamVector, m: int) -> TrigPoly:
+    """phi1 factor cos^(l0+1/2) sin^(l1+1/2) P_m^(l1, l0)(cos 2 phi1), phi0's phi1
+    factor at the sector ell times the Jacobi polynomial."""
+    return phi0(ell, onedim=True) * jacobi_in_cos2(m, ell[1], ell[0], PHI1)
 
 
 def phi2_closed_form(ell, m: int, n: int) -> TrigPoly:
@@ -369,7 +368,7 @@ def phi2_closed_form(ell, m: int, n: int) -> TrigPoly:
     (l0, l1, l2), m, n = as_sector(ell), quantum_number(m, "m"), quantum_number(n, "n")
     root = l0 + l1 + 2 * m + 1
     pref = TrigPoly.monomial(1, (0, 0, root, l2 + HALF))
-    return pref * jacobi_in_cos2(jacobi(n, l2, root), var=2)
+    return pref * jacobi_in_cos2(n, l2, root, PHI2)
 
 
 # -- representation lattices ------------------------------------------------------

@@ -36,7 +36,7 @@ from fractions import Fraction
 from . import diffop, hierarchy, operators
 from .diffop import DiffOp, apply, apply_normal_at, build_hamiltonian, pv
 from .hierarchy import (StateCheckError, closed_form_state, energy,
-                        ground_state, jacobi, jacobi_in_cos2, phi0, phi0_action)
+                        ground_state, jacobi_in_cos2, phi0, phi0_action)
 from .inner import (adjoint_residual, inner, mono_inner, mono_inner_quadrature,
                     norm, numeric_oracle_check)
 from .lpoly import ZERO, LPoly, Row
@@ -448,7 +448,7 @@ def spectral_delta_report() -> list[dict]:
     # phi2 Jacobi parameter in the separated closed form: the printed phi2 factor
     # at (0,0,0), m = 0, n = 1 is cos phi2 sin^(1/2) phi2 P_1^(1/2, 1)(cos 2 phi2)
     printed = TrigPoly.monomial(1, (0, 0, 1, Fraction(1, 2))) \
-        * jacobi_in_cos2(jacobi(1, Fraction(1, 2), 1), var=2)
+        * jacobi_in_cos2(1, Fraction(1, 2), 1, var=2)
     bad = phi0((0, 0, 0), onedim=True) * printed
     e = energy("E_mn", ell=(0, 0, 0), m=0, n=1)
     if not apply_normal_at(diffop.HAMILTONIAN, pv(0, 0, 0), bad, energy=e):

@@ -89,7 +89,7 @@ def test_jacobi_negative_degree_rejected():
 @pytest.mark.parametrize("var", [0, 3, "phi1"])
 def test_jacobi_in_cos2_rejects_an_angle_other_than_phi1_or_phi2(var):
     with pytest.raises(ValueError):
-        hierarchy.jacobi_in_cos2(jacobi(1, 0, 0), var)
+        hierarchy.jacobi_in_cos2(1, 0, 0, var)
 
 
 def _power_and_sum_in_cos2(jp, var):
@@ -115,11 +115,25 @@ jacobi_parameters = st.one_of(st.fractions(min_value=-6, max_value=6, max_denomi
 @example(2, F(0), F(-3), PHI2)         # P_2^(0,-3) == 1: x and x^2 coefficients vanish
 @example(4, F(-3, 2), F(-3, 2), PHI1)  # alpha == beta: the odd coefficients vanish
 def test_jacobi_in_cos2_is_the_power_and_sum_expansion(n, a, b, var):
-    jp = jacobi(n, a, b)
-    got, want = jacobi_in_cos2(jp, var), _power_and_sum_in_cos2(jp, var)
-    assert got == want
-    # the same stored order too, so a float sum over the stored terms is unchanged
-    assert list(got._terms) == list(want._terms)
+    got, want = jacobi_in_cos2(n, a, b, var), _power_and_sum_in_cos2(jacobi(n, a, b), var)
+    assert is_zero(got - want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8), jacobi_parameters, jacobi_parameters, st.sampled_from([PHI1, PHI2]))
+@example(1, F(-1), F(-1), PHI1)        # every Szego weight is 0: no term
+@example(2, F(0), F(-3), PHI2)         # (cos^2 + sin^2)^2: three terms, though P_2 == 1
+@example(4, F(-3, 2), F(-3, 2), PHI1)  # alpha == beta: the weights are symmetric in k
+@example(2, F(-1), F(0), PHI2)         # C(1, 2) = 0 drops k = 0 only
+def test_jacobi_in_cos2_stores_the_nonzero_szego_terms_in_ascending_k(n, a, b, var):
+    # (-1)^k C(n+a, n-k) C(n+b, k) cos^(2(n-k)) sin^(2k), in Fractions
+    want = []
+    for k in range(n + 1):
+        c = (-1) ** k * _gen_binom(n + a, n - k) * _gen_binom(n + b, k)
+        pair = (F(2 * (n - k)), F(2 * k))
+        if c:
+            want.append((pair + (F(0), F(0)) if var == PHI1 else (F(0), F(0)) + pair, c))
+    assert list(jacobi_in_cos2(n, a, b, var).items()) == want
 
 
 def _szego_reference(n, a, b):
@@ -368,7 +382,7 @@ def test_separated_2d_energy():
 def test_printed_phi2_jacobi_parameter_fails():
     # the printed phi2 factor at (0,0,0), m = 0, n = 1: cos phi2 sin^(1/2) phi2 P_1^(1/2, 1)
     f_part = mono(1, HALF, HALF, 0, 0)
-    printed = mono(1, 0, 0, 1, HALF) * jacobi_in_cos2(jacobi(1, HALF, 1), PHI2)
+    printed = mono(1, 0, 0, 1, HALF) * jacobi_in_cos2(1, HALF, 1, PHI2)
     assert printed != phi2_closed_form((0, 0, 0), 0, 1)
     bad = f_part * printed
     h = build_hamiltonian(pv(0, 0, 0))

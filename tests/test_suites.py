@@ -403,7 +403,7 @@ def _printed_phi2_closed_form(ell, m, n):
     (l0, l1, l2), half = pv(*ell), Fraction(1, 2)
     root = l0 + l1 + 2 * m + 1
     return TrigPoly.monomial(1, (0, 0, root, l2 + half)) \
-        * hierarchy.jacobi_in_cos2(hierarchy.jacobi(n, l2 + half, root), var=2)
+        * hierarchy.jacobi_in_cos2(n, l2 + half, root, var=2)
 
 
 def test_a_failing_closed_form_fails_the_report_instead_of_raising(monkeypatch):
@@ -447,9 +447,9 @@ def test_an_off_ground_energy_fails_the_report_instead_of_raising(monkeypatch):
 
 def test_a_printed_phi2_parameter_that_solves_fails_the_report_instead_of_raising(monkeypatch):
     # the printed first Jacobi parameter 1/2 read as the corrected 0
-    real = suites.jacobi
-    monkeypatch.setattr(suites, "jacobi",
-                        lambda n, a, b: real(n, 0 if a == Fraction(1, 2) else a, b))
+    real = suites.jacobi_in_cos2
+    monkeypatch.setattr(suites, "jacobi_in_cos2",
+                        lambda n, a, b, var: real(n, 0 if a == Fraction(1, 2) else a, b, var))
     rep = suites.run_suite("all", 2)
     assert not rep["passed"] and all(sub["passed"] for sub in rep["suites"])
     delta = _spectral_delta(rep, "phi2 Jacobi")
