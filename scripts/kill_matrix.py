@@ -38,16 +38,10 @@ HALF = Fraction(1, 2)
 _EXCHANGED = ("the sound tilde pair with its superscripts exchanged (X-/+ = -X+/-), "
               "and no check pins which member lowers which coupling; a check of "
               "the ladders derived from H, shifts included, would see it")
-_OFF_PLANE = ("an l1 coefficient of a phi2 exponent, and the phi0 identities are proved "
-              "only on the plane l1 = 0; a proof of H phi0 = E phi0 for all l "
-              "would see it")
 # the mutants the report does not see yet, each with the reason
 KNOWN_SURVIVORS = {
-    "TILDES[At] reflected in l1": _EXCHANGED,
     "TILDES[Bt] reflected in l0": _EXCHANGED,
     "TILDES[Ct] reflected in l2": _EXCHANGED,
-    "PHI0_ROWS[2][2] + 1/2": _OFF_PLANE,
-    "PHI0_ROWS[3][2] + 1/2": _OFF_PLANE,
 }
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from typing import Iterable
 
 from .lpoly import ZERO, LPoly, ParamVector, as_sector, pv  # noqa: F401  (pv re-exported)
 from .trigpoly import (PHI1, PHI2, ONE, Key, TrigPoly, _new, _ratio, _reduced, coupling,
@@ -146,9 +147,11 @@ def _flat(poly: LPoly, key: Key) -> tuple[int, tuple[tuple[Key, int, int], ...]]
     coefficients applied to the monomial with doubled exponents key, as one
     flat table over one denominator: (den, ((out key, slot, int numerator),
     ...)), slot s the s-th monomial of poly in its stored order, the slots in
-    that order and each image's terms in its stored order."""
-    x = _new({key: 1}, 1)
-    images = [normalized(apply(c, x)) for c in poly._terms.values()]
+    that order and each image's terms in its stored order.  The slots share
+    one table of the monomial's derivatives."""
+    derivs = {(0, 0): _new({key: 1}, 1)}
+    images = [normalized(sum_of_products((1, c, _derivative(derivs, *k)) for k, c in op.items()))
+              for op in poly._terms.values()]
     den = math.lcm(*(img._den for img in images))
     return den, tuple((e, s, v * (den // img._den))
                       for s, img in enumerate(images) for e, v in img._terms.items())
@@ -207,6 +210,37 @@ def apply_normal_at(poly: LPoly, ell, f: TrigPoly, energy=0) -> TrigPoly:
             for e, v in _monomial_image(key)._terms.items():
                 acc[e] = acc.get(e, 0) + v * c
     return _reduced(acc, f._den * wd * ed * den)
+
+
+def apply_normal_poly(pairs: Iterable[tuple[LPoly, LPoly]]) -> LPoly:
+    """The normal form of the sum of poly(ell) f(ell) over the pairs (poly, f),
+    each f a polynomial in ell with TrigPoly coefficients, as one polynomial
+    in ell: its coefficient of l^nu is the sum over mu + rho = nu of
+    NF(poly_mu f_rho).  Each monomial of each f_rho is one read of its image
+    table (`_flat`, shared with `apply_normal_at`), and every image is added
+    in ints over one common denominator.  The result is empty exactly when
+    the sum is the zero function for every ell in Q^3."""
+    parts = []
+    den = 1
+    for poly, f in pairs:
+        monos = list(poly._terms)
+        for rho, p in f._terms.items():
+            targets = [(rho[0] + i, rho[1] + j, rho[2] + k) for i, j, k in monos]
+            for key, n in p._terms.items():
+                d, table = _flat(poly, key)
+                d *= p._den
+                parts.append((targets, n, d, table))
+                if den % d:
+                    den = math.lcm(den, d)
+    acc: dict = {}
+    for targets, n, d, table in parts:
+        c = n * (den // d)
+        for e, s, v in table:
+            out = acc.get(targets[s])
+            if out is None:
+                out = acc[targets[s]] = {}
+            out[e] = out.get(e, 0) + v * c
+    return LPoly(TrigPoly, {nu: _reduced(t, den) for nu, t in acc.items()})
 
 
 def compose(x: DiffOp, y: DiffOp) -> DiffOp:

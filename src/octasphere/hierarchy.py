@@ -1,30 +1,48 @@
 """Eigenstates, exact spectra and representation lattices of the hierarchy.
 
-Everything here is exact.  A fundamental or closed-form state verifies its
-eigenvalue equation at construction (`make_state`); a laddered state is an
-eigenstate by theorem, because its every step is proved to intertwine the
-record's `block`, the Hamiltonian or the phi1 block read from their one home
-`diffop` at the call, for every ell (Infeld & Hull, Rev. Mod. Phys. 23, 21,
-1951): once per distinct step in `ladder_build`, once per raising operator
-and build in `iur_states`, by one shared proof (`_prove_step`).  Laddered
-states, and every state `iur_states` emits, are stored in normal form
-(`trigpoly.normalized`).  Each ladder step, annihilation check and
-eigenvalue check is one `diffop.apply_normal_at`: per monomial of the state,
-one read of a memoised table of normal-form images and one int pass over
-it, empty exactly when the result is zero.  `iur_states` walks its lattice
-on int points and ladders wavefunctions, building a record only for a kept
-state.  A Jacobi closed form is Szego's sum at x = cos 2 phi, one cos^2/sin^2
-monomial per term (`jacobi_in_cos2`).  The lattices (u(3) triangles/hexagons,
-so(4) squares, so(6) octahedra) carry integer multiplicities cross-checked
-against the closed dimension formulas.
-Every fundamental state is the value of one ground-state gauge phi0 whose
-exponents are affine in ell, so (X phi0)/phi0 is a polynomial in ell for a
-first-order ladder X (`phi0_action`), and each annihilation is an identity in ell.
+Everything here is exact, and every state is proved an eigenstate for every
+ell at once, never at its own sector.  A fundamental or closed-form state is
+the ground-state gauge phi0, whose exponents are affine in ell (PHI0_ROWS),
+times Jacobi factors in cos 2 phi1 and cos 2 phi2 whose exponents do not
+depend on ell (`_factor`); Szego's weights are polynomials in the affine rows
+of the Jacobi parameters, so each family is a polynomial in ell with TrigPoly
+coefficients (`_factor_poly`).  Conjugated by phi0, a block becomes a
+polynomial in ell again, each d_i turned into d_i + d_i log phi0 (`_gauged`),
+and a family is an eigenfunction for every ell exactly when the gauged block
+minus the spectral value (`_spectral_rows`, which `energy` reads too) kills
+it coefficient by coefficient (`diffop.apply_normal_poly`).  The proof is
+made once per family and level, memoised on the blocks read from `diffop` at
+the call, PHI0_ROWS and the level: `_phi1_witness` per m for the phi1 block,
+and `_separated_witness` per (m, n) for H, which splits H into the phi2
+block plus sec^2 phi2 times the phi1 block and proves each one-angle factor
+(Kalnins, Miller & Post, J. Phys. A 40, 11525, 2007).  A state is then the
+value of its proved family at its sector.  For a first-order ladder X,
+(X phi0)/phi0 is a polynomial in ell too (`phi0_action`), so each
+annihilation of a fundamental state is one identity on the kind's plane
+(`annihilation_witness`).  `make_state` checks one state at its own sector
+and is the independent oracle of these proofs.
+
+A laddered state is an eigenstate by theorem, because its every step is
+proved to intertwine the record's `block`, the Hamiltonian or the phi1 block
+read from their one home `diffop` at the call, for every ell (Infeld & Hull,
+Rev. Mod. Phys. 23, 21, 1951): once per distinct step in `ladder_build`,
+once per raising operator and build in `iur_states`, by one shared proof
+(`_prove_step`).  Laddered states, and every state `iur_states` emits, are
+stored in normal form (`trigpoly.normalized`).  Each ladder step is one
+`diffop.apply_normal_at`: per monomial of the state, one read of a memoised
+table of normal-form images and one int pass over it, empty exactly when the
+result is zero.  `iur_states` walks its lattice on int points and ladders
+wavefunctions, building a record only for a kept state.  A Jacobi closed
+form at a sector is Szego's sum at x = cos 2 phi, one cos^2/sin^2 monomial
+per term (`jacobi_in_cos2`).  The lattices (u(3) triangles/hexagons, so(4)
+squares, so(6) octahedra) carry integer multiplicities cross-checked against
+the closed dimension formulas.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -32,14 +50,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import diffop, linalg
-from .diffop import ParamVector, apply_normal_at
-from .lpoly import LPoly, Row, as_sector, quantum_number, row_at
-from .operators import GradedOp, graded, intertwining_witness
-from .trigpoly import (COT1, COT2, PHI1, PHI2, TAN1, TAN2, TrigPoly, _sum, coupling,
-                       frac_to_str, mul, normalized, to_obj)
+from .diffop import DiffOp, ParamVector, apply_normal_at, apply_normal_poly, compose
+from .lpoly import UNITS, ZERO, LPoly, Mono, Row, as_sector, quantum_number, row_at
+from .operators import GradedOp, graded, intertwining_witness, residual_witness, verdict_memo
+from .trigpoly import (COT1, COT2, ONE, PHI1, PHI2, TAN1, TAN2, Key, TrigPoly, _exps, _new,
+                       _sum, coupling, frac_to_str, linear_combine, mul, normalized, to_obj)
 from .trigpoly import proportionality  # noqa: F401  (re-exported for comparing states)
 
 HALF = Fraction(1, 2)
+SEC2_2 = TrigPoly.monomial(1, (0, 0, -2, 0))  # sec^2 phi2
 
 
 # -- Jacobi polynomials --------------------------------------------------------
@@ -122,18 +141,34 @@ def energy(kind: str, **params) -> Fraction:
 
     if kind == "lambda_m":
         l0, l1, m = need("l0", "l1", "m")
-        l0, l1, m = coupling(l0), coupling(l1), quantum_number(m, "m")
-        return (l0 + l1 + 2 * m + 1) ** 2
-    if kind == "E_mn":
+        sector, m, n = (coupling(l0), coupling(l1), 0), quantum_number(m, "m"), 0
+    elif kind == "E_mn":
         ell, m, n = need("ell", "m", "n")
-        ell, m, n = as_sector(ell), quantum_number(m, "m"), quantum_number(n, "n")
-        s = ell[0] + ell[1] + ell[2] + 2 * n + 2 * m
-        return (s + Fraction(3, 2)) * (s + Fraction(5, 2))
-    if kind == "E_q":
+        sector, m, n = as_sector(ell), quantum_number(m, "m"), quantum_number(n, "n")
+    elif kind == "E_q":
         (q,) = need("q")
-        q = quantum_number(q, "q")
-        return (q + Fraction(3, 2)) * (q + Fraction(5, 2))
-    raise ValueError(f"unknown energy kind {kind!r}")
+        kind, sector, m, n = "E_mn", (0, 0, quantum_number(q, "q")), 0, 0
+    else:
+        raise ValueError(f"unknown energy kind {kind!r}")
+    r1, r2 = _spectral_rows(kind, m, n)
+    return row_at(r1, sector) * row_at(r2, sector)
+
+
+@functools.cache
+def _spectral_rows(kind: str, m: int, n: int) -> tuple[Row, Row]:
+    """The two affine rows in ell whose product is the spectral value of level
+    (m, n): lambda_m = (l0 + l1 + 2m + 1)^2 of the phi1 block, and E_mn =
+    (s + 3/2)(s + 5/2), s = l0 + l1 + l2 + 2m + 2n, of H.  `energy` and the
+    eigenvalue proofs both read them."""
+    if kind == "lambda_m":
+        row = _row(2 * m + 1, 1, 1, 0)
+        return row, row
+    s = 2 * m + 2 * n
+    return _row(s + HALF * 3, 1, 1, 1), _row(s + HALF * 5, 1, 1, 1)
+
+
+def _row(*coeffs) -> Row:
+    return tuple(map(Fraction, coeffs))
 
 
 # -- state records ----------------------------------------------------------------
@@ -173,9 +208,11 @@ def _failure(what: str, ell, operator: str, **detail) -> StateCheckError:
 
 def make_state(params, labels, wavefunction: TrigPoly, energy_val,
                onedim: bool = False) -> StateRecord:
-    """Build a StateRecord, verifying (H - E) psi = 0 exactly: the normal form of
-    (H - E) applied to the normal form of psi, one accumulation of memoised
-    monomial images (`diffop.apply_normal_at`), is empty."""
+    """Build a StateRecord, verifying (H - E) psi = 0 exactly at its one sector:
+    the normal form of (H - E) applied to the normal form of psi, one
+    accumulation of memoised monomial images (`diffop.apply_normal_at`), is
+    empty.  The builders prove their states for every ell instead; this
+    per-sector check is the independent oracle they are tested against."""
     params = as_sector(params)
     energy_val = coupling(energy_val)
     if not wavefunction:
@@ -188,9 +225,46 @@ def make_state(params, labels, wavefunction: TrigPoly, energy_val,
     return rec
 
 
+# -- the ground-state gauge ---------------------------------------------------------
+
 # the exponents of cos phi1, sin phi1, cos phi2, sin phi2 in phi0, affine rows in ell
 PHI0_ROWS: tuple[Row, ...] = tuple(tuple(map(Fraction, r)) for r in (
     (HALF, 1, 0, 0), (HALF, 0, 1, 0), (1, 1, 1, 0), (HALF, 0, 0, 1)))
+
+_NO_ROW: Row = _row(0, 0, 0, 0)
+
+
+def _angle_rows(rows: tuple[Row, ...], var: int) -> tuple[Row, ...]:
+    """The exponent rows of the factor of phi0 in one angle, the other two rows zero."""
+    return rows[:2] + (_NO_ROW,) * 2 if var == PHI1 else (_NO_ROW,) * 2 + rows[2:]
+
+
+_DOUBLED: list = [None, None]   # the rows `_doubled_rows` last read, and their doubles
+
+
+def _doubled_rows(rows: tuple[Row, ...]) -> tuple | None:
+    """The rows doubled, as int rows, or None when an entry is not in Z/2; the
+    rows last read are kept with their doubles, so each call reads its rows by
+    identity and a replaced table is read afresh (a `functools.cache` would
+    hash the sixteen Fractions on every call, longer than the int path takes)."""
+    last = _DOUBLED
+    if last[0] is not rows:
+        doubled = tuple(tuple(2 * c for c in row) for row in rows)
+        ok = all(c.denominator == 1 for row in doubled for c in row)
+        last[:] = rows, (tuple(tuple(int(c) for c in row) for row in doubled) if ok else None)
+    return last[1]
+
+
+def _phi0_key(ell) -> Key:
+    """The doubled exponents of phi0 at ell: at an integer sector one int dot
+    product per row of `_doubled_rows`, else `row_at` read as `TrigPoly.monomial`
+    reads an exponent (ValueError for a denominator other than 1 or 2)."""
+    l0, l1, l2 = ell = as_sector(ell)
+    doubled = _doubled_rows(PHI0_ROWS)
+    if doubled is not None and l0.denominator == l1.denominator == l2.denominator == 1:
+        n0, n1, n2 = l0.numerator, l1.numerator, l2.numerator
+        return tuple(c + a * n0 + b * n1 + d * n2 for c, a, b, d in doubled)
+    return _exps([row_at(row, ell) for row in PHI0_ROWS])
 
 
 def phi0(ell, onedim: bool = False) -> TrigPoly:
@@ -201,23 +275,218 @@ def phi0(ell, onedim: bool = False) -> TrigPoly:
     the fundamental state of every sector (Cooper, Khare & Sukhatme, Phys. Rep.
     251, 267, 1995); onedim keeps its phi1 factor, the phi1-block fundamental state.
     """
-    exps = [row_at(row, ell) for row in PHI0_ROWS]
-    return TrigPoly.monomial(1, exps[:2] + [0, 0] if onedim else exps)
+    key = _phi0_key(ell)
+    return _new({key[:2] + (0, 0) if onedim else key: 1}, 1)
+
+
+def _log_derivative(rows: tuple[Row, ...], var: int) -> LPoly:
+    """d log phi0 / d phi_var for phi0 of exponent rows `rows`, a polynomial in
+    ell: d log(cos^a sin^b) = -a tan + b cot in the angle var."""
+    i, tan, cot = (0, TAN1, COT1) if var == PHI1 else (2, TAN2, COT2)
+    return LPoly.affine(rows[i], -tan) + LPoly.affine(rows[i + 1], cot)
 
 
 def phi0_action(x: LPoly, rows: tuple[Row, ...]) -> LPoly:
     """(X phi0)/phi0 for a first-order X given as a polynomial in ell, itself a
-    polynomial in ell: X's multiplier plus its vector field applied to log phi0,
-    where d log(cos^a sin^b) = -a tan + b cot per angle.  phi0's exponent rows
-    are `rows` (the program passes PHI0_ROWS).  Its value at ell is zero
-    exactly when X annihilates phi0(ell); ValueError for order > 1."""
+    polynomial in ell: X's multiplier plus its vector field applied to log phi0
+    (`_log_derivative`).  phi0's exponent rows are `rows` (the program passes
+    PHI0_ROWS).  Its value at ell is zero exactly when X annihilates phi0(ell);
+    ValueError for order > 1."""
     if any(op.order() > 1 for _, op in x.items()):
         raise ValueError("phi0_action expects an operator of order <= 1")
     out = x.map(lambda op: op.coeff((0, 0)), TrigPoly)
-    for i, (order, tan, cot) in enumerate((((1, 0), TAN1, COT1), ((0, 1), TAN2, COT2))):
-        log_derivative = LPoly.affine(rows[2 * i], -tan) + LPoly.affine(rows[2 * i + 1], cot)
-        out = out + x.map(lambda op: op.coeff(order), TrigPoly).product(log_derivative, mul)
+    for var, order in ((PHI1, (1, 0)), (PHI2, (0, 1))):
+        out = out + x.map(lambda op: op.coeff(order), TrigPoly).product(
+            _log_derivative(rows, var), mul)
     return out
+
+
+@verdict_memo
+def annihilation_witness(x: GradedOp, rows: tuple[Row, ...], plane: int | None) -> dict | None:
+    """The `residual_witness` of (X phi0)/phi0 (`phi0_action`, phi0 of exponent
+    rows `rows`) on the plane l_plane = 0, or on all of Q^3 for plane None:
+    None when X annihilates phi0(ell) at every sector of the plane.  Proved
+    once per generator, rows and plane; the ground states and the suites'
+    annihilation check read the same verdicts."""
+    return residual_witness(on_plane(phi0_action(x.poly, rows), plane))
+
+
+def on_plane(poly: LPoly, plane: int | None) -> LPoly:
+    """A function-valued polynomial in ell on the plane l_plane = 0 (its
+    monomials free of l_plane; all of them for plane None), as
+    multiplication operators."""
+    return LPoly(DiffOp, {m: DiffOp.multiplication(c) for m, c in poly.items()
+                          if plane is None or not m[plane]})
+
+
+# -- eigenvalue proofs for every ell ----------------------------------------------
+
+@functools.cache
+def _factor(var: int, m: int, n: int) -> tuple[int, Row, Row, Key]:
+    """The Jacobi factor of level (m, n) in the angle var of a closed form over
+    phi0: its degree, its parameters (alpha, beta) as affine rows in ell, and
+    its monomial prefactor, whose exponents do not depend on ell.  In phi1 it
+    is P_m^(l1, l0)(cos 2 phi1); in phi2 it is cos^(2m) phi2 P_n^(l2, l0+l1+2m+1)
+    (cos 2 phi2), the phi2 factor cos^(l0+l1+2m+1) phi2 sin^(l2+1/2) phi2 of the
+    state over that of phi0.  The source prints the phi2 alpha as l2 + 1/2,
+    which `suites.spectral_delta_report` shows to fail for n >= 1."""
+    if var == PHI1:
+        return m, _row(0, 0, 1, 0), _row(0, 1, 0, 0), (0, 0, 0, 0)
+    return n, _row(0, 0, 0, 1), _row(2 * m + 1, 1, 1, 0), (0, 0, 4 * m, 0)
+
+
+def _factor_at(var: int, m: int, n: int, ell: ParamVector, gauge: Key) -> TrigPoly:
+    """The monomial of doubled exponents `gauge` times the Jacobi factor of level
+    (m, n) in var at the sector ell: Szego's sum at the values of its parameter
+    rows (`jacobi_in_cos2`), the value at ell of the polynomial `_factor_poly`."""
+    deg, alpha, beta, pre = _factor(var, m, n)
+    key = tuple(a + b for a, b in zip(gauge, pre))
+    return _new({key: 1}, 1) * jacobi_in_cos2(deg, row_at(alpha, ell), row_at(beta, ell), var)
+
+
+@functools.cache
+def _factor_poly(var: int, m: int, n: int) -> LPoly:
+    """The Jacobi factor of level (m, n) in var (`_factor`) as a polynomial in
+    ell with TrigPoly coefficients: Szego's weight of its k-th monomial,
+    C(d+alpha, d-k) C(d+beta, k) = prod_{i<d-k} (alpha + d - i) prod_{i<k}
+    (beta + d - i) / ((d-k)! k!), is expanded as a product of affine rows."""
+    deg, alpha, beta, pre = _factor(var, m, n)
+    parts: dict[Mono, list] = {}
+    for k in range(deg + 1):
+        rows = [(alpha[0] + deg - i,) + alpha[1:] for i in range(deg - k)] \
+            + [(beta[0] + deg - i,) + beta[1:] for i in range(k)]
+        x = (4 * (deg - k), 4 * k, 0, 0) if var == PHI1 else (0, 0, 4 * (deg - k), 4 * k)
+        key = tuple(a + b for a, b in zip(pre, x))
+        scale = Fraction((-1) ** k, math.factorial(deg - k) * math.factorial(k))
+        for mono, c in _expand(rows).items():
+            parts.setdefault(mono, []).append((c * scale, 1, {key: 1}))
+    return LPoly(TrigPoly, {mono: _sum(ps) for mono, ps in sorted(parts.items())})
+
+
+def _expand(rows: list[Row]) -> dict[Mono, Fraction]:
+    """The product of affine rows (c0, c_l0, c_l1, c_l2) as {monomial: coefficient}."""
+    acc = {ZERO: Fraction(1)}
+    for row in rows:
+        nxt: dict[Mono, Fraction] = {}
+        for (i, j, k), c in acc.items():
+            for (a, b, d), r in zip(UNITS, row):
+                if r:
+                    mono = (i + a, j + b, k + d)
+                    nxt[mono] = nxt.get(mono, 0) + c * r
+        acc = nxt
+    return acc
+
+
+def _multiplication(*parts: tuple[str, int, int, TrigPoly]) -> LPoly:
+    """The sum over the parts (kind, m, n, f) of the spectral value of level
+    (m, n) (`_spectral_rows`, expanded) times the function f, as a polynomial
+    in ell of multiplication operators."""
+    acc: dict[Mono, list] = {}
+    for kind, m, n, f in parts:
+        for mono, c in _expand(list(_spectral_rows(kind, m, n))).items():
+            acc.setdefault(mono, []).append((c, f))
+    return LPoly(DiffOp, {mono: DiffOp.multiplication(linear_combine(ps))
+                          for mono, ps in acc.items()})
+
+
+@functools.cache
+def _gauged(block: LPoly, rows: tuple[Row, ...]) -> LPoly:
+    """phi0^-1 block phi0 as a polynomial in ell, phi0 of exponent rows `rows`:
+    every d_i becomes d_i + w_i, w_i = d_i log phi0 (`_log_derivative`), so
+    c d1^k1 d2^k2 becomes c (d1 + w1)^k1 (d2 + w2)^k2; the two factors commute."""
+    steps = [LPoly(DiffOp, {ZERO: DiffOp({order: ONE})})
+             + _log_derivative(rows, var).map(DiffOp.multiplication, DiffOp)
+             for var, order in ((PHI1, (1, 0)), (PHI2, (0, 1)))]
+    powers = {(0, 0): LPoly(DiffOp, {ZERO: DiffOp.identity()})}
+
+    def power(k1: int, k2: int) -> LPoly:
+        if (k1, k2) not in powers:
+            powers[k1, k2] = steps[1].product(power(k1, k2 - 1), compose) if k2 \
+                else steps[0].product(power(k1 - 1, 0), compose)
+        return powers[k1, k2]
+
+    out = LPoly(DiffOp)
+    for mono, op in block.items():
+        for order, c in op.items():
+            out = out + LPoly(DiffOp, {mono: DiffOp.multiplication(c)}).product(
+                power(*order), compose)
+    return out
+
+
+def _kernel_witness(ops: tuple[LPoly, ...], family: LPoly) -> dict | None:
+    """The first ell-monomial whose coefficient in the sum of op(ell)
+    family(ell) over ops is not the zero function, with its number of
+    normal-form terms (`diffop.apply_normal_poly`); None when it vanishes for
+    every ell.  A gauged block is one of ops, so its image tables are shared
+    by every level."""
+    return next(({"monomial": list(m), "terms": len(p)} for m, p in
+                 apply_normal_poly((op, family) for op in ops).items()), None)
+
+
+@verdict_memo
+def _phi1_witness(block: LPoly, rows: tuple[Row, ...], m: int) -> dict | None:
+    """The proof for every ell that phi0 (its phi1 factor, of rows `rows`)
+    times the phi1 factor of level m is an eigenfunction of the phi1 block
+    `block` with the value lambda_m: the gauged block minus lambda_m kills
+    the factor's polynomial (`_kernel_witness`)."""
+    rows = _angle_rows(rows, PHI1)
+    ops = (_gauged(block, rows), _multiplication(("lambda_m", m, 0, -ONE)))
+    return _kernel_witness(ops, _factor_poly(PHI1, m, 0))
+
+
+@verdict_memo
+def _split_witness(hamiltonian: LPoly, phi1_block: LPoly, phi2_block: LPoly) -> dict | None:
+    """The `residual_witness` of H - phi2 block - sec^2 phi2 phi1 block, then of
+    the d2 part of the phi1 block and the d1 part of the phi2 block; None when
+    H splits into blocks that each differentiate in their own angle only."""
+    found = residual_witness(hamiltonian - phi2_block - LPoly(
+        DiffOp, {ZERO: DiffOp.multiplication(SEC2_2)}).product(phi1_block, compose))
+    for other, block in ((1, phi1_block), (0, phi2_block)):
+        found = found or residual_witness(LPoly(DiffOp, {
+            mono: DiffOp._raw({o: c for o, c in op.items() if o[other]})
+            for mono, op in block.items()}))
+    return found
+
+
+@verdict_memo
+def _separated_witness(hamiltonian: LPoly, phi1_block: LPoly, phi2_block: LPoly,
+                       rows: tuple[Row, ...], m: int, n: int) -> dict | None:
+    """The proof for every ell that phi0 (rows `rows`) times the phi1 and phi2
+    factors of level (m, n) is an eigenfunction of `hamiltonian` with the value
+    E_mn, in three parts, the first failing one named under "part":
+
+    - split: H = phi2 block + sec^2 phi2 phi1 block, the phi1 block free of d2
+      and the phi2 block free of d1, so each block acts on its own angle's
+      factor of a product of one-angle factors;
+    - phi1: the phi1 factor, with phi0's phi1 factor, has the phi1-block value
+      lambda_m (`_phi1_witness`, shared with `phi1_excited`);
+    - phi2: with phi0's phi2 factor, the phi2 factor is killed by the gauged
+      phi2 block plus lambda_m sec^2 phi2 minus E_mn."""
+    split = _split_witness(hamiltonian, phi1_block, phi2_block)
+    if split is not None:
+        return {"part": "split", **split}
+    found = _phi1_witness(phi1_block, rows, m)
+    if found is not None:
+        return {"part": "phi1", **found}
+    ops = (_gauged(phi2_block, _angle_rows(rows, PHI2)),
+           _multiplication(("lambda_m", m, 0, SEC2_2), ("E_mn", m, n, -ONE)))
+    found = _kernel_witness(ops, _factor_poly(PHI2, m, n))
+    return None if found is None else {"part": "phi2", **found}
+
+
+def _level_witness(onedim: bool, hamiltonian: LPoly, phi1_block: LPoly, phi2_block: LPoly,
+                   rows: tuple[Row, ...], m: int, n: int) -> tuple[str, dict | None]:
+    """The operator of a state of level (m, n), the phi1 block when onedim and
+    else H, and the witness of its memoised proof for every ell
+    (`_phi1_witness`, `_separated_witness`), None when it holds."""
+    if onedim:
+        return "phi1 block", _phi1_witness(phi1_block, rows, m)
+    return "H", _separated_witness(hamiltonian, phi1_block, phi2_block, rows, m, n)
+
+
+def _eigen_failure(sector: ParamVector, name: str, witness: dict, energy_val) -> StateCheckError:
+    return _failure(f"eigenvalue equation with E={frac_to_str(energy_val)} does not hold for "
+                    f"all l (witness {witness})", sector, name, witness=witness)
 
 
 def _labels(label, size: int, name: str) -> tuple:
@@ -235,29 +504,26 @@ def _one_label(label, name: str) -> int:
     return quantum_number(*_labels(label, 1, name), name)
 
 
-def _check_annihilated(op_name: str, ell, psi: TrigPoly) -> None:
-    # a zero test, so the generator's 1/2 does not matter
-    if apply_normal_at(graded(op_name).poly, ell, psi):
-        raise _failure(f"{op_name} does not annihilate the candidate state", ell, op_name)
-
-
-def _fundamental(kind: str, params) -> tuple[ParamVector, dict, tuple[str, ...], bool, Fraction]:
-    """A kind's fundamental sector, labels, annihilators, onedim and spectrum energy."""
+def _fundamental(kind: str, params) -> tuple[ParamVector, dict, tuple, bool, Fraction]:
+    """A kind's fundamental sector, labels, annihilators with the plane l_i = 0
+    each is proved on (None for all of Q^3), onedim and spectrum energy."""
     if kind == "phi1_1d":
         l0, l1, m = _labels(params, 3, kind)
         l0, l1, m = coupling(l0), coupling(l1), quantum_number(m, "m")
         sector, labels = (l0 + m, l1 + m, 0), {"m": m, "su2_j": (l0 + l1 + 2 * m) / 2}
-        lowering = ("A-",)
+        lowering = (("A-", None),)
     elif kind == "u3":
         m, n = _labels(params, 2, kind)
         m, n = quantum_number(m, "m"), quantum_number(n, "n")
-        sector, labels, lowering = (m, 0, n), {"m": m, "n": n}, ("A-", "C-")
+        sector, labels, lowering = (m, 0, n), {"m": m, "n": n}, (("A-", None), ("C-", 1))
     elif kind == "so4":
         n = _one_label(params, "n")
-        sector, labels, lowering = (0, n, 0), {"n": n, "su2_j": Fraction(n, 2)}, ("A-", "At-")
+        sector, labels = (0, n, 0), {"n": n, "su2_j": Fraction(n, 2)}
+        lowering = (("A-", None), ("At-", 0))
     elif kind == "so6":
         q = _one_label(params, "q")
-        sector, labels, lowering = (0, 0, q), {"q": q}, ("A-", "C-", "At-")
+        sector, labels = (0, 0, q), {"q": q}
+        lowering = (("A-", None), ("C-", 1), ("At-", 0))
     else:
         raise ValueError(f"unknown ground-state kind {kind!r}")
     sector = as_sector(sector)
@@ -275,7 +541,13 @@ def ground_energy(kind: str, params) -> Fraction:
 
 def ground_state(kind: str, params) -> StateRecord:
     """Fundamental (lowest-weight) states: phi0 at the kind's sector with the
-    spectrum value there, annihilation- and eigen-verified at construction.
+    spectrum value there, the level (0, 0) of the closed forms, whose factors
+    are 1.  Each lowering operator is proved to annihilate phi0 for every ell
+    on the kind's plane (`annihilation_witness`: A- on all of Q^3, C- on
+    l1 = 0, At- on l0 = 0), and phi0 to be an eigenfunction of the kind's
+    block for every ell (the memoised proof of level (0, 0), as in
+    `closed_form_state`); a failed proof raises StateCheckError naming the
+    sector, the operator and its witness.
 
     kinds: phi1_1d (l0, l1, m) -- phi1 chain member at (l0+m, l1+m, 0), one-variable;
            u3 (m, n)           -- lowest weight of the u(3) IUR (m, n), at (m, 0, n);
@@ -283,10 +555,36 @@ def ground_state(kind: str, params) -> StateRecord:
            so6 (q,)            -- lowest weight of the so(6) IUR q, at (0, 0, q).
     """
     sector, labels, lowering, onedim, e = _fundamental(kind, params)
-    psi = phi0(sector, onedim)
-    for name in lowering:
-        _check_annihilated(name, sector, psi)
-    return make_state(sector, labels, psi, e, onedim=onedim)
+    failed = _fundamental_witness(tuple((graded(name), plane) for name, plane in lowering),
+                                  onedim, diffop.HAMILTONIAN, diffop.PHI1_BLOCK,
+                                  diffop.PHI2_BLOCK, PHI0_ROWS)
+    if failed is not None:
+        claim, name, witness = failed
+        if claim == "eigenvalue":
+            raise _eigen_failure(sector, name, witness, e)
+        raise _failure(f"{name} does not annihilate the candidate state for all l "
+                       f"(witness {witness})", sector, name, witness=witness)
+    return StateRecord(sector, labels, phi0(sector, onedim), e, onedim)
+
+
+@verdict_memo
+def _fundamental_witness(lowering: tuple[tuple[GradedOp, int | None], ...], onedim: bool,
+                         hamiltonian: LPoly, phi1_block: LPoly, phi2_block: LPoly,
+                         rows: tuple[Row, ...]) -> tuple[str, str, dict] | None:
+    """The first failed proof for every ell of a fundamental state, as its
+    claim ("annihilation" or "eigenvalue"), operator and witness: each
+    lowering operator annihilates phi0 (of rows `rows`, its phi1 factor when
+    onedim) on its plane (`annihilation_witness`), and phi0 is an
+    eigenfunction of the phi1 block when onedim, else of H (`_level_witness`
+    at level (0, 0)).  One memo per kind's generators, the blocks and the
+    rows, so a state reads one verdict."""
+    gauge = _angle_rows(rows, PHI1) if onedim else rows
+    for x, plane in lowering:
+        witness = annihilation_witness(x, gauge, plane)
+        if witness is not None:
+            return "annihilation", x.name, witness
+    name, witness = _level_witness(onedim, hamiltonian, phi1_block, phi2_block, rows, 0, 0)
+    return None if witness is None else ("eigenvalue", name, witness)
 
 
 def _prove_step(op: GradedOp, state: StateRecord) -> None:
@@ -332,43 +630,54 @@ def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRec
 
 
 def closed_form_state(kind: str, params) -> StateRecord:
-    """Jacobi-polynomial closed forms.
+    """Jacobi-polynomial closed forms, each phi0 times Jacobi factors (`_factor`)
+    whose exponents do not depend on ell.
 
-    phi1_excited (l0, l1, m): the phi1 factor cos^(l0+1/2) sin^(l1+1/2) P_m^(l1,l0)(cos 2 phi1);
+    phi1_excited (l0, l1, m): phi0's phi1 factor cos^(l0+1/2) sin^(l1+1/2) phi1
+    times P_m^(l1,l0)(cos 2 phi1), a phi1-block state;
     separated_2d (ell, m, n): its product with the phi2 factor (`phi2_closed_form`).
+
+    The state is not checked at its sector: the family of its level is proved
+    once, for every ell, to be an eigenfunction of the block read from `diffop`
+    at the call (`_phi1_witness` per m, `_separated_witness` per (m, n), keyed on
+    the blocks, PHI0_ROWS and the level), and the state is the value of the
+    proved family at its sector, with the energy of the same spectral rows
+    (`_spectral_rows`).  A failed proof raises StateCheckError naming the
+    sector, the operator and the first failing ell-monomial.
     """
     if kind == "phi1_excited":
         l0, l1, m = _labels(params, 3, kind)
         l0, l1, m = coupling(l0), coupling(l1), quantum_number(m, "m")
-        psi = _phi1_closed_form((l0, l1, 0), m)
-        lam = energy("lambda_m", l0=l0, l1=l1, m=m)
-        return make_state((l0, l1, 0), {"m": m}, psi, lam, onedim=True)
-    if kind == "separated_2d":
+        sector, labels, n, onedim = (l0, l1, Fraction(0)), {"m": m}, 0, True
+        e = energy("lambda_m", l0=l0, l1=l1, m=m)
+    elif kind == "separated_2d":
         ell, m, n = _labels(params, 3, kind)
-        ell, m, n = as_sector(ell), quantum_number(m, "m"), quantum_number(n, "n")
-        # phi2 Jacobi parameters (l2, l0+l1+2m+1): the parameter printed as
-        # l2 + 1/2 fails the eigenvalue equation for n >= 1 (see phi2_closed_form)
-        psi = _phi1_closed_form(ell, m) * phi2_closed_form(ell, m, n)
-        e = energy("E_mn", ell=ell, m=m, n=n)
-        return make_state(ell, {"m": m, "n": n}, psi, e)
-    raise ValueError(f"unknown closed-form kind {kind!r}")
-
-
-def _phi1_closed_form(ell: ParamVector, m: int) -> TrigPoly:
-    """phi1 factor cos^(l0+1/2) sin^(l1+1/2) P_m^(l1, l0)(cos 2 phi1), phi0's phi1
-    factor at the sector ell times the Jacobi polynomial."""
-    return phi0(ell, onedim=True) * jacobi_in_cos2(m, ell[1], ell[0], PHI1)
+        sector, m, n = as_sector(ell), quantum_number(m, "m"), quantum_number(n, "n")
+        labels, onedim = {"m": m, "n": n}, False
+        e = energy("E_mn", ell=sector, m=m, n=n)
+    else:
+        raise ValueError(f"unknown closed-form kind {kind!r}")
+    name, witness = _level_witness(onedim, diffop.HAMILTONIAN, diffop.PHI1_BLOCK,
+                                   diffop.PHI2_BLOCK, PHI0_ROWS, m, n)
+    if witness is not None:
+        raise _eigen_failure(sector, name, witness, e)
+    key = _phi0_key(sector)
+    psi = _factor_at(PHI1, m, n, sector, key[:2] + (0, 0))
+    if not onedim:
+        psi = psi * _factor_at(PHI2, m, n, sector, (0, 0) + key[2:])
+    if not psi:
+        raise ValueError("state wavefunction must be nonzero")
+    return StateRecord(sector, labels, psi, e, onedim)
 
 
 def phi2_closed_form(ell, m: int, n: int) -> TrigPoly:
-    """phi2 factor cos^(l0+l1+2m+1) sin^(l2+1/2) P_n^(l2, l0+l1+2m+1)(cos 2 phi2),
-    an exact eigenfunction factor (the source prints the first Jacobi parameter
-    as l2 + 1/2, which `suites.spectral_delta_report` shows to fail for n >= 1).
+    """phi2 factor cos^(l0+l1+2m+1) sin^(l2+1/2) P_n^(l2, l0+l1+2m+1)(cos 2 phi2):
+    phi0's phi2 factor times the phi2 Jacobi factor of level (m, n) at ell, an
+    exact eigenfunction factor (the source prints the first Jacobi parameter as
+    l2 + 1/2, which `suites.spectral_delta_report` shows to fail for n >= 1).
     """
-    (l0, l1, l2), m, n = as_sector(ell), quantum_number(m, "m"), quantum_number(n, "n")
-    root = l0 + l1 + 2 * m + 1
-    pref = TrigPoly.monomial(1, (0, 0, root, l2 + HALF))
-    return pref * jacobi_in_cos2(n, l2, root, PHI2)
+    ell, m, n = as_sector(ell), quantum_number(m, "m"), quantum_number(n, "n")
+    return _factor_at(PHI2, m, n, ell, (0, 0) + _phi0_key(ell)[2:])
 
 
 # -- representation lattices ------------------------------------------------------

@@ -316,14 +316,15 @@ def reset() -> None:
     `verdict_memo` bound in a loaded `octasphere` module.  Those are the
     generators and Casimir residuals here; every verdict memo (the
     intertwinings, structure table and printed audit here, antisymmetry,
-    Jacobi and the two phi0 proofs of `suites`, the Riccati lambda and the
-    kinetic check of `superpotential`); the monomial images of `diffop`; the
-    Beta values, quadrature nodes and quadrature columns of `inner`; the
-    cos(2 phi) power expansions of `hierarchy`; and the normal-form basis and
-    half-integer tables of `trigpoly`.  Each generator
-    is then rebuilt as a new object, each proof formed afresh and each image
-    retaken.  A replaced table row needs no reset (it is a new key); a mutant
-    of code does."""
+    Jacobi and the superpotential proof of `suites`, the Riccati lambda and
+    the kinetic check of `superpotential`, and the eigenvalue and
+    annihilation proofs for every ell of `hierarchy`); the monomial images
+    of `diffop`; the Beta values, quadrature nodes and quadrature columns of
+    `inner`; the gauged blocks, Jacobi-factor polynomials and spectral rows
+    of `hierarchy`; and the normal-form basis and half-integer tables of
+    `trigpoly`.  Each generator is then rebuilt as a new object, each proof
+    formed afresh and each image retaken.  A replaced table row needs no
+    reset (it is a new key); a mutant of code does."""
     for name, module in list(sys.modules.items()):
         if module is not None and (name == __package__ or name.startswith(__package__ + ".")):
             for obj in list(vars(module).values()):

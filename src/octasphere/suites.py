@@ -12,18 +12,21 @@ table (on the six ladder generators and the A, B, C rows), the printed B/C
 audit (on the B± and C± generators and the Hamiltonian), antisymmetry
 (`_antisymmetry_witness`) and Jacobi (`_jacobi_witness`), each on the
 generators it brackets, the A-/C- annihilation of the u(3) fundamental states
-(`_annihilation_witness`, on the two generators and `hierarchy.PHI0_ROWS`),
-the l1 = 0 superpotentials (`_superpotential_witness`, on the family rows and
+(`hierarchy.annihilation_witness`, on each generator, `hierarchy.PHI0_ROWS`
+and the plane l1 = 0, the proofs the fundamental states read), the l1 = 0
+superpotentials (`_superpotential_witness`, on the family rows and
 the phi0 rows), the Riccati lambda and the kinetic check
 (`superpotential.riccati_lambda`, `kinetic_rotation_check`, on the family
 rows and the Hamiltonian).  The Casimir residuals are memoised polynomials
-(`operators.casimir_residual`).  The per-sector multiplier solves, the state
-builds (whose eigenvalue checks read the memoised monomial images of
-`diffop.apply_normal_at`) and the float oracles run in every report: they are
-the independent cross-checks.  Each builds its sector invariants once per
-report: a solve its two Hamiltonians, the adjoint check each sector's state
-and norm, the orthogonality check each state's norm, and the quadrature
-reads memoised integrand columns, summed afresh.
+(`operators.casimir_residual`).  The states the report builds are proved
+for every ell once per family and level (`hierarchy.closed_form_state`,
+`ground_state`), and each is then the value of its proved family.  The
+per-sector multiplier solves and the float oracles on those states run in
+every report: they are the independent cross-checks.  Each builds its
+sector invariants once per report: a solve its two Hamiltonians, the
+adjoint check each sector's state and norm, the orthogonality check each
+state's norm, and the quadrature reads memoised integrand columns, summed
+afresh.
 A replaced table row is a new key; a mutant of code is seen only after
 `operators.reset`, which empties every memo here too.
 """
@@ -35,8 +38,8 @@ from fractions import Fraction
 
 from . import diffop, hierarchy, operators
 from .diffop import DiffOp, apply, apply_normal_at, build_hamiltonian, pv
-from .hierarchy import (StateCheckError, closed_form_state, energy,
-                        ground_state, jacobi_in_cos2, phi0, phi0_action)
+from .hierarchy import (StateCheckError, annihilation_witness, closed_form_state, energy,
+                        ground_state, jacobi_in_cos2, on_plane, phi0)
 from .inner import (adjoint_residual, inner, mono_inner, mono_inner_quadrature,
                     norm, numeric_oracle_check)
 from .lpoly import ZERO, LPoly, Row
@@ -90,12 +93,6 @@ def _proof_each(name: str, bad: tuple[list, dict] | None, **detail) -> dict:
     return _check(name, bad is None, **detail)
 
 
-def _on_l1_plane(poly: LPoly) -> LPoly:
-    """A function-valued polynomial on the plane l1 = 0 (its monomials free of
-    l1), as multiplication operators."""
-    return LPoly(DiffOp, {m: DiffOp.multiplication(c) for m, c in poly.items() if not m[1]})
-
-
 # -- intertwine ------------------------------------------------------------------
 
 def suite_intertwine() -> dict:
@@ -124,19 +121,14 @@ def suite_intertwine() -> dict:
                 continue
             checks.append(_check(name, is_zero(got - family.symbolic_multiplier.at(ell))))
 
-    # the u(3) fundamental states phi0 at (m, 0, n): (X phi0)/phi0 vanishes on l1 = 0
+    # the u(3) fundamental states phi0 at (m, 0, n): (X phi0)/phi0 vanishes on l1 = 0,
+    # the proofs `hierarchy.ground_state` reads
     checks.append(_proof_each(
         "A- and C- annihilate u(3) fundamental states for all l in Q^3 with l1 = 0",
-        _annihilation_witness((graded("A-"), graded("C-")), hierarchy.PHI0_ROWS)))
+        next((([name], w) for name in ("A-", "C-") if (w := annihilation_witness(
+            graded(name), hierarchy.PHI0_ROWS, 1)) is not None), None)))
 
     return _report("intertwine", checks, deltas)
-
-
-@verdict_memo
-def _annihilation_witness(ladders: tuple[GradedOp, ...], rows: tuple[Row, ...]):
-    """The `_first_failure` of (X phi0)/phi0 on the plane l1 = 0 over the
-    ladders, phi0 of exponent rows `rows`; proved once per generators and rows."""
-    return _first_failure(((x.name,), _on_l1_plane(phi0_action(x.poly, rows))) for x in ladders)
 
 
 # -- algebra ---------------------------------------------------------------------
@@ -310,7 +302,7 @@ def _superpotential_witness(families: tuple[tuple[str, Family], ...], rows: tupl
     """The `_first_failure` of the `simultaneous_superpotentials` of the family
     rows on the plane l1 = 0, phi0 of exponent rows `rows`; proved once per
     family rows and phi0 rows."""
-    return _first_failure(((name,), _on_l1_plane(w))
+    return _first_failure(((name,), on_plane(w, 1))
                           for name, w in simultaneous_superpotentials(families, rows).items())
 
 

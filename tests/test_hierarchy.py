@@ -254,6 +254,8 @@ def test_every_ground_state_is_phi0_with_the_spectrum_value(data):
     got = ground_state(kind, params)
     assert got.params == sector and got.onedim == onedim
     assert got.wavefunction == hierarchy.phi0(sector, onedim)
+    # proved for every l, it passes the check of its block applied at its sector
+    assert make_state(got.params, got.labels, got.wavefunction, got.energy, got.onedim) == got
     if onedim:
         assert got.energy == energy("lambda_m", l0=sector[0], l1=sector[1], m=0)
     else:
@@ -377,6 +379,145 @@ def test_phi1_excited_m1_two_classes():
 def test_separated_2d_energy():
     st = closed_form_state("separated_2d", ((0, 0, 0), 1, 1))
     assert st.energy == energy("E_mn", ell=(0, 0, 0), m=1, n=1)
+
+
+# sectors of (Z/2)^3, integral and half-integral, negative ones included
+ORACLE_SECTORS = [pv(0, 0, 0), pv(1, 2, 0), pv(2, 0, 3), pv(-1, -1, 2),
+                  pv(HALF, 3 * HALF, HALF), pv(-HALF, HALF, 5 * HALF), pv(2, -3 * HALF, 1)]
+
+
+@pytest.mark.parametrize("ell", ORACLE_SECTORS)
+def test_every_closed_form_passes_the_per_sector_eigenvalue_check(ell):
+    # the builders prove each level for every l and read no sector; make_state
+    # applies the block at the state's own sector, independently
+    for m in range(4):
+        cases = [("phi1_excited", (ell[0], ell[1], m))]
+        cases += [("separated_2d", (ell, m, n)) for n in range(4 - m)]
+        for kind, params in cases:
+            try:
+                st = closed_form_state(kind, params)
+            except ValueError as err:   # Szego's sum vanishes at some degenerate sectors
+                assert str(err) == "state wavefunction must be nonzero"
+                continue
+            assert make_state(st.params, st.labels, st.wavefunction, st.energy, st.onedim) == st
+
+
+def test_a_sector_outside_half_integers_has_no_closed_form():
+    # every exponent of phi0 is affine in l with half-integer offsets, so only
+    # sectors in (Z/2)^3 give a state; elsewhere the builders raise as phi0 does
+    ell = pv(F(1, 3), 0, 0)
+    for call in (lambda: hierarchy.phi0(ell),
+                 lambda: closed_form_state("separated_2d", (ell, 1, 0)),
+                 lambda: closed_form_state("phi1_excited", (F(1, 3), 0, 1))):
+        with pytest.raises(ValueError, match="only 1 or 2 allowed"):
+            call()
+
+
+def _szego_factors(ell, m, n):
+    """The two factors of the closed form as built by Jacobi products at ell:
+    phi0's phi1 factor times P_m^(l1, l0)(cos 2 phi1), and cos^(l0+l1+2m+1)
+    sin^(l2+1/2) phi2 P_n^(l2, l0+l1+2m+1)(cos 2 phi2)."""
+    l0, l1, l2 = ell
+    root = l0 + l1 + 2 * m + 1
+    return (hierarchy.phi0(ell, onedim=True) * jacobi_in_cos2(m, l1, l0, PHI1),
+            TrigPoly.monomial(1, (0, 0, root, l2 + HALF)) * jacobi_in_cos2(n, l2, root, PHI2))
+
+
+def _stored(p):
+    return list(p._terms.items()), p._den
+
+
+@pytest.mark.parametrize("ell", ORACLE_SECTORS)
+def test_a_closed_form_stores_the_terms_of_the_jacobi_product(ell):
+    # the same terms, in the same key order, over the same denominator
+    for m in range(3):
+        for n in range(3):
+            phi1, phi2 = _szego_factors(ell, m, n)
+            assert _stored(phi2_closed_form(ell, m, n)) == _stored(phi2)
+            if phi1 and phi2:
+                got = closed_form_state("separated_2d", (ell, m, n)).wavefunction
+                assert _stored(got) == _stored(phi1 * phi2)
+        if phi1:
+            got = closed_form_state("phi1_excited", (ell[0], ell[1], m)).wavefunction
+            assert _stored(got) == _stored(phi1)
+
+
+@pytest.mark.parametrize("var,m,n", [(PHI1, 0, 0), (PHI1, 3, 0), (PHI2, 0, 2), (PHI2, 2, 3)])
+def test_each_jacobi_factor_is_the_value_of_the_polynomial_its_proof_reads(var, m, n):
+    poly = hierarchy._factor_poly(var, m, n)
+    assert all(len(c) for _, c in poly.items())
+    for ell in ORACLE_SECTORS:
+        assert poly.at(ell) == hierarchy._factor_at(var, m, n, ell, (0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("ell", ORACLE_SECTORS + [(3, 4, 5), (-2, 7, 0)])
+def test_phi0_stores_the_monomial_of_its_fraction_rows(ell):
+    # at an integer sector phi0 reads its rows in ints; either way it stores
+    # the monomial of the rows' Fraction values
+    want = TrigPoly.monomial(1, [hierarchy.row_at(row, ell) for row in hierarchy.PHI0_ROWS])
+    got = hierarchy.phi0(ell)
+    assert (got._terms, got._den) == (want._terms, want._den)
+    assert list(hierarchy.phi0(ell, onedim=True)._terms) == [list(want._terms)[0][:2] + (0, 0)]
+
+
+def test_a_broken_phi0_l1_entry_fails_with_a_witness(monkeypatch):
+    # the l1 coefficient of phi0's cos phi2 exponent, which no state on the
+    # plane l1 = 0 reads: the proof for every l still sees it
+    rows = hierarchy.PHI0_ROWS
+    monkeypatch.setattr(hierarchy, "PHI0_ROWS", rows[:2] + ((rows[2][:2] + (F(3, 2),) + rows[2][3:]),)
+                        + rows[3:])
+    for call in (lambda: ground_state("so6", (1,)),
+                 lambda: closed_form_state("separated_2d", ((0, 0, 0), 1, 0))):
+        with pytest.raises(hierarchy.StateCheckError, match="eigenvalue equation") as err:
+            call()
+        assert err.value.report["operator"] == "H"
+        assert err.value.report["witness"]["part"] == "phi2"
+    # the one-variable states have no phi2 factor
+    closed_form_state("phi1_excited", (0, 1, 2))
+
+
+def test_a_doubled_hamiltonian_coupling_fails_the_split_with_a_witness(monkeypatch):
+    from octasphere import diffop
+    from octasphere.diffop import DiffOp
+    from octasphere.lpoly import LPoly
+    h = diffop.HAMILTONIAN
+    monkeypatch.setattr(diffop, "HAMILTONIAN", h + LPoly(DiffOp, {(2, 0, 0): h.coeff((2, 0, 0))}))
+    with pytest.raises(hierarchy.StateCheckError, match=r"E=323/4 does not hold for all l") as err:
+        closed_form_state("separated_2d", ((1, 2, 0), 1, 1))
+    assert err.value.report == {"sector": ["1", "2", "0"], "operator": "H",
+                                "witness": {"part": "split", "monomial": [2, 0, 0], "terms": 1}}
+    # the phi1 block is read on its own, so its states still stand
+    closed_form_state("phi1_excited", (1, 2, 1))
+
+
+def test_each_lowering_operator_is_proved_on_its_kind_plane(monkeypatch):
+    # At- reflected in l1 (the At pair with its superscripts exchanged) still
+    # annihilates phi0 where l0 = l1 = 0, but not on the plane l0 = 0 of the
+    # so(4) states (0, n, 0): the so(6) state reads the same proof and fails
+    from octasphere import operators
+    monkeypatch.setitem(operators.TILDES, "At", ("A", 1))
+    for kind, params, sector in (("so4", (1,), ["0", "1", "0"]), ("so6", (1,), ["0", "0", "1"])):
+        with pytest.raises(hierarchy.StateCheckError, match=r"^At- does not annihilate") as err:
+            ground_state(kind, params)
+        assert err.value.report == {"sector": sector, "operator": "At-",
+                                    "witness": {"monomial": [0, 1, 0], "terms": 1}}
+    ground_state("u3", (1, 1))
+
+
+def test_the_printed_phi2_parameter_fails_its_proof_with_a_witness(monkeypatch, fresh_memos):
+    real = hierarchy._factor
+
+    def printed(var, m, n):
+        deg, alpha, beta, pre = real(var, m, n)
+        return (deg, (alpha[0] + HALF,) + alpha[1:], beta, pre) if var == PHI2 \
+            else (deg, alpha, beta, pre)
+
+    monkeypatch.setattr(hierarchy, "_factor", printed)
+    # P_0 = 1 whatever its parameters: the level n = 0 is unaffected
+    closed_form_state("separated_2d", ((0, 0, 0), 1, 0))
+    with pytest.raises(hierarchy.StateCheckError, match=r"^eigenvalue equation") as err:
+        closed_form_state("separated_2d", ((0, 0, 0), 0, 1))
+    assert err.value.report["witness"] == {"part": "phi2", "monomial": [0, 0, 0], "terms": 1}
 
 
 def test_printed_phi2_jacobi_parameter_fails():
@@ -538,15 +679,16 @@ def _count_calls(monkeypatch, name):
 
 
 def test_iur_builder_ladders_only_below_capacity(monkeypatch):
-    # a step onto a full lattice point is skipped before laddering; only the
-    # fundamental state is eigen-checked, the laddered ones are eigenstates
-    # because every raising operator is proved to intertwine H
+    # a step onto a full lattice point is skipped before laddering; nothing is
+    # checked at a sector: the fundamental state is proved for every ell, and
+    # the laddered ones are eigenstates because every raising operator is
+    # proved to intertwine H
     raising = {id(graded(name).poly) for name in hierarchy.RAISING["so6"]}
     applied = _count_calls(monkeypatch, "apply_normal_at")
     checks = _count_calls(monkeypatch, "make_state")
     assert len(iur_states("so6", (3,))) == 50
     ladders = [args for args in applied if id(args[0]) in raising]
-    assert (len(ladders), len(checks)) == (153, 1)
+    assert (len(ladders), len(applied), len(checks)) == (153, 153, 0)
 
 
 def test_iur_builder_names_a_raising_operator_that_fails_its_proof(monkeypatch):

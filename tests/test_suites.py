@@ -58,7 +58,8 @@ def test_a_broken_family_fails_the_finite_difference_check_instead_of_raising(mo
     _break_family_a(monkeypatch)
     check = _check(suites.suite_hermiticity(), "finite-difference oracle on H")
     assert not check["passed"]
-    assert check["witness"] == {"sector": ["0", "0", "1"], "operator": "A-"}
+    assert check["witness"] == {"sector": ["0", "0", "1"], "operator": "A-",
+                                "witness": {"monomial": [0, 0, 1], "terms": 1}}
     with pytest.raises(ValueError, match=r"A- does not annihilate .* at \(0/1, 0/1, 1/1\)"):
         hierarchy.ground_state("so6", (1,))
     assert cli.main(["verify", "--suite", "all"]) == 1
@@ -189,15 +190,15 @@ def _doubled(name, mono):
 DATA_MUTANTS = {
     "B_tan_c0_plus_half": (_shift_row("B", "tan_row", 0, Fraction(1, 2)), True, 19),
     "C_cot_l2_plus_one": (_shift_row("C", "cot_row", 3, 1), True, 22),
-    "A_cot_l1_plus_half": (_shift_row("A", "cot_row", 2, Fraction(1, 2)), True, 20),
+    "A_cot_l1_plus_half": (_shift_row("A", "cot_row", 2, Fraction(1, 2)), True, 21),
     "Ct_reflected_in_l0": (lambda patch: patch.setitem(operators.TILDES, "Ct", ("C", 0)),
                            False, 2),
     "diagonal_A_l2_one": (lambda patch: patch.setitem(
         operators.DIAGONALS, "A", operators.DIAGONALS["A"][:3] + (Fraction(1),)), False, 4),
     "so6_constant_printed": (lambda patch: patch.setattr(
         operators, "SO6_CONSTANT", Fraction(41, 12)), False, 1),
-    "hamiltonian_l0_squared_doubled": (_doubled("HAMILTONIAN", (2, 0, 0)), True, 20),
-    "phi1_block_l1_squared_doubled": (_doubled("PHI1_BLOCK", (0, 2, 0)), False, 1),
+    "hamiltonian_l0_squared_doubled": (_doubled("HAMILTONIAN", (2, 0, 0)), True, 22),
+    "phi1_block_l1_squared_doubled": (_doubled("PHI1_BLOCK", (0, 2, 0)), True, 4),
 }
 
 
@@ -265,9 +266,10 @@ def test_a_warm_report_forms_no_product_or_intertwining_identity(monkeypatch):
 
 
 def test_a_warm_report_derives_no_phi0_riccati_or_kinetic_identity(monkeypatch):
-    # the two phi0 proofs, the Riccati lambda and the kinetic check are verdict
-    # memos on the rows and generators they read: proved once cold, then read
-    # off the memos, with no phi0 action, product or composition formed
+    # the annihilation and superpotential proofs, the Riccati lambda and the
+    # kinetic check are verdict memos on the rows and generators they read:
+    # proved once cold, then read off the memos, with no phi0 action, product
+    # or composition formed
     operators.reset()
     calls = {"phi0_action": 0, "mul": 0, "compose": 0}
 
@@ -278,18 +280,22 @@ def test_a_warm_report_derives_no_phi0_riccati_or_kinetic_identity(monkeypatch):
         return wrapper
 
     phi0_action = counted("phi0_action", hierarchy.phi0_action)
-    for module in (hierarchy, suites, superpotential):
+    for module in (hierarchy, superpotential):
         monkeypatch.setattr(module, "phi0_action", phi0_action)
     for name in ("mul", "compose"):
         monkeypatch.setattr(superpotential, name, counted(name, getattr(superpotential, name)))
-    memos = (suites._annihilation_witness, suites._superpotential_witness,
-             superpotential._riccati_lambda, superpotential._kinetic_rotation_check)
+    memos = (suites._superpotential_witness, superpotential._riccati_lambda,
+             superpotential._kinetic_rotation_check)
     cold = json.dumps(suites.run_suite("all", 2), sort_keys=True)
-    assert calls["phi0_action"] == 5 and calls["mul"] and calls["compose"], calls
+    # A- on l1 = 0 and on all of Q^3, C- on l1 = 0 (shared by the suite's check
+    # and the so(6) fundamental states) and At- on l0 = 0; three superpotentials
+    assert calls["phi0_action"] == 7 and calls["mul"] and calls["compose"], calls
+    assert hierarchy.annihilation_witness.cache_info().misses == 4
     assert [memo.cache_info().misses for memo in memos] == [1] * len(memos)
     calls.update(dict.fromkeys(calls, 0))
     warm = json.dumps(suites.run_suite("all", 2), sort_keys=True)
     assert calls == {"phi0_action": 0, "mul": 0, "compose": 0}
+    assert hierarchy.annihilation_witness.cache_info().misses == 4
     assert [memo.cache_info().misses for memo in memos] == [1] * len(memos)
     assert warm == cold
 
@@ -363,23 +369,30 @@ def _sign_flipped_pythagoras(real):
 
 
 def test_a_code_mutant_of_the_normal_form_serves_no_stale_image_after_reset(monkeypatch, capsys):
-    # a code mutant is no new key of the monomial images; `reset` empties them
-    # and the normal-form basis table, so the mutant is seen at once, and the
-    # restored code is proved afresh
+    # a code mutant is no new key of the eigenvalue proofs for every ell, nor of
+    # the monomial images the per-sector oracle reads; `reset` empties them and
+    # the normal-form basis table, so the mutant is seen at once by both, and
+    # the restored code is proved afresh
+    def oracle():
+        return hierarchy.make_state((0, 0, 1), {}, hierarchy.phi0((0, 0, 1)),
+                                    hierarchy.energy("E_q", q=1))
+
     operators.reset()
     assert len(hierarchy.iur_states("so6", (2,))) == 20
-    assert diffop._flat.cache_info().currsize and diffop._monomial_image.cache_info().currsize
+    oracle()
+    memos = (hierarchy._separated_witness, diffop._flat, diffop._monomial_image)
+    assert all(memo.cache_info().currsize for memo in memos)
     with monkeypatch.context() as patch:
         patch.setattr(trigpoly, "_pythagoras", _sign_flipped_pythagoras(trigpoly._pythagoras))
         operators.reset()
-        with pytest.raises(hierarchy.StateCheckError, match="eigenvalue equation"):
+        with pytest.raises(hierarchy.StateCheckError,
+                           match="eigenvalue equation .* does not hold for all l"):
             hierarchy.iur_states("so6", (2,))
         with pytest.raises(hierarchy.StateCheckError, match="eigenvalue equation"):
-            hierarchy.make_state((0, 0, 1), {}, hierarchy.phi0((0, 0, 1)),
-                                 hierarchy.energy("E_q", q=1))
+            oracle()
     operators.reset()
     assert len(hierarchy.iur_states("so6", (2,))) == 20
-    hierarchy.make_state((0, 0, 1), {}, hierarchy.phi0((0, 0, 1)), hierarchy.energy("E_q", q=1))
+    oracle()
     assert _failed_verify_checks(capsys) == (0, 0)
 
 
@@ -398,26 +411,36 @@ def test_a_suite_alone_is_its_entry_in_the_full_report(name, alone_first):
     assert alone == full["suites"][suites.SUITE_NAMES.index(name)]
 
 
-def _printed_phi2_closed_form(ell, m, n):
-    # the phi2 factor with the printed first Jacobi parameter l2 + 1/2
-    (l0, l1, l2), half = pv(*ell), Fraction(1, 2)
-    root = l0 + l1 + 2 * m + 1
-    return TrigPoly.monomial(1, (0, 0, root, l2 + half)) \
-        * hierarchy.jacobi_in_cos2(n, l2 + half, root, var=2)
+def _printed_phi2_factor(monkeypatch):
+    """The phi2 Jacobi factor with the printed first parameter l2 + 1/2, set
+    where the closed forms and their proofs read it (a code mutant: the test
+    takes `fresh_memos`)."""
+    real = hierarchy._factor
+
+    def printed(var, m, n):
+        deg, alpha, beta, pre = real(var, m, n)
+        return (deg, (alpha[0] + Fraction(1, 2),) + alpha[1:], beta, pre) if var == 2 \
+            else (deg, alpha, beta, pre)
+
+    monkeypatch.setattr(hierarchy, "_factor", printed)
 
 
-def test_a_failing_closed_form_fails_the_report_instead_of_raising(monkeypatch):
-    monkeypatch.setattr(hierarchy, "phi2_closed_form", _printed_phi2_closed_form)
+def test_a_failing_closed_form_fails_the_report_instead_of_raising(monkeypatch, fresh_memos):
+    _printed_phi2_factor(monkeypatch)
     rep = suites.run_suite("all", 2)
     assert not rep["passed"]
     herm = next(r for r in rep["suites"] if r["suite"] == "hermiticity")
-    for prefix in ("distinct-energy states orthogonal", "adjoint residuals"):
+    # the first state each check builds at level n >= 1 fails the phi2 part of
+    # its proof for every l, at its first l-monomial
+    witness = {"part": "phi2", "monomial": [0, 0, 0], "terms": 1}
+    for prefix, sector in (("distinct-energy states orthogonal", ["0", "0", "0"]),
+                           ("adjoint residuals", ["2", "2", "1"])):
         check = _check(herm, prefix)
-        assert not check["passed"]
-        assert check["witness"]["operator"] == "H" and "worst" not in check
+        assert not check["passed"] and "worst" not in check
+        assert check["witness"] == {"sector": sector, "operator": "H", "witness": witness}
     delta = next(d for d in rep["paper_deltas"] if d.get("entry", "").startswith("phi2 Jacobi"))
     assert delta["computed"].startswith("no corrected closed form: eigenvalue equation")
-    assert delta["witness"] == {"sector": ["0", "0", "0"], "operator": "H"}
+    assert delta["witness"] == {"sector": ["0", "0", "0"], "operator": "H", "witness": witness}
     assert cli.main(["verify", "--suite", "all"]) == 1
 
 
