@@ -11,13 +11,15 @@ mutates `_terms` after construction.  Equality is structural (equal
 coefficients at equal orders); operators are not hashable.
 
 The ladder builder and every eigen or annihilation check apply an operator
-polynomial at a sector through `apply_normal_at`: per monomial of f it reads
-one memoised flat table of the normal-form images of all the polynomial's
-ell-monomial coefficients applied to that monomial (`_flat`, keyed on the
-polynomial object and the monomial's int key), weights them by the
-ell-monomials as ints in one pass into one int dict, and subtracts the
-monomial's own memoised normal form for an energy (`_monomial_image`);
-`operators.reset` empties both memos.
+polynomial at a sector through `apply_normal_ints`, the sector read as int
+numerators over one denominator (`apply_normal_at` reads it so for a caller
+holding couplings; the ladders walk their int sectors themselves): per
+monomial of f it reads one memoised flat table of the normal-form images of
+all the polynomial's ell-monomial coefficients applied to that monomial
+(`_flat`, keyed on the polynomial object and the monomial's int key),
+weights them by the ell-monomials as ints in one pass into one int dict,
+and subtracts the monomial's own memoised normal form for an energy
+(`_monomial_image`); `operators.reset` empties both memos.
 
 The Hamiltonian family is defined once, as the quadratic polynomial in the
 couplings `HAMILTONIAN` (an LPoly), assembled from its separated blocks
@@ -36,7 +38,8 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .lpoly import ZERO, LPoly, ParamVector, as_sector, pv  # noqa: F401  (pv re-exported)
+from .lpoly import ZERO, IntSector, LPoly, ParamVector, sector_ints
+from .lpoly import pv  # noqa: F401  (re-exported)
 from .trigpoly import (PHI1, PHI2, ONE, Key, TrigPoly, _new, _ratio, _reduced, coupling,
                        differentiate, is_zero, normalized, sum_of_products)
 
@@ -166,27 +169,28 @@ def _monomial_image(key: Key) -> TrigPoly:
 def apply_normal_at(poly: LPoly, ell, f: TrigPoly, energy=0) -> TrigPoly:
     """normalized(apply(poly.at(ell), f) - energy * f), empty exactly when that
     is the zero function, without forming poly.at(ell), a derivative of f or a
-    raw result.  Application and the normal form are both linear over Q, so
-    the result is the sum over the monomials x^k of f and the ell-monomials m
-    of poly of f_k l^m NF(poly_m x^k) - f_k energy NF(x^k).  The weights l^m
-    are ints over one common denominator.  Each x^k is one read of its image
-    table (`_flat`) and one int pass over it, skipping the slots of weight 0,
-    then of its own image (`_monomial_image`) for a nonzero energy.  Terms are
-    added into one int dict over the lcm of the tables' denominators, keys in
-    first-occurrence order, and one gcd divides out: term for term the sum
-    `trigpoly._sum` makes of one part per image."""
-    l0, l1, l2 = as_sector(ell)
-    n0, n1, n2 = l0.numerator, l1.numerator, l2.numerator
-    d0, d1, d2 = l0.denominator, l1.denominator, l2.denominator
+    raw result: `apply_normal_ints` at the sector read once in ints
+    (`lpoly.sector_ints`)."""
+    return apply_normal_ints(poly, sector_ints(ell), f, energy)
+
+
+def apply_normal_ints(poly: LPoly, sector: IntSector, f: TrigPoly, energy=0) -> TrigPoly:
+    """`apply_normal_at` at the sector (n0, n1, n2, q), int numerators over
+    one denominator q.  Application and the normal form are both linear over
+    Q, so the result is the sum over the monomials x^k of f and the
+    ell-monomials m of poly of f_k l^m NF(poly_m x^k) - f_k energy NF(x^k).
+    The weights l^m are ints over q^top, top the largest degree of poly.
+    Each x^k is one read of its image table (`_flat`) and one int pass over
+    it, skipping the slots of weight 0, then of its own image
+    (`_monomial_image`) for a nonzero energy.  Terms are added into one int
+    dict over the lcm of the tables' denominators, keys in first-occurrence
+    order, and one gcd divides out: term for term the sum `trigpoly._sum`
+    makes of one part per image."""
+    n0, n1, n2, q = sector
     # the weights l0^i l1^j l2^k of poly's monomials, ints over wd * ed
-    if d0 == d1 == d2 == 1:
-        wd = 1
-        weights = [n0 ** i * n1 ** j * n2 ** k for i, j, k in poly._terms]
-    else:
-        pairs = [(n0 ** i * n1 ** j * n2 ** k, d0 ** i * d1 ** j * d2 ** k)
-                 for i, j, k in poly._terms]
-        wd = math.lcm(*(d for _, d in pairs))
-        weights = [w * (wd // d) for w, d in pairs]
+    top = max(map(sum, poly._terms), default=0)
+    wd = q ** top
+    weights = [n0 ** i * n1 ** j * n2 ** k * q ** (top - i - j - k) for i, j, k in poly._terms]
     en, ed = _ratio(energy)
     if ed != 1:
         weights = [w * ed for w in weights]

@@ -29,14 +29,29 @@ Rev. Mod. Phys. 23, 21, 1951): once per distinct step in `ladder_build`,
 once per raising operator and build in `iur_states`, by one shared proof
 (`_prove_step`).  Laddered states, and every state `iur_states` emits, are
 stored in normal form (`trigpoly.normalized`).  Each ladder step is one
-`diffop.apply_normal_at`: per monomial of the state, one read of a memoised
+`diffop.apply_normal_ints`: per monomial of the state, one read of a memoised
 table of normal-form images and one int pass over it, empty exactly when the
 result is zero.  `iur_states` walks its lattice on int points and ladders
 wavefunctions, building a record only for a kept state.  A Jacobi closed
 form at a sector is Szego's sum at x = cos 2 phi, one cos^2/sin^2 monomial
-per term (`jacobi_in_cos2`).  The lattices (u(3) triangles/hexagons, so(4)
+per term (`_jacobi_terms`).  The lattices (u(3) triangles/hexagons, so(4)
 squares, so(6) octahedra) carry integer multiplicities cross-checked against
 the closed dimension formulas.
+
+Sector arithmetic is int arithmetic, one path for every rational sector.
+The state path (`energy`, `ground_state`, `closed_form_state`, `ladder_build`,
+`iur_states`) reads its sector once as int numerators over one denominator,
+(n0, n1, n2, d) (`lpoly.sector_ints`; an integer sector has d = 1), and
+keeps it so until the record it returns, whose params are Fractions
+(`lpoly.sector_params`).  Each affine row table (PHI0_ROWS, the spectral rows,
+the Jacobi parameters) is a `lpoly.RowTable`, one object per content that
+hashes once, read at the sector as int numerators over one denominator
+(`lpoly.rows_at`): phi0's doubled exponents, the energy as one Fraction, and
+Szego's weights.  A closed form is one int product of its factors' Szego
+sums (`_product`), phi0's exponents added into its monomial keys, so neither
+phi0 nor a second factor is multiplied in as a TrigPoly.  A ladder moves its
+int sector by each step's shift.  The proof memos key on the same table
+objects, so no lookup hashes a Fraction.
 """
 
 from __future__ import annotations
@@ -50,11 +65,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import diffop, linalg
-from .diffop import DiffOp, ParamVector, apply_normal_at, apply_normal_poly, compose
-from .lpoly import UNITS, ZERO, LPoly, Mono, Row, as_sector, quantum_number, row_at
+from .diffop import (DiffOp, ParamVector, apply_normal_at, apply_normal_ints, apply_normal_poly,
+                     compose)
+from .lpoly import (UNITS, ZERO, IntSector, LPoly, Mono, Row, RowTable, as_sector,
+                    quantum_number, row_table, rows_at, sector_ints, sector_params)
 from .operators import GradedOp, graded, intertwining_witness, residual_witness, verdict_memo
 from .trigpoly import (COT1, COT2, ONE, PHI1, PHI2, TAN1, TAN2, Key, TrigPoly, _exps, _new,
-                       _sum, coupling, frac_to_str, linear_combine, mul, normalized, to_obj)
+                       _reduced, _sum, coupling, frac_to_str, linear_combine, mul, normalized,
+                       to_obj)
 from .trigpoly import proportionality  # noqa: F401  (re-exported for comparing states)
 
 HALF = Fraction(1, 2)
@@ -72,19 +90,17 @@ class JacobiPoly:
     coeffs: tuple[Fraction, ...]
 
 
-def _szego(n: int, alpha, beta) -> tuple[list[int], int]:
+def _szego(n: int, pa: int, qa: int, pb: int, qb: int) -> tuple[list[int], int]:
     """Szego's explicit sum (Orthogonal Polynomials 4.3)
 
         P_n^(alpha,beta)(x) = sum_k C(n+alpha, n-k) C(n+beta, k) ((x-1)/2)^k ((x+1)/2)^(n-k)
 
     divides only by integers, so it is defined for all rational alpha, beta.  With
-    alpha = pa/qa and beta = pb/qb, C(n+alpha, n-k) C(n+beta, k) is the int weight
+    alpha = pa/qa and beta = pb/qb, in any terms with qa, qb > 0, C(n+alpha, n-k)
+    C(n+beta, k) is the int weight
     prod_{i<n-k} (qa (n-i) + pa) qa^k * prod_{i<k} (qb (n-i) + pb) qb^(n-k) * C(n, k)
     over qa^n qb^n n!; returns the weights, k ascending, and that denominator.
     """
-    n = quantum_number(n, "jacobi degree")
-    a, b = coupling(alpha), coupling(beta)
-    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
     # rising products: num_a[j] = prod_{i<j} (qa (n-i) + pa), likewise num_b
     num_a, num_b = [1], [1]
     for i in range(n):
@@ -98,7 +114,9 @@ def _szego(n: int, alpha, beta) -> tuple[list[int], int]:
 def jacobi(n: int, alpha, beta) -> JacobiPoly:
     """Exact coefficients of P_n^(alpha,beta) in powers of x: Szego's sum (`_szego`)
     expanded over ints, each coefficient one Fraction."""
-    weights, den = _szego(n, alpha, beta)
+    n = quantum_number(n, "jacobi degree")
+    a, b = coupling(alpha), coupling(beta)
+    weights, den = _szego(n, a.numerator, a.denominator, b.numerator, b.denominator)
     coeffs = [0] * (n + 1)
     for k, w in enumerate(weights):
         if w == 0:
@@ -109,20 +127,44 @@ def jacobi(n: int, alpha, beta) -> JacobiPoly:
             for j in range(n - k + 1):
                 coeffs[i + j] += wi * math.comb(n - k, j)
     den *= 2 ** n
-    return JacobiPoly(n, coupling(alpha), coupling(beta), tuple(Fraction(c, den) for c in coeffs))
+    return JacobiPoly(n, a, b, tuple(Fraction(c, den) for c in coeffs))
 
 
 def jacobi_in_cos2(n: int, alpha, beta, var: int) -> TrigPoly:
-    """P_n^(alpha,beta)(cos 2 phi) in the angle var in {PHI1, PHI2}: at x = cos 2 phi,
-    (x-1)/2 = -sin^2 phi and (x+1)/2 = cos^2 phi, so Szego's sum (`_szego`) is the
-    n+1 monomials (-1)^k C(n+alpha, n-k) C(n+beta, k) cos^(2(n-k)) phi sin^(2k) phi,
-    added, k ascending, by the one linear accumulation of `trigpoly`."""
+    """P_n^(alpha,beta)(cos 2 phi) in the angle var in {PHI1, PHI2} (`_jacobi_terms`)."""
     if var not in (PHI1, PHI2):
         raise ValueError(f"unknown variable {var!r}")
-    weights, den = _szego(n, alpha, beta)
-    return _sum(((-1) ** k * w, den,
-                 {(4 * (n - k), 4 * k, 0, 0) if var == PHI1 else (0, 0, 4 * (n - k), 4 * k): 1})
-                for k, w in enumerate(weights))
+    n = quantum_number(n, "jacobi degree")
+    a, b = coupling(alpha), coupling(beta)
+    terms = _jacobi_terms(n, a.numerator, a.denominator, b.numerator, b.denominator, var)
+    return _product((0, 0, 0, 0), [terms])
+
+
+def _jacobi_terms(n: int, pa: int, qa: int, pb: int, qb: int,
+                  var: int) -> tuple[list[tuple[Key, int]], int]:
+    """P_n^(pa/qa, pb/qb)(cos 2 phi) in the angle var as (doubled exponents,
+    int weight) pairs over one denominator: at x = cos 2 phi, (x-1)/2 =
+    -sin^2 phi and (x+1)/2 = cos^2 phi, so Szego's sum (`_szego`) is the n+1
+    monomials (-1)^k C(n+alpha, n-k) C(n+beta, k) cos^(2(n-k)) phi
+    sin^(2k) phi, k ascending."""
+    weights, den = _szego(n, pa, qa, pb, qb)
+    keys = [(4 * (n - k), 4 * k, 0, 0) for k in range(n + 1)] if var == PHI1 \
+        else [(0, 0, 4 * (n - k), 4 * k) for k in range(n + 1)]
+    return [(e, -w if k % 2 else w) for k, (e, w) in enumerate(zip(keys, weights))], den
+
+
+def _product(key: Key, sums: list[tuple[list[tuple[Key, int]], int]]) -> TrigPoly:
+    """The monomial of doubled exponents key times the product of Szego sums
+    (`_jacobi_terms`), each in an angle of its own, so no two products share
+    a monomial: the int weights are multiplied and the exponents added
+    straight into the stored form, over the product of the denominators;
+    zero weights drop and one gcd divides out."""
+    terms, den = {key: 1}, 1
+    for pairs, d in sums:
+        terms = {(a1 + a2, b1 + b2, c1 + c2, d1 + d2): v * w
+                 for (a1, b1, c1, d1), v in terms.items() for (a2, b2, c2, d2), w in pairs}
+        den *= d
+    return _reduced(terms, den)
 
 
 # -- energies --------------------------------------------------------------------
@@ -141,30 +183,36 @@ def energy(kind: str, **params) -> Fraction:
 
     if kind == "lambda_m":
         l0, l1, m = need("l0", "l1", "m")
-        sector, m, n = (coupling(l0), coupling(l1), 0), quantum_number(m, "m"), 0
+        sector, m, n = sector_ints((l0, l1, 0)), quantum_number(m, "m"), 0
     elif kind == "E_mn":
         ell, m, n = need("ell", "m", "n")
-        sector, m, n = as_sector(ell), quantum_number(m, "m"), quantum_number(n, "n")
+        sector, m, n = sector_ints(ell), quantum_number(m, "m"), quantum_number(n, "n")
     elif kind == "E_q":
         (q,) = need("q")
-        kind, sector, m, n = "E_mn", (0, 0, quantum_number(q, "q")), 0, 0
+        kind, sector, m, n = "E_mn", (0, 0, quantum_number(q, "q"), 1), 0, 0
     else:
         raise ValueError(f"unknown energy kind {kind!r}")
-    r1, r2 = _spectral_rows(kind, m, n)
-    return row_at(r1, sector) * row_at(r2, sector)
+    return _energy(kind, m, n, sector)
+
+
+def _energy(kind: str, m: int, n: int, s: IntSector) -> Fraction:
+    """The spectral value of level (m, n) at the int sector s: the product of
+    the two `_spectral_rows` read in ints (`rows_at`), one Fraction."""
+    (a, b), den = rows_at(_spectral_rows(kind, m, n), s)
+    return Fraction(a * b, den * den)
 
 
 @functools.cache
-def _spectral_rows(kind: str, m: int, n: int) -> tuple[Row, Row]:
+def _spectral_rows(kind: str, m: int, n: int) -> RowTable:
     """The two affine rows in ell whose product is the spectral value of level
     (m, n): lambda_m = (l0 + l1 + 2m + 1)^2 of the phi1 block, and E_mn =
     (s + 3/2)(s + 5/2), s = l0 + l1 + l2 + 2m + 2n, of H.  `energy` and the
     eigenvalue proofs both read them."""
     if kind == "lambda_m":
         row = _row(2 * m + 1, 1, 1, 0)
-        return row, row
+        return row_table((row, row))
     s = 2 * m + 2 * n
-    return _row(s + HALF * 3, 1, 1, 1), _row(s + HALF * 5, 1, 1, 1)
+    return row_table((_row(s + HALF * 3, 1, 1, 1), _row(s + HALF * 5, 1, 1, 1)))
 
 
 def _row(*coeffs) -> Row:
@@ -228,8 +276,8 @@ def make_state(params, labels, wavefunction: TrigPoly, energy_val,
 # -- the ground-state gauge ---------------------------------------------------------
 
 # the exponents of cos phi1, sin phi1, cos phi2, sin phi2 in phi0, affine rows in ell
-PHI0_ROWS: tuple[Row, ...] = tuple(tuple(map(Fraction, r)) for r in (
-    (HALF, 1, 0, 0), (HALF, 0, 1, 0), (1, 1, 1, 0), (HALF, 0, 0, 1)))
+PHI0_ROWS: tuple[Row, ...] = row_table(tuple(tuple(map(Fraction, r)) for r in (
+    (HALF, 1, 0, 0), (HALF, 0, 1, 0), (1, 1, 1, 0), (HALF, 0, 0, 1))))
 
 _NO_ROW: Row = _row(0, 0, 0, 0)
 
@@ -239,32 +287,19 @@ def _angle_rows(rows: tuple[Row, ...], var: int) -> tuple[Row, ...]:
     return rows[:2] + (_NO_ROW,) * 2 if var == PHI1 else (_NO_ROW,) * 2 + rows[2:]
 
 
-_DOUBLED: list = [None, None]   # the rows `_doubled_rows` last read, and their doubles
+def _phi0_key(s: IntSector) -> Key:
+    """The doubled exponents of phi0 at the int sector s: twice the values of
+    PHI0_ROWS there (`rows_at`), each an int exactly when the exponent is in
+    Z/2; ValueError as `TrigPoly.monomial` reads an exponent otherwise."""
+    nums, den = rows_at(PHI0_ROWS, s)
+    if any(2 * v % den for v in nums):
+        _exps([Fraction(v, den) for v in nums])   # raises, naming the first such exponent
+    return tuple(2 * v // den for v in nums)
 
 
-def _doubled_rows(rows: tuple[Row, ...]) -> tuple | None:
-    """The rows doubled, as int rows, or None when an entry is not in Z/2; the
-    rows last read are kept with their doubles, so each call reads its rows by
-    identity and a replaced table is read afresh (a `functools.cache` would
-    hash the sixteen Fractions on every call, longer than the int path takes)."""
-    last = _DOUBLED
-    if last[0] is not rows:
-        doubled = tuple(tuple(2 * c for c in row) for row in rows)
-        ok = all(c.denominator == 1 for row in doubled for c in row)
-        last[:] = rows, (tuple(tuple(int(c) for c in row) for row in doubled) if ok else None)
-    return last[1]
-
-
-def _phi0_key(ell) -> Key:
-    """The doubled exponents of phi0 at ell: at an integer sector one int dot
-    product per row of `_doubled_rows`, else `row_at` read as `TrigPoly.monomial`
-    reads an exponent (ValueError for a denominator other than 1 or 2)."""
-    l0, l1, l2 = ell = as_sector(ell)
-    doubled = _doubled_rows(PHI0_ROWS)
-    if doubled is not None and l0.denominator == l1.denominator == l2.denominator == 1:
-        n0, n1, n2 = l0.numerator, l1.numerator, l2.numerator
-        return tuple(c + a * n0 + b * n1 + d * n2 for c, a, b, d in doubled)
-    return _exps([row_at(row, ell) for row in PHI0_ROWS])
+def _phi0(s: IntSector, onedim: bool) -> TrigPoly:
+    key = _phi0_key(s)
+    return _new({key[:2] + (0, 0) if onedim else key: 1}, 1)
 
 
 def phi0(ell, onedim: bool = False) -> TrigPoly:
@@ -275,8 +310,7 @@ def phi0(ell, onedim: bool = False) -> TrigPoly:
     the fundamental state of every sector (Cooper, Khare & Sukhatme, Phys. Rep.
     251, 267, 1995); onedim keeps its phi1 factor, the phi1-block fundamental state.
     """
-    key = _phi0_key(ell)
-    return _new({key[:2] + (0, 0) if onedim else key: 1}, 1)
+    return _phi0(sector_ints(ell), onedim)
 
 
 def _log_derivative(rows: tuple[Row, ...], var: int) -> LPoly:
@@ -322,26 +356,32 @@ def on_plane(poly: LPoly, plane: int | None) -> LPoly:
 # -- eigenvalue proofs for every ell ----------------------------------------------
 
 @functools.cache
-def _factor(var: int, m: int, n: int) -> tuple[int, Row, Row, Key]:
+def _factor(var: int, m: int, n: int) -> tuple[int, RowTable, Key]:
     """The Jacobi factor of level (m, n) in the angle var of a closed form over
-    phi0: its degree, its parameters (alpha, beta) as affine rows in ell, and
-    its monomial prefactor, whose exponents do not depend on ell.  In phi1 it
-    is P_m^(l1, l0)(cos 2 phi1); in phi2 it is cos^(2m) phi2 P_n^(l2, l0+l1+2m+1)
-    (cos 2 phi2), the phi2 factor cos^(l0+l1+2m+1) phi2 sin^(l2+1/2) phi2 of the
-    state over that of phi0.  The source prints the phi2 alpha as l2 + 1/2,
-    which `suites.spectral_delta_report` shows to fail for n >= 1."""
+    phi0: its degree, its parameters (alpha, beta) as two affine rows in ell,
+    and its monomial prefactor, whose exponents do not depend on ell.  In phi1
+    it is P_m^(l1, l0)(cos 2 phi1); in phi2 it is cos^(2m) phi2 P_n^(l2,
+    l0+l1+2m+1)(cos 2 phi2), the phi2 factor cos^(l0+l1+2m+1) phi2 sin^(l2+1/2)
+    phi2 of the state over that of phi0.  The source prints the phi2 alpha as
+    l2 + 1/2, which `suites.spectral_delta_report` shows to fail for n >= 1."""
     if var == PHI1:
-        return m, _row(0, 0, 1, 0), _row(0, 1, 0, 0), (0, 0, 0, 0)
-    return n, _row(0, 0, 0, 1), _row(2 * m + 1, 1, 1, 0), (0, 0, 4 * m, 0)
+        return m, row_table((_row(0, 0, 1, 0), _row(0, 1, 0, 0))), (0, 0, 0, 0)
+    return n, row_table((_row(0, 0, 0, 1), _row(2 * m + 1, 1, 1, 0))), (0, 0, 4 * m, 0)
 
 
-def _factor_at(var: int, m: int, n: int, ell: ParamVector, gauge: Key) -> TrigPoly:
-    """The monomial of doubled exponents `gauge` times the Jacobi factor of level
-    (m, n) in var at the sector ell: Szego's sum at the values of its parameter
-    rows (`jacobi_in_cos2`), the value at ell of the polynomial `_factor_poly`."""
-    deg, alpha, beta, pre = _factor(var, m, n)
-    key = tuple(a + b for a, b in zip(gauge, pre))
-    return _new({key: 1}, 1) * jacobi_in_cos2(deg, row_at(alpha, ell), row_at(beta, ell), var)
+def _factors_at(angles: tuple[int, ...], m: int, n: int, s: IntSector, gauge: Key) -> TrigPoly:
+    """The monomial of doubled exponents `gauge` times the Jacobi factors of
+    level (m, n) in the angles at the int sector s: Szego's sums at the int
+    values of their parameter rows (`rows_at`, `_jacobi_terms`), multiplied
+    out with the gauge and the prefactors folded into the monomials
+    (`_product`); one factor is the value at s of `_factor_poly`."""
+    sums = []
+    for var in angles:
+        deg, params, pre = _factor(var, m, n)
+        (pa, pb), q = rows_at(params, s)
+        sums.append(_jacobi_terms(deg, pa, q, pb, q, var))
+        gauge = tuple(a + b for a, b in zip(gauge, pre))
+    return _product(gauge, sums)
 
 
 @functools.cache
@@ -350,7 +390,7 @@ def _factor_poly(var: int, m: int, n: int) -> LPoly:
     ell with TrigPoly coefficients: Szego's weight of its k-th monomial,
     C(d+alpha, d-k) C(d+beta, k) = prod_{i<d-k} (alpha + d - i) prod_{i<k}
     (beta + d - i) / ((d-k)! k!), is expanded as a product of affine rows."""
-    deg, alpha, beta, pre = _factor(var, m, n)
+    deg, (alpha, beta), pre = _factor(var, m, n)
     parts: dict[Mono, list] = {}
     for k in range(deg + 1):
         rows = [(alpha[0] + deg - i,) + alpha[1:] for i in range(deg - k)] \
@@ -364,17 +404,21 @@ def _factor_poly(var: int, m: int, n: int) -> LPoly:
 
 
 def _expand(rows: list[Row]) -> dict[Mono, Fraction]:
-    """The product of affine rows (c0, c_l0, c_l1, c_l2) as {monomial: coefficient}."""
-    acc = {ZERO: Fraction(1)}
+    """The product of affine rows (c0, c_l0, c_l1, c_l2) as {monomial: coefficient},
+    multiplied out in ints over the product of the rows' denominators."""
+    acc, den = {ZERO: 1}, 1
     for row in rows:
-        nxt: dict[Mono, Fraction] = {}
+        d = math.lcm(*(r.denominator for r in row))
+        nums = [r.numerator * (d // r.denominator) for r in row]
+        den *= d
+        nxt: dict[Mono, int] = {}
         for (i, j, k), c in acc.items():
-            for (a, b, d), r in zip(UNITS, row):
+            for (a, b, e), r in zip(UNITS, nums):
                 if r:
-                    mono = (i + a, j + b, k + d)
+                    mono = (i + a, j + b, k + e)
                     nxt[mono] = nxt.get(mono, 0) + c * r
         acc = nxt
-    return acc
+    return {mono: Fraction(c, den) for mono, c in acc.items()}
 
 
 def _multiplication(*parts: tuple[str, int, int, TrigPoly]) -> LPoly:
@@ -484,9 +528,9 @@ def _level_witness(onedim: bool, hamiltonian: LPoly, phi1_block: LPoly, phi2_blo
     return "H", _separated_witness(hamiltonian, phi1_block, phi2_block, rows, m, n)
 
 
-def _eigen_failure(sector: ParamVector, name: str, witness: dict, energy_val) -> StateCheckError:
+def _eigen_failure(sector: IntSector, name: str, witness: dict, energy_val) -> StateCheckError:
     return _failure(f"eigenvalue equation with E={frac_to_str(energy_val)} does not hold for "
-                    f"all l (witness {witness})", sector, name, witness=witness)
+                    f"all l (witness {witness})", sector_params(sector), name, witness=witness)
 
 
 def _labels(label, size: int, name: str) -> tuple:
@@ -504,32 +548,31 @@ def _one_label(label, name: str) -> int:
     return quantum_number(*_labels(label, 1, name), name)
 
 
-def _fundamental(kind: str, params) -> tuple[ParamVector, dict, tuple, bool, Fraction]:
-    """A kind's fundamental sector, labels, annihilators with the plane l_i = 0
-    each is proved on (None for all of Q^3), onedim and spectrum energy."""
+def _fundamental(kind: str, params) -> tuple[IntSector, dict, tuple, bool, Fraction]:
+    """A kind's fundamental sector in ints, labels, annihilators with the plane
+    l_i = 0 each is proved on (None for all of Q^3), onedim and spectrum energy."""
     if kind == "phi1_1d":
         l0, l1, m = _labels(params, 3, kind)
-        l0, l1, m = coupling(l0), coupling(l1), quantum_number(m, "m")
-        sector, labels = (l0 + m, l1 + m, 0), {"m": m, "su2_j": (l0 + l1 + 2 * m) / 2}
+        (n0, n1, _, d), m = sector_ints((l0, l1, 0)), quantum_number(m, "m")
+        sector = (n0 + m * d, n1 + m * d, 0, d)
+        labels = {"m": m, "su2_j": Fraction(n0 + n1 + 2 * m * d, 2 * d)}
         lowering = (("A-", None),)
     elif kind == "u3":
         m, n = _labels(params, 2, kind)
         m, n = quantum_number(m, "m"), quantum_number(n, "n")
-        sector, labels, lowering = (m, 0, n), {"m": m, "n": n}, (("A-", None), ("C-", 1))
+        sector, labels, lowering = (m, 0, n, 1), {"m": m, "n": n}, (("A-", None), ("C-", 1))
     elif kind == "so4":
         n = _one_label(params, "n")
-        sector, labels = (0, n, 0), {"n": n, "su2_j": Fraction(n, 2)}
+        sector, labels = (0, n, 0, 1), {"n": n, "su2_j": Fraction(n, 2)}
         lowering = (("A-", None), ("At-", 0))
     elif kind == "so6":
         q = _one_label(params, "q")
-        sector, labels = (0, 0, q), {"q": q}
+        sector, labels = (0, 0, q, 1), {"q": q}
         lowering = (("A-", None), ("C-", 1), ("At-", 0))
     else:
         raise ValueError(f"unknown ground-state kind {kind!r}")
-    sector = as_sector(sector)
     onedim = kind in ("phi1_1d", "so4")
-    e = energy("lambda_m", l0=sector[0], l1=sector[1], m=0) if onedim \
-        else energy("E_mn", ell=sector, m=0, n=0)
+    e = _energy("lambda_m" if onedim else "E_mn", 0, 0, sector)
     return sector, labels, lowering, onedim, e
 
 
@@ -563,8 +606,8 @@ def ground_state(kind: str, params) -> StateRecord:
         if claim == "eigenvalue":
             raise _eigen_failure(sector, name, witness, e)
         raise _failure(f"{name} does not annihilate the candidate state for all l "
-                       f"(witness {witness})", sector, name, witness=witness)
-    return StateRecord(sector, labels, phi0(sector, onedim), e, onedim)
+                       f"(witness {witness})", sector_params(sector), name, witness=witness)
+    return StateRecord(sector_params(sector), labels, _phi0(sector, onedim), e, onedim)
 
 
 @verdict_memo
@@ -587,16 +630,25 @@ def _fundamental_witness(lowering: tuple[tuple[GradedOp, int | None], ...], oned
     return None if witness is None else ("eigenvalue", name, witness)
 
 
-def _prove_step(op: GradedOp, state: StateRecord) -> None:
-    """Raise StateCheckError, naming op and the state's sector, unless op is
-    proved to intertwine the state's `block` for every ell
+def _prove_step(op: GradedOp, block: tuple[str, LPoly], sector: IntSector) -> None:
+    """Raise StateCheckError, naming op and the sector it was to act on, unless
+    op is proved to intertwine the block (a record's `block`) for every ell
     (`intertwining_witness`, memoised on the generator and the block)."""
-    name, block = state.block()
-    witness = intertwining_witness(op, block)
+    name, poly = block
+    witness = intertwining_witness(op, poly)
     if witness is not None:
         raise _failure(f"{op.name} does not intertwine the {name} for all l "
                        f"(witness {witness}); no state laddered from the state",
-                       state.params, op.name, witness=witness)
+                       sector_params(sector), op.name, witness=witness)
+
+
+def _step(step) -> GradedOp:
+    """A ladder step: a name read by `graded`, or a GradedOp as it is."""
+    if isinstance(step, str):
+        return graded(step)
+    if isinstance(step, GradedOp):
+        return step
+    raise ValueError(f"a ladder step is a ladder name or a GradedOp, got {step!r}")
 
 
 def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRecord | None:
@@ -606,27 +658,37 @@ def ladder_build(start: StateRecord, path: Sequence[str | GradedOp]) -> StateRec
     resulting StateRecord at the shifted sector with the energy of `start`,
     its wavefunction stored in normal form (`trigpoly.normalized`): each step
     is one accumulation of the memoised normal-form images of the monomials
-    of the state (`diffop.apply_normal_at`), empty exactly on an annihilation.
-    H psi = E psi is not re-applied to the result: every step is proved to
-    intertwine the state's `block` for all ell, X(ell) H(ell) = H(ell + shift)
-    X(ell), so it maps an eigenstate of H(ell) to one of H(ell + shift) with the
-    same energy (Cooper, Khare & Sukhatme, Phys. Rep. 251, 267, 1995).  A step
-    that fails its proof (`intertwining_witness`) raises StateCheckError, a
-    ValueError, naming the step and the sector it was to act on.  A step given
-    by name is its `graded` generator, one object per family row, so its proof
-    is made once per block however often the step recurs, and its images are
-    formed once per monomial however many states it is applied to.
+    of the state (`diffop.apply_normal_ints`), empty exactly on an
+    annihilation.  The start sector is read once in ints, each step moves it
+    by its int shift, and one record is built, for the end of the path (an
+    empty path returns `start`).  H psi = E psi is not re-applied to the
+    result: every step is proved to intertwine the state's `block` for all
+    ell, X(ell) H(ell) = H(ell + shift) X(ell), so it maps an eigenstate of
+    H(ell) to one of H(ell + shift) with the same energy (Cooper, Khare &
+    Sukhatme, Phys. Rep. 251, 267, 1995).  A step that fails its proof
+    (`intertwining_witness`) raises StateCheckError, a ValueError, naming the
+    step and the sector it was to act on.  A step given by name is its
+    `graded` generator, one object per family row, so its proof is made once
+    per block however often the step recurs, and its images are formed once
+    per monomial however many states it is applied to.  ValueError for a path
+    given as one string or a step that is neither a name nor a GradedOp.
     """
-    state = start
-    for step in path:
-        op = graded(step) if isinstance(step, str) else step
-        _prove_step(op, state)
-        psi = apply_normal_at(op.poly, state.params, state.wavefunction)
+    if isinstance(path, str):
+        raise ValueError(f"a ladder path is a sequence of steps, got the string {path!r}; "
+                         f"write [{path!r}] for one step")
+    ops = [_step(step) for step in path]
+    if not ops:
+        return start
+    block = start.block()
+    sector, psi = sector_ints(start.params), start.wavefunction
+    for op in ops:
+        _prove_step(op, block, sector)
+        psi = apply_normal_ints(op.poly, sector, psi)
         if not psi:
             return None
-        state = StateRecord(as_sector(op.target(state.params)), dict(state.labels), psi,
-                            state.energy, state.onedim)
-    return state
+        (n0, n1, n2, d), (a, b, c) = sector, op.shift
+        sector = (n0 + a * d, n1 + b * d, n2 + c * d, d)
+    return StateRecord(sector_params(sector), dict(start.labels), psi, start.energy, start.onedim)
 
 
 def closed_form_state(kind: str, params) -> StateRecord:
@@ -641,33 +703,31 @@ def closed_form_state(kind: str, params) -> StateRecord:
     once, for every ell, to be an eigenfunction of the block read from `diffop`
     at the call (`_phi1_witness` per m, `_separated_witness` per (m, n), keyed on
     the blocks, PHI0_ROWS and the level), and the state is the value of the
-    proved family at its sector, with the energy of the same spectral rows
-    (`_spectral_rows`).  A failed proof raises StateCheckError naming the
-    sector, the operator and the first failing ell-monomial.
+    proved family at its sector, read once in ints (`_factors_at`), with the
+    energy of the same spectral rows (`_spectral_rows`).  A failed proof raises StateCheckError
+    naming the sector, the operator and the first failing ell-monomial.
     """
     if kind == "phi1_excited":
         l0, l1, m = _labels(params, 3, kind)
-        l0, l1, m = coupling(l0), coupling(l1), quantum_number(m, "m")
-        sector, labels, n, onedim = (l0, l1, Fraction(0)), {"m": m}, 0, True
-        e = energy("lambda_m", l0=l0, l1=l1, m=m)
+        sector, m, n = sector_ints((l0, l1, 0)), quantum_number(m, "m"), 0
+        labels, onedim = {"m": m}, True
     elif kind == "separated_2d":
         ell, m, n = _labels(params, 3, kind)
-        sector, m, n = as_sector(ell), quantum_number(m, "m"), quantum_number(n, "n")
+        sector, m, n = sector_ints(ell), quantum_number(m, "m"), quantum_number(n, "n")
         labels, onedim = {"m": m, "n": n}, False
-        e = energy("E_mn", ell=sector, m=m, n=n)
     else:
         raise ValueError(f"unknown closed-form kind {kind!r}")
+    e = _energy("lambda_m" if onedim else "E_mn", m, n, sector)
     name, witness = _level_witness(onedim, diffop.HAMILTONIAN, diffop.PHI1_BLOCK,
                                    diffop.PHI2_BLOCK, PHI0_ROWS, m, n)
     if witness is not None:
         raise _eigen_failure(sector, name, witness, e)
     key = _phi0_key(sector)
-    psi = _factor_at(PHI1, m, n, sector, key[:2] + (0, 0))
-    if not onedim:
-        psi = psi * _factor_at(PHI2, m, n, sector, (0, 0) + key[2:])
+    psi = _factors_at((PHI1,), m, n, sector, key[:2] + (0, 0)) if onedim \
+        else _factors_at((PHI1, PHI2), m, n, sector, key)
     if not psi:
         raise ValueError("state wavefunction must be nonzero")
-    return StateRecord(sector, labels, psi, e, onedim)
+    return StateRecord(sector_params(sector), labels, psi, e, onedim)
 
 
 def phi2_closed_form(ell, m: int, n: int) -> TrigPoly:
@@ -676,8 +736,8 @@ def phi2_closed_form(ell, m: int, n: int) -> TrigPoly:
     exact eigenfunction factor (the source prints the first Jacobi parameter as
     l2 + 1/2, which `suites.spectral_delta_report` shows to fail for n >= 1).
     """
-    ell, m, n = as_sector(ell), quantum_number(m, "m"), quantum_number(n, "n")
-    return _factor_at(PHI2, m, n, ell, (0, 0) + _phi0_key(ell)[2:])
+    sector, m, n = sector_ints(ell), quantum_number(m, "m"), quantum_number(n, "n")
+    return _factors_at((PHI2,), m, n, sector, (0, 0) + _phi0_key(sector)[2:])
 
 
 # -- representation lattices ------------------------------------------------------
@@ -770,10 +830,10 @@ def iur_states(algebra: str, label) -> list[StateRecord]:
     proof and StateCheckError), so every laddered state is an eigenstate with
     the fundamental energy.  A breadth-first sweep then applies the raising
     operators to every newly kept wavefunction, walking the lattice as the int
-    points of `iur_lattice`; each sector is read from one table of Fraction
-    triples keyed by int point.  Each candidate is decided once: a step whose
-    target point already holds its multiplicity is skipped; otherwise it is
-    one `diffop.apply_normal_at` at the source sector, dropped when empty (an
+    points of `iur_lattice`, each point the int sector of denominator 1.  Each
+    candidate is decided once: a step whose target point already holds its
+    multiplicity is skipped; otherwise it is one `diffop.apply_normal_ints` at
+    the source point, dropped when empty (an
     annihilation) and kept iff it is exactly independent of the wavefunctions
     kept at that point.  The first one at a point is nonzero, so it is kept
     without a rank; a later one takes one rank of the int numerators of the
@@ -786,12 +846,12 @@ def iur_states(algebra: str, label) -> list[StateRecord]:
     lattice = iur_lattice(algebra, label)
     fund = ground_state(algebra, lattice.label)
     ops = [graded(name) for name in RAISING[algebra]]
+    sector = sector_ints(fund.params)   # integral: its denominator is 1
     for op in ops:
-        _prove_step(op, fund)
+        _prove_step(op, fund.block(), sector)
     steps = [(op.poly, op.shift) for op in ops]
     want = dict(lattice.points)
-    start = tuple(int(x) for x in fund.params)
-    sectors = {pt: as_sector(pt) for pt in want}
+    start = sector[:3]
     # per int lattice point: the kept wavefunctions; the frontier pairs each with its point
     psi0 = normalized(fund.wavefunction)
     kept = {start: [psi0]}
@@ -799,13 +859,13 @@ def iur_states(algebra: str, label) -> list[StateRecord]:
     while frontier:
         new_frontier = []
         for pt0, psi in frontier:
-            ell, (a, b, c) = sectors[pt0], pt0
+            a, b, c = pt0
             for poly, (da, db, dc) in steps:
                 pt = (a + da, b + db, c + dc)
                 bucket = kept.get(pt)
                 if bucket and len(bucket) >= want.get(pt, 0):
                     continue
-                nxt = apply_normal_at(poly, ell, psi)
+                nxt = apply_normal_ints(poly, (a, b, c, 1), psi)
                 if not nxt:
                     continue
                 if pt not in want:
@@ -823,7 +883,8 @@ def iur_states(algebra: str, label) -> list[StateRecord]:
     if got != want:
         missing = {pt: (want[pt], got.get(pt, 0)) for pt in want if got.get(pt) != want[pt]}
         raise ValueError(f"lattice not saturated: want/got {missing}")
-    return [StateRecord(sectors[pt], dict(fund.labels), psi, fund.energy, fund.onedim)
+    params = {pt: sector_params(pt + (1,)) for pt in kept}
+    return [StateRecord(params[pt], dict(fund.labels), psi, fund.energy, fund.onedim)
             for pt in sorted(kept) for psi in kept[pt]]
 
 

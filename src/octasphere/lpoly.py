@@ -15,16 +15,18 @@ coefficient by coefficient.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .trigpoly import TrigPoly, coupling, linear_combine
+from .trigpoly import TrigPoly, _ratio, coupling, linear_combine
 
 Mono = tuple[int, int, int]
 Row = tuple[Fraction, Fraction, Fraction, Fraction]
 ParamVector = tuple[Fraction, Fraction, Fraction]
+IntSector = tuple[int, int, int, int]   # (n0, n1, n2, d): l_i = n_i / d, d > 0
 
 ZERO: Mono = (0, 0, 0)
 # the monomials of an affine row (c0, c_l0, c_l1, c_l2)
@@ -48,6 +50,25 @@ def as_sector(ell) -> ParamVector:
     return (coupling(l0), coupling(l1), coupling(l2))
 
 
+def sector_ints(ell) -> IntSector:
+    """The sector ell = (l0, l1, l2) as int numerators over one denominator,
+    (n0, n1, n2, d) with d > 0, each coupling read once (an int is its own
+    numerator); ValueError as for `as_sector`."""
+    try:
+        l0, l1, l2 = ell
+    except (TypeError, ValueError):
+        raise ValueError(f"a sector is three couplings (l0, l1, l2), got {ell!r}") from None
+    (n0, d0), (n1, d1), (n2, d2) = _ratio(l0), _ratio(l1), _ratio(l2)
+    d = math.lcm(d0, d1, d2)
+    return n0 * (d // d0), n1 * (d // d1), n2 * (d // d2), d
+
+
+def sector_params(s: IntSector) -> ParamVector:
+    """The sector (n0, n1, n2, d) as the Fraction couplings of a record."""
+    n0, n1, n2, d = s
+    return Fraction(n0, d), Fraction(n1, d), Fraction(n2, d)
+
+
 def quantum_number(x, name: str) -> int:
     """A quantum number (m, n, q, a degree): an int >= 0 that is not a bool; else ValueError."""
     if isinstance(x, bool) or not isinstance(x, int) or x < 0:
@@ -65,6 +86,44 @@ def row_at(row: Row, ell: Sequence[Fraction]) -> Fraction:
         d = c.denominator * x.denominator
         num, den = num * d + c.numerator * x.numerator * den, den * d
     return Fraction(num, den)
+
+
+class RowTable(tuple):
+    """A tuple of affine rows that hashes its Fractions once, on first use, as
+    `operators.Family` does: every memo keyed on a table (PHI0_ROWS, a
+    generated spectral or Jacobi-parameter table) hashes it on each call.
+    It equals, and hashes as, the plain tuple of the same rows."""
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return tuple.__hash__(self)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+@functools.cache
+def row_table(rows: tuple[Row, ...]) -> RowTable:
+    """The one RowTable of these rows: equal tables built apart (the Jacobi
+    parameters or spectral rows of two levels) are one object, so a memo
+    keyed on a table finds it by identity, with no Fraction compared."""
+    return RowTable(rows)
+
+
+@functools.cache
+def int_rows(rows: tuple[Row, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The rows as int numerators over their one common denominator."""
+    den = math.lcm(*(c.denominator for row in rows for c in row))
+    return tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in rows), den
+
+
+def rows_at(rows: tuple[Row, ...], s: IntSector) -> tuple[list[int], int]:
+    """The values of the rows at the sector s = (n0, n1, n2, d), as int
+    numerators over one denominator: each row one int dot product
+    (`int_rows`), no Fraction formed; `row_at` is the Fraction reference."""
+    ints, den = int_rows(rows)
+    n0, n1, n2, d = s
+    return [a * d + b * n0 + c * n1 + e * n2 for a, b, c, e in ints], den * d
 
 
 class LPoly:

@@ -58,7 +58,6 @@ formulas intertwine in the direction claimed for B+/C+ and vice versa);
 
 from __future__ import annotations
 
-import copy
 import functools
 import sys
 from dataclasses import dataclass
@@ -297,16 +296,28 @@ def graded_product(x: GradedOp, y: GradedOp) -> GradedOp:
                     x.poly.shift(y.shift).product(y.poly, compose))
 
 
+def _copy(verdict):
+    """A verdict's own copy: new dicts, lists and tuples all the way down, its
+    immutable leaves (str, int, bool, None, Fraction) shared."""
+    kind = type(verdict)
+    if kind is dict:
+        return {k: _copy(v) for k, v in verdict.items()}
+    if kind is list or kind is tuple:
+        return kind(map(_copy, verdict))
+    return verdict
+
+
 def verdict_memo(fn):
-    """`functools.cache` on a proof whose verdict is None or a small dict or
-    list: each caller gets its own copy of a verdict that is not None, so no
-    caller can change what the next one reads.  `reset` empties it."""
+    """`functools.cache` on a proof whose verdict is None or a small dict,
+    list or tuple: each caller gets its own copy of a verdict that is not None
+    (`_copy`), so no caller can change what the next one reads.  `reset`
+    empties it."""
     memo = functools.cache(fn)
 
     @functools.wraps(fn)
     def verdict(*args):
         found = memo(*args)
-        return found if found is None else copy.deepcopy(found)
+        return found if found is None else _copy(found)
     verdict.cache_info, verdict.cache_clear = memo.cache_info, memo.cache_clear
     return verdict
 
@@ -321,10 +332,11 @@ def reset() -> None:
     annihilation proofs for every ell of `hierarchy`); the monomial images
     of `diffop`; the Beta values, quadrature nodes and quadrature columns of
     `inner`; the gauged blocks, Jacobi-factor polynomials and spectral rows
-    of `hierarchy`; and the normal-form basis and half-integer tables of
-    `trigpoly`.  Each generator is then rebuilt as a new object, each proof
-    formed afresh and each image retaken.  A replaced table row needs no
-    reset (it is a new key); a mutant of code does."""
+    of `hierarchy`; the row tables and their int forms of `lpoly`; and the
+    normal-form basis and half-integer tables of `trigpoly`.  Each generator
+    is then rebuilt as a new object, each proof formed afresh and each image
+    retaken.  A replaced table row needs no reset (it is a new key); a mutant
+    of code does."""
     for name, module in list(sys.modules.items()):
         if module is not None and (name == __package__ or name.startswith(__package__ + ".")):
             for obj in list(vars(module).values()):

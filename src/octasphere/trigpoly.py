@@ -18,9 +18,9 @@ products, derivatives, the normal form) does int arithmetic only and divides
 out one gcd per result.  Every exact sum is one linear accumulation, `_sum`:
 weighted int term dicts are brought to the lcm of their denominators and
 added into one int dict, keys in first-occurrence order and zero sums
-dropped.  `TrigPoly(terms)`, `+`, `-` and `linear_combine` are calls of it,
-and so is the Jacobi closed form of `hierarchy`; `diffop.apply_normal_at`
-makes the same accumulation over its memoised image tables.  Products have
+dropped.  `TrigPoly(terms)`, `+`, `-` and `linear_combine` are calls of it;
+`diffop.apply_normal_at` makes the same accumulation over its memoised image
+tables.  Products have
 the one bilinear accumulation, `sum_of_products` (sum of w_i p_i q_i, as
 operator application forms it), of which `mul` is the one-product case.
 Fractions appear only at the boundary: the constructors validate and double

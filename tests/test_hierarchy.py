@@ -18,6 +18,7 @@ from octasphere.hierarchy import (closed_form_state, energy,
                                   phi2_closed_form, proportionality,
                                   so6_dimension, state_to_obj)
 from octasphere.linalg import rank_exact
+from octasphere.lpoly import row_at, sector_ints, sector_params
 from octasphere.inner import numeric_oracle_check
 from octasphere.operators import (LADDER_NAMES, TILDE_NAMES, build_first_order, graded,
                                   graded_product)
@@ -363,6 +364,123 @@ def test_empty_path_is_identity():
     assert ladder_build(st, []) is st
 
 
+def test_a_ladder_path_given_as_one_string_is_rejected():
+    # iterating "A+" would read the steps "A" and "+"
+    st = ground_state("u3", (0, 1))
+    with pytest.raises(ValueError, match=r"^a ladder path is a sequence of steps, "
+                                         r"got the string 'A\+'"):
+        ladder_build(st, "A+")
+
+
+@pytest.mark.parametrize("bad", [5, None, ("A+",)])
+def test_a_ladder_step_that_is_neither_a_name_nor_a_graded_op_is_rejected(bad):
+    st = ground_state("u3", (0, 1))
+    with pytest.raises(ValueError, match=r"^a ladder step is a ladder name or a GradedOp, got "):
+        ladder_build(st, ["A+", bad])
+
+
+def test_a_failed_second_step_names_its_own_source_sector():
+    # A+ ladders the so(4) state from (0, 2, 0) to (-1, 1, 0); B+ does not
+    # intertwine the phi1 block, and the error names where B+ was to act
+    start = ground_state("so4", (2,))
+    with pytest.raises(hierarchy.StateCheckError, match=r"^B\+ does not intertwine") as err:
+        ladder_build(start, ["A+", "B+"])
+    assert err.value.report == {"sector": ["-1", "1", "0"], "operator": "B+",
+                                "witness": {"monomial": [0, 0, 0], "terms": 9}}
+    assert str(err.value).endswith("at (-1/1, 1/1, 0/1)")
+
+
+# -- one state path for every rational sector ------------------------------------------------
+
+def _forms(data, halves):
+    """The couplings k/2 given three ways: as Fractions, as ints where integral,
+    and mixed, each coupling drawn as a Fraction or an int where integral."""
+    frac = tuple(F(k, 2) for k in halves)
+    ints = tuple(k // 2 if k % 2 == 0 else F(k, 2) for k in halves)
+    mixed = tuple(data.draw(st.sampled_from([f, i])) for f, i in zip(frac, ints))
+    return frac, ints, mixed
+
+
+def _outcome(call):
+    """What call returns, a record with its wavefunction's stored terms and
+    denominator, or the message of its ValueError."""
+    try:
+        got = call()
+    except ValueError as exc:
+        return "raises", str(exc)
+    if isinstance(got, hierarchy.StateRecord):
+        assert all(type(x) is F for x in got.params)
+        return got, _stored(got.wavefunction)
+    return got
+
+
+def _reference_factor(var, m, n, ell, gauge_rows):
+    """A Jacobi factor times phi0's factor in var, read with `row_at`: Szego's
+    sum at the Fraction values of its parameter rows, times the monomial of
+    the Fraction exponents of the gauge rows (`hierarchy._factor` prefactor included)."""
+    deg, (alpha, beta), pre = hierarchy._factor(var, m, n)
+    exps = [row_at(r, ell) + F(p, 2) for r, p in zip(gauge_rows, pre)]
+    jacobi_factor = jacobi_in_cos2(deg, row_at(alpha, ell), row_at(beta, ell), var)
+    return TrigPoly.monomial(1, exps) * jacobi_factor
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.tuples(*[st.integers(-4, 6)] * 3), st.integers(0, 3), st.integers(0, 3))
+def test_every_state_is_the_same_record_for_int_fraction_and_mixed_sectors(data, halves, m, n):
+    forms = _forms(data, halves)
+    ell = forms[0]
+    zero = (F(0),) * 4
+    phi1_rows = hierarchy.PHI0_ROWS[:2] + (zero, zero)
+    phi2_rows = (zero, zero) + hierarchy.PHI0_ROWS[2:]
+    lam, e_mn = hierarchy._spectral_rows("lambda_m", m, 0), hierarchy._spectral_rows("E_mn", m, n)
+    want_lambda = row_at(lam[0], ell) * row_at(lam[1], ell)
+    want_e = row_at(e_mn[0], ell) * row_at(e_mn[1], ell)
+    calls = {
+        "energy lambda_m": lambda x: energy("lambda_m", l0=x[0], l1=x[1], m=m),
+        "energy E_mn": lambda x: energy("E_mn", ell=x, m=m, n=n),
+        "phi1_excited": lambda x: closed_form_state("phi1_excited", (x[0], x[1], m)),
+        "separated_2d": lambda x: closed_form_state("separated_2d", (x, m, n)),
+        "phi1_1d": lambda x: ground_state("phi1_1d", (x[0], x[1], m)),
+        "phi1 ladder": lambda x: ladder_build(ground_state("phi1_1d", (x[0], x[1], m)),
+                                              ["A+"] * m),
+        "separated ladder": lambda x: ladder_build(
+            closed_form_state("separated_2d", (x, m, n)), ["A+", "C+"]),
+    }
+    for name, call in calls.items():
+        got = [_outcome(lambda: call(x)) for x in forms]
+        assert got[0] == got[1] == got[2], name
+    assert calls["energy lambda_m"](ell) == want_lambda
+    assert calls["energy E_mn"](ell) == want_e
+    # each record against the row_at reference and the make_state oracle
+    want = {"phi1_excited": _reference_factor(PHI1, m, 0, ell, phi1_rows),
+            "separated_2d": _reference_factor(PHI1, m, n, ell, phi1_rows)
+            * _reference_factor(PHI2, m, n, ell, phi2_rows)}
+    for name, wave in want.items():
+        try:
+            rec = calls[name](ell)
+        except ValueError as exc:
+            assert str(exc) == "state wavefunction must be nonzero" and not wave, name
+            continue
+        assert _stored(rec.wavefunction) == _stored(wave), name
+        assert rec.energy == (want_lambda if rec.onedim else want_e), name
+        assert make_state(rec.params, rec.labels, rec.wavefunction, rec.energy, rec.onedim) == rec
+    ground = calls["phi1_1d"](ell)
+    shifted = (ell[0] + m, ell[1] + m, F(0))
+    assert ground.params == shifted
+    assert ground.labels == {"m": m, "su2_j": (ell[0] + ell[1] + 2 * m) / 2}
+    assert ground.wavefunction == TrigPoly.monomial(
+        1, [row_at(r, shifted) for r in hierarchy.PHI0_ROWS[:2]] + [0, 0])
+    assert ground.energy == (shifted[0] + shifted[1] + 1) ** 2
+    for name in ("phi1_1d", "phi1 ladder", "separated ladder"):
+        try:
+            rec = calls[name](ell)
+        except ValueError:
+            continue
+        if rec is not None:
+            assert make_state(rec.params, rec.labels, rec.wavefunction, rec.energy,
+                              rec.onedim) == rec, name
+
+
 # -- closed forms ---------------------------------------------------------------------------
 
 def test_phi1_excited_m0_is_ground_monomial():
@@ -447,14 +565,14 @@ def test_each_jacobi_factor_is_the_value_of_the_polynomial_its_proof_reads(var, 
     poly = hierarchy._factor_poly(var, m, n)
     assert all(len(c) for _, c in poly.items())
     for ell in ORACLE_SECTORS:
-        assert poly.at(ell) == hierarchy._factor_at(var, m, n, ell, (0, 0, 0, 0))
+        assert poly.at(ell) == hierarchy._factors_at((var,), m, n, sector_ints(ell), (0, 0, 0, 0))
 
 
 @pytest.mark.parametrize("ell", ORACLE_SECTORS + [(3, 4, 5), (-2, 7, 0)])
 def test_phi0_stores_the_monomial_of_its_fraction_rows(ell):
     # at an integer sector phi0 reads its rows in ints; either way it stores
     # the monomial of the rows' Fraction values
-    want = TrigPoly.monomial(1, [hierarchy.row_at(row, ell) for row in hierarchy.PHI0_ROWS])
+    want = TrigPoly.monomial(1, [row_at(row, ell) for row in hierarchy.PHI0_ROWS])
     got = hierarchy.phi0(ell)
     assert (got._terms, got._den) == (want._terms, want._den)
     assert list(hierarchy.phi0(ell, onedim=True)._terms) == [list(want._terms)[0][:2] + (0, 0)]
@@ -508,9 +626,9 @@ def test_the_printed_phi2_parameter_fails_its_proof_with_a_witness(monkeypatch, 
     real = hierarchy._factor
 
     def printed(var, m, n):
-        deg, alpha, beta, pre = real(var, m, n)
-        return (deg, (alpha[0] + HALF,) + alpha[1:], beta, pre) if var == PHI2 \
-            else (deg, alpha, beta, pre)
+        deg, (alpha, beta), pre = real(var, m, n)
+        return (deg, ((alpha[0] + HALF,) + alpha[1:], beta), pre) if var == PHI2 \
+            else (deg, (alpha, beta), pre)
 
     monkeypatch.setattr(hierarchy, "_factor", printed)
     # P_0 = 1 whatever its parameters: the level n = 0 is unaffected
@@ -684,7 +802,7 @@ def test_iur_builder_ladders_only_below_capacity(monkeypatch):
     # the laddered ones are eigenstates because every raising operator is
     # proved to intertwine H
     raising = {id(graded(name).poly) for name in hierarchy.RAISING["so6"]}
-    applied = _count_calls(monkeypatch, "apply_normal_at")
+    applied = _count_calls(monkeypatch, "apply_normal_ints")
     checks = _count_calls(monkeypatch, "make_state")
     assert len(iur_states("so6", (3,))) == 50
     ladders = [args for args in applied if id(args[0]) in raising]
@@ -737,9 +855,9 @@ def test_every_laddered_state_solves_its_eigenvalue_equation(kind):
         assert numeric_oracle_check(h, s.wavefunction, ORACLE_POINTS) <= 1e-6, s.params
 
 
-def _reference_normal_at(poly, ell, f, energy=0):
-    """The operator formed at its sector and applied, less energy * f, in normal form."""
-    return normalized(apply(poly.at(ell), f) - f.scale(energy))
+def _reference_normal_ints(poly, sector, f, energy=0):
+    """The operator formed at its int sector and applied, less energy * f, in normal form."""
+    return normalized(apply(poly.at(sector_params(sector)), f) - f.scale(energy))
 
 
 @pytest.mark.parametrize("kind", list(LADDERED))
@@ -748,13 +866,14 @@ def test_every_laddered_state_is_stored_as_the_normal_form_of_its_raw_step(kind,
     # an operator formed at its sector and applied, or of the raw fundamental
     # state phi0: the same function, in normal form
     steps = []
-    real = hierarchy.apply_normal_at
+    real = hierarchy.apply_normal_ints
 
-    def recording(poly, ell, f, energy=0):
-        steps.append((real(poly, ell, f, energy), apply(poly.at(ell), f) - f.scale(energy)))
+    def recording(poly, sector, f, energy=0):
+        raw = apply(poly.at(sector_params(sector)), f) - f.scale(energy)
+        steps.append((real(poly, sector, f, energy), raw))
         return steps[-1][0]
 
-    monkeypatch.setattr(hierarchy, "apply_normal_at", recording)
+    monkeypatch.setattr(hierarchy, "apply_normal_ints", recording)
     for s in LADDERED[kind]():
         if kind == "phi1_m_le_3" and s.labels["m"] == 0:
             continue   # no step taken: ladder_build returns its start as built
@@ -793,7 +912,7 @@ def _sha256_of_states(states, term_order=True):
 
 
 # each state's JSON object with its stored term order and denominator, as written
-# by the sweep of memoised monomial images (`diffop.apply_normal_at`)
+# by the sweep of memoised monomial images (`diffop.apply_normal_ints`)
 SWEPT_STATES = {
     ("so6", (3,)): "7c0c1393117dca8f846a65a05f600588aaab5fb5d77d6171dde6f1a87122678f",
     ("so6", (4,)): "6909622b017a977fea5c64af616f83684da92fcd78a993a3386be281e2806fa0",
@@ -820,7 +939,7 @@ def test_iur_states_are_the_states_of_each_operator_formed_at_its_sector(algebra
     assert _sha256_of_states(got) == SWEPT_STATES[algebra, label]
     assert _sha256_of_states(got, term_order=False) == SWEPT_CONTENT[algebra, label]
 
-    monkeypatch.setattr(hierarchy, "apply_normal_at", _reference_normal_at)
+    monkeypatch.setattr(hierarchy, "apply_normal_ints", _reference_normal_ints)
     want = iur_states(algebra, label)
     assert [(s.params, s.labels, s.energy) for s in got] \
         == [(s.params, s.labels, s.energy) for s in want]

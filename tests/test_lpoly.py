@@ -1,12 +1,13 @@
 """Polynomials in the couplings: evaluation commutes with every operation."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from octasphere.diffop import DiffOp, compose
-from octasphere.lpoly import LPoly, row_at
+from octasphere.lpoly import LPoly, RowTable, row_at, row_table, rows_at, sector_ints, sector_params
 from octasphere.trigpoly import COS1, SIN2, TAN1, TrigPoly, frac_to_str, mul
 
 F = Fraction
@@ -30,6 +31,28 @@ def test_affine_reads_the_row():
 @given(st.tuples(rationals, rationals, rationals, rationals), sectors)
 def test_row_at_equals_the_fraction_sum(row, ell):
     assert row_at(row, ell) == row[0] + row[1] * ell[0] + row[2] * ell[1] + row[3] * ell[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(rationals, rationals, rationals, rationals), min_size=1, max_size=4),
+       sectors, st.data())
+def test_rows_at_an_int_sector_is_row_at(rows, ell, data):
+    # the sector over its least common denominator, given as Fractions or,
+    # where integral, as ints; each row value one int numerator over one den
+    given_ell = tuple(data.draw(st.sampled_from([x, int(x)] if x.denominator == 1 else [x]))
+                      for x in ell)
+    n0, n1, n2, d = sector = sector_ints(given_ell)
+    assert d == math.lcm(*(x.denominator for x in ell))
+    assert sector_params(sector) == ell
+    nums, den = rows_at(RowTable(rows), sector)
+    assert [F(v, den) for v in nums] == [row_at(row, ell) for row in rows]
+
+
+def test_a_row_table_is_its_tuple_hashed_once():
+    rows = ((F(1, 2), F(1), F(0), F(0)), (F(0), F(0), F(-3, 2), F(1)))
+    table = RowTable(rows)
+    assert table == rows and hash(table) == hash(rows) and hash(table) == hash(table)
+    assert row_table(rows) is row_table(tuple(rows)) is row_table(RowTable(rows))
 
 
 @settings(max_examples=40, deadline=None)
@@ -77,6 +100,8 @@ def test_a_sector_without_three_couplings_is_rejected():
     for ell in ((F(1), F(1)), (F(1),) * 4):
         with pytest.raises(ValueError):
             row_at(row, ell)
+        with pytest.raises(ValueError):
+            sector_ints(ell)
         with pytest.raises(ValueError):
             p.at(ell)
         with pytest.raises(ValueError):

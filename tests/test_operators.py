@@ -18,7 +18,7 @@ from octasphere.operators import (CHAIN, DIAGONALS, FAMILIES, LADDER_NAMES, SO6_
                                   graded_commutator, graded_product, intertwine_identity,
                                   intertwine_residual, match_constant_multiple,
                                   multiplier_ansatz, printed_delta_report, residual_witness,
-                                  solve_multiplier, structure_table)
+                                  solve_multiplier, structure_table, verdict_memo)
 from octasphere.trigpoly import COS1, ONE, SIN1, TrigPoly, TrigTerm, is_zero
 
 F = Fraction
@@ -569,6 +569,23 @@ def test_a_memoised_verdict_shares_no_container_between_callers(proof):
     first, second = proof(), proof()
     assert first == second
     assert not {id(c) for c in _containers(first)} & {id(c) for c in _containers(second)}
+
+
+def test_a_verdict_edited_through_a_nested_list_reads_unchanged_next_time():
+    deltas = printed_delta_report()
+    deltas[0]["evidence_sector"][0] = "9"
+    deltas[0]["evidence_sector"].append("9")
+    assert printed_delta_report()[0]["evidence_sector"] == ["1", "1", "1"]
+
+    # a dict inside a tuple inside a list is its caller's own too
+    @verdict_memo
+    def proof(n):
+        return {"witness": [("part", {"monomial": [0, 0, n]})], "terms": n}
+
+    first = proof(1)
+    first["witness"][0][1]["monomial"].append(7)
+    first["witness"].clear()
+    assert proof(1) == {"witness": [("part", {"monomial": [0, 0, 1]})], "terms": 1}
 
 
 @pytest.mark.parametrize("name", ["B-", "B+", "C-", "C+"])

@@ -418,9 +418,9 @@ def _printed_phi2_factor(monkeypatch):
     real = hierarchy._factor
 
     def printed(var, m, n):
-        deg, alpha, beta, pre = real(var, m, n)
-        return (deg, (alpha[0] + Fraction(1, 2),) + alpha[1:], beta, pre) if var == 2 \
-            else (deg, alpha, beta, pre)
+        deg, (alpha, beta), pre = real(var, m, n)
+        return (deg, ((alpha[0] + Fraction(1, 2),) + alpha[1:], beta), pre) if var == 2 \
+            else (deg, (alpha, beta), pre)
 
     monkeypatch.setattr(hierarchy, "_factor", printed)
 
