@@ -17,9 +17,9 @@ holding couplings; the ladders walk their int sectors themselves): per
 monomial of f it reads one memoised flat table of the normal-form images of
 all the polynomial's ell-monomial coefficients applied to that monomial
 (`_flat`, keyed on the polynomial object and the monomial's int key),
-weights them by the ell-monomials as ints in one pass into one int dict,
-and subtracts the monomial's own memoised normal form for an energy
-(`_monomial_image`); `operators.reset` empties both memos.
+weights them by the ell-monomials as ints (`lpoly.weights`) in one pass
+into one int dict, and subtracts the monomial's own memoised normal form
+for an energy (`_monomial_image`); `operators.reset` empties both memos.
 
 The Hamiltonian family is defined once, as the quadratic polynomial in the
 couplings `HAMILTONIAN` (an LPoly), assembled from its separated blocks
@@ -38,7 +38,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .lpoly import ZERO, IntSector, LPoly, ParamVector, sector_ints
+from .lpoly import ZERO, IntSector, LPoly, ParamVector, sector_ints, weights
 from .lpoly import pv  # noqa: F401  (re-exported)
 from .trigpoly import (PHI1, PHI2, ONE, Key, TrigPoly, _new, _ratio, _reduced, coupling,
                        differentiate, is_zero, normalized, sum_of_products)
@@ -179,21 +179,19 @@ def apply_normal_ints(poly: LPoly, sector: IntSector, f: TrigPoly, energy=0) -> 
     one denominator q.  Application and the normal form are both linear over
     Q, so the result is the sum over the monomials x^k of f and the
     ell-monomials m of poly of f_k l^m NF(poly_m x^k) - f_k energy NF(x^k).
-    The weights l^m are ints over q^top, top the largest degree of poly.
+    The weights l^m are `lpoly.weights`, ints over q^top, top the largest
+    degree of poly.
     Each x^k is one read of its image table (`_flat`) and one int pass over
     it, skipping the slots of weight 0, then of its own image
     (`_monomial_image`) for a nonzero energy.  Terms are added into one int
     dict over the lcm of the tables' denominators, keys in first-occurrence
     order, and one gcd divides out: term for term the sum `trigpoly._sum`
     makes of one part per image."""
-    n0, n1, n2, q = sector
     # the weights l0^i l1^j l2^k of poly's monomials, ints over wd * ed
-    top = max(map(sum, poly._terms), default=0)
-    wd = q ** top
-    weights = [n0 ** i * n1 ** j * n2 ** k * q ** (top - i - j - k) for i, j, k in poly._terms]
+    ws, wd = weights(poly._terms, sector)
     en, ed = _ratio(energy)
     if ed != 1:
-        weights = [w * ed for w in weights]
+        ws = [w * ed for w in ws]
     # numerators over f._den * wd * ed * den, den the lcm of the tables' denominators so far
     acc: dict[Key, int] = {}
     den = 1
@@ -204,9 +202,9 @@ def apply_normal_ints(poly: LPoly, sector: IntSector, f: TrigPoly, energy=0) -> 
             acc = {e: v * (grown // den) for e, v in acc.items()}
             den = grown
         c = n * (den // d)
-        ws = [c * w for w in weights]
+        cws = [c * w for w in ws]
         for e, s, v in table:
-            w = ws[s]
+            w = cws[s]
             if w:
                 acc[e] = acc.get(e, 0) + v * w
         if en:

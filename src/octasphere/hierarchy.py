@@ -6,8 +6,9 @@ the ground-state gauge phi0, whose exponents are affine in ell (PHI0_ROWS),
 times Jacobi factors in cos 2 phi1 and cos 2 phi2 whose exponents do not
 depend on ell (`_factor`); Szego's weights are polynomials in the affine rows
 of the Jacobi parameters, so each family is a polynomial in ell with TrigPoly
-coefficients (`_factor_poly`).  Conjugated by phi0, a block becomes a
-polynomial in ell again, each d_i turned into d_i + d_i log phi0 (`_gauged`),
+coefficients (`_factor_poly`).  Conjugated by phi0, an operator becomes a
+polynomial in ell again, each d_i turned into d_i + d_i log phi0
+(`_conjugate`, memoised for the blocks as `_gauged`),
 and a family is an eigenfunction for every ell exactly when the gauged block
 minus the spectral value (`_spectral_rows`, which `energy` reads too) kills
 it coefficient by coefficient (`diffop.apply_normal_poly`).  The proof is
@@ -16,11 +17,12 @@ the call, PHI0_ROWS and the level: `_phi1_witness` per m for the phi1 block,
 and `_separated_witness` per (m, n) for H, which splits H into the phi2
 block plus sec^2 phi2 times the phi1 block and proves each one-angle factor
 (Kalnins, Miller & Post, J. Phys. A 40, 11525, 2007).  A state is then the
-value of its proved family at its sector.  For a first-order ladder X,
-(X phi0)/phi0 is a polynomial in ell too (`phi0_action`), so each
-annihilation of a fundamental state is one identity on the kind's plane
-(`annihilation_witness`).  `make_state` checks one state at its own sector
-and is the independent oracle of these proofs.
+value of its proved family at its sector.  For an operator X of any
+order, (X phi0)/phi0 is the multiplication part of X conjugated by phi0
+(`phi0_action`), so each annihilation of a fundamental state is one
+identity on the kind's plane (`annihilation_witness`).  Every witness is
+`lpoly.residual_witness`, on the plane or for all ell.  `make_state` checks
+one state at its own sector and is the independent oracle of these proofs.
 
 A laddered state is an eigenstate by theorem, because its every step is
 proved to intertwine the record's `block`, the Hamiltonian or the phi1 block
@@ -68,11 +70,11 @@ from . import diffop, linalg
 from .diffop import (DiffOp, ParamVector, apply_normal_at, apply_normal_ints, apply_normal_poly,
                      compose)
 from .lpoly import (UNITS, ZERO, IntSector, LPoly, Mono, Row, RowTable, as_sector,
-                    quantum_number, row_table, rows_at, sector_ints, sector_params)
-from .operators import GradedOp, graded, intertwining_witness, residual_witness, verdict_memo
+                    quantum_number, residual_witness, row_table, rows_at, sector_ints,
+                    sector_params)
+from .operators import GradedOp, graded, intertwining_witness, verdict_memo
 from .trigpoly import (COT1, COT2, ONE, PHI1, PHI2, TAN1, TAN2, Key, TrigPoly, _exps, _new,
-                       _reduced, _sum, coupling, frac_to_str, linear_combine, mul, normalized,
-                       to_obj)
+                       _reduced, _sum, coupling, frac_to_str, linear_combine, normalized, to_obj)
 from .trigpoly import proportionality  # noqa: F401  (re-exported for comparing states)
 
 HALF = Fraction(1, 2)
@@ -313,26 +315,41 @@ def phi0(ell, onedim: bool = False) -> TrigPoly:
     return _phi0(sector_ints(ell), onedim)
 
 
-def _log_derivative(rows: tuple[Row, ...], var: int) -> LPoly:
-    """d log phi0 / d phi_var for phi0 of exponent rows `rows`, a polynomial in
-    ell: d log(cos^a sin^b) = -a tan + b cot in the angle var."""
-    i, tan, cot = (0, TAN1, COT1) if var == PHI1 else (2, TAN2, COT2)
-    return LPoly.affine(rows[i], -tan) + LPoly.affine(rows[i + 1], cot)
+def _conjugate(block: LPoly, rows: tuple[Row, ...]) -> LPoly:
+    """phi0^-1 block phi0 as a polynomial in ell, phi0 of exponent rows `rows`:
+    every d_i becomes d_i + w_i, w_i = d_i log phi0 = -a tan + b cot in the
+    angle i, for phi0's factor cos^a sin^b there, so c d1^k1 d2^k2 becomes
+    c (d1 + w1)^k1 (d2 + w2)^k2; the two factors commute.  `_gauged` is its
+    memo for the blocks."""
+    steps = [LPoly(DiffOp, {ZERO: DiffOp({order: ONE})})
+             + (LPoly.affine(rows[i], -tan) + LPoly.affine(rows[i + 1], cot))
+             .map(DiffOp.multiplication, DiffOp)
+             for i, tan, cot, order in ((0, TAN1, COT1, (1, 0)), (2, TAN2, COT2, (0, 1)))]
+    powers = {(0, 0): LPoly(DiffOp, {ZERO: DiffOp.identity()}), (1, 0): steps[0], (0, 1): steps[1]}
+
+    def power(k1: int, k2: int) -> LPoly:
+        if (k1, k2) not in powers:
+            powers[k1, k2] = steps[1].product(power(k1, k2 - 1), compose) if k2 \
+                else steps[0].product(power(k1 - 1, 0), compose)
+        return powers[k1, k2]
+
+    out = LPoly(DiffOp)
+    for mono, op in block.items():
+        for order, c in op.items():
+            out = out + LPoly(DiffOp, {mono: DiffOp.multiplication(c)}).product(
+                power(*order), compose)
+    return out
+
+
+_gauged = functools.cache(_conjugate)
 
 
 def phi0_action(x: LPoly, rows: tuple[Row, ...]) -> LPoly:
-    """(X phi0)/phi0 for a first-order X given as a polynomial in ell, itself a
-    polynomial in ell: X's multiplier plus its vector field applied to log phi0
-    (`_log_derivative`).  phi0's exponent rows are `rows` (the program passes
-    PHI0_ROWS).  Its value at ell is zero exactly when X annihilates phi0(ell);
-    ValueError for order > 1."""
-    if any(op.order() > 1 for _, op in x.items()):
-        raise ValueError("phi0_action expects an operator of order <= 1")
-    out = x.map(lambda op: op.coeff((0, 0)), TrigPoly)
-    for var, order in ((PHI1, (1, 0)), (PHI2, (0, 1))):
-        out = out + x.map(lambda op: op.coeff(order), TrigPoly).product(
-            _log_derivative(rows, var), mul)
-    return out
+    """(X phi0)/phi0 for an operator X given as a polynomial in ell, itself a
+    polynomial in ell: the multiplication part of phi0^-1 X phi0
+    (`_conjugate`), phi0 of exponent rows `rows` (the program passes
+    PHI0_ROWS).  Its value at ell is zero exactly when X annihilates phi0(ell)."""
+    return _conjugate(x, rows).map(lambda op: op.coeff((0, 0)), TrigPoly)
 
 
 @verdict_memo
@@ -342,15 +359,7 @@ def annihilation_witness(x: GradedOp, rows: tuple[Row, ...], plane: int | None) 
     None when X annihilates phi0(ell) at every sector of the plane.  Proved
     once per generator, rows and plane; the ground states and the suites'
     annihilation check read the same verdicts."""
-    return residual_witness(on_plane(phi0_action(x.poly, rows), plane))
-
-
-def on_plane(poly: LPoly, plane: int | None) -> LPoly:
-    """A function-valued polynomial in ell on the plane l_plane = 0 (its
-    monomials free of l_plane; all of them for plane None), as
-    multiplication operators."""
-    return LPoly(DiffOp, {m: DiffOp.multiplication(c) for m, c in poly.items()
-                          if plane is None or not m[plane]})
+    return residual_witness(phi0_action(x.poly, rows), plane)
 
 
 # -- eigenvalue proofs for every ell ----------------------------------------------
@@ -433,38 +442,12 @@ def _multiplication(*parts: tuple[str, int, int, TrigPoly]) -> LPoly:
                           for mono, ps in acc.items()})
 
 
-@functools.cache
-def _gauged(block: LPoly, rows: tuple[Row, ...]) -> LPoly:
-    """phi0^-1 block phi0 as a polynomial in ell, phi0 of exponent rows `rows`:
-    every d_i becomes d_i + w_i, w_i = d_i log phi0 (`_log_derivative`), so
-    c d1^k1 d2^k2 becomes c (d1 + w1)^k1 (d2 + w2)^k2; the two factors commute."""
-    steps = [LPoly(DiffOp, {ZERO: DiffOp({order: ONE})})
-             + _log_derivative(rows, var).map(DiffOp.multiplication, DiffOp)
-             for var, order in ((PHI1, (1, 0)), (PHI2, (0, 1)))]
-    powers = {(0, 0): LPoly(DiffOp, {ZERO: DiffOp.identity()})}
-
-    def power(k1: int, k2: int) -> LPoly:
-        if (k1, k2) not in powers:
-            powers[k1, k2] = steps[1].product(power(k1, k2 - 1), compose) if k2 \
-                else steps[0].product(power(k1 - 1, 0), compose)
-        return powers[k1, k2]
-
-    out = LPoly(DiffOp)
-    for mono, op in block.items():
-        for order, c in op.items():
-            out = out + LPoly(DiffOp, {mono: DiffOp.multiplication(c)}).product(
-                power(*order), compose)
-    return out
-
-
 def _kernel_witness(ops: tuple[LPoly, ...], family: LPoly) -> dict | None:
-    """The first ell-monomial whose coefficient in the sum of op(ell)
-    family(ell) over ops is not the zero function, with its number of
-    normal-form terms (`diffop.apply_normal_poly`); None when it vanishes for
-    every ell.  A gauged block is one of ops, so its image tables are shared
-    by every level."""
-    return next(({"monomial": list(m), "terms": len(p)} for m, p in
-                 apply_normal_poly((op, family) for op in ops).items()), None)
+    """The `residual_witness` of the sum of op(ell) family(ell) over ops in
+    normal form (`diffop.apply_normal_poly`); None when it vanishes for every
+    ell.  A gauged block is one of ops, so its image tables are shared by
+    every level."""
+    return residual_witness(apply_normal_poly((op, family) for op in ops))
 
 
 @verdict_memo

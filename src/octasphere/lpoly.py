@@ -11,6 +11,14 @@ independent functions of ell, so such an identity holds for every ell in Q^3
 exactly when each of its coefficients is the zero function, and a constant of
 the identity (a structure constant, the Riccati lambda) is read off
 coefficient by coefficient.
+
+This module is the one reader of such a polynomial.  At a sector it weighs
+the monomials as ints over one denominator (`weights`), for `at`,
+`diffop.apply_normal_ints` and the Riccati lambda samples alike.  For every
+ell, or every ell of a plane l_i = 0 (the monomials free of l_i), it lists
+the monomials whose coefficient is not zero (`nonzero`) and names the first
+(`residual_witness`), for either kind of coefficient: every proof for all
+ell reads its verdict there.
 """
 
 from __future__ import annotations
@@ -19,9 +27,9 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
-from .trigpoly import TrigPoly, _ratio, coupling, linear_combine
+from .trigpoly import TrigPoly, _normal_form, _ratio, _sum, coupling
 
 Mono = tuple[int, int, int]
 Row = tuple[Fraction, Fraction, Fraction, Fraction]
@@ -126,6 +134,15 @@ def rows_at(rows: tuple[Row, ...], s: IntSector) -> tuple[list[int], int]:
     return [a * d + b * n0 + c * n1 + e * n2 for a, b, c, e in ints], den * d
 
 
+def weights(monos: Collection[Mono], s: IntSector) -> tuple[list[int], int]:
+    """The values l0^i l1^j l2^k of the monomials at the sector s = (n0, n1,
+    n2, d), in their order, as int numerators over d^top, top the largest
+    degree among them."""
+    n0, n1, n2, d = s
+    top = max(map(sum, monos), default=0)
+    return [n0 ** i * n1 ** j * n2 ** k * d ** (top - i - j - k) for i, j, k in monos], d ** top
+
+
 class LPoly:
     """Finite sum of coefficient * l0^i l1^j l2^k, coefficients of one kind.
 
@@ -188,27 +205,20 @@ class LPoly:
                 acc[m] = acc[m] + v if m in acc else v
         return LPoly(other.kind, acc)
 
-    def weighted(self, ell: Sequence[Fraction]):
-        """(monomial, l0^i l1^j l2^k at ell, coefficient) per term in stored order;
-        int weights at an integer sector."""
-        (n0, d0), (n1, d1), (n2, d2) = ((x.numerator, x.denominator) for x in as_sector(ell))
-        for m, c in self._terms.items():
-            i, j, k = m
-            num, den = n0 ** i * n1 ** j * n2 ** k, d0 ** i * d1 ** j * d2 ** k
-            yield m, num if den == 1 else Fraction(num, den), c
-
     def at(self, ell: Sequence[Fraction]):
-        """The coefficient-kind value at one sector, in the stored term order: one
-        `linear_combine` of the `weighted` terms per derivative order (a lone term
-        of weight 1 as it is)."""
-        pairs = ((w, c) for _, w, c in self.weighted(ell))
+        """The coefficient-kind value at one sector, in the stored term order:
+        the sector read once in ints (`sector_ints`), its `weights` added into
+        one `trigpoly._sum` per derivative order (a lone term of weight 1 as
+        it is)."""
+        ws, den = weights(self._terms, sector_ints(ell))
         if self.kind is TrigPoly:
-            return linear_combine(pairs)
+            return _sum((w, den * p._den, p._terms) for w, p in zip(ws, self._terms.values()))
         orders: dict = {}
-        for w, op in pairs:
+        for w, op in zip(ws, self._terms.values()):
             for order, p in op.items():
                 orders.setdefault(order, []).append((w, p))
-        return self.kind._raw({o: ps[0][1] if len(ps) == 1 and ps[0][0] == 1 else linear_combine(ps)
+        return self.kind._raw({o: ps[0][1] if len(ps) == 1 and ps[0][0] == den
+                               else _sum((w, den * p._den, p._terms) for w, p in ps)
                                for o, ps in orders.items()})
 
     def reflect(self, axis: int) -> "LPoly":
@@ -234,3 +244,24 @@ class LPoly:
                     v = c.scale(w)
                     acc[j] = acc[j] + v if j in acc else v
         return LPoly(self.kind, acc)
+
+
+def nonzero(poly: LPoly, plane: int | None = None) -> Iterator[tuple[Mono, int]]:
+    """(monomial, number of normal-form terms) for each monomial of poly, in
+    increasing order, whose coefficient is not the zero function or operator;
+    only the monomials free of l_plane (on the plane l_plane = 0) unless
+    plane is None.  Distinct monomials are independent functions of ell, so
+    poly vanishes for every ell of the plane exactly when this is empty."""
+    for m, c in poly.items():
+        if plane is None or not m[plane]:
+            terms = sum(len(_normal_form(p)) for p in
+                        ((c,) if poly.kind is TrigPoly else (q for _, q in c.items())))
+            if terms:
+                yield m, terms
+
+
+def residual_witness(poly: LPoly, plane: int | None = None) -> dict | None:
+    """The first monomial that `nonzero` names, with its number of
+    normal-form terms; None when poly vanishes for every ell in Q^3 (on the
+    plane l_plane = 0 for a plane)."""
+    return next(({"monomial": list(m), "terms": n} for m, n in nonzero(poly, plane)), None)

@@ -27,8 +27,10 @@ of a ladder with H (`intertwine_identity`), the structure table
 (`structure_table`, all 33 entries, the 18 [A|B|C, X±] ones included, formed
 by the one graded bracket and each read as one rational constant times one
 generator of its shift), the Casimir residuals (`casimir_residual`) and the
-brackets behind the Jacobi identity (`graded_bracket`).  `residual_witness`
-names the first ell-monomial where such an identity fails.  The per-sector
+brackets behind the Jacobi identity (`graded_bracket`).
+`lpoly.residual_witness` names the first ell-monomial where such an identity
+fails, and the printed audit lists every such monomial (`lpoly.nonzero`).
+The per-sector
 compositions (`intertwine_residual`, `graded_commutator`) compose the concrete
 operators at one sector and are the reference the identities are checked
 against.
@@ -66,9 +68,9 @@ from typing import Sequence
 
 from . import diffop, linalg
 from .diffop import DiffOp, ParamVector, build_hamiltonian, compose, is_zero_op, pv
-from .lpoly import ZERO, LPoly, Mono, Row, as_sector, quantum_number
+from .lpoly import ZERO, LPoly, Mono, Row, as_sector, nonzero, quantum_number, residual_witness
 from .trigpoly import (COT2, TAN2, TrigPoly, TrigTerm, coordinate_vectors, is_zero,
-                       normal_form, proportionality)
+                       proportionality)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -343,16 +345,6 @@ def reset() -> None:
                 clear = getattr(obj, "cache_clear", None)
                 if callable(clear):
                     clear()
-
-
-def residual_witness(poly: LPoly) -> dict | None:
-    """The first ell-monomial whose coefficient in `poly` is not the zero
-    operator, with that coefficient's number of normal-form terms; None when
-    poly vanishes for every ell in Q^3."""
-    for m, op in poly.items():
-        if not is_zero_op(op):
-            return {"monomial": list(m), "terms": sum(len(normal_form(p)) for _, p in op.items())}
-    return None
 
 
 # -- intertwining ---------------------------------------------------------------
@@ -637,7 +629,8 @@ def _printed_delta_report(ladders: tuple[GradedOp, ...], hamiltonian: LPoly) -> 
         other = lads[name[:-1] + ("+" if name[-1] == "-" else "-")]
         identity = intertwine_identity(GradedOp(name, x.shift, other.poly.shift(x.shift)),
                                        hamiltonian)
-        if residual_witness(identity) is None:
+        monomials = [list(m) for m, _ in nonzero(identity)]
+        if not monomials:
             continue
         deltas.append({
             "operator": name,
@@ -647,6 +640,6 @@ def _printed_delta_report(ladders: tuple[GradedOp, ...], hamiltonian: LPoly) -> 
             "printed_residual_zero": is_zero_op(identity.at(PRINTED_EVIDENCE_SECTOR)),
             "corrected_residual_zero": intertwining_witness(x, hamiltonian) is None,
             # the l-monomials with a nonzero coefficient in the printed residual
-            "failure_monomials": [list(m) for m, op in identity.items() if not is_zero_op(op)],
+            "failure_monomials": monomials,
         })
     return deltas

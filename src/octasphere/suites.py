@@ -15,7 +15,8 @@ generators it brackets, the A-/C- annihilation of the u(3) fundamental states
 (`hierarchy.annihilation_witness`, on each generator, `hierarchy.PHI0_ROWS`
 and the plane l1 = 0, the proofs the fundamental states read), the l1 = 0
 superpotentials (`_superpotential_witness`, on the family rows and
-the phi0 rows), the Riccati lambda and the kinetic check
+the phi0 rows, each read by `lpoly.residual_witness` on that plane), the
+Riccati lambda and the kinetic check
 (`superpotential.riccati_lambda`, `kinetic_rotation_check`, on the family
 rows and the Hamiltonian).  The Casimir residuals are memoised polynomials
 (`operators.casimir_residual`).  The states the report builds are proved
@@ -28,26 +29,28 @@ adjoint check each sector's state and norm, the orthogonality check each
 state's norm, and the quadrature reads memoised integrand columns, summed
 afresh.
 A replaced table row is a new key; a mutant of code is seen only after
-`operators.reset`, which empties every memo here too.
+`operators.reset`, which empties every memo here too.  The lambda samples
+are the proved lambda polynomial at its sectors, weighed by `lpoly.weights`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from . import diffop, hierarchy, operators
 from .diffop import DiffOp, apply, apply_normal_at, build_hamiltonian, pv
 from .hierarchy import (StateCheckError, annihilation_witness, closed_form_state, energy,
-                        ground_state, jacobi_in_cos2, on_plane, phi0)
+                        ground_state, jacobi_in_cos2, phi0)
 from .inner import (adjoint_residual, inner, mono_inner, mono_inner_quadrature,
                     norm, numeric_oracle_check)
-from .lpoly import ZERO, LPoly, Row
+from .lpoly import ZERO, LPoly, Row, residual_witness, sector_ints, weights
 from .operators import (DIAGONALS, FAMILIES, LADDER_NAMES, PRINTED_EVIDENCE_SECTOR, PRINTED_NAMES,
                         SO6_CONSTANT_PRINTED, TILDE_NAMES, Family, GradedOp, MultiplierSolveError,
                         build_first_order, casimir_residual, constant_part, graded,
                         graded_bracket, intertwining_witness, multiplier_ansatz,
-                        printed_delta_report, residual_witness, solve_multiplier,
+                        printed_delta_report, solve_multiplier,
                         structure_table, verdict_memo)
 from .superpotential import (kinetic_rotation_check, riccati_check, riccati_lambda,
                              simultaneous_superpotentials)
@@ -263,13 +266,12 @@ def suite_riccati() -> dict:
     lam = riccati_lambda()
 
     def lam_at(ell) -> Fraction:
-        """lambda at a sector of Fractions, summed in ints over one denominator."""
-        (n0, d0), (n1, d1), (n2, d2) = ((x.numerator, x.denominator) for x in ell)
-        num, den = 0, 1
-        for (i, j, k), c in lam.items():
-            d = c.denominator * d0 ** i * d1 ** j * d2 ** k
-            num, den = num * d + c.numerator * n0 ** i * n1 ** j * n2 ** k * den, den * d
-        return Fraction(num, den)
+        """lambda at a sector, its monomials weighed by `lpoly.weights`, summed
+        in ints over one denominator."""
+        ws, den = weights(lam, sector_ints(ell))
+        cd = math.lcm(*(c.denominator for c in lam.values()))
+        return Fraction(sum(c.numerator * (cd // c.denominator) * w
+                            for c, w in zip(lam.values(), ws)), cd * den)
 
     resid, spot = riccati_check(RICCATI_SPOT)
     ok = lam is not None and not resid and spot == lam_at(RICCATI_SPOT)
@@ -299,11 +301,13 @@ def suite_riccati() -> dict:
 
 @verdict_memo
 def _superpotential_witness(families: tuple[tuple[str, Family], ...], rows: tuple[Row, ...]):
-    """The `_first_failure` of the `simultaneous_superpotentials` of the family
-    rows on the plane l1 = 0, phi0 of exponent rows `rows`; proved once per
-    family rows and phi0 rows."""
-    return _first_failure(((name,), on_plane(w, 1))
-                          for name, w in simultaneous_superpotentials(families, rows).items())
+    """The first family whose `simultaneous_superpotentials` identity fails on
+    the plane l1 = 0, phi0 of exponent rows `rows`, as its name and
+    `residual_witness`, like a `_first_failure`; proved once per family rows
+    and phi0 rows."""
+    found = ((name, residual_witness(w, 1))
+             for name, w in simultaneous_superpotentials(families, rows).items())
+    return next((([name], w) for name, w in found if w is not None), None)
 
 
 # -- hermiticity / numerics ---------------------------------------------------------

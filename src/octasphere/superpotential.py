@@ -8,8 +8,10 @@ Riccati equation.  This module computes all of that exactly and reports the
 sign conventions it finds.  `riccati_check` solves the identity at one
 sector; `riccati_lambda` reads the constant lambda(ell) off the same identity
 written as one polynomial in ell (the potential read from
-`diffop.HAMILTONIAN`), so it holds for every ell in Q^3, and so do the
-superpotentials read off the ground-state gauge (`hierarchy.phi0_action`).
+`diffop.HAMILTONIAN`), so it holds for every ell in Q^3.  The
+superpotentials read off the ground-state gauge (`hierarchy.phi0_action`)
+are polynomials in ell too; `suites` decides them on the plane l1 = 0 with
+`lpoly.residual_witness`.
 Each family's vector field and multiplier are read off its `operators.FAMILIES`
 row (`chart.derivative(±1)`, `symbolic_multiplier`), and the Hamiltonian off
 `diffop` at the call, so every check here reads the tables from their home.

@@ -337,10 +337,13 @@ def test_apply_normal_at_is_the_normal_form_of_the_operator_formed_at_the_sector
 
 def _image_sum_at(poly, ell, f: TrigPoly, energy=0) -> TrigPoly:
     """Reference: one `trigpoly._sum` part per monomial x^k of f and ell-monomial
-    m of poly of nonzero weight, the image NF(poly_m x^k) weighted f_k l^m,
-    then the energy image -f_k energy NF(x^k); each image formed afresh."""
+    m of poly of nonzero weight, in poly's stored order, the image NF(poly_m
+    x^k) weighted f_k l^m, l^m a product of Fraction powers, then the energy
+    image -f_k energy NF(x^k); each image formed afresh."""
     en, ed = _ratio(energy)
-    weights = [(m, *_ratio(w)) for m, w, _ in poly.weighted(ell) if w]
+    l0, l1, l2 = pv(*ell)
+    weights = [(m, *_ratio(w)) for m in poly._terms
+               if (w := l0 ** m[0] * l1 ** m[1] * l2 ** m[2])]
     parts = []
     for key, n in f._terms.items():
         x = _new({key: 1}, 1)

@@ -6,9 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from octasphere.diffop import DiffOp, compose
-from octasphere.lpoly import LPoly, RowTable, row_at, row_table, rows_at, sector_ints, sector_params
-from octasphere.trigpoly import COS1, SIN2, TAN1, TrigPoly, frac_to_str, mul
+from octasphere.diffop import HAMILTONIAN, DiffOp, compose, is_zero_op
+from octasphere.hierarchy import _factor_poly
+from octasphere.lpoly import (LPoly, RowTable, nonzero, residual_witness, row_at, row_table,
+                              rows_at, sector_ints, sector_params)
+from octasphere.operators import CHAIN, LADDER_NAMES, TILDE_NAMES, graded
+from octasphere.trigpoly import (COS1, PHI2, SIN1, SIN2, TAN1, TrigPoly, frac_to_str, is_zero,
+                                 linear_combine, mul)
 
 F = Fraction
 
@@ -64,6 +68,65 @@ def test_evaluation_commutes_with_the_operations(p, q, ell, delta):
     assert p.scale(F(-2, 3)).at(ell) == p.at(ell).scale(F(-2, 3))
     assert p.product(q, mul).at(ell) == mul(p.at(ell), q.at(ell))
     assert p.shift(delta).at(ell) == p.at(tuple(x + d for x, d in zip(ell, delta)))
+
+
+def _at_reference(poly: LPoly, ell):
+    """poly at ell from Fraction powers l0^i l1^j l2^k, term by term in the
+    stored order: one `linear_combine` per coefficient (per derivative order
+    for an operator)."""
+    l0, l1, l2 = (F(x) for x in ell)
+    pairs = [(l0 ** i * l1 ** j * l2 ** k, c) for (i, j, k), c in poly._terms.items()]
+    if poly.kind is TrigPoly:
+        return linear_combine(pairs)
+    orders: dict = {}
+    for w, op in pairs:
+        for order, c in op.items():
+            orders.setdefault(order, []).append((w, c))
+    return DiffOp._raw({o: linear_combine(ps) for o, ps in orders.items()})
+
+
+def _stored(p) -> list:
+    """A TrigPoly or DiffOp as its stored terms, in order, with denominators."""
+    if isinstance(p, TrigPoly):
+        return [p._den, list(p._terms.items())]
+    return [(o, _stored(c)) for o, c in p.items()]
+
+
+AT_POLYS = {"H": HAMILTONIAN,
+            **{name: graded(name).poly for name in LADDER_NAMES + TILDE_NAMES},
+            **{f"CHAIN[{sign}]": poly for sign, poly in CHAIN.items()},
+            # a TrigPoly-kind poly of degree 0 to 2: the phi2 Jacobi factor of level (1, 1)
+            "phi2 factor": _factor_poly(PHI2, 1, 1)}
+integers = st.integers(-3, 3)
+at_sectors = st.one_of(st.tuples(integers, integers, integers),
+                       st.tuples(halves, halves, halves), sectors)
+
+
+@pytest.mark.parametrize("name", list(AT_POLYS))
+@settings(max_examples=30, deadline=None)
+@given(at_sectors)
+def test_at_is_the_fraction_power_sum_term_for_term(name, ell):
+    # each weight an int over d^top: a degree below top carries d^(top - deg)
+    got, want = AT_POLYS[name].at(ell), _at_reference(AT_POLYS[name], ell)
+    assert got == want and _stored(got) == _stored(want)
+
+
+zero_function = COS1 * COS1 + SIN1 * SIN1 - TrigPoly.constant(1)   # zero, three terms stored
+some_coeffs = st.sampled_from([COS1, TAN1, zero_function, COS1 * SIN2 + zero_function])
+some_ops = st.dictionaries(st.sampled_from([(0, 0), (1, 0), (0, 2)]), some_coeffs,
+                           min_size=1, max_size=2).map(DiffOp)
+trig_polys = st.dictionaries(monos, some_coeffs, max_size=5).map(lambda d: LPoly(TrigPoly, d))
+op_polys = st.dictionaries(monos, some_ops, max_size=5).map(lambda d: LPoly(DiffOp, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(trig_polys, op_polys), st.sampled_from([None, 0, 1, 2]))
+def test_the_witness_on_a_plane_is_that_of_the_poly_without_l_plane(poly, plane):
+    zero = is_zero if poly.kind is TrigPoly else is_zero_op
+    assert [m for m, _ in nonzero(poly)] == [m for m, c in poly.items() if not zero(c)]
+    kept = LPoly(poly.kind, {m: c for m, c in poly.items() if plane is None or not m[plane]})
+    assert residual_witness(poly, plane) == residual_witness(kept)
+    assert list(nonzero(poly, plane)) == list(nonzero(kept))
 
 
 def test_product_through_compose_and_the_result_kind():

@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from octasphere.diffop import DiffOp, is_zero_op, pv
+from octasphere.diffop import DiffOp, apply, is_zero_op, pv
 from octasphere.hierarchy import PHI0_ROWS, closed_form_state, phi0, phi0_action
 from octasphere.lpoly import LPoly
 from octasphere.operators import (FAMILIES, build_first_order, graded, graded_product,
@@ -96,9 +96,12 @@ def test_superpot_constant_state_is_zero():
     assert not phi0_action(x, PHI0_ROWS).at(ell)
 
 
-def test_phi0_action_rejects_a_second_order_operator():
-    with pytest.raises(ValueError):
-        phi0_action(graded_product(graded("A+"), graded("A-")).poly, PHI0_ROWS)
+def test_phi0_action_of_a_second_order_operator_is_exact():
+    # phi0^-1 X phi0 conjugates every derivative, so (X phi0)/phi0 holds at any order
+    x = graded_product(graded("A+"), graded("A-"))
+    action = phi0_action(x.poly, PHI0_ROWS)
+    for ell in (pv(1, 2, 0), pv(HALF, F(3, 2), F(-1, 2)), pv(-2, F(5, 2), 3)):
+        assert is_zero(action.at(ell) * phi0(ell) - apply(x.at(ell), phi0(ell))), ell
 
 
 def test_riccati_vanishing_potential_sector():
